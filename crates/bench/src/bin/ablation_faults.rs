@@ -8,11 +8,11 @@
 
 use std::path::PathBuf;
 
-use v2d_comm::{Spmd, TileMap, Universe};
+use v2d_comm::{Spmd, TileMap};
 use v2d_core::checkpoint::{restore_checkpoint, write_checkpoint, CheckpointStore};
 use v2d_core::problems::{Family, GaussianPulse};
 use v2d_core::sim::V2dSim;
-use v2d_core::supervise::{run_supervised_on, RetryPolicy, SuperviseSpec};
+use v2d_core::supervise::{run_supervised, RetryPolicy, SuperviseSpec};
 use v2d_machine::{FaultInjector, FaultKind, FaultPlan, FaultRecord};
 
 const N1: usize = 16;
@@ -27,7 +27,7 @@ const CK_EVERY: usize = 3;
 /// *last* save (after step 12 the injector is one step behind the
 /// istep counter) and the fallback walk has something to skip.
 fn campaign_plan() -> FaultPlan {
-    let mut plan = FaultPlan::empty()
+    FaultPlan::empty()
         .with_event(1, Some(0), FaultKind::FieldNan)
         .with_event(2, Some(1), FaultKind::FieldInf)
         .with_event(3, Some(0), FaultKind::FieldBitFlip)
@@ -35,11 +35,7 @@ fn campaign_plan() -> FaultPlan {
         .with_event(5, Some(0), FaultKind::DropMessage { nth: 0 })
         .with_event(6, Some(1), FaultKind::DelayMessage { nth: 1, secs: 0.25 })
         .with_event(7, Some(1), FaultKind::RankStall { secs: 0.5 })
-        .with_event(11, Some(0), FaultKind::CorruptCheckpoint { byte_frac: 0.55 });
-    // Short real-time deadline so the dropped message resolves quickly;
-    // the modeled virtual-time penalty keeps its default.
-    plan.recv_timeout_ms = 250;
-    plan
+        .with_event(11, Some(0), FaultKind::CorruptCheckpoint { byte_frac: 0.55 })
 }
 
 /// Flip one byte at fractional offset `frac` of `path` (what the
@@ -130,13 +126,11 @@ const NL_N2: usize = 12;
 const NL_STEPS: usize = 6;
 
 fn nonlinear_plan() -> FaultPlan {
-    let mut plan = FaultPlan::empty()
+    FaultPlan::empty()
         // The exact formerly-deadlocking event: a NaN into rank 0's
         // field on the nonlinear path, step 2.
         .with_event(2, Some(0), FaultKind::FieldNan)
-        .with_event(4, Some(1), FaultKind::FieldInf);
-    plan.recv_timeout_ms = 250;
-    plan
+        .with_event(4, Some(1), FaultKind::FieldInf)
 }
 
 /// The nonlinear-pulse campaign run.
@@ -312,7 +306,7 @@ fn rank_kill_campaign() {
     let mut ledgers = Vec::new();
     let mut clean_bits = None;
     for (name, spec, policy) in cases {
-        let report = run_supervised_on(&spec, policy, Universe::EventDriven)
+        let report = run_supervised(&spec, policy)
             .unwrap_or_else(|e| panic!("{name}: supervised run failed: {e}"));
         let l = &report.ledger;
         println!(
@@ -422,7 +416,7 @@ fn sedov_kill_campaign() {
     );
     let mut clean_bits = None;
     for (name, spec, policy) in cases {
-        let report = run_supervised_on(&spec, policy, Universe::EventDriven)
+        let report = run_supervised(&spec, policy)
             .unwrap_or_else(|e| panic!("{name}: supervised sedov run failed: {e}"));
         let l = &report.ledger;
         println!(

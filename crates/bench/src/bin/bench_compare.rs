@@ -11,9 +11,6 @@
 //!
 //! Flags:
 //! * `--baseline PATH` — baseline report (default `bench/baseline.json`);
-//! * `--skip-wallclock` — drop wall-clock (`*_wall`) entries from both
-//!   sides (for machines whose timings are meaningless);
-//! * `--quick` — 1 timing round for the wall-clock entries;
 //! * `--perturb-cycles N` — inject N simulated cycles into one modeled
 //!   clock before comparing.  `--perturb-cycles 1` is the red-run
 //!   demonstration: a single cycle of drift must fail the gate;
@@ -30,20 +27,17 @@
 
 use std::io::Write as _;
 
-use v2d_bench::report::{collect, strip_wallclock, CollectOpts};
+use v2d_bench::report::{collect, CollectOpts};
 use v2d_obs::{compare, BenchReport};
 
 fn main() {
     let mut baseline = String::from("bench/baseline.json");
     let mut opts = CollectOpts::default();
-    let mut skip_wallclock = false;
     let mut summary: Option<String> = std::env::var("GITHUB_STEP_SUMMARY").ok();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--baseline" => baseline = args.next().expect("--baseline needs a path"),
-            "--skip-wallclock" => skip_wallclock = true,
-            "--quick" => opts.rounds = 1,
             "--perturb-cycles" => {
                 opts.perturb_cycles = args
                     .next()
@@ -74,27 +68,20 @@ fn main() {
             }
             "--summary" => summary = args.next(),
             other => panic!(
-                "unknown argument {other:?} (expected --baseline PATH / --skip-wallclock / \
-                 --quick / --perturb-cycles N / --perturb-supervise N / --perturb-serve N / \
-                 --perturb-scenario N / --summary PATH)"
+                "unknown argument {other:?} (expected --baseline PATH / --perturb-cycles N / \
+                 --perturb-supervise N / --perturb-serve N / --perturb-scenario N / \
+                 --summary PATH)"
             ),
         }
     }
 
     let text = std::fs::read_to_string(&baseline)
         .unwrap_or_else(|e| panic!("cannot read baseline {baseline}: {e}"));
-    let mut base = BenchReport::parse(&text)
+    let base = BenchReport::parse(&text)
         .unwrap_or_else(|e| panic!("cannot parse baseline {baseline}: {e}"));
-    opts.wallclock = !skip_wallclock && base.entries.values().any(|e| e.unit.ends_with("_wall"));
-    if skip_wallclock {
-        strip_wallclock(&mut base);
-    }
 
     eprintln!("regenerating bench report …");
-    let mut fresh = collect(&opts);
-    if skip_wallclock {
-        strip_wallclock(&mut fresh);
-    }
+    let fresh = collect(&opts);
 
     let cmp = compare(&base, &fresh);
     if cmp.pass() {

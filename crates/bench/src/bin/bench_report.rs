@@ -1,16 +1,14 @@
 //! Generate the canonical benchmark report (`bench/baseline.json`).
 //!
 //! Runs the fixed experiment set of `v2d_bench::report::collect` —
-//! modeled clocks with bit-exact gates, wall-clock timings with
-//! generous ceilings — and writes the result.  Commit the output to
-//! refresh the CI regression-gate baseline:
+//! modeled quantities with bit-exact gates — and writes the result.
+//! Commit the output to refresh the CI regression-gate baseline:
 //!
 //! ```text
 //! cargo run --release --bin bench_report -- --out bench/baseline.json
 //! ```
 //!
-//! Flags: `--out PATH` (default `bench/baseline.json`), `--quick`
-//! (1 timing round), `--no-wallclock` (modeled entries only),
+//! Flags: `--out PATH` (default `bench/baseline.json`),
 //! `--stdout` (print instead of writing), `--merge PATH` (load the
 //! existing report at PATH and add only the freshly collected entries
 //! it does not already carry — existing entries stay byte-identical,
@@ -21,25 +19,21 @@ use v2d_obs::BenchReport;
 
 fn main() {
     let mut out = String::from("bench/baseline.json");
-    let mut opts = CollectOpts::default();
     let mut to_stdout = false;
     let mut merge: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--out" => out = args.next().expect("--out needs a path"),
-            "--quick" => opts.rounds = 1,
-            "--no-wallclock" => opts.wallclock = false,
             "--stdout" => to_stdout = true,
             "--merge" => merge = Some(args.next().expect("--merge needs a path")),
-            other => panic!(
-                "unknown argument {other:?} (expected --out PATH / --quick / --no-wallclock / \
-                 --stdout / --merge PATH)"
-            ),
+            other => {
+                panic!("unknown argument {other:?} (expected --out PATH / --stdout / --merge PATH)")
+            }
         }
     }
     eprintln!("collecting canonical bench report …");
-    let fresh = collect(&opts);
+    let fresh = collect(&CollectOpts::default());
     let report = match merge {
         None => fresh,
         Some(path) => {

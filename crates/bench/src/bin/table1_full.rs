@@ -1,5 +1,5 @@
 //! The full ≤ 50-rank Table I grid plus the O(1000)-rank weak-scaling
-//! curve — the two sweeps the event-driven universe unlocks.
+//! curve — the two sweeps the discrete-event rank scheduler unlocks.
 //!
 //! Usage: `table1_full`
 //!

@@ -1,47 +1,36 @@
 //! Canonical benchmark collection for the CI regression gate.
 //!
 //! [`collect`] runs a fixed set of fast experiments and packs every
-//! result into a [`BenchReport`]:
-//!
-//! * **Modeled quantities** (Table II kernel clocks and instruction
-//!   counts, Fig. 1 matrix statistics, a miniature Table I sweep, the
-//!   50-rank corner of the full Table I grid, the event scheduler's
-//!   dispatch counters, and the totals of 2-rank fault-recovery runs)
-//!   carry [`Gate::Exact`] — they are deterministic functions of the
-//!   code, so the gate is bit-for-bit.
-//! * **Wall-clock timings** (unit `s_wall`) carry [`Gate::Ceil`] with a
-//!   generous band, since shared CI runners are noisy.  They can be
-//!   excluded wholesale with [`strip_wallclock`].
+//! result into a [`BenchReport`].  Every entry is a **modeled
+//! quantity** — Table II kernel clocks and instruction counts, Fig. 1
+//! matrix statistics, a miniature Table I sweep, the 50-rank corner of
+//! the full Table I grid, the rank scheduler's dispatch counters, the
+//! totals of 2-rank fault-recovery runs, the supervised-recovery ledger,
+//! the scenario registry and the scripted service counters — and
+//! carries [`Gate::Exact`] (or a 1e-9 [`Gate::Band`] for validation
+//! norms): deterministic functions of the code, gated bit-for-bit.
+//! Host time is not measured here; that is `bench/e2e/run.sh`'s job.
 //!
 //! The checked-in `bench/baseline.json` is the output of
 //! `bench_report`; `bench_compare` regenerates a fresh report and
 //! diffs the two.
 
-use std::time::Instant;
-
-use v2d_comm::{ReduceOp, Spmd, Universe};
+use v2d_comm::{ReduceOp, Spmd};
 use v2d_core::problems::{Family, GaussianPulse};
-use v2d_core::supervise::{run_supervised_on, RetryPolicy, SuperviseSpec};
+use v2d_core::supervise::{run_supervised, RetryPolicy, SuperviseSpec};
 use v2d_linalg::sparsity;
 use v2d_machine::{A64fxModel, FaultKind, FaultPlan, ALL_COMPILERS};
 use v2d_obs::{BenchReport, Gate, Metric, Metrics, RunReport, Tracer};
-use v2d_sve::kernels::{decoded_routine, prepare_routine, ExecMode, Routine, Variant};
+use v2d_sve::kernels::{decoded_routine, prepare_routine, Routine, Variant};
 use v2d_sve::{ExecConfig, Executor};
 use v2d_testkit::MiniSpec;
 
 use crate::{fig1, table1, table2};
 
-/// Wall-clock ceiling: a fresh run may take up to this multiple of the
-/// baseline seconds before the gate trips.
-pub const WALLCLOCK_CEIL: f64 = 4.0;
-
-/// Knobs for [`collect`].
-#[derive(Debug, Clone, Copy)]
+/// Knobs for [`collect`]: the red-run perturbations, all zero by
+/// default.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct CollectOpts {
-    /// Include wall-clock (`s_wall`) entries.
-    pub wallclock: bool,
-    /// Timing rounds for wall-clock entries (best-of).
-    pub rounds: usize,
     /// Inject this many extra simulated cycles into the first Table II
     /// SVE clock — the CI red-run demonstration: even one cycle must
     /// trip the exact gate.
@@ -58,32 +47,6 @@ pub struct CollectOpts {
     /// before recording it — the red-run proof for the `scenario.*`
     /// gate family.
     pub perturb_scenario: u64,
-}
-
-impl Default for CollectOpts {
-    fn default() -> Self {
-        CollectOpts {
-            wallclock: true,
-            rounds: 3,
-            perturb_cycles: 0,
-            perturb_supervise: 0,
-            perturb_serve: 0,
-            perturb_scenario: 0,
-        }
-    }
-}
-
-/// Best-of-`rounds` wall time of `work`, plus the last round's value.
-fn best_of<T>(rounds: usize, mut work: impl FnMut() -> T) -> (f64, T) {
-    let mut best = f64::INFINITY;
-    let mut value = None;
-    for _ in 0..rounds.max(1) {
-        let t0 = Instant::now();
-        let v = work();
-        best = best.min(t0.elapsed().as_secs_f64());
-        value = Some(v);
-    }
-    (best, value.expect("at least one round"))
 }
 
 /// FNV-1a over `data`, folded to 32 bits so the value is exact in f64.
@@ -162,8 +125,7 @@ pub fn add_table1_mini(report: &mut BenchReport) {
 }
 
 /// Representative coordinates of the full ≤ 50-rank Table I grid (the
-/// `table1_full` sweep), on the event-driven universe's modeled
-/// clocks: the three 50-rank factorizations of a reduced 50×50 pulse,
+/// `table1_full` sweep): the three 50-rank factorizations of a reduced 50×50 pulse,
 /// plus one 64-rank weak-scaling point at fixed per-rank work.  All
 /// exact — the full 207-topology sweep lives in the `table1_full`
 /// golden; these entries give the regression gate a bit-for-bit grip
@@ -186,16 +148,14 @@ pub fn add_table1_full(report: &mut BenchReport) {
     report.add("table1_full.weak.np64.gnu_s", weak.secs[0], "s", Gate::Exact);
 }
 
-/// The event scheduler's own launch counters, pinned by the gate: a
-/// fixed 8-rank ring exchange + ganged reduction, explicitly on the
-/// event-driven universe (the env override must not perturb the
-/// baseline).  Dispatch and quiescence counts are
-/// schedule-deterministic, so an exact gate on them notices any change
-/// to the engine's dispatch policy — the one quantity the bit-identical
-/// clock gates cannot see, because both universes charge the same
-/// clocks by construction.
+/// The rank scheduler's own launch counters, pinned by the gate: a
+/// fixed 8-rank ring exchange + ganged reduction.  Dispatch and
+/// quiescence counts are schedule-deterministic, so an exact gate on
+/// them notices any change to the engine's dispatch policy — the one
+/// quantity the clock gates cannot see, because the charging code does
+/// not depend on who is dispatched when.
 pub fn add_sched(report: &mut BenchReport) {
-    let (_, stats) = Spmd::new(8).universe(Universe::EventDriven).run_observed(|ctx| {
+    let (_, stats) = Spmd::new(8).run_observed(|ctx| {
         let rank = ctx.rank();
         let n = ctx.comm.n_ranks();
         let mut acc = rank as f64;
@@ -222,13 +182,11 @@ pub fn add_sched(report: &mut BenchReport) {
 /// `sve.fuse.*`: chains formed over the ten kernel programs (a
 /// decode-time property — any pattern-table or matcher change moves
 /// it), plus the dynamic fused-op counts of a dedicated serial run of
-/// the five SVE kernels on the calling thread.  Fusion is forced on
-/// explicitly so the entries are independent of the `V2D_SVE_FUSE`
-/// environment override, and the dynamic counts come from the
-/// thread-local per-run snapshot rather than the process-wide counters,
-/// so concurrent test threads cannot perturb them.
+/// the five SVE kernels on the calling thread.  The dynamic counts come
+/// from the thread-local per-run snapshot rather than the process-wide
+/// counters, so concurrent test threads cannot perturb them.
 pub fn add_fuse(report: &mut BenchReport) {
-    let cfg = ExecConfig::a64fx_l1().with_fuse(true);
+    let cfg = ExecConfig::a64fx_l1();
     let mut chains = 0u64;
     for r in Routine::ALL {
         for v in [Variant::Scalar, Variant::Sve] {
@@ -256,15 +214,13 @@ pub fn add_fuse(report: &mut BenchReport) {
 /// The deterministic 2-rank fault-recovery run behind the `faults.*`
 /// entries: a NaN landing in the field, an injected solver breakdown,
 /// and a delayed halo message, all recovered from.  The coordinates
-/// (linear 16×8 pulse, 2×1 tiling, short real-time recv deadline)
-/// mirror the `ablation_faults` campaign, whose golden pins them down.
+/// (linear 16×8 pulse, 2×1 tiling) mirror the `ablation_faults`
+/// campaign, whose golden pins them down.
 pub fn fault_mini_plan() -> FaultPlan {
-    let mut plan = FaultPlan::empty()
+    FaultPlan::empty()
         .with_event(1, Some(0), FaultKind::FieldNan)
         .with_event(4, None, FaultKind::SolverBreakdown { count: 1 })
-        .with_event(6, Some(1), FaultKind::DelayMessage { nth: 1, secs: 0.25 });
-    plan.recv_timeout_ms = 250;
-    plan
+        .with_event(6, Some(1), FaultKind::DelayMessage { nth: 1, secs: 0.25 })
 }
 
 /// The mini campaign's scenario in `v2d-testkit` terms (one spec, so
@@ -278,12 +234,11 @@ pub fn fault_mini_spec() -> MiniSpec {
 /// pulse, 2×1 tiling, FieldNan into rank 0 at step 2 — now gated under
 /// `faults_nl.*` entries since the scrub rung recovers it.
 pub fn fault_mini_nl_spec() -> MiniSpec {
-    let mut plan = FaultPlan::empty().with_event(2, Some(0), FaultKind::FieldNan).with_event(
+    let plan = FaultPlan::empty().with_event(2, Some(0), FaultKind::FieldNan).with_event(
         4,
         Some(1),
         FaultKind::FieldInf,
     );
-    plan.recv_timeout_ms = 250;
     MiniSpec::nonlinear(24, 12, 6).tiled(2, 1).with_plan(plan)
 }
 
@@ -342,8 +297,7 @@ pub fn add_fault_mini_nl(report: &mut BenchReport) {
 /// The pinned supervised-recovery scenario behind the `supervise.*`
 /// entries: the `supervise_recovery` regression coordinates — linear
 /// 24×12 pulse on 2×1 ranks, rank 0 killed at the top of step 2,
-/// checkpoint after every step, shrink allowed — run explicitly on the
-/// event-driven universe.  The whole recovery ledger (kills, rollbacks,
+/// checkpoint after every step, shrink allowed.  The whole recovery ledger (kills, rollbacks,
 /// re-decompositions, steps replayed, attempts, virtual backoff, MTTR)
 /// plus a checksum of the recovered global field gate bit-for-bit.
 /// `perturb` injects phantom replayed steps before recording — the CI
@@ -368,7 +322,7 @@ pub fn add_supervise(report: &mut BenchReport, perturb: u64) {
         checkpoint_keep: 4,
         dir: dir.clone(),
     };
-    let run = run_supervised_on(&spec, RetryPolicy::default(), Universe::EventDriven)
+    let run = run_supervised(&spec, RetryPolicy::default())
         .expect("the pinned supervised scenario must recover");
     let _ = std::fs::remove_dir_all(&dir);
     let mut m = Metrics::new();
@@ -402,14 +356,12 @@ pub fn add_supervise(report: &mut BenchReport, perturb: u64) {
 /// rank-kill spec's recovery ledger.  Scripted admission makes all of
 /// these pure functions of the load profile, so `Exact` gates hold on
 /// any machine.  `perturb` injects phantom deduped requests — the CI
-/// red-run demonstration for this family.  Returns the load outcome so
-/// [`collect`] can also gate the wall-clock throughput as a `Floor`.
-pub fn add_serve(report: &mut BenchReport, perturb: u64) -> v2d_serve::load::LoadOutcome {
+/// red-run demonstration for this family.
+pub fn add_serve(report: &mut BenchReport, perturb: u64) {
     use v2d_serve::load::{run, LoadProfile};
     use v2d_serve::ServeOpts;
     let out = run(&LoadProfile::quick(), ServeOpts::default());
     add_serve_outcome(report, &out, perturb);
-    out
 }
 
 /// Record one finished load campaign's deterministic entries (used by
@@ -542,11 +494,8 @@ pub fn collect(opts: &CollectOpts) -> BenchReport {
         ("generator".to_string(), "bench_report".to_string()),
     ]);
 
-    let (t2_secs, rows) = best_of(opts.rounds, || table2::run_full_with(ExecMode::Decoded, true));
-    add_table2(&mut report, &rows, opts.perturb_cycles);
-
-    let (f1_secs, artifacts) = best_of(opts.rounds, || fig1::artifacts(100));
-    add_fig1(&mut report, &artifacts.pbm);
+    add_table2(&mut report, &table2::run_full(), opts.perturb_cycles);
+    add_fig1(&mut report, &fig1::artifacts(100).pbm);
 
     add_table1_mini(&mut report);
     add_table1_full(&mut report);
@@ -556,24 +505,8 @@ pub fn collect(opts: &CollectOpts) -> BenchReport {
     add_fault_mini_nl(&mut report);
     add_supervise(&mut report, opts.perturb_supervise);
     add_scenarios(&mut report, opts.perturb_scenario);
-    let load = add_serve(&mut report, opts.perturb_serve);
-
-    if opts.wallclock {
-        report.add("wallclock.table2_s", t2_secs, "s_wall", Gate::Ceil { frac: WALLCLOCK_CEIL });
-        report.add("wallclock.fig1_s", f1_secs, "s_wall", Gate::Ceil { frac: WALLCLOCK_CEIL });
-        // The service must sustain at least 5% of the baseline rate —
-        // a deliberately loose floor: shared runners are noisy, but a
-        // deadlocked queue or serialized pool still trips it.
-        report.add("serve.load.req_per_s", load.req_per_s, "rps_wall", Gate::Floor { frac: 0.05 });
-    }
+    add_serve(&mut report, opts.perturb_serve);
     report
-}
-
-/// Drop wall-clock entries (any `*_wall` unit: `s_wall` ceilings,
-/// `rps_wall` floors) from a report, for comparisons on machines whose
-/// timings are meaningless (e.g. heavily shared runners).
-pub fn strip_wallclock(report: &mut BenchReport) {
-    report.entries.retain(|_, e| !e.unit.ends_with("_wall"));
 }
 
 /// Table II rows → a [`RunReport`] whose totals carry the modeled
@@ -624,9 +557,8 @@ mod tests {
     use v2d_obs::compare;
 
     #[test]
-    fn quick_report_round_trips_and_self_compares_clean() {
-        let opts = CollectOpts { wallclock: false, rounds: 1, ..CollectOpts::default() };
-        let report = collect(&opts);
+    fn report_round_trips_and_self_compares_clean() {
+        let report = collect(&CollectOpts::default());
         let back = BenchReport::parse(&report.to_json_string()).expect("parses");
         let cmp = compare(&report, &back);
         assert!(cmp.pass(), "round-trip drift:\n{}", cmp.table(true));
@@ -657,9 +589,8 @@ mod tests {
 
     #[test]
     fn one_cycle_perturbation_trips_the_gate() {
-        let quick = CollectOpts { wallclock: false, rounds: 1, ..CollectOpts::default() };
-        let base = collect(&quick);
-        let fresh = collect(&CollectOpts { perturb_cycles: 1, ..quick });
+        let base = collect(&CollectOpts::default());
+        let fresh = collect(&CollectOpts { perturb_cycles: 1, ..CollectOpts::default() });
         let cmp = compare(&base, &fresh);
         assert!(!cmp.pass(), "a 1-cycle perturbation must not pass the exact gate");
         assert_eq!(cmp.failures(), 1, "{}", cmp.table(true));
@@ -667,9 +598,8 @@ mod tests {
 
     #[test]
     fn ledger_perturbation_trips_the_gate() {
-        let quick = CollectOpts { wallclock: false, rounds: 1, ..CollectOpts::default() };
-        let base = collect(&quick);
-        let fresh = collect(&CollectOpts { perturb_supervise: 1, ..quick });
+        let base = collect(&CollectOpts::default());
+        let fresh = collect(&CollectOpts { perturb_supervise: 1, ..CollectOpts::default() });
         let cmp = compare(&base, &fresh);
         assert!(!cmp.pass(), "a phantom replayed step must not pass the exact gate");
         assert_eq!(cmp.failures(), 1, "{}", cmp.table(true));
@@ -688,9 +618,8 @@ mod tests {
 
     #[test]
     fn scenario_perturbation_trips_the_gate() {
-        let quick = CollectOpts { wallclock: false, rounds: 1, ..CollectOpts::default() };
-        let base = collect(&quick);
-        let fresh = collect(&CollectOpts { perturb_scenario: 1, ..quick });
+        let base = collect(&CollectOpts::default());
+        let fresh = collect(&CollectOpts { perturb_scenario: 1, ..CollectOpts::default() });
         let cmp = compare(&base, &fresh);
         assert!(!cmp.pass(), "a one-count checksum bump must not pass the exact gate");
         assert_eq!(cmp.failures(), 1, "{}", cmp.table(true));
@@ -706,9 +635,8 @@ mod tests {
 
     #[test]
     fn serve_perturbation_trips_the_gate() {
-        let quick = CollectOpts { wallclock: false, rounds: 1, ..CollectOpts::default() };
-        let base = collect(&quick);
-        let fresh = collect(&CollectOpts { perturb_serve: 1, ..quick });
+        let base = collect(&CollectOpts::default());
+        let fresh = collect(&CollectOpts { perturb_serve: 1, ..CollectOpts::default() });
         let cmp = compare(&base, &fresh);
         assert!(!cmp.pass(), "a phantom deduped request must not pass the exact gate");
         assert_eq!(cmp.failures(), 1, "{}", cmp.table(true));

@@ -75,8 +75,8 @@ pub fn run_topology(cfg: &V2dConfig, nx1: usize, nx2: usize) -> Row {
 /// by rank count then NX1 — the *full* Table I grid, of which the
 /// paper's twelve [`TOPOLOGIES`] are a subset.  Exhausting it (≈ 200
 /// topologies at `max_np = 50`, many of them 30+ ranks) was impractical
-/// under thread-per-rank scheduling; on the event-driven universe every
-/// blocked rank is just a heap entry.
+/// with free-running rank threads; under the discrete-event scheduler
+/// every blocked rank is just a heap entry.
 pub fn full_grid(max_np: usize) -> Vec<(usize, usize)> {
     let mut grid = Vec::new();
     for np in 1..=max_np {

@@ -11,7 +11,7 @@
 //! the reported seconds at the 1.8 GHz A64FX clock.
 
 use v2d_machine::A64fxModel;
-use v2d_sve::kernels::{run_routine_with, ExecMode, Routine, Variant};
+use v2d_sve::kernels::{run_routine, Routine, Variant};
 use v2d_sve::ExecConfig;
 
 /// The paper's driver parameters.
@@ -44,22 +44,10 @@ impl Row {
 
 /// Run the driver for one routine at vector length `vl_bits`.
 pub fn run_routine_pair(routine: Routine, n: usize, reps: usize, vl_bits: u32) -> Row {
-    run_routine_pair_with(routine, n, reps, vl_bits, ExecMode::default())
-}
-
-/// [`run_routine_pair`] with an explicit simulator execution mode (the
-/// wall-clock harness times both; modeled rows are bit-identical).
-pub fn run_routine_pair_with(
-    routine: Routine,
-    n: usize,
-    reps: usize,
-    vl_bits: u32,
-    mode: ExecMode,
-) -> Row {
     let freq = A64fxModel::ookami().freq_hz;
     let cfg = ExecConfig::a64fx_l1().with_vl(vl_bits);
-    let scalar = run_routine_with(routine, n, Variant::Scalar, &cfg, mode);
-    let sve = run_routine_with(routine, n, Variant::Sve, &cfg, mode);
+    let scalar = run_routine(routine, n, Variant::Scalar, &cfg);
+    let sve = run_routine(routine, n, Variant::Sve, &cfg);
     Row {
         routine,
         no_sve: scalar.cycles as f64 * reps as f64 / freq,
@@ -70,25 +58,10 @@ pub fn run_routine_pair_with(
     }
 }
 
-/// Run the whole table at the A64FX's 512-bit vector length: decoded
-/// execution, rows fanned out over worker threads (result order fixed).
+/// Run the whole table at the A64FX's 512-bit vector length, rows
+/// fanned out over worker threads (result order fixed).
 pub fn run_full() -> Vec<Row> {
-    run_full_with(ExecMode::default(), true)
-}
-
-/// [`run_full`] with explicit execution mode and parallelism, for the
-/// wall-clock harness's before/after comparison.
-pub fn run_full_with(mode: ExecMode, parallel: bool) -> Vec<Row> {
-    if parallel {
-        crate::par::par_map(&Routine::ALL, |&r| {
-            run_routine_pair_with(r, N_EQUATIONS, REPS, 512, mode)
-        })
-    } else {
-        Routine::ALL
-            .iter()
-            .map(|&r| run_routine_pair_with(r, N_EQUATIONS, REPS, 512, mode))
-            .collect()
-    }
+    crate::par::par_map(&Routine::ALL, |&r| run_routine_pair(r, N_EQUATIONS, REPS, 512))
 }
 
 /// Format the reproduced table next to the paper's values.

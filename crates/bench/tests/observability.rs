@@ -48,18 +48,16 @@ fn fault_recovery_trace_is_bit_identical_across_replays() {
 
 #[test]
 fn bench_compare_round_trips_and_flags_drift() {
-    // Build a wallclock-free baseline through the library and hand it
-    // to the real binary.
-    let opts =
-        report::CollectOpts { wallclock: false, rounds: 1, ..report::CollectOpts::default() };
-    let baseline = report::collect(&opts).to_json_string();
+    // Build a baseline through the library and hand it to the real
+    // binary.
+    let baseline = report::collect(&report::CollectOpts::default()).to_json_string();
     let path = std::env::temp_dir().join(format!("v2d_obs_baseline_{}.json", std::process::id()));
     std::fs::write(&path, baseline).expect("write temp baseline");
     let path = path.to_str().expect("temp path should be UTF-8");
 
     let run = |extra: &[&str]| {
         Command::new(env!("CARGO_BIN_EXE_bench_compare"))
-            .args(["--baseline", path, "--skip-wallclock"])
+            .args(["--baseline", path])
             .args(extra)
             .env_remove("GITHUB_STEP_SUMMARY")
             .output()

@@ -1,20 +1,10 @@
 //! Point-to-point messaging and data-carrying collectives.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
 
 use v2d_machine::{AttrVal, CostLanes, MultiCostSink, SendFault, SimDuration};
 
-use crate::sched::EventCore;
-
-/// Lock a mutex, recovering the data if another rank thread panicked
-/// while holding it (our state stays consistent: every critical section
-/// below is a plain read-modify-write with no tearing on unwind).
-pub(crate) fn lock_tolerant<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
+use crate::sched::{CollKind, EventCore};
 
 /// A rank observed blocked in a receive when a timeout fired: who, on
 /// which source, on which tag.
@@ -26,8 +16,7 @@ pub struct BlockedRank {
 }
 
 /// One edge of a deadlock wait graph: which rank is blocked, and on
-/// what.  Only the event-driven universe can produce these — exact
-/// quiescence detection needs the scheduler's global view.
+/// what.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WaitEdge {
     pub rank: usize,
@@ -117,8 +106,6 @@ pub enum CommError {
     /// diagnostic: every rank that was itself inside a blocking receive
     /// at that moment, with the `(src, tag)` it was waiting on.
     Timeout { rank: usize, src: usize, tag: u32, blocked: Vec<BlockedRank> },
-    /// The sending rank's channel closed — it panicked or exited.
-    Disconnected { rank: usize, src: usize, tag: u32 },
     /// The next message from `src` carried a different tag than the
     /// receive expected — the point-to-point stream desynchronized.
     TagMismatch { rank: usize, src: usize, expected: u32, got: u32 },
@@ -135,17 +122,15 @@ pub enum CommError {
     /// every rank sitting in a blocking point-to-point receive at that
     /// moment.
     CollectiveTimeout { rank: usize, ticket: CollTicket, blocked: Vec<BlockedRank> },
-    /// The event-driven scheduler proved the run deadlocked: every live
-    /// rank is blocked, no message is in flight, and no fault-injector
-    /// deadline could explain the wait set.  `waiting` is the complete
-    /// wait graph at quiescence.  (The thread-backed universe cannot
-    /// produce this — it has no global view and relies on watchdogs.)
+    /// The scheduler proved the run deadlocked: every live rank is
+    /// blocked, no message is in flight, and no fault-injector deadline
+    /// could explain the wait set.  `waiting` is the complete wait
+    /// graph at quiescence.
     Deadlock { rank: usize, waiting: Vec<WaitEdge> },
     /// Rank `rank` retired permanently (a `RankKill` /
     /// `RankStallForever` fault) and the caller's wait could only have
     /// been satisfied by it.  `site` is the p2p tag for receives or the
-    /// collective call-site id for collectives.  Both universes produce
-    /// this same value at the same program point: messages the dead rank
+    /// collective call-site id for collectives.  Messages the dead rank
     /// posted before dying stay deliverable, it never sends again, and
     /// the error carries no virtual-time charge.
     RankDead { rank: usize, site: u32 },
@@ -165,9 +150,6 @@ impl std::fmt::Display for CommError {
                     }
                     Ok(())
                 }
-            }
-            CommError::Disconnected { rank, src, tag } => {
-                write!(f, "rank {rank}: rank {src} hung up while waiting on tag {tag:#x}")
             }
             CommError::TagMismatch { rank, src, expected, got } => {
                 write!(
@@ -210,27 +192,6 @@ impl std::fmt::Display for CommError {
 
 impl std::error::Error for CommError {}
 
-/// Process-wide count of fresh message-payload allocations.  The pooled
-/// send/[`Comm::recv_into`] path recycles payload buffers through the
-/// group's free list, so a warm halo-exchange loop should hold this
-/// constant; `ablation_alloc` and the `halo_alloc` test assert it.
-static MSG_BUF_ALLOC: AtomicU64 = AtomicU64::new(0);
-
-/// How many message payload buffers have been freshly allocated.
-pub fn msg_buf_alloc_count() -> u64 {
-    MSG_BUF_ALLOC.load(Ordering::Relaxed)
-}
-
-/// Record one fresh payload allocation (both backends' pools count
-/// through here so [`msg_buf_alloc_count`] stays backend-agnostic).
-pub(crate) fn count_fresh_alloc() {
-    MSG_BUF_ALLOC.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Upper bound on pooled payload buffers per rank group (beyond this,
-/// returned buffers are simply dropped).
-pub(crate) const POOL_CAP: usize = 64;
-
 /// Reduction operators for collectives.  Sums are evaluated in rank order,
 /// so results are bitwise deterministic for a fixed topology.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -241,7 +202,7 @@ pub enum ReduceOp {
 }
 
 impl ReduceOp {
-    fn fold(self, acc: f64, v: f64) -> f64 {
+    pub(crate) fn fold(self, acc: f64, v: f64) -> f64 {
         match self {
             ReduceOp::Sum => acc + v,
             ReduceOp::Min => acc.min(v),
@@ -249,7 +210,7 @@ impl ReduceOp {
         }
     }
 
-    fn identity(self) -> f64 {
+    pub(crate) fn identity(self) -> f64 {
         match self {
             ReduceOp::Sum => 0.0,
             ReduceOp::Min => f64::INFINITY,
@@ -266,231 +227,6 @@ pub(crate) struct Message {
     pub(crate) send_clocks: Vec<SimDuration>,
 }
 
-/// One round of a data-carrying collective.  Both universes drive the
-/// same round state machine — the thread backend under a condvar, the
-/// event core under its scheduler — so lockstep verification, poison
-/// semantics, and results are backend-independent by construction.
-pub(crate) struct CollRound {
-    /// Per-rank contribution: (payload, per-lane clocks).
-    pub(crate) contrib: Vec<Option<(Vec<f64>, Vec<SimDuration>)>>,
-    pub(crate) deposited: usize,
-    /// Result payload + per-lane synchronized clocks (before cost).
-    pub(crate) result: Option<(Arc<Vec<f64>>, Vec<SimDuration>)>,
-    pub(crate) left: usize,
-    /// Lockstep ticket stamped by the round's first depositor; later
-    /// depositors must present the same `(site, epoch)` or the round is
-    /// declared diverged.  Cleared when the round drains.
-    pub(crate) ticket: Option<CollTicket>,
-    /// Sticky divergence/timeout verdict.  Once set, every in-flight
-    /// and future collective on this communicator returns it — a group
-    /// that lost a member can never complete another round, so waiting
-    /// would be the very deadlock the verifier exists to prevent.
-    pub(crate) poison: Option<CommError>,
-}
-
-impl CollRound {
-    pub(crate) fn new(n: usize) -> Self {
-        CollRound {
-            contrib: (0..n).map(|_| None).collect(),
-            deposited: 0,
-            result: None,
-            left: 0,
-            ticket: None,
-            poison: None,
-        }
-    }
-}
-
-/// What a collective does with the deposited contributions.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum CollKind {
-    Reduce(ReduceOp),
-    Concat,
-    TakeRoot(usize),
-}
-
-/// Stamp (or verify) the round's lockstep ticket: the first depositor
-/// sets it, later depositors must present the same `(site, epoch)` or
-/// the round is poisoned.  The caller must wake the round's waiters on
-/// `Err` (condvar notify / scheduler wake, per backend).
-pub(crate) fn stamp_ticket(
-    round: &mut CollRound,
-    rank: usize,
-    ticket: CollTicket,
-) -> Result<(), CommError> {
-    match round.ticket {
-        None => {
-            round.ticket = Some(ticket);
-            Ok(())
-        }
-        Some(expected) if expected != ticket => {
-            let err = CommError::CollectiveMismatch { rank, expected, got: ticket };
-            round.poison = Some(err.clone());
-            Err(err)
-        }
-        Some(_) => Ok(()),
-    }
-}
-
-/// Combine a full round of contributions: the result payload
-/// (rank-ordered, so bitwise deterministic) plus the per-lane
-/// synchronized clocks (max over ranks, the conservative PDES sync).
-pub(crate) fn finish_round(
-    contribs: Vec<(Vec<f64>, Vec<SimDuration>)>,
-    kind: CollKind,
-) -> (Vec<f64>, Vec<SimDuration>) {
-    let lanes = contribs[0].1.len();
-    let mut sync = vec![SimDuration::ZERO; lanes];
-    for (_, cl) in &contribs {
-        for (s, &c) in sync.iter_mut().zip(cl) {
-            if c > *s {
-                *s = c;
-            }
-        }
-    }
-    let payload = match kind {
-        CollKind::Reduce(op) => {
-            let len = contribs[0].0.len();
-            let mut out = vec![op.identity(); len];
-            for (vals, _) in &contribs {
-                assert_eq!(vals.len(), len, "reduce contributions differ in length");
-                for (o, &v) in out.iter_mut().zip(vals) {
-                    *o = op.fold(*o, v);
-                }
-            }
-            out
-        }
-        CollKind::Concat => {
-            let mut out = Vec::new();
-            for (vals, _) in &contribs {
-                out.extend_from_slice(vals);
-            }
-            out
-        }
-        CollKind::TakeRoot(root) => contribs[root].0.clone(),
-    };
-    (payload, sync)
-}
-
-/// Shared state of the rank group.
-pub(crate) struct Shared {
-    n_ranks: usize,
-    /// `mailboxes[dst][src]` receives messages from `src` to `dst`.
-    /// (`mpsc::Receiver` is `Send` but not `Sync`, and `Shared` is held
-    /// behind an `Arc` across rank threads — the mutex makes each
-    /// mailbox shareable; only its owning rank ever locks it.)
-    mailboxes: Vec<Vec<Mutex<Receiver<Message>>>>,
-    /// `senders[src][dst]` sends from `src` to `dst`.
-    senders: Vec<Vec<Sender<Message>>>,
-    coll: Mutex<CollRound>,
-    coll_cv: Condvar,
-    /// Free list of payload buffers, recycled between sends and
-    /// [`Comm::recv_into`] across the whole rank group.
-    pool: Mutex<Vec<Vec<f64>>>,
-    /// Deadlock-diagnostic registry: `waiting[r]` is `Some((src, tag))`
-    /// while rank `r` is inside a blocking receive.  Purely host-side
-    /// bookkeeping — never touches the virtual clocks.
-    waiting: Vec<Mutex<Option<(usize, u32)>>>,
-    /// Park registry for deadline-armed receives: `parked[r]` holds rank
-    /// `r`'s thread handle while it is parked waiting for mail, so a
-    /// sender can [`Shared::nudge`] it awake instead of the receiver
-    /// polling the channel on a busy loop.
-    parked: Vec<Mutex<Option<std::thread::Thread>>>,
-    /// Liveness registry: `dead[r]` is set by [`Shared::retire`] when
-    /// rank `r` dies permanently (`RankKill` / `RankStallForever`).
-    /// Receivers and collective waiters probe it so a wait satisfiable
-    /// only by a dead rank degrades to [`CommError::RankDead`] instead
-    /// of hanging until a watchdog fires.
-    dead: Vec<AtomicBool>,
-}
-
-impl Shared {
-    /// An empty buffer with capacity ≥ `len`, reused from the pool when
-    /// possible (a fresh allocation is counted in [`msg_buf_alloc_count`]).
-    fn take_buf(&self, len: usize) -> Vec<f64> {
-        let mut pool = lock_tolerant(&self.pool);
-        if let Some(i) = pool.iter().position(|b| b.capacity() >= len) {
-            return pool.swap_remove(i);
-        }
-        drop(pool);
-        MSG_BUF_ALLOC.fetch_add(1, Ordering::Relaxed);
-        Vec::with_capacity(len)
-    }
-
-    /// Return a spent payload buffer to the pool.
-    fn return_buf(&self, mut buf: Vec<f64>) {
-        buf.clear();
-        let mut pool = lock_tolerant(&self.pool);
-        if pool.len() < POOL_CAP {
-            pool.push(buf);
-        }
-    }
-
-    /// Wake `dst` if it is parked in a deadline-armed receive.  Cheap
-    /// when it is not (one uncontended lock), and unpark tokens make
-    /// the send-then-park race benign.
-    fn nudge(&self, dst: usize) {
-        if let Some(t) = lock_tolerant(&self.parked[dst]).take() {
-            t.unpark();
-        }
-    }
-
-    /// Mark `rank` permanently dead and wake everyone who might be
-    /// waiting on it.  Taking the collective lock before `notify_all`
-    /// serializes the flag store with every check-then-wait sequence in
-    /// [`Comm::collective_threads`] (waiters hold the lock from their
-    /// dead-check through condvar-wait entry), so no waiter can miss
-    /// the wakeup; the nudges re-run every parked receiver's probe loop.
-    fn retire(&self, rank: usize) {
-        self.dead[rank].store(true, Ordering::SeqCst);
-        let round = lock_tolerant(&self.coll);
-        self.coll_cv.notify_all();
-        drop(round);
-        for dst in 0..self.n_ranks {
-            self.nudge(dst);
-        }
-    }
-
-    /// Lowest-numbered dead rank, if any.
-    fn first_dead(&self) -> Option<usize> {
-        (0..self.n_ranks).find(|&r| self.dead[r].load(Ordering::SeqCst))
-    }
-
-    /// Lowest-numbered dead rank that has *not* deposited into the
-    /// current collective round — the round can then never complete.
-    /// (A rank that deposited before dying still lets the round finish;
-    /// survivors use the result.)
-    fn dead_blocker(&self, round: &CollRound) -> Option<usize> {
-        (0..self.n_ranks)
-            .find(|&r| self.dead[r].load(Ordering::SeqCst) && round.contrib[r].is_none())
-    }
-
-    /// Snapshot of every rank currently blocked inside a receive.
-    fn blocked_ranks(&self) -> Vec<BlockedRank> {
-        self.waiting
-            .iter()
-            .enumerate()
-            .filter_map(|(rank, slot)| {
-                lock_tolerant(slot).map(|(src, tag)| BlockedRank { rank, src, tag })
-            })
-            .collect()
-    }
-}
-
-/// Which execution engine a [`Comm`] handle is wired to.  The charging
-/// code — clock stamps, arrival waits, collective sync + cost — is
-/// shared, so the modeled results are bit-for-bit identical across
-/// backends; only the transport and blocking mechanics differ.
-pub(crate) enum Backend {
-    /// Legacy: one free-running OS thread per rank, mpsc channels,
-    /// condvar collectives, wall-clock fault deadlines.
-    Threads(Arc<Shared>),
-    /// The discrete-event scheduler: one task per rank, exactly one
-    /// running at a time, virtual-clock priority, exact quiescence
-    /// resolution (see [`crate::sched`]).
-    Events(Arc<EventCore>),
-}
-
 /// A rank's handle to the communicator (analogous to `MPI_COMM_WORLD`).
 ///
 /// All methods that move data also advance the virtual clocks in the
@@ -500,44 +236,16 @@ pub(crate) enum Backend {
 /// profiles (the usual MPI contract).
 pub struct Comm {
     rank: usize,
-    backend: Backend,
+    /// The discrete-event scheduler every rank of the launch shares:
+    /// transport, blocking and quiescence resolution live there (see
+    /// [`crate::sched`]); the clock charging lives here.
+    core: Arc<EventCore>,
 }
 
 impl Comm {
-    pub(crate) fn create(n_ranks: usize) -> Vec<Comm> {
-        let mut senders: Vec<Vec<Sender<Message>>> = (0..n_ranks).map(|_| Vec::new()).collect();
-        let mut mailboxes: Vec<Vec<Mutex<Receiver<Message>>>> =
-            (0..n_ranks).map(|_| Vec::new()).collect();
-        // One channel per ordered (src, dst) pair; src-major iteration
-        // leaves each mailboxes[dst] row ordered by src.
-        for tx_row in senders.iter_mut() {
-            for boxes in mailboxes.iter_mut() {
-                let (tx, rx) = channel();
-                tx_row.push(tx);
-                boxes.push(Mutex::new(rx));
-            }
-        }
-        let shared = Arc::new(Shared {
-            n_ranks,
-            mailboxes,
-            senders,
-            coll: Mutex::new(CollRound::new(n_ranks)),
-            coll_cv: Condvar::new(),
-            pool: Mutex::new(Vec::new()),
-            waiting: (0..n_ranks).map(|_| Mutex::new(None)).collect(),
-            parked: (0..n_ranks).map(|_| Mutex::new(None)).collect(),
-            dead: (0..n_ranks).map(|_| AtomicBool::new(false)).collect(),
-        });
-        (0..n_ranks)
-            .map(|rank| Comm { rank, backend: Backend::Threads(Arc::clone(&shared)) })
-            .collect()
-    }
-
-    /// Handles wired to a shared discrete-event core.
-    pub(crate) fn create_event(core: &Arc<EventCore>) -> Vec<Comm> {
-        (0..core.n_ranks())
-            .map(|rank| Comm { rank, backend: Backend::Events(Arc::clone(core)) })
-            .collect()
+    /// One handle per rank of `core`'s launch.
+    pub(crate) fn create(core: &Arc<EventCore>) -> Vec<Comm> {
+        (0..core.n_ranks()).map(|rank| Comm { rank, core: Arc::clone(core) }).collect()
     }
 
     /// This rank's id in `0..n_ranks()`.
@@ -547,10 +255,7 @@ impl Comm {
 
     /// Number of ranks in the group.
     pub fn n_ranks(&self) -> usize {
-        match &self.backend {
-            Backend::Threads(sh) => sh.n_ranks,
-            Backend::Events(core) => core.n_ranks(),
-        }
+        self.core.n_ranks()
     }
 
     /// Retire this rank permanently: the endpoint is marked dead and
@@ -560,26 +265,7 @@ impl Comm {
     /// returns — messages already sent stay deliverable, nothing else
     /// will ever be sent.  Idempotent; charges no virtual time.
     pub fn retire(&self) {
-        match &self.backend {
-            Backend::Threads(sh) => sh.retire(self.rank),
-            Backend::Events(core) => core.kill(self.rank),
-        }
-    }
-
-    /// Pool draw, dispatched to the owning backend.
-    fn take_buf(&self, len: usize) -> Vec<f64> {
-        match &self.backend {
-            Backend::Threads(sh) => sh.take_buf(len),
-            Backend::Events(core) => core.take_buf(len),
-        }
-    }
-
-    /// Pool return, dispatched to the owning backend.
-    fn return_buf(&self, buf: Vec<f64>) {
-        match &self.backend {
-            Backend::Threads(sh) => sh.return_buf(buf),
-            Backend::Events(core) => core.return_buf(buf),
-        }
+        self.core.kill(self.rank);
     }
 
     /// The caller's scheduling priority while blocked: its lane-0
@@ -593,11 +279,8 @@ impl Comm {
     /// transfer time is charged on the receiving side.
     ///
     /// When a fault injector rides in `sink` it may drop the message
-    /// (never enters the channel) or delay it (stamped later on the
-    /// virtual clock).  Without an injector the path is untouched.  A
-    /// send to a rank that already exited is silently dropped —
-    /// delivery to a dead peer is moot, and the receive side reports
-    /// the disconnect where it can actually be handled.
+    /// (never enters the mailbox) or delay it (stamped later on the
+    /// virtual clock).  Without an injector the path is untouched.
     pub fn send(&self, sink: &mut impl CostLanes, dst: usize, tag: u32, data: &[f64]) {
         let fate = match sink.fault_injector() {
             Some(inj) => inj.poll_send(),
@@ -637,16 +320,9 @@ impl Comm {
         if fate == SendFault::Drop {
             return; // the NIC ate it: the sender paid its overhead, nothing arrives
         }
-        let mut payload = self.take_buf(data.len());
+        let mut payload = self.core.take_buf(data.len());
         payload.extend_from_slice(data);
-        let msg = Message { tag, data: payload, send_clocks };
-        match &self.backend {
-            Backend::Threads(sh) => {
-                let _ = sh.senders[self.rank][dst].send(msg);
-                sh.nudge(dst);
-            }
-            Backend::Events(core) => core.post(self.rank, dst, msg),
-        }
+        self.core.post(self.rank, dst, Message { tag, data: payload, send_clocks });
     }
 
     /// Receive the next message from `src`; its tag must equal `tag`
@@ -656,9 +332,9 @@ impl Comm {
     /// `max(own, sender_send_time + latency + bytes/bandwidth)`.
     ///
     /// Blocks indefinitely — unless a fault injector rides in `sink`,
-    /// in which case its configured deadline is armed and a timeout
-    /// surfaces as [`CommError::Timeout`] with a deadlock diagnostic
-    /// (plus the injector's virtual timeout cost on the MPI clocks).
+    /// in which case the wait is armed and a timeout surfaces as
+    /// [`CommError::Timeout`] with a deadlock diagnostic (plus the
+    /// injector's virtual timeout cost on the MPI clocks).
     ///
     /// The returned vector leaves the group's buffer pool for good; hot
     /// loops should prefer [`Comm::recv_into`], which recycles it.
@@ -668,8 +344,8 @@ impl Comm {
         src: usize,
         tag: u32,
     ) -> Result<Vec<f64>, CommError> {
-        let deadline = Self::injected_deadline(sink);
-        let msg = self.recv_msg(sink.cost_lanes(), src, tag, deadline)?;
+        let timeout = Self::armed_timeout(sink);
+        let msg = self.recv_msg(sink.cost_lanes(), src, tag, timeout)?;
         self.trace_recv(sink, src, tag, msg.data.len());
         Ok(msg.data)
     }
@@ -686,12 +362,12 @@ impl Comm {
         tag: u32,
         out: &mut Vec<f64>,
     ) -> Result<(), CommError> {
-        let deadline = Self::injected_deadline(sink);
-        let msg = self.recv_msg(sink.cost_lanes(), src, tag, deadline)?;
+        let timeout = Self::armed_timeout(sink);
+        let msg = self.recv_msg(sink.cost_lanes(), src, tag, timeout)?;
         self.trace_recv(sink, src, tag, msg.data.len());
         out.clear();
         out.extend_from_slice(&msg.data);
-        self.return_buf(msg.data);
+        self.core.return_buf(msg.data);
         Ok(())
     }
 
@@ -707,93 +383,45 @@ impl Comm {
         );
     }
 
-    /// [`Comm::recv`] with an explicit real-time deadline instead of
-    /// the injector-configured one.  `virtual_secs` is charged to every
-    /// MPI clock lane if (and only if) the deadline fires — the modeled
-    /// cost of the timeout-and-recover protocol.
-    pub fn recv_timeout(
-        &self,
-        sink: &mut impl CostLanes,
-        src: usize,
-        tag: u32,
-        deadline: Duration,
-        virtual_secs: f64,
-    ) -> Result<Vec<f64>, CommError> {
-        Ok(self.recv_msg(sink.cost_lanes(), src, tag, Some((deadline, virtual_secs)))?.data)
+    /// `Some(virtual timeout cost)` when an injector in `sink` arms the
+    /// caller's blocking waits, `None` without one.  There is no
+    /// wall-clock deadline: an armed wait times out exactly when the
+    /// scheduler proves it can never be satisfied, and the cost is what
+    /// the timeout-and-recover protocol is modeled to take.
+    fn armed_timeout(sink: &mut impl CostLanes) -> Option<f64> {
+        sink.fault_injector().map(|inj| inj.timeout_virtual_secs())
     }
 
-    /// Allocation-free [`Comm::recv_timeout`].
-    pub fn recv_into_timeout(
-        &self,
-        sink: &mut impl CostLanes,
-        src: usize,
-        tag: u32,
-        out: &mut Vec<f64>,
-        deadline: Duration,
-        virtual_secs: f64,
-    ) -> Result<(), CommError> {
-        let msg = self.recv_msg(sink.cost_lanes(), src, tag, Some((deadline, virtual_secs)))?;
-        out.clear();
-        out.extend_from_slice(&msg.data);
-        self.return_buf(msg.data);
-        Ok(())
-    }
-
-    /// The `(real deadline, virtual timeout cost)` an injector in
-    /// `sink` asks blocking receives to arm; `None` without one.
-    fn injected_deadline(sink: &mut impl CostLanes) -> Option<(Duration, f64)> {
-        sink.fault_injector()
-            .map(|inj| (Duration::from_millis(inj.recv_timeout_ms()), inj.timeout_virtual_secs()))
-    }
-
-    /// The deadline collectives arm under an injector: a generous
-    /// multiple of the p2p deadline, because a peer can be *legitimately*
-    /// late to a collective by however long it spent eating p2p timeouts
-    /// (stale-ghost recovery) — only a peer that stopped calling
-    /// collectives altogether should trip this.  Keeping the margin wide
-    /// also keeps run outcomes wall-clock-independent: a transient
-    /// scheduling hiccup must not flip a run between success and
-    /// `CollectiveTimeout`.
-    fn injected_collective_deadline(sink: &mut impl CostLanes) -> Option<(Duration, f64)> {
-        Self::injected_deadline(sink).map(|(d, v)| (d * 8, v))
-    }
-
-    /// Pull the next message off the `src → self` stream.  `deadline`
+    /// Pull the next message off the `src → self` stream.  `timeout`
     /// of `None` blocks forever (a healthy fault-free run cannot time
-    /// out); `Some((real, virtual_secs))` arms a timeout — a wall-clock
-    /// deadline on the thread backend, exact quiescence detection on
-    /// the event backend — and on expiry charges `virtual_secs` of MPI
-    /// time and reports which ranks were blocked.
+    /// out); `Some(virtual_secs)` arms the wait — on expiry it charges
+    /// `virtual_secs` of MPI time and reports which ranks were blocked.
     fn recv_msg(
         &self,
         sink: &mut MultiCostSink,
         src: usize,
         tag: u32,
-        deadline: Option<(Duration, f64)>,
+        timeout: Option<f64>,
     ) -> Result<Message, CommError> {
         assert!(src < self.n_ranks(), "recv from nonexistent rank {src}");
-        let got = match &self.backend {
-            Backend::Threads(sh) => self.recv_msg_threads(sh, src, tag, deadline.map(|(d, _)| d)),
-            Backend::Events(core) => {
-                core.recv_msg(self.rank, src, tag, deadline.is_some(), Self::sched_key(sink))
-            }
-        };
-        let msg = match got {
-            Ok(msg) => msg,
-            Err(e) => {
-                // A fired deadline carries the injector's modeled cost
-                // of the timeout-and-recover protocol.
-                if let (CommError::Timeout { .. }, Some((_, virtual_secs))) = (&e, deadline) {
-                    for lane in &mut sink.lanes {
-                        lane.charge_mpi_secs(virtual_secs);
+        let msg =
+            match self.core.recv_msg(self.rank, src, tag, timeout.is_some(), Self::sched_key(sink))
+            {
+                Ok(msg) => msg,
+                Err(e) => {
+                    // A fired deadline carries the injector's modeled cost
+                    // of the timeout-and-recover protocol.
+                    if let (CommError::Timeout { .. }, Some(virtual_secs)) = (&e, timeout) {
+                        for lane in &mut sink.lanes {
+                            lane.charge_mpi_secs(virtual_secs);
+                        }
                     }
+                    return Err(e);
                 }
-                return Err(e);
-            }
-        };
+            };
         if msg.tag != tag {
             let got_tag = msg.tag;
-            self.return_buf(msg.data);
+            self.core.return_buf(msg.data);
             return Err(CommError::TagMismatch {
                 rank: self.rank,
                 src,
@@ -815,90 +443,6 @@ impl Comm {
         Ok(msg)
     }
 
-    /// The thread backend's blocking pull from the `src → self` channel.
-    /// Timeout errors come back *uncharged* (the shared [`Self::recv_msg`]
-    /// epilogue applies the modeled cost for both backends).
-    ///
-    /// Deadline-armed waits used to poll `recv_timeout` on escalating
-    /// slices, which kept a blocked rank's core warm for the whole wait.
-    /// Now every wait parks with bounded exponential backoff (50 µs
-    /// doubling to a 50 ms cap) and the sender unparks the receiver
-    /// through [`Shared::nudge`], so a blocked rank costs the host
-    /// nothing until mail arrives, the deadline expires, or the source
-    /// rank retires.  The bounded park cap doubles as the liveness
-    /// probe: even if [`Shared::retire`]'s nudge races past an
-    /// unpublished handle, the receiver re-checks the dead flag within
-    /// one park slice.
-    fn recv_msg_threads(
-        &self,
-        sh: &Shared,
-        src: usize,
-        tag: u32,
-        deadline: Option<Duration>,
-    ) -> Result<Message, CommError> {
-        enum Fail {
-            Disconnected,
-            TimedOut,
-            Dead,
-        }
-        *lock_tolerant(&sh.waiting[self.rank]) = Some((src, tag));
-        let got = {
-            let rx = lock_tolerant(&sh.mailboxes[self.rank][src]);
-            let start = Instant::now();
-            let mut backoff = Duration::from_micros(50);
-            loop {
-                match rx.try_recv() {
-                    Ok(msg) => break Ok(msg),
-                    Err(TryRecvError::Disconnected) => break Err(Fail::Disconnected),
-                    Err(TryRecvError::Empty) => {}
-                }
-                // The channel is empty, so everything the source sent
-                // before retiring has been consumed: a dead source can
-                // never satisfy this wait.
-                if sh.dead[src].load(Ordering::SeqCst) {
-                    break Err(Fail::Dead);
-                }
-                let left = match deadline {
-                    None => Duration::from_millis(50),
-                    Some(total) => match total.checked_sub(start.elapsed()) {
-                        Some(left) if !left.is_zero() => left,
-                        _ => break Err(Fail::TimedOut),
-                    },
-                };
-                // Publish our handle, then re-check: a message that
-                // slipped in between the poll and the registration must
-                // not strand us parked.
-                *lock_tolerant(&sh.parked[self.rank]) = Some(std::thread::current());
-                match rx.try_recv() {
-                    Ok(msg) => {
-                        *lock_tolerant(&sh.parked[self.rank]) = None;
-                        break Ok(msg);
-                    }
-                    Err(TryRecvError::Disconnected) => {
-                        *lock_tolerant(&sh.parked[self.rank]) = None;
-                        break Err(Fail::Disconnected);
-                    }
-                    Err(TryRecvError::Empty) => {}
-                }
-                std::thread::park_timeout(backoff.min(left));
-                *lock_tolerant(&sh.parked[self.rank]) = None;
-                backoff = (backoff * 2).min(Duration::from_millis(50));
-            }
-        };
-        *lock_tolerant(&sh.waiting[self.rank]) = None;
-        match got {
-            Ok(msg) => Ok(msg),
-            Err(Fail::TimedOut) => {
-                // Deadline fired: snapshot who else is stuck (the
-                // deadlock diagnostic) and report.
-                let blocked = sh.blocked_ranks();
-                Err(CommError::Timeout { rank: self.rank, src, tag, blocked })
-            }
-            Err(Fail::Disconnected) => Err(CommError::Disconnected { rank: self.rank, src, tag }),
-            Err(Fail::Dead) => Err(CommError::RankDead { rank: src, site: tag }),
-        }
-    }
-
     /// Combined send+receive with a partner (the halo-exchange workhorse;
     /// safe against deadlock because sends are buffered).
     pub fn sendrecv(
@@ -912,27 +456,24 @@ impl Comm {
         self.recv(sink, partner, tag)
     }
 
-    /// The heart of every collective, now lockstep-verified: the caller
+    /// The heart of every collective, lockstep-verified: the caller
     /// presents a `(site, epoch)` ticket; the round's first depositor
     /// stamps it and later depositors must match, so ranks whose
     /// control flow diverged get a typed [`CommError::CollectiveMismatch`]
-    /// instead of an eternal condvar wait.  `deadline` arms the same
-    /// timeout machinery p2p receives use ([`Self::recv_msg`]): a
-    /// wall-clock deadline on the thread backend, exact quiescence
-    /// detection on the event backend.  On expiry the round is poisoned
-    /// and every participant unwinds with [`CommError::CollectiveTimeout`].
+    /// instead of an eternal wait.  `timeout` arms the wait exactly as
+    /// for p2p receives ([`Self::recv_msg`]); on expiry the round is
+    /// poisoned and every participant unwinds with
+    /// [`CommError::CollectiveTimeout`].
     ///
-    /// The round state machine, the rank-ordered reduction
-    /// ([`finish_round`]), and the cost epilogue below are shared across
-    /// backends, so collective results and clocks are backend-identical
-    /// bit for bit.
+    /// The round protocol itself lives in [`crate::sched`]; this is the
+    /// ticket prologue and the clock-sync + cost epilogue around it.
     fn collective(
         &self,
         sink: &mut MultiCostSink,
         kind: CollKind,
         data: Vec<f64>,
         site: u32,
-        deadline: Option<(Duration, f64)>,
+        timeout: Option<f64>,
     ) -> Result<Arc<Vec<f64>>, CommError> {
         let ticket = CollTicket { site, epoch: sink.coll_epoch };
         sink.coll_epoch += 1;
@@ -942,33 +483,24 @@ impl Comm {
             return Ok(Arc::new(data));
         }
         let clocks: Vec<SimDuration> = sink.lanes.iter().map(|l| l.clock.now()).collect();
-        let (payload, sync) = match &self.backend {
-            Backend::Threads(sh) => {
-                Self::collective_threads(sh, self.rank, sink, kind, data, ticket, clocks, deadline)?
-            }
-            Backend::Events(core) => {
-                let key = Self::sched_key(sink);
-                match core.collective(
-                    self.rank,
-                    kind,
-                    data,
-                    ticket,
-                    clocks,
-                    deadline.is_some(),
-                    key,
-                ) {
-                    Ok(out) => out,
-                    Err(fail) => {
-                        if fail.charge_timeout {
-                            if let Some((_, virtual_secs)) = deadline {
-                                for lane in &mut sink.lanes {
-                                    lane.charge_mpi_secs(virtual_secs);
-                                }
-                            }
-                        }
-                        return Err(fail.err);
+        let key = Self::sched_key(sink);
+        let (payload, sync) = match self.core.collective(
+            self.rank,
+            kind,
+            data,
+            ticket,
+            clocks,
+            timeout.is_some(),
+            key,
+        ) {
+            Ok(out) => out,
+            Err(fail) => {
+                if let (true, Some(virtual_secs)) = (fail.charge_timeout, timeout) {
+                    for lane in &mut sink.lanes {
+                        lane.charge_mpi_secs(virtual_secs);
                     }
                 }
+                return Err(fail.err);
             }
         };
         // Conservative clock synchronization + collective cost per lane
@@ -983,161 +515,19 @@ impl Comm {
         Ok(payload)
     }
 
-    /// The thread backend's collective round: condvar waits with
-    /// escalating-slice deadlines.  Returns the result payload and the
-    /// synchronized clocks; the caller applies the cost epilogue.
-    #[allow(clippy::too_many_arguments)]
-    fn collective_threads(
-        shared: &Shared,
-        rank: usize,
-        sink: &mut MultiCostSink,
-        kind: CollKind,
-        data: Vec<f64>,
-        ticket: CollTicket,
-        clocks: Vec<SimDuration>,
-        deadline: Option<(Duration, f64)>,
-    ) -> Result<(Arc<Vec<f64>>, Vec<SimDuration>), CommError> {
-        let n = shared.n_ranks;
-        // Deadline-aware condvar wait: blocks forever without a
-        // deadline (the fault-free contract), polls with escalating
-        // slices under one.  Returns Err(()) when the deadline expires.
-        let wait_start = Instant::now();
-        let mut slice = Duration::from_millis(1);
-        let cv = &shared.coll_cv;
-        fn wait_step<'a>(
-            cv: &Condvar,
-            round: MutexGuard<'a, CollRound>,
-            deadline: Option<(Duration, f64)>,
-            wait_start: Instant,
-            slice: &mut Duration,
-        ) -> Result<MutexGuard<'a, CollRound>, ()> {
-            match deadline {
-                None => Ok(cv.wait(round).unwrap_or_else(std::sync::PoisonError::into_inner)),
-                Some((total, _)) => {
-                    let left = match total.checked_sub(wait_start.elapsed()) {
-                        Some(left) if !left.is_zero() => left,
-                        _ => return Err(()),
-                    };
-                    let (g, _) = cv
-                        .wait_timeout(round, (*slice).min(left))
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    *slice = (*slice * 2).min(Duration::from_millis(50));
-                    Ok(g)
-                }
-            }
-        }
-        // On a fired deadline: poison the round (waking everyone with
-        // the verdict), charge the modeled timeout cost, and report who
-        // is stuck in a p2p receive — the usual deadlock shape is one
-        // rank here and its peer in a halo recv.
-        let timed_out = |mut round: MutexGuard<'_, CollRound>, sink: &mut MultiCostSink| {
-            let err =
-                CommError::CollectiveTimeout { rank, ticket, blocked: shared.blocked_ranks() };
-            round.poison = Some(err.clone());
-            shared.coll_cv.notify_all();
-            drop(round);
-            if let Some((_, virtual_secs)) = deadline {
-                for lane in &mut sink.lanes {
-                    lane.charge_mpi_secs(virtual_secs);
-                }
-            }
-            err
-        };
-        let mut round = lock_tolerant(&shared.coll);
-        // Wait for the previous round to fully drain before depositing.
-        while round.result.is_some() {
-            if let Some(p) = round.poison.clone() {
-                return Err(p);
-            }
-            // A dead rank can never deposit into the round we are
-            // trying to enter, so give up before waiting out the drain.
-            if let Some(d) = shared.first_dead() {
-                return Err(CommError::RankDead { rank: d, site: ticket.site });
-            }
-            round = match wait_step(cv, round, deadline, wait_start, &mut slice) {
-                Ok(g) => g,
-                Err(()) => {
-                    let round = lock_tolerant(&shared.coll);
-                    return Err(timed_out(round, sink));
-                }
-            };
-        }
-        if let Some(p) = round.poison.clone() {
-            return Err(p);
-        }
-        if let Some(d) = shared.dead_blocker(&round) {
-            return Err(CommError::RankDead { rank: d, site: ticket.site });
-        }
-        // Lockstep verification: first depositor stamps the round's
-        // ticket, everyone else must present the same one.
-        if let Err(e) = stamp_ticket(&mut round, rank, ticket) {
-            shared.coll_cv.notify_all();
-            return Err(e);
-        }
-        assert!(
-            round.contrib[rank].is_none(),
-            "rank {rank} re-entered a collective before the group completed one — \
-             collective call order must match across ranks"
-        );
-        round.contrib[rank] = Some((data, clocks));
-        round.deposited += 1;
-        if round.deposited == n {
-            // Last to arrive computes the result, rank-ordered.  Every
-            // slot is occupied by construction (`deposited == n`).
-            let contribs: Vec<(Vec<f64>, Vec<SimDuration>)> =
-                round.contrib.iter_mut().filter_map(Option::take).collect();
-            let (payload, sync) = finish_round(contribs, kind);
-            round.result = Some((Arc::new(payload), sync));
-            round.deposited = 0;
-            round.ticket = None;
-            shared.coll_cv.notify_all();
-        }
-        // The last depositor just set `result`; everyone else waits for
-        // it (the loop doubles as the Some-unwrap, so no panic path).
-        let (payload, sync) = loop {
-            if let Some(p) = round.poison.clone() {
-                return Err(p);
-            }
-            if let Some((p, s)) = round.result.as_ref() {
-                break (Arc::clone(p), s.clone());
-            }
-            // A completed round's result is used even if a depositor
-            // died afterwards, so only a dead rank that never deposited
-            // (the round can then never complete) fails the wait.
-            if let Some(d) = shared.dead_blocker(&round) {
-                return Err(CommError::RankDead { rank: d, site: ticket.site });
-            }
-            round = match wait_step(cv, round, deadline, wait_start, &mut slice) {
-                Ok(g) => g,
-                Err(()) => {
-                    let round = lock_tolerant(&shared.coll);
-                    return Err(timed_out(round, sink));
-                }
-            };
-        };
-        round.left += 1;
-        if round.left == n {
-            round.left = 0;
-            round.result = None;
-            // Wake ranks blocked at the entry of the *next* round.
-            shared.coll_cv.notify_all();
-        }
-        Ok((payload, sync))
-    }
-
     /// Run a collective through the legacy infallible surface: tagged
-    /// [`coll_site::UNTAGGED`], deadline armed only when a fault
-    /// injector rides in `sink` (matching p2p receives), and any typed
-    /// verdict — impossible in a healthy lockstep run — escalated to a
-    /// panic so the `Spmd` launch aborts like an MPI job would.
+    /// [`coll_site::UNTAGGED`], armed only when a fault injector rides
+    /// in `sink` (matching p2p receives), and any typed verdict —
+    /// impossible in a healthy lockstep run — escalated to a panic so
+    /// the `Spmd` launch aborts like an MPI job would.
     fn collective_infallible(
         &self,
         sink: &mut impl CostLanes,
         kind: CollKind,
         data: Vec<f64>,
     ) -> Arc<Vec<f64>> {
-        let deadline = Self::injected_collective_deadline(sink);
-        self.collective(sink.cost_lanes(), kind, data, coll_site::UNTAGGED, deadline)
+        let timeout = Self::armed_timeout(sink);
+        self.collective(sink.cost_lanes(), kind, data, coll_site::UNTAGGED, timeout)
             .unwrap_or_else(|e| panic!("collective failed: {e}"))
     }
 
@@ -1176,7 +566,7 @@ impl Comm {
 
     /// Fallible, site-tagged allreduce: the lockstep verifier checks the
     /// `(site, epoch)` ticket against the group's, and — when a fault
-    /// injector is active — arms the same deadline p2p receives use.
+    /// injector is active — arms the wait as p2p receives do.
     /// Library call sites on fault-recovery paths use this surface so a
     /// desynchronized or abandoned collective degrades to a typed error
     /// the recovery ladder can handle.
@@ -1187,14 +577,9 @@ impl Comm {
         op: ReduceOp,
         vals: &mut [f64],
     ) -> Result<(), CommError> {
-        let deadline = Self::injected_collective_deadline(sink);
-        let out = self.collective(
-            sink.cost_lanes(),
-            CollKind::Reduce(op),
-            vals.to_vec(),
-            site,
-            deadline,
-        )?;
+        let timeout = Self::armed_timeout(sink);
+        let out =
+            self.collective(sink.cost_lanes(), CollKind::Reduce(op), vals.to_vec(), site, timeout)?;
         vals.copy_from_slice(&out);
         Ok(())
     }
@@ -1219,9 +604,9 @@ impl Comm {
         site: u32,
         data: &[f64],
     ) -> Result<Vec<f64>, CommError> {
-        let deadline = Self::injected_collective_deadline(sink);
+        let timeout = Self::armed_timeout(sink);
         let out =
-            self.collective(sink.cost_lanes(), CollKind::Concat, data.to_vec(), site, deadline)?;
+            self.collective(sink.cost_lanes(), CollKind::Concat, data.to_vec(), site, timeout)?;
         Ok(out.as_ref().clone())
     }
 
@@ -1234,26 +619,26 @@ impl Comm {
         data: &[f64],
     ) -> Result<Vec<f64>, CommError> {
         assert!(root < self.n_ranks());
-        let deadline = Self::injected_collective_deadline(sink);
+        let timeout = Self::armed_timeout(sink);
         let out = self.collective(
             sink.cost_lanes(),
             CollKind::TakeRoot(root),
             data.to_vec(),
             site,
-            deadline,
+            timeout,
         )?;
         Ok(out.as_ref().clone())
     }
 
     /// Fallible, site-tagged barrier (see [`Self::try_allreduce`]).
     pub fn try_barrier(&self, sink: &mut impl CostLanes, site: u32) -> Result<(), CommError> {
-        let deadline = Self::injected_collective_deadline(sink);
+        let timeout = Self::armed_timeout(sink);
         self.collective(
             sink.cost_lanes(),
             CollKind::Reduce(ReduceOp::Sum),
             Vec::new(),
             site,
-            deadline,
+            timeout,
         )?;
         Ok(())
     }

@@ -19,23 +19,15 @@
 //! This is a conservative parallel-discrete-event simulation — the
 //! modeled clocks are deterministic and independent of host scheduling.
 //!
-//! **Two universes.**  The execution engine behind [`Spmd`] is
-//! selectable ([`Universe`]):
-//!
-//! * [`Universe::EventDriven`] (the default) matches the cost model's
-//!   PDES nature: a discrete-event scheduler where each rank is a
-//!   resumable task yielding at its blocking communication sites, a
-//!   min-heap on `(virtual clock, rank)` decides who runs, and exactly
-//!   one rank executes at any instant.  Fault timeouts resolve by exact
-//!   quiescence detection instead of wall-clock deadlines, deadlocks
-//!   surface as typed [`CommError::Deadlock`] values carrying the full
-//!   wait graph, and thousands of ranks cost no more than their parked
-//!   carrier threads.
-//! * [`Universe::Threads`] is the legacy engine: one free-running OS
-//!   thread per rank, channels, condvar collectives, wall-clock fault
-//!   deadlines.  It remains available (`V2D_UNIVERSE=threads`) as a
-//!   differential-testing oracle; both universes produce bit-identical
-//!   fields and clocks because all cost charging is shared code.
+//! **One engine.**  [`Spmd`] runs its ranks on a discrete-event
+//! scheduler that matches the cost model's PDES nature: each rank is a
+//! resumable task yielding at its blocking communication sites, a
+//! min-heap on `(virtual clock, rank)` decides who runs, and exactly
+//! one rank executes at any instant.  Fault timeouts resolve by exact
+//! quiescence detection instead of wall-clock deadlines, deadlocks
+//! surface as typed [`CommError::Deadlock`] values carrying the full
+//! wait graph, and thousands of ranks cost no more than their parked
+//! carrier threads.
 //!
 //! [`CartComm`] adds the Cartesian process topology of V2D (runtime
 //! parameters NPRX1/NPRX2 in the paper) with block tile extents and
@@ -51,10 +43,7 @@ pub mod sched;
 pub mod topology;
 pub mod universe;
 
-pub use comm::{
-    coll_site, msg_buf_alloc_count, BlockedRank, CollTicket, Comm, CommError, ReduceOp, WaitEdge,
-    WaitOn,
-};
-pub use sched::SchedStats;
+pub use comm::{coll_site, BlockedRank, CollTicket, Comm, CommError, ReduceOp, WaitEdge, WaitOn};
+pub use sched::{msg_buf_alloc_count, SchedStats};
 pub use topology::{CartComm, Tile, TileMap};
-pub use universe::{RankCtx, Spmd, Universe};
+pub use universe::{RankCtx, Spmd};

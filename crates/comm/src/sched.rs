@@ -1,12 +1,12 @@
-//! The conservative discrete-event core behind the event-driven
-//! universe.
+//! The conservative discrete-event core behind every [`crate::Spmd`]
+//! launch, and the collective round protocol it drives.
 //!
 //! One logical thread of control hops between rank *tasks*: every task
 //! is a resumable step function whose yield points are the blocking
 //! communication sites (`recv`, the collective entry/exit waits).  A
 //! min-heap keyed on `(virtual clock at block time, rank)` decides who
 //! runs next, and exactly one task executes at any instant — the OS
-//! threads the universe spawns are inert continuation carriers that
+//! threads the launch spawns are inert continuation carriers that
 //! stay parked unless the scheduler hands them the baton.
 //!
 //! Because nothing here ever consults the wall clock, the schedule is a
@@ -22,9 +22,10 @@
 //!   [`CommError::Deadlock`] carrying the full wait graph instead of a
 //!   watchdog guessing from outside.
 //!
-//! Quiescence is resolved in a fixed order mirroring the legacy thread
-//! backend's deadline hierarchy (p2p deadlines are shorter than
-//! collective deadlines there):
+//! Quiescence is resolved in a fixed order — p2p before collective,
+//! because a rank can be legitimately late to a collective by however
+//! long it spends eating p2p timeouts (stale-ghost recovery), so only a
+//! peer that stopped calling collectives altogether should trip one:
 //!
 //! 1. a fault-armed p2p receive waiter times out (min `(clock, rank)`
 //!    first), and charges the injector's modeled timeout cost;
@@ -36,15 +37,136 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::Thread;
 
 use v2d_machine::SimDuration;
 
-use crate::comm::{
-    finish_round, lock_tolerant, stamp_ticket, BlockedRank, CollKind, CollRound, CollTicket,
-    CommError, Message, WaitEdge, WaitOn,
-};
+use crate::comm::{BlockedRank, CollTicket, CommError, Message, ReduceOp, WaitEdge, WaitOn};
+
+/// Lock a mutex, recovering the data if another rank thread panicked
+/// while holding it (our state stays consistent: every critical section
+/// below is a plain read-modify-write with no tearing on unwind).
+fn lock_tolerant<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// Process-wide count of fresh message-payload allocations.  The pooled
+/// send/[`crate::Comm::recv_into`] path recycles payload buffers through
+/// the launch's free list, so a warm halo-exchange loop should hold this
+/// constant; `ablation_alloc` and the `halo_alloc` test assert it.
+static MSG_BUF_ALLOC: AtomicU64 = AtomicU64::new(0);
+
+/// How many message payload buffers have been freshly allocated.
+pub fn msg_buf_alloc_count() -> u64 {
+    MSG_BUF_ALLOC.load(Ordering::Relaxed)
+}
+
+/// Upper bound on pooled payload buffers per rank group (beyond this,
+/// returned buffers are simply dropped).
+const POOL_CAP: usize = 64;
+
+/// One round of a data-carrying collective: lockstep verification,
+/// rank-ordered reduction and sticky poison, driven by
+/// [`EventCore::collective`].
+struct CollRound {
+    /// Per-rank contribution: (payload, per-lane clocks).
+    contrib: Vec<Option<(Vec<f64>, Vec<SimDuration>)>>,
+    deposited: usize,
+    /// Result payload + per-lane synchronized clocks (before cost).
+    result: Option<(Arc<Vec<f64>>, Vec<SimDuration>)>,
+    left: usize,
+    /// Lockstep ticket stamped by the round's first depositor; later
+    /// depositors must present the same `(site, epoch)` or the round is
+    /// declared diverged.  Cleared when the round drains.
+    ticket: Option<CollTicket>,
+    /// Sticky divergence/timeout verdict.  Once set, every in-flight
+    /// and future collective on this communicator returns it — a group
+    /// that lost a member can never complete another round, so waiting
+    /// would be the very deadlock the verifier exists to prevent.
+    poison: Option<CommError>,
+}
+
+impl CollRound {
+    fn new(n: usize) -> Self {
+        CollRound {
+            contrib: (0..n).map(|_| None).collect(),
+            deposited: 0,
+            result: None,
+            left: 0,
+            ticket: None,
+            poison: None,
+        }
+    }
+}
+
+/// What a collective does with the deposited contributions.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum CollKind {
+    Reduce(ReduceOp),
+    Concat,
+    TakeRoot(usize),
+}
+
+/// Stamp (or verify) the round's lockstep ticket: the first depositor
+/// sets it, later depositors must present the same `(site, epoch)` or
+/// the round is poisoned.  The caller must wake the round's waiters on
+/// `Err`.
+fn stamp_ticket(round: &mut CollRound, rank: usize, ticket: CollTicket) -> Result<(), CommError> {
+    match round.ticket {
+        None => {
+            round.ticket = Some(ticket);
+            Ok(())
+        }
+        Some(expected) if expected != ticket => {
+            let err = CommError::CollectiveMismatch { rank, expected, got: ticket };
+            round.poison = Some(err.clone());
+            Err(err)
+        }
+        Some(_) => Ok(()),
+    }
+}
+
+/// Combine a full round of contributions: the result payload
+/// (rank-ordered, so bitwise deterministic) plus the per-lane
+/// synchronized clocks (max over ranks, the conservative PDES sync).
+fn finish_round(
+    contribs: Vec<(Vec<f64>, Vec<SimDuration>)>,
+    kind: CollKind,
+) -> (Vec<f64>, Vec<SimDuration>) {
+    let lanes = contribs[0].1.len();
+    let mut sync = vec![SimDuration::ZERO; lanes];
+    for (_, cl) in &contribs {
+        for (s, &c) in sync.iter_mut().zip(cl) {
+            if c > *s {
+                *s = c;
+            }
+        }
+    }
+    let payload = match kind {
+        CollKind::Reduce(op) => {
+            let len = contribs[0].0.len();
+            let mut out = vec![op.identity(); len];
+            for (vals, _) in &contribs {
+                assert_eq!(vals.len(), len, "reduce contributions differ in length");
+                for (o, &v) in out.iter_mut().zip(vals) {
+                    *o = op.fold(*o, v);
+                }
+            }
+            out
+        }
+        CollKind::Concat => {
+            let mut out = Vec::new();
+            for (vals, _) in &contribs {
+                out.extend_from_slice(vals);
+            }
+            out
+        }
+        CollKind::TakeRoot(root) => contribs[root].0.clone(),
+    };
+    (payload, sync)
+}
 
 /// Where a task's carrier stands in its lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,7 +199,7 @@ enum Wait {
 enum Verdict {
     /// A fault-armed receive reached quiescence: the message can never
     /// arrive.  `blocked` is the p2p deadlock diagnostic (the other
-    /// ranks sitting in receives), matching the thread backend's shape.
+    /// ranks sitting in receives).
     P2pTimeout { blocked: Vec<BlockedRank> },
     /// This task is the collective-timeout reporter; the round is
     /// poisoned with exactly this error and the reporter charges the
@@ -122,8 +244,7 @@ struct CoreState {
     /// stale (a task readied and dispatched through a newer entry);
     /// [`EventCore::advance`] skips entries whose task is not `Ready`.
     ready: BinaryHeap<Reverse<(u64, usize)>>,
-    /// `mail[dst][src]`: in-order message queue, the event-core analogue
-    /// of the thread backend's per-pair channels.
+    /// `mail[dst][src]`: in-order message queue, one per ordered pair.
     mail: Vec<Vec<VecDeque<Message>>>,
     coll: CollRound,
     /// Liveness registry: `dead[r]` is set by [`EventCore::kill`] when
@@ -228,8 +349,8 @@ impl EventCore {
     /// longer complete.  The caller is the dying rank itself, still
     /// Running — no dispatch happens here; its eventual
     /// [`EventCore::finish`] hands the baton onward as usual.  Messages
-    /// it posted before dying stay in the mail queues (deliverable),
-    /// matching the thread backend, whose channels cannot un-send.
+    /// it posted before dying stay in the mail queues (deliverable): a
+    /// real transport cannot un-send either.
     pub(crate) fn kill(&self, rank: usize) {
         let mut st = lock_tolerant(&self.state);
         st.dead[rank] = true;
@@ -282,8 +403,7 @@ impl EventCore {
     /// Ready heap empty, at least one task blocked: decide how the wait
     /// set unwinds.  Always readies at least one task.
     fn resolve_quiescence(st: &mut CoreState) {
-        // The p2p deadlock diagnostic, same shape as the thread
-        // backend's `blocked_ranks()` snapshot: every rank blocked in a
+        // The p2p deadlock diagnostic: every rank blocked in a
         // point-to-point receive.
         let p2p: Vec<BlockedRank> = st
             .tasks
@@ -404,7 +524,7 @@ impl EventCore {
 
     /// Deliver a message; wakes the destination if it is blocked on
     /// this source.  The sender keeps the baton (sends are buffered and
-    /// non-blocking, exactly like the thread backend).
+    /// non-blocking).
     pub(crate) fn post(&self, src: usize, dst: usize, msg: Message) {
         let mut st = lock_tolerant(&self.state);
         st.mail[dst][src].push_back(msg);
@@ -457,12 +577,12 @@ impl EventCore {
         }
     }
 
-    /// The event-core collective: same round state machine as the
-    /// thread backend (`CollRound`, lockstep tickets, rank-ordered
-    /// reduction via [`finish_round`], sticky poison) with scheduler
-    /// waits in place of condvar waits.  Returns the payload and the
-    /// synchronized clocks; the caller applies the cost epilogue.
-    #[allow(clippy::too_many_arguments)] // mirrors the thread backend's collective signature
+    /// One rank's pass through a collective round ([`CollRound`]:
+    /// lockstep tickets, rank-ordered reduction via [`finish_round`],
+    /// sticky poison), yielding into the scheduler at the drain and
+    /// result waits.  Returns the payload and the synchronized clocks;
+    /// the caller applies the cost epilogue.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn collective(
         &self,
         rank: usize,
@@ -572,22 +692,23 @@ impl EventCore {
         }
     }
 
-    /// Pool bookkeeping, same contract as the thread backend's
-    /// `Shared::take_buf` / `Shared::return_buf`.
+    /// An empty buffer with capacity ≥ `len`, reused from the pool when
+    /// possible (a fresh allocation is counted in [`msg_buf_alloc_count`]).
     pub(crate) fn take_buf(&self, len: usize) -> Vec<f64> {
         let mut st = lock_tolerant(&self.state);
         if let Some(i) = st.pool.iter().position(|b| b.capacity() >= len) {
             return st.pool.swap_remove(i);
         }
         drop(st);
-        crate::comm::count_fresh_alloc();
+        MSG_BUF_ALLOC.fetch_add(1, Ordering::Relaxed);
         Vec::with_capacity(len)
     }
 
+    /// Return a spent payload buffer to the pool.
     pub(crate) fn return_buf(&self, mut buf: Vec<f64>) {
         buf.clear();
         let mut st = lock_tolerant(&self.state);
-        if st.pool.len() < crate::comm::POOL_CAP {
+        if st.pool.len() < POOL_CAP {
             st.pool.push(buf);
         }
     }

@@ -1,28 +1,17 @@
 //! The SPMD runner: launch `n_ranks` simulated ranks, each with its
 //! communicator handle and its own [`MultiCostSink`] of virtual clocks.
 //!
-//! Two execution engines ([`Universe`]) can carry a launch:
-//!
-//! * **Event-driven** (default): a conservative discrete-event core
-//!   (see [`crate::sched`]) schedules the ranks.  Each rank is a
-//!   resumable step function that yields at its blocking communication
-//!   sites; a min-heap keyed on `(virtual clock, rank)` picks who runs
-//!   next, and exactly one rank executes at any instant.  The OS
-//!   threads spawned here are *carriers* — inert continuation holders
-//!   that stay parked until the scheduler hands them the baton — so a
-//!   launch scales to the paper's full 50-rank Table I grid and to
-//!   O(1000)-rank weak-scaling sweeps: parked carriers cost nothing but
-//!   lazily-mapped stack pages.  Fault timeouts and deadlocks resolve
-//!   by exact quiescence detection, never by wall-clock deadlines.
-//!
-//! * **Threads** (legacy, `V2D_UNIVERSE=threads`): one free-running OS
-//!   thread per rank.  Time is still *simulated*, so rank threads only
-//!   need to make progress, not run simultaneously — but every blocked
-//!   rank occupies a scheduling slot, fault deadlines burn wall time,
-//!   and a genuine deadlock can only be caught by an external watchdog.
-//!   It is kept as a differential-testing oracle: both universes share
-//!   all clock-charging code, so fields and clocks must match bit for
-//!   bit (the testkit's backend-equivalence suite asserts this).
+//! A conservative discrete-event core (see [`crate::sched`]) schedules
+//! the ranks.  Each rank is a resumable step function that yields at
+//! its blocking communication sites; a min-heap keyed on
+//! `(virtual clock, rank)` picks who runs next, and exactly one rank
+//! executes at any instant.  The OS threads spawned here are
+//! *carriers* — inert continuation holders that stay parked until the
+//! scheduler hands them the baton — so a launch scales to the paper's
+//! full 50-rank Table I grid and to O(1000)-rank weak-scaling sweeps:
+//! parked carriers cost nothing but lazily-mapped stack pages.  Fault
+//! timeouts and deadlocks resolve by exact quiescence detection, never
+//! by wall-clock deadlines.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -31,38 +20,6 @@ use v2d_machine::{CompilerProfile, ExecCtx, MultiCostSink};
 
 use crate::comm::Comm;
 use crate::sched::{EventCore, SchedStats};
-
-/// Which execution engine carries an [`Spmd`] launch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Universe {
-    /// Discrete-event scheduler (default): deterministic handoff between
-    /// rank tasks, exact timeout/deadlock resolution, O(1000)-rank
-    /// capable.
-    #[default]
-    EventDriven,
-    /// Legacy thread-per-rank engine, kept as a differential oracle.
-    Threads,
-}
-
-impl Universe {
-    /// Resolve the universe from the `V2D_UNIVERSE` environment
-    /// variable: `threads` selects the legacy engine, anything else
-    /// (including unset) the event-driven default.
-    pub fn from_env() -> Self {
-        match std::env::var("V2D_UNIVERSE").as_deref() {
-            Ok("threads") => Universe::Threads,
-            _ => Universe::EventDriven,
-        }
-    }
-
-    /// Short stable name (`events` / `threads`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Universe::EventDriven => "events",
-            Universe::Threads => "threads",
-        }
-    }
-}
 
 /// Per-rank execution context handed to the SPMD body.
 pub struct RankCtx {
@@ -90,18 +47,14 @@ impl RankCtx {
     }
 }
 
-/// An SPMD launch configuration (rank count + modeled compilers +
-/// execution engine).
+/// An SPMD launch configuration (rank count + modeled compilers).
 pub struct Spmd {
     n_ranks: usize,
     profiles: Vec<CompilerProfile>,
-    universe: Universe,
 }
 
 impl Spmd {
-    /// A launch of `n_ranks` ranks, modeling all four Table I compilers,
-    /// on the universe selected by `V2D_UNIVERSE` (event-driven unless
-    /// overridden).
+    /// A launch of `n_ranks` ranks, modeling all four Table I compilers.
     pub fn new(n_ranks: usize) -> Self {
         assert!(n_ranks >= 1, "need at least one rank");
         Spmd {
@@ -110,7 +63,6 @@ impl Spmd {
                 .iter()
                 .map(|&id| CompilerProfile::of(id))
                 .collect(),
-            universe: Universe::from_env(),
         }
     }
 
@@ -119,13 +71,6 @@ impl Spmd {
     pub fn with_profiles(mut self, profiles: Vec<CompilerProfile>) -> Self {
         assert!(!profiles.is_empty(), "need at least one compiler profile");
         self.profiles = profiles;
-        self
-    }
-
-    /// Pin the launch to a specific execution engine, overriding the
-    /// environment selection.
-    pub fn universe(mut self, universe: Universe) -> Self {
-        self.universe = universe;
         self
     }
 
@@ -140,54 +85,21 @@ impl Spmd {
         self.run_observed(body).0
     }
 
-    /// [`Spmd::run`], also returning the scheduler's activity counters
-    /// (zeros on the thread universe, which has no scheduler).
+    /// [`Spmd::run`], also returning the scheduler's activity counters.
+    ///
+    /// Spawns one *carrier* per rank.  A carrier registers with the
+    /// core, parks until first dispatched, runs the rank body (which
+    /// yields back into the scheduler at every blocking comm site), and
+    /// retires its task on the way out — panics included, so the
+    /// scheduler can unwind the surviving ranks through typed errors
+    /// instead of hanging the join.
     pub fn run_observed<T, F>(&self, body: F) -> (Vec<T>, SchedStats)
     where
         T: Send,
         F: Fn(&mut RankCtx) -> T + Send + Sync,
     {
-        match self.universe {
-            Universe::Threads => (self.run_threads(body), SchedStats::default()),
-            Universe::EventDriven => self.run_events(body),
-        }
-    }
-
-    /// Legacy engine: spawn one free-running thread per rank.
-    fn run_threads<T, F>(&self, body: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(&mut RankCtx) -> T + Send + Sync,
-    {
-        let comms = Comm::create(self.n_ranks);
-        let profiles = &self.profiles;
-        let body = &body;
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(self.n_ranks);
-            for comm in comms {
-                handles.push(scope.spawn(move || {
-                    let sink = MultiCostSink::with_profiles(profiles);
-                    let mut ctx = RankCtx { comm, sink };
-                    body(&mut ctx)
-                }));
-            }
-            handles.into_iter().map(|h| h.join().unwrap_or_else(|e| resume_unwind(e))).collect()
-        })
-    }
-
-    /// Event engine: spawn one *carrier* per rank.  A carrier registers
-    /// with the core, parks until first dispatched, runs the rank body
-    /// (which yields back into the scheduler at every blocking comm
-    /// site), and retires its task on the way out — panics included, so
-    /// the scheduler can unwind the surviving ranks through typed
-    /// errors instead of hanging the join.
-    fn run_events<T, F>(&self, body: F) -> (Vec<T>, SchedStats)
-    where
-        T: Send,
-        F: Fn(&mut RankCtx) -> T + Send + Sync,
-    {
         let core = EventCore::new(self.n_ranks);
-        let comms = Comm::create_event(&core);
+        let comms = Comm::create(&core);
         let profiles = &self.profiles;
         let body = &body;
         let results: Vec<Result<T, Box<dyn std::any::Any + Send>>> = std::thread::scope(|scope| {
@@ -228,222 +140,181 @@ mod tests {
         vec![CompilerProfile::cray_opt()]
     }
 
-    /// Run the same body on both universes (most tests below assert the
-    /// same contract against each engine).
-    fn on_both(f: impl Fn(Universe)) {
-        f(Universe::EventDriven);
-        f(Universe::Threads);
-    }
-
     #[test]
     fn ranks_see_their_ids() {
-        on_both(|u| {
-            let ids =
-                Spmd::new(4).with_profiles(single_profile()).universe(u).run(|ctx| ctx.rank());
-            assert_eq!(ids, vec![0, 1, 2, 3]);
-        });
+        let ids = Spmd::new(4).with_profiles(single_profile()).run(|ctx| ctx.rank());
+        assert_eq!(ids, vec![0, 1, 2, 3]);
     }
 
     #[test]
     fn allreduce_sums_across_ranks() {
-        on_both(|u| {
-            let n = 6;
-            let sums = Spmd::new(n).with_profiles(single_profile()).universe(u).run(|ctx| {
-                let mut v = [ctx.rank() as f64, 1.0];
-                ctx.comm.allreduce(&mut ctx.sink, ReduceOp::Sum, &mut v);
-                v
-            });
-            for s in sums {
-                assert_eq!(s[0], (0..6).sum::<usize>() as f64);
-                assert_eq!(s[1], 6.0);
-            }
+        let n = 6;
+        let sums = Spmd::new(n).with_profiles(single_profile()).run(|ctx| {
+            let mut v = [ctx.rank() as f64, 1.0];
+            ctx.comm.allreduce(&mut ctx.sink, ReduceOp::Sum, &mut v);
+            v
         });
+        for s in sums {
+            assert_eq!(s[0], (0..6).sum::<usize>() as f64);
+            assert_eq!(s[1], 6.0);
+        }
     }
 
     #[test]
     fn allreduce_min_max() {
-        on_both(|u| {
-            let outs = Spmd::new(5).with_profiles(single_profile()).universe(u).run(|ctx| {
-                let r = ctx.rank() as f64;
-                let mn = ctx.comm.allreduce_scalar(&mut ctx.sink, ReduceOp::Min, r);
-                let mx = ctx.comm.allreduce_scalar(&mut ctx.sink, ReduceOp::Max, r);
-                (mn, mx)
-            });
-            for (mn, mx) in outs {
-                assert_eq!((mn, mx), (0.0, 4.0));
-            }
+        let outs = Spmd::new(5).with_profiles(single_profile()).run(|ctx| {
+            let r = ctx.rank() as f64;
+            let mn = ctx.comm.allreduce_scalar(&mut ctx.sink, ReduceOp::Min, r);
+            let mx = ctx.comm.allreduce_scalar(&mut ctx.sink, ReduceOp::Max, r);
+            (mn, mx)
         });
+        for (mn, mx) in outs {
+            assert_eq!((mn, mx), (0.0, 4.0));
+        }
     }
 
     #[test]
     fn repeated_collectives_do_not_cross_rounds() {
-        // Exercises round-draining: many back-to-back collectives with
-        // staggered per-rank work between them.  The host-side stagger
-        // shuffles arrival order on the thread universe; the event
-        // universe interleaves rounds through its scheduler instead.
-        on_both(|u| {
-            let n = 4;
-            let outs = Spmd::new(n).with_profiles(single_profile()).universe(u).run(|ctx| {
-                let mut total = 0.0;
-                for round in 0..50 {
-                    if u == Universe::Threads && (ctx.rank() + round) % 3 == 0 {
-                        std::thread::yield_now();
-                    }
-                    let v =
-                        ctx.comm.allreduce_scalar(&mut ctx.sink, ReduceOp::Sum, (round + 1) as f64);
-                    total += v;
-                }
-                total
-            });
-            let expect = (1..=50).map(|r| (r * 4) as f64).sum::<f64>();
-            for t in outs {
-                assert_eq!(t, expect);
+        // Exercises round-draining: many back-to-back collectives, which
+        // the scheduler interleaves rank by rank.
+        let n = 4;
+        let outs = Spmd::new(n).with_profiles(single_profile()).run(|ctx| {
+            let mut total = 0.0;
+            for round in 0..50 {
+                let v = ctx.comm.allreduce_scalar(&mut ctx.sink, ReduceOp::Sum, (round + 1) as f64);
+                total += v;
             }
+            total
         });
+        let expect = (1..=50).map(|r| (r * 4) as f64).sum::<f64>();
+        for t in outs {
+            assert_eq!(t, expect);
+        }
     }
 
     #[test]
     fn sendrecv_exchanges_between_partners() {
-        on_both(|u| {
-            let outs = Spmd::new(2).with_profiles(single_profile()).universe(u).run(|ctx| {
-                let me = ctx.rank();
-                let partner = 1 - me;
-                let data = vec![me as f64; 3];
-                ctx.comm.sendrecv(&mut ctx.sink, partner, 7, &data).expect("healthy exchange")
-            });
-            assert_eq!(outs[0], vec![1.0; 3]);
-            assert_eq!(outs[1], vec![0.0; 3]);
+        let outs = Spmd::new(2).with_profiles(single_profile()).run(|ctx| {
+            let me = ctx.rank();
+            let partner = 1 - me;
+            let data = vec![me as f64; 3];
+            ctx.comm.sendrecv(&mut ctx.sink, partner, 7, &data).expect("healthy exchange")
         });
+        assert_eq!(outs[0], vec![1.0; 3]);
+        assert_eq!(outs[1], vec![0.0; 3]);
     }
 
     #[test]
     fn p2p_messages_arrive_in_order() {
-        on_both(|u| {
-            let outs = Spmd::new(2).with_profiles(single_profile()).universe(u).run(|ctx| {
-                if ctx.rank() == 0 {
-                    for i in 0..10 {
-                        ctx.comm.send(&mut ctx.sink, 1, i, &[i as f64]);
-                    }
-                    Vec::new()
-                } else {
-                    (0..10)
-                        .map(|i| ctx.comm.recv(&mut ctx.sink, 0, i).expect("in order")[0])
-                        .collect()
+        let outs = Spmd::new(2).with_profiles(single_profile()).run(|ctx| {
+            if ctx.rank() == 0 {
+                for i in 0..10 {
+                    ctx.comm.send(&mut ctx.sink, 1, i, &[i as f64]);
                 }
-            });
-            assert_eq!(outs[1], (0..10).map(|i| i as f64).collect::<Vec<_>>());
+                Vec::new()
+            } else {
+                (0..10).map(|i| ctx.comm.recv(&mut ctx.sink, 0, i).expect("in order")[0]).collect()
+            }
         });
+        assert_eq!(outs[1], (0..10).map(|i| i as f64).collect::<Vec<_>>());
     }
 
     #[test]
     fn allgatherv_concatenates_in_rank_order() {
-        on_both(|u| {
-            let outs = Spmd::new(3).with_profiles(single_profile()).universe(u).run(|ctx| {
-                let data = vec![ctx.rank() as f64; ctx.rank() + 1];
-                ctx.comm.allgatherv(&mut ctx.sink, &data)
-            });
-            for o in outs {
-                assert_eq!(o, vec![0.0, 1.0, 1.0, 2.0, 2.0, 2.0]);
-            }
+        let outs = Spmd::new(3).with_profiles(single_profile()).run(|ctx| {
+            let data = vec![ctx.rank() as f64; ctx.rank() + 1];
+            ctx.comm.allgatherv(&mut ctx.sink, &data)
         });
+        for o in outs {
+            assert_eq!(o, vec![0.0, 1.0, 1.0, 2.0, 2.0, 2.0]);
+        }
     }
 
     #[test]
     fn broadcast_takes_root_payload() {
-        on_both(|u| {
-            let outs = Spmd::new(4).with_profiles(single_profile()).universe(u).run(|ctx| {
-                let data = if ctx.rank() == 2 { vec![42.0, 43.0] } else { vec![] };
-                ctx.comm.broadcast(&mut ctx.sink, 2, &data)
-            });
-            for o in outs {
-                assert_eq!(o, vec![42.0, 43.0]);
-            }
+        let outs = Spmd::new(4).with_profiles(single_profile()).run(|ctx| {
+            let data = if ctx.rank() == 2 { vec![42.0, 43.0] } else { vec![] };
+            ctx.comm.broadcast(&mut ctx.sink, 2, &data)
         });
+        for o in outs {
+            assert_eq!(o, vec![42.0, 43.0]);
+        }
     }
 
     #[test]
     fn collective_synchronizes_virtual_clocks() {
         // A rank that did lots of local work drags everyone's clock
         // forward at the barrier.
-        on_both(|u| {
-            let times = Spmd::new(3).with_profiles(single_profile()).universe(u).run(|ctx| {
-                if ctx.rank() == 1 {
-                    ctx.sink.lanes[0].advance_secs(5.0);
-                }
-                ctx.comm.barrier(&mut ctx.sink);
-                ctx.sink.lanes[0].elapsed_secs()
-            });
-            for t in &times {
-                assert!(*t >= 5.0, "barrier must not complete before the slowest rank: {t}");
+        let times = Spmd::new(3).with_profiles(single_profile()).run(|ctx| {
+            if ctx.rank() == 1 {
+                ctx.sink.lanes[0].advance_secs(5.0);
             }
-            // And the fast ranks accounted the wait as MPI time.
-            let mpi = Spmd::new(3).with_profiles(single_profile()).universe(u).run(|ctx| {
-                if ctx.rank() == 1 {
-                    ctx.sink.lanes[0].advance_secs(5.0);
-                }
-                ctx.comm.barrier(&mut ctx.sink);
-                ctx.sink.lanes[0].mpi_secs()
-            });
-            assert!(mpi[0] >= 5.0 && mpi[2] >= 5.0);
-            assert!(mpi[1] < 1.0);
+            ctx.comm.barrier(&mut ctx.sink);
+            ctx.sink.lanes[0].elapsed_secs()
         });
+        for t in &times {
+            assert!(*t >= 5.0, "barrier must not complete before the slowest rank: {t}");
+        }
+        // And the fast ranks accounted the wait as MPI time.
+        let mpi = Spmd::new(3).with_profiles(single_profile()).run(|ctx| {
+            if ctx.rank() == 1 {
+                ctx.sink.lanes[0].advance_secs(5.0);
+            }
+            ctx.comm.barrier(&mut ctx.sink);
+            ctx.sink.lanes[0].mpi_secs()
+        });
+        assert!(mpi[0] >= 5.0 && mpi[2] >= 5.0);
+        assert!(mpi[1] < 1.0);
     }
 
     #[test]
     fn recv_waits_for_virtual_send_time() {
-        on_both(|u| {
-            let times = Spmd::new(2).with_profiles(single_profile()).universe(u).run(|ctx| {
-                if ctx.rank() == 0 {
-                    ctx.sink.lanes[0].advance_secs(2.0);
-                    ctx.comm.send(&mut ctx.sink, 1, 0, &[1.0; 100]);
-                } else {
-                    let _ = ctx.comm.recv(&mut ctx.sink, 0, 0);
-                }
-                ctx.sink.lanes[0].elapsed_secs()
-            });
-            assert!(times[1] > 2.0, "receiver finished before sender sent: {}", times[1]);
+        let times = Spmd::new(2).with_profiles(single_profile()).run(|ctx| {
+            if ctx.rank() == 0 {
+                ctx.sink.lanes[0].advance_secs(2.0);
+                ctx.comm.send(&mut ctx.sink, 1, 0, &[1.0; 100]);
+            } else {
+                let _ = ctx.comm.recv(&mut ctx.sink, 0, 0);
+            }
+            ctx.sink.lanes[0].elapsed_secs()
         });
+        assert!(times[1] > 2.0, "receiver finished before sender sent: {}", times[1]);
     }
 
     #[test]
     fn single_rank_collectives_are_free_and_identity() {
-        on_both(|u| {
-            let outs = Spmd::new(1).with_profiles(single_profile()).universe(u).run(|ctx| {
-                let mut v = [3.5];
-                ctx.comm.allreduce(&mut ctx.sink, ReduceOp::Sum, &mut v);
-                (v[0], ctx.sink.lanes[0].mpi_secs())
-            });
-            assert_eq!(outs[0].0, 3.5);
-            assert_eq!(outs[0].1, 0.0);
+        let outs = Spmd::new(1).with_profiles(single_profile()).run(|ctx| {
+            let mut v = [3.5];
+            ctx.comm.allreduce(&mut ctx.sink, ReduceOp::Sum, &mut v);
+            (v[0], ctx.sink.lanes[0].mpi_secs())
         });
+        assert_eq!(outs[0].0, 3.5);
+        assert_eq!(outs[0].1, 0.0);
     }
 
     #[test]
     fn deterministic_simulated_times() {
         // The whole point of virtual time: bitwise-identical clocks on
         // every run regardless of host scheduling.
-        on_both(|u| {
-            let run = || {
-                Spmd::new(5).with_profiles(single_profile()).universe(u).run(|ctx| {
-                    let mut acc = ctx.rank() as f64;
-                    for _ in 0..20 {
-                        acc = ctx.comm.allreduce_scalar(&mut ctx.sink, ReduceOp::Sum, acc);
-                        acc = acc.sqrt();
-                    }
-                    ctx.sink.lanes[0].clock.now().cycles()
-                })
-            };
-            assert_eq!(run(), run());
-        });
+        let run = || {
+            Spmd::new(5).with_profiles(single_profile()).run(|ctx| {
+                let mut acc = ctx.rank() as f64;
+                for _ in 0..20 {
+                    acc = ctx.comm.allreduce_scalar(&mut ctx.sink, ReduceOp::Sum, acc);
+                    acc = acc.sqrt();
+                }
+                ctx.sink.lanes[0].clock.now().cycles()
+            })
+        };
+        assert_eq!(run(), run());
     }
 
     #[test]
-    fn universes_agree_on_clocks_bit_for_bit() {
-        // The differential contract the testkit's equivalence suite
-        // scales up: all charging code is shared, so the two engines
-        // must produce identical modeled clocks, not just answers.
-        let run = |u: Universe| {
-            Spmd::new(6).with_profiles(single_profile()).universe(u).run(|ctx| {
+    fn ring_exchange_replays_clocks_bit_for_bit() {
+        // p2p and collectives interleaved: answers *and* modeled clocks
+        // must be a pure function of the program.
+        let run = || {
+            Spmd::new(6).with_profiles(single_profile()).run(|ctx| {
                 let me = ctx.rank();
                 let n = ctx.n_ranks();
                 let right = (me + 1) % n;
@@ -458,30 +329,25 @@ mod tests {
                 (acc.to_bits(), ctx.sink.lanes[0].clock.now().cycles())
             })
         };
-        assert_eq!(run(Universe::EventDriven), run(Universe::Threads));
+        assert_eq!(run(), run());
     }
 
     #[test]
     fn more_ranks_than_host_cores() {
         // 64 ranks on any host: progress, correctness.
-        on_both(|u| {
-            let outs = Spmd::new(64)
-                .with_profiles(single_profile())
-                .universe(u)
-                .run(|ctx| ctx.comm.allreduce_scalar(&mut ctx.sink, ReduceOp::Sum, 1.0));
-            for o in outs {
-                assert_eq!(o, 64.0);
-            }
-        });
+        let outs = Spmd::new(64)
+            .with_profiles(single_profile())
+            .run(|ctx| ctx.comm.allreduce_scalar(&mut ctx.sink, ReduceOp::Sum, 1.0));
+        for o in outs {
+            assert_eq!(o, 64.0);
+        }
     }
 
     #[test]
-    fn event_universe_scales_to_a_thousand_ranks() {
-        // The launch the thread universe cannot carry comfortably: every
-        // carrier is parked except the one rank holding the baton.
+    fn launch_scales_to_a_thousand_ranks() {
+        // Every carrier is parked except the one rank holding the baton.
         let (outs, stats) = Spmd::new(1000)
             .with_profiles(single_profile())
-            .universe(Universe::EventDriven)
             .run_observed(|ctx| ctx.comm.allreduce_scalar(&mut ctx.sink, ReduceOp::Sum, 1.0));
         for o in outs {
             assert_eq!(o, 1000.0);
@@ -495,13 +361,10 @@ mod tests {
         // Two ranks each waiting on the other's message: the scheduler
         // proves quiescence and hands every rank the full wait graph as
         // a typed error — no watchdog, no wall-clock deadline.
-        let outs = Spmd::new(2)
-            .with_profiles(single_profile())
-            .universe(Universe::EventDriven)
-            .run(|ctx| {
-                let partner = 1 - ctx.rank();
-                ctx.comm.recv(&mut ctx.sink, partner, 9).expect_err("must deadlock")
-            });
+        let outs = Spmd::new(2).with_profiles(single_profile()).run(|ctx| {
+            let partner = 1 - ctx.rank();
+            ctx.comm.recv(&mut ctx.sink, partner, 9).expect_err("must deadlock")
+        });
         for (rank, err) in outs.iter().enumerate() {
             match err {
                 crate::comm::CommError::Deadlock { rank: r, waiting } => {

@@ -2,7 +2,7 @@
 //! `(site, epoch)` ticket, and a desynchronized group — two ranks in
 //! different collectives, or the same collective at different epochs —
 //! must surface as a typed [`CommError`] on *every* rank instead of an
-//! eternal condvar wait.
+//! eternal wait.
 
 use v2d_comm::{coll_site, CommError, ReduceOp, Spmd};
 use v2d_machine::{CompilerProfile, ExecCtx, FaultInjector, FaultPlan};
@@ -78,8 +78,7 @@ fn epoch_desync_is_a_typed_error_on_every_rank() {
 fn mismatch_poison_is_sticky_and_never_deadlocks() {
     // After a mismatch the communicator is poisoned: later collectives
     // fail fast with the original verdict instead of waiting on a group
-    // that will never re-form.  (If this regressed to a condvar wait the
-    // test would hang, not fail.)
+    // that will never re-form.
     let outs = Spmd::new(2).with_profiles(profiles(2)).run(|ctx| {
         let site =
             if ctx.rank() == 0 { coll_site::SCRUB_DECISION } else { coll_site::TOTAL_ENERGY };
@@ -101,13 +100,12 @@ fn abandoned_collective_times_out_under_injector() {
     // Rank 0 dies (returns early, as a rank panicking before its next
     // collective would); rank 1 enters an allreduce that can never
     // complete.  With a fault injector armed the wait degrades into a
-    // typed CollectiveTimeout after the plan's real-time deadline.
+    // typed CollectiveTimeout once the scheduler proves quiescence.
     let outs = Spmd::new(2).with_profiles(profiles(2)).run(|ctx| {
         if ctx.rank() == 0 {
             return None;
         }
-        let plan = FaultPlan { recv_timeout_ms: 150, ..FaultPlan::empty() };
-        let mut inj = FaultInjector::new(plan, ctx.rank());
+        let mut inj = FaultInjector::new(FaultPlan::empty(), ctx.rank());
         let mut cx = ExecCtx::with_parts(&mut ctx.sink, None, Some(&mut inj), None);
         Some(ctx.comm.try_allreduce_scalar(&mut cx, coll_site::SOLVER_REDUCE, ReduceOp::Sum, 1.0))
     });
@@ -129,8 +127,7 @@ fn timeout_charges_the_modeled_virtual_cost() {
             return (true, 0u64);
         }
         let before = ctx.sink.lanes[0].clock.now().cycles();
-        let plan =
-            FaultPlan { recv_timeout_ms: 100, timeout_virtual_secs: secs, ..FaultPlan::empty() };
+        let plan = FaultPlan { timeout_virtual_secs: secs, ..FaultPlan::empty() };
         let mut inj = FaultInjector::new(plan, ctx.rank());
         let mut cx = ExecCtx::with_parts(&mut ctx.sink, None, Some(&mut inj), None);
         let out = ctx.comm.try_barrier(&mut cx, coll_site::SOLVER_REDUCE);

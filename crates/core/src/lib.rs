@@ -58,6 +58,5 @@ pub use limiter::Limiter;
 pub use opacity::OpacityModel;
 pub use sim::{PrecondKind, RecoveryPolicy, StepError, StepStats, V2dConfig, V2dSim};
 pub use supervise::{
-    run_supervised, run_supervised_on, RecoveryLedger, RetryPolicy, SuperviseError,
-    SuperviseReport, SuperviseSpec,
+    run_supervised, RecoveryLedger, RetryPolicy, SuperviseError, SuperviseReport, SuperviseSpec,
 };

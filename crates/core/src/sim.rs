@@ -396,7 +396,7 @@ impl V2dSim {
         // hands the phase struct the simulation state disjoint from the
         // observability borrows riding in `cx`, and each phase runs from
         // one communication yield point to the next (the same seams the
-        // event-driven universe schedules on).
+        // rank scheduler dispatches on).
         let mut phases = StepPhases {
             cfg: &self.cfg,
             cart: &self.cart,
@@ -610,7 +610,7 @@ impl V2dSim {
 ///
 /// Each phase runs the driver from one blocking communication site to
 /// the next — the halo exchanges and CFL/convergence reductions inside
-/// it are exactly the yield points where the event-driven universe
+/// it are exactly the yield points where the rank scheduler
 /// suspends the rank.  The struct borrows the simulation state
 /// disjointly from the observability state (`Profiler`, `FaultInjector`,
 /// `Tracer`) that [`ExecCtx`] carries, so phases can charge clocks and

@@ -34,7 +34,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use v2d_comm::{Spmd, TileMap, Universe};
+use v2d_comm::{Spmd, TileMap};
 use v2d_io::File;
 use v2d_machine::{CompilerProfile, FaultInjector, FaultKind, FaultPlan};
 
@@ -202,21 +202,11 @@ pub fn decompose(n_ranks: usize, n1: usize, n2: usize) -> (usize, usize) {
     (n_ranks, 1)
 }
 
-/// Supervise a run on the environment-selected [`Universe`].
+/// Supervise a run: launch, and on a fatal attempt roll back, back off,
+/// shrink and relaunch until it completes or the budget is spent.
 pub fn run_supervised(
     spec: &SuperviseSpec,
     policy: RetryPolicy,
-) -> Result<SuperviseReport, SuperviseError> {
-    run_supervised_on(spec, policy, Universe::from_env())
-}
-
-/// [`run_supervised`] pinned to an explicit [`Universe`] — the
-/// backend-equivalence tests and the bench gates run the same spec on a
-/// chosen engine.
-pub fn run_supervised_on(
-    spec: &SuperviseSpec,
-    policy: RetryPolicy,
-    universe: Universe,
 ) -> Result<SuperviseReport, SuperviseError> {
     let mut ledger = RecoveryLedger::default();
     let mut store = match CheckpointStore::new(&spec.dir, spec.checkpoint_keep) {
@@ -234,7 +224,7 @@ pub fn run_supervised_on(
     let mut resume: Option<Arc<File>> = None;
     loop {
         ledger.attempts += 1;
-        let outcomes = launch(spec, &working_plan, np, resume.clone(), universe);
+        let outcomes = launch(spec, &working_plan, np, resume.clone());
         // A clean attempt: every rank finished and assembled the same
         // global field.
         if outcomes.iter().all(|o| matches!(o, RankOutcome::Done { .. })) {
@@ -246,9 +236,9 @@ pub fn run_supervised_on(
             return Ok(SuperviseReport { ledger, final_bits, mttr_virtual_secs, final_np: np });
         }
         // The attempt failed.  Harvest the authoritative facts: which
-        // ranks died (their own `Lost` verdicts — survivors' peer
-        // blame can be schedule-dependent on the thread universe and
-        // never enters the ledger), and how far the attempt got.
+        // ranks died (their own `Lost` verdicts — which dead peer a
+        // survivor names depends on cascade order and never enters
+        // the ledger), and how far the attempt got.
         let victims: Vec<(usize, usize, bool)> = outcomes
             .iter()
             .enumerate()
@@ -358,93 +348,90 @@ fn launch(
     plan: &FaultPlan,
     np: (usize, usize),
     resume: Option<Arc<File>>,
-    universe: Universe,
 ) -> Vec<RankOutcome> {
     let cfg = spec.cfg;
     let scenario = spec.scenario;
     let (every, keep) = (spec.checkpoint_every, spec.checkpoint_keep);
     let dir = spec.dir.clone();
     let n_ranks = np.0 * np.1;
-    Spmd::new(n_ranks).with_profiles(vec![CompilerProfile::cray_opt()]).universe(universe).run(
-        move |ctx| {
-            let map = TileMap::new(cfg.grid.n1, cfg.grid.n2, np.0, np.1);
-            let mut sim = V2dSim::new(cfg, &ctx.comm, map);
-            scenario.scenario().init(&mut sim);
-            sim.set_fault_injector(FaultInjector::new(plan.clone(), ctx.comm.rank()));
-            if let Some(ck) = &resume {
-                if let Err(e) = restore_checkpoint(&mut sim, ck) {
-                    ctx.comm.retire();
-                    return RankOutcome::Failed { istep: 0, what: format!("restore failed: {e}") };
-                }
+    Spmd::new(n_ranks).with_profiles(vec![CompilerProfile::cray_opt()]).run(move |ctx| {
+        let map = TileMap::new(cfg.grid.n1, cfg.grid.n2, np.0, np.1);
+        let mut sim = V2dSim::new(cfg, &ctx.comm, map);
+        scenario.scenario().init(&mut sim);
+        sim.set_fault_injector(FaultInjector::new(plan.clone(), ctx.comm.rank()));
+        if let Some(ck) = &resume {
+            if let Err(e) = restore_checkpoint(&mut sim, ck) {
+                ctx.comm.retire();
+                return RankOutcome::Failed { istep: 0, what: format!("restore failed: {e}") };
             }
-            // Rank 0 owns the store during the attempt; pruning is
-            // deterministic, and once any rank dies no further
-            // checkpoint gather can complete, so ownership never needs
-            // to migrate mid-attempt.
-            let mut store =
-                if ctx.comm.rank() == 0 { CheckpointStore::new(&dir, keep).ok() } else { None };
-            while sim.istep() < cfg.n_steps {
-                match sim.try_step(&ctx.comm, &mut ctx.sink) {
-                    Ok(_) => {}
-                    Err(StepError::Lost { istep, stalled }) => {
-                        // try_step already retired the endpoint.
-                        return RankOutcome::Lost { istep, stalled };
-                    }
-                    Err(e) => {
-                        ctx.comm.retire();
-                        return RankOutcome::Failed { istep: sim.istep(), what: e.to_string() };
-                    }
-                }
-                let istep = sim.istep();
-                if every > 0 && istep.is_multiple_of(every) && istep < cfg.n_steps {
-                    match write_checkpoint(&ctx.comm, &mut ctx.sink, &sim) {
-                        Ok(file) => {
-                            if let Some(st) = &mut store {
-                                // Best-effort: a failed disk write must
-                                // not kill a healthy attempt.
-                                let _ = st.save(&file, istep);
-                            }
-                        }
-                        Err(e) => {
-                            ctx.comm.retire();
-                            return RankOutcome::Failed {
-                                istep,
-                                what: format!("checkpoint failed: {e}"),
-                            };
-                        }
-                    }
-                }
-            }
-            // Final gather: every rank assembles the same global field,
-            // giving the report decomposition-agnostic bits.
-            match write_checkpoint(&ctx.comm, &mut ctx.sink, &sim) {
-                Ok(file) => {
-                    // Radiation first (the legacy layout, so hydro-free
-                    // specs keep byte-identical reports), then the hydro
-                    // fields when the scenario evolves them.
-                    let mut bits: Vec<u64> = file
-                        .dataset("radiation/erad")
-                        .ok()
-                        .and_then(|d| d.as_f64())
-                        .map(|v| v.iter().map(|x| x.to_bits()).collect())
-                        .unwrap_or_default();
-                    for name in ["hydro/rho", "hydro/m1", "hydro/m2", "hydro/etot"] {
-                        if let Some(v) = file.dataset(name).ok().and_then(|d| d.as_f64()) {
-                            bits.extend(v.iter().map(|x| x.to_bits()));
-                        }
-                    }
-                    RankOutcome::Done { bits }
+        }
+        // Rank 0 owns the store during the attempt; pruning is
+        // deterministic, and once any rank dies no further
+        // checkpoint gather can complete, so ownership never needs
+        // to migrate mid-attempt.
+        let mut store =
+            if ctx.comm.rank() == 0 { CheckpointStore::new(&dir, keep).ok() } else { None };
+        while sim.istep() < cfg.n_steps {
+            match sim.try_step(&ctx.comm, &mut ctx.sink) {
+                Ok(_) => {}
+                Err(StepError::Lost { istep, stalled }) => {
+                    // try_step already retired the endpoint.
+                    return RankOutcome::Lost { istep, stalled };
                 }
                 Err(e) => {
                     ctx.comm.retire();
-                    RankOutcome::Failed {
-                        istep: sim.istep(),
-                        what: format!("final gather failed: {e}"),
+                    return RankOutcome::Failed { istep: sim.istep(), what: e.to_string() };
+                }
+            }
+            let istep = sim.istep();
+            if every > 0 && istep.is_multiple_of(every) && istep < cfg.n_steps {
+                match write_checkpoint(&ctx.comm, &mut ctx.sink, &sim) {
+                    Ok(file) => {
+                        if let Some(st) = &mut store {
+                            // Best-effort: a failed disk write must
+                            // not kill a healthy attempt.
+                            let _ = st.save(&file, istep);
+                        }
+                    }
+                    Err(e) => {
+                        ctx.comm.retire();
+                        return RankOutcome::Failed {
+                            istep,
+                            what: format!("checkpoint failed: {e}"),
+                        };
                     }
                 }
             }
-        },
-    )
+        }
+        // Final gather: every rank assembles the same global field,
+        // giving the report decomposition-agnostic bits.
+        match write_checkpoint(&ctx.comm, &mut ctx.sink, &sim) {
+            Ok(file) => {
+                // Radiation first (the legacy layout, so hydro-free
+                // specs keep byte-identical reports), then the hydro
+                // fields when the scenario evolves them.
+                let mut bits: Vec<u64> = file
+                    .dataset("radiation/erad")
+                    .ok()
+                    .and_then(|d| d.as_f64())
+                    .map(|v| v.iter().map(|x| x.to_bits()).collect())
+                    .unwrap_or_default();
+                for name in ["hydro/rho", "hydro/m1", "hydro/m2", "hydro/etot"] {
+                    if let Some(v) = file.dataset(name).ok().and_then(|d| d.as_f64()) {
+                        bits.extend(v.iter().map(|x| x.to_bits()));
+                    }
+                }
+                RankOutcome::Done { bits }
+            }
+            Err(e) => {
+                ctx.comm.retire();
+                RankOutcome::Failed {
+                    istep: sim.istep(),
+                    what: format!("final gather failed: {e}"),
+                }
+            }
+        }
+    })
 }
 
 #[cfg(test)]

@@ -70,10 +70,7 @@ fn injected_solver_breakdown_recovers_in_solver() {
 
 #[test]
 fn dropped_halo_message_times_out_and_holds_stale_ghost() {
-    let mut plan = FaultPlan::empty().with_event(1, Some(0), FaultKind::DropMessage { nth: 0 });
-    // Short real-time deadline keeps the test fast; the modeled
-    // virtual-time penalty stays at its default.
-    plan.recv_timeout_ms = 250;
+    let plan = FaultPlan::empty().with_event(1, Some(0), FaultKind::DropMessage { nth: 0 });
     let outs = run_with_plan(Some(plan), 2, 3);
     let log = merged_log(&outs);
     assert!(log.contains("inject drop-message"), "detection missing:\n{log}");
@@ -92,9 +89,8 @@ fn rank_stall_charges_time_but_completes() {
 
 #[test]
 fn delayed_message_completes_deterministically() {
-    let mut plan =
+    let plan =
         FaultPlan::empty().with_event(1, Some(0), FaultKind::DelayMessage { nth: 0, secs: 0.5 });
-    plan.recv_timeout_ms = 2_000;
     let a = run_with_plan(Some(plan.clone()), 2, 3);
     let b = run_with_plan(Some(plan), 2, 3);
     assert!(merged_log(&a).contains("inject delay-message"), "detection missing");

@@ -2,9 +2,6 @@
 //! typed peer death, the supervisor rolls back to the newest checkpoint,
 //! shrinks onto the survivors, and the run completes — with a
 //! bit-identical recovery ledger and final fields on every replay.
-//!
-//! These tests run on `Universe::from_env`, so the CI smoke matrix
-//! drives them under both the event-driven and the threads engine.
 
 use std::path::PathBuf;
 

@@ -93,8 +93,6 @@ pub struct FaultPlan {
     pub seed: u64,
     /// The schedule, in no particular order; matched by `(step, rank)`.
     pub events: Vec<FaultEvent>,
-    /// Real-time deadline for `recv_timeout`, in milliseconds.
-    pub recv_timeout_ms: u64,
     /// Virtual seconds charged to the MPI clock when a receive times
     /// out (the modeled cost of the timeout + recovery protocol).
     pub timeout_virtual_secs: f64,
@@ -104,7 +102,7 @@ impl FaultPlan {
     /// An empty plan: no events.  An injector over this plan must be
     /// bit-invisible to the simulation.
     pub fn empty() -> Self {
-        FaultPlan { seed: 0, events: Vec::new(), recv_timeout_ms: 2_000, timeout_virtual_secs: 1.0 }
+        FaultPlan { seed: 0, events: Vec::new(), timeout_virtual_secs: 1.0 }
     }
 
     /// Schedule one event.
@@ -350,12 +348,6 @@ impl FaultInjector {
     pub fn note(&mut self, what: String) {
         let (step, rank) = (self.step, self.rank);
         self.log.push(FaultRecord { step, rank, what });
-    }
-
-    /// The real-time receive deadline the comm layer should arm, in
-    /// milliseconds.
-    pub fn recv_timeout_ms(&self) -> u64 {
-        self.plan.recv_timeout_ms
     }
 
     /// Virtual seconds a timed-out receive charges to the MPI clock.

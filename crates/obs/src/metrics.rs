@@ -85,13 +85,11 @@ impl Metrics {
         }
     }
 
-    /// Fold an execution-engine launch snapshot into the registry under
-    /// the `sched.*` namespace: `dispatches` (rank hand-offs of the
-    /// event-driven scheduler) and `quiescences` (empty-ready-queue
-    /// resolutions: exact timeouts or deadlock verdicts).  Both are
-    /// schedule-deterministic on the event universe, so reports
-    /// carrying them gate bit-for-bit like any modeled quantity; the
-    /// legacy thread universe reports zeros.
+    /// Fold a rank-scheduler launch snapshot into the registry under
+    /// the `sched.*` namespace: `dispatches` (rank hand-offs) and
+    /// `quiescences` (empty-ready-queue resolutions: exact timeouts or
+    /// deadlock verdicts).  Both are schedule-deterministic, so reports
+    /// carrying them gate bit-for-bit like any modeled quantity.
     pub fn record_sched(&mut self, dispatches: u64, quiescences: u64) {
         self.counter_add("sched.dispatches", dispatches);
         self.counter_add("sched.quiescences", quiescences);

@@ -17,7 +17,7 @@
 //!   make every run bit-reproducible: same canonical deck + fault plan
 //!   ⇒ same final-field bits, and
 //! * runs every admitted request under the PR-8 supervisor
-//!   ([`v2d_core::supervise::run_supervised_on`]), so a rank loss comes
+//!   ([`v2d_core::supervise::run_supervised`]), so a rank loss comes
 //!   back as a typed recovery ledger in the response instead of a
 //!   failed request.
 //!

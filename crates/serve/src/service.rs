@@ -4,8 +4,8 @@
 //! # Admission pipeline
 //!
 //! A submit is parsed ([`v2d_core::config_file::ParFile`]), reduced to
-//! its **content hash** — FNV-64 over the canonical deck rendering,
-//! the canonical fault lines, and the universe name — and then routed:
+//! its **content hash** — FNV-64 over the canonical deck rendering
+//! and the canonical fault lines — and then routed:
 //!
 //! 1. **result cache** ([`crate::cache::ResultCache`]): a hit answers
 //!    immediately with the memoized `Arc<RunResult>`;
@@ -17,10 +17,9 @@
 //!    at the request's priority.
 //!
 //! Every job runs under the PR-8 supervisor
-//! ([`v2d_core::supervise::run_supervised_on`]) on the service's pinned
-//! [`Universe`], so rank loss yields a typed recovery ledger in the
-//! response, and results stay bit-reproducible — the property that
-//! makes steps 1 and 2 sound.
+//! ([`v2d_core::supervise::run_supervised`]), so rank loss yields a
+//! typed recovery ledger in the response, and results stay
+//! bit-reproducible — the property that makes steps 1 and 2 sound.
 //!
 //! # Cancellation
 //!
@@ -46,11 +45,10 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 
-use v2d_comm::Universe;
 use v2d_core::config_file::ParFile;
 use v2d_core::problems::Family;
 use v2d_core::sim::V2dConfig;
-use v2d_core::supervise::{run_supervised_on, RetryPolicy, SuperviseError, SuperviseSpec};
+use v2d_core::supervise::{run_supervised, RetryPolicy, SuperviseError, SuperviseSpec};
 use v2d_machine::FaultPlan;
 use v2d_obs::Metrics;
 
@@ -66,10 +64,6 @@ pub struct ServeOpts {
     pub workers: usize,
     /// Result-cache capacity (entries).
     pub result_cache_cap: usize,
-    /// The execution engine every job is pinned to.  Defaults to the
-    /// event-driven scheduler — results must not depend on which
-    /// client's environment submitted a deck first.
-    pub universe: Universe,
     /// Start with the admission gate closed (script mode).
     pub gated: bool,
     /// Base directory for per-job checkpoint stores.
@@ -78,13 +72,7 @@ pub struct ServeOpts {
 
 impl Default for ServeOpts {
     fn default() -> Self {
-        ServeOpts {
-            workers: 2,
-            result_cache_cap: 64,
-            universe: Universe::EventDriven,
-            gated: false,
-            scratch: std::env::temp_dir(),
-        }
+        ServeOpts { workers: 2, result_cache_cap: 64, gated: false, scratch: std::env::temp_dir() }
     }
 }
 
@@ -128,7 +116,6 @@ struct Core {
     cache: ResultCache,
     registry: Mutex<Registry>,
     counters: Counters,
-    universe: Universe,
     scratch: PathBuf,
     seq: AtomicU64,
 }
@@ -173,7 +160,6 @@ impl Service {
             cache: ResultCache::new(opts.result_cache_cap),
             registry: Mutex::new(Registry::default()),
             counters: Counters::default(),
-            universe: opts.universe,
             scratch: opts.scratch,
             seq: AtomicU64::new(0),
         });
@@ -206,7 +192,7 @@ impl Service {
                 what: format!("id `{}` is already in flight", s.id),
             });
         }
-        let adm = match parse_submit(&s, self.core.universe) {
+        let adm = match parse_submit(&s) {
             Ok(a) => a,
             Err(what) => {
                 c.rejected.fetch_add(1, Ordering::Relaxed);
@@ -379,8 +365,8 @@ impl Service {
 }
 
 /// Parse + validate a submit into its executable parts and content
-/// hash.  Pure: same submit + universe ⇒ same hash, on any machine.
-fn parse_submit(s: &Submit, universe: Universe) -> Result<Admitted, String> {
+/// hash.  Pure: same submit ⇒ same hash, on any machine.
+fn parse_submit(s: &Submit) -> Result<Admitted, String> {
     let pf = ParFile::parse(&s.deck).map_err(|e| format!("deck: {e}"))?;
     let (cfg, np) = pf.to_config().map_err(|e| format!("deck: {e}"))?;
     let checkpoint = pf.checkpoint_policy().map_err(|e| format!("deck: {e}"))?;
@@ -408,19 +394,13 @@ fn parse_submit(s: &Submit, universe: Universe) -> Result<Admitted, String> {
         }
         plan = plan.with_event(f.step, f.rank, f.kind);
     }
-    if !s.faults.is_empty() {
-        // Faulty runs may wait on dead peers; keep the real-time
-        // deadline short so recovery latency is bounded.
-        plan.recv_timeout_ms = 500;
-    }
-    // Content hash: canonical deck + canonical fault lines + engine.
+    // Content hash: canonical deck + canonical fault lines.
     // The raw deck text is NOT hashed — comment or whitespace changes
     // must still dedupe.
     let mut text = pf.canonical();
     for f in &s.faults {
         text.push_str(&f.canonical());
     }
-    text.push_str(universe.name());
     Ok(Admitted { key: fnv64(text.as_bytes()), cfg, scenario, np, checkpoint, plan })
 }
 
@@ -462,7 +442,7 @@ impl Core {
             checkpoint_keep: checkpoint.1,
             dir: dir.clone(),
         };
-        let run = run_supervised_on(&spec, RetryPolicy::default(), self.universe);
+        let run = run_supervised(&spec, RetryPolicy::default());
         let _ = std::fs::remove_dir_all(&dir);
         let result = Arc::new(match run {
             Ok(rep) => RunResult {

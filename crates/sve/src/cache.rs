@@ -4,10 +4,9 @@
 //! The kernel builders in [`crate::kernels`] are shape-agnostic — problem
 //! sizes arrive in registers, not in the instruction stream — so a cached
 //! program is keyed by (routine/variant name, vector length, residency
-//! level, fusion flag, decode-format version): a fused and an unfused
-//! decoding of the same kernel are distinct programs, and entries decoded
-//! under an older [`crate::decode::DECODE_FORMAT_VERSION`] never satisfy
-//! a lookup.  The pipeline model has floating-point fields and therefore no
+//! level, decode-format version): entries decoded under an older
+//! [`crate::decode::DECODE_FORMAT_VERSION`] never satisfy a lookup.
+//! The pipeline model has floating-point fields and therefore no
 //! total `Hash`/`Eq`; instead a hit additionally *verifies*
 //! `SchedModel` equality via `PartialEq` and rebuilds in place on
 //! mismatch, so an exotic sweep over scheduler parameters is correct
@@ -69,8 +68,8 @@ pub fn assemble_count() -> u64 {
     ASSEMBLES.load(Ordering::Relaxed)
 }
 
-/// Record one program assembly.  Called by the kernel builders so both
-/// cache misses and direct interpreter runs are counted.
+/// Record one program assembly.  Called by the kernel builders, which
+/// only a cache miss reaches.
 pub fn note_assembled() {
     ASSEMBLES.fetch_add(1, Ordering::Relaxed);
 }
@@ -80,11 +79,6 @@ struct Key {
     name: &'static str,
     vl_bits: u32,
     level: MemLevel,
-    /// Whether the program was decoded with superinstruction fusion: the
-    /// fused and unfused decodings of one kernel are different artifacts
-    /// (the fused one carries a plan and a threaded-code body), so the
-    /// flag is part of the key, not a property verified after the hit.
-    fuse: bool,
     /// [`crate::decode::DECODE_FORMAT_VERSION`] at decode time, so
     /// entries from a stale decode layout can never satisfy a lookup.
     format: u32,
@@ -96,7 +90,6 @@ impl Key {
             name,
             vl_bits: cfg.vl_bits,
             level: cfg.level,
-            fuse: cfg.fuse,
             format: crate::decode::DECODE_FORMAT_VERSION,
         }
     }
@@ -267,24 +260,6 @@ mod tests {
     }
 
     #[test]
-    fn fuse_flip_is_a_cache_miss() {
-        let on = ExecConfig::a64fx_l1().with_fuse(true);
-        let off = on.clone().with_fuse(false);
-        let fused = cached_program("test/fuse-key", &on, tiny);
-        assert!(fused.fuse());
-        // Flipping the fusion flag must reach the builder: the unfused
-        // decoding is a different artifact, not a sched-verified rehit.
-        let plain = cached_program("test/fuse-key", &off, tiny);
-        assert!(!Arc::ptr_eq(&fused, &plain));
-        assert!(!plain.fuse());
-        // Both variants now coexist; each rehits its own entry.
-        let fused2 = cached_program("test/fuse-key", &on, || unreachable!("must hit"));
-        let plain2 = cached_program("test/fuse-key", &off, || unreachable!("must hit"));
-        assert!(Arc::ptr_eq(&fused, &fused2));
-        assert!(Arc::ptr_eq(&plain, &plain2));
-    }
-
-    #[test]
     fn second_thread_hits_the_shared_tier_without_decoding() {
         let l1 = ExecConfig::a64fx_l1().with_vl(1024);
         let first = cached_program("test/shared", &l1, tiny);
@@ -306,7 +281,7 @@ mod tests {
 
     #[test]
     fn decoded_programs_are_shareable_across_threads() {
-        // The whole point of the shared tier: a fused program (closures
+        // The whole point of the shared tier: a decoded program (closures
         // and all) is Send + Sync.
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<DecodedProgram>();

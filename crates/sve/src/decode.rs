@@ -1,15 +1,18 @@
-//! Pre-decoded trace execution: the fast path of the simulated core.
+//! Pre-decoding: the one-time lowering behind the production engine.
 //!
-//! [`Executor::run`] re-derives everything about an instruction — its
-//! dependency slots, its pipeline properties, its mnemonic — from the
-//! `Instr` enum on every *dynamic* execution, so a kernel loop pays the
-//! full decode cost once per iteration.  [`DecodedProgram`] lowers a
+//! [`Executor::run`](crate::exec::Executor::run) re-derives everything
+//! about an instruction — its dependency slots, its pipeline properties,
+//! its mnemonic — from the `Instr` enum on every *dynamic* execution, so
+//! a kernel loop pays the full decode cost once per iteration.
+//! [`DecodedProgram`] lowers a
 //! program once into a dense micro-op array with pre-resolved flat
 //! register indices, the governing-predicate slot, unit class / latency /
 //! occupancy from the [`SchedModel`], per-op flop/byte *rules* (the only
 //! pieces of the timing model that depend on the dynamic predicate
-//! state), and a per-program mnemonic table.  [`Executor::run_decoded`]
-//! then executes the decoded ops in a tight loop over flat arrays.
+//! state), and a per-program mnemonic table; plans its superinstruction
+//! fusion ([`crate::fuse`]); and pre-binds the threaded-code dispatch
+//! array (`thread.rs`) that
+//! [`Executor::run_decoded`](crate::exec::Executor::run_decoded) executes.
 //!
 //! **Modeled results are bit-identical to the interpreter** by
 //! construction, on three grounds:
@@ -19,8 +22,8 @@
 //!    and the flop/byte rules reproduce `props` at every possible
 //!    active-lane count — a decoded program that could disagree with the
 //!    interpreter cannot be constructed;
-//! 2. architectural semantics go through the *same* [`Executor::step`]
-//!    the interpreter uses, so results cannot diverge;
+//! 2. architectural semantics are lane-exact replicas of, or direct
+//!    calls to, the `step_instr` the interpreter uses;
 //! 3. the issue arithmetic (in-order fetch frontier, dependency maxima,
 //!    the cumulative-bytes bandwidth limiter, backfilling pipe
 //!    reservation, completion bookkeeping) is evaluated in the same order
@@ -30,15 +33,13 @@
 //!    under-capacity cycles" reservation over the same occupancy counts.
 //!
 //! The equivalence is enforced end-to-end by `tests/prop_decode.rs`,
-//! which asserts register files, memory images, and full [`ExecStats`]
-//! (cycles, mix, unit busyness, bytes) match the interpreter on every
+//! which asserts register files, memory images, and full
+//! [`ExecStats`](crate::exec::ExecStats) (cycles, mix, unit busyness, bytes) match the interpreter on every
 //! kernel and on randomized programs.
 
-use crate::exec::{deps_of, ExecConfig, ExecStats, Executor, RegId};
+use crate::exec::{deps_of, ExecConfig, RegId};
 use crate::fuse::FusionPlan;
 use crate::isa::Instr;
-use crate::mem::SimMem;
-use crate::reg::RegFile;
 use crate::sched::SchedModel;
 use crate::thread::OpFn;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -165,9 +166,9 @@ fn rules_of(i: &Instr) -> (Option<u8>, FlopRule, MemRule) {
     }
 }
 
-/// One pre-decoded micro-op: the original instruction (for semantics via
-/// [`Executor::step`]) plus everything the timing loop needs, resolved to
-/// flat indices and plain integers.
+/// One pre-decoded micro-op: the original instruction (for semantics)
+/// plus everything the timing charge needs, resolved to flat indices and
+/// plain integers.
 #[derive(Debug, Clone)]
 pub(crate) struct DecodedOp {
     pub(crate) instr: Instr,
@@ -192,12 +193,11 @@ pub(crate) struct DecodedOp {
 }
 
 /// A program lowered once for a fixed (vector length, residency level,
-/// pipeline model, fusion flag) configuration.  Branch targets need no
-/// translation: they are already dense indices into the instruction
-/// array, and the decoded array is index-aligned with it.  When decoded
-/// with fusion, the program also carries its fusion plan and the
-/// pre-bound threaded-code dispatch array (see [`crate::fuse`] and
-/// [`crate::thread`]).
+/// pipeline model) configuration.  Branch targets need no translation:
+/// they are already dense indices into the instruction array, and the
+/// decoded array is index-aligned with it.  The program carries its
+/// fusion plan and the pre-bound threaded-code dispatch array (see
+/// [`crate::fuse`] and [`crate::thread`]).
 pub struct DecodedProgram {
     pub(crate) ops: Vec<DecodedOp>,
     /// Distinct mnemonics of this program, indexed by `DecodedOp::mix_slot`.
@@ -205,11 +205,8 @@ pub struct DecodedProgram {
     vl_bits: u32,
     level: MemLevel,
     sched: SchedModel,
-    /// Whether this program was lowered for the fused threaded engine.
-    fuse: bool,
-    /// The fusion plan (`Some` iff `fuse`).
-    plan: Option<FusionPlan>,
-    /// Pre-bound dispatch closures (empty unless `fuse`).
+    pub(crate) plan: FusionPlan,
+    /// Pre-bound dispatch closures, one per dispatch group of `plan`.
     pub(crate) threaded: Vec<OpFn>,
 }
 
@@ -219,7 +216,6 @@ impl std::fmt::Debug for DecodedProgram {
             .field("ops", &self.ops.len())
             .field("vl_bits", &self.vl_bits)
             .field("level", &self.level)
-            .field("fuse", &self.fuse)
             .field("chains", &self.chain_count())
             .finish_non_exhaustive()
     }
@@ -296,20 +292,14 @@ impl DecodedProgram {
                 is_store: instr.is_store(),
             });
         }
-        let (plan, threaded) = if cfg.fuse {
-            let plan = crate::fuse::plan(&ops, lanes);
-            let threaded = crate::thread::lower(&ops, &plan, lanes as usize);
-            (Some(plan), threaded)
-        } else {
-            (None, Vec::new())
-        };
+        let plan = crate::fuse::plan(&ops, lanes);
+        let threaded = crate::thread::lower(&ops, &plan, lanes as usize);
         DecodedProgram {
             ops,
             mnemonics,
             vl_bits: cfg.vl_bits,
             level: cfg.level,
             sched: sched.clone(),
-            fuse: cfg.fuse,
             plan,
             threaded,
         }
@@ -341,17 +331,9 @@ impl DecodedProgram {
     }
 
     /// Whether this program may run under `cfg` (identical VL, residency
-    /// level, pipeline parameters, and fusion setting).
+    /// level, and pipeline parameters).
     pub fn matches(&self, cfg: &ExecConfig) -> bool {
-        self.vl_bits == cfg.vl_bits
-            && self.level == cfg.level
-            && self.sched == cfg.sched
-            && self.fuse == cfg.fuse
-    }
-
-    /// Whether this program was lowered for the fused threaded engine.
-    pub fn fuse(&self) -> bool {
-        self.fuse
+        self.vl_bits == cfg.vl_bits && self.level == cfg.level && self.sched == cfg.sched
     }
 
     /// The original instruction sequence, one per decoded op.
@@ -359,25 +341,20 @@ impl DecodedProgram {
         self.ops.iter().map(|op| op.instr).collect()
     }
 
-    /// Number of fused superop chains (0 when decoded without fusion).
+    /// Number of fused superop chains.
     pub fn chain_count(&self) -> usize {
-        self.plan().map_or(0, |p| p.chains.len())
+        self.plan.chains.len()
     }
 
     /// Static instructions covered by fused chains.
     pub fn fused_static_ops(&self) -> usize {
-        self.plan.as_ref().map_or(0, |p| p.fused_static_ops())
+        self.plan.fused_static_ops()
     }
 
     /// The fused chains as `(start, len, compound mnemonic)` triples, in
     /// program order.
     pub fn chains(&self) -> impl Iterator<Item = (usize, usize, &'static str)> + '_ {
-        self.plan.iter().flat_map(|p| p.chains.iter().map(|c| (c.start, c.len, c.name)))
-    }
-
-    /// The fusion plan, when decoded with fusion.
-    pub(crate) fn plan(&self) -> Option<&FusionPlan> {
-        self.plan.as_ref()
+        self.plan.chains.iter().map(|c| (c.start, c.len, c.name))
     }
 }
 
@@ -522,113 +499,12 @@ impl RingSlots {
     }
 }
 
-impl Executor {
-    /// Execute a pre-decoded program to completion, mutating `regs` and
-    /// `mem`, and return timing statistics bit-identical to
-    /// [`Executor::run`] on the source program.
-    ///
-    /// # Panics
-    /// If the register file's vector length disagrees with the config, if
-    /// `dp` was decoded for a different configuration, if the dynamic
-    /// instruction cap is exceeded, or on a memory fault.
-    pub fn run_decoded(
-        &self,
-        dp: &DecodedProgram,
-        regs: &mut RegFile,
-        mem: &mut SimMem,
-    ) -> ExecStats {
-        let cfg = self.config();
-        assert_eq!(regs.vl_bits(), cfg.vl_bits, "register file VL does not match executor config");
-        assert!(dp.matches(cfg), "decoded program was lowered for a different configuration");
-        if dp.fuse {
-            return crate::thread::run_threaded(cfg, dp, regs, mem);
-        }
-        let sched = &cfg.sched;
-        let fetch_width = sched.fetch_width;
-
-        let mut stats = ExecStats::default();
-        let mut ready = [0u64; FLAT_REGS];
-        // Incrementally maintained active-lane counts: refreshed only
-        // when an op writes a predicate register, instead of popcounting
-        // the governing predicate on every predicated instruction.
-        let mut p_active: [u64; 16] = std::array::from_fn(|i| regs.active_lanes(i) as u64);
-        let mut units: [RingSlots; 5] = std::array::from_fn(|i| RingSlots::new(sched.pipes[i]));
-        let mut mix = vec![0u64; dp.mnemonics.len()];
-        let mut fetched: u64 = 0;
-        let mut last_complete: u64 = 0;
-        let mem_rate = sched.total_mem_rate(cfg.level);
-        let mut mem_bytes_cum: u64 = 0;
-
-        let mut pc = 0usize;
-        while pc < dp.ops.len() {
-            let op = &dp.ops[pc];
-            stats.instrs += 1;
-            assert!(
-                stats.instrs <= cfg.max_instrs,
-                "dynamic instruction cap exceeded — runaway loop?"
-            );
-
-            // --- timing (same arithmetic, same order as `run`) ---
-            let active = if op.pg == NO_REG { 0 } else { p_active[op.pg as usize] };
-            let mut rdy = fetched / fetch_width;
-            fetched += 1;
-            for &s in &op.srcs[..op.n_srcs as usize] {
-                rdy = rdy.max(ready[s as usize]);
-            }
-            let mem_bytes = op.mem.eval(active);
-            if mem_bytes > 0 {
-                let bw_ready = (mem_bytes_cum as f64 / mem_rate) as u64;
-                rdy = rdy.max(bw_ready);
-                mem_bytes_cum += mem_bytes;
-            }
-            let unit = &mut units[op.unit as usize];
-            let start = if op.occupancy == 1 {
-                unit.reserve1(rdy)
-            } else {
-                unit.reserve(rdy, op.occupancy)
-            };
-            let complete = start + op.latency;
-            if stats.instrs % 4096 == 0 {
-                let floor = fetched / fetch_width;
-                for u in &mut units {
-                    u.prune(floor);
-                }
-            }
-            if op.dst != NO_REG {
-                ready[op.dst as usize] = complete;
-            }
-            last_complete = last_complete.max(complete);
-            mix[op.mix_slot as usize] += 1;
-            stats.unit_busy[op.unit as usize] += op.occupancy;
-            stats.flops += op.flops.eval(active);
-            if op.is_load {
-                stats.loads += 1;
-                stats.bytes_read += mem_bytes;
-            } else if op.is_store {
-                stats.stores += 1;
-                stats.bytes_written += mem_bytes;
-            }
-
-            // --- semantics (shared with the interpreter) ---
-            pc = self.step(&op.instr, pc, regs, mem);
-            if op.dst != NO_REG && op.dst as usize >= 96 {
-                let pr = op.dst as usize - 96;
-                p_active[pr] = regs.active_lanes(pr) as u64;
-            }
-        }
-        stats.cycles = last_complete.max(fetched.div_ceil(fetch_width));
-        for (slot, &name) in dp.mnemonics.iter().enumerate() {
-            if mix[slot] > 0 {
-                stats.mix.add(name, mix[slot]);
-            }
-        }
-        stats
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::Executor;
+    use crate::mem::SimMem;
+    use crate::reg::RegFile;
 
     #[test]
     fn ring_slots_match_backfilling_semantics() {

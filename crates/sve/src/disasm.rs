@@ -149,9 +149,8 @@ pub fn disassemble(prog: &[Instr]) -> String {
 /// A chain prints as one header line carrying the compound name (the
 /// `+`-joined mnemonics of its parts, each deduped through [`mnemonic`])
 /// followed by its parts indented with a `| ` gutter.  Instructions
-/// outside any chain — and the whole program when it was decoded without
-/// fusion — render exactly like [`disassemble`], labels included, so the
-/// two outputs diff cleanly.
+/// outside any chain render exactly like [`disassemble`], labels
+/// included, so the two outputs diff cleanly.
 pub fn disassemble_decoded(dp: &DecodedProgram) -> String {
     use std::collections::{BTreeMap, BTreeSet};
     let prog: Vec<Instr> = dp.instrs();
@@ -243,8 +242,7 @@ mod tests {
     fn fused_disassembly_groups_chains_under_compound_mnemonics() {
         use crate::exec::ExecConfig;
         let prog = sve_code::daxpy();
-        let cfg = ExecConfig::a64fx_l1().with_fuse(true);
-        let dp = DecodedProgram::decode(&prog, &cfg);
+        let dp = DecodedProgram::decode(&prog, &ExecConfig::a64fx_l1());
         let text = disassemble_decoded(&dp);
         // The whole loop body fuses into one superop; its header names
         // every part and the parts follow in a `| ` gutter.
@@ -266,23 +264,13 @@ mod tests {
     fn compound_names_are_the_part_mnemonics_joined() {
         use crate::exec::ExecConfig;
         for prog in [scalar::matvec(), sve_code::matvec(), sve_code::dprod()] {
-            let cfg = ExecConfig::a64fx_l1().with_fuse(true);
-            let dp = DecodedProgram::decode(&prog, &cfg);
+            let dp = DecodedProgram::decode(&prog, &ExecConfig::a64fx_l1());
             assert!(dp.chain_count() > 0);
             for (start, len, name) in dp.chains() {
                 let joined: Vec<&str> = prog[start..start + len].iter().map(mnemonic).collect();
                 assert_eq!(name, joined.join("+"));
             }
         }
-    }
-
-    #[test]
-    fn unfused_decoded_disassembly_matches_plain() {
-        use crate::exec::ExecConfig;
-        let prog = sve_code::ddaxpy();
-        let cfg = ExecConfig::a64fx_l1().with_fuse(false);
-        let dp = DecodedProgram::decode(&prog, &cfg);
-        assert_eq!(disassemble_decoded(&dp), disassemble(&prog));
     }
 
     #[test]

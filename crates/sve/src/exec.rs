@@ -1,9 +1,14 @@
-//! The interpreter + timing model.
+//! The reference interpreter + timing model.
 //!
 //! [`Executor::run`] executes a program against a register file and
 //! simulated memory, producing both the architectural effects (so results
 //! can be checked against native oracles) and an [`ExecStats`] with the
-//! modeled cycle count.
+//! modeled cycle count.  It is the executable specification: a plain
+//! step loop over the instruction list that re-derives everything per
+//! dynamic instruction.  Production work goes through
+//! [`Executor::run_decoded`] (the fused threaded-code engine in
+//! `thread.rs`), which the test suites hold to this loop bit for
+//! bit — registers, memory and full [`ExecStats`].
 //!
 //! Timing uses a dataflow-limited model (see [`crate::sched`]): an
 //! instruction's start time is the maximum of its fetch time (in-order,
@@ -31,24 +36,6 @@ pub struct ExecConfig {
     pub sched: SchedModel,
     /// Safety cap on dynamically executed instructions.
     pub max_instrs: u64,
-    /// Execute decoded programs through the superinstruction-fused
-    /// threaded-code engine (`true`, the default) or the legacy
-    /// match-per-op loop (`false`) — the unfused path survives as the
-    /// differential oracle and wall-clock baseline.  Both produce
-    /// bit-identical registers, memory, and [`ExecStats`].  The default
-    /// honours the `V2D_SVE_FUSE` environment variable (`0`/`false`/`off`
-    /// disables), read once per process.
-    pub fuse: bool,
-}
-
-/// Process-default of [`ExecConfig::fuse`]: on, unless `V2D_SVE_FUSE` is
-/// set to `0`/`false`/`off` (read once — CI uses it to run the golden
-/// suite against the unfused oracle).
-fn fuse_default() -> bool {
-    static FUSE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FUSE.get_or_init(|| {
-        !matches!(std::env::var("V2D_SVE_FUSE").as_deref(), Ok("0") | Ok("false") | Ok("off"))
-    })
 }
 
 impl ExecConfig {
@@ -59,7 +46,6 @@ impl ExecConfig {
             level: MemLevel::L1,
             sched: SchedModel::a64fx(),
             max_instrs: 200_000_000,
-            fuse: fuse_default(),
         }
     }
 
@@ -72,12 +58,6 @@ impl ExecConfig {
     /// Same core, different vector length.
     pub fn with_vl(mut self, vl_bits: u32) -> Self {
         self.vl_bits = vl_bits;
-        self
-    }
-
-    /// Same core, explicit fusion setting (see [`ExecConfig::fuse`]).
-    pub fn with_fuse(mut self, fuse: bool) -> Self {
-        self.fuse = fuse;
         self
     }
 }
@@ -473,30 +453,16 @@ impl Executor {
             }
 
             // --- semantics ---
-            pc = self.step(instr, pc, regs, mem);
+            pc = step_instr(instr, pc, regs, mem);
         }
         stats.cycles = last_complete.max(fetched.div_ceil(sched.fetch_width));
         stats
     }
-
-    /// Execute the architectural effect of one instruction; returns next
-    /// pc.  Shared verbatim by the legacy interpreter loop above and the
-    /// decoded-trace loop in [`crate::decode`], so the two paths cannot
-    /// diverge architecturally.
-    pub(crate) fn step(
-        &self,
-        instr: &Instr,
-        pc: usize,
-        r: &mut RegFile,
-        mem: &mut SimMem,
-    ) -> usize {
-        step_instr(instr, pc, r, mem)
-    }
 }
 
-/// Free-function form of [`Executor::step`]: the executable specification
-/// of every instruction's architectural effect.  The threaded-code engine
-/// in [`crate::thread`] calls this for opcodes it does not specialize, so
+/// The executable specification of every instruction's architectural
+/// effect; returns the next pc.  The threaded-code engine in
+/// [`crate::thread`] calls this for opcodes it does not specialize, so
 /// even its fallback path shares the interpreter's semantics verbatim.
 pub(crate) fn step_instr(instr: &Instr, pc: usize, r: &mut RegFile, mem: &mut SimMem) -> usize {
     {

@@ -23,7 +23,8 @@
 //! order: the pipe-reservation state (backfilling ring buffers) and the
 //! cumulative-bytes bandwidth limiter are serial recurrences with no
 //! closed form, and replaying the per-part arithmetic is what keeps
-//! modeled cycles bit-identical to the unfused engine by construction.
+//! modeled cycles bit-identical to the reference interpreter
+//! ([`crate::exec::Executor::run`]) by construction.
 //!
 //! Chain boundaries respect control flow: a chain may *start* at a branch
 //! target, may *end* with a conditional branch, but no interior part may
@@ -40,8 +41,8 @@ static FUSED_CHAINS: AtomicU64 = AtomicU64::new(0);
 /// Dynamic instructions executed *inside* fused chains by the threaded
 /// engine, process-wide.
 static FUSED_DYN: AtomicU64 = AtomicU64::new(0);
-/// Total dynamic instructions executed by the threaded engine (fused
-/// executions only — the denominator of the dynamic fused-op fraction).
+/// Total dynamic instructions executed by the threaded engine (the
+/// denominator of the dynamic fused-op fraction).
 static DYN_TOTAL: AtomicU64 = AtomicU64::new(0);
 
 /// Process-wide count of chains formed at decode time.
@@ -401,10 +402,6 @@ mod tests {
     use crate::exec::ExecConfig;
     use crate::kernels::{scalar, sve_code};
 
-    fn fused_cfg() -> ExecConfig {
-        ExecConfig::a64fx_l1().with_fuse(true)
-    }
-
     #[test]
     fn pattern_names_are_deduped_through_the_mnemonic_table() {
         for (name, classes) in PATTERNS {
@@ -447,7 +444,7 @@ mod tests {
     fn every_pattern_composes_costs_exactly() {
         for vl in [128u32, 512, 2048] {
             let lanes = (vl / 64) as u64;
-            let cfg = fused_cfg().with_vl(vl);
+            let cfg = ExecConfig::a64fx_l1().with_vl(vl);
             for (name, classes) in PATTERNS {
                 let prog: Vec<_> = classes.iter().map(|c| c.representative()).collect();
                 let dp = DecodedProgram::decode(&prog, &cfg);
@@ -455,7 +452,7 @@ mod tests {
                 assert_eq!(chains.len(), 1, "{name}: expected exactly one chain");
                 assert_eq!(chains[0], (0, classes.len(), *name));
                 let sched = &cfg.sched;
-                let cost = &dp.plan().expect("fused program has a plan").chains[0].cost;
+                let cost = &dp.plan.chains[0].cost;
                 for active in 0..=lanes {
                     let (mut flops, mut bytes) = (0u64, 0u64);
                     for i in &prog {
@@ -472,7 +469,7 @@ mod tests {
 
     #[test]
     fn kernel_loop_bodies_fuse_completely() {
-        let cfg = fused_cfg();
+        let cfg = ExecConfig::a64fx_l1();
         // (program, expected chain names in order)
         let cases: Vec<(Vec<crate::isa::Instr>, Vec<&str>)> = vec![
             (sve_code::daxpy(), vec!["whilelt+ld1d+ld1d+fmla+st1d+incd+b.lt"]),
@@ -540,7 +537,7 @@ mod tests {
         a.push(Instr::Ld1d { t: Z(0), pg: P(0), base: X(2), index: X(0) });
         a.push(Instr::IncdX { d: X(0) });
         a.blt(X(0), X(1), mid);
-        let dp = DecodedProgram::decode(&a.finish(), &fused_cfg());
+        let dp = DecodedProgram::decode(&a.finish(), &ExecConfig::a64fx_l1());
         for (start, len, name) in dp.chains() {
             assert!(
                 (start + 1..start + len).all(|k| k != 1),
@@ -552,7 +549,7 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let before = fused_chain_count();
-        let _ = DecodedProgram::decode(&sve_code::daxpy(), &fused_cfg());
+        let _ = DecodedProgram::decode(&sve_code::daxpy(), &ExecConfig::a64fx_l1());
         assert!(fused_chain_count() > before, "decode formed no chains");
     }
 }

@@ -37,22 +37,6 @@ pub enum Variant {
     Sve,
 }
 
-/// How to execute a kernel program on the simulated core.
-///
-/// Both modes produce bit-identical results and [`ExecStats`]; `Decoded`
-/// is the fast path (programs are pre-lowered once per configuration and
-/// reused via the [`crate::cache`] program cache), `Interpreted` is the
-/// legacy per-instruction path kept as the oracle for equivalence tests
-/// and the wall-clock benchmark baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// Re-assemble and interpret the program each invocation.
-    Interpreted,
-    /// Run the cached pre-decoded program.
-    #[default]
-    Decoded,
-}
-
 /// The five Table II routines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Routine {
@@ -321,24 +305,17 @@ fn build_program(routine: Routine, variant: Variant) -> Vec<Instr> {
     }
 }
 
-/// Execute a kernel on a prepared machine state in the requested mode.
+/// Execute a kernel's cached pre-decoded program on a prepared machine
+/// state.
 fn execute(
     routine: Routine,
     variant: Variant,
-    mode: ExecMode,
-    exec: &Executor,
+    cfg: &ExecConfig,
     regs: &mut RegFile,
     mem: &mut SimMem,
 ) -> ExecStats {
-    match mode {
-        ExecMode::Interpreted => exec.run(&build_program(routine, variant), regs, mem),
-        ExecMode::Decoded => {
-            let dp = cache::cached_program(program_key(routine, variant), exec.config(), || {
-                build_program(routine, variant)
-            });
-            exec.run_decoded(&dp, regs, mem)
-        }
-    }
+    let dp = decoded_routine(routine, variant, cfg);
+    Executor::new(cfg.clone()).run_decoded(&dp, regs, mem)
 }
 
 /// Run MATVEC (`y = A·x`) on the simulated core; returns `y` and stats.
@@ -348,39 +325,15 @@ pub fn run_matvec(
     variant: Variant,
     cfg: &ExecConfig,
 ) -> (Vec<f64>, ExecStats) {
-    run_matvec_with(sys, x, variant, cfg, ExecMode::default())
-}
-
-/// [`run_matvec`] with an explicit execution mode.
-pub fn run_matvec_with(
-    sys: &BandedSystem,
-    x: &[f64],
-    variant: Variant,
-    cfg: &ExecConfig,
-    mode: ExecMode,
-) -> (Vec<f64>, ExecStats) {
     let (mut regs, mut mem, y_base) = matvec_state(sys, x, cfg.vl_bits);
-    let exec = Executor::new(cfg.clone());
-    let stats = execute(Routine::Matvec, variant, mode, &exec, &mut regs, &mut mem);
+    let stats = execute(Routine::Matvec, variant, cfg, &mut regs, &mut mem);
     (mem.read_f64_slice(y_base, sys.n), stats)
 }
 
 /// Run DPROD (`x · y`); returns the dot product and stats.
 pub fn run_dprod(x: &[f64], y: &[f64], variant: Variant, cfg: &ExecConfig) -> (f64, ExecStats) {
-    run_dprod_with(x, y, variant, cfg, ExecMode::default())
-}
-
-/// [`run_dprod`] with an explicit execution mode.
-pub fn run_dprod_with(
-    x: &[f64],
-    y: &[f64],
-    variant: Variant,
-    cfg: &ExecConfig,
-    mode: ExecMode,
-) -> (f64, ExecStats) {
     let (mut regs, mut mem) = dprod_state(x, y, cfg.vl_bits);
-    let exec = Executor::new(cfg.clone());
-    let stats = execute(Routine::Dprod, variant, mode, &exec, &mut regs, &mut mem);
+    let stats = execute(Routine::Dprod, variant, cfg, &mut regs, &mut mem);
     (regs.d[0], stats)
 }
 
@@ -392,21 +345,8 @@ pub fn run_daxpy(
     variant: Variant,
     cfg: &ExecConfig,
 ) -> (Vec<f64>, ExecStats) {
-    run_daxpy_with(a, x, y, variant, cfg, ExecMode::default())
-}
-
-/// [`run_daxpy`] with an explicit execution mode.
-pub fn run_daxpy_with(
-    a: f64,
-    x: &[f64],
-    y: &[f64],
-    variant: Variant,
-    cfg: &ExecConfig,
-    mode: ExecMode,
-) -> (Vec<f64>, ExecStats) {
     let (mut regs, mut mem, yb) = daxpy_state(a, x, y, cfg.vl_bits);
-    let exec = Executor::new(cfg.clone());
-    let stats = execute(Routine::Daxpy, variant, mode, &exec, &mut regs, &mut mem);
+    let stats = execute(Routine::Daxpy, variant, cfg, &mut regs, &mut mem);
     (mem.read_f64_slice(yb, x.len()), stats)
 }
 
@@ -418,21 +358,8 @@ pub fn run_dscal(
     variant: Variant,
     cfg: &ExecConfig,
 ) -> (Vec<f64>, ExecStats) {
-    run_dscal_with(c, d, y, variant, cfg, ExecMode::default())
-}
-
-/// [`run_dscal`] with an explicit execution mode.
-pub fn run_dscal_with(
-    c: f64,
-    d: f64,
-    y: &[f64],
-    variant: Variant,
-    cfg: &ExecConfig,
-    mode: ExecMode,
-) -> (Vec<f64>, ExecStats) {
     let (mut regs, mut mem, yb) = dscal_state(c, d, y, cfg.vl_bits);
-    let exec = Executor::new(cfg.clone());
-    let stats = execute(Routine::Dscal, variant, mode, &exec, &mut regs, &mut mem);
+    let stats = execute(Routine::Dscal, variant, cfg, &mut regs, &mut mem);
     (mem.read_f64_slice(yb, y.len()), stats)
 }
 
@@ -446,24 +373,8 @@ pub fn run_ddaxpy(
     variant: Variant,
     cfg: &ExecConfig,
 ) -> (Vec<f64>, ExecStats) {
-    run_ddaxpy_with(a, b, x, y, z, variant, cfg, ExecMode::default())
-}
-
-/// [`run_ddaxpy`] with an explicit execution mode.
-#[allow(clippy::too_many_arguments)]
-pub fn run_ddaxpy_with(
-    a: f64,
-    b: f64,
-    x: &[f64],
-    y: &[f64],
-    z: &[f64],
-    variant: Variant,
-    cfg: &ExecConfig,
-    mode: ExecMode,
-) -> (Vec<f64>, ExecStats) {
     let (mut regs, mut mem, wb) = ddaxpy_state(a, b, x, y, z, cfg.vl_bits);
-    let exec = Executor::new(cfg.clone());
-    let stats = execute(Routine::Ddaxpy, variant, mode, &exec, &mut regs, &mut mem);
+    let stats = execute(Routine::Ddaxpy, variant, cfg, &mut regs, &mut mem);
     (mem.read_f64_slice(wb, x.len()), stats)
 }
 
@@ -471,17 +382,6 @@ pub fn run_ddaxpy_with(
 /// offset `m = 50`, deterministic data) of size `n`; returns stats only.
 /// The driver binary uses this for every cell of the reproduced table.
 pub fn run_routine(routine: Routine, n: usize, variant: Variant, cfg: &ExecConfig) -> ExecStats {
-    run_routine_with(routine, n, variant, cfg, ExecMode::default())
-}
-
-/// [`run_routine`] with an explicit execution mode.
-pub fn run_routine_with(
-    routine: Routine,
-    n: usize,
-    variant: Variant,
-    cfg: &ExecConfig,
-    mode: ExecMode,
-) -> ExecStats {
     let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
     let y: Vec<f64> = (0..n).map(|i| (i as f64 * 0.51).cos()).collect();
     let z: Vec<f64> = (0..n).map(|i| 0.5 - (i as f64 * 0.13).sin()).collect();
@@ -489,12 +389,12 @@ pub fn run_routine_with(
         Routine::Matvec => {
             let m = (n / 20).max(1);
             let sys = BandedSystem::test_system(n, m);
-            run_matvec_with(&sys, &x, variant, cfg, mode).1
+            run_matvec(&sys, &x, variant, cfg).1
         }
-        Routine::Dprod => run_dprod_with(&x, &y, variant, cfg, mode).1,
-        Routine::Daxpy => run_daxpy_with(1.7, &x, &y, variant, cfg, mode).1,
-        Routine::Dscal => run_dscal_with(0.9, 1.1, &y, variant, cfg, mode).1,
-        Routine::Ddaxpy => run_ddaxpy_with(1.7, -0.6, &x, &y, &z, variant, cfg, mode).1,
+        Routine::Dprod => run_dprod(&x, &y, variant, cfg).1,
+        Routine::Daxpy => run_daxpy(1.7, &x, &y, variant, cfg).1,
+        Routine::Dscal => run_dscal(0.9, 1.1, &y, variant, cfg).1,
+        Routine::Ddaxpy => run_ddaxpy(1.7, -0.6, &x, &y, &z, variant, cfg).1,
     }
 }
 
@@ -503,9 +403,9 @@ pub fn run_routine_with(
 /// [`run_routine`] uses.
 ///
 /// Both variants share the register convention, so the state is
-/// variant-independent.  The wall-clock benchmark clones this state per
-/// repetition and times the bare [`Executor::run_decoded`] call on it,
-/// keeping allocation and data synthesis out of the measured region.
+/// variant-independent.  Harnesses clone this state per repetition to
+/// time or fingerprint the bare [`Executor::run_decoded`] call, and the
+/// test suites run the reference [`Executor::run`] on it.
 pub fn prepare_routine(routine: Routine, n: usize, cfg: &ExecConfig) -> (RegFile, SimMem) {
     let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
     let y: Vec<f64> = (0..n).map(|i| (i as f64 * 0.51).cos()).collect();
@@ -534,8 +434,8 @@ pub fn prepare_routine(routine: Routine, n: usize, cfg: &ExecConfig) -> (RegFile
 }
 
 /// The cached decoded program for `(routine, variant)` under `cfg` —
-/// what [`ExecMode::Decoded`] runs internally, exposed so harnesses can
-/// time or inspect the program without re-entering the cache per call.
+/// what the `run_*` functions execute, exposed so harnesses can time or
+/// inspect the program without re-entering the cache per call.
 pub fn decoded_routine(
     routine: Routine,
     variant: Variant,

@@ -1,4 +1,5 @@
-//! Threaded-code execution of a fused [`DecodedProgram`].
+//! Threaded-code execution of a [`DecodedProgram`]: the production
+//! engine, and the only thing [`Executor::run_decoded`] does.
 //!
 //! Each dispatch group of the fusion plan — a superop chain or a single
 //! plain op — is lowered once, at decode time, into a pre-bound closure
@@ -13,14 +14,13 @@
 //! fused kernel loop) one indirect call per *iteration* instead of one
 //! per instruction.
 //!
-//! **Bit-identity** with the unfused engine is by construction, not by
-//! approximation:
+//! **Bit-identity** with the reference interpreter ([`Executor::run`])
+//! is by construction, not by approximation:
 //!
-//! * [`charge`] is a verbatim replica of the timing block of
-//!   [`Executor::run_decoded`][crate::decode::DecodedProgram] — same
-//!   arithmetic, same order, same pruning cadence — replayed per fused
-//!   part (the pipe-reservation rings and the cumulative-bytes bandwidth
-//!   limiter are serial recurrences with no closed form);
+//! * [`charge`] replays the timing block of [`Executor::run`]'s step
+//!   loop — same arithmetic, same order — per fused part (the
+//!   pipe-reservation rings and the cumulative-bytes bandwidth limiter
+//!   are serial recurrences with no closed form);
 //! * specialized semantic closures are lane-exact replicas of
 //!   [`step_instr`]'s match arms, with full-predicate fast paths whose
 //!   values are equal bit-for-bit (streaming loads/stores do the same
@@ -29,7 +29,7 @@
 //!   `step_instr` itself.
 
 use crate::decode::{DecodedOp, DecodedProgram, FlopRule, MemRule, RingSlots, FLAT_REGS, NO_REG};
-use crate::exec::{step_instr, ExecConfig, ExecStats, OpcodeMix};
+use crate::exec::{step_instr, ExecStats, Executor, OpcodeMix};
 use crate::fuse::FusionPlan;
 use crate::isa::Instr;
 use crate::mem::SimMem;
@@ -140,7 +140,7 @@ impl Cost {
 /// reservation, and the destination-ready update.  These form a serial
 /// recurrence (each op's start depends on the previous op's ring and
 /// cumulative-bytes state), so they must run per op in program order —
-/// a replica of the timing block of the unfused `run_decoded` loop
+/// a replica of the timing block of [`Executor::run`]'s step loop
 /// producing bit-identical values by construction: same arithmetic in
 /// the same order, with only result-preserving strength reductions (the
 /// fetch frontier is maintained incrementally instead of divided out
@@ -187,10 +187,10 @@ fn charge_serial(f: &mut Frame<'_>, c: &Cost) {
 /// check moves to the group level ([`check_cap`]).
 ///
 /// The prune runs before the serial core here rather than after the
-/// reservation as in the legacy loop; prune timing is semantically
+/// reservation as in the interpreter; prune timing is semantically
 /// transparent (its floor — the in-order fetch frontier — never exceeds
 /// any later reservation's ready time, so forgotten slots can never be
-/// probed again), which the fused-vs-unfused property suite confirms.
+/// probed again), which the fused-vs-interpreter property suite confirms.
 #[inline(always)]
 fn charge(f: &mut Frame<'_>, c: &Cost) {
     f.instrs += 1;
@@ -220,7 +220,7 @@ fn charge(f: &mut Frame<'_>, c: &Cost) {
 /// prune period, so at most one boundary is crossed per chain; the
 /// boundary test is `instrs % period < len` post-increment).  Pruning
 /// at the chain head instead of mid-chain uses a floor at most as large
-/// as the legacy loop's — transparent for the same reason as in
+/// as the interpreter's — transparent for the same reason as in
 /// [`charge`].
 #[inline(always)]
 fn chain_head(f: &mut Frame<'_>, len: u64) {
@@ -655,7 +655,7 @@ fn blt_regs(op: &DecodedOp) -> (usize, usize) {
 /// closures in straight line, so the compiler inlines the whole chain
 /// (charges included) into one superinstruction body.  Same parts, same
 /// order, same [`charge`] per part: bit-identical by construction, and
-/// the fused-vs-unfused property suite exercises every one of these
+/// the fused-vs-interpreter property suite exercises every one of these
 /// chains end to end.  Unknown patterns return `None` and take the
 /// generic path.
 fn spec_chain(
@@ -1005,68 +1005,78 @@ pub(crate) fn lower(ops: &[DecodedOp], plan: &FusionPlan, lanes: usize) -> Vec<O
     code
 }
 
-/// Execute a fused program through the threaded-code engine.  Called by
-/// `Executor::run_decoded` when the program was decoded with `fuse`;
-/// returns [`ExecStats`] bit-identical to the unfused loop.
-pub(crate) fn run_threaded(
-    cfg: &ExecConfig,
-    dp: &DecodedProgram,
-    regs: &mut RegFile,
-    mem: &mut SimMem,
-) -> ExecStats {
-    let sched = &cfg.sched;
-    let p_active: [u64; 16] = std::array::from_fn(|i| regs.active_lanes(i) as u64);
-    let mut frame = Frame {
-        regs,
-        mem,
-        ready: [0u64; FLAT_REGS],
-        p_active,
-        units: std::array::from_fn(|i| RingSlots::new(sched.pipes[i])),
-        mix: vec![0u64; dp.mnemonics.len()],
-        fetch_frontier: 0,
-        fetch_rem: 0,
-        last_complete: 0,
-        fetch_width: sched.fetch_width,
-        mem_rate: sched.total_mem_rate(cfg.level),
-        mem_shift: {
-            let r = sched.total_mem_rate(cfg.level);
-            (r > 0.0 && r.fract() == 0.0 && (r as u64).is_power_of_two())
-                .then(|| (r as u64).trailing_zeros())
-        },
-        mem_bytes_cum: 0,
-        instrs: 0,
-        max_instrs: cfg.max_instrs,
-        flops: 0,
-        bytes_read: 0,
-        bytes_written: 0,
-        loads: 0,
-        stores: 0,
-        unit_busy: [0u64; 5],
-        fused_dyn: 0,
-    };
+impl Executor {
+    /// Execute a pre-decoded program to completion, mutating `regs` and
+    /// `mem`, and return timing statistics bit-identical to
+    /// [`Executor::run`] on the source program.
+    ///
+    /// # Panics
+    /// If the register file's vector length disagrees with the config, if
+    /// `dp` was decoded for a different configuration, if the dynamic
+    /// instruction cap is exceeded, or on a memory fault.
+    pub fn run_decoded(
+        &self,
+        dp: &DecodedProgram,
+        regs: &mut RegFile,
+        mem: &mut SimMem,
+    ) -> ExecStats {
+        let cfg = self.config();
+        assert_eq!(regs.vl_bits(), cfg.vl_bits, "register file VL does not match executor config");
+        assert!(dp.matches(cfg), "decoded program was lowered for a different configuration");
+        let sched = &cfg.sched;
+        let p_active: [u64; 16] = std::array::from_fn(|i| regs.active_lanes(i) as u64);
+        let mut frame = Frame {
+            regs,
+            mem,
+            ready: [0u64; FLAT_REGS],
+            p_active,
+            units: std::array::from_fn(|i| RingSlots::new(sched.pipes[i])),
+            mix: vec![0u64; dp.mnemonics.len()],
+            fetch_frontier: 0,
+            fetch_rem: 0,
+            last_complete: 0,
+            fetch_width: sched.fetch_width,
+            mem_rate: sched.total_mem_rate(cfg.level),
+            mem_shift: {
+                let r = sched.total_mem_rate(cfg.level);
+                (r > 0.0 && r.fract() == 0.0 && (r as u64).is_power_of_two())
+                    .then(|| (r as u64).trailing_zeros())
+            },
+            mem_bytes_cum: 0,
+            instrs: 0,
+            max_instrs: cfg.max_instrs,
+            flops: 0,
+            bytes_read: 0,
+            bytes_written: 0,
+            loads: 0,
+            stores: 0,
+            unit_busy: [0u64; 5],
+            fused_dyn: 0,
+        };
 
-    let code = &dp.threaded;
-    let mut slot = 0usize;
-    while slot < code.len() {
-        slot = code[slot](&mut frame);
-    }
-
-    let mut stats = ExecStats {
-        cycles: frame.last_complete.max(frame.fetch_frontier + (frame.fetch_rem > 0) as u64),
-        instrs: frame.instrs,
-        flops: frame.flops,
-        bytes_read: frame.bytes_read,
-        bytes_written: frame.bytes_written,
-        loads: frame.loads,
-        stores: frame.stores,
-        unit_busy: frame.unit_busy,
-        mix: OpcodeMix::default(),
-    };
-    for (ms, &name) in dp.mnemonics.iter().enumerate() {
-        if frame.mix[ms] > 0 {
-            stats.mix.add(name, frame.mix[ms]);
+        let code = &dp.threaded;
+        let mut slot = 0usize;
+        while slot < code.len() {
+            slot = code[slot](&mut frame);
         }
+
+        let mut stats = ExecStats {
+            cycles: frame.last_complete.max(frame.fetch_frontier + (frame.fetch_rem > 0) as u64),
+            instrs: frame.instrs,
+            flops: frame.flops,
+            bytes_read: frame.bytes_read,
+            bytes_written: frame.bytes_written,
+            loads: frame.loads,
+            stores: frame.stores,
+            unit_busy: frame.unit_busy,
+            mix: OpcodeMix::default(),
+        };
+        for (ms, &name) in dp.mnemonics.iter().enumerate() {
+            if frame.mix[ms] > 0 {
+                stats.mix.add(name, frame.mix[ms]);
+            }
+        }
+        crate::fuse::note_run(frame.fused_dyn, frame.instrs);
+        stats
     }
-    crate::fuse::note_run(frame.fused_dyn, frame.instrs);
-    stats
 }

@@ -7,7 +7,7 @@
 use v2d_machine::MemLevel;
 use v2d_sve::cache::{assemble_count, cache_hit_count, cache_miss_count};
 use v2d_sve::decode::decode_count;
-use v2d_sve::kernels::{run_routine_with, ExecMode, Routine, Variant};
+use v2d_sve::kernels::{run_routine, Routine, Variant};
 use v2d_sve::ExecConfig;
 
 #[test]
@@ -22,7 +22,7 @@ fn warm_kernel_invocations_hit_the_program_cache() {
         for cfg in &configs {
             for r in Routine::ALL {
                 for v in [Variant::Scalar, Variant::Sve] {
-                    let stats = run_routine_with(r, n, v, cfg, ExecMode::Decoded);
+                    let stats = run_routine(r, n, v, cfg);
                     assert!(stats.cycles > 0);
                 }
             }

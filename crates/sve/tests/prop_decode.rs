@@ -1,94 +1,41 @@
-//! Property tests: decoded-trace execution is bitwise-identical to the
-//! legacy step-interpreter, and the superinstruction-fused threaded
-//! engine is bitwise-identical to the unfused decoded loop — same
-//! architectural results, same memory image, same [`ExecStats`] to the
-//! cycle — on every kernel program and on randomized straight-line
-//! programs, across vector lengths and residency levels.
+//! Property tests: the production engine — pre-decoded, superinstruction-
+//! fused, threaded-code [`Executor::run_decoded`] — is bitwise-identical
+//! to the reference step interpreter [`Executor::run`]: same registers,
+//! same memory image, same [`v2d_sve::ExecStats`] to the cycle, on every
+//! kernel program and on randomized straight-line programs, at every
+//! vector length and residency level.
 
 use proptest::prelude::*;
 use v2d_machine::MemLevel;
-use v2d_sve::kernels::{
-    decoded_routine, prepare_routine, run_daxpy_with, run_dprod_with, run_matvec_with,
-    run_routine_with, BandedSystem, ExecMode, Routine, Variant,
-};
+use v2d_sve::kernels::{decoded_routine, prepare_routine, Routine, Variant};
 use v2d_sve::{DecodedProgram, ExecConfig, Executor, Instr, RegFile, SimMem, D, P, X, Z};
 
-const VLS: [u32; 3] = [128, 512, 2048];
-const LEVELS: [MemLevel; 2] = [MemLevel::L1, MemLevel::Hbm];
+const VLS: [u32; 5] = [128, 256, 512, 1024, 2048];
+const LEVELS: [MemLevel; 3] = [MemLevel::L1, MemLevel::L2, MemLevel::Hbm];
 
 #[test]
-fn every_kernel_program_is_mode_invariant() {
-    // Tail-heavy n exercises partial predicates; every routine × variant
-    // × VL × level cell must agree exactly between the two executors.
-    let n = 173;
-    for vl in VLS {
-        for level in LEVELS {
-            let cfg = ExecConfig::a64fx_l1().with_vl(vl).with_level(level);
-            for r in Routine::ALL {
-                for v in [Variant::Scalar, Variant::Sve] {
-                    let interp = run_routine_with(r, n, v, &cfg, ExecMode::Interpreted);
-                    let decoded = run_routine_with(r, n, v, &cfg, ExecMode::Decoded);
-                    assert_eq!(
-                        interp, decoded,
-                        "stats diverge: {r:?}/{v:?} vl={vl} level={level:?}"
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn kernel_results_are_mode_invariant() {
-    let n = 101;
-    let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.13).sin()).collect();
-    let y: Vec<f64> = (0..n).map(|i| (i as f64 * 0.29).cos()).collect();
-    let sys = BandedSystem::test_system(n, 7);
-    for vl in VLS {
-        let cfg = ExecConfig::a64fx_l1().with_vl(vl);
-        for v in [Variant::Scalar, Variant::Sve] {
-            assert_eq!(
-                run_dprod_with(&x, &y, v, &cfg, ExecMode::Interpreted),
-                run_dprod_with(&x, &y, v, &cfg, ExecMode::Decoded),
-            );
-            assert_eq!(
-                run_daxpy_with(1.7, &x, &y, v, &cfg, ExecMode::Interpreted),
-                run_daxpy_with(1.7, &x, &y, v, &cfg, ExecMode::Decoded),
-            );
-            assert_eq!(
-                run_matvec_with(&sys, &x, v, &cfg, ExecMode::Interpreted),
-                run_matvec_with(&sys, &x, v, &cfg, ExecMode::Decoded),
-            );
-        }
-    }
-}
-
-#[test]
-fn every_kernel_is_fuse_invariant() {
-    // The fused threaded engine vs the unfused decoded loop: registers,
-    // memory, and full stats must match bit for bit in every routine ×
-    // variant × VL × level cell.  Tail-heavy n exercises chains whose
-    // final iteration runs under a partial predicate.
-    let n = 173;
-    for vl in VLS {
-        for level in LEVELS {
-            let base = ExecConfig::a64fx_l1().with_vl(vl).with_level(level);
-            for r in Routine::ALL {
-                for v in [Variant::Scalar, Variant::Sve] {
-                    let run = |fuse: bool| {
-                        let cfg = base.clone().with_fuse(fuse);
-                        let (mut regs, mut mem) = prepare_routine(r, n, &cfg);
+fn every_kernel_matches_the_reference_interpreter() {
+    // Every routine × variant × VL × level cell: the interpreter runs the
+    // decoded program's own instruction list on the same prepared state.
+    // Tail-heavy sizes exercise chains whose final iteration runs under a
+    // partial predicate.
+    for n in [101, 173] {
+        for vl in VLS {
+            for level in LEVELS {
+                let cfg = ExecConfig::a64fx_l1().with_vl(vl).with_level(level);
+                let exec = Executor::new(cfg.clone());
+                for r in Routine::ALL {
+                    for v in [Variant::Scalar, Variant::Sve] {
                         let dp = decoded_routine(r, v, &cfg);
-                        assert_eq!(dp.fuse(), fuse);
-                        let stats = Executor::new(cfg).run_decoded(&dp, &mut regs, &mut mem);
-                        (stats, regs, mem)
-                    };
-                    let (sf, rf, mf) = run(true);
-                    let (su, ru, mu) = run(false);
-                    let at = format!("{r:?}/{v:?} vl={vl} level={level:?}");
-                    assert_eq!(sf, su, "stats diverge: {at}");
-                    assert_eq!(rf, ru, "registers diverge: {at}");
-                    assert_eq!(mf, mu, "memory diverges: {at}");
+                        let (mut rr, mut mr) = prepare_routine(r, n, &cfg);
+                        let sr = exec.run(&dp.instrs(), &mut rr, &mut mr);
+                        let (mut rf, mut mf) = prepare_routine(r, n, &cfg);
+                        let sf = exec.run_decoded(&dp, &mut rf, &mut mf);
+                        let at = format!("{r:?}/{v:?} n={n} vl={vl} level={level:?}");
+                        assert_eq!(sf, sr, "stats diverge: {at}");
+                        assert_eq!(rf, rr, "registers diverge: {at}");
+                        assert_eq!(mf, mr, "memory diverges: {at}");
+                    }
                 }
             }
         }
@@ -167,10 +114,10 @@ fn machine_state(vl: u32, bound: u64) -> (RegFile, SimMem) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn random_programs_are_mode_invariant(
+    fn random_programs_match_the_reference_interpreter(
         prog in proptest::collection::vec(arb_instr(), 1..48),
         vl in prop_oneof![Just(128u32), Just(256), Just(512), Just(1024), Just(2048)],
         level in prop_oneof![Just(MemLevel::L1), Just(MemLevel::L2), Just(MemLevel::Hbm)],
@@ -183,26 +130,6 @@ proptest! {
         let dp = DecodedProgram::decode(&prog, &cfg);
         let (mut r2, mut m2) = machine_state(vl, bound);
         let s2 = exec.run_decoded(&dp, &mut r2, &mut m2);
-        prop_assert_eq!(s1, s2, "stats diverge (vl={}, level={:?})", vl, level);
-        prop_assert_eq!(r1, r2, "registers diverge (vl={}, level={:?})", vl, level);
-        prop_assert_eq!(m1, m2, "memory diverges (vl={}, level={:?})", vl, level);
-    }
-
-    #[test]
-    fn random_programs_are_fuse_invariant(
-        prog in proptest::collection::vec(arb_instr(), 1..48),
-        vl in prop_oneof![Just(128u32), Just(256), Just(512), Just(1024), Just(2048)],
-        level in prop_oneof![Just(MemLevel::L1), Just(MemLevel::L2), Just(MemLevel::Hbm)],
-        bound in 0u64..40,
-    ) {
-        let fused = ExecConfig::a64fx_l1().with_vl(vl).with_level(level).with_fuse(true);
-        let plain = fused.clone().with_fuse(false);
-        let (mut r1, mut m1) = machine_state(vl, bound);
-        let s1 = Executor::new(fused.clone())
-            .run_decoded(&DecodedProgram::decode(&prog, &fused), &mut r1, &mut m1);
-        let (mut r2, mut m2) = machine_state(vl, bound);
-        let s2 = Executor::new(plain.clone())
-            .run_decoded(&DecodedProgram::decode(&prog, &plain), &mut r2, &mut m2);
         prop_assert_eq!(s1, s2, "stats diverge (vl={}, level={:?})", vl, level);
         prop_assert_eq!(r1, r2, "registers diverge (vl={}, level={:?})", vl, level);
         prop_assert_eq!(m1, m2, "memory diverges (vl={}, level={:?})", vl, level);

@@ -12,21 +12,19 @@
 
 use std::time::Duration;
 
-use v2d_comm::Universe;
 use v2d_core::problems::FAMILIES;
 use v2d_core::RecoveryPolicy;
 use v2d_machine::fault::SplitMix64;
 use v2d_machine::FaultPlan;
 
-use crate::mini::{merged_log, run_mini_on, MiniSpec, RankRun};
+use crate::mini::{merged_log, run_mini, MiniSpec, RankRun};
 use crate::watchdog::{run_with_watchdog, Verdict};
 
-/// Cut the wall-clock-dependent tail off a timeout diagnostic: the
-/// blocked-rank snapshot in `Timeout`/`CollectiveTimeout` renderings
-/// depends on where the *other* rank threads happened to be at expiry
-/// (and, across universes, on which waiter the engine elects as the
-/// reporter).  Everything up to and including " timed out" is
-/// deterministic; replay comparisons use this normalized form (same
+/// Cut the scheduler-policy-dependent tail off a timeout diagnostic:
+/// the blocked-rank snapshot in `Timeout`/`CollectiveTimeout`
+/// renderings depends on which waiter the scheduler elects as the
+/// reporter.  Everything up to and including " timed out" is a property
+/// of the program; replay comparisons use this normalized form (same
 /// convention as `ablation_faults`' golden).
 pub fn stable_text(what: &str) -> String {
     match what.split_once(" timed out") {
@@ -69,10 +67,7 @@ pub fn fuzz_spec(seed: u64) -> MiniSpec {
     };
     let mut spec = base.tiled(np1, np2);
     if n_events > 0 {
-        let mut plan = FaultPlan::campaign(seed, steps as u64, spec.ranks(), n_events);
-        // Short real-time deadline so dropped messages resolve fast; the
-        // modeled virtual penalty keeps its default.
-        plan.recv_timeout_ms = 250;
+        let plan = FaultPlan::campaign(seed, steps as u64, spec.ranks(), n_events);
         spec = spec.with_plan(plan);
     }
     let mut spec =
@@ -90,27 +85,13 @@ pub fn fuzz_spec(seed: u64) -> MiniSpec {
 }
 
 /// One seed's outcome, or a message describing which property failed.
-/// Runs on the environment-selected universe under a real-time
-/// watchdog.
+/// Every run sits under the real-time watchdog: a deadlocked schedule
+/// is supposed to come back as a typed
+/// [`v2d_comm::CommError::Deadlock`], and the watchdog is what turns a
+/// scheduler bug that hangs instead into a named failing seed.
 pub fn check_seed(seed: u64, deadline: Duration) -> Result<Vec<RankRun>, String> {
-    check_seed_on(seed, Some(deadline), Universe::from_env())
-}
-
-/// [`check_seed`] pinned to an explicit [`Universe`].  `deadline: None`
-/// skips the watchdog entirely — sound on
-/// [`Universe::EventDriven`], where a deadlocked schedule comes back as
-/// a typed [`v2d_comm::CommError::Deadlock`] instead of a hang, so
-/// there is nothing for a wall-clock guard to catch.
-pub fn check_seed_on(
-    seed: u64,
-    deadline: Option<Duration>,
-    universe: Universe,
-) -> Result<Vec<RankRun>, String> {
     let spec = fuzz_spec(seed);
-    let run = |spec: MiniSpec| match deadline {
-        Some(d) => run_with_watchdog(d, move || run_mini_on(&spec, universe)),
-        None => Verdict::Completed(run_mini_on(&spec, universe)),
-    };
+    let run = |spec: MiniSpec| run_with_watchdog(deadline, move || run_mini(&spec));
     let first = match run(spec.clone()) {
         Verdict::Completed(outs) => outs,
         Verdict::Panicked(msg) => {
@@ -170,20 +151,9 @@ pub fn check_seed_on(
 /// spawn one carrier thread per rank, and wall-clock budgeting is per
 /// case.
 pub fn campaign(seeds: impl IntoIterator<Item = u64>, deadline: Duration) -> Vec<(u64, String)> {
-    campaign_on(seeds, Some(deadline), Universe::from_env())
-}
-
-/// [`campaign`] pinned to an explicit [`Universe`], with the watchdog
-/// optional (see [`check_seed_on`]).  The scheduled 200-seed campaign
-/// runs this on [`Universe::EventDriven`] with no watchdog.
-pub fn campaign_on(
-    seeds: impl IntoIterator<Item = u64>,
-    deadline: Option<Duration>,
-    universe: Universe,
-) -> Vec<(u64, String)> {
     let mut failures = Vec::new();
     for seed in seeds {
-        if let Err(msg) = check_seed_on(seed, deadline, universe) {
+        if let Err(msg) = check_seed(seed, deadline) {
             failures.push((seed, msg));
         }
     }

@@ -14,7 +14,7 @@
 //!   replay, and zero-fault bit-identity over grid × tiling × fault ×
 //!   policy coordinates;
 //! * [`supfuzz`] — the rank-kill/recovery axis
-//!   ([`supervise_fuzz_case`], [`check_supervise_seed_on`]) sweeping
+//!   ([`supervise_fuzz_case`], [`check_supervise_seed`]) sweeping
 //!   supervised runs over kills × retry budgets × shrink on/off and
 //!   asserting completion-or-typed-error, bit-identical replay, and
 //!   zero-kill bit-identity;
@@ -34,10 +34,8 @@ pub mod servefuzz;
 pub mod supfuzz;
 pub mod watchdog;
 
-pub use fuzz::{campaign, campaign_on, check_seed, check_seed_on, fuzz_spec, stable, stable_text};
-pub use mini::{
-    merged_log, run_mini, run_mini_observed, run_mini_on, MiniSpec, RankObservation, RankRun,
-};
+pub use fuzz::{campaign, check_seed, fuzz_spec, stable, stable_text};
+pub use mini::{merged_log, run_mini, run_mini_observed, MiniSpec, RankObservation, RankRun};
 pub use servefuzz::{check_serve_seed, serve_fuzz_case};
-pub use supfuzz::{check_supervise_seed_on, supervise_fuzz_case};
+pub use supfuzz::{check_supervise_seed, supervise_fuzz_case};
 pub use watchdog::{run_with_watchdog, Verdict};

@@ -3,7 +3,7 @@
 //! coordinates of a scenario (grid, tiling, physics, schedule) live in
 //! one declarative spec instead of being re-derived per test file.
 
-use v2d_comm::{Comm, Spmd, TileMap, Universe};
+use v2d_comm::{Comm, Spmd, TileMap};
 use v2d_core::problems::{Family, GaussianPulse};
 use v2d_core::sim::{V2dConfig, V2dSim};
 use v2d_core::RecoveryPolicy;
@@ -143,11 +143,10 @@ impl RankRun {
     }
 }
 
-/// Everything one rank's mini run exposes for cross-universe
-/// equivalence checks: the [`RankRun`] outcome plus the final per-lane
-/// virtual clocks and the recorded trace (spans and instants in virtual
-/// time).  Both universes must agree on all of it bit-for-bit on
-/// timeout-free schedules.
+/// Everything one rank's mini run exposes for bit-for-bit comparison:
+/// the [`RankRun`] outcome plus the final per-lane virtual clocks and
+/// the recorded trace (spans and instants in virtual time).  The frozen
+/// `engine_fingerprint` table hashes all of it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RankObservation {
     pub run: RankRun,
@@ -196,41 +195,29 @@ fn drive(spec: &MiniSpec, sim: &mut V2dSim, comm: &Comm, sink: &mut MultiCostSin
 }
 
 /// Run the spec on `spec.ranks()` simulated ranks (one compiler lane,
-/// Cray-opt) under the environment-selected [`Universe`] and collect
-/// per-rank outcomes.  The fuzzer's *no-deadlock* property is exactly
-/// "this function returns" — on the event-driven universe a deadlock
-/// would come back as a typed error instead of a hang.
+/// Cray-opt) and collect per-rank outcomes.  The fuzzer's *no-deadlock*
+/// property is exactly "this function returns": a deadlock comes back
+/// as a typed error, not a hang.
 pub fn run_mini(spec: &MiniSpec) -> Vec<RankRun> {
-    run_mini_on(spec, Universe::from_env())
+    let spec = spec.clone();
+    Spmd::new(spec.ranks()).with_profiles(vec![CompilerProfile::cray_opt()]).run(move |ctx| {
+        let mut sim = spec.build(&ctx.comm);
+        drive(&spec, &mut sim, &ctx.comm, &mut ctx.sink)
+    })
 }
 
-/// [`run_mini`] pinned to an explicit [`Universe`] — the
-/// backend-equivalence tests run the same spec on both engines.
-pub fn run_mini_on(spec: &MiniSpec, universe: Universe) -> Vec<RankRun> {
+/// [`run_mini`] with a tracer attached: returns each rank's outcome
+/// together with its final virtual clocks and full trace.
+pub fn run_mini_observed(spec: &MiniSpec) -> Vec<RankObservation> {
     let spec = spec.clone();
-    Spmd::new(spec.ranks()).with_profiles(vec![CompilerProfile::cray_opt()]).universe(universe).run(
-        move |ctx| {
-            let mut sim = spec.build(&ctx.comm);
-            drive(&spec, &mut sim, &ctx.comm, &mut ctx.sink)
-        },
-    )
-}
-
-/// [`run_mini_on`] with a tracer attached: returns each rank's outcome
-/// together with its final virtual clocks and full trace, the raw
-/// material for bit-for-bit cross-universe comparison.
-pub fn run_mini_observed(spec: &MiniSpec, universe: Universe) -> Vec<RankObservation> {
-    let spec = spec.clone();
-    Spmd::new(spec.ranks()).with_profiles(vec![CompilerProfile::cray_opt()]).universe(universe).run(
-        move |ctx| {
-            let mut sim = spec.build(&ctx.comm);
-            sim.set_tracer(Tracer::new(ctx.rank(), &ctx.sink));
-            let run = drive(&spec, &mut sim, &ctx.comm, &mut ctx.sink);
-            let clock_cycles = ctx.sink.lanes.iter().map(|l| l.clock.now().cycles()).collect();
-            let trace = sim.take_tracer().map(|t| t.events().to_vec()).unwrap_or_default();
-            RankObservation { run, clock_cycles, trace }
-        },
-    )
+    Spmd::new(spec.ranks()).with_profiles(vec![CompilerProfile::cray_opt()]).run(move |ctx| {
+        let mut sim = spec.build(&ctx.comm);
+        sim.set_tracer(Tracer::new(ctx.rank(), &ctx.sink));
+        let run = drive(&spec, &mut sim, &ctx.comm, &mut ctx.sink);
+        let clock_cycles = ctx.sink.lanes.iter().map(|l| l.clock.now().cycles()).collect();
+        let trace = sim.take_tracer().map(|t| t.events().to_vec()).unwrap_or_default();
+        RankObservation { run, clock_cycles, trace }
+    })
 }
 
 /// Merge every rank's fault log into one deterministic, sorted block of

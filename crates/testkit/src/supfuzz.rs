@@ -16,9 +16,8 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use v2d_comm::Universe;
 use v2d_core::problems::{Family, GaussianPulse};
-use v2d_core::supervise::{run_supervised_on, RetryPolicy, SuperviseReport, SuperviseSpec};
+use v2d_core::supervise::{run_supervised, RetryPolicy, SuperviseReport, SuperviseSpec};
 use v2d_core::SuperviseError;
 use v2d_machine::fault::SplitMix64;
 use v2d_machine::{FaultKind, FaultPlan};
@@ -65,24 +64,17 @@ fn scratch_dir(seed: u64, tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("v2d_supfuzz_{seed}_{tag}_{}", std::process::id()))
 }
 
-/// One seed's supervised outcome, checked against every property, on an
-/// explicit [`Universe`].  Returns the (replay-verified) outcome so
-/// callers can compare it across universes.  `deadline: None` skips the
-/// watchdog (sound on the event-driven universe, where a stuck schedule
-/// is a typed error).
-pub fn check_supervise_seed_on(
+/// One seed's supervised outcome, checked against every property under
+/// the real-time watchdog.  Returns the (replay-verified) outcome.
+pub fn check_supervise_seed(
     seed: u64,
-    deadline: Option<Duration>,
-    universe: Universe,
+    deadline: Duration,
 ) -> Result<Result<SuperviseReport, SuperviseError>, String> {
     let (spec, policy) = supervise_fuzz_case(seed);
     let run = |spec: SuperviseSpec,
                policy: RetryPolicy|
      -> Verdict<Result<SuperviseReport, SuperviseError>> {
-        match deadline {
-            Some(d) => run_with_watchdog(d, move || run_supervised_on(&spec, policy, universe)),
-            None => Verdict::Completed(run_supervised_on(&spec, policy, universe)),
-        }
+        run_with_watchdog(deadline, move || run_supervised(&spec, policy))
     };
     // Property 1: the supervisor returns — completion or typed error.
     let first = match run(spec.clone(), policy) {

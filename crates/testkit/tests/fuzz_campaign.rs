@@ -8,8 +8,7 @@
 
 use std::time::Duration;
 
-use v2d_comm::Universe;
-use v2d_testkit::{campaign, campaign_on, fuzz_spec};
+use v2d_testkit::{campaign, fuzz_spec};
 
 /// Per-case real-time budget.  Generous: a case is a few steps of a
 /// ≤ 24×12 mini-sim, milliseconds when healthy; the budget only matters
@@ -37,14 +36,11 @@ fn fuzz_spec_is_a_pure_function_of_the_seed() {
 }
 
 /// The full campaign: 200 seeded scenarios across grids × tilings ×
-/// fault schedules × recovery policies, pinned to the event-driven
-/// universe with **no watchdog** — a deadlocked schedule comes back as
-/// a typed `CommError::Deadlock` naming the seed, not a hang, so the
-/// wall-clock guard has nothing left to catch.  Scheduled-CI only; run
-/// with `cargo test -p v2d-testkit -- --ignored`.
+/// fault schedules × recovery policies.  Scheduled-CI only; run with
+/// `cargo test -p v2d-testkit -- --ignored`.
 #[test]
 #[ignore = "slow: 200-scenario campaign for the scheduled CI job"]
 fn fuzz_full_campaign_200_scenarios() {
-    let failures = campaign_on(0..200, None, Universe::EventDriven);
+    let failures = campaign(0..200, CASE_DEADLINE);
     assert!(failures.is_empty(), "{} failing seed(s):\n{}", failures.len(), report(&failures));
 }

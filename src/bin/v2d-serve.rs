@@ -21,9 +21,9 @@
 //!   one at a time; each connection is one NDJSON session);
 //! * `--stdio` — single session on stdin/stdout (the default);
 //! * `--workers N` — worker threads in the job pool (default 2);
-//! * `--cache N` — result-cache capacity in entries (default 64);
-//! * `--universe events|threads` — execution engine for every job
-//!   (default `events`).
+//! * `--cache N` — result-cache capacity in entries (default 64).
+//!
+//! A malformed command line prints one usage line and exits 2.
 //!
 //! A `{"req":"shutdown","id":…}` request drains in-flight jobs, answers
 //! `bye`, and exits the daemon.
@@ -33,39 +33,27 @@ use std::sync::{Arc, Mutex};
 
 use v2d_serve::{parse_request, Handled, Request, Response, ServeOpts, Service};
 
+fn usage() -> ! {
+    eprintln!("usage: v2d-serve [--socket PATH | --stdio] [--workers N] [--cache N]");
+    std::process::exit(2);
+}
+
+/// The non-negative integer value of a flag, or the usage exit.
+fn count(value: Option<String>) -> usize {
+    value.and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
+}
+
 fn main() {
     let mut socket: Option<String> = None;
     let mut opts = ServeOpts::default();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--socket" => socket = Some(args.next().expect("--socket needs a path")),
+            "--socket" => socket = Some(args.next().unwrap_or_else(|| usage())),
             "--stdio" => socket = None,
-            "--workers" => {
-                opts.workers = args
-                    .next()
-                    .expect("--workers needs a count")
-                    .parse()
-                    .expect("--workers needs an integer")
-            }
-            "--cache" => {
-                opts.result_cache_cap = args
-                    .next()
-                    .expect("--cache needs a capacity")
-                    .parse()
-                    .expect("--cache needs an integer")
-            }
-            "--universe" => {
-                opts.universe = match args.next().expect("--universe needs a name").as_str() {
-                    "events" => v2d_comm::Universe::EventDriven,
-                    "threads" => v2d_comm::Universe::Threads,
-                    other => panic!("unknown universe {other:?} (expected events|threads)"),
-                }
-            }
-            other => panic!(
-                "unknown argument {other:?} (expected --socket PATH / --stdio / --workers N / \
-                 --cache N / --universe events|threads)"
-            ),
+            "--workers" => opts.workers = count(args.next()),
+            "--cache" => opts.result_cache_cap = count(args.next()),
+            _ => usage(),
         }
     }
 

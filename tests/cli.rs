@@ -1,5 +1,5 @@
-//! End-to-end tests of the `v2d` command-line driver: parameter deck in,
-//! simulation out, checkpoint on disk.
+//! End-to-end tests of the `v2d` command-line driver — parameter deck in,
+//! simulation out, checkpoint on disk — and of the `v2d-serve` command line.
 
 use std::process::Command;
 
@@ -62,4 +62,35 @@ fn bad_deck_reports_error_and_nonzero_exit() {
 fn missing_file_is_a_clean_error() {
     let out = v2d().arg("/nonexistent/deck.par").output().expect("run v2d");
     assert!(!out.status.success());
+}
+
+fn serve(args: &[&str]) -> std::process::Output {
+    // Empty stdin: a stdio session that gets as far as reading ends at once.
+    Command::new(env!("CARGO_BIN_EXE_v2d-serve"))
+        .args(args)
+        .stdin(std::process::Stdio::null())
+        .output()
+        .expect("run v2d-serve")
+}
+
+/// The daemon rejects a malformed command line the way `v2d` does: one
+/// usage line on stderr, exit status 2 — never a panic's 101.
+#[test]
+fn serve_argument_errors_print_usage_and_exit_2() {
+    for args in [
+        &["--workers", "x"][..],
+        &["--workers"],
+        &["--cache", "-1"],
+        &["--socket"],
+        &["--frobnicate"],
+    ] {
+        let out = serve(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: wrong exit status");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.starts_with("usage: v2d-serve"), "{args:?}: no usage line: {err}");
+        assert_eq!(err.lines().count(), 1, "{args:?}: more than the usage line: {err}");
+        assert!(out.stdout.is_empty(), "{args:?}: wrote to stdout");
+    }
+    let ok = serve(&["--stdio", "--workers", "1", "--cache", "4"]);
+    assert!(ok.status.success(), "{}", String::from_utf8_lossy(&ok.stderr));
 }
