@@ -1,0 +1,448 @@
+//! The ablations: what the study's kernels, solver and data layout
+//! would do under a different vector length, cache residency, reduction
+//! structure, preconditioner, Krylov algorithm or allocation policy.
+//! Each function is one `v2d-bench ablation_*` entry; the first five
+//! print a golden.
+
+use v2d_comm::{CartComm, Comm, Spmd, TileMap};
+use v2d_core::grid::LocalGrid;
+use v2d_core::problems::GaussianPulse;
+use v2d_core::rad::coeffs::{assemble_system, MatterState};
+use v2d_core::sim::{PrecondKind, V2dConfig, V2dSim};
+use v2d_linalg::{
+    bicgstab, gmres, tilevec_alloc_count, BicgVariant, BlockJacobi, SolveOpts, SolverWorkspace,
+    StencilOp, TileVec,
+};
+use v2d_machine::{A64fxModel, CompilerId, ExecCtx};
+use v2d_sve::kernels::{run_routine, Routine, Variant};
+use v2d_sve::ExecConfig;
+
+use crate::par::par_map;
+use crate::table2::run_routine_pair;
+use crate::{count_arg, no_args, UsageError};
+
+const VLS: [u32; 5] = [128, 256, 512, 1024, 2048];
+
+/// Ablation A1 — SVE vector-length sweep (the VLA promise).
+///
+/// The SVE ISA is vector-length agnostic: the same Table II kernels run
+/// unmodified at any hardware vector length from 128 to 2048 bits.  The
+/// A64FX implements 512; this sweep shows what the study's kernels would
+/// gain (or not) on hypothetical wider implementations — streaming
+/// kernels scale until loop overhead or the tail dominates, and the
+/// scalar baseline is flat by construction.
+///
+/// `v2d-bench ablation_vl`.
+pub fn vl(args: &[String]) -> Result<(), UsageError> {
+    no_args(args)?;
+    let n = 1000;
+    // Every (routine, VL) cell is independent: evaluate the whole grid
+    // with the scoped-thread fan-out, then print rows in table order.
+    let grid: Vec<(Routine, u32)> =
+        Routine::ALL.iter().flat_map(|&r| VLS.iter().map(move |&vl| (r, vl))).collect();
+    let rows = par_map(&grid, |&(r, vl)| run_routine_pair(r, n, 1, vl));
+    println!("SVE vector-length sweep, n = {n} (simulated cycles per repetition)\n");
+    print!("{:<8} {:>10}", "routine", "scalar");
+    for vl in VLS {
+        print!(" {:>9}", format!("VL{vl}"));
+    }
+    println!("   (512-bit = A64FX)");
+    for (ri, r) in Routine::ALL.into_iter().enumerate() {
+        let mut cells = Vec::new();
+        let mut scalar = 0.0;
+        for row in &rows[ri * VLS.len()..(ri + 1) * VLS.len()] {
+            scalar = row.no_sve;
+            cells.push(row.sve);
+        }
+        let freq = 1.8e9;
+        print!("{:<8} {:>10.0}", r.name(), scalar * freq);
+        for c in &cells {
+            print!(" {:>9.0}", c * freq);
+        }
+        let speedup_512_to_2048 = cells[2] / cells[4];
+        println!("   2048/512 gain: {:.2}×", speedup_512_to_2048);
+    }
+    println!("\nDiminishing returns set in once per-iteration predicate/loop");
+    println!("overhead and the dependency chains dominate the lane count.");
+    Ok(())
+}
+
+/// Ablation A2 — cache residency vs SVE benefit.
+///
+/// Explains the gap between Table II (driver kernels, 4–6× SVE speedup)
+/// and Table I (full code, ≈1.45×): the driver's 1000-equation working
+/// set is L1-resident; the full V2D working set spills to L2/HBM where
+/// the kernels are bandwidth-bound and vector width stops mattering.
+///
+/// `v2d-bench ablation_residency`.
+pub fn residency(args: &[String]) -> Result<(), UsageError> {
+    no_args(args)?;
+    let model = A64fxModel::ookami();
+    println!("MATVEC SVE/no-SVE cycle ratio vs working-set residency\n");
+    println!(
+        "{:>9} {:>10} {:>7} {:>14} {:>12} {:>8}",
+        "n", "bytes", "level", "scalar cyc", "SVE cyc", "ratio"
+    );
+    // Rows are independent (and the large-n ones dominate): fan them out
+    // over scoped workers, print in size order.
+    let sizes = [500usize, 1_500, 3_000, 12_000, 60_000, 250_000];
+    let rows = par_map(&sizes, |&n| {
+        // The driver streams ~8 arrays for MATVEC.
+        let bytes = 8 * 8 * n;
+        let level = model.residency(bytes);
+        let cfg = ExecConfig::a64fx_l1().with_level(level);
+        let s = run_routine(Routine::Matvec, n, Variant::Scalar, &cfg);
+        let v = run_routine(Routine::Matvec, n, Variant::Sve, &cfg);
+        (n, bytes, level, s, v)
+    });
+    for (n, bytes, level, s, v) in rows {
+        println!(
+            "{:>9} {:>10} {:>7} {:>14} {:>12} {:>8.3}",
+            n,
+            bytes,
+            format!("{level:?}"),
+            s.cycles,
+            v.cycles,
+            v.cycles as f64 / s.cycles as f64
+        );
+    }
+    println!("\nThe paper's driver sits on the first rows; the full V2D solve on");
+    println!("the last — where SVE's advantage has collapsed into the memory wall.");
+    Ok(())
+}
+
+/// Ablation A3 — classic vs ganged BiCGSTAB.
+///
+/// V2D's restructured BiCGSTAB "gangs inner products to reduce the
+/// number of parallel global reduction operations required per
+/// iteration" (§I-C).  This ablation runs the same radiation problem
+/// with both reduction structures and reports reductions issued and
+/// simulated time per compiler as the rank count grows — the payoff
+/// grows with the collective cost curve.
+///
+/// `v2d-bench ablation_ganged [steps]` (default 5).
+pub fn ganged(args: &[String]) -> Result<(), UsageError> {
+    let steps = count_arg(args, 5)?;
+    println!("classic vs ganged BiCGSTAB — 200×100×2, {steps} steps\n");
+    println!(
+        "{:>4} {:>9} | {:>11} {:>11} | {:>11} {:>11} | {:>8}",
+        "Np", "variant", "reductions", "iters", "cray s", "gnu s", "saving"
+    );
+    for (nx1, nx2) in [(1, 1), (10, 1), (5, 4), (25, 2)] {
+        let mut secs = [0.0f64; 2];
+        for (vi, variant) in [BicgVariant::Classic, BicgVariant::Ganged].into_iter().enumerate() {
+            let mut cfg = GaussianPulse::scaled_config(200, 100, steps);
+            cfg.solve.variant = variant;
+            let map = TileMap::new(200, 100, nx1, nx2);
+            let outs = Spmd::new(nx1 * nx2).run(move |ctx| {
+                let mut sim = V2dSim::new(cfg, &ctx.comm, map);
+                GaussianPulse::standard().init(&mut sim);
+                let agg = sim.run(&ctx.comm, &mut ctx.sink);
+                let t = |id: CompilerId| {
+                    ctx.sink.lanes.iter().find(|l| l.profile.id == id).unwrap().elapsed_secs()
+                };
+                (agg.total_reductions, agg.total_iters, t(CompilerId::CrayOpt), t(CompilerId::Gnu))
+            });
+            let cray = outs.iter().map(|o| o.2).fold(0.0f64, f64::max);
+            let gnu = outs.iter().map(|o| o.3).fold(0.0f64, f64::max);
+            secs[vi] = cray;
+            let label = if variant == BicgVariant::Classic { "classic" } else { "ganged" };
+            let saving = if vi == 1 {
+                format!("{:+.1}%", 100.0 * (secs[0] - secs[1]) / secs[0])
+            } else {
+                String::new()
+            };
+            println!(
+                "{:>4} {:>9} | {:>11} {:>11} | {:>11.2} {:>11.2} | {:>8}",
+                nx1 * nx2,
+                label,
+                outs[0].0,
+                outs[0].1,
+                cray,
+                gnu,
+                saving
+            );
+        }
+    }
+    println!("\nSerially the two are identical work; the ganged form wins once");
+    println!("collectives cost real time — increasingly so at higher rank counts.");
+    Ok(())
+}
+
+/// Ablation A4 — preconditioner comparison, echoing the paper's ref [7]
+/// (Swesty, Smolarski & Saylor 2004, who compared preconditioning
+/// strategies for exactly these flux-limited-diffusion systems).
+///
+/// Runs the radiation problem with each preconditioner and reports
+/// iteration counts and simulated time: the stronger the approximate
+/// inverse, the fewer the iterations — and the more each one costs.
+///
+/// `v2d-bench ablation_precond [steps]` (default 5).
+pub fn precond(args: &[String]) -> Result<(), UsageError> {
+    let steps = count_arg(args, 5)?;
+    println!("preconditioner ablation — 200×100×2, {steps} steps, serial\n");
+    println!(
+        "{:<22} {:>8} {:>12} {:>12} {:>12}",
+        "preconditioner", "iters", "iters/solve", "cray-opt s", "reductions"
+    );
+    for (kind, name) in [
+        (PrecondKind::None, "none"),
+        (PrecondKind::Jacobi, "jacobi"),
+        (PrecondKind::BlockJacobi, "block-jacobi SPAI(0)"),
+        (PrecondKind::Spai, "stencil SPAI(1)"),
+    ] {
+        let mut cfg = GaussianPulse::scaled_config(200, 100, steps);
+        cfg.precond = kind;
+        let map = TileMap::new(200, 100, 1, 1);
+        let outs = Spmd::new(1).run(move |ctx| {
+            let mut sim = V2dSim::new(cfg, &ctx.comm, map);
+            GaussianPulse::standard().init(&mut sim);
+            let agg = sim.run(&ctx.comm, &mut ctx.sink);
+            let t = ctx
+                .sink
+                .lanes
+                .iter()
+                .find(|l| l.profile.id == CompilerId::CrayOpt)
+                .unwrap()
+                .elapsed_secs();
+            (agg.total_iters, agg.total_solves, t, agg.total_reductions)
+        });
+        let (iters, solves, t, reds) = outs[0];
+        println!(
+            "{:<22} {:>8} {:>12.1} {:>12.2} {:>12}",
+            name,
+            iters,
+            iters as f64 / solves as f64,
+            t,
+            reds
+        );
+    }
+    println!("\nThe study's configuration uses the block-diagonal sparse");
+    println!("approximate inverse: nearly SPAI(1)'s iteration counts at a");
+    println!("tenth of its per-application cost.");
+    Ok(())
+}
+
+/// One backward-Euler radiation system assembled from the
+/// Gaussian-pulse state on this rank's tile of `map` — what the
+/// [`solvers`] and [`alloc`] ablations solve.
+fn pulse_system(
+    comm: &Comm,
+    cx: &mut ExecCtx,
+    cfg: &V2dConfig,
+    map: TileMap,
+) -> (StencilOp, TileVec) {
+    let cart = CartComm::new(comm, map);
+    let grid = LocalGrid::new(cfg.grid, cart.tile());
+    let mut e = TileVec::new(grid.n1, grid.n2);
+    let pulse = GaussianPulse::standard();
+    let (cx0, cy0) = pulse.center;
+    e.fill_with(|_, i1, i2| {
+        let (x, y) = grid.center(i1, i2);
+        pulse.background
+            + (-((x - cx0).powi(2) + (y - cy0).powi(2)) / (pulse.sigma * pulse.sigma)).exp()
+    });
+    let src = TileVec::new(grid.n1, grid.n2);
+    assemble_system(
+        comm,
+        cx,
+        &cart,
+        &grid,
+        cfg.limiter,
+        &cfg.opacity,
+        &MatterState::Uniform,
+        cfg.c_light,
+        cfg.dt,
+        &mut e.clone(),
+        &e,
+        &src,
+    )
+}
+
+/// Ablation A5 — Krylov algorithm comparison (BiCGSTAB vs GMRES(m)),
+/// echoing the paper's ref [7] (Swesty, Smolarski & Saylor 2004, "A
+/// comparison of algorithms for the efficient solution of the linear
+/// systems arising from multi-group flux-limited diffusion problems").
+///
+/// Solves one radiation backward-Euler system (assembled from the
+/// Gaussian-pulse state) with each algorithm and reports iterations,
+/// global reductions, and simulated time per compiler — the reduction
+/// count is why V2D runs ganged BiCGSTAB and not GMRES.
+///
+/// `v2d-bench ablation_solvers`.
+pub fn solvers(args: &[String]) -> Result<(), UsageError> {
+    no_args(args)?;
+    let (n1, n2) = (200, 100);
+    let cfg = GaussianPulse::scaled_config(n1, n2, 1);
+    println!("Krylov algorithm comparison on one {n1}×{n2}×2 radiation system\n");
+    println!(
+        "{:<18} {:>8} {:>12} {:>12} {:>12}",
+        "solver", "iters", "reductions", "cray-opt s", "gnu s"
+    );
+    for which in ["bicgstab-classic", "bicgstab-ganged", "gmres(30)", "gmres(10)"] {
+        let map = TileMap::new(n1, n2, 1, 1);
+        let outs = Spmd::new(1).run(move |ctx| {
+            let mut cx = ExecCtx::new(&mut ctx.sink);
+            let (mut op, rhs) = pulse_system(&ctx.comm, &mut cx, &cfg, map);
+            let mut m = BlockJacobi::new(&op);
+            let mut x = TileVec::new(n1, n2);
+            let mut wks = SolverWorkspace::new(n1, n2);
+            let opts = SolveOpts { tol: 1e-9, ..Default::default() };
+            let stats = match which {
+                "bicgstab-classic" => bicgstab(
+                    &ctx.comm,
+                    &mut cx,
+                    &mut op,
+                    &mut m,
+                    &rhs,
+                    &mut x,
+                    &mut wks,
+                    &SolveOpts { variant: BicgVariant::Classic, ..opts },
+                )
+                .unwrap(),
+                "bicgstab-ganged" => {
+                    bicgstab(&ctx.comm, &mut cx, &mut op, &mut m, &rhs, &mut x, &mut wks, &opts)
+                        .unwrap()
+                }
+                "gmres(30)" => {
+                    gmres(&ctx.comm, &mut cx, &mut op, &mut m, &rhs, &mut x, &mut wks, 30, &opts)
+                        .unwrap()
+                }
+                _ => gmres(&ctx.comm, &mut cx, &mut op, &mut m, &rhs, &mut x, &mut wks, 10, &opts)
+                    .unwrap(),
+            };
+            assert!(stats.converged, "{which} failed: {stats:?}");
+            let t = |id: CompilerId| {
+                ctx.sink.lanes.iter().find(|l| l.profile.id == id).unwrap().elapsed_secs()
+            };
+            (stats.iters, stats.reductions, t(CompilerId::CrayOpt), t(CompilerId::Gnu))
+        });
+        let (iters, reds, cray, gnu) = outs[0];
+        println!("{which:<18} {iters:>8} {reds:>12} {cray:>12.3} {gnu:>12.3}");
+    }
+    println!("\nGMRES converges in fewer iterations but pays one global reduction");
+    println!("per Arnoldi vector (plus the basis storage); the ganged BiCGSTAB's");
+    println!("two reductions per iteration are why V2D chose it (refs [6], [7]).");
+    Ok(())
+}
+
+/// Ablation A6 — hot-loop allocation: fresh vs reused [`SolverWorkspace`].
+///
+/// Before the workspace refactor every Krylov solve allocated its
+/// scratch vectors (and cloned the right-hand side for the initial
+/// residual) on entry — per *solve*, inside the time-step loop.  With
+/// the simulation-owned workspace those allocations happen once; warm
+/// solves run allocation-free.  This ablation counts actual `TileVec`
+/// heap allocations both ways on a repeated radiation solve, then counts
+/// message-payload allocations across a repeated two-rank halo exchange —
+/// `Comm::recv_into` recycles transport buffers through the group pool,
+/// so warm exchange rounds never touch the heap.
+///
+/// `v2d-bench ablation_alloc [solves]` (default 50).
+pub fn alloc(args: &[String]) -> Result<(), UsageError> {
+    let solves = count_arg(args, 50)?;
+    let (n1, n2) = (200, 100);
+    let cfg = GaussianPulse::scaled_config(n1, n2, 1);
+    println!("TileVec heap allocations across {solves} repeated radiation solves ({n1}×{n2}×2)\n");
+    println!(
+        "{:<18} {:>12} {:>14} {:>16}",
+        "workspace", "allocations", "per solve", "warm per solve"
+    );
+
+    for reuse in [false, true] {
+        let map = TileMap::new(n1, n2, 1, 1);
+        let outs = Spmd::new(1).run(move |ctx| {
+            let mut cx = ExecCtx::new(&mut ctx.sink);
+            let (mut op, rhs) = pulse_system(&ctx.comm, &mut cx, &cfg, map);
+            let mut m = BlockJacobi::new(&op);
+            let mut x = TileVec::new(n1, n2);
+            let opts = SolveOpts { tol: 1e-9, ..Default::default() };
+            let mut shared = SolverWorkspace::new(n1, n2);
+
+            let t0 = tilevec_alloc_count();
+            let mut warm_delta = 0;
+            for k in 0..solves {
+                x.fill_interior(0.0);
+                if k + 1 == solves {
+                    warm_delta = tilevec_alloc_count();
+                }
+                if reuse {
+                    bicgstab(&ctx.comm, &mut cx, &mut op, &mut m, &rhs, &mut x, &mut shared, &opts)
+                        .unwrap()
+                } else {
+                    let mut fresh = SolverWorkspace::new(n1, n2);
+                    bicgstab(&ctx.comm, &mut cx, &mut op, &mut m, &rhs, &mut x, &mut fresh, &opts)
+                        .unwrap()
+                };
+            }
+            let total = tilevec_alloc_count() - t0;
+            let warm = tilevec_alloc_count() - warm_delta;
+            (total, warm)
+        });
+        let (total, warm) = outs[0];
+        println!(
+            "{:<18} {:>12} {:>14.1} {:>16}",
+            if reuse { "reused" } else { "fresh-per-solve" },
+            total,
+            total as f64 / solves as f64,
+            warm
+        );
+    }
+    println!("\nThe reused workspace pays its allocations once (warm solves hit the");
+    println!("allocator zero times); fresh-per-solve pays the full scratch set and");
+    println!("the initial-residual clone every time the stepper calls the solver.");
+
+    // --- message buffers: pooled transport vs per-exchange allocation ---
+    let rounds = solves.max(2);
+    let strip = 2 * (n1 + 4); // a width-2 bundled halo strip on the long edge
+    println!("\nMessage-payload allocations across {rounds} two-rank halo exchange rounds");
+    println!("(strip of {strip} f64 each way per round)\n");
+    println!("{:<18} {:>12} {:>16}", "receive path", "allocations", "per round");
+    for pooled in [false, true] {
+        let outs = Spmd::new(2).run(move |ctx| {
+            let partner = 1 - ctx.rank();
+            let data = vec![0.5; strip];
+            let mut recv_buf = Vec::new();
+            if pooled {
+                // One warm-up round stocks the pool, as the first
+                // time step of a production run would.
+                ctx.comm.send(&mut ctx.sink, partner, 7, &data);
+                ctx.comm
+                    .recv_into(&mut ctx.sink, partner, 7, &mut recv_buf)
+                    .expect("healthy exchange");
+            }
+            // Double barrier around the snapshot: the first drains any
+            // warm-up allocations group-wide, the second keeps every
+            // rank from sending until all snapshots are taken.
+            ctx.comm.barrier(&mut ctx.sink);
+            let t0 = v2d_comm::msg_buf_alloc_count();
+            ctx.comm.barrier(&mut ctx.sink);
+            for _ in 0..rounds {
+                ctx.comm.send(&mut ctx.sink, partner, 7, &data);
+                if pooled {
+                    ctx.comm
+                        .recv_into(&mut ctx.sink, partner, 7, &mut recv_buf)
+                        .expect("healthy exchange");
+                } else {
+                    let _dropped =
+                        ctx.comm.recv(&mut ctx.sink, partner, 7).expect("healthy exchange");
+                }
+            }
+            // The counter is group-global; after the closing barrier no
+            // rank allocates again, so every rank reads the same total.
+            ctx.comm.barrier(&mut ctx.sink);
+            v2d_comm::msg_buf_alloc_count() - t0
+        });
+        let total = outs[0];
+        println!(
+            "{:<18} {:>12} {:>16.1}",
+            if pooled { "recv_into" } else { "recv (owned)" },
+            total,
+            total as f64 / rounds as f64
+        );
+    }
+    println!("\nrecv_into returns each transport buffer to the group pool, so the");
+    println!("next send reuses it; plain recv hands the buffer to the caller and");
+    println!("every subsequent send must allocate a fresh one.");
+    Ok(())
+}

@@ -118,6 +118,71 @@ pub fn format(b: &Breakdown) -> String {
     out
 }
 
+/// `v2d-bench breakdown [--quick]` — the §II-E analysis at Np = 1 and
+/// at Np = 20 (5×4); `--quick` runs 10 of the 100 timesteps.
+pub fn print(args: &[String]) -> Result<(), crate::UsageError> {
+    let steps = if crate::quick_flag(args)? { 10 } else { 100 };
+    let cfg = GaussianPulse::scaled_config(200, 100, steps);
+    for (nx1, nx2) in [(1, 1), (5, 4)] {
+        eprintln!("running {nx1}×{nx2}…");
+        let b = run(&cfg, nx1, nx2);
+        println!("{}", format(&b));
+    }
+    println!("paper reference: serial matvec ≈ 141 s of 181 s total, precond ≈ 14 s;");
+    println!("Np=20 (5×4): matvec ≈ 7.5 s of ≈ 15 s, precond ≈ 0.8 s.");
+    Ok(())
+}
+
+/// `v2d-bench calibrate [steps]` (default 100 = the paper's workload) —
+/// documents (and re-measures) the calibration of the compiler
+/// profiles: the reproduced serial Table I column and the §II-E
+/// breakdown targets next to the paper's values.  Run after touching
+/// any constant in `v2d_machine::profile`.
+pub fn calibrate(args: &[String]) -> Result<(), crate::UsageError> {
+    use crate::paper;
+    let steps = crate::count_arg(args, 100)?;
+    let cfg = GaussianPulse::scaled_config(200, 100, steps);
+    let scale = steps as f64 / 100.0;
+    eprintln!("serial calibration run ({steps} steps)…");
+    let map = TileMap::new(200, 100, 1, 1);
+    let outs = Spmd::new(1).run(move |ctx| {
+        let mut sim = V2dSim::new(cfg, &ctx.comm, map);
+        GaussianPulse::standard().init(&mut sim);
+        let agg = sim.run(&ctx.comm, &mut ctx.sink);
+        (ctx.sink.elapsed_secs(), agg.total_iters, agg.total_solves)
+    });
+    let (secs, iters, solves) = &outs[0];
+    let (_, _, _, gnu, fujitsu, cray_opt, cray_noopt) = paper::TABLE1[0];
+    let paper_serial =
+        [gnu, fujitsu, cray_opt, cray_noopt].map(|s| s.expect("the serial row has every cell"));
+    println!("serial Table I column ({} BiCGSTAB iters over {} solves):", iters, solves);
+    println!("{:<14} {:>10} {:>10} {:>7}", "compiler", "model s", "paper s", "err");
+    for ((id, got), want) in v2d_machine::ALL_COMPILERS.iter().zip(secs).zip(paper_serial) {
+        let scaled_want = want * scale;
+        println!(
+            "{:<14} {:>10.2} {:>10.2} {:>6.1}%",
+            id.label(),
+            got,
+            scaled_want,
+            100.0 * (got - scaled_want) / scaled_want
+        );
+    }
+
+    println!("\n§II-E serial breakdown targets:");
+    let b = run(&cfg, 1, 1);
+    println!(
+        "  matvec share: {:.2} (paper {:.2})",
+        b.matvec / b.total,
+        paper::SERIAL_MATVEC_SECS / paper::SERIAL_TOTAL_SECS
+    );
+    println!(
+        "  precond share: {:.3} (paper {:.3})",
+        b.precond / b.total,
+        paper::SERIAL_PRECOND_SECS / paper::SERIAL_TOTAL_SECS
+    );
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,4 +1,4 @@
-//! Fault-injection ablation: a deterministic campaign of every fault
+//! `v2d-bench ablation_faults` — a deterministic campaign of every fault
 //! class through the full driver — field poisoning, forced solver
 //! breakdowns, dropped/delayed halo messages, a rank stall, and a
 //! corrupted checkpoint — with the recovery log and the checkpoint
@@ -145,7 +145,10 @@ fn run_nl(plan: Option<FaultPlan>) -> Vec<(Vec<u64>, u32, Vec<FaultRecord>)> {
     )
 }
 
-fn main() {
+/// Run the whole campaign and print its log (the `ablation_faults`
+/// golden); every contract it states is asserted on the way.
+pub fn print(args: &[String]) -> Result<(), crate::UsageError> {
+    crate::no_args(args)?;
     println!("Fault-injection ablation — {N1}×{N2}×2 Gaussian pulse, {RANKS} ranks, {STEPS} steps");
     println!("campaign: one fault of every class; checkpoints every {CK_EVERY} steps\n");
 
@@ -252,6 +255,7 @@ fn main() {
 
     rank_kill_campaign();
     sedov_kill_campaign();
+    Ok(())
 }
 
 /// Supervised rank-kill campaign coordinates: the `supervise_recovery`

@@ -65,6 +65,24 @@ pub fn stats() -> String {
     )
 }
 
+/// `v2d-bench fig1 [PATH]` — write the bitmap (one pixel per matrix
+/// entry of the upper-left 400×400 block) to PATH, default
+/// `fig1_sparsity.pbm`, and print the statistics and an ASCII
+/// rendering.  The path echo goes to stderr: it is machine-specific.
+pub fn print(args: &[String]) -> Result<(), crate::UsageError> {
+    let out = match args {
+        [] => "fig1_sparsity.pbm",
+        [path] => path,
+        _ => return Err(crate::UsageError),
+    };
+    let art = artifacts(100);
+    std::fs::write(out, &art.pbm).expect("write PBM");
+    println!("{}", art.stats);
+    println!("{}", art.ascii);
+    eprintln!("bitmap written to {out}");
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -11,21 +11,21 @@
 //! norms): deterministic functions of the code, gated bit-for-bit.
 //! Host time is not measured here; that is `bench/e2e/run.sh`'s job.
 //!
-//! The checked-in `bench/baseline.json` is the output of
-//! `bench_report`; `bench_compare` regenerates a fresh report and
-//! diffs the two.
+//! [`gate`] (`v2d-bench gate`) regenerates the report and diffs it
+//! against the checked-in `bench/baseline.json`, or with `--write`
+//! replaces that file.
 
 use v2d_comm::{ReduceOp, Spmd};
 use v2d_core::problems::{Family, GaussianPulse};
 use v2d_core::supervise::{run_supervised, RetryPolicy, SuperviseSpec};
 use v2d_linalg::sparsity;
 use v2d_machine::{A64fxModel, FaultKind, FaultPlan, ALL_COMPILERS};
-use v2d_obs::{BenchReport, Gate, Metric, Metrics, RunReport, Tracer};
+use v2d_obs::{compare, BenchReport, Gate, Metric, Metrics, RunReport, Tracer};
 use v2d_sve::kernels::{decoded_routine, prepare_routine, Routine, Variant};
 use v2d_sve::{ExecConfig, Executor};
 use v2d_testkit::MiniSpec;
 
-use crate::{fig1, table1, table2};
+use crate::{fig1, table1, table2, UsageError};
 
 /// Knobs for [`collect`]: the red-run perturbations, all zero by
 /// default.
@@ -359,20 +359,8 @@ pub fn add_supervise(report: &mut BenchReport, perturb: u64) {
 /// red-run demonstration for this family.
 pub fn add_serve(report: &mut BenchReport, perturb: u64) {
     use v2d_serve::load::{run, LoadProfile};
-    use v2d_serve::ServeOpts;
+    use v2d_serve::{Response, ServeOpts};
     let out = run(&LoadProfile::quick(), ServeOpts::default());
-    add_serve_outcome(report, &out, perturb);
-}
-
-/// Record one finished load campaign's deterministic entries (used by
-/// both [`add_serve`] and the standalone `bench_serve` harness, which
-/// may drive the full profile instead of the quick one).
-pub fn add_serve_outcome(
-    report: &mut BenchReport,
-    out: &v2d_serve::load::LoadOutcome,
-    perturb: u64,
-) {
-    use v2d_serve::Response;
     // Only the admission counters are gate material: the pool and
     // decoded-program-cache counters depend on thread scheduling (and,
     // for the program tiers, on whatever else the process ran).
@@ -464,6 +452,45 @@ pub fn scenario_rows() -> Vec<ScenarioRow> {
         .collect()
 }
 
+/// `v2d-bench table_scenarios` — the scenario zoo table: every registry
+/// problem family run at its own smoke resolution, single rank, with
+/// the validation norms, the pass verdict, and a bit-exact checksum of
+/// the final fields.  On modeled clocks every printed number is a pure
+/// function of the code, so the whole table is a golden and its rows
+/// also back the `scenario.*` entries of the regression gate.
+pub fn print_scenarios(args: &[String]) -> Result<(), UsageError> {
+    crate::no_args(args)?;
+    println!("Scenario zoo — every registry family at smoke resolution, 1 rank");
+    println!(
+        "{:<18} {:>12} {:>11} {:>11} {:>11} {:>6}   {:<18}",
+        "family", "grid×steps", "l1", "l2", "linf", "pass", "field checksum"
+    );
+    let rows = scenario_rows();
+    for row in &rows {
+        let (n1, n2, steps) = row.smoke;
+        let r = &row.report;
+        println!(
+            "{:<18} {:>12} {:>11.4e} {:>11.4e} {:>11.4e} {:>6}   {:#010x}",
+            r.family,
+            format!("{n1}x{n2}x{steps}"),
+            r.l1,
+            r.l2,
+            r.linf,
+            if r.pass { "yes" } else { "NO" },
+            row.field_fnv32,
+        );
+    }
+    println!("\ndetails:");
+    for row in &rows {
+        println!("  {:<18} {}", row.report.family, row.report.detail);
+    }
+    let failed: Vec<&str> =
+        rows.iter().filter(|r| !r.report.pass).map(|r| r.report.family).collect();
+    assert!(failed.is_empty(), "families failing their own validation: {failed:?}");
+    println!("\nall {} families pass their own validation", rows.len());
+    Ok(())
+}
+
 /// The problem-family gate (`scenario.*`): every registry scenario's
 /// smoke-resolution validation norms (tight `Band` — the norms are
 /// deterministic, but the band leaves room for an intentional
@@ -507,6 +534,80 @@ pub fn collect(opts: &CollectOpts) -> BenchReport {
     add_scenarios(&mut report, opts.perturb_scenario);
     add_serve(&mut report, opts.perturb_serve);
     report
+}
+
+/// `v2d-bench gate` — regenerate the canonical report and compare it
+/// with the checked-in baseline, gate by gate.  `Ok(false)` when any
+/// gate fails; the delta table goes to stdout and (in markdown form) is
+/// appended to `--summary PATH` or, when set, the file named by
+/// `$GITHUB_STEP_SUMMARY`.
+///
+/// * `--baseline PATH` — baseline report (default `bench/baseline.json`);
+/// * `--write PATH` — write the fresh report to PATH instead of
+///   comparing it: commit the output to refresh the baseline;
+/// * `--perturb-cycles N` — inject N simulated cycles into one modeled
+///   clock before comparing.  `--perturb-cycles 1` is the red-run
+///   demonstration: a single cycle of drift must fail the gate;
+/// * `--perturb-supervise N` / `--perturb-serve N` / `--perturb-scenario N`
+///   — the same demonstration for the `supervise.*` (phantom replayed
+///   steps), `serve.*` (phantom deduped requests) and `scenario.*`
+///   (bumped field checksum) families;
+/// * `--summary PATH` — append the markdown delta table there.
+pub fn gate(args: &[String]) -> Result<bool, UsageError> {
+    use std::io::Write as _;
+    let mut baseline = "bench/baseline.json";
+    let mut write = None;
+    let mut opts = CollectOpts::default();
+    let mut summary = std::env::var("GITHUB_STEP_SUMMARY").ok();
+    for (flag, value) in crate::flag_values(args)? {
+        let count = || value.parse::<u64>().map_err(|_| UsageError);
+        match flag {
+            "--baseline" => baseline = value,
+            "--write" => write = Some(value),
+            "--perturb-cycles" => opts.perturb_cycles = count()?,
+            "--perturb-supervise" => opts.perturb_supervise = count()?,
+            "--perturb-serve" => opts.perturb_serve = count()?,
+            "--perturb-scenario" => opts.perturb_scenario = count()?,
+            "--summary" => summary = Some(value.to_string()),
+            _ => return Err(UsageError),
+        }
+    }
+
+    if let Some(path) = write {
+        eprintln!("collecting canonical bench report …");
+        let fresh = collect(&opts);
+        std::fs::write(path, fresh.to_json_string())
+            .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+        eprintln!("{} metrics written to {path}", fresh.entries.len());
+        return Ok(true);
+    }
+
+    let text = std::fs::read_to_string(baseline)
+        .unwrap_or_else(|e| panic!("cannot read baseline {baseline}: {e}"));
+    let base = BenchReport::parse(&text)
+        .unwrap_or_else(|e| panic!("cannot parse baseline {baseline}: {e}"));
+    eprintln!("regenerating bench report …");
+    let cmp = compare(&base, &collect(&opts));
+    if cmp.pass() {
+        println!("regression gate: all {} metrics within tolerance", cmp.deltas.len());
+    } else {
+        println!("regression gate: {} of {} metrics FAILED", cmp.failures(), cmp.deltas.len());
+        print!("{}", cmp.table(true));
+    }
+    if let Some(path) = summary {
+        let md = format!(
+            "### Bench regression gate: {}\n\n{}\n",
+            if cmp.pass() { "✅ pass" } else { "❌ FAIL" },
+            cmp.markdown()
+        );
+        let mut f = std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(&path)
+            .unwrap_or_else(|e| panic!("cannot open summary {path}: {e}"));
+        f.write_all(md.as_bytes()).expect("write summary");
+    }
+    Ok(cmp.pass())
 }
 
 /// Table II rows → a [`RunReport`] whose totals carry the modeled
@@ -554,7 +655,6 @@ pub fn table2_tracer(rows: &[table2::Row]) -> Tracer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use v2d_obs::compare;
 
     #[test]
     fn report_round_trips_and_self_compares_clean() {

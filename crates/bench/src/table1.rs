@@ -218,12 +218,94 @@ pub fn format_weak(rows: &[Row]) -> String {
     out
 }
 
+/// `v2d-bench table1 [--quick]` — the paper's Table I.
+///
+/// The default runs the full study — the 200×100×2 Gaussian pulse for
+/// 100 timesteps (300 BiCGSTAB solves) over all twelve process
+/// topologies; expect a few native minutes.  `--quick` runs 10 timesteps
+/// and scales nothing (the printed times are then ~1/10 of the paper's,
+/// with identical ordering).
+pub fn print(args: &[String]) -> Result<(), crate::UsageError> {
+    let quick = crate::quick_flag(args)?;
+    let cfg = if quick {
+        GaussianPulse::scaled_config(200, 100, 10)
+    } else {
+        GaussianPulse::paper_config()
+    };
+    eprintln!(
+        "running {} topologies of the {}×{}×2 Gaussian pulse, {} steps each…",
+        TOPOLOGIES.len(),
+        cfg.grid.n1,
+        cfg.grid.n2,
+        cfg.n_steps
+    );
+    let rows = run_full(&cfg, |row| {
+        eprintln!(
+            "  {:>2}×{:<2} (Np {:>2}) done: cray-opt {:.2} s ({:.0} iters/solve)",
+            row.nx1, row.nx2, row.np, row.secs[2], row.iters_per_solve
+        );
+    });
+    println!("{}", format(&rows));
+    if quick {
+        println!("(--quick: 10 of 100 timesteps; multiply by ~10 to compare with the paper)");
+    }
+    Ok(())
+}
+
+/// Ranks of the full-grid sweep (the paper's Table I maximum).
+const MAX_NP: usize = 50;
+
+/// Grid-sweep problem: a reduced 50×50 Gaussian pulse (the smallest
+/// square on which every ≤ 50-rank factorization still gives each rank
+/// at least one zone per direction), one timestep — three BiCGSTAB
+/// solves per topology, enough to exercise halo exchange and ganged
+/// reductions on every tiling while the 207-topology sweep stays
+/// inside a CI smoke budget.
+const GRID_N1: usize = 50;
+const GRID_N2: usize = 50;
+const GRID_STEPS: usize = 1;
+
+/// Timesteps of each weak-scaling point (one is enough: the curve
+/// reads per-rank efficiency off the modeled clocks, which a single
+/// step already fixes bit-for-bit).
+const WEAK_STEPS: usize = 1;
+
+/// `v2d-bench table1_full` — the full ≤ 50-rank Table I grid plus the
+/// O(1000)-rank weak-scaling curve.
+///
+/// Unlike `table1` (the paper's twelve topologies at full problem
+/// size), this sweeps *every* NX1×NX2 factorization up to 50 ranks on a
+/// quarter-size pulse, then holds per-rank work fixed while scaling a
+/// strip topology to 1024 ranks.  All times are modeled virtual clocks:
+/// deterministic, bit-identical across invocations, independent of the
+/// host.
+pub fn print_full(args: &[String]) -> Result<(), crate::UsageError> {
+    crate::no_args(args)?;
+    let grid = full_grid(MAX_NP);
+    let cfg = GaussianPulse::scaled_config(GRID_N1, GRID_N2, GRID_STEPS);
+    eprintln!(
+        "running {} topologies of the {GRID_N1}×{GRID_N2}×2 pulse, {GRID_STEPS} step(s) each…",
+        grid.len()
+    );
+    let t0 = std::time::Instant::now();
+    let rows: Vec<Row> = grid.iter().map(|&(nx1, nx2)| run_topology(&cfg, nx1, nx2)).collect();
+    eprintln!("grid sweep: {:.1} s wall", t0.elapsed().as_secs_f64());
+    println!("{}", format_full(&rows));
+
+    eprintln!("running {} weak-scaling points up to 1024 ranks…", WEAK_RANKS.len());
+    let t0 = std::time::Instant::now();
+    let weak: Vec<Row> = WEAK_RANKS.iter().map(|&np| run_weak_point(np, WEAK_STEPS)).collect();
+    eprintln!("weak-scaling sweep: {:.1} s wall", t0.elapsed().as_secs_f64());
+    println!("{}", format_weak(&weak));
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     /// A miniature Table I: tiny grid, few steps — verifies the harness
-    /// plumbing end-to-end (full-size runs live in the `table1` binary).
+    /// plumbing end-to-end (full-size runs are `v2d-bench table1`).
     #[test]
     fn mini_table_has_sane_shape() {
         // Big enough that four ranks beat one despite collective costs.

@@ -95,6 +95,52 @@ pub fn format(rows: &[Row]) -> String {
     out
 }
 
+/// `v2d-bench table2 [--trace PATH] [--report PATH]` — the paper's
+/// Table II, plus the per-repetition instruction counts behind it.
+///
+/// The two side-channels leave stdout byte-identical (the golden only
+/// sees the table):
+///
+/// * `--trace PATH` — write a Chrome `trace_event` JSON of the two
+///   modeled timelines (scalar vs SVE, one track each); open it at
+///   chrome://tracing or https://ui.perfetto.dev;
+/// * `--report PATH` — write a versioned `RunReport` JSON whose totals
+///   carry the modeled clocks bit-for-bit.
+pub fn print(args: &[String]) -> Result<(), crate::UsageError> {
+    let (mut trace_out, mut report_out) = (None, None);
+    for (flag, path) in crate::flag_values(args)? {
+        match flag {
+            "--trace" => trace_out = Some(path),
+            "--report" => report_out = Some(path),
+            _ => return Err(crate::UsageError),
+        }
+    }
+    let rows = run_full();
+    if let Some(path) = trace_out {
+        let tracer = crate::report::table2_tracer(&rows);
+        std::fs::write(path, v2d_obs::chrome_trace(&[&tracer])).expect("write trace JSON");
+        eprintln!("chrome trace written to {path}");
+    }
+    if let Some(path) = report_out {
+        let rr = crate::report::table2_run_report(&rows);
+        std::fs::write(path, rr.to_json_string()).expect("write run report");
+        eprintln!("run report written to {path}");
+    }
+    println!("{}", format(&rows));
+    println!("per-repetition dynamic instructions (scalar → SVE):");
+    for r in &rows {
+        println!(
+            "  {:<8} {:>8} → {:>7}   flops/cycle {:>5.2} → {:>5.2}",
+            r.routine.name(),
+            r.instrs.0,
+            r.instrs.1,
+            r.flops_per_cycle.0,
+            r.flops_per_cycle.1
+        );
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

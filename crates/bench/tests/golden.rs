@@ -1,109 +1,83 @@
-//! Golden-output tests: the experiment binaries must reproduce the
-//! checked-in reference outputs byte-for-byte on their stable lines.
+//! The golden checker: every `golden` entry of the artifact registry
+//! must reproduce `goldens/<name>.txt` byte-for-byte on stdout (and
+//! `fig1` its bitmap, `goldens/fig1.pbm`).
 //!
-//! The references at the repo root were captured through `cargo run`,
-//! so they carry cargo noise (`Compiling` / `Finished` / `Running`)
-//! that the comparison strips from both sides.  `fig1` additionally
-//! prints the bitmap's absolute path, which is machine-specific.
-//!
-//! `table1` and `breakdown` run their full 100-step configurations —
-//! minutes each — so their goldens are `#[ignore]`d; run them with
-//! `cargo test -p v2d-bench --release -- --ignored` before a release.
+//! Fast entries are checked on every `cargo test`; the slow ones
+//! (minutes of wall clock in total) by
+//! `cargo test --release -p v2d-bench --test golden -- --include-ignored`.
+//! On drift the fresh output is left in `target/golden-artifacts/` for
+//! diffing or upload; the checkout itself is never written to.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
-/// Lines that depend on the capture environment, not the model: cargo
-/// noise and machine-specific paths, plus the stderr progress lines
-/// (`running …` / `… done: …`) that the reference captures merged into
-/// their stream — `Command::output` reads stdout alone.
-fn is_noise(line: &str) -> bool {
-    let t = line.trim_start();
-    t.starts_with("Compiling")
-        || t.starts_with("Finished")
-        || t.starts_with("Running")
-        || t.starts_with("bitmap written to")
-        || t.starts_with("running ")
-        || t.contains(") done: ")
+use v2d_bench::ARTIFACTS;
+
+const BIN: &str = env!("CARGO_BIN_EXE_v2d-bench");
+
+fn goldens_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../goldens")
 }
 
-fn stable_lines(text: &str) -> Vec<&str> {
-    text.lines().filter(|l| !is_noise(l)).collect()
+/// `target/golden-artifacts/`, next to the profile directory the
+/// runner was built into.
+fn drift_dir() -> PathBuf {
+    Path::new(BIN)
+        .ancestors()
+        .nth(2)
+        .expect("the runner lives in <target>/<profile>/")
+        .join("golden-artifacts")
 }
 
-fn assert_matches_golden(bin: &str, args: &[&str], golden: &str) {
-    let out = Command::new(bin).args(args).output().expect("binary should launch");
-    assert!(
-        out.status.success(),
-        "{bin} exited with {:?}:\n{}",
-        out.status,
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8(out.stdout).expect("output should be UTF-8");
-    let golden_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(golden);
-    let reference = std::fs::read_to_string(&golden_path)
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", golden_path.display()));
-    let got = stable_lines(&stdout);
-    let want = stable_lines(&reference);
-    assert_eq!(
-        got.len(),
-        want.len(),
-        "{golden}: line count differs ({} vs {})",
-        got.len(),
-        want.len()
-    );
-    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-        assert_eq!(g, w, "{golden}: first divergence at stable line {}", i + 1);
+/// Compare `fresh` with the golden file `file`; on drift keep `fresh`
+/// under [`drift_dir`] and report the pair.
+fn check(file: &str, fresh: &[u8], drift: &mut Vec<String>) {
+    let golden = goldens_dir().join(file);
+    let want =
+        std::fs::read(&golden).unwrap_or_else(|e| panic!("cannot read {}: {e}", golden.display()));
+    if fresh != want {
+        let kept = drift_dir().join(file);
+        std::fs::create_dir_all(drift_dir()).expect("create target/golden-artifacts");
+        std::fs::write(&kept, fresh).expect("keep the drifted output");
+        drift.push(format!("{} ≠ {}", kept.display(), golden.display()));
     }
 }
 
-#[test]
-fn table2_matches_golden() {
-    assert_matches_golden(env!("CARGO_BIN_EXE_table2"), &[], "table2_output.txt");
+fn check_entries(slow: bool) {
+    let mut drift = Vec::new();
+    for a in ARTIFACTS.iter().filter(|a| a.golden && a.slow == slow) {
+        let mut cmd = Command::new(BIN);
+        cmd.arg(a.name);
+        // fig1 writes its bitmap where it is told: a per-process temp
+        // file, compared and removed below.
+        let pbm = (a.name == "fig1").then(|| {
+            std::env::temp_dir().join(format!("v2d_golden_fig1_{}.pbm", std::process::id()))
+        });
+        cmd.args(&pbm);
+        let out = cmd.output().expect("the runner should launch");
+        assert!(
+            out.status.success(),
+            "v2d-bench {} exited with {:?}:\n{}",
+            a.name,
+            out.status,
+            String::from_utf8_lossy(&out.stderr)
+        );
+        check(&format!("{}.txt", a.name), &out.stdout, &mut drift);
+        if let Some(pbm) = pbm {
+            check("fig1.pbm", &std::fs::read(&pbm).expect("fig1 wrote its bitmap"), &mut drift);
+            let _ = std::fs::remove_file(&pbm);
+        }
+    }
+    assert!(drift.is_empty(), "golden drift:\n  {}", drift.join("\n  "));
 }
 
 #[test]
-fn fig1_matches_golden() {
-    let pbm = std::env::temp_dir().join("v2d_golden_fig1.pbm");
-    let pbm = pbm.to_str().expect("temp path should be UTF-8");
-    assert_matches_golden(env!("CARGO_BIN_EXE_fig1"), &[pbm], "fig1_output.txt");
-    let _ = std::fs::remove_file(pbm);
+fn fast_artifacts_match_their_goldens() {
+    check_entries(false);
 }
 
 #[test]
-fn ablation_vl_matches_golden() {
-    assert_matches_golden(env!("CARGO_BIN_EXE_ablation_vl"), &[], "ablation_vl.txt");
-}
-
-#[test]
-fn ablation_residency_matches_golden() {
-    assert_matches_golden(env!("CARGO_BIN_EXE_ablation_residency"), &[], "ablation_residency.txt");
-}
-
-#[test]
-fn ablation_faults_matches_golden() {
-    assert_matches_golden(env!("CARGO_BIN_EXE_ablation_faults"), &[], "ablation_faults.txt");
-}
-
-#[test]
-fn table_scenarios_matches_golden() {
-    assert_matches_golden(env!("CARGO_BIN_EXE_table_scenarios"), &[], "table_scenarios.txt");
-}
-
-#[test]
-#[ignore = "full 100-step run, minutes of wall clock"]
-fn table1_matches_golden() {
-    assert_matches_golden(env!("CARGO_BIN_EXE_table1"), &[], "table1_output.txt");
-}
-
-#[test]
-#[ignore = "full 100-step run, minutes of wall clock"]
-fn breakdown_matches_golden() {
-    assert_matches_golden(env!("CARGO_BIN_EXE_breakdown"), &[], "breakdown_output.txt");
-}
-
-#[test]
-#[ignore = "207-topology sweep + 1024-rank weak scaling, ~1 minute of wall clock"]
-fn table1_full_matches_golden() {
-    assert_matches_golden(env!("CARGO_BIN_EXE_table1_full"), &[], "table1_full.txt");
+#[ignore = "table1, table1_full, breakdown and the long ablations: minutes of wall clock"]
+fn slow_artifacts_match_their_goldens() {
+    check_entries(true);
 }

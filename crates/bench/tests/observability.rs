@@ -4,9 +4,9 @@
 //!   replays of the same `FaultPlan` — virtual-clock spans carry no
 //!   wall-clock residue, so the Chrome export and the collapsed stacks
 //!   are stable byte streams;
-//! * `bench_compare` round-trips: a baseline compared against itself
-//!   exits 0, and a single simulated cycle of injected drift exits
-//!   non-zero (the CI red-run demonstration, executed for real).
+//! * `v2d-bench gate` round-trips: a baseline compared against itself
+//!   exits 0, and a single simulated cycle of injected drift exits 1
+//!   (the CI red-run demonstration, executed for real).
 
 use std::process::Command;
 
@@ -47,25 +47,28 @@ fn fault_recovery_trace_is_bit_identical_across_replays() {
 }
 
 #[test]
-fn bench_compare_round_trips_and_flags_drift() {
-    // Build a baseline through the library and hand it to the real
-    // binary.
-    let baseline = report::collect(&report::CollectOpts::default()).to_json_string();
+fn gate_round_trips_and_flags_drift() {
     let path = std::env::temp_dir().join(format!("v2d_obs_baseline_{}.json", std::process::id()));
-    std::fs::write(&path, baseline).expect("write temp baseline");
     let path = path.to_str().expect("temp path should be UTF-8");
 
-    let run = |extra: &[&str]| {
-        Command::new(env!("CARGO_BIN_EXE_bench_compare"))
-            .args(["--baseline", path])
-            .args(extra)
+    let run = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_v2d-bench"))
+            .arg("gate")
+            .args(args)
             .env_remove("GITHUB_STEP_SUMMARY")
             .output()
-            .expect("bench_compare should launch")
+            .expect("v2d-bench should launch")
     };
 
+    // `--write` produces the baseline the library would.
+    assert!(run(&["--write", path]).status.success(), "gate --write failed");
+    assert_eq!(
+        std::fs::read_to_string(path).expect("gate --write wrote the report"),
+        report::collect(&report::CollectOpts::default()).to_json_string()
+    );
+
     // Baseline vs itself: clean pass.
-    let green = run(&[]);
+    let green = run(&["--baseline", path]);
     assert!(
         green.status.success(),
         "self-comparison failed:\n{}{}",
@@ -75,8 +78,8 @@ fn bench_compare_round_trips_and_flags_drift() {
 
     // One injected cycle: the exact gate must trip and the process
     // must exit non-zero, naming the perturbed metric.
-    let red = run(&["--perturb-cycles", "1"]);
-    assert!(!red.status.success(), "a 1-cycle perturbation must fail the gate");
+    let red = run(&["--baseline", path, "--perturb-cycles", "1"]);
+    assert_eq!(red.status.code(), Some(1), "a 1-cycle perturbation must fail the gate");
     let stdout = String::from_utf8_lossy(&red.stdout);
     assert!(stdout.contains("FAIL"), "no failure banner:\n{stdout}");
     assert!(stdout.contains("table2."), "delta table should name the metric:\n{stdout}");

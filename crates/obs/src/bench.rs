@@ -9,10 +9,6 @@
 //!   deterministic functions of the code, so any drift is a real
 //!   behaviour change.
 //! * [`Gate::Band`] — relative band `|fresh-base| ≤ rel·|base|`.
-//! * [`Gate::Floor`] — `fresh ≥ frac·base` (speedups may improve,
-//!   never collapse).
-//! * [`Gate::Ceil`] — `fresh ≤ frac·base` (wall-clock seconds may get
-//!   faster, not arbitrarily slower; generous on shared runners).
 //!
 //! The gate stored in the **baseline** governs the comparison; a fresh
 //! report's gates are only carried so it can be promoted to the new
@@ -22,13 +18,15 @@ use std::collections::BTreeMap;
 
 use crate::json::Json;
 
+/// The `kind` tag of a serialized [`BenchReport`] (a file-format
+/// constant: `bench/baseline.json` carries it).
+const KIND: &str = "bench_report";
+
 /// Per-metric tolerance policy (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Gate {
     Exact,
     Band { rel: f64 },
-    Floor { frac: f64 },
-    Ceil { frac: f64 },
 }
 
 impl Gate {
@@ -38,23 +36,20 @@ impl Gate {
             Gate::Band { rel } => {
                 Json::obj(vec![("kind", Json::Str("band".into())), ("rel", Json::Num(rel))])
             }
-            Gate::Floor { frac } => {
-                Json::obj(vec![("kind", Json::Str("floor".into())), ("frac", Json::Num(frac))])
-            }
-            Gate::Ceil { frac } => {
-                Json::obj(vec![("kind", Json::Str("ceil".into())), ("frac", Json::Num(frac))])
-            }
         }
     }
 
-    fn from_json(v: &Json) -> Option<Gate> {
-        Some(match v.get("kind")?.as_str()? {
-            "exact" => Gate::Exact,
-            "band" => Gate::Band { rel: v.get("rel")?.as_f64()? },
-            "floor" => Gate::Floor { frac: v.get("frac")?.as_f64()? },
-            "ceil" => Gate::Ceil { frac: v.get("frac")?.as_f64()? },
-            _ => return None,
-        })
+    fn from_json(v: &Json) -> Result<Gate, String> {
+        match v.get("kind").and_then(Json::as_str) {
+            Some("exact") => Ok(Gate::Exact),
+            Some("band") => v
+                .get("rel")
+                .and_then(Json::as_f64)
+                .map(|rel| Gate::Band { rel })
+                .ok_or_else(|| "band gate missing rel".to_string()),
+            Some(kind) => Err(format!("unknown gate kind '{kind}'")),
+            None => Err("gate missing kind".to_string()),
+        }
     }
 
     /// Does `fresh` pass this gate against `base`?
@@ -62,8 +57,6 @@ impl Gate {
         match self {
             Gate::Exact => base.to_bits() == fresh.to_bits(),
             Gate::Band { rel } => (fresh - base).abs() <= rel * base.abs(),
-            Gate::Floor { frac } => fresh >= frac * base,
-            Gate::Ceil { frac } => fresh <= frac * base,
         }
     }
 
@@ -71,9 +64,7 @@ impl Gate {
     fn describe(self) -> String {
         match self {
             Gate::Exact => "exact".to_string(),
-            Gate::Band { rel } => format!("±{:.0}%", rel * 100.0),
-            Gate::Floor { frac } => format!("≥{:.0}%", frac * 100.0),
-            Gate::Ceil { frac } => format!("≤{:.0}%", frac * 100.0),
+            Gate::Band { rel } => format!("±{rel:e}"),
         }
     }
 }
@@ -110,7 +101,7 @@ impl BenchReport {
     pub fn to_json_string(&self) -> String {
         Json::obj(vec![
             ("schema_version", Json::Num(crate::SCHEMA_VERSION as f64)),
-            ("kind", Json::Str("bench_report".into())),
+            ("kind", Json::Str(KIND.into())),
             (
                 "meta",
                 Json::Obj(
@@ -147,8 +138,8 @@ impl BenchReport {
         if ver != crate::SCHEMA_VERSION {
             return Err(format!("schema_version {ver}, expected {}", crate::SCHEMA_VERSION));
         }
-        if doc.get("kind").and_then(Json::as_str) != Some("bench_report") {
-            return Err("kind is not 'bench_report'".into());
+        if doc.get("kind").and_then(Json::as_str) != Some(KIND) {
+            return Err(format!("kind is not '{KIND}'"));
         }
         let meta = doc
             .get("meta")
@@ -162,7 +153,11 @@ impl BenchReport {
             let entry = BenchEntry {
                 value: e.get("value").and_then(Json::as_f64).ok_or("entry missing value")?,
                 unit: e.get("unit").and_then(Json::as_str).ok_or("entry missing unit")?.to_string(),
-                gate: e.get("gate").and_then(Gate::from_json).ok_or("entry missing gate")?,
+                gate: e
+                    .get("gate")
+                    .ok_or_else(|| "missing gate".to_string())
+                    .and_then(Gate::from_json)
+                    .map_err(|why| format!("entry '{name}': {why}"))?,
             };
             entries.insert(name.clone(), entry);
         }
@@ -306,8 +301,8 @@ mod tests {
     fn report() -> BenchReport {
         let mut r = BenchReport::new(vec![("suite".into(), "test".into())]);
         r.add("modeled/x_s", 0.12345678901234567, "s", Gate::Exact);
-        r.add("wallclock/y_s", 2.0, "s", Gate::Ceil { frac: 3.0 });
-        r.add("speedup/z", 8.0, "x", Gate::Floor { frac: 0.5 });
+        r.add("norm/y", 2.0, "norm", Gate::Band { rel: 1e-9 });
+        r.add("speedup/z", 8.0, "x", Gate::Band { rel: 0.5 });
         r
     }
 
@@ -337,12 +332,28 @@ mod tests {
 
     #[test]
     fn banded_gates() {
-        assert!(Gate::Ceil { frac: 3.0 }.passes(2.0, 5.9));
-        assert!(!Gate::Ceil { frac: 3.0 }.passes(2.0, 6.1));
-        assert!(Gate::Floor { frac: 0.5 }.passes(8.0, 4.1));
-        assert!(!Gate::Floor { frac: 0.5 }.passes(8.0, 3.9));
         assert!(Gate::Band { rel: 0.1 }.passes(10.0, 10.9));
         assert!(!Gate::Band { rel: 0.1 }.passes(10.0, 11.1));
+        assert!(Gate::Band { rel: 0.1 }.passes(-10.0, -9.1));
+    }
+
+    #[test]
+    fn a_band_is_described_by_its_own_bound() {
+        assert_eq!(Gate::Band { rel: 1e-9 }.describe(), "±1e-9");
+        assert_eq!(Gate::Band { rel: 0.05 }.describe(), "±5e-2");
+        let base = report();
+        let mut fresh = report();
+        fresh.entries.get_mut("norm/y").unwrap().value = 2.1;
+        let cmp = compare(&base, &fresh);
+        assert!(cmp.table(true).contains("±1e-9"), "{}", cmp.table(true));
+        assert!(cmp.markdown().contains("±1e-9"), "{}", cmp.markdown());
+    }
+
+    #[test]
+    fn unknown_gate_kind_is_a_parse_error_naming_the_entry() {
+        let text = report().to_json_string().replacen("\"band\"", "\"floor\"", 1);
+        let err = BenchReport::parse(&text).unwrap_err();
+        assert!(err.contains("norm/y") && err.contains("floor"), "{err}");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   same in-memory report always serializes to the same bytes.
 //! * **Losslessness for `f64`** — the shortest-representation text of a
 //!   finite `f64` parses back to the *same bits*, which is what lets
-//!   `bench_compare` run modeled clocks under zero tolerance.
+//!   the regression gate run modeled clocks under zero tolerance.
 //!
 //! Non-finite floats are not representable in JSON; the writer panics
 //! on them (a report containing NaN is a bug upstream, not a

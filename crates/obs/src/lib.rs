@@ -30,7 +30,7 @@ pub mod report;
 pub mod trace;
 
 /// Schema version shared by every JSON artifact this crate writes
-/// (`RunReport`, `BenchReport`, `bench/BENCH_PR2.json`).  Bump on any
+/// (`RunReport`, `BenchReport`).  Bump on any
 /// breaking change to the serialized layout.
 pub const SCHEMA_VERSION: u64 = 1;
 

@@ -28,7 +28,7 @@
 //! [`service::Service::run_script`] executes a request script with
 //! phase barriers and a closed admission gate, which makes every
 //! `serve.*` counter a pure function of the script — that is what the
-//! bench gates ([`load`], `bench_serve`) pin as `Exact` entries.
+//! `serve.*` regression gates ([`load`]) pin as `Exact` entries.
 
 pub mod cache;
 pub mod load;

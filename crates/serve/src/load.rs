@@ -1,4 +1,4 @@
-//! The synthetic load generator behind `bench_serve`.
+//! The synthetic load generator behind the `serve.*` regression gates.
 //!
 //! [`script`] derives a seeded request mix — repeated decks (dedupe and
 //! result-cache material), novel decks, priority submissions, paired
@@ -6,10 +6,8 @@
 //! and [`run`] drives it through [`Service::run_script`].  Because the
 //! script is a pure function of the [`LoadProfile`] and scripted
 //! admission is deterministic, every `serve.*` counter and the folded
-//! response checksum are exact-gate material; only the wall-clock
-//! throughput needs a `Floor` gate.
-
-use std::time::Instant;
+//! response checksum are exact-gate material.  Host throughput is not
+//! measured here; that is `bench/e2e`'s `serve_warm`/`serve_cold`.
 
 use v2d_machine::fault::SplitMix64;
 use v2d_machine::FaultKind;
@@ -35,15 +33,10 @@ pub struct LoadProfile {
 }
 
 impl LoadProfile {
-    /// The CI load-smoke shape (`bench_serve --quick`): small enough
-    /// for a gate step, large enough that every admission path fires.
+    /// The regression-gate shape: small enough for a gate step, large
+    /// enough that every admission path fires.
     pub fn quick() -> Self {
         LoadProfile { seed: 0x5EED_0009, phases: 3, per_phase: 6, kills: true }
-    }
-
-    /// The full campaign recorded in `bench/BENCH_PR9.json`.
-    pub fn full() -> Self {
-        LoadProfile { seed: 0x5EED_0009, phases: 5, per_phase: 12, kills: true }
     }
 }
 
@@ -159,30 +152,17 @@ pub struct LoadOutcome {
     pub metrics: Metrics,
     /// [`results_checksum`] over the responses.
     pub checksum: u64,
-    /// Wall time of admission + drain.
-    pub elapsed_s: f64,
-    /// Sustained requests per wall second.
-    pub req_per_s: f64,
 }
 
 /// Drive a profile through a fresh scripted service.
 pub fn run(p: &LoadProfile, opts: ServeOpts) -> LoadOutcome {
     let script = script(p);
     let n_requests = script.iter().filter(|r| !matches!(r, Request::Barrier)).count();
-    let t0 = Instant::now();
     let (responses, svc) = Service::run_script(&script, opts);
-    let elapsed_s = t0.elapsed().as_secs_f64().max(1e-9);
     let metrics = svc.metrics();
     svc.shutdown();
     let checksum = results_checksum(&responses);
-    LoadOutcome {
-        n_requests,
-        responses,
-        metrics,
-        checksum,
-        elapsed_s,
-        req_per_s: n_requests as f64 / elapsed_s,
-    }
+    LoadOutcome { n_requests, responses, metrics, checksum }
 }
 
 #[cfg(test)]

@@ -36,7 +36,7 @@
 //! and only opens it at phase barriers.  Dedupe, cancellation, and
 //! cache hits then resolve against a *deterministic* in-flight set, so
 //! every `serve.*` counter is a pure function of the script — which is
-//! how `bench_serve` can pin them with `Exact` gates.  A live daemon
+//! how the regression gate can pin them `Exact`.  A live daemon
 //! (gate always open) keeps the same counters as racy-but-monotonic
 //! telemetry.
 

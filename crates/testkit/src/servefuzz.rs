@@ -75,23 +75,11 @@ pub fn check_serve_seed(seed: u64) -> Result<LoadOutcome, String> {
     let reqs = script(&profile);
 
     let run_once = || {
-        let t0 = std::time::Instant::now();
         let (responses, svc) = Service::run_script(&reqs, opts.clone());
-        let elapsed_s = t0.elapsed().as_secs_f64().max(1e-9);
         let metrics = svc.metrics();
         let checksum = results_checksum(&responses);
         let n_requests = reqs.iter().filter(|r| !matches!(r, Request::Barrier)).count();
-        (
-            LoadOutcome {
-                n_requests,
-                responses,
-                metrics,
-                checksum,
-                elapsed_s,
-                req_per_s: n_requests as f64 / elapsed_s,
-            },
-            svc,
-        )
+        (LoadOutcome { n_requests, responses, metrics, checksum }, svc)
     };
 
     let (first, svc) = run_once();

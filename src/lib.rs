@@ -36,8 +36,10 @@
 //! ```
 //!
 //! The benchmark harness regenerating every table and figure of the
-//! paper lives in the `v2d-bench` crate (`cargo run -p v2d-bench --release
-//! --bin table1|table2|fig1|breakdown`).
+//! paper lives in the `v2d-bench` crate: one runner over one artifact
+//! table (`cargo run -p v2d-bench --release -- list`, then
+//! `-- table1|table2|fig1|breakdown|…`; `-- gate` is the regression
+//! gate), each golden artifact pinned by `goldens/<name>.txt`.
 
 pub use v2d_comm as comm;
 pub use v2d_core as core;
