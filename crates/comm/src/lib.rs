@@ -26,8 +26,11 @@
 //! one rank executes at any instant.  Fault timeouts resolve by exact
 //! quiescence detection instead of wall-clock deadlines, deadlocks
 //! surface as typed [`CommError::Deadlock`] values carrying the full
-//! wait graph, and thousands of ranks cost no more than their parked
-//! carrier threads.
+//! wait graph.  On x86-64 Linux the ranks of a launch are continuations
+//! on their own stacks, all run by the thread that called
+//! [`Spmd::run`], so a hand-off is a user-level stack switch and
+//! thousands of ranks cost one OS thread; other targets carry each rank
+//! on a parked thread behind the same scheduler.
 //!
 //! [`CartComm`] adds the Cartesian process topology of V2D (runtime
 //! parameters NPRX1/NPRX2 in the paper) with block tile extents and
@@ -38,8 +41,11 @@
 // binaries (separate crates) are exempt.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
+mod carrier;
 pub mod comm;
 pub mod sched;
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+mod stack;
 pub mod topology;
 pub mod universe;
 

@@ -2,12 +2,15 @@
 //! launch, and the collective round protocol it drives.
 //!
 //! One logical thread of control hops between rank *tasks*: every task
-//! is a resumable step function whose yield points are the blocking
-//! communication sites (`recv`, the collective entry/exit waits).  A
-//! min-heap keyed on `(virtual clock at block time, rank)` decides who
-//! runs next, and exactly one task executes at any instant — the OS
-//! threads the launch spawns are inert continuation carriers that
-//! stay parked unless the scheduler hands them the baton.
+//! is a continuation whose yield points are the blocking communication
+//! sites (`recv`, the collective entry/exit waits).  A min-heap keyed on
+//! `(virtual clock at block time, rank)` decides who runs next, and
+//! exactly one task executes at any instant.  The core only *chooses*:
+//! [`EventCore::advance`] returns the next rank, and the two hand-off
+//! points (`sched_wait`, and `finish` through the rank body's return
+//! value) drop the `state` lock and give that rank to the launch's
+//! [`Carrier`] — a stack switch on the launching thread where the target
+//! has one, an unpark/park pair between per-rank threads elsewhere.
 //!
 //! Because nothing here ever consults the wall clock, the schedule is a
 //! pure function of the program and the fault plan:
@@ -36,13 +39,13 @@
 //!    the wait graph.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::thread::Thread;
 
 use v2d_machine::SimDuration;
 
+use crate::carrier::{self, Carrier, RankBody};
 use crate::comm::{BlockedRank, CollTicket, CommError, Message, ReduceOp, WaitEdge, WaitOn};
 
 /// Lock a mutex, recovering the data if another rank thread panicked
@@ -63,9 +66,11 @@ pub fn msg_buf_alloc_count() -> u64 {
     MSG_BUF_ALLOC.load(Ordering::Relaxed)
 }
 
-/// Upper bound on pooled payload buffers per rank group (beyond this,
-/// returned buffers are simply dropped).
-const POOL_CAP: usize = 64;
+/// Pooled payload buffers kept per rank of the launch (beyond
+/// `POOL_BUFS_PER_RANK * n_ranks`, returned buffers are simply dropped).
+/// A rank has at most four halo sends in flight, so this leaves every
+/// warm exchange allocation-free at any rank count.
+const POOL_BUFS_PER_RANK: usize = 8;
 
 /// One round of a data-carrying collective: lockstep verification,
 /// rank-ordered reduction and sticky poison, driven by
@@ -168,16 +173,14 @@ fn finish_round(
     (payload, sync)
 }
 
-/// Where a task's carrier stands in its lifecycle.
+/// Where a task stands in its lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Status {
-    /// Carrier not yet registered (launch handshake).
-    Registering,
     /// Runnable; an entry for it sits in the ready heap.
     Ready,
     /// The one task currently executing.
     Running,
-    /// Parked at a communication site, waiting to be woken.
+    /// Suspended at a communication site, waiting to be woken.
     Blocked,
     /// The rank body returned (or panicked); never runs again.
     Done,
@@ -226,8 +229,6 @@ impl CollFailure {
 /// One rank task.
 struct Task {
     status: Status,
-    /// Carrier thread handle, parked whenever the task is not running.
-    carrier: Option<Thread>,
     /// Scheduling key: lane-0 virtual clock (cycles) when the task last
     /// blocked.  Ties break by rank id, so the schedule is total.
     key: u64,
@@ -236,25 +237,31 @@ struct Task {
 }
 
 /// Everything the scheduler owns, under one lock.  The lock is never
-/// contended in steady state: exactly one carrier runs at a time, and
-/// parked carriers only touch it on their way in and out of a wait.
+/// contended: exactly one rank runs at a time, and it is never held
+/// across a hand-off (a rank resumed on the same OS thread would
+/// otherwise re-enter it).
 struct CoreState {
     tasks: Vec<Task>,
     /// Min-heap of `(key, rank)` over `Ready` tasks.  Entries can go
     /// stale (a task readied and dispatched through a newer entry);
     /// [`EventCore::advance`] skips entries whose task is not `Ready`.
     ready: BinaryHeap<Reverse<(u64, usize)>>,
-    /// `mail[dst][src]`: in-order message queue, one per ordered pair.
-    mail: Vec<Vec<VecDeque<Message>>>,
+    /// `mail[&(dst, src)]`: in-order message queue of one ordered pair,
+    /// created by the pair's first [`EventCore::post`] — a rank talks
+    /// to a handful of neighbours, so a launch holds O(ranks) queues,
+    /// not ranks².  Looked up by key only, never iterated.
+    mail: HashMap<(usize, usize), VecDeque<Message>>,
     coll: CollRound,
     /// Liveness registry: `dead[r]` is set by [`EventCore::kill`] when
     /// rank `r` retires permanently (a `RankKill` / `RankStallForever`
     /// fault).  Orthogonal to [`Status`] — the dying rank keeps Running
     /// until its body returns through [`EventCore::finish`].
     dead: Vec<bool>,
+    /// How many entries of `dead` are set; zero on every healthy run,
+    /// which lets the per-collective liveness checks skip their scans.
+    n_dead: usize,
     /// Free list of payload buffers (see `Comm::recv_into`).
     pool: Vec<Vec<f64>>,
-    registered: usize,
     /// Scheduler counters for observability.
     dispatches: u64,
     quiescences: u64,
@@ -273,34 +280,36 @@ pub struct SchedStats {
 pub(crate) struct EventCore {
     n_ranks: usize,
     state: Mutex<CoreState>,
+    carrier: Box<dyn Carrier>,
 }
 
 impl EventCore {
     pub(crate) fn new(n_ranks: usize) -> Arc<EventCore> {
+        Self::with_carrier(n_ranks, carrier::for_target(n_ranks))
+    }
+
+    /// [`EventCore::new`] on a given carrier — the seam through which
+    /// the tests run the engine on every carrier compiled for them.
+    pub(crate) fn with_carrier(n_ranks: usize, carrier: Box<dyn Carrier>) -> Arc<EventCore> {
+        // Every rank starts ready at key 0, so the first pass over the
+        // heap dispatches them in rank order.
         let tasks = (0..n_ranks)
-            .map(|_| Task {
-                status: Status::Registering,
-                carrier: None,
-                key: 0,
-                wait: None,
-                verdict: None,
-            })
+            .map(|_| Task { status: Status::Ready, key: 0, wait: None, verdict: None })
             .collect();
         Arc::new(EventCore {
             n_ranks,
             state: Mutex::new(CoreState {
                 tasks,
-                ready: BinaryHeap::new(),
-                mail: (0..n_ranks)
-                    .map(|_| (0..n_ranks).map(|_| VecDeque::new()).collect())
-                    .collect(),
+                ready: (0..n_ranks).map(|r| Reverse((0, r))).collect(),
+                mail: HashMap::new(),
                 coll: CollRound::new(n_ranks),
                 dead: vec![false; n_ranks],
+                n_dead: 0,
                 pool: Vec::new(),
-                registered: 0,
                 dispatches: 0,
                 quiescences: 0,
             }),
+            carrier,
         })
     }
 
@@ -314,32 +323,13 @@ impl EventCore {
         SchedStats { dispatches: st.dispatches, quiescences: st.quiescences }
     }
 
-    /// Called by each carrier as it comes up.  The last one to register
-    /// seeds the ready heap with every rank (key 0, so rank order) and
-    /// dispatches the first task.
-    pub(crate) fn register(&self, rank: usize) {
-        let mut st = lock_tolerant(&self.state);
-        st.tasks[rank].carrier = Some(std::thread::current());
-        st.registered += 1;
-        if st.registered == self.n_ranks {
-            for r in 0..self.n_ranks {
-                st.tasks[r].status = Status::Ready;
-                st.ready.push(Reverse((0, r)));
-            }
-            self.advance(&mut st);
-        }
-    }
-
-    /// Park until the scheduler marks this task `Running`.  Unpark
-    /// tokens make the set-status-then-unpark handoff race-free, and
-    /// spurious wakeups just re-check.
-    pub(crate) fn park_until_running(&self, rank: usize) {
-        loop {
-            if lock_tolerant(&self.state).tasks[rank].status == Status::Running {
-                return;
-            }
-            std::thread::park();
-        }
+    /// Dispatch the first rank and carry every body to its end (one
+    /// per rank, in rank order; see [`RankBody`]).  Called once, by the
+    /// launching thread.
+    pub(crate) fn launch(&self, bodies: Vec<RankBody<'_>>) {
+        let first = Self::advance(&mut lock_tolerant(&self.state))
+            .unwrap_or_else(|| panic!("a launch has at least one ready rank"));
+        self.carrier.run(bodies, first);
     }
 
     /// Mark `rank` permanently dead and ready every task whose wait it
@@ -353,7 +343,10 @@ impl EventCore {
     /// real transport cannot un-send either.
     pub(crate) fn kill(&self, rank: usize) {
         let mut st = lock_tolerant(&self.state);
-        st.dead[rank] = true;
+        if !st.dead[rank] {
+            st.dead[rank] = true;
+            st.n_dead += 1;
+        }
         for r in 0..st.tasks.len() {
             if st.tasks[r].status != Status::Blocked {
                 continue;
@@ -366,20 +359,21 @@ impl EventCore {
         }
     }
 
-    /// The rank body returned (or panicked): retire the task and hand
-    /// the baton to whoever is next.
-    pub(crate) fn finish(&self, rank: usize) {
+    /// The rank body returned (or panicked): retire the task and name
+    /// whoever is next (`None`: every rank is done).  The caller — the
+    /// tail of a [`RankBody`] — returns that to the carrier, which hands
+    /// the baton on once this rank's frames are gone.
+    pub(crate) fn finish(&self, rank: usize) -> Option<usize> {
         let mut st = lock_tolerant(&self.state);
         st.tasks[rank].status = Status::Done;
-        st.tasks[rank].carrier = None;
         st.tasks[rank].wait = None;
-        self.advance(&mut st);
+        Self::advance(&mut st)
     }
 
-    /// Dispatch the next ready task, resolving quiescence as needed.
-    /// Callers must have no task `Running` (the caller either just
-    /// blocked or just finished).
-    fn advance(&self, st: &mut CoreState) {
+    /// Dispatch the next ready task, resolving quiescence as needed, and
+    /// return it (`None`: every task is done).  Callers must have no
+    /// task `Running` (the caller either just blocked or just finished).
+    fn advance(st: &mut CoreState) -> Option<usize> {
         loop {
             if let Some(Reverse((_, r))) = st.ready.pop() {
                 if st.tasks[r].status != Status::Ready {
@@ -387,13 +381,10 @@ impl EventCore {
                 }
                 st.tasks[r].status = Status::Running;
                 st.dispatches += 1;
-                if let Some(c) = &st.tasks[r].carrier {
-                    c.unpark();
-                }
-                return;
+                return Some(r);
             }
             if !st.tasks.iter().any(|t| t.status == Status::Blocked) {
-                return; // all done (or still registering): nothing to run
+                return None;
             }
             st.quiescences += 1;
             Self::resolve_quiescence(st);
@@ -501,8 +492,9 @@ impl EventCore {
     }
 
     /// Block the calling task on `wait`, hand the baton onward, and
-    /// park until re-dispatched.  Returns the re-acquired state lock
-    /// plus the verdict, if the scheduler woke us to deliver one.
+    /// stay suspended until re-dispatched.  Returns the re-acquired
+    /// state lock plus the verdict, if the scheduler woke us to deliver
+    /// one.
     fn sched_wait<'a>(
         &'a self,
         mut st: MutexGuard<'a, CoreState>,
@@ -513,9 +505,16 @@ impl EventCore {
         st.tasks[rank].status = Status::Blocked;
         st.tasks[rank].wait = Some(wait);
         st.tasks[rank].key = key;
-        self.advance(&mut st);
+        // This task is blocked, so quiescence resolution readies someone
+        // (possibly this very task, with a verdict) before giving up.
+        let next = Self::advance(&mut st)
+            .unwrap_or_else(|| panic!("rank {rank} blocked with nothing left to run"));
+        // Never across the hand-off: the next rank may run on this OS
+        // thread and take the lock itself.
         drop(st);
-        self.park_until_running(rank);
+        if next != rank {
+            self.carrier.switch(rank, next);
+        }
         let mut st = lock_tolerant(&self.state);
         st.tasks[rank].wait = None;
         let verdict = st.tasks[rank].verdict.take();
@@ -527,7 +526,7 @@ impl EventCore {
     /// non-blocking).
     pub(crate) fn post(&self, src: usize, dst: usize, msg: Message) {
         let mut st = lock_tolerant(&self.state);
-        st.mail[dst][src].push_back(msg);
+        st.mail.entry((dst, src)).or_default().push_back(msg);
         if st.tasks[dst].status == Status::Blocked {
             if let Some(Wait::Recv { src: waiting_on, .. }) = st.tasks[dst].wait {
                 if waiting_on == src {
@@ -551,7 +550,7 @@ impl EventCore {
     ) -> Result<Message, CommError> {
         let mut st = lock_tolerant(&self.state);
         loop {
-            if let Some(msg) = st.mail[rank][src].pop_front() {
+            if let Some(msg) = st.mail.get_mut(&(rank, src)).and_then(VecDeque::pop_front) {
                 return Ok(msg);
             }
             // The queue is drained, so everything `src` posted before
@@ -671,12 +670,18 @@ impl EventCore {
 
     /// Lowest-numbered dead rank, if any.
     fn first_dead(st: &CoreState) -> Option<usize> {
+        if st.n_dead == 0 {
+            return None;
+        }
         st.dead.iter().position(|&d| d)
     }
 
     /// Lowest-numbered dead rank that has *not* deposited into the
     /// current collective round — the round can then never complete.
     fn dead_blocker(st: &CoreState) -> Option<usize> {
+        if st.n_dead == 0 {
+            return None;
+        }
         (0..st.dead.len()).find(|&r| st.dead[r] && st.coll.contrib[r].is_none())
     }
 
@@ -708,8 +713,36 @@ impl EventCore {
     pub(crate) fn return_buf(&self, mut buf: Vec<f64>) {
         buf.clear();
         let mut st = lock_tolerant(&self.state);
-        if st.pool.len() < POOL_CAP {
+        if st.pool.len() < POOL_BUFS_PER_RANK * self.n_ranks {
             st.pool.push(buf);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Spmd;
+    use v2d_machine::CompilerProfile;
+
+    #[test]
+    fn a_strip_exchange_at_1024_ranks_makes_one_queue_per_neighbour_pair() {
+        // The launch `table1_full` tops out at: each rank talks to its
+        // two strip neighbours only, so mail must be O(ranks) queues,
+        // not the 1 M an n × n matrix would build.
+        let n = 1024;
+        let core = EventCore::new(n);
+        let spmd = Spmd::new(n).with_profiles(vec![CompilerProfile::cray_opt()]);
+        spmd.run_on(Arc::clone(&core), |ctx| {
+            let me = ctx.rank();
+            let neighbours = [me.checked_sub(1), (me + 1 < n).then_some(me + 1)];
+            for nb in neighbours.into_iter().flatten() {
+                ctx.comm.send(&mut ctx.sink, nb, 1, &[me as f64]);
+            }
+            for nb in neighbours.into_iter().flatten() {
+                assert_eq!(ctx.comm.recv(&mut ctx.sink, nb, 1).expect("posted"), [nb as f64]);
+            }
+        });
+        assert_eq!(lock_tolerant(&core.state).mail.len(), 2 * (n - 1));
     }
 }

@@ -2,22 +2,25 @@
 //! communicator handle and its own [`MultiCostSink`] of virtual clocks.
 //!
 //! A conservative discrete-event core (see [`crate::sched`]) schedules
-//! the ranks.  Each rank is a resumable step function that yields at
-//! its blocking communication sites; a min-heap keyed on
-//! `(virtual clock, rank)` picks who runs next, and exactly one rank
-//! executes at any instant.  The OS threads spawned here are
-//! *carriers* — inert continuation holders that stay parked until the
-//! scheduler hands them the baton — so a launch scales to the paper's
-//! full 50-rank Table I grid and to O(1000)-rank weak-scaling sweeps:
-//! parked carriers cost nothing but lazily-mapped stack pages.  Fault
-//! timeouts and deadlocks resolve by exact quiescence detection, never
-//! by wall-clock deadlines.
+//! the ranks.  Each rank is a continuation that yields at its blocking
+//! communication sites; a min-heap keyed on `(virtual clock, rank)`
+//! picks who runs next, and exactly one rank executes at any instant.
+//! On x86-64 Linux every rank of a launch runs on the thread that
+//! called [`Spmd::run`], each on its own lazily-committed stack, and a
+//! hand-off is a user-level stack switch (see `stack.rs`), so a launch
+//! scales to the paper's full 50-rank Table I grid and to O(1000)-rank
+//! weak-scaling sweeps without a context switch; other targets carry
+//! each rank on a parked OS thread.  Launches are independent: several
+//! may run at once on different threads, and a rank body may launch
+//! another.  Fault timeouts and deadlocks resolve by exact quiescence
+//! detection, never by wall-clock deadlines.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use v2d_machine::{CompilerProfile, ExecCtx, MultiCostSink};
 
+use crate::carrier::RankBody;
 use crate::comm::Comm;
 use crate::sched::{EventCore, SchedStats};
 
@@ -86,46 +89,54 @@ impl Spmd {
     }
 
     /// [`Spmd::run`], also returning the scheduler's activity counters.
-    ///
-    /// Spawns one *carrier* per rank.  A carrier registers with the
-    /// core, parks until first dispatched, runs the rank body (which
-    /// yields back into the scheduler at every blocking comm site), and
-    /// retires its task on the way out — panics included, so the
-    /// scheduler can unwind the surviving ranks through typed errors
-    /// instead of hanging the join.
     pub fn run_observed<T, F>(&self, body: F) -> (Vec<T>, SchedStats)
     where
         T: Send,
         F: Fn(&mut RankCtx) -> T + Send + Sync,
     {
-        let core = EventCore::new(self.n_ranks);
-        let comms = Comm::create(&core);
-        let profiles = &self.profiles;
-        let body = &body;
-        let results: Vec<Result<T, Box<dyn std::any::Any + Send>>> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(self.n_ranks);
-            for comm in comms {
+        self.run_on(EventCore::new(self.n_ranks), body)
+    }
+
+    /// Run the launch on `core`.  Each rank is one [`RankBody`]: it runs
+    /// the user's body (which yields back into the scheduler at every
+    /// blocking comm site), parks the outcome — a panic included, caught
+    /// here so it never leaves the rank's continuation and the
+    /// scheduler can unwind the surviving ranks through typed errors —
+    /// and retires its task on the way out.
+    pub(crate) fn run_on<T, F>(&self, core: Arc<EventCore>, body: F) -> (Vec<T>, SchedStats)
+    where
+        T: Send,
+        F: Fn(&mut RankCtx) -> T + Send + Sync,
+    {
+        assert_eq!(core.n_ranks(), self.n_ranks, "core sized for another launch");
+        let (core, body, profiles) = (&core, &body, &self.profiles);
+        let mut results: Vec<Option<std::thread::Result<T>>> =
+            (0..self.n_ranks).map(|_| None).collect();
+        let bodies = Comm::create(core)
+            .into_iter()
+            .zip(results.iter_mut())
+            .map(|(comm, slot)| {
                 let rank = comm.rank();
-                let core = Arc::clone(&core);
-                let handle = std::thread::Builder::new()
-                    .name(format!("v2d-rank-{rank}"))
-                    .spawn_scoped(scope, move || {
-                        core.register(rank);
-                        core.park_until_running(rank);
-                        let out = catch_unwind(AssertUnwindSafe(|| {
-                            let sink = MultiCostSink::with_profiles(profiles);
-                            let mut ctx = RankCtx { comm, sink };
-                            body(&mut ctx)
-                        }));
-                        core.finish(rank);
-                        out
-                    })
-                    .unwrap_or_else(|e| panic!("failed to spawn rank carrier: {e}"));
-                handles.push(handle);
-            }
-            handles.into_iter().map(|h| h.join().unwrap_or_else(|e| resume_unwind(e))).collect()
-        });
-        let outs = results.into_iter().map(|r| r.unwrap_or_else(|e| resume_unwind(e))).collect();
+                Box::new(move || {
+                    *slot = Some(catch_unwind(AssertUnwindSafe(|| {
+                        let sink = MultiCostSink::with_profiles(profiles);
+                        let mut ctx = RankCtx { comm, sink };
+                        body(&mut ctx)
+                    })));
+                    core.finish(rank)
+                }) as RankBody<'_>
+            })
+            .collect();
+        core.launch(bodies);
+        let outs = results
+            .into_iter()
+            .enumerate()
+            .map(|(rank, r)| match r {
+                Some(Ok(out)) => out,
+                Some(Err(panic)) => resume_unwind(panic),
+                None => panic!("rank {rank} never ran"),
+            })
+            .collect();
         (outs, core.stats())
     }
 }
@@ -133,11 +144,28 @@ impl Spmd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comm::ReduceOp;
+    use crate::carrier::{self, Carrier, Threads};
+    use crate::comm::{CommError, ReduceOp, WaitOn};
     use v2d_machine::CompilerProfile;
 
     fn single_profile() -> Vec<CompilerProfile> {
         vec![CompilerProfile::cray_opt()]
+    }
+
+    /// One launch per carrier — the target's own, then the parked-thread
+    /// one (the only path off x86-64 Linux, built for every test run so
+    /// it cannot rot).  The engine is deterministic, so results and
+    /// scheduler counters must agree between them.
+    fn on_each_carrier<T, F>(n: usize, body: F) -> Vec<T>
+    where
+        T: Send + PartialEq + std::fmt::Debug,
+        F: Fn(&mut RankCtx) -> T + Send + Sync,
+    {
+        let spmd = Spmd::new(n).with_profiles(single_profile());
+        let run = |c: Box<dyn Carrier>| spmd.run_on(EventCore::with_carrier(n, c), &body);
+        let native = run(carrier::for_target(n));
+        assert_eq!(run(Box::new(Threads::new(n))), native, "the carriers disagree");
+        native.0
     }
 
     #[test]
@@ -148,8 +176,7 @@ mod tests {
 
     #[test]
     fn allreduce_sums_across_ranks() {
-        let n = 6;
-        let sums = Spmd::new(n).with_profiles(single_profile()).run(|ctx| {
+        let sums = on_each_carrier(6, |ctx| {
             let mut v = [ctx.rank() as f64, 1.0];
             ctx.comm.allreduce(&mut ctx.sink, ReduceOp::Sum, &mut v);
             v
@@ -177,8 +204,7 @@ mod tests {
     fn repeated_collectives_do_not_cross_rounds() {
         // Exercises round-draining: many back-to-back collectives, which
         // the scheduler interleaves rank by rank.
-        let n = 4;
-        let outs = Spmd::new(n).with_profiles(single_profile()).run(|ctx| {
+        let outs = on_each_carrier(4, |ctx| {
             let mut total = 0.0;
             for round in 0..50 {
                 let v = ctx.comm.allreduce_scalar(&mut ctx.sink, ReduceOp::Sum, (round + 1) as f64);
@@ -194,7 +220,7 @@ mod tests {
 
     #[test]
     fn sendrecv_exchanges_between_partners() {
-        let outs = Spmd::new(2).with_profiles(single_profile()).run(|ctx| {
+        let outs = on_each_carrier(2, |ctx| {
             let me = ctx.rank();
             let partner = 1 - me;
             let data = vec![me as f64; 3];
@@ -335,9 +361,8 @@ mod tests {
     #[test]
     fn more_ranks_than_host_cores() {
         // 64 ranks on any host: progress, correctness.
-        let outs = Spmd::new(64)
-            .with_profiles(single_profile())
-            .run(|ctx| ctx.comm.allreduce_scalar(&mut ctx.sink, ReduceOp::Sum, 1.0));
+        let outs =
+            on_each_carrier(64, |ctx| ctx.comm.allreduce_scalar(&mut ctx.sink, ReduceOp::Sum, 1.0));
         for o in outs {
             assert_eq!(o, 64.0);
         }
@@ -345,7 +370,7 @@ mod tests {
 
     #[test]
     fn launch_scales_to_a_thousand_ranks() {
-        // Every carrier is parked except the one rank holding the baton.
+        // Every rank but the one holding the baton is a suspended stack.
         let (outs, stats) = Spmd::new(1000)
             .with_profiles(single_profile())
             .run_observed(|ctx| ctx.comm.allreduce_scalar(&mut ctx.sink, ReduceOp::Sum, 1.0));
@@ -361,18 +386,18 @@ mod tests {
         // Two ranks each waiting on the other's message: the scheduler
         // proves quiescence and hands every rank the full wait graph as
         // a typed error — no watchdog, no wall-clock deadline.
-        let outs = Spmd::new(2).with_profiles(single_profile()).run(|ctx| {
+        let outs = on_each_carrier(2, |ctx| {
             let partner = 1 - ctx.rank();
             ctx.comm.recv(&mut ctx.sink, partner, 9).expect_err("must deadlock")
         });
         for (rank, err) in outs.iter().enumerate() {
             match err {
-                crate::comm::CommError::Deadlock { rank: r, waiting } => {
+                CommError::Deadlock { rank: r, waiting } => {
                     assert_eq!(*r, rank);
                     assert_eq!(waiting.len(), 2, "both ranks appear in the wait graph");
                     for e in waiting {
                         match e.on {
-                            crate::comm::WaitOn::Recv { src, tag } => {
+                            WaitOn::Recv { src, tag } => {
                                 assert_eq!(src, 1 - e.rank);
                                 assert_eq!(tag, 9);
                             }
@@ -382,6 +407,29 @@ mod tests {
                 }
                 other => panic!("expected Deadlock, got {other:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn a_retired_rank_fails_its_peers_waits_with_rank_dead() {
+        // Rank 1 sends once, retires and returns; its message stays
+        // deliverable, every later wait on it is a typed `RankDead`.
+        let outs = on_each_carrier(3, |ctx| {
+            if ctx.rank() == 1 {
+                ctx.comm.send(&mut ctx.sink, 0, 5, &[7.0]);
+                ctx.comm.retire();
+                return (None, None, None);
+            }
+            let delivered = (ctx.rank() == 0)
+                .then(|| ctx.comm.recv(&mut ctx.sink, 1, 5).expect("sent before the kill"));
+            let recv = ctx.comm.recv(&mut ctx.sink, 1, 6).expect_err("source is dead");
+            let coll = ctx.comm.try_barrier(&mut ctx.sink, 11).expect_err("group lost a member");
+            (delivered, Some(recv), Some(coll))
+        });
+        assert_eq!(outs[0].0, Some(vec![7.0]));
+        for out in [&outs[0], &outs[2]] {
+            assert_eq!(out.1, Some(CommError::RankDead { rank: 1, site: 6 }));
+            assert_eq!(out.2, Some(CommError::RankDead { rank: 1, site: 11 }));
         }
     }
 }

@@ -147,9 +147,9 @@ pub fn check_seed(seed: u64, deadline: Duration) -> Result<Vec<RankRun>, String>
 }
 
 /// Check `seeds` sequentially, collecting every failing seed with its
-/// diagnosis.  Runs stay sequential on purpose: the mini-sims already
-/// spawn one carrier thread per rank, and wall-clock budgeting is per
-/// case.
+/// diagnosis.  Runs stay sequential on purpose: wall-clock budgeting
+/// is per case, and a case's ranks run one at a time whatever carries
+/// them.
 pub fn campaign(seeds: impl IntoIterator<Item = u64>, deadline: Duration) -> Vec<(u64, String)> {
     let mut failures = Vec::new();
     for seed in seeds {
