@@ -20,7 +20,7 @@ use v2d_core::problems::{Family, GaussianPulse};
 use v2d_core::supervise::{run_supervised, RetryPolicy, SuperviseSpec};
 use v2d_linalg::sparsity;
 use v2d_machine::{A64fxModel, FaultKind, FaultPlan, ALL_COMPILERS};
-use v2d_obs::{compare, BenchReport, Gate, Metric, Metrics, RunReport, Tracer};
+use v2d_obs::{compare, BenchReport, Gate, Metric, RunReport, Tracer};
 use v2d_sve::kernels::{decoded_routine, prepare_routine, Routine, Variant};
 use v2d_sve::{ExecConfig, Executor};
 use v2d_testkit::MiniSpec;
@@ -169,13 +169,8 @@ pub fn add_sched(report: &mut BenchReport) {
         }
         acc
     });
-    let mut m = Metrics::new();
-    m.record_sched(stats.dispatches, stats.quiescences);
-    for (name, metric) in m.iter() {
-        if let Metric::Counter(c) = metric {
-            report.add(name, *c as f64, "count", Gate::Exact);
-        }
-    }
+    report.add("sched.dispatches", stats.dispatches as f64, "count", Gate::Exact);
+    report.add("sched.quiescences", stats.quiescences as f64, "count", Gate::Exact);
 }
 
 /// Superinstruction-fusion coverage, pinned by the gate under
@@ -202,13 +197,9 @@ pub fn add_fuse(report: &mut BenchReport) {
         fused_ops += f;
         total_ops += t;
     }
-    let mut m = Metrics::new();
-    m.record_fuse(chains, fused_ops, total_ops);
-    for (name, metric) in m.iter() {
-        if let Metric::Counter(c) = metric {
-            report.add(name, *c as f64, "count", Gate::Exact);
-        }
-    }
+    report.add("sve.fuse.chains", chains as f64, "count", Gate::Exact);
+    report.add("sve.fuse.fused_ops", fused_ops as f64, "count", Gate::Exact);
+    report.add("sve.fuse.total_ops", total_ops as f64, "count", Gate::Exact);
 }
 
 /// The deterministic 2-rank fault-recovery run behind the `faults.*`
@@ -325,24 +316,18 @@ pub fn add_supervise(report: &mut BenchReport, perturb: u64) {
     let run = run_supervised(&spec, RetryPolicy::default())
         .expect("the pinned supervised scenario must recover");
     let _ = std::fs::remove_dir_all(&dir);
-    let mut m = Metrics::new();
     let l = &run.ledger;
-    m.record_supervise(
-        l.kills,
-        l.rollbacks,
-        l.redecompositions,
-        l.steps_replayed + perturb,
-        l.attempts,
-        l.backoff_virtual_secs,
-        run.mttr_virtual_secs,
-    );
-    for (name, metric) in m.iter() {
-        match metric {
-            Metric::Counter(c) => report.add(name, *c as f64, "count", Gate::Exact),
-            Metric::Gauge(g) => report.add(name, *g, "s", Gate::Exact),
-            Metric::Hist(_) => {}
-        }
+    for (name, count) in [
+        ("supervise.kills", l.kills),
+        ("supervise.rollbacks", l.rollbacks),
+        ("supervise.redecompositions", l.redecompositions),
+        ("supervise.steps_replayed", l.steps_replayed + perturb),
+        ("supervise.attempts", l.attempts),
+    ] {
+        report.add(name, count as f64, "count", Gate::Exact);
     }
+    report.add("supervise.backoff_s", l.backoff_virtual_secs, "s", Gate::Exact);
+    report.add("supervise.mttr_s", run.mttr_virtual_secs, "s", Gate::Exact);
     let bytes: Vec<u8> = run.final_bits.iter().flat_map(|b| b.to_le_bytes()).collect();
     report.add("supervise.final_fnv32", fnv32(&bytes) as f64, "hash", Gate::Exact);
 }
@@ -361,9 +346,8 @@ pub fn add_serve(report: &mut BenchReport, perturb: u64) {
     use v2d_serve::load::{run, LoadProfile};
     use v2d_serve::{Response, ServeOpts};
     let out = run(&LoadProfile::quick(), ServeOpts::default());
-    // Only the admission counters are gate material: the pool and
-    // decoded-program-cache counters depend on thread scheduling (and,
-    // for the program tiers, on whatever else the process ran).
+    // The admission and result-cache counters are the gate material;
+    // `serve.pool.executed` and the depth gauge are live telemetry.
     const GATED: [&str; 12] = [
         "serve.admitted",
         "serve.rejected",
@@ -500,17 +484,13 @@ pub fn print_scenarios(args: &[String]) -> Result<(), UsageError> {
 pub fn add_scenarios(report: &mut BenchReport, perturb: u64) {
     for (i, row) in scenario_rows().iter().enumerate() {
         let r = &row.report;
-        let mut m = Metrics::new();
-        m.record_scenario(r.family, r.l1, r.l2, r.linf, r.pass);
-        for (name, metric) in m.iter() {
-            match metric {
-                Metric::Counter(c) => report.add(name, *c as f64, "count", Gate::Exact),
-                Metric::Gauge(g) => report.add(name, *g, "norm", Gate::Band { rel: 1e-9 }),
-                Metric::Hist(_) => {}
-            }
+        let name = |leaf: &str| format!("scenario.{}.{leaf}", r.family);
+        for (leaf, norm) in [("l1", r.l1), ("l2", r.l2), ("linf", r.linf)] {
+            report.add(&name(leaf), norm, "norm", Gate::Band { rel: 1e-9 });
         }
+        report.add(&name("pass"), u64::from(r.pass) as f64, "count", Gate::Exact);
         let sum = row.field_fnv32 + if i == 0 { perturb } else { 0 };
-        report.add(&format!("scenario.{}.field_fnv32", r.family), sum as f64, "hash", Gate::Exact);
+        report.add(&name("field_fnv32"), sum as f64, "hash", Gate::Exact);
     }
 }
 

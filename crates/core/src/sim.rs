@@ -166,6 +166,18 @@ pub struct RunStats {
     pub total_recoveries: u32,
 }
 
+impl RunStats {
+    /// Fold one step's outcome into the aggregate.
+    pub fn absorb(&mut self, st: &StepStats) {
+        self.steps += 1;
+        self.total_solves += 3;
+        self.total_iters += st.rad.total_iters();
+        self.total_reductions += st.rad.stages.iter().map(|s| s.reductions).sum::<usize>();
+        self.total_recoveries +=
+            st.recoveries + st.rad.stages.iter().map(|s| s.recoveries).sum::<u32>();
+    }
+}
+
 /// Per-rank simulation state.
 pub struct V2dSim {
     cfg: V2dConfig,
@@ -480,12 +492,7 @@ impl V2dSim {
         let mut agg = RunStats::default();
         for _ in 0..self.cfg.n_steps {
             let st = self.step(comm, sink);
-            agg.steps += 1;
-            agg.total_solves += 3;
-            agg.total_iters += st.rad.total_iters();
-            agg.total_reductions += st.rad.stages.iter().map(|s| s.reductions).sum::<usize>();
-            agg.total_recoveries +=
-                st.recoveries + st.rad.stages.iter().map(|s| s.recoveries).sum::<u32>();
+            agg.absorb(&st);
         }
         agg
     }
@@ -508,12 +515,7 @@ impl V2dSim {
         let mut prev: Vec<f64> = sink.lanes.iter().map(|l| l.elapsed_secs()).collect();
         for _ in 0..self.cfg.n_steps {
             let st = self.step(comm, sink);
-            agg.steps += 1;
-            agg.total_solves += 3;
-            agg.total_iters += st.rad.total_iters();
-            agg.total_reductions += st.rad.stages.iter().map(|s| s.reductions).sum::<usize>();
-            agg.total_recoveries +=
-                st.recoveries + st.rad.stages.iter().map(|s| s.recoveries).sum::<u32>();
+            agg.absorb(&st);
 
             let mut vals = std::collections::BTreeMap::new();
             for (i, lane) in sink.lanes.iter().enumerate() {

@@ -85,96 +85,6 @@ impl Metrics {
         }
     }
 
-    /// Fold a rank-scheduler launch snapshot into the registry under
-    /// the `sched.*` namespace: `dispatches` (rank hand-offs) and
-    /// `quiescences` (empty-ready-queue resolutions: exact timeouts or
-    /// deadlock verdicts).  Both are schedule-deterministic, so reports
-    /// carrying them gate bit-for-bit like any modeled quantity.
-    pub fn record_sched(&mut self, dispatches: u64, quiescences: u64) {
-        self.counter_add("sched.dispatches", dispatches);
-        self.counter_add("sched.quiescences", quiescences);
-    }
-
-    /// Fold a superinstruction-fusion snapshot into the registry under
-    /// the `sve.fuse.*` namespace: `chains` (fused chains formed at
-    /// decode), `fused_ops` (dynamic instructions executed inside fused
-    /// chains), and `total_ops` (all dynamic instructions of the same
-    /// runs).  All three are decode/schedule-deterministic, so reports
-    /// carrying them gate exactly like any modeled quantity.
-    pub fn record_fuse(&mut self, chains: u64, fused_ops: u64, total_ops: u64) {
-        self.counter_add("sve.fuse.chains", chains);
-        self.counter_add("sve.fuse.fused_ops", fused_ops);
-        self.counter_add("sve.fuse.total_ops", total_ops);
-    }
-
-    /// Fold a run supervisor's recovery ledger into the registry under
-    /// the `supervise.*` namespace: counters for kills observed,
-    /// rollback cycles, shrinking re-decompositions, steps replayed,
-    /// and launches made, plus gauges for the accumulated virtual
-    /// backoff and the virtual-time MTTR.  The whole ledger is a pure
-    /// function of spec × policy × fault plan, so reports carrying it
-    /// gate bit-for-bit like any modeled quantity.
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_supervise(
-        &mut self,
-        kills: u64,
-        rollbacks: u64,
-        redecompositions: u64,
-        steps_replayed: u64,
-        attempts: u64,
-        backoff_secs: f64,
-        mttr_secs: f64,
-    ) {
-        self.counter_add("supervise.kills", kills);
-        self.counter_add("supervise.rollbacks", rollbacks);
-        self.counter_add("supervise.redecompositions", redecompositions);
-        self.counter_add("supervise.steps_replayed", steps_replayed);
-        self.counter_add("supervise.attempts", attempts);
-        self.gauge_set("supervise.backoff_s", backoff_secs);
-        self.gauge_set("supervise.mttr_s", mttr_secs);
-    }
-
-    /// Fold one problem-family validation report into the registry
-    /// under the `scenario.<family>.*` namespace: the three relative
-    /// error norms as gauges plus a 0/1 pass counter.  On modeled
-    /// clocks every norm is a pure function of the scenario coordinates,
-    /// so reports carrying them gate like any modeled quantity.
-    pub fn record_scenario(&mut self, family: &str, l1: f64, l2: f64, linf: f64, pass: bool) {
-        self.gauge_set(&format!("scenario.{family}.l1"), l1);
-        self.gauge_set(&format!("scenario.{family}.l2"), l2);
-        self.gauge_set(&format!("scenario.{family}.linf"), linf);
-        self.counter_add(&format!("scenario.{family}.pass"), pass as u64);
-    }
-
-    /// Fold a service-layer admission snapshot into the registry under
-    /// the `serve.*` namespace: requests admitted, rejected at parse,
-    /// deduped onto an in-flight job, served from the memoized result
-    /// cache, scheduled as fresh jobs, completed, failed, and
-    /// subscriber cancellations.  Under the scripted (gated) admission
-    /// mode every one of these is a pure function of the request
-    /// script, so reports carrying them gate bit-for-bit.
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_serve(
-        &mut self,
-        admitted: u64,
-        rejected: u64,
-        deduped: u64,
-        result_hits: u64,
-        scheduled: u64,
-        completed: u64,
-        failed: u64,
-        cancelled: u64,
-    ) {
-        self.counter_add("serve.admitted", admitted);
-        self.counter_add("serve.rejected", rejected);
-        self.counter_add("serve.deduped", deduped);
-        self.counter_add("serve.cache.result_hits", result_hits);
-        self.counter_add("serve.scheduled", scheduled);
-        self.counter_add("serve.completed", completed);
-        self.counter_add("serve.failed", failed);
-        self.counter_add("serve.cancelled", cancelled);
-    }
-
     /// Look up a metric.
     pub fn get(&self, name: &str) -> Option<&Metric> {
         self.map.get(name)
@@ -263,58 +173,17 @@ mod tests {
     #[test]
     fn registry_roundtrip() {
         let mut m = Metrics::new();
-        m.counter_add("solver.iters", 42);
+        // Counters accumulate; gauges hold the last value set.
+        m.counter_add("solver.iters", 40);
+        m.counter_add("solver.iters", 2);
+        m.gauge_set("clock.cray_opt_s", 9.0);
         m.gauge_set("clock.cray_opt_s", 1.25);
         m.observe("msg.delay_s", &[0.1, 1.0], 0.05);
         m.observe("msg.delay_s", &[0.1, 1.0], 5.0);
         let j = m.to_json();
         assert_eq!(Metrics::from_json(&j).unwrap(), m);
         assert_eq!(m.counter("solver.iters"), 42);
-    }
-
-    #[test]
-    fn sched_snapshot_lands_in_its_namespace_and_accumulates() {
-        let mut m = Metrics::new();
-        m.record_sched(120, 2);
-        m.record_sched(30, 0);
-        assert_eq!(m.counter("sched.dispatches"), 150);
-        assert_eq!(m.counter("sched.quiescences"), 2);
-    }
-
-    #[test]
-    fn fuse_snapshot_lands_in_its_namespace_and_accumulates() {
-        let mut m = Metrics::new();
-        m.record_fuse(7, 700, 900);
-        m.record_fuse(1, 50, 100);
-        assert_eq!(m.counter("sve.fuse.chains"), 8);
-        assert_eq!(m.counter("sve.fuse.fused_ops"), 750);
-        assert_eq!(m.counter("sve.fuse.total_ops"), 1000);
-    }
-
-    #[test]
-    fn supervise_ledger_lands_in_its_namespace() {
-        let mut m = Metrics::new();
-        m.record_supervise(1, 1, 1, 3, 2, 1.0, 1.15);
-        m.record_supervise(0, 1, 0, 2, 1, 0.5, 0.0);
-        assert_eq!(m.counter("supervise.kills"), 1);
-        assert_eq!(m.counter("supervise.rollbacks"), 2);
-        assert_eq!(m.counter("supervise.redecompositions"), 1);
-        assert_eq!(m.counter("supervise.steps_replayed"), 5);
-        assert_eq!(m.counter("supervise.attempts"), 3);
-        // Gauges hold the latest snapshot, not a sum.
-        assert_eq!(m.get("supervise.backoff_s"), Some(&Metric::Gauge(0.5)));
-        assert_eq!(m.get("supervise.mttr_s"), Some(&Metric::Gauge(0.0)));
-    }
-
-    #[test]
-    fn scenario_report_lands_in_its_namespace() {
-        let mut m = Metrics::new();
-        m.record_scenario("sedov", 1e-14, 2e-14, 3.4e-3, true);
-        m.record_scenario("sod", 1.4e-2, 2.0e-2, 0.4, false);
-        assert_eq!(m.get("scenario.sedov.l2"), Some(&Metric::Gauge(2e-14)));
-        assert_eq!(m.counter("scenario.sedov.pass"), 1);
-        assert_eq!(m.get("scenario.sod.linf"), Some(&Metric::Gauge(0.4)));
-        assert_eq!(m.counter("scenario.sod.pass"), 0);
+        assert_eq!(m.get("clock.cray_opt_s"), Some(&Metric::Gauge(1.25)));
     }
 
     #[test]

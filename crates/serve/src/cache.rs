@@ -1,14 +1,12 @@
-//! The result tier of the service's tiered cache: memoized
-//! whole-experiment outcomes keyed by content hash.
+//! The service's result cache: memoized whole-experiment outcomes
+//! keyed by content hash.
 //!
-//! Tier 1 and 2 (thread-local and process-shared decoded-SVE-program
-//! caches) live in `v2d_sve::cache` and make *computing* a request
-//! cheaper.  This tier makes it free: the modeled virtual clocks are
-//! bit-reproducible, so a canonical-deck + fault-plan content hash
-//! fully determines the final field bits and recovery ledger, and
-//! replaying the experiment is pure waste.  The cache therefore stores
-//! `Arc<RunResult>` — the exact allocation handed to earlier
-//! subscribers — and a hit re-serializes to byte-identical responses.
+//! The modeled virtual clocks are bit-reproducible, so a
+//! canonical-deck + fault-plan content hash fully determines the final
+//! field bits and recovery ledger, and replaying the experiment is
+//! pure waste.  The cache therefore stores `Arc<RunResult>` — the
+//! exact allocation handed to earlier subscribers — and a hit
+//! re-serializes to byte-identical responses.
 //!
 //! Plain LRU under one mutex: entries are tiny (a checksum, a ledger),
 //! lookups are rare next to the seconds-long misses they save, and the

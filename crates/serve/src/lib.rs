@@ -6,8 +6,9 @@
 //! experiment specs in the existing parameter-file format over a Unix
 //! socket (or stdin) as newline-delimited JSON, and
 //!
-//! * schedules them on a **work-stealing worker pool** with priorities
-//!   and cooperative cancellation ([`queue::WorkPool`]),
+//! * schedules them on a **worker pool** that dispatches strictly by
+//!   `(priority, FIFO)`, with cooperative cancellation
+//!   ([`queue::WorkPool`]),
 //! * **dedupes identical in-flight requests** by content hash — the
 //!   second submitter of a deck that is already running attaches to the
 //!   running job and receives the same [`proto::RunResult`] allocation,
@@ -21,9 +22,9 @@
 //!   back as a typed recovery ledger in the response instead of a
 //!   failed request.
 //!
-//! The decoded-SVE-program cache below this layer is likewise shared:
-//! `v2d_sve::cache` keeps a thread-local hot tier over a process-wide
-//! tier of `Arc<DecodedProgram>`s, so worker threads warm each other.
+//! The result cache is the service's only cache: nothing beneath
+//! `v2d-core` executes an SVE program, so `v2d_sve::cache` (the kernel
+//! driver's decoded-program cache) is never touched by a request.
 //!
 //! [`service::Service::run_script`] executes a request script with
 //! phase barriers and a closed admission gate, which makes every

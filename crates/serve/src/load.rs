@@ -126,8 +126,8 @@ pub fn script(p: &LoadProfile) -> Vec<Request> {
 }
 
 /// Fold the deterministic responses (results, cancel acks, errors —
-/// not status snapshots, which carry scheduling telemetry like steal
-/// counts) into a 32-bit checksum, exact-gate material.
+/// not status snapshots, which carry scheduling telemetry like the
+/// queue depth) into a 32-bit checksum, exact-gate material.
 pub fn results_checksum(responses: &[Response]) -> u64 {
     let mut text = String::new();
     for r in responses {

@@ -1,13 +1,11 @@
-//! The work-stealing worker pool behind the service.
+//! The worker pool behind the service: one gated priority heap.
 //!
-//! A generalization of `bench::par`'s fork-join helper into a resident
-//! executor: long-lived worker threads, a shared **priority injector**
-//! (max-heap on `(priority, FIFO seq)`), and per-worker deques.  A
-//! worker grabs a small batch from the injector — the head it runs, the
-//! tail goes to its local deque front-first so local execution
-//! preserves priority order — and idle peers steal from the *back* of
-//! other workers' deques (the lowest-priority end), the classic
-//! owner-front/thief-back split.
+//! Long-lived worker threads share a single max-heap on
+//! `(priority, FIFO seq)` under a single mutex.  A worker pops the top
+//! task while the admission gate is open, runs it outside the lock, and
+//! otherwise sleeps on a condvar — so dispatch is strictly
+//! `(priority, FIFO)` at every worker count: a task submitted while
+//! others are queued overtakes every queued task of lower priority.
 //!
 //! Two control surfaces matter to the service layer:
 //!
@@ -21,21 +19,16 @@
 //!   is an opaque closure; the service hands it a shared token and the
 //!   closure decides to skip.  The pool itself never drops work.
 //!
-//! Tasks are assumed coarse (whole experiments, milliseconds to
-//! seconds), so plain mutex-guarded deques are entirely adequate — the
+//! Tasks are coarse (whole experiments, milliseconds to seconds) and
+//! few are outstanding at once, so one lock is entirely adequate — the
 //! scheduling cost is noise next to one BiCGSTAB solve.
 
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// A unit of pool work.
 pub type Task = Box<dyn FnOnce() + Send + 'static>;
-
-/// Injector batch size: the head is run immediately, the rest seed the
-/// worker's local deque (and become steal targets).
-const BATCH: usize = 4;
 
 struct PrioTask {
     priority: i64,
@@ -61,107 +54,55 @@ impl Ord for PrioTask {
     }
 }
 
-struct Central {
+struct State {
     heap: BinaryHeap<PrioTask>,
     gate_open: bool,
     shutdown: bool,
+    /// Submitted-but-not-finished count, for [`WorkPool::drain`].
+    live: u64,
+    /// Next FIFO sequence number.
+    seq: u64,
 }
 
 struct Shared {
-    state: Mutex<Central>,
+    state: Mutex<State>,
+    /// A task was queued, the gate moved, or shutdown began.
     ready: Condvar,
-    locals: Vec<Mutex<VecDeque<Task>>>,
-    /// Submitted-but-not-finished count, for [`WorkPool::drain`].
-    live: Mutex<u64>,
+    /// `live` reached zero.
     drained: Condvar,
-    seq: AtomicU64,
-    stolen: AtomicU64,
     executed: AtomicU64,
 }
 
 impl Shared {
-    fn finish_one(&self) {
-        self.executed.fetch_add(1, Ordering::Relaxed);
-        let mut live = self.live.lock().unwrap();
-        *live -= 1;
-        if *live == 0 {
-            self.drained.notify_all();
-        }
+    fn lock(&self) -> MutexGuard<'_, State> {
+        // Tasks run outside the lock and under `catch_unwind`, so no
+        // panic can unwind through a held guard.
+        self.state.lock().expect("pool state is never poisoned")
     }
 
-    fn run(&self, task: Task) {
-        // A panicking task must not wedge `drain` (the live count) or
-        // kill its worker thread; the service layer reports failures
-        // through typed responses, so a panic here is a bug being
-        // contained, not hidden.
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task));
-        self.finish_one();
-    }
-
-    fn worker_loop(&self, w: usize) {
+    fn worker_loop(&self) {
+        let mut st = self.lock();
         loop {
-            // Local deque first: front = highest-priority of the batch.
-            let local = self.locals[w].lock().unwrap().pop_front();
-            if let Some(t) = local {
-                self.run(t);
-                continue;
-            }
-            // Steal from a peer's back (its lowest-priority end).
-            let n = self.locals.len();
-            let mut stolen = None;
-            for k in 1..n {
-                let v = (w + k) % n;
-                if let Some(t) = self.locals[v].lock().unwrap().pop_back() {
-                    stolen = Some(t);
-                    break;
-                }
-            }
-            if let Some(t) = stolen {
-                self.stolen.fetch_add(1, Ordering::Relaxed);
-                self.run(t);
-                continue;
-            }
-            // Injector: batch-grab under the central lock.
-            let mut st = self.state.lock().unwrap();
-            if st.gate_open && !st.heap.is_empty() {
-                let first = st.heap.pop().expect("non-empty").task;
-                let mut extras = Vec::new();
-                while extras.len() + 1 < BATCH {
-                    match st.heap.pop() {
-                        Some(t) => extras.push(t.task),
-                        None => break,
-                    }
-                }
+            let next = if st.gate_open { st.heap.pop() } else { None };
+            if let Some(t) = next {
                 drop(st);
-                if !extras.is_empty() {
-                    let mut l = self.locals[w].lock().unwrap();
-                    // Heap pops in priority order; push_back keeps the
-                    // front as the next-highest priority.
-                    for t in extras {
-                        l.push_back(t);
-                    }
-                    drop(l);
-                    // Peers may steal the tail.
-                    self.ready.notify_all();
+                // A panicking task must not wedge `drain` (the live
+                // count) or kill its worker thread; the service layer
+                // reports failures through typed responses, so a panic
+                // here is a bug being contained, not hidden.
+                let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(t.task));
+                self.executed.fetch_add(1, Ordering::Relaxed);
+                st = self.lock();
+                st.live -= 1;
+                if st.live == 0 {
+                    self.drained.notify_all();
                 }
-                self.run(first);
-                continue;
+            } else if st.shutdown {
+                // Shutdown opened the gate, so the heap is empty.
+                return;
+            } else {
+                st = self.ready.wait(st).expect("pool state is never poisoned");
             }
-            if st.shutdown {
-                let heap_empty = st.heap.is_empty();
-                drop(st);
-                let locals_empty = self.locals.iter().all(|l| l.lock().unwrap().is_empty());
-                if heap_empty && locals_empty {
-                    return;
-                }
-                // Work remains in a deque somewhere; loop back to steal.
-                continue;
-            }
-            // Timed wait: a peer publishing batch extras between our
-            // deque scan and this wait could miss the notify; the
-            // timeout bounds that race instead of requiring a lock
-            // hierarchy over all deques.
-            let (_st, _timeout) = self.ready.wait_timeout(st, Duration::from_millis(50)).unwrap();
         }
     }
 }
@@ -178,23 +119,24 @@ impl WorkPool {
     /// `gate_open = false` starts the pool paused: tasks queue but do
     /// not dispatch until [`WorkPool::set_gate`].
     pub fn new(n_workers: usize, gate_open: bool) -> Self {
-        let n = n_workers.max(1);
         let shared = Arc::new(Shared {
-            state: Mutex::new(Central { heap: BinaryHeap::new(), gate_open, shutdown: false }),
+            state: Mutex::new(State {
+                heap: BinaryHeap::new(),
+                gate_open,
+                shutdown: false,
+                live: 0,
+                seq: 0,
+            }),
             ready: Condvar::new(),
-            locals: (0..n).map(|_| Mutex::new(VecDeque::new())).collect(),
-            live: Mutex::new(0),
             drained: Condvar::new(),
-            seq: AtomicU64::new(0),
-            stolen: AtomicU64::new(0),
             executed: AtomicU64::new(0),
         });
-        let workers = (0..n)
+        let workers = (0..n_workers.max(1))
             .map(|w| {
                 let sh = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("v2d-serve-w{w}"))
-                    .spawn(move || sh.worker_loop(w))
+                    .spawn(move || sh.worker_loop())
                     .expect("spawn worker")
             })
             .collect();
@@ -203,18 +145,18 @@ impl WorkPool {
 
     /// Queue a task.  Higher priority dispatches earlier; ties FIFO.
     pub fn submit(&self, priority: i64, task: Task) {
-        let seq = self.shared.seq.fetch_add(1, Ordering::Relaxed);
-        *self.shared.live.lock().unwrap() += 1;
-        let mut st = self.shared.state.lock().unwrap();
-        assert!(!st.shutdown, "submit after shutdown");
+        let mut st = self.shared.lock();
+        let seq = st.seq;
+        st.seq += 1;
+        st.live += 1;
         st.heap.push(PrioTask { priority, seq, task });
         drop(st);
-        self.shared.ready.notify_all();
+        self.shared.ready.notify_one();
     }
 
     /// Open or close the admission gate.
     pub fn set_gate(&self, open: bool) {
-        self.shared.state.lock().unwrap().gate_open = open;
+        self.shared.lock().gate_open = open;
         self.shared.ready.notify_all();
     }
 
@@ -222,17 +164,15 @@ impl WorkPool {
     /// closed this blocks forever if anything is queued — callers open
     /// the gate first.
     pub fn drain(&self) {
-        let mut live = self.shared.live.lock().unwrap();
-        while *live > 0 {
-            live = self.shared.drained.wait(live).unwrap();
+        let mut st = self.shared.lock();
+        while st.live > 0 {
+            st = self.shared.drained.wait(st).expect("pool state is never poisoned");
         }
     }
 
-    /// Queued tasks not yet picked up (injector + local deques).
+    /// Queued tasks not yet picked up.
     pub fn depth(&self) -> u64 {
-        let heap = self.shared.state.lock().unwrap().heap.len() as u64;
-        let locals: u64 = self.shared.locals.iter().map(|l| l.lock().unwrap().len() as u64).sum();
-        heap + locals
+        self.shared.lock().heap.len() as u64
     }
 
     /// Tasks executed to completion.
@@ -240,16 +180,11 @@ impl WorkPool {
         self.shared.executed.load(Ordering::Relaxed)
     }
 
-    /// Tasks a worker stole from a peer's deque.
-    pub fn stolen(&self) -> u64 {
-        self.shared.stolen.load(Ordering::Relaxed)
-    }
-
     /// Finish queued work and join the workers.  Opens the gate: a
     /// shutdown must not strand admitted requests.
     pub fn shutdown(mut self) {
         {
-            let mut st = self.shared.state.lock().unwrap();
+            let mut st = self.shared.lock();
             st.gate_open = true;
             st.shutdown = true;
         }
@@ -264,6 +199,8 @@ impl WorkPool {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     #[test]
     fn runs_everything_and_drains() {
@@ -321,27 +258,74 @@ mod tests {
     }
 
     #[test]
-    fn stealing_happens_under_imbalance() {
-        // One slow task pins worker A while its batch extras sit in A's
-        // deque; worker B must steal them.  Batches only form with >
-        // one queued task, so submit them gate-closed.
-        let pool = WorkPool::new(2, false);
-        let hits = Arc::new(AtomicUsize::new(0));
-        for i in 0..12 {
-            let h = Arc::clone(&hits);
+    fn late_high_priority_overtakes_queued_low_priority() {
+        // One worker is busy with `slow` while three low-priority tasks
+        // queue behind it; a high-priority task submitted after that
+        // must run before all three.
+        let pool = WorkPool::new(1, true);
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let (started_tx, started_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let o = Arc::clone(&order);
+        pool.submit(
+            0,
+            Box::new(move || {
+                o.lock().unwrap().push("slow");
+                started_tx.send(()).unwrap();
+                release_rx.recv().unwrap();
+            }),
+        );
+        let push = |prio, tag| {
+            let o = Arc::clone(&order);
+            pool.submit(prio, Box::new(move || o.lock().unwrap().push(tag)));
+        };
+        for tag in ["lo-a", "lo-b", "lo-c"] {
+            push(0, tag);
+        }
+        started_rx.recv().unwrap();
+        push(5, "hi");
+        release_tx.send(()).unwrap();
+        pool.drain();
+        assert_eq!(*order.lock().unwrap(), vec!["slow", "hi", "lo-a", "lo-b", "lo-c"]);
+        pool.shutdown();
+    }
+
+    #[test]
+    fn four_workers_start_tasks_in_priority_order() {
+        // 16 distinct priorities admitted gate-closed.  Each task
+        // reports its start and then holds its worker until released,
+        // so the test decides when a worker pops again.
+        let pool = WorkPool::new(4, false);
+        let (started_tx, started_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let release_rx = Arc::new(Mutex::new(release_rx));
+        for prio in [3, 11, 0, 7, 14, 5, 9, 1, 12, 4, 15, 8, 2, 10, 6, 13] {
+            let started = started_tx.clone();
+            let release = Arc::clone(&release_rx);
             pool.submit(
-                0,
+                prio,
                 Box::new(move || {
-                    if i == 0 {
-                        std::thread::sleep(Duration::from_millis(40));
-                    }
-                    h.fetch_add(1, Ordering::SeqCst);
+                    started.send(prio).unwrap();
+                    release.lock().unwrap().recv().unwrap();
                 }),
             );
         }
         pool.set_gate(true);
+        let mut starts: Vec<i64> = (0..4).map(|_| started_rx.recv().unwrap()).collect();
+        // The four workers pop 15, 14, 13, 12 in that order but race
+        // from the pop to the report.
+        starts.sort_by(|a, b| b.cmp(a));
+        // From here one release frees one worker, which must start the
+        // highest priority still queued.
+        for _ in 4..16 {
+            release_tx.send(()).unwrap();
+            starts.push(started_rx.recv().unwrap());
+        }
+        assert_eq!(starts, (0..16).rev().collect::<Vec<i64>>());
+        for _ in 0..4 {
+            release_tx.send(()).unwrap();
+        }
         pool.drain();
-        assert_eq!(hits.load(Ordering::SeqCst), 12);
         pool.shutdown();
     }
 

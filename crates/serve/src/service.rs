@@ -13,8 +13,8 @@
 //!    running gains a subscriber instead of a second computation — all
 //!    subscribers receive clones of one `Arc`, so their result bytes
 //!    are identical;
-//! 3. otherwise a fresh job is **scheduled** on the work-stealing pool
-//!    at the request's priority.
+//! 3. otherwise a fresh job is **scheduled** on the worker pool at the
+//!    request's priority.
 //!
 //! Every job runs under the PR-8 supervisor
 //! ([`v2d_core::supervise::run_supervised`]), so rank loss yields a
@@ -117,7 +117,6 @@ struct Core {
     registry: Mutex<Registry>,
     counters: Counters,
     scratch: PathBuf,
-    seq: AtomicU64,
 }
 
 /// Everything `parse_submit` extracts from a deck.
@@ -161,7 +160,6 @@ impl Service {
             registry: Mutex::new(Registry::default()),
             counters: Counters::default(),
             scratch: opts.scratch,
-            seq: AtomicU64::new(0),
         });
         let pool = WorkPool::new(opts.workers, !opts.gated);
         Service { core, pool }
@@ -280,34 +278,32 @@ impl Service {
         Response::CancelAck { id: id.to_string(), target: target.to_string(), outcome: "cancelled" }
     }
 
-    /// The live telemetry registry: `serve.*` admission counters,
-    /// per-tier cache counters (result tier plus both decoded-program
-    /// tiers), pool counters, and the queue-depth gauge.
+    /// The live telemetry registry: the `serve.*` admission counters
+    /// (requests admitted, rejected at parse, deduped onto an in-flight
+    /// job, scheduled as fresh jobs, completed, failed, subscriber
+    /// cancellations, status requests served), the result-cache
+    /// counters, the pool's executed count, and the queue-depth gauge.
     pub fn metrics(&self) -> Metrics {
         let c = &self.core.counters;
+        let cache = &self.core.cache;
         let mut m = Metrics::new();
-        m.record_serve(
-            c.admitted.load(Ordering::Relaxed),
-            c.rejected.load(Ordering::Relaxed),
-            c.deduped.load(Ordering::Relaxed),
-            self.core.cache.hit_count(),
-            c.scheduled.load(Ordering::Relaxed),
-            c.completed.load(Ordering::Relaxed),
-            c.failed.load(Ordering::Relaxed),
-            c.cancelled.load(Ordering::Relaxed),
-        );
-        m.counter_add("serve.status_served", c.status_served.load(Ordering::Relaxed));
-        m.counter_add("serve.cache.result_misses", self.core.cache.miss_count());
-        m.counter_add("serve.cache.result_insertions", self.core.cache.insertion_count());
-        m.counter_add("serve.cache.result_evictions", self.core.cache.eviction_count());
-        // The decoded-program tiers are process-wide and cumulative
-        // (worker threads of every service instance share tier 2), so
-        // they are telemetry, never gate material.
-        m.counter_add("serve.cache.program_local_hits", v2d_sve::cache::cache_hit_count());
-        m.counter_add("serve.cache.program_shared_hits", v2d_sve::cache::cache_shared_hit_count());
-        m.counter_add("serve.cache.program_misses", v2d_sve::cache::cache_miss_count());
-        m.counter_add("serve.pool.executed", self.pool.executed());
-        m.counter_add("serve.pool.stolen", self.pool.stolen());
+        for (name, value) in [
+            ("serve.admitted", c.admitted.load(Ordering::Relaxed)),
+            ("serve.rejected", c.rejected.load(Ordering::Relaxed)),
+            ("serve.deduped", c.deduped.load(Ordering::Relaxed)),
+            ("serve.scheduled", c.scheduled.load(Ordering::Relaxed)),
+            ("serve.completed", c.completed.load(Ordering::Relaxed)),
+            ("serve.failed", c.failed.load(Ordering::Relaxed)),
+            ("serve.cancelled", c.cancelled.load(Ordering::Relaxed)),
+            ("serve.status_served", c.status_served.load(Ordering::Relaxed)),
+            ("serve.cache.result_hits", cache.hit_count()),
+            ("serve.cache.result_misses", cache.miss_count()),
+            ("serve.cache.result_insertions", cache.insertion_count()),
+            ("serve.cache.result_evictions", cache.eviction_count()),
+            ("serve.pool.executed", self.pool.executed()),
+        ] {
+            m.counter_add(name, value);
+        }
         m.gauge_set("serve.queue.depth", self.pool.depth() as f64);
         m
     }
@@ -427,10 +423,13 @@ impl Core {
             }
             return;
         }
+        // Process-wide, not per service: two services in one process
+        // share the scratch base and must not share a job directory.
+        static JOB_SEQ: AtomicU64 = AtomicU64::new(0);
         let dir = self.scratch.join(format!(
             "v2d_serve_{}_{}",
             std::process::id(),
-            self.seq.fetch_add(1, Ordering::Relaxed)
+            JOB_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
         let spec = SuperviseSpec {
             cfg,

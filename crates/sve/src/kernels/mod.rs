@@ -382,25 +382,13 @@ pub fn run_ddaxpy(
 /// offset `m = 50`, deterministic data) of size `n`; returns stats only.
 /// The driver binary uses this for every cell of the reproduced table.
 pub fn run_routine(routine: Routine, n: usize, variant: Variant, cfg: &ExecConfig) -> ExecStats {
-    let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
-    let y: Vec<f64> = (0..n).map(|i| (i as f64 * 0.51).cos()).collect();
-    let z: Vec<f64> = (0..n).map(|i| 0.5 - (i as f64 * 0.13).sin()).collect();
-    match routine {
-        Routine::Matvec => {
-            let m = (n / 20).max(1);
-            let sys = BandedSystem::test_system(n, m);
-            run_matvec(&sys, &x, variant, cfg).1
-        }
-        Routine::Dprod => run_dprod(&x, &y, variant, cfg).1,
-        Routine::Daxpy => run_daxpy(1.7, &x, &y, variant, cfg).1,
-        Routine::Dscal => run_dscal(0.9, 1.1, &y, variant, cfg).1,
-        Routine::Ddaxpy => run_ddaxpy(1.7, -0.6, &x, &y, &z, variant, cfg).1,
-    }
+    let (mut regs, mut mem) = prepare_routine(routine, n, cfg);
+    execute(routine, variant, cfg, &mut regs, &mut mem)
 }
 
 /// Build the ready-to-run machine state (register file + memory image)
-/// for `routine` on the same standard Table II problem of size `n` that
-/// [`run_routine`] uses.
+/// for `routine` on the standard Table II problem of size `n` that
+/// [`run_routine`] executes.
 ///
 /// Both variants share the register convention, so the state is
 /// variant-independent.  Harnesses clone this state per repetition to

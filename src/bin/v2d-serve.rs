@@ -23,7 +23,8 @@
 //! * `--workers N` — worker threads in the job pool (default 2);
 //! * `--cache N` — result-cache capacity in entries (default 64).
 //!
-//! A malformed command line prints one usage line and exits 2.
+//! A malformed command line prints one usage line and exits 2; a
+//! socket path that cannot be bound prints one line and exits 1.
 //!
 //! A `{"req":"shutdown","id":…}` request drains in-flight jobs, answers
 //! `bye`, and exits the daemon.
@@ -74,8 +75,10 @@ fn main() {
 /// response interleaving simple and loses no compute parallelism.
 fn serve_socket(svc: Service, path: &str) {
     let _ = std::fs::remove_file(path);
-    let listener = std::os::unix::net::UnixListener::bind(path)
-        .unwrap_or_else(|e| panic!("cannot bind {path}: {e}"));
+    let listener = std::os::unix::net::UnixListener::bind(path).unwrap_or_else(|e| {
+        eprintln!("v2d-serve: cannot bind {path}: {e}");
+        std::process::exit(1);
+    });
     eprintln!("v2d-serve: listening on {path}");
     for conn in listener.incoming() {
         let conn = match conn {
@@ -85,8 +88,14 @@ fn serve_socket(svc: Service, path: &str) {
                 continue;
             }
         };
-        let writer: Arc<Mutex<Box<dyn Write + Send>>> =
-            Arc::new(Mutex::new(Box::new(conn.try_clone().expect("clone socket for writing"))));
+        let write_half = match conn.try_clone() {
+            Ok(c) => c,
+            Err(e) => {
+                eprintln!("v2d-serve: cannot clone the connection for writing: {e}");
+                continue;
+            }
+        };
+        let writer: Arc<Mutex<Box<dyn Write + Send>>> = Arc::new(Mutex::new(Box::new(write_half)));
         let bye = session(&svc, BufReader::new(conn), &writer);
         if bye {
             finish(svc, true, &writer);

@@ -111,12 +111,7 @@ fn main() {
             let mut agg = RunStats::default();
             for _ in 0..cfg.n_steps {
                 let st = sim.step(&ctx.comm, &mut ctx.sink);
-                agg.steps += 1;
-                agg.total_solves += 3;
-                agg.total_iters += st.rad.total_iters();
-                agg.total_reductions += st.rad.stages.iter().map(|s| s.reductions).sum::<usize>();
-                agg.total_recoveries +=
-                    st.recoveries + st.rad.stages.iter().map(|s| s.recoveries).sum::<u32>();
+                agg.absorb(&st);
                 if sim.istep().is_multiple_of(ck_every) && sim.istep() < cfg.n_steps {
                     let f = write_checkpoint(&ctx.comm, &mut ctx.sink, &sim)
                         .expect("checkpoint gather");

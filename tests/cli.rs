@@ -74,21 +74,24 @@ fn serve(args: &[&str]) -> std::process::Output {
 }
 
 /// The daemon rejects a malformed command line the way `v2d` does: one
-/// usage line on stderr, exit status 2 — never a panic's 101.
+/// usage line on stderr, exit status 2.  A socket it cannot bind is one
+/// line and exit status 1.  Neither is ever a panic's 101.
 #[test]
 fn serve_argument_errors_print_usage_and_exit_2() {
-    for args in [
-        &["--workers", "x"][..],
-        &["--workers"],
-        &["--cache", "-1"],
-        &["--socket"],
-        &["--frobnicate"],
+    for (args, code, line) in [
+        (&["--workers", "x"][..], 2, "usage: v2d-serve"),
+        (&["--workers"], 2, "usage: v2d-serve"),
+        (&["--cache", "-1"], 2, "usage: v2d-serve"),
+        (&["--socket"], 2, "usage: v2d-serve"),
+        (&["--frobnicate"], 2, "usage: v2d-serve"),
+        (&["--socket", "/nonexistent_dir/x.sock"], 1, "v2d-serve: cannot bind /nonexistent_dir/"),
     ] {
         let out = serve(args);
-        assert_eq!(out.status.code(), Some(2), "{args:?}: wrong exit status");
+        assert_eq!(out.status.code(), Some(code), "{args:?}: wrong exit status");
         let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.starts_with("usage: v2d-serve"), "{args:?}: no usage line: {err}");
-        assert_eq!(err.lines().count(), 1, "{args:?}: more than the usage line: {err}");
+        assert!(err.starts_with(line), "{args:?}: expected `{line}…`, got: {err}");
+        assert_eq!(err.lines().count(), 1, "{args:?}: more than one line: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: panicked: {err}");
         assert!(out.stdout.is_empty(), "{args:?}: wrote to stdout");
     }
     let ok = serve(&["--stdio", "--workers", "1", "--cache", "4"]);
