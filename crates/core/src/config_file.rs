@@ -353,6 +353,9 @@ impl ParFile {
         let nprx2: usize = self.scalar_or("run.nprx2", 1)?;
         check("run.nprx1", nprx1 >= 1, "process topology must be >= 1")?;
         check("run.nprx2", nprx2 >= 1, "process topology must be >= 1")?;
+        // Every rank must own at least one zone per direction.
+        check("run.nprx1", nprx1 <= n1, &format!("{nprx1} ranks cannot tile grid.n1 = {n1}"))?;
+        check("run.nprx2", nprx2 <= n2, &format!("{nprx2} ranks cannot tile grid.n2 = {n2}"))?;
         Ok((cfg, (nprx1, nprx2)))
     }
 
@@ -509,6 +512,7 @@ mod tests {
             ("tol = 1e-9", "tol = 0.0", "radiation.tol"),
             ("kappa_s = 2.0 3.0", "kappa_s = -2.0 3.0", "radiation.kappa_s"),
             ("n1 = 200", "n1 = 0", "grid.n1"),
+            ("nprx1 = 1", "nprx1 = 300", "run.nprx1"),
         ] {
             let text = PAPER_PAR.replace(from, to);
             let pf = ParFile::parse(&text).unwrap();

@@ -186,8 +186,8 @@ impl KernelShape {
     }
 }
 
-/// Per-class cycle and operation accounting (feeds `v2d-perf`'s PAPI-like
-/// counters and the §II-E routine breakdown).
+/// Per-class cycle and operation accounting (feeds `v2d-perf`'s
+/// `class_breakdown`, the §II-E routine breakdown).
 #[derive(Debug, Clone, Default)]
 pub struct KernelCounters {
     /// Cycles charged per kernel class.

@@ -1,16 +1,16 @@
-//! # v2d-perf — perf-stat / PAPI / TAU-like instrumentation
+//! # v2d-perf — perf-stat / TAU-like instrumentation
 //!
-//! The paper measured V2D with three tool families, none of which exist
-//! for a simulated machine, so this crate rebuilds their *interfaces*
-//! over the virtual clock:
+//! The paper measured V2D with tool families that do not exist for a
+//! simulated machine, so this crate rebuilds their *interfaces* over the
+//! virtual clock.  (Its PAPI counts have no twin here: Table II's
+//! instruction and cycle counts come from the SVE simulator's own
+//! `ExecStats`.)
 //!
 //! * [`PerfStat`] — the `perf stat -e duration_time -e cpu-cycles`
 //!   session used for every Table I cell: wraps a region of execution and
 //!   reports wall duration and cycle count of the modeled run;
-//! * [`PapiCounters`] — PAPI-style start/read counters
-//!   (`PAPI_TOT_CYC`, `PAPI_FP_OPS`, bytes moved, per-class calls), read
-//!   from the kernel accounting the cost model maintains — used for the
-//!   Table II driver and the in-text §II-E claims;
+//! * [`class_breakdown`] — per-kernel-class calls, time and flops of one
+//!   lane, for the in-text §II-E claims;
 //! * [`Profiler`] — a TAU-like scoped routine profiler with
 //!   inclusive/exclusive virtual times and a ParaProf-style text report
 //!   ("enabled us to see which routines contributed most to the total
@@ -61,66 +61,6 @@ impl std::fmt::Display for PerfReport {
     }
 }
 
-/// PAPI-style hardware counters over one compiler lane.
-#[derive(Debug, Clone)]
-pub struct PapiCounters {
-    start_cycles: u64,
-    start_flops: u64,
-    start_bytes: u64,
-    start_mpi: u64,
-}
-
-/// A PAPI counter reading (deltas since [`PapiCounters::start`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PapiReading {
-    /// `PAPI_TOT_CYC`.
-    pub tot_cyc: u64,
-    /// `PAPI_FP_OPS` (double-precision operations).
-    pub fp_ops: u64,
-    /// Bytes streamed by the kernels.
-    pub bytes: u64,
-    /// Cycles spent inside communication.
-    pub mpi_cyc: u64,
-}
-
-impl PapiCounters {
-    /// Snapshot the counters.
-    pub fn start(lane: &CostSink) -> Self {
-        PapiCounters {
-            start_cycles: lane.clock.now().cycles(),
-            start_flops: lane.counters.total_flops(),
-            start_bytes: lane.counters.bytes.iter().sum(),
-            start_mpi: lane.mpi_cycles,
-        }
-    }
-
-    /// Read the deltas since `start`.
-    pub fn read(&self, lane: &CostSink) -> PapiReading {
-        PapiReading {
-            tot_cyc: lane.clock.now().cycles() - self.start_cycles,
-            fp_ops: lane.counters.total_flops() - self.start_flops,
-            bytes: lane.counters.bytes.iter().sum::<u64>() - self.start_bytes,
-            mpi_cyc: lane.mpi_cycles - self.start_mpi,
-        }
-    }
-}
-
-impl PapiReading {
-    /// Seconds at frequency `freq_hz`.
-    pub fn secs(&self, freq_hz: f64) -> f64 {
-        self.tot_cyc as f64 / freq_hz
-    }
-
-    /// Achieved flops per cycle.
-    pub fn flops_per_cycle(&self) -> f64 {
-        if self.tot_cyc == 0 {
-            0.0
-        } else {
-            self.fp_ops as f64 / self.tot_cyc as f64
-        }
-    }
-}
-
 /// Per-kernel-class breakdown of a lane's accounting — the reproduction
 /// of the paper's §II-E analysis ("the majority of time was spent in the
 /// matrix-vector multiplications…").
@@ -161,57 +101,6 @@ pub fn class_breakdown(lane: &CostSink) -> String {
         mpi_secs,
         "-",
         100.0 * lane.mpi_cycles as f64 / total as f64
-    );
-    out
-}
-
-/// Cluster-wide aggregate of per-rank lane accounting: per-class time
-/// totals/maxima and MPI share across ranks, formatted like the per-node
-/// roll-up views of TAU/ParaProf.  Feed it each rank's Cray-opt (or any
-/// single) lane.
-pub fn cluster_report(lanes: &[&CostSink]) -> String {
-    assert!(!lanes.is_empty(), "need at least one rank");
-    let freq = lanes[0].model.freq_hz;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<10} {:>14} {:>14} {:>14}",
-        "class", "max/rank s", "mean/rank s", "total s"
-    );
-    for class in KernelClass::all() {
-        let i = class.index();
-        let cycles: Vec<u64> = lanes.iter().map(|l| l.counters.cycles[i]).collect();
-        if cycles.iter().all(|&c| c == 0) {
-            continue;
-        }
-        let max = *cycles.iter().max().expect("nonempty") as f64 / freq;
-        let total: f64 = cycles.iter().map(|&c| c as f64 / freq).sum();
-        let _ = writeln!(
-            out,
-            "{:<10} {:>14.3} {:>14.3} {:>14.3}",
-            class.name(),
-            max,
-            total / lanes.len() as f64,
-            total
-        );
-    }
-    let mpi: Vec<f64> = lanes.iter().map(|l| l.mpi_secs()).collect();
-    let max = mpi.iter().cloned().fold(0.0f64, f64::max);
-    let total: f64 = mpi.iter().sum();
-    let _ = writeln!(
-        out,
-        "{:<10} {:>14.3} {:>14.3} {:>14.3}",
-        "MPI",
-        max,
-        total / lanes.len() as f64,
-        total
-    );
-    let wall = lanes.iter().map(|l| l.elapsed_secs()).fold(0.0f64, f64::max);
-    let _ = writeln!(
-        out,
-        "
-job wall time (slowest rank): {wall:.3} s over {} ranks",
-        lanes.len()
     );
     out
 }
@@ -353,30 +242,6 @@ mod tests {
     }
 
     #[test]
-    fn papi_counts_flops_and_cycles() {
-        let mut l = lane();
-        let papi = PapiCounters::start(&l);
-        burn(&mut l, KernelClass::MatVec, 500);
-        let r = papi.read(&l);
-        assert_eq!(r.fp_ops, 1000);
-        assert!(r.tot_cyc > 0);
-        assert!(r.bytes > 0);
-        assert_eq!(r.mpi_cyc, 0);
-        assert!(r.flops_per_cycle() > 0.0);
-    }
-
-    #[test]
-    fn papi_reads_are_deltas() {
-        let mut l = lane();
-        burn(&mut l, KernelClass::DotProd, 2000);
-        // Counters started after the first burn must exclude it.
-        let papi = PapiCounters::start(&l);
-        assert_eq!(papi.read(&l).fp_ops, 0);
-        burn(&mut l, KernelClass::DotProd, 300);
-        assert_eq!(papi.read(&l).fp_ops, 600);
-    }
-
-    #[test]
     fn class_breakdown_lists_used_classes_only() {
         let mut l = lane();
         burn(&mut l, KernelClass::MatVec, 1000);
@@ -446,24 +311,6 @@ mod tests {
         prof.enter(&l, "a");
         prof.enter(&l, "b");
         prof.exit(&l, "a");
-    }
-
-    #[test]
-    fn cluster_report_rolls_up_ranks() {
-        let mut a = lane();
-        let mut b = lane();
-        burn(&mut a, KernelClass::MatVec, 1000);
-        burn(&mut b, KernelClass::MatVec, 3000);
-        b.charge_mpi_secs(0.5);
-        let text = cluster_report(&[&a, &b]);
-        assert!(text.contains("MATVEC"));
-        assert!(text.contains("MPI"));
-        assert!(text.contains("2 ranks"));
-        // max/rank must reflect the slower rank.
-        let max_line = text.lines().find(|l| l.starts_with("MATVEC")).unwrap();
-        let max: f64 = max_line.split_whitespace().nth(1).unwrap().parse().unwrap();
-        let b_secs = b.counters.cycles[KernelClass::MatVec.index()] as f64 / b.model.freq_hz;
-        assert!((max - b_secs).abs() < 1e-3 + 1e-3 * b_secs);
     }
 
     #[test]

@@ -377,12 +377,6 @@ fn parse_submit(s: &Submit) -> Result<Admitted, String> {
             np.0, np.1
         ));
     }
-    if np.0 > cfg.grid.n1 || np.1 > cfg.grid.n2 {
-        return Err(format!(
-            "deck: {}x{} ranks cannot tile a {}x{} grid",
-            np.0, np.1, cfg.grid.n1, cfg.grid.n2
-        ));
-    }
     let mut plan = FaultPlan::empty();
     for f in &s.faults {
         if f.rank.is_some_and(|r| r >= np.0 * np.1) {
@@ -626,14 +620,24 @@ mod tests {
             submit("broken", "[grid]\nn1 = 16\n".into()),
             submit("x", deck(16, 8, 3, 1, 1, 0)),
             submit("x", deck(24, 8, 3, 1, 1, 0)),
-            submit("wide", deck(16, 8, 3, 9, 9, 0)),
+            submit("wide", deck(16, 16, 3, 9, 9, 0)),
+            submit("fine", deck(16, 8, 3, 1, 9, 0)),
         ];
         let (resp, svc) = Service::run_script(&script, ServeOpts::default());
         assert!(matches!(&resp[0], Response::Error { .. }));
         assert!(matches!(&resp[1], Response::Result { .. }));
         assert!(matches!(&resp[2], Response::Error { .. }), "live id reuse must be rejected");
-        assert!(matches!(&resp[3], Response::Error { .. }), "81 ranks exceeds the cap");
-        assert_eq!(svc.metrics().counter("serve.rejected"), 3);
+        assert!(
+            matches!(&resp[3], Response::Error { what, .. } if what.contains("service cap")),
+            "81 ranks exceeds the cap: {:?}",
+            resp[3]
+        );
+        assert!(
+            matches!(&resp[4], Response::Error { what, .. } if what.contains("run.nprx2")),
+            "9 ranks cannot tile 8 zones: {:?}",
+            resp[4]
+        );
+        assert_eq!(svc.metrics().counter("serve.rejected"), 4);
         svc.shutdown();
     }
 

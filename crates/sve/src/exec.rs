@@ -462,8 +462,9 @@ impl Executor {
 
 /// The executable specification of every instruction's architectural
 /// effect; returns the next pc.  The threaded-code engine in
-/// [`crate::thread`] calls this for opcodes it does not specialize, so
-/// even its fallback path shares the interpreter's semantics verbatim.
+/// [`crate::thread`] calls this for every opcode without a semantic
+/// closure of its own, so even that fallback shares the interpreter's
+/// semantics verbatim.
 pub(crate) fn step_instr(instr: &Instr, pc: usize, r: &mut RegFile, mem: &mut SimMem) -> usize {
     {
         use Instr::*;
@@ -817,6 +818,36 @@ mod tests {
         let mut regs = RegFile::new(512);
         let mut mem = SimMem::new(64);
         Executor::new(cfg).run(&a.finish(), &mut regs, &mut mem);
+    }
+
+    /// The threaded engine's only cap check is per dispatch group
+    /// (`thread::check_cap`): a loop of plain groups must still hit it.
+    #[test]
+    #[should_panic(expected = "runaway loop")]
+    fn threaded_plain_loop_hits_cap() {
+        let mut a = Asm::new();
+        let top = a.new_label();
+        a.bind(top);
+        a.push(Instr::AddXI { d: X(0), n: X(0), imm: 0 });
+        a.b(top);
+        let mut cfg = ExecConfig::a64fx_l1();
+        cfg.max_instrs = 1000;
+        let dp = crate::decode::DecodedProgram::decode(&a.finish(), &cfg);
+        let mut regs = RegFile::new(512);
+        let mut mem = SimMem::new(64);
+        Executor::new(cfg).run_decoded(&dp, &mut regs, &mut mem);
+    }
+
+    /// …and so must a fused SVE kernel loop, one chain per iteration.
+    #[test]
+    #[should_panic(expected = "runaway loop")]
+    fn threaded_fused_kernel_loop_hits_cap() {
+        use crate::kernels::{decoded_routine, prepare_routine, Routine, Variant};
+        let mut cfg = ExecConfig::a64fx_l1();
+        cfg.max_instrs = 1000;
+        let dp = decoded_routine(Routine::Daxpy, Variant::Sve, &cfg);
+        let (mut regs, mut mem) = prepare_routine(Routine::Daxpy, 100_000, &cfg);
+        Executor::new(cfg).run_decoded(&dp, &mut regs, &mut mem);
     }
 
     #[test]

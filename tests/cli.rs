@@ -55,6 +55,13 @@ fn bad_deck_reports_error_and_nonzero_exit() {
     assert!(!out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("grid.n2"), "unhelpful error: {err}");
+    // A topology finer than the grid is a deck error too, not a panic.
+    let paper = v2d::core::config_file::PAPER_PAR;
+    std::fs::write(&deck, paper.replace("nprx1 = 1", "nprx1 = 300")).expect("write");
+    let out = v2d().arg(&deck).output().expect("run v2d");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {err}");
+    assert!(err.contains("run.nprx1") && !err.contains("panicked"), "unhelpful error: {err}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
