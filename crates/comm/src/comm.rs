@@ -443,19 +443,6 @@ impl Comm {
         Ok(msg)
     }
 
-    /// Combined send+receive with a partner (the halo-exchange workhorse;
-    /// safe against deadlock because sends are buffered).
-    pub fn sendrecv(
-        &self,
-        sink: &mut impl CostLanes,
-        partner: usize,
-        tag: u32,
-        data: &[f64],
-    ) -> Result<Vec<f64>, CommError> {
-        self.send(sink, partner, tag, data);
-        self.recv(sink, partner, tag)
-    }
-
     /// The heart of every collective, lockstep-verified: the caller
     /// presents a `(site, epoch)` ticket; the round's first depositor
     /// stamps it and later depositors must match, so ranks whose
@@ -544,19 +531,6 @@ impl Comm {
         let mut buf = [v];
         self.allreduce(sink, op, &mut buf);
         buf[0]
-    }
-
-    /// Concatenate every rank's contribution in rank order (allgather
-    /// with per-rank variable lengths).
-    pub fn allgatherv(&self, sink: &mut impl CostLanes, data: &[f64]) -> Vec<f64> {
-        self.collective_infallible(sink, CollKind::Concat, data.to_vec()).as_ref().clone()
-    }
-
-    /// Broadcast `data` from `root` (other ranks pass anything, usually
-    /// an empty slice — lengths need not match).
-    pub fn broadcast(&self, sink: &mut impl CostLanes, root: usize, data: &[f64]) -> Vec<f64> {
-        assert!(root < self.n_ranks());
-        self.collective_infallible(sink, CollKind::TakeRoot(root), data.to_vec()).as_ref().clone()
     }
 
     /// Synchronize all ranks (and their virtual clocks).

@@ -208,36 +208,14 @@ impl CartComm {
         Some(self.map.rank_of(c.0, c.1))
     }
 
-    /// Exchange a boundary strip with the neighbor in `dir`: sends
-    /// `data`, returns the strip the neighbor sent (which it sent in the
-    /// opposite direction), or `None` at a domain boundary.
-    ///
-    /// All ranks must call this collectively for the same `dir` (the
-    /// usual halo-exchange discipline); sends are buffered so the call
-    /// cannot deadlock.
-    ///
-    /// NOTE: calling this once per direction *serializes* the exchange
-    /// along the process chain in virtual time (each recv waits on a
-    /// neighbor phase that waits on its neighbor…), which is not how a
-    /// nonblocking MPI halo exchange behaves.  Hot paths should use
-    /// [`CartComm::post`] for every direction first and then
-    /// [`CartComm::collect`] — see `StencilOp::exchange_halos`.
-    pub fn exchange(
-        &self,
-        comm: &Comm,
-        sink: &mut impl CostLanes,
-        dir: Dir,
-        data: &[f64],
-    ) -> Result<Option<Vec<f64>>, CommError> {
-        if !self.post(comm, sink, dir, data) {
-            return Ok(None);
-        }
-        self.collect(comm, sink, dir)
-    }
-
     /// Post (nonblocking-send) a strip toward `dir`; returns false at a
     /// domain boundary.  Pair every `post` with a later
-    /// [`CartComm::collect`] for the same direction.
+    /// [`CartComm::collect_into`] for the same direction, and post every
+    /// direction before collecting any (see `StencilOp::exchange_halos`):
+    /// a post-then-collect per direction would *serialize* the exchange
+    /// along the process chain in virtual time, which is not how a
+    /// nonblocking MPI halo exchange behaves.  Sends are buffered, so the
+    /// pattern cannot deadlock.
     pub fn post(&self, comm: &Comm, sink: &mut impl CostLanes, dir: Dir, data: &[f64]) -> bool {
         match self.neighbor(dir) {
             Some(partner) => {
@@ -249,25 +227,12 @@ impl CartComm {
     }
 
     /// Receive the strip the `dir` neighbor posted toward us (it posted
-    /// in the opposite direction); `Ok(None)` at a domain boundary.
-    /// Errors surface the underlying [`CommError`] (timeout with
-    /// deadlock diagnostic when a fault injector armed a deadline).
-    pub fn collect(
-        &self,
-        comm: &Comm,
-        sink: &mut impl CostLanes,
-        dir: Dir,
-    ) -> Result<Option<Vec<f64>>, CommError> {
-        match self.neighbor(dir) {
-            Some(partner) => comm.recv(sink, partner, dir.opposite().tag()).map(Some),
-            None => Ok(None),
-        }
-    }
-
-    /// Allocation-free [`CartComm::collect`]: the strip is received into
-    /// `out` via [`Comm::recv_into`] (cleared first) and the transport
-    /// buffer is recycled.  `Ok(false)` at a domain boundary; on either
-    /// `Ok(false)` or `Err` the contents of `out` are untouched.
+    /// in the opposite direction) into `out` via [`Comm::recv_into`]
+    /// (cleared first); the transport buffer is recycled.  `Ok(false)`
+    /// at a domain boundary; on either `Ok(false)` or `Err` the contents
+    /// of `out` are untouched.  Errors surface the underlying
+    /// [`CommError`] (timeout with deadlock diagnostic when a fault
+    /// injector armed a deadline).
     pub fn collect_into(
         &self,
         comm: &Comm,
@@ -399,9 +364,12 @@ mod tests {
             let me = ctx.rank() as f64;
             let mut got = Vec::new();
             for dir in Dir::ALL {
-                let strip = vec![me; 4];
-                let strip_back = cart.exchange(&ctx.comm, &mut ctx.sink, dir, &strip);
-                got.push(strip_back.expect("healthy exchange").map(|v| v[0]));
+                cart.post(&ctx.comm, &mut ctx.sink, dir, &[me; 4]);
+            }
+            for dir in Dir::ALL {
+                let mut strip = Vec::new();
+                let back = cart.collect_into(&ctx.comm, &mut ctx.sink, dir, &mut strip);
+                got.push(back.expect("healthy exchange").then(|| strip[0]));
             }
             got
         });

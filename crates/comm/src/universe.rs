@@ -145,7 +145,7 @@ impl Spmd {
 mod tests {
     use super::*;
     use crate::carrier::{self, Carrier, Threads};
-    use crate::comm::{CommError, ReduceOp, WaitOn};
+    use crate::comm::{coll_site, CommError, ReduceOp, WaitOn};
     use v2d_machine::CompilerProfile;
 
     fn single_profile() -> Vec<CompilerProfile> {
@@ -219,12 +219,13 @@ mod tests {
     }
 
     #[test]
-    fn sendrecv_exchanges_between_partners() {
+    fn send_recv_exchanges_between_partners() {
         let outs = on_each_carrier(2, |ctx| {
             let me = ctx.rank();
             let partner = 1 - me;
             let data = vec![me as f64; 3];
-            ctx.comm.sendrecv(&mut ctx.sink, partner, 7, &data).expect("healthy exchange")
+            ctx.comm.send(&mut ctx.sink, partner, 7, &data);
+            ctx.comm.recv(&mut ctx.sink, partner, 7).expect("healthy exchange")
         });
         assert_eq!(outs[0], vec![1.0; 3]);
         assert_eq!(outs[1], vec![0.0; 3]);
@@ -249,7 +250,7 @@ mod tests {
     fn allgatherv_concatenates_in_rank_order() {
         let outs = Spmd::new(3).with_profiles(single_profile()).run(|ctx| {
             let data = vec![ctx.rank() as f64; ctx.rank() + 1];
-            ctx.comm.allgatherv(&mut ctx.sink, &data)
+            ctx.comm.try_allgatherv(&mut ctx.sink, coll_site::TEST_BASE, &data).expect("healthy")
         });
         for o in outs {
             assert_eq!(o, vec![0.0, 1.0, 1.0, 2.0, 2.0, 2.0]);
@@ -260,7 +261,7 @@ mod tests {
     fn broadcast_takes_root_payload() {
         let outs = Spmd::new(4).with_profiles(single_profile()).run(|ctx| {
             let data = if ctx.rank() == 2 { vec![42.0, 43.0] } else { vec![] };
-            ctx.comm.broadcast(&mut ctx.sink, 2, &data)
+            ctx.comm.try_broadcast(&mut ctx.sink, coll_site::TEST_BASE, 2, &data).expect("healthy")
         });
         for o in outs {
             assert_eq!(o, vec![42.0, 43.0]);

@@ -3,7 +3,7 @@
 //! that must fail loudly rather than deadlock silently.
 
 use v2d_comm::topology::Dir;
-use v2d_comm::{CartComm, CommError, ReduceOp, Spmd, TileMap};
+use v2d_comm::{coll_site, CartComm, CommError, ReduceOp, Spmd, TileMap};
 use v2d_machine::CompilerProfile;
 
 fn one_profile() -> Vec<CompilerProfile> {
@@ -16,7 +16,8 @@ fn single_rank_world_has_no_neighbors() {
         let cart = CartComm::new(&ctx.comm, TileMap::new(8, 8, 1, 1));
         for dir in Dir::ALL {
             assert!(cart.neighbor(dir).is_none());
-            assert!(cart.exchange(&ctx.comm, &mut ctx.sink, dir, &[1.0]).unwrap().is_none());
+            assert!(!cart.post(&ctx.comm, &mut ctx.sink, dir, &[1.0]));
+            assert!(!cart.collect_into(&ctx.comm, &mut ctx.sink, dir, &mut Vec::new()).unwrap());
         }
         // Collectives are identity and free.
         let before = ctx.sink.lanes[0].clock.now();
@@ -100,7 +101,7 @@ fn broadcast_from_every_root() {
     for root in 0..4 {
         let outs = Spmd::new(4).with_profiles(one_profile()).run(move |ctx| {
             let data = if ctx.rank() == root { vec![root as f64; 3] } else { vec![] };
-            ctx.comm.broadcast(&mut ctx.sink, root, &data)
+            ctx.comm.try_broadcast(&mut ctx.sink, coll_site::TEST_BASE, root, &data).unwrap()
         });
         for o in outs {
             assert_eq!(o, vec![root as f64; 3]);

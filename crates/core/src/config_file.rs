@@ -259,7 +259,6 @@ impl ParFile {
             tol: self.scalar_or("radiation.tol", 1e-9)?,
             max_iters: self.scalar_or("radiation.max_iters", 10_000)?,
             variant,
-            ..SolveOpts::default()
         };
         check("radiation.tol", solve.tol > 0.0 && solve.tol.is_finite(), "must be > 0")?;
         check("radiation.max_iters", solve.max_iters >= 1, "must be >= 1")?;

@@ -2,7 +2,7 @@
 //! symmetry checks that fail immediately if the metric factors (face
 //! areas, volumes) entering the stencil assembly are wrong.
 
-use v2d_comm::{Spmd, TileMap};
+use v2d_comm::{coll_site, Spmd, TileMap};
 use v2d_core::grid::{Geometry, Grid2};
 use v2d_core::limiter::Limiter;
 use v2d_core::opacity::OpacityModel;
@@ -105,7 +105,8 @@ fn cylindrical_axis_pulse_stays_axisymmetric_in_z_mirror() {
         // Gather the global field and compare z-mirrored zones.
         let mut payload = vec![g.i1_start as f64, g.n1 as f64, g.i2_start as f64, g.n2 as f64];
         payload.extend(sim.erad().interior_to_vec());
-        let all = ctx.comm.allgatherv(&mut ctx.sink, &payload);
+        let all =
+            ctx.comm.try_allgatherv(&mut ctx.sink, coll_site::UNTAGGED, &payload).expect("gather");
         let mut global = vec![0.0; 2 * nr * nz];
         let mut at = 0;
         while at < all.len() {

@@ -2,7 +2,7 @@
 //!
 //! On a real cluster HDF5/MPI-IO writes each rank's tile into the right
 //! hyperslab of one file.  Here the communication substrate gathers the
-//! tiles (see `v2d-comm`'s `allgatherv`), and this module does the
+//! tiles (see `v2d-comm`'s `try_allgatherv`), and this module does the
 //! hyperslab arithmetic: scattering `(tile extents, tile data)` pairs
 //! into a row-major global array.  It is deliberately free of any
 //! dependency on the communicator so it can be tested exhaustively in

@@ -1,38 +1,17 @@
-//! One dispatch surface for the paper's Table II kernels across the
-//! three ways this repository can execute them:
-//!
-//! * [`Native`] — the plain Rust slice loops the solver layer runs in
-//!   production (LLVM auto-vectorizes them on the host);
-//! * [`SimScalar`] — the `v2d-sve` instruction-level simulator running
-//!   the optimized *scalar* codegen (the paper's "No-SVE" column);
-//! * [`SimSve`] — the same simulator running the vector-length-agnostic
-//!   SVE codegen, at any legal vector length.
-//!
-//! All three implement [`KernelBackend`], so tests can drive the exact
-//! same call sequence through each and assert the architectural results
-//! agree with the f64 oracle — the property-test in
-//! `tests/backend_agreement.rs` does exactly that for arbitrary inputs
-//! and vector lengths.
-//!
-//! The simulator backends run the kernels through `v2d_sve::kernels`'
-//! default (pre-decoded) execution mode: the program is assembled and
-//! lowered once per (kernel, VL, residency) and reused from the
-//! `v2d_sve::cache` program cache, so repeated backend invocations — a
-//! BiCGSTAB iteration loop, a property-test sweep — do no per-call
-//! assembly or decode work while producing bit-identical cycle counts.
+//! The host execution of the paper's Table II kernels: the plain Rust
+//! slice loops the solver layer runs in production (LLVM
+//! auto-vectorizes them on the host).
 //!
 //! The [`native`] submodule holds the flat-slice routines themselves;
 //! the `TileVec` kernels in [`crate::kernels`] run their row loops
 //! through the same functions, so there is exactly one native
-//! implementation of each mathematical operation in the crate.
-
-use v2d_sve::exec::ExecConfig;
-use v2d_sve::kernels::{self, BandedSystem, Variant};
+//! implementation of each mathematical operation in the crate.  The
+//! `v2d-sve` simulator's scalar and SVE codegen of the same kernels are
+//! checked against f64 oracles by `tests/proptests.rs`.
 
 /// The shared native slice routines.  These are the single source of
 /// truth for the arithmetic of each kernel: the `TileVec` kernels map
-/// them over interior rows, and the [`Native`] backend calls them on
-/// flat vectors.
+/// them over interior rows.
 pub mod native {
     /// `Σ x·y`
     #[inline]
@@ -100,157 +79,6 @@ pub mod native {
     }
 }
 
-/// A way to execute the five Table II kernels on flat `f64` slices.
-///
-/// Out-of-place signatures (`y` in, `out` separate) so the simulator
-/// backends — whose memory lives inside the simulated core — present
-/// the same surface as the native loops.
-pub trait KernelBackend {
-    /// Short name for reports and test diagnostics.
-    fn name(&self) -> String;
-
-    /// `Σ x·y`
-    fn dprod(&mut self, x: &[f64], y: &[f64]) -> f64;
-
-    /// `out ← a·x + y`
-    fn daxpy(&mut self, a: f64, x: &[f64], y: &[f64], out: &mut [f64]);
-
-    /// `out ← c − d·y`
-    fn dscal(&mut self, c: f64, d: f64, y: &[f64], out: &mut [f64]);
-
-    /// `out ← a·x + b·y + z`
-    fn ddaxpy(&mut self, a: f64, b: f64, x: &[f64], y: &[f64], z: &[f64], out: &mut [f64]);
-
-    /// `out ← A·x` for a pentadiagonal banded system.
-    fn matvec(&mut self, sys: &BandedSystem, x: &[f64], out: &mut [f64]);
-}
-
-/// The production backend: plain Rust slice loops.
-pub struct Native;
-
-impl KernelBackend for Native {
-    fn name(&self) -> String {
-        "native".into()
-    }
-
-    fn dprod(&mut self, x: &[f64], y: &[f64]) -> f64 {
-        native::dprod(x, y)
-    }
-
-    fn daxpy(&mut self, a: f64, x: &[f64], y: &[f64], out: &mut [f64]) {
-        out.copy_from_slice(y);
-        native::daxpy(a, x, out);
-    }
-
-    fn dscal(&mut self, c: f64, d: f64, y: &[f64], out: &mut [f64]) {
-        out.copy_from_slice(y);
-        native::dscal(c, d, out);
-    }
-
-    fn ddaxpy(&mut self, a: f64, b: f64, x: &[f64], y: &[f64], z: &[f64], out: &mut [f64]) {
-        native::ddaxpy(a, b, x, y, z, out);
-    }
-
-    fn matvec(&mut self, sys: &BandedSystem, x: &[f64], out: &mut [f64]) {
-        out.copy_from_slice(&sys.matvec_reference(x));
-    }
-}
-
-/// The instruction-level simulator running optimized scalar codegen.
-pub struct SimScalar {
-    cfg: ExecConfig,
-}
-
-impl SimScalar {
-    pub fn new() -> Self {
-        SimScalar { cfg: ExecConfig::a64fx_l1() }
-    }
-}
-
-impl Default for SimScalar {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// The instruction-level simulator running vector-length-agnostic SVE
-/// codegen at a chosen vector length.
-pub struct SimSve {
-    cfg: ExecConfig,
-    vl_bits: u32,
-}
-
-impl SimSve {
-    /// `vl_bits` must be a legal SVE vector length (a power of two in
-    /// 128..=2048; the A64FX itself runs 512).
-    pub fn new(vl_bits: u32) -> Self {
-        SimSve { cfg: ExecConfig::a64fx_l1().with_vl(vl_bits), vl_bits }
-    }
-}
-
-impl KernelBackend for SimScalar {
-    fn name(&self) -> String {
-        "sim-scalar".into()
-    }
-
-    fn dprod(&mut self, x: &[f64], y: &[f64]) -> f64 {
-        kernels::run_dprod(x, y, Variant::Scalar, &self.cfg).0
-    }
-
-    fn daxpy(&mut self, a: f64, x: &[f64], y: &[f64], out: &mut [f64]) {
-        out.copy_from_slice(&kernels::run_daxpy(a, x, y, Variant::Scalar, &self.cfg).0);
-    }
-
-    fn dscal(&mut self, c: f64, d: f64, y: &[f64], out: &mut [f64]) {
-        out.copy_from_slice(&kernels::run_dscal(c, d, y, Variant::Scalar, &self.cfg).0);
-    }
-
-    fn ddaxpy(&mut self, a: f64, b: f64, x: &[f64], y: &[f64], z: &[f64], out: &mut [f64]) {
-        out.copy_from_slice(&kernels::run_ddaxpy(a, b, x, y, z, Variant::Scalar, &self.cfg).0);
-    }
-
-    fn matvec(&mut self, sys: &BandedSystem, x: &[f64], out: &mut [f64]) {
-        out.copy_from_slice(&kernels::run_matvec(sys, x, Variant::Scalar, &self.cfg).0);
-    }
-}
-
-impl KernelBackend for SimSve {
-    fn name(&self) -> String {
-        format!("sim-sve/vl{}", self.vl_bits)
-    }
-
-    fn dprod(&mut self, x: &[f64], y: &[f64]) -> f64 {
-        kernels::run_dprod(x, y, Variant::Sve, &self.cfg).0
-    }
-
-    fn daxpy(&mut self, a: f64, x: &[f64], y: &[f64], out: &mut [f64]) {
-        out.copy_from_slice(&kernels::run_daxpy(a, x, y, Variant::Sve, &self.cfg).0);
-    }
-
-    fn dscal(&mut self, c: f64, d: f64, y: &[f64], out: &mut [f64]) {
-        out.copy_from_slice(&kernels::run_dscal(c, d, y, Variant::Sve, &self.cfg).0);
-    }
-
-    fn ddaxpy(&mut self, a: f64, b: f64, x: &[f64], y: &[f64], z: &[f64], out: &mut [f64]) {
-        out.copy_from_slice(&kernels::run_ddaxpy(a, b, x, y, z, Variant::Sve, &self.cfg).0);
-    }
-
-    fn matvec(&mut self, sys: &BandedSystem, x: &[f64], out: &mut [f64]) {
-        out.copy_from_slice(&kernels::run_matvec(sys, x, Variant::Sve, &self.cfg).0);
-    }
-}
-
-/// Every backend the workspace can be compiled with, for tests that
-/// sweep them.  SVE backends cover the legal power-of-two vector
-/// lengths bracketing the A64FX's 512-bit implementation.
-pub fn all_backends() -> Vec<Box<dyn KernelBackend>> {
-    let mut v: Vec<Box<dyn KernelBackend>> = vec![Box::new(Native), Box::new(SimScalar::new())];
-    for vl in [128u32, 512, 2048] {
-        v.push(Box::new(SimSve::new(vl)));
-    }
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,30 +86,6 @@ mod tests {
     fn vecs(n: usize) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
         let f = |k: f64| (0..n).map(|i| (i as f64 * k).sin() + 0.1).collect::<Vec<_>>();
         (f(0.37), f(0.51), f(0.13))
-    }
-
-    #[test]
-    fn backends_agree_on_fixed_inputs() {
-        let n = 97;
-        let (x, y, z) = vecs(n);
-        let sys = BandedSystem::test_system(n, 7);
-        let mut oracle_dd = vec![0.0; n];
-        native::ddaxpy(1.7, -0.6, &x, &y, &z, &mut oracle_dd);
-        for mut b in all_backends() {
-            let name = b.name();
-            let got = b.dprod(&x, &y);
-            let want = native::dprod(&x, &y);
-            assert!((got - want).abs() < 1e-10 * (1.0 + want.abs()), "{name} dprod");
-            let mut out = vec![0.0; n];
-            b.ddaxpy(1.7, -0.6, &x, &y, &z, &mut out);
-            for (g, w) in out.iter().zip(&oracle_dd) {
-                assert!((g - w).abs() < 1e-13, "{name} ddaxpy: {g} vs {w}");
-            }
-            b.matvec(&sys, &x, &mut out);
-            for (g, w) in out.iter().zip(sys.matvec_reference(&x)) {
-                assert!((g - w).abs() < 1e-12, "{name} matvec: {g} vs {w}");
-            }
-        }
     }
 
     #[test]

@@ -21,9 +21,8 @@
 //! * [`workspace`] — the reusable [`SolverWorkspace`] all three solvers
 //!   draw their tile-shaped scratch from, making warm solves
 //!   allocation-free;
-//! * [`backend`] — the [`KernelBackend`] dispatch surface unifying the
-//!   native loops with the `v2d-sve` instruction-level simulator
-//!   (scalar and SVE codegen at any legal vector length);
+//! * [`backend`] — the native slice loops every `TileVec` kernel runs
+//!   its rows through;
 //! * [`sparsity`] — the assembled sparsity pattern of the never-stored
 //!   matrix, regenerating the paper's Fig. 1.
 //!
@@ -41,7 +40,6 @@ pub mod sparsity;
 pub mod tilevec;
 pub mod workspace;
 
-pub use backend::{all_backends, KernelBackend, Native, SimScalar, SimSve};
 pub use op::{LinearOp, StencilCoeffs, StencilOp};
 pub use precond::{BlockJacobi, Identity, Jacobi, Preconditioner, Spai};
 pub use solver::{

@@ -17,11 +17,14 @@
 //! iteration; both produce the same iterates up to floating-point
 //! reassociation, which the test suite verifies.
 //!
-//! All three solvers draw their tile-shaped scratch from a caller-owned
-//! [`SolverWorkspace`] and compute the initial residual in place
-//! ([`kernels::residual_into`]), so a warm solve performs **zero**
+//! All three solvers share one opening — the in-place initial residual
+//! ([`kernels::residual_into`]) and one `{‖r‖², ‖b‖²}` gang — and draw
+//! their tile-shaped scratch from a caller-owned [`SolverWorkspace`],
+//! so a warm solve performs **zero**
 //! `TileVec` heap allocations — see the `workspace_alloc` integration
 //! test and the `ablation_alloc` bench.
+
+use std::ops::ControlFlow;
 
 use v2d_comm::{coll_site, Comm, CommError, ReduceOp};
 use v2d_machine::{AttrVal, ExecCtx};
@@ -50,26 +53,26 @@ pub struct SolveOpts {
     pub max_iters: usize,
     /// Reduction structure (BiCGSTAB only).
     pub variant: BicgVariant,
-    /// Iterations without a new best residual norm before BiCGSTAB
-    /// declares stagnation (and restarts, if restarts remain).  Chosen
-    /// well above the longest plateau of a healthy solve.
-    pub stall_window: usize,
-    /// True-residual restarts BiCGSTAB may spend on ρ/ω/stagnation
-    /// breakdowns before giving the system up to the fallback cascade.
-    pub max_restarts: u32,
 }
 
 impl Default for SolveOpts {
     fn default() -> Self {
-        SolveOpts {
-            tol: 1e-9,
-            max_iters: 10_000,
-            variant: BicgVariant::Ganged,
-            stall_window: 250,
-            max_restarts: 2,
-        }
+        SolveOpts { tol: 1e-9, max_iters: 10_000, variant: BicgVariant::Ganged }
     }
 }
+
+/// Iterations without a new best residual norm before BiCGSTAB declares
+/// stagnation (and restarts, if restarts remain).  Chosen well above the
+/// longest plateau of a healthy solve.
+const STALL_WINDOW: usize = 250;
+
+/// True-residual restarts BiCGSTAB may spend on ρ/ω/stagnation
+/// breakdowns before giving the system up to the fallback cascade.
+const MAX_RESTARTS: u32 = 2;
+
+/// A pivot (ρ, ω, `⟨r̂,v⟩`, `⟨p,Ap⟩`, a Givens denominator) below this
+/// magnitude counts as zero.
+const TINY: f64 = 1e-290;
 
 /// Why an iterative solve gave up — the cause the seed implementation
 /// silently folded into `converged: false`.
@@ -213,19 +216,115 @@ impl std::error::Error for SolveError {
     }
 }
 
-/// Helper: one global sum of a slice of ganged partial inner products,
-/// through the lockstep-verified fallible surface: a desynchronized or
-/// abandoned collective comes back as a typed [`CommError`] the step
-/// driver can turn into a recovery decision instead of a hang.
-fn reduce(
+/// The counters a solve carries to its exit, and the only place a
+/// [`SolveStats`] is built: every exit goes through [`Tally::done`] or
+/// [`Tally::fail`], so `converged == breakdown.is_none()` holds by
+/// construction.
+#[derive(Default)]
+struct Tally {
+    reductions: usize,
+    recoveries: u32,
+}
+
+impl Tally {
+    /// One global sum of a slice of ganged partial inner products,
+    /// through the lockstep-verified fallible surface: a desynchronized
+    /// or abandoned collective comes back as a typed [`CommError`] the
+    /// step driver can turn into a recovery decision instead of a hang.
+    fn reduce(
+        &mut self,
+        comm: &Comm,
+        cx: &mut ExecCtx,
+        partials: &mut [f64],
+    ) -> Result<(), CommError> {
+        comm.try_allreduce(cx, coll_site::SOLVER_REDUCE, ReduceOp::Sum, partials)?;
+        self.reductions += 1;
+        Ok(())
+    }
+
+    /// The tolerance was met.
+    fn done(&self, iters: usize, relres: f64) -> SolveStats {
+        self.stats(iters, relres, None)
+    }
+
+    /// The solve stopped short for `why`.
+    fn fail(&self, iters: usize, relres: f64, why: BreakdownReason) -> SolveStats {
+        self.stats(iters, relres, Some(why))
+    }
+
+    fn stats(&self, iters: usize, relres: f64, breakdown: Option<BreakdownReason>) -> SolveStats {
+        SolveStats {
+            iters,
+            converged: breakdown.is_none(),
+            relres,
+            reductions: self.reductions,
+            breakdown,
+            recoveries: self.recoveries,
+        }
+    }
+}
+
+/// Size `wks` for `a`'s tile and scope the ambient working set of `cx`
+/// to the operator's for the duration of `body`.
+fn enter<A: LinearOp, T>(
+    cx: &mut ExecCtx,
+    a: &mut A,
+    wks: &mut SolverWorkspace,
+    body: impl FnOnce(&mut ExecCtx, &mut A, &mut SolverWorkspace) -> T,
+) -> T {
+    let (n1, n2) = a.tile_dims();
+    wks.ensure(n1, n2);
+    let old_ws = cx.set_ws(a.working_set());
+    let out = body(cx, a, wks);
+    cx.set_ws(old_ws);
+    out
+}
+
+/// The opening every solver shares: `r = b − A·x` computed in place
+/// (`r` holds `A·x`, then `b − A·x`) and one gang `{‖r‖², ‖b‖²}`.  Three
+/// outcomes need no iteration and come back decided — a non-finite norm,
+/// a homogeneous system (`x = 0` is the solution) and an initial guess
+/// already within tolerance; otherwise the solver continues with
+/// `(‖b‖, ‖r₀‖²)`.
+#[allow(clippy::too_many_arguments)] // the solver's operands plus its tally
+fn open<A: LinearOp>(
     comm: &Comm,
     cx: &mut ExecCtx,
-    partials: &mut [f64],
-    count: &mut usize,
-) -> Result<(), CommError> {
-    comm.try_allreduce(cx, coll_site::SOLVER_REDUCE, ReduceOp::Sum, partials)?;
-    *count += 1;
-    Ok(())
+    a: &mut A,
+    b: &TileVec,
+    x: &mut TileVec,
+    r: &mut TileVec,
+    tol: f64,
+    tally: &mut Tally,
+) -> Result<ControlFlow<SolveStats, (f64, f64)>, CommError> {
+    a.apply(comm, cx, x, r);
+    kernels::residual_into(cx, b, r);
+    let mut gang = [kernels::norm2_local(cx, r), kernels::norm2_local(cx, b)];
+    tally.reduce(comm, cx, &mut gang)?;
+    let [rr, bb] = gang;
+    let bnorm = bb.sqrt();
+    Ok(if !rr.is_finite() || !bnorm.is_finite() {
+        ControlFlow::Break(tally.fail(0, f64::NAN, BreakdownReason::NonFinite))
+    } else if bnorm == 0.0 {
+        x.zero();
+        ControlFlow::Break(tally.done(0, 0.0))
+    } else if rr.sqrt() <= tol * bnorm {
+        ControlFlow::Break(tally.done(0, rr.sqrt() / bnorm))
+    } else {
+        ControlFlow::Continue((bnorm, rr))
+    })
+}
+
+/// Scheduled fault injection for the fallback solvers: fail the attempt
+/// before any collective work begins (every rank shares the plan, so all
+/// fail together).
+fn injected(cx: &mut ExecCtx, solver: SolverKind) -> Option<SolveStats> {
+    let inj = cx.faults()?;
+    if !inj.poll_solver_breakdown() {
+        return None;
+    }
+    inj.note(format!("{}: forced breakdown (injected)", solver.name()));
+    Some(Tally::default().fail(0, f64::NAN, BreakdownReason::Injected))
 }
 
 /// Preconditioned BiCGSTAB: solve `A x = b`, starting from the `x`
@@ -243,12 +342,7 @@ pub fn bicgstab<A: LinearOp, M: Preconditioner>(
     wks: &mut SolverWorkspace,
     opts: &SolveOpts,
 ) -> Result<SolveStats, CommError> {
-    let (n1, n2) = a.tile_dims();
-    wks.ensure(n1, n2);
-    let old_ws = cx.set_ws(a.working_set());
-    let stats = bicgstab_inner(comm, cx, a, m, b, x, wks, opts);
-    cx.set_ws(old_ws);
-    stats
+    enter(cx, a, wks, |cx, a, wks| bicgstab_inner(comm, cx, a, m, b, x, wks, opts))
 }
 
 #[allow(clippy::too_many_arguments)] // the public signature, minus sugar
@@ -262,61 +356,23 @@ fn bicgstab_inner<A: LinearOp, M: Preconditioner>(
     wks: &mut SolverWorkspace,
     opts: &SolveOpts,
 ) -> Result<SolveStats, CommError> {
-    let mut reductions = 0usize;
-    let mut recoveries = 0u32;
-    let mut restarts_left = opts.max_restarts;
+    let mut tally = Tally::default();
+    let mut restarts_left = MAX_RESTARTS;
     // Disjoint borrows of the workspace's scratch suite.
     let SolverWorkspace { r, rhat, p, v, s, t, phat, shat, .. } = wks;
 
-    // r = b − A·x, computed in place: r holds A·x, then b − A·x.
-    a.apply(comm, cx, x, r);
-    kernels::residual_into(cx, b, r);
+    let (bnorm, mut rr) = match open(comm, cx, a, b, x, r, opts.tol, &mut tally)? {
+        ControlFlow::Break(st) => return Ok(st),
+        ControlFlow::Continue(opened) => opened,
+    };
     rhat.copy_from(r);
-
-    // Initial gang: {‖r‖², ‖b‖²}.
-    let mut gang = [kernels::norm2_local(cx, r), kernels::norm2_local(cx, b)];
-    reduce(comm, cx, &mut gang, &mut reductions)?;
-    let bnorm = gang[1].sqrt();
-    if !gang[0].is_finite() || !bnorm.is_finite() {
-        return Ok(SolveStats {
-            iters: 0,
-            converged: false,
-            relres: f64::NAN,
-            reductions,
-            breakdown: Some(BreakdownReason::NonFinite),
-            recoveries,
-        });
-    }
-    if bnorm == 0.0 {
-        // Homogeneous system: the solution is x = 0.
-        x.zero();
-        return Ok(SolveStats {
-            iters: 0,
-            converged: true,
-            relres: 0.0,
-            reductions,
-            breakdown: None,
-            recoveries,
-        });
-    }
-    let mut rr = gang[0];
-    if rr.sqrt() <= opts.tol * bnorm {
-        return Ok(SolveStats {
-            iters: 0,
-            converged: true,
-            relres: rr.sqrt() / bnorm,
-            reductions,
-            breakdown: None,
-            recoveries,
-        });
-    }
 
     // ρ is *carried* between iterations when the variant supplies it
     // algebraically (Ganged) and recomputed with a dedicated reduction
     // when it does not (Classic, where the carry is `None`).  Starting
     // carry: ⟨r̂, r⟩ = ‖r‖², since r̂ = r.
-    let mut rho_carry: Option<f64> = Some(gang[0]);
-    let mut rho_prev = gang[0];
+    let mut rho_carry: Option<f64> = Some(rr);
+    let mut rho_prev = rr;
     let mut alpha: f64 = 1.0;
     let mut omega: f64 = 1.0;
     // `fresh` marks the first direction update after an (re)start: the
@@ -324,7 +380,6 @@ fn bicgstab_inner<A: LinearOp, M: Preconditioner>(
     let mut fresh = true;
     let mut best_rr = rr;
     let mut since_best = 0usize;
-    let tiny = 1e-290;
 
     let mut iter = 0usize;
     while iter < opts.max_iters {
@@ -336,7 +391,7 @@ fn bicgstab_inner<A: LinearOp, M: Preconditioner>(
                 // reduction; the ganged form derived it algebraically
                 // from last iteration's five-way gang.
                 let mut g = [kernels::dprod_local(cx, rhat, r)];
-                reduce(comm, cx, &mut g, &mut reductions)?;
+                tally.reduce(comm, cx, &mut g)?;
                 g[0]
             }
         };
@@ -350,56 +405,35 @@ fn bicgstab_inner<A: LinearOp, M: Preconditioner>(
             }
         }
         if !rho.is_finite() || !omega.is_finite() || !rr.is_finite() {
-            return Ok(SolveStats {
-                iters: iter - 1,
-                converged: false,
-                relres: rr.sqrt() / bnorm,
-                reductions,
-                breakdown: Some(BreakdownReason::NonFinite),
-                recoveries,
-            });
+            return Ok(tally.fail(iter - 1, rr.sqrt() / bnorm, BreakdownReason::NonFinite));
         }
-        let why = if rho.abs() < tiny {
+        let why = if rho.abs() < TINY {
             Some(BreakdownReason::RhoZero)
-        } else if omega.abs() < tiny {
+        } else if omega.abs() < TINY {
             Some(BreakdownReason::OmegaZero)
-        } else if since_best >= opts.stall_window {
+        } else if since_best >= STALL_WINDOW {
             Some(BreakdownReason::Stagnation)
         } else {
             None
         };
         if let Some(why) = why {
             if restarts_left == 0 {
-                return Ok(SolveStats {
-                    iters: iter - 1,
-                    converged: false,
-                    relres: rr.sqrt() / bnorm,
-                    reductions,
-                    breakdown: Some(why),
-                    recoveries,
-                });
+                return Ok(tally.fail(iter - 1, rr.sqrt() / bnorm, why));
             }
             // True-residual restart: recompute r = b − A·x from the
             // current iterate, reseed r̂ = r, and restart the recurrence.
             // The breakdown verdict came from globally-reduced scalars,
             // so every rank takes this branch together.
             restarts_left -= 1;
-            recoveries += 1;
+            tally.recoveries += 1;
             a.apply(comm, cx, x, r);
             kernels::residual_into(cx, b, r);
             rhat.copy_from(r);
             let mut g = [kernels::norm2_local(cx, r)];
-            reduce(comm, cx, &mut g, &mut reductions)?;
+            tally.reduce(comm, cx, &mut g)?;
             rr = g[0];
             if !rr.is_finite() {
-                return Ok(SolveStats {
-                    iters: iter,
-                    converged: false,
-                    relres: f64::NAN,
-                    reductions,
-                    breakdown: Some(BreakdownReason::NonFinite),
-                    recoveries,
-                });
+                return Ok(tally.fail(iter, f64::NAN, BreakdownReason::NonFinite));
             }
             if let Some(inj) = cx.faults() {
                 inj.note(format!(
@@ -418,14 +452,7 @@ fn bicgstab_inner<A: LinearOp, M: Preconditioner>(
                 ],
             );
             if rr.sqrt() <= opts.tol * bnorm {
-                return Ok(SolveStats {
-                    iters: iter,
-                    converged: true,
-                    relres: rr.sqrt() / bnorm,
-                    reductions,
-                    breakdown: None,
-                    recoveries,
-                });
+                return Ok(tally.done(iter, rr.sqrt() / bnorm));
             }
             rho_carry = Some(rr);
             rho_prev = rr;
@@ -447,27 +474,13 @@ fn bicgstab_inner<A: LinearOp, M: Preconditioner>(
         m.apply(comm, cx, p, phat);
         a.apply(comm, cx, phat, v);
         let mut g = [kernels::dprod_local(cx, rhat, v)];
-        reduce(comm, cx, &mut g, &mut reductions)?;
+        tally.reduce(comm, cx, &mut g)?;
         let rv = g[0];
         if !rv.is_finite() {
-            return Ok(SolveStats {
-                iters: iter,
-                converged: false,
-                relres: rr.sqrt() / bnorm,
-                reductions,
-                breakdown: Some(BreakdownReason::NonFinite),
-                recoveries,
-            });
+            return Ok(tally.fail(iter, rr.sqrt() / bnorm, BreakdownReason::NonFinite));
         }
-        if rv.abs() < tiny {
-            return Ok(SolveStats {
-                iters: iter,
-                converged: false,
-                relres: rr.sqrt() / bnorm,
-                reductions,
-                breakdown: Some(BreakdownReason::RhatVZero),
-                recoveries,
-            });
+        if rv.abs() < TINY {
+            return Ok(tally.fail(iter, rr.sqrt() / bnorm, BreakdownReason::RhatVZero));
         }
         alpha = rho / rv;
         kernels::xmay(cx, r, alpha, v, s); // s = r − α·v
@@ -475,8 +488,6 @@ fn bicgstab_inner<A: LinearOp, M: Preconditioner>(
         m.apply(comm, cx, s, shat);
         a.apply(comm, cx, shat, t);
 
-        let ts;
-        let tt;
         let rho_next: Option<f64>;
         match opts.variant {
             BicgVariant::Ganged => {
@@ -488,49 +499,30 @@ fn bicgstab_inner<A: LinearOp, M: Preconditioner>(
                     kernels::dprod_local(cx, rhat, s),
                     kernels::dprod_local(cx, rhat, t),
                 ];
-                reduce(comm, cx, &mut g, &mut reductions)?;
-                let [g_ts, g_tt, g_ss, g_rs, g_rt] = g;
-                ts = g_ts;
-                tt = g_tt;
-                if tt < tiny {
+                tally.reduce(comm, cx, &mut g)?;
+                let [ts, tt, ss, rs, rt] = g;
+                if tt < TINY {
                     // t ≈ 0: converged iff s ≈ 0.
                     kernels::daxpy(cx, alpha, phat, x);
-                    let conv = g_ss.sqrt() <= opts.tol * bnorm;
-                    return Ok(SolveStats {
-                        iters: iter,
-                        converged: conv,
-                        relres: g_ss.sqrt() / bnorm,
-                        reductions,
-                        breakdown: if conv { None } else { Some(BreakdownReason::OmegaZero) },
-                        recoveries,
-                    });
+                    return Ok(omega_exit(&tally, iter, ss.sqrt(), opts.tol, bnorm));
                 }
                 omega = ts / tt;
                 // ‖r‖² and next ρ follow algebraically — no extra
                 // reductions.
-                rr = (g_ss - 2.0 * omega * ts + omega * omega * tt).max(0.0);
-                rho_next = Some(g_rs - omega * g_rt);
+                rr = (ss - 2.0 * omega * ts + omega * omega * tt).max(0.0);
+                rho_next = Some(rs - omega * rt);
             }
             BicgVariant::Classic => {
                 let mut g1 = [kernels::dprod_local(cx, t, s)];
-                reduce(comm, cx, &mut g1, &mut reductions)?;
+                tally.reduce(comm, cx, &mut g1)?;
                 let mut g2 = [kernels::norm2_local(cx, t)];
-                reduce(comm, cx, &mut g2, &mut reductions)?;
-                ts = g1[0];
-                tt = g2[0];
-                if tt < tiny {
+                tally.reduce(comm, cx, &mut g2)?;
+                let [ts, tt] = [g1[0], g2[0]];
+                if tt < TINY {
                     kernels::daxpy(cx, alpha, phat, x);
                     let mut g3 = [kernels::norm2_local(cx, s)];
-                    reduce(comm, cx, &mut g3, &mut reductions)?;
-                    let conv = g3[0].sqrt() <= opts.tol * bnorm;
-                    return Ok(SolveStats {
-                        iters: iter,
-                        converged: conv,
-                        relres: g3[0].sqrt() / bnorm,
-                        reductions,
-                        breakdown: if conv { None } else { Some(BreakdownReason::OmegaZero) },
-                        recoveries,
-                    });
+                    tally.reduce(comm, cx, &mut g3)?;
+                    return Ok(omega_exit(&tally, iter, g3[0].sqrt(), opts.tol, bnorm));
                 }
                 omega = ts / tt;
                 rho_next = None; // recomputed at the next loop top
@@ -544,7 +536,7 @@ fn bicgstab_inner<A: LinearOp, M: Preconditioner>(
 
         if opts.variant == BicgVariant::Classic {
             let mut g = [kernels::norm2_local(cx, r)];
-            reduce(comm, cx, &mut g, &mut reductions)?;
+            tally.reduce(comm, cx, &mut g)?;
             rr = g[0];
         }
         cx.trace_instant(
@@ -552,14 +544,7 @@ fn bicgstab_inner<A: LinearOp, M: Preconditioner>(
             &[("iter", AttrVal::U64(iter as u64)), ("relres", AttrVal::F64(rr.sqrt() / bnorm))],
         );
         if rr.sqrt() <= opts.tol * bnorm {
-            return Ok(SolveStats {
-                iters: iter,
-                converged: true,
-                relres: rr.sqrt() / bnorm,
-                reductions,
-                breakdown: None,
-                recoveries,
-            });
+            return Ok(tally.done(iter, rr.sqrt() / bnorm));
         }
         // Stagnation watch: count iterations since the recurrence last
         // set a new best residual norm (host-side — no kernel cost).
@@ -572,14 +557,17 @@ fn bicgstab_inner<A: LinearOp, M: Preconditioner>(
         rho_prev = rho;
         rho_carry = rho_next;
     }
-    Ok(SolveStats {
-        iters: opts.max_iters,
-        converged: false,
-        relres: rr.sqrt() / bnorm,
-        reductions,
-        breakdown: Some(BreakdownReason::MaxIters),
-        recoveries,
-    })
+    Ok(tally.fail(opts.max_iters, rr.sqrt() / bnorm, BreakdownReason::MaxIters))
+}
+
+/// BiCGSTAB's `t ≈ 0` exit: ω is undefined, and the solve converged iff
+/// `‖s‖` is already within tolerance.
+fn omega_exit(tally: &Tally, iter: usize, snorm: f64, tol: f64, bnorm: f64) -> SolveStats {
+    if snorm <= tol * bnorm {
+        tally.done(iter, snorm / bnorm)
+    } else {
+        tally.fail(iter, snorm / bnorm, BreakdownReason::OmegaZero)
+    }
 }
 
 /// Preconditioned conjugate gradient for symmetric positive-definite
@@ -596,12 +584,7 @@ pub fn cg<A: LinearOp, M: Preconditioner>(
     wks: &mut SolverWorkspace,
     opts: &SolveOpts,
 ) -> Result<SolveStats, CommError> {
-    let (n1, n2) = a.tile_dims();
-    wks.ensure(n1, n2);
-    let old_ws = cx.set_ws(a.working_set());
-    let stats = cg_inner(comm, cx, a, m, b, x, wks, opts);
-    cx.set_ws(old_ws);
-    stats
+    enter(cx, a, wks, |cx, a, wks| cg_inner(comm, cx, a, m, b, x, wks, opts))
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -615,95 +598,35 @@ fn cg_inner<A: LinearOp, M: Preconditioner>(
     wks: &mut SolverWorkspace,
     opts: &SolveOpts,
 ) -> Result<SolveStats, CommError> {
-    let mut reductions = 0usize;
-    // Scheduled fault injection: fail this attempt before any collective
-    // work begins (every rank shares the plan, so all fail together).
-    if let Some(inj) = cx.faults() {
-        if inj.poll_solver_breakdown() {
-            inj.note("cg: forced breakdown (injected)".to_string());
-            return Ok(SolveStats {
-                iters: 0,
-                converged: false,
-                relres: f64::NAN,
-                reductions,
-                breakdown: Some(BreakdownReason::Injected),
-                recoveries: 0,
-            });
-        }
+    if let Some(st) = injected(cx, SolverKind::Cg) {
+        return Ok(st);
     }
+    let mut tally = Tally::default();
     // CG's suite aliases the BiCGSTAB field names: z lives in `rhat`,
     // A·p in `v`.
     let SolverWorkspace { r, rhat: z, p, v: ap, .. } = wks;
 
-    a.apply(comm, cx, x, r);
-    kernels::residual_into(cx, b, r);
-
-    let mut gang = [kernels::norm2_local(cx, r), kernels::norm2_local(cx, b)];
-    reduce(comm, cx, &mut gang, &mut reductions)?;
-    let bnorm = gang[1].sqrt();
-    if !gang[0].is_finite() || !bnorm.is_finite() {
-        return Ok(SolveStats {
-            iters: 0,
-            converged: false,
-            relres: f64::NAN,
-            reductions,
-            breakdown: Some(BreakdownReason::NonFinite),
-            recoveries: 0,
-        });
-    }
-    if bnorm == 0.0 {
-        x.zero();
-        return Ok(SolveStats {
-            iters: 0,
-            converged: true,
-            relres: 0.0,
-            reductions,
-            breakdown: None,
-            recoveries: 0,
-        });
-    }
-    let mut rr = gang[0];
-    if rr.sqrt() <= opts.tol * bnorm {
-        return Ok(SolveStats {
-            iters: 0,
-            converged: true,
-            relres: rr.sqrt() / bnorm,
-            reductions,
-            breakdown: None,
-            recoveries: 0,
-        });
-    }
+    let (bnorm, mut rr) = match open(comm, cx, a, b, x, r, opts.tol, &mut tally)? {
+        ControlFlow::Break(st) => return Ok(st),
+        ControlFlow::Continue(opened) => opened,
+    };
 
     m.apply(comm, cx, r, z);
     p.copy_from(z);
     let mut gang = [kernels::dprod_local(cx, r, z)];
-    reduce(comm, cx, &mut gang, &mut reductions)?;
+    tally.reduce(comm, cx, &mut gang)?;
     let mut rz = gang[0];
 
     for iter in 1..=opts.max_iters {
         a.apply(comm, cx, p, ap);
         let mut gang = [kernels::dprod_local(cx, p, ap)];
-        reduce(comm, cx, &mut gang, &mut reductions)?;
+        tally.reduce(comm, cx, &mut gang)?;
         let pap = gang[0];
         if !pap.is_finite() {
-            return Ok(SolveStats {
-                iters: iter,
-                converged: false,
-                relres: rr.sqrt() / bnorm,
-                reductions,
-                breakdown: Some(BreakdownReason::NonFinite),
-                recoveries: 0,
-            });
+            return Ok(tally.fail(iter, rr.sqrt() / bnorm, BreakdownReason::NonFinite));
         }
-        if pap.abs() < 1e-290 {
-            return Ok(SolveStats {
-                iters: iter,
-                converged: false,
-                relres: rr.sqrt() / bnorm,
-                reductions,
-                breakdown: Some(BreakdownReason::PapZero),
-                recoveries: 0,
-            });
+        if pap.abs() < TINY {
+            return Ok(tally.fail(iter, rr.sqrt() / bnorm, BreakdownReason::PapZero));
         }
         let alpha = rz / pap;
         kernels::daxpy(cx, alpha, p, x);
@@ -711,42 +634,21 @@ fn cg_inner<A: LinearOp, M: Preconditioner>(
         m.apply(comm, cx, r, z);
         // Gang {⟨r,z⟩, ⟨r,r⟩} into one reduction.
         let mut gang = [kernels::dprod_local(cx, r, z), kernels::norm2_local(cx, r)];
-        reduce(comm, cx, &mut gang, &mut reductions)?;
+        tally.reduce(comm, cx, &mut gang)?;
         let rz_new = gang[0];
         rr = gang[1];
         if !rr.is_finite() || !rz_new.is_finite() {
-            return Ok(SolveStats {
-                iters: iter,
-                converged: false,
-                relres: f64::NAN,
-                reductions,
-                breakdown: Some(BreakdownReason::NonFinite),
-                recoveries: 0,
-            });
+            return Ok(tally.fail(iter, f64::NAN, BreakdownReason::NonFinite));
         }
         if rr.sqrt() <= opts.tol * bnorm {
-            return Ok(SolveStats {
-                iters: iter,
-                converged: true,
-                relres: rr.sqrt() / bnorm,
-                reductions,
-                breakdown: None,
-                recoveries: 0,
-            });
+            return Ok(tally.done(iter, rr.sqrt() / bnorm));
         }
         let beta = rz_new / rz;
         rz = rz_new;
         // p = z + β·p
         kernels::p_update(cx, beta, 0.0, z, ap, p);
     }
-    Ok(SolveStats {
-        iters: opts.max_iters,
-        converged: false,
-        relres: rr.sqrt() / bnorm,
-        reductions,
-        breakdown: Some(BreakdownReason::MaxIters),
-        recoveries: 0,
-    })
+    Ok(tally.fail(opts.max_iters, rr.sqrt() / bnorm, BreakdownReason::MaxIters))
 }
 
 /// Restarted GMRES(m) with right preconditioning — the other Krylov
@@ -773,13 +675,10 @@ pub fn gmres<A: LinearOp, M: Preconditioner>(
     opts: &SolveOpts,
 ) -> Result<SolveStats, CommError> {
     assert!(restart >= 1, "GMRES restart length must be ≥ 1");
-    let (n1, n2) = a.tile_dims();
-    wks.ensure(n1, n2);
-    wks.ensure_basis(restart + 1);
-    let old_ws = cx.set_ws(a.working_set());
-    let stats = gmres_inner(comm, cx, a, m, b, x, wks, restart, opts);
-    cx.set_ws(old_ws);
-    stats
+    enter(cx, a, wks, |cx, a, wks| {
+        wks.ensure_basis(restart + 1);
+        gmres_inner(comm, cx, a, m, b, x, wks, restart, opts)
+    })
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -794,64 +693,19 @@ fn gmres_inner<A: LinearOp, M: Preconditioner>(
     restart: usize,
     opts: &SolveOpts,
 ) -> Result<SolveStats, CommError> {
-    let mut reductions = 0usize;
-    // Scheduled fault injection: fail this attempt before any collective
-    // work begins (every rank shares the plan, so all fail together).
-    if let Some(inj) = cx.faults() {
-        if inj.poll_solver_breakdown() {
-            inj.note("gmres: forced breakdown (injected)".to_string());
-            return Ok(SolveStats {
-                iters: 0,
-                converged: false,
-                relres: f64::NAN,
-                reductions,
-                breakdown: Some(BreakdownReason::Injected),
-                recoveries: 0,
-            });
-        }
+    if let Some(st) = injected(cx, SolverKind::Gmres) {
+        return Ok(st);
     }
+    let mut tally = Tally::default();
     // GMRES aliases: w ↦ `s`, M⁻¹-image ↦ `shat`, solution update
     // accumulator ↦ `t`, Arnoldi basis ↦ the `basis` pool.
     let SolverWorkspace { r, s: w, t: update, shat: zhat, basis, .. } = wks;
 
-    a.apply(comm, cx, x, r);
-    kernels::residual_into(cx, b, r);
-
-    let mut gang = [kernels::norm2_local(cx, r), kernels::norm2_local(cx, b)];
-    reduce(comm, cx, &mut gang, &mut reductions)?;
-    let bnorm = gang[1].sqrt();
-    if !gang[0].is_finite() || !bnorm.is_finite() {
-        return Ok(SolveStats {
-            iters: 0,
-            converged: false,
-            relres: f64::NAN,
-            reductions,
-            breakdown: Some(BreakdownReason::NonFinite),
-            recoveries: 0,
-        });
-    }
-    if bnorm == 0.0 {
-        x.zero();
-        return Ok(SolveStats {
-            iters: 0,
-            converged: true,
-            relres: 0.0,
-            reductions,
-            breakdown: None,
-            recoveries: 0,
-        });
-    }
-    let mut beta = gang[0].sqrt();
-    if beta <= opts.tol * bnorm {
-        return Ok(SolveStats {
-            iters: 0,
-            converged: true,
-            relres: beta / bnorm,
-            reductions,
-            breakdown: None,
-            recoveries: 0,
-        });
-    }
+    let (bnorm, rr) = match open(comm, cx, a, b, x, r, opts.tol, &mut tally)? {
+        ControlFlow::Break(st) => return Ok(st),
+        ControlFlow::Continue(opened) => opened,
+    };
+    let mut beta = rr.sqrt();
 
     // Hessenberg and rotation storage (small host vectors).
     let mut h = vec![vec![0.0f64; restart]; restart + 1];
@@ -890,22 +744,15 @@ fn gmres_inner<A: LinearOp, M: Preconditioner>(
             // Modified Gram–Schmidt: one reduction per basis vector.
             for (j, vj) in basis.iter().take(nb).enumerate() {
                 let mut dot = [kernels::dprod_local(cx, w, vj)];
-                reduce(comm, cx, &mut dot, &mut reductions)?;
+                tally.reduce(comm, cx, &mut dot)?;
                 h[j][k] = dot[0];
                 kernels::daxpy(cx, -dot[0], vj, w);
             }
             let mut nrm = [kernels::norm2_local(cx, w)];
-            reduce(comm, cx, &mut nrm, &mut reductions)?;
+            tally.reduce(comm, cx, &mut nrm)?;
             let hk1 = nrm[0].sqrt();
             if !hk1.is_finite() {
-                return Ok(SolveStats {
-                    iters: total_iters,
-                    converged: false,
-                    relres: f64::NAN,
-                    reductions,
-                    breakdown: Some(BreakdownReason::NonFinite),
-                    recoveries: 0,
-                });
+                return Ok(tally.fail(total_iters, f64::NAN, BreakdownReason::NonFinite));
             }
             h[k + 1][k] = hk1;
 
@@ -916,7 +763,7 @@ fn gmres_inner<A: LinearOp, M: Preconditioner>(
                 h[j][k] = t;
             }
             let denom = (h[k][k] * h[k][k] + hk1 * hk1).sqrt();
-            if denom < 1e-290 {
+            if denom < TINY {
                 // Lucky breakdown: exact solution within the subspace.
                 cs[k] = 1.0;
                 sn[k] = 0.0;
@@ -930,15 +777,13 @@ fn gmres_inner<A: LinearOp, M: Preconditioner>(
             g[k] *= cs[k];
 
             let relres = g[k + 1].abs() / bnorm;
-            if hk1 >= 1e-290 {
-                let (head, tail) = basis.split_at_mut(k + 1);
-                let vk1 = &mut tail[0];
+            if hk1 >= TINY {
+                let vk1 = &mut basis[k + 1];
                 kernels::copy(cx, w, vk1);
                 kernels::dscal(cx, 0.0, -1.0 / hk1, vk1);
-                let _ = head;
                 nb = k + 2;
             }
-            if relres <= opts.tol || hk1 < 1e-290 {
+            if relres <= opts.tol || hk1 < TINY {
                 converged = true;
                 break;
             }
@@ -967,41 +812,23 @@ fn gmres_inner<A: LinearOp, M: Preconditioner>(
         a.apply(comm, cx, x, r);
         kernels::residual_into(cx, b, r);
         let mut nrm = [kernels::norm2_local(cx, r)];
-        reduce(comm, cx, &mut nrm, &mut reductions)?;
+        tally.reduce(comm, cx, &mut nrm)?;
         beta = nrm[0].sqrt();
         if !beta.is_finite() {
-            return Ok(SolveStats {
-                iters: total_iters,
-                converged: false,
-                relres: f64::NAN,
-                reductions,
-                breakdown: Some(BreakdownReason::NonFinite),
-                recoveries: 0,
-            });
+            return Ok(tally.fail(total_iters, f64::NAN, BreakdownReason::NonFinite));
         }
         if converged || beta <= opts.tol * bnorm {
-            let conv = beta <= opts.tol * bnorm * 10.0;
-            return Ok(SolveStats {
-                iters: total_iters,
-                converged: conv,
-                relres: beta / bnorm,
-                reductions,
-                breakdown: if conv { None } else { Some(BreakdownReason::Stagnation) },
-                recoveries: 0,
+            return Ok(if beta <= opts.tol * bnorm * 10.0 {
+                tally.done(total_iters, beta / bnorm)
+            } else {
+                tally.fail(total_iters, beta / bnorm, BreakdownReason::Stagnation)
             });
         }
         if total_iters >= opts.max_iters {
             break;
         }
     }
-    Ok(SolveStats {
-        iters: total_iters,
-        converged: false,
-        relres: beta / bnorm,
-        reductions,
-        breakdown: Some(BreakdownReason::MaxIters),
-        recoveries: 0,
-    })
+    Ok(tally.fail(total_iters, beta / bnorm, BreakdownReason::MaxIters))
 }
 
 /// Restart length used by the cascade's GMRES fallback.
@@ -1060,9 +887,10 @@ pub fn solve_cascade<A: LinearOp, M: Preconditioner>(
     trace_fallback(cx, SolverKind::BicgStab, &st);
 
     x.copy_from(&wks.x0);
-    let st = run!(gmres(comm, cx, a, m, b, x, wks, CASCADE_GMRES_RESTART, opts));
+    let mut st = run!(gmres(comm, cx, a, m, b, x, wks, CASCADE_GMRES_RESTART, opts));
     if st.converged {
-        return Ok(SolveStats { recoveries: st.recoveries + attempts.len() as u32, ..st });
+        st.recoveries += attempts.len() as u32;
+        return Ok(st);
     }
     attempts.push(SolveAttempt { solver: SolverKind::Gmres, stats: st });
     if let Some(inj) = cx.faults() {
@@ -1071,9 +899,10 @@ pub fn solve_cascade<A: LinearOp, M: Preconditioner>(
     trace_fallback(cx, SolverKind::Gmres, &st);
 
     x.copy_from(&wks.x0);
-    let st = run!(cg(comm, cx, a, m, b, x, wks, opts));
+    let mut st = run!(cg(comm, cx, a, m, b, x, wks, opts));
     if st.converged {
-        return Ok(SolveStats { recoveries: st.recoveries + attempts.len() as u32, ..st });
+        st.recoveries += attempts.len() as u32;
+        return Ok(st);
     }
     attempts.push(SolveAttempt { solver: SolverKind::Cg, stats: st });
     trace_fallback(cx, SolverKind::Cg, &st);
@@ -1102,7 +931,7 @@ mod tests {
     use crate::op::{assemble_dense, StencilCoeffs, StencilOp};
     use crate::precond::{BlockJacobi, Identity, Jacobi, Spai};
     use v2d_comm::{CartComm, Spmd, TileMap};
-    use v2d_machine::CompilerProfile;
+    use v2d_machine::{CompilerProfile, FaultInjector, FaultKind, FaultPlan};
 
     fn profiles() -> Vec<CompilerProfile> {
         vec![CompilerProfile::cray_opt()]
@@ -1637,31 +1466,90 @@ mod tests {
         }
     }
 
+    #[derive(Debug, Clone, Copy)]
+    enum Which {
+        Ganged,
+        Classic,
+        Cg,
+        Gmres,
+    }
+
+    /// One unpreconditioned solve by `which` (GMRES restarts every 5).
+    fn solve_by(
+        which: Which,
+        ctx: &mut v2d_comm::RankCtx,
+        op: &mut StencilOp,
+        b: &TileVec,
+        x: &mut TileVec,
+        inj: Option<&mut FaultInjector>,
+    ) -> SolveStats {
+        let (n1, n2) = op.tile_dims();
+        let wks = &mut SolverWorkspace::new(n1, n2);
+        let (comm, cx, m) =
+            (&ctx.comm, &mut ExecCtx::with_parts(&mut ctx.sink, None, inj, None), &mut Identity);
+        let bicg = |variant| SolveOpts { variant, ..Default::default() };
+        match which {
+            Which::Ganged => bicgstab(comm, cx, op, m, b, x, wks, &bicg(BicgVariant::Ganged)),
+            Which::Classic => bicgstab(comm, cx, op, m, b, x, wks, &bicg(BicgVariant::Classic)),
+            Which::Cg => cg(comm, cx, op, m, b, x, wks, &SolveOpts::default()),
+            Which::Gmres => gmres(comm, cx, op, m, b, x, wks, 5, &SolveOpts::default()),
+        }
+        .unwrap()
+    }
+
     #[test]
-    fn zero_rhs_returns_zero_solution() {
-        let map = TileMap::new(5, 5, 1, 1);
+    fn every_solver_opening_decides_without_iterating() {
+        let (n1, n2) = (6, 5);
+        let map = TileMap::new(n1, n2, 1, 1);
         Spmd::new(1).with_profiles(profiles()).run(|ctx| {
             let cart = CartComm::new(&ctx.comm, map);
-            let mut op = StencilOp::new(StencilCoeffs::manufactured(5, 5, 0, 0), cart);
-            let b = TileVec::new(5, 5);
-            let mut x = TileVec::new(5, 5);
-            x.fill_interior(3.0); // nonzero initial guess
-            let mut m = Identity;
-            let mut wks = SolverWorkspace::new(5, 5);
-            let stats = bicgstab(
-                &ctx.comm,
-                &mut ExecCtx::new(&mut ctx.sink),
-                &mut op,
-                &mut m,
-                &b,
-                &mut x,
-                &mut wks,
-                &SolveOpts::default(),
-            )
-            .unwrap();
-            assert!(stats.converged);
-            assert_eq!(stats.iters, 0);
-            assert!(x.interior_to_vec().iter().all(|&v| v == 0.0));
+            let mut op = StencilOp::new(StencilCoeffs::manufactured(n1, n2, 0, 0), cart);
+            let zero = TileVec::new(n1, n2);
+            let mut poisoned = rhs_field(n1, n2, 0, 0);
+            poisoned.set(1, 2, 3, f64::NAN);
+            let mut x0 = rhs_field(n1, n2, 0, 0);
+            let mut ax0 = TileVec::new(n1, n2);
+            op.apply(&ctx.comm, &mut ExecCtx::new(&mut ctx.sink), &mut x0, &mut ax0);
+
+            // Three outcomes the shared opening decides, each on its one
+            // {‖r‖², ‖b‖²} reduction.
+            for which in [Which::Ganged, Which::Classic, Which::Cg, Which::Gmres] {
+                let mut x = TileVec::new(n1, n2);
+                x.fill_interior(3.0);
+                let st = solve_by(which, ctx, &mut op, &zero, &mut x, None);
+                assert_eq!(
+                    (st.converged, st.iters, st.relres),
+                    (true, 0, 0.0),
+                    "{which:?}: {st:?}"
+                );
+                assert_eq!(st.reductions, 1, "{which:?}: {st:?}");
+                assert!(x.interior_to_vec().iter().all(|&v| v == 0.0), "{which:?}: x kept");
+
+                let st = solve_by(which, ctx, &mut op, &poisoned, &mut TileVec::new(n1, n2), None);
+                assert_eq!(st.breakdown, Some(BreakdownReason::NonFinite), "{which:?}: {st:?}");
+                assert!(!st.converged && st.relres.is_nan(), "{which:?}: {st:?}");
+                assert_eq!((st.iters, st.reductions), (0, 1), "{which:?}: {st:?}");
+
+                let st = solve_by(which, ctx, &mut op, &ax0, &mut x0.clone(), None);
+                assert_eq!(
+                    (st.converged, st.iters, st.relres),
+                    (true, 0, 0.0),
+                    "{which:?}: {st:?}"
+                );
+                assert_eq!(st.reductions, 1, "{which:?}: {st:?}");
+            }
+
+            // The fallback solvers' injected breakdown fires before any
+            // reduction.
+            for which in [Which::Cg, Which::Gmres] {
+                let plan =
+                    FaultPlan::empty().with_event(0, None, FaultKind::SolverBreakdown { count: 1 });
+                let mut inj = FaultInjector::new(plan, 0);
+                inj.begin_step(0);
+                let st = solve_by(which, ctx, &mut op, &ax0, &mut x0.clone(), Some(&mut inj));
+                assert_eq!(st.breakdown, Some(BreakdownReason::Injected), "{which:?}: {st:?}");
+                assert_eq!((st.iters, st.reductions), (0, 0), "{which:?}: {st:?}");
+            }
         });
     }
 

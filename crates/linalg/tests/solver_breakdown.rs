@@ -88,7 +88,7 @@ fn injected_breakdown_recovers_via_true_residual_restart() {
 
 #[test]
 fn exhausted_restarts_surface_the_breakdown_reason() {
-    // More forced breakdowns than max_restarts: BiCGSTAB alone must
+    // More forced breakdowns than its two restarts: BiCGSTAB alone must
     // give up with the classified reason instead of looping.
     Spmd::new(1).with_profiles(profiles()).run(|ctx| {
         let (n1, n2) = (10, 10);
@@ -99,7 +99,7 @@ fn exhausted_restarts_surface_the_breakdown_reason() {
         let mut m = Identity;
         let mut x = TileVec::new(n1, n2);
         let mut wks = SolverWorkspace::new(n1, n2);
-        let opts = SolveOpts { max_restarts: 2, ..Default::default() };
+        let opts = SolveOpts::default();
         let mut inj = breakdown_injector(3);
         let st = bicgstab(
             &ctx.comm,
@@ -141,7 +141,7 @@ fn cascade_falls_back_and_converges() {
                 &b,
                 &mut x,
                 &mut wks,
-                &SolveOpts { tol: 1e-10, max_restarts: 2, ..Default::default() },
+                &SolveOpts { tol: 1e-10, ..Default::default() },
             )
             .unwrap_or_else(|e| panic!("cascade must converge for count {count}: {e}"));
             assert!(st.converged);
@@ -187,7 +187,7 @@ fn cascade_exhaustion_reports_every_attempt_and_restores_x() {
             &b,
             &mut x,
             &mut wks,
-            &SolveOpts { max_restarts: 2, ..Default::default() },
+            &SolveOpts::default(),
         )
         .expect_err("five breakdowns must exhaust the cascade");
         let kinds: Vec<SolverKind> = err.attempts.iter().map(|a| a.solver).collect();

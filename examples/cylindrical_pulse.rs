@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example cylindrical_pulse`
 
-use v2d::comm::{Spmd, TileMap};
+use v2d::comm::{coll_site, Spmd, TileMap};
 use v2d::core::grid::{Geometry, Grid2};
 use v2d::core::limiter::Limiter;
 use v2d::core::opacity::OpacityModel;
@@ -57,7 +57,8 @@ fn main() {
             }
         }
         let flat: Vec<f64> = profile.iter().flat_map(|&(a, b)| [a, b]).collect();
-        let all = ctx.comm.allgatherv(&mut ctx.sink, &flat);
+        let all =
+            ctx.comm.try_allgatherv(&mut ctx.sink, coll_site::UNTAGGED, &flat).expect("gather");
         (e0, e1, all)
     });
 

@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --release --example gaussian_pulse`
 
-use v2d::comm::{Spmd, TileMap};
+use v2d::comm::{coll_site, Spmd, TileMap};
 use v2d::core::problems::GaussianPulse;
 use v2d::core::sim::V2dSim;
 
@@ -50,7 +50,10 @@ fn main() {
             let num = ctx.comm.allreduce_scalar(&mut ctx.sink, v2d::comm::ReduceOp::Sum, num);
             let den = ctx.comm.allreduce_scalar(&mut ctx.sink, v2d::comm::ReduceOp::Sum, den);
             let prof_flat: Vec<f64> = prof.iter().flat_map(|&(a, b, c)| [a, b, c]).collect();
-            let all = ctx.comm.allgatherv(&mut ctx.sink, &prof_flat);
+            let all = ctx
+                .comm
+                .try_allgatherv(&mut ctx.sink, coll_site::UNTAGGED, &prof_flat)
+                .expect("gather");
             ((num / den).sqrt(), all, t)
         })
         .into_iter()

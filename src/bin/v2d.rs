@@ -13,17 +13,31 @@
 //! times, the TAU-style routine profile, and writes a final checkpoint
 //! (`v2d_final.h5l`) from rank 0.
 
+use std::sync::Mutex;
+
 use v2d::comm::{Spmd, TileMap};
 use v2d::core::checkpoint::{write_checkpoint, CheckpointStore};
 use v2d::core::config_file::{ParFile, PAPER_PAR};
 use v2d::core::problems::Family;
 use v2d::core::sim::{RunStats, V2dSim};
 
+/// The final checkpoint rank 0's state is written to.
+const FINAL: &str = "v2d_final.h5l";
+/// The rolling checkpoint store's directory.
+const CK_DIR: &str = "v2d_ck";
+
 fn usage() -> ! {
     eprintln!(
         "usage: v2d <file.par> | v2d --paper | v2d --print-paper | v2d --print-deck <family>"
     );
     std::process::exit(2);
+}
+
+/// An output the run cannot write is one error line and exit status 1,
+/// never a panic.
+fn cannot_write(path: &str, e: impl std::fmt::Display) -> ! {
+    eprintln!("v2d: cannot write {path}: {e}");
+    std::process::exit(1);
 }
 
 fn main() {
@@ -86,6 +100,13 @@ fn main() {
         }
     };
 
+    // The rolling store is made before the launch, so a directory it
+    // cannot use fails the run before any step is spent.
+    let store = match (ck_every > 0).then(|| CheckpointStore::new(CK_DIR, ck_keep)).transpose() {
+        Ok(store) => Mutex::new(store),
+        Err(e) => cannot_write(CK_DIR, e),
+    };
+
     println!(
         "V2D: {}×{}×2 zones, {} steps of dt = {}, topology {}×{} ({} ranks)",
         cfg.grid.n1,
@@ -99,15 +120,21 @@ fn main() {
     println!("problem: {family} — {}", family.scenario().describe());
 
     let map = TileMap::new(cfg.grid.n1, cfg.grid.n2, np1, np2);
-    let outs = Spmd::new(np1 * np2).run(move |ctx| {
+    let mut outs = Spmd::new(np1 * np2).run(move |ctx| {
         let mut sim = V2dSim::new(cfg, &ctx.comm, map);
         family.scenario().init(&mut sim);
         let e0 = sim.total_radiation_energy(&ctx.comm, &mut ctx.sink);
+        // A failed rolling save is remembered, not raised: rank 0 keeps
+        // stepping so no peer is stranded in a collective.
+        let mut ck_err = None;
         let agg = if ck_every > 0 {
             // Stepwise run with a rotating on-disk checkpoint store
             // (rank 0 owns the files; the gather is collective).
-            let mut store = (ctx.rank() == 0)
-                .then(|| CheckpointStore::new("v2d_ck", ck_keep).expect("checkpoint store"));
+            let mut store = if ctx.rank() == 0 {
+                store.lock().unwrap_or_else(|e| e.into_inner()).take()
+            } else {
+                None
+            };
             let mut agg = RunStats::default();
             for _ in 0..cfg.n_steps {
                 let st = sim.step(&ctx.comm, &mut ctx.sink);
@@ -115,8 +142,8 @@ fn main() {
                 if sim.istep().is_multiple_of(ck_every) && sim.istep() < cfg.n_steps {
                     let f = write_checkpoint(&ctx.comm, &mut ctx.sink, &sim)
                         .expect("checkpoint gather");
-                    if let Some(store) = &mut store {
-                        store.save(&f, sim.istep()).expect("save rolling checkpoint");
+                    if let Some(store) = store.as_mut().filter(|_| ck_err.is_none()) {
+                        ck_err = store.save(&f, sim.istep()).err();
                     }
                 }
             }
@@ -127,20 +154,26 @@ fn main() {
         let e1 = sim.total_radiation_energy(&ctx.comm, &mut ctx.sink);
         let report = family.scenario().validate(&sim, &ctx.comm, &mut ctx.sink);
         let ck = write_checkpoint(&ctx.comm, &mut ctx.sink, &sim).expect("checkpoint gather");
-        if ctx.rank() == 0 {
-            ck.save("v2d_final.h5l").expect("write checkpoint");
-        }
+        // Rank 0 hands the final state out; `main` writes it.
+        let ck = (ctx.rank() == 0).then_some(ck);
         let times: Vec<(String, f64, f64)> = ctx
             .sink
             .lanes
             .iter()
             .map(|l| (l.profile.id.label().to_string(), l.elapsed_secs(), l.mpi_secs()))
             .collect();
-        (agg, e0, e1, times, sim.profiler_report(&ctx.sink), report)
+        (agg, e0, e1, times, sim.profiler_report(&ctx.sink), report, ck, ck_err)
     });
 
+    if let Some(e) = outs[0].7.take() {
+        cannot_write(CK_DIR, e);
+    }
+    if let Some(Err(e)) = outs[0].6.take().map(|ck| ck.save(FINAL)) {
+        cannot_write(FINAL, e);
+    }
+
     // Report per-rank maxima (the job is as slow as its slowest rank).
-    let (agg, e0, e1, _, profile, report) = &outs[0];
+    let (agg, e0, e1, _, profile, report, ..) = &outs[0];
     println!(
         "\nsolves: {} | BiCGSTAB iterations: {} ({:.1}/solve) | reductions: {}",
         agg.total_solves,
@@ -160,7 +193,7 @@ fn main() {
     }
     println!("\nrank-0 routine profile (Cray-opt lane):\n{profile}");
     if ck_every > 0 {
-        println!("rolling checkpoints every {ck_every} steps in v2d_ck/ (keeping {ck_keep})");
+        println!("rolling checkpoints every {ck_every} steps in {CK_DIR}/ (keeping {ck_keep})");
     }
-    println!("final state written to v2d_final.h5l");
+    println!("final state written to {FINAL}");
 }

@@ -65,6 +65,40 @@ fn bad_deck_reports_error_and_nonzero_exit() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// An output path `v2d` cannot write is one `cannot write` line and exit
+/// status 1, never a panic's 101.
+#[test]
+fn unwritable_outputs_are_clean_errors() {
+    for (row, blocker, is_dir, every) in
+        [("final", "v2d_final.h5l", true, 0), ("store", "v2d_ck", false, 1)]
+    {
+        let dir = std::env::temp_dir().join(format!("v2d_cli_{row}_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let deck = dir.join("small.par");
+        std::fs::write(
+            &deck,
+            format!(
+                "[grid]\nn1 = 12\nn2 = 6\nx1 = 0.0 2.0\nx2 = 0.0 1.0\n\
+                 [run]\ndt = 0.01\nn_steps = 2\ncheckpoint_every = {every}\n\
+                 [radiation]\nkappa_a = 0.02 0.04\nkappa_s = 2.0 3.0\nkappa_x = 0.01\n"
+            ),
+        )
+        .expect("write deck");
+        if is_dir {
+            std::fs::create_dir_all(dir.join(blocker)).expect("blocking directory");
+        } else {
+            std::fs::write(dir.join(blocker), "not a directory").expect("blocking file");
+        }
+
+        let out = v2d().arg(&deck).current_dir(&dir).output().expect("run v2d");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{row}: stderr: {err}");
+        assert!(err.starts_with("v2d: cannot"), "{row}: unhelpful error: {err}");
+        assert!(!err.contains("panicked"), "{row}: panicked: {err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
 #[test]
 fn missing_file_is_a_clean_error() {
     let out = v2d().arg("/nonexistent/deck.par").output().expect("run v2d");
