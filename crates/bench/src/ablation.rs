@@ -7,7 +7,7 @@
 use v2d_comm::{CartComm, Comm, Spmd, TileMap};
 use v2d_core::grid::LocalGrid;
 use v2d_core::problems::GaussianPulse;
-use v2d_core::rad::coeffs::{assemble_system, MatterState};
+use v2d_core::rad::coeffs::assemble_system;
 use v2d_core::sim::{PrecondKind, V2dConfig, V2dSim};
 use v2d_linalg::{
     bicgstab, gmres, tilevec_alloc_count, BicgVariant, BlockJacobi, SolveOpts, SolverWorkspace,
@@ -250,7 +250,6 @@ fn pulse_system(
         &grid,
         cfg.limiter,
         &cfg.opacity,
-        &MatterState::Uniform,
         cfg.c_light,
         cfg.dt,
         &mut e.clone(),

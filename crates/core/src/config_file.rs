@@ -231,8 +231,7 @@ impl ParFile {
         check("radiation.kappa_a", ka.0 >= 0.0 && ka.1 >= 0.0, "opacities must be >= 0")?;
         check("radiation.kappa_s", ks.0 >= 0.0 && ks.1 >= 0.0, "opacities must be >= 0")?;
         check("radiation.kappa_x", kx >= 0.0, "opacities must be >= 0")?;
-        let opacity =
-            OpacityModel::Constant { kappa_a: [ka.0, ka.1], kappa_s: [ks.0, ks.1], kappa_x: kx };
+        let opacity = OpacityModel { kappa_a: [ka.0, ka.1], kappa_s: [ks.0, ks.1], kappa_x: kx };
         let precond = match self.get("radiation.precond").unwrap_or("block-jacobi") {
             "none" => PrecondKind::None,
             "jacobi" => PrecondKind::Jacobi,

@@ -31,11 +31,6 @@ impl GammaLaw {
         GammaLaw { gamma }
     }
 
-    /// Ideal monatomic gas.
-    pub fn monatomic() -> Self {
-        GammaLaw::new(5.0 / 3.0)
-    }
-
     /// Convert conserved → primitive.
     ///
     /// # Panics
@@ -65,12 +60,6 @@ impl GammaLaw {
     /// Adiabatic sound speed.
     pub fn sound_speed(&self, w: &Prim) -> f64 {
         (self.gamma * w.p / w.rho).sqrt()
-    }
-
-    /// Temperature proxy `T = p/ρ` (ideal gas with unit gas constant),
-    /// used by the opacity closures.
-    pub fn temperature(&self, w: &Prim) -> f64 {
-        w.p / w.rho
     }
 }
 

@@ -14,9 +14,9 @@
 //!   generically written to allow various coordinate systems" (§I-C);
 //! * [`field`] — scalar tile fields with two-deep ghost frames for the
 //!   hydro reconstruction;
-//! * [`opacity`], [`limiter`] — the microphysics closures: opacity
-//!   models and the flux limiters (Levermore–Pomraning, Wilson) that
-//!   close the diffusion approximation;
+//! * [`opacity`], [`limiter`] — the microphysics closures: constant
+//!   per-species opacities and the flux limiters (Levermore–Pomraning,
+//!   Wilson) that close the diffusion approximation;
 //! * [`rad`] — the multigroup flux-limited diffusion module: coefficient
 //!   assembly into the matrix-free stencil operator and the implicit
 //!   stepper that performs the paper's **three linear-system solves per
@@ -25,9 +25,12 @@
 //!   (MUSCL–Hancock with HLL fluxes, gamma-law EOS), frozen for the
 //!   paper's radiation test problem but exercised by its own tests and
 //!   examples;
-//! * [`problems`] — initial/boundary conditions: the 2-D Gaussian
-//!   radiation pulse of the study, a Sod shock tube, and a radiative
-//!   relaxation problem;
+//! * [`problems`] — the registry of eight problem families, each with
+//!   its configuration, initial condition and validation: the 2-D
+//!   Gaussian radiation pulse of the study, a multigroup opacity step, a
+//!   radiative step front, radiative and matter–radiation relaxation,
+//!   the Sod shock tube, a Sedov–Taylor blast and a Kelvin–Helmholtz
+//!   shear layer;
 //! * [`sim`] — the [`sim::V2dSim`] driver tying it together;
 //! * [`config_file`] — the runtime parameter-file reader (V2D-style
 //!   `key = value` decks, including the NPRX1/NPRX2 topology knobs);

@@ -1,40 +1,23 @@
-//! Opacity models: the microphysics that couples radiation to matter.
+//! Opacities: the microphysics that couples radiation to matter.
 //!
 //! V2D evolves multigroup neutrino radiation through matter whose
-//! opacities depend on the local thermodynamic state.  The reproduction
-//! carries the same structure with simplified closures: per-species
-//! absorption `κ_a`, scattering `κ_s`, and an inter-species exchange
-//! `κ_x` (the linearized energy-exchange coupling that makes the two
-//! `x1·x2` blocks of the matrix talk to each other).
+//! opacities depend on the local thermodynamic state.  The paper's
+//! workload — and every deck, scenario and example here — fixes them
+//! instead: constant per-species absorption `κ_a`, scattering `κ_s`, and
+//! an inter-species exchange `κ_x` (the linearized energy-exchange
+//! coupling that makes the two `x1·x2` blocks of the matrix talk to each
+//! other), set by the deck's `kappa_a`/`kappa_s`/`kappa_x`.
 //!
 //! All opacities are *inverse lengths* (cm⁻¹-style): `κ = ρ·κ_specific`.
 
-/// Per-species opacity closure.
+/// Constant per-species opacities, uniform over the grid for the whole
+/// run.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum OpacityModel {
-    /// Spatially constant opacities — the linear test-problem setting
-    /// where the Gaussian pulse has an analytic solution.
-    Constant {
-        /// Absorption per species.
-        kappa_a: [f64; 2],
-        /// Scattering per species.
-        kappa_s: [f64; 2],
-        /// Inter-species exchange.
-        kappa_x: f64,
-    },
-    /// Kramers-like power law: `κ_a = κ₀ · ρ · T^(−3.5)`, `κ_s = κ₁ · ρ`,
-    /// evaluated from the hydro state — the nonlinear multi-physics
-    /// setting.
-    PowerLaw { kappa0: [f64; 2], kappa1: [f64; 2], kappa_x0: f64 },
-}
-
-/// Evaluated opacities at one zone.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ZoneOpacity {
+pub struct OpacityModel {
     /// Absorption per species.
     pub kappa_a: [f64; 2],
-    /// Total (transport) opacity per species: absorption + scattering.
-    pub kappa_t: [f64; 2],
+    /// Scattering per species.
+    pub kappa_s: [f64; 2],
     /// Inter-species exchange.
     pub kappa_x: f64,
 }
@@ -44,29 +27,12 @@ impl OpacityModel {
     /// diffusion approximation holds, with mild absorption so the system
     /// is not singular at large `dt`).
     pub fn test_problem() -> Self {
-        OpacityModel::Constant { kappa_a: [0.02, 0.04], kappa_s: [2.0, 3.0], kappa_x: 0.01 }
+        OpacityModel { kappa_a: [0.02, 0.04], kappa_s: [2.0, 3.0], kappa_x: 0.01 }
     }
 
-    /// Evaluate at a zone with density `rho` and temperature `temp`.
-    pub fn eval(&self, rho: f64, temp: f64) -> ZoneOpacity {
-        match *self {
-            OpacityModel::Constant { kappa_a, kappa_s, kappa_x } => ZoneOpacity {
-                kappa_a,
-                kappa_t: [kappa_a[0] + kappa_s[0], kappa_a[1] + kappa_s[1]],
-                kappa_x,
-            },
-            OpacityModel::PowerLaw { kappa0, kappa1, kappa_x0 } => {
-                assert!(rho > 0.0 && temp > 0.0, "power-law opacity needs ρ, T > 0");
-                let t35 = temp.powf(-3.5);
-                let ka = [kappa0[0] * rho * t35, kappa0[1] * rho * t35];
-                let ks = [kappa1[0] * rho, kappa1[1] * rho];
-                ZoneOpacity {
-                    kappa_a: ka,
-                    kappa_t: [ka[0] + ks[0], ka[1] + ks[1]],
-                    kappa_x: kappa_x0 * rho,
-                }
-            }
-        }
+    /// Total (transport) opacity of species `s`: absorption + scattering.
+    pub fn kappa_t(&self, s: usize) -> f64 {
+        self.kappa_a[s] + self.kappa_s[s]
     }
 }
 
@@ -75,29 +41,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn constant_model_ignores_state() {
+    fn transport_opacity_is_absorption_plus_scattering() {
         let m = OpacityModel::test_problem();
-        let a = m.eval(1.0, 1.0);
-        let b = m.eval(123.0, 0.01);
-        assert_eq!(a, b);
-        assert!(a.kappa_t[0] > a.kappa_a[0]);
-    }
-
-    #[test]
-    fn power_law_scales_with_density_and_temperature() {
-        let m = OpacityModel::PowerLaw { kappa0: [1.0, 2.0], kappa1: [0.5, 0.5], kappa_x0: 0.1 };
-        let lo = m.eval(1.0, 2.0);
-        let hi = m.eval(2.0, 2.0);
-        assert!((hi.kappa_a[0] / lo.kappa_a[0] - 2.0).abs() < 1e-14);
-        let hot = m.eval(1.0, 4.0);
-        assert!(hot.kappa_a[0] < lo.kappa_a[0], "hotter matter is more transparent");
-        assert!((hi.kappa_x / lo.kappa_x - 2.0).abs() < 1e-14);
-    }
-
-    #[test]
-    #[should_panic(expected = "needs")]
-    fn power_law_rejects_nonpositive_state() {
-        let m = OpacityModel::PowerLaw { kappa0: [1.0; 2], kappa1: [0.0; 2], kappa_x0: 0.0 };
-        let _ = m.eval(0.0, 1.0);
+        assert_eq!(m.kappa_t(0), 0.02 + 2.0);
+        assert_eq!(m.kappa_t(1), 0.04 + 3.0);
+        assert!(m.kappa_t(0) > m.kappa_a[0]);
     }
 }

@@ -35,7 +35,7 @@ impl RadiativeRelaxation {
             // Huge scattering opacity makes D = c/(3κ_t) negligible, so
             // the uniform field sees no boundary leakage and the pure
             // exchange ODE is realized on every zone.
-            opacity: OpacityModel::Constant {
+            opacity: OpacityModel {
                 kappa_a: [0.0, 0.0],
                 kappa_s: [1e4, 1e4],
                 kappa_x: self.kappa_x,

@@ -87,8 +87,7 @@ impl GaussianPulse {
     pub fn linear_config(n1: usize, n2: usize, n_steps: usize) -> V2dConfig {
         let mut cfg = Self::scaled_config(n1, n2, n_steps);
         cfg.limiter = Limiter::None;
-        cfg.opacity =
-            OpacityModel::Constant { kappa_a: [0.0, 0.0], kappa_s: [2.0, 2.0], kappa_x: 0.0 };
+        cfg.opacity = OpacityModel { kappa_a: [0.0, 0.0], kappa_s: [2.0, 2.0], kappa_x: 0.0 };
         cfg
     }
 
@@ -115,17 +114,10 @@ impl GaussianPulse {
         self.background + self.amplitude * s2 / s2t * (-r2 / s2t).exp()
     }
 
-    /// The diffusion coefficient of the linear configuration.  Falls
-    /// back to the species-0 floor opacities for non-constant models
-    /// (where no single coefficient exists, the floor is the closest
-    /// analogue; the analytic comparison is only meaningful for
-    /// [`Self::linear_config`], which is constant).
+    /// The species-0 diffusion coefficient `c/(3κ_t)` of the linear
+    /// configuration.
     pub fn linear_diffusion_coefficient(cfg: &V2dConfig) -> f64 {
-        let (ka0, ks0) = match cfg.opacity {
-            OpacityModel::Constant { kappa_a, kappa_s, .. } => (kappa_a[0], kappa_s[0]),
-            OpacityModel::PowerLaw { kappa0, kappa1, .. } => (kappa0[0], kappa1[0]),
-        };
-        cfg.c_light / (3.0 * (ka0 + ks0))
+        cfg.c_light / (3.0 * cfg.opacity.kappa_t(0))
     }
 }
 

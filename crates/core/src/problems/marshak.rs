@@ -47,11 +47,7 @@ impl MatterRelaxation {
         V2dConfig {
             grid: Grid2::new(n1, n2, (0.0, 1.0), (0.0, 1.0), Geometry::Cartesian),
             limiter: Limiter::None,
-            opacity: OpacityModel::Constant {
-                kappa_a: [0.4, 0.4],
-                kappa_s: [1e4, 1e4],
-                kappa_x: 0.0,
-            },
+            opacity: OpacityModel { kappa_a: [0.4, 0.4], kappa_s: [1e4, 1e4], kappa_x: 0.0 },
             c_light: 1.0,
             dt,
             n_steps,

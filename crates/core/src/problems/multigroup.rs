@@ -35,11 +35,7 @@ pub struct MultigroupScenario;
 impl MultigroupScenario {
     /// Group `s`'s diffusion coefficient.
     pub fn diffusion(cfg: &V2dConfig, s: usize) -> f64 {
-        let ks = match cfg.opacity {
-            OpacityModel::Constant { kappa_s, .. } => kappa_s[s],
-            OpacityModel::PowerLaw { kappa1, .. } => kappa1[s],
-        };
-        cfg.c_light / (3.0 * ks)
+        cfg.c_light / (3.0 * cfg.opacity.kappa_s[s])
     }
 }
 
@@ -61,11 +57,7 @@ impl Scenario for MultigroupScenario {
         V2dConfig {
             grid,
             limiter: Limiter::None,
-            opacity: OpacityModel::Constant {
-                kappa_a: [0.0, 0.0],
-                kappa_s: KAPPA_GROUPS,
-                kappa_x: 0.0,
-            },
+            opacity: OpacityModel { kappa_a: [0.0, 0.0], kappa_s: KAPPA_GROUPS, kappa_x: 0.0 },
             c_light: 1.0,
             dt: T_GAUSSIAN / steps as f64,
             n_steps: steps,

@@ -80,11 +80,7 @@ fn channel_mode(grid: &Grid2, y: f64) -> (f64, f64) {
 impl RadShockScenario {
     /// The linear diffusion coefficient `c/(3κ_s)`.
     pub fn diffusion(cfg: &V2dConfig) -> f64 {
-        let ks = match cfg.opacity {
-            OpacityModel::Constant { kappa_s, .. } => kappa_s[0],
-            OpacityModel::PowerLaw { kappa1, .. } => kappa1[0],
-        };
-        cfg.c_light / (3.0 * ks)
+        cfg.c_light / (3.0 * cfg.opacity.kappa_s[0])
     }
 
     /// The separable closed form at `(x, y, t)` on `grid`.
@@ -112,7 +108,7 @@ impl Scenario for RadShockScenario {
         V2dConfig {
             grid: Grid2::new(n1, n2, (0.0, 1.0), (0.0, 0.25), Geometry::Cartesian),
             limiter: Limiter::None,
-            opacity: OpacityModel::Constant {
+            opacity: OpacityModel {
                 kappa_a: [0.0, 0.0],
                 kappa_s: [KAPPA_S, KAPPA_S],
                 kappa_x: 0.0,

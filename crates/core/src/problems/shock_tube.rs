@@ -57,14 +57,14 @@ impl SodTube {
         };
         let eos = crate::hydro::GammaLaw::new(hcfg.gamma);
         let (iface, left, right) = (self.interface, self.left, self.right);
-        let x1span = grid.global.x1max - grid.global.x1min;
+        let (x1min, x1span) = (grid.global.x1min, grid.global.x1max - grid.global.x1min);
         let Some(state) = sim.hydro_mut() else {
             return;
         };
         for i2 in 0..grid.n2 {
             for i1 in 0..grid.n1 {
                 let (g1, _) = grid.to_global(i1, i2);
-                let x = grid.global.x1c(g1) / x1span;
+                let x = (grid.global.x1c(g1) - x1min) / x1span;
                 let w = if x < iface { left } else { right };
                 let c = eos.to_cons(w);
                 state.rho.set(i1 as isize, i2 as isize, c.rho);

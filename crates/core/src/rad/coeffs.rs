@@ -15,9 +15,12 @@
 //!
 //! with face diffusion coefficients `D_f = c·λ(R_f)/κ_t,f` evaluated
 //! from the *current* iterate of the radiation field (the nonlinearity
-//! the stepper fixed-point iterates over).  Homogeneous Dirichlet
-//! boundaries come for free from the zero ghost frame: the boundary
-//! column simply does not exist.
+//! the stepper fixed-point iterates over).  Opacities are constant per
+//! run ([`OpacityModel`]), so the face opacity `κ_t,f` — the mean of the
+//! two adjacent zones — is the zone's own `κ_t`, and a zone on a tile
+//! seam needs nothing from the neighbouring rank but its ghost energy.
+//! Homogeneous Dirichlet boundaries come for free from the zero ghost
+//! frame: the boundary column simply does not exist.
 //!
 //! The assembly is multi-physics work — table lookups, limiter
 //! transcendentals, metric factors — and is charged to the cost model as
@@ -29,30 +32,9 @@ use v2d_comm::{CartComm, Comm};
 use v2d_linalg::{StencilCoeffs, StencilOp, TileVec, NSPEC};
 use v2d_machine::{ExecCtx, KernelClass, KernelShape};
 
-use crate::field::Field2;
 use crate::grid::LocalGrid;
 use crate::limiter::Limiter;
 use crate::opacity::OpacityModel;
-
-/// Matter background the opacities are evaluated from.
-#[derive(Debug, Clone, Copy)]
-pub enum MatterState<'a> {
-    /// Uniform unit density and temperature (the pure radiation test).
-    Uniform,
-    /// Fields from the hydro module.
-    Fields { rho: &'a Field2, temp: &'a Field2 },
-}
-
-impl MatterState<'_> {
-    fn at(&self, i1: usize, i2: usize) -> (f64, f64) {
-        match self {
-            MatterState::Uniform => (1.0, 1.0),
-            MatterState::Fields { rho, temp } => {
-                (rho.get(i1 as isize, i2 as isize), temp.get(i1 as isize, i2 as isize))
-            }
-        }
-    }
-}
 
 /// Floor for face energies inside the limiter argument (avoids 0/0 in
 /// evacuated zones).
@@ -74,7 +56,6 @@ pub fn assemble_system(
     grid: &LocalGrid,
     limiter: Limiter,
     opacity: &OpacityModel,
-    matter: &MatterState,
     c_light: f64,
     dt: f64,
     lin_state: &mut TileVec,
@@ -95,55 +76,28 @@ pub fn assemble_system(
     let mut c = StencilCoeffs::new(n1, n2);
     let mut rhs = TileVec::new(n1, n2);
 
-    // Zone opacities (evaluated once per zone, shared by faces).
-    // κ at a face is the arithmetic mean of the adjacent zones; at a
-    // physical boundary the zone value is used.
-    let kap = |i1: usize, i2: usize| {
-        let (rho, t) = matter.at(i1, i2);
-        opacity.eval(rho, t)
-    };
-
     for s in 0..NSPEC {
+        // Every face κ is the zone κ (module docs).
+        let kt = opacity.kappa_t(s);
         for i2 in 0..n2 {
             for i1 in 0..n1 {
                 let (g1, g2) = grid.to_global(i1, i2);
                 let li1 = i1 as isize;
                 let li2 = i2 as isize;
-                let here = kap(i1, i2);
                 let e_c = lin_state.get(s, li1, li2);
 
                 let dx1 = g.dx1_centers();
                 let dx2 = g.dx2_centers(g1);
                 let vol = g.volume(g1, g2);
 
-                // Face diffusion coefficient toward a neighbor at
-                // (di1, di2); `interior` is false at the physical edge
-                // (the ghost is zero there, and κ_face = κ_zone).
+                // Face diffusion coefficient toward the neighbor at
+                // (di1, di2); at the physical edge its ghost is zero.
                 let face_d = |di1: isize, di2: isize, dx: f64| -> f64 {
-                    let (ni1, ni2) = (li1 + di1, li2 + di2);
-                    let in1 = g1 as isize + di1;
-                    let in2 = g2 as isize + di2;
-                    let interior =
-                        in1 >= 0 && in2 >= 0 && (in1 as usize) < g.n1 && (in2 as usize) < g.n2;
-                    let kt_nbr = if interior
-                        && (0..n1 as isize).contains(&ni1)
-                        && (0..n2 as isize).contains(&ni2)
-                    {
-                        kap(ni1 as usize, ni2 as usize).kappa_t[s]
-                    } else {
-                        // Neighbor owned by another rank (its opacity is
-                        // whatever the same closure gives: for the models
-                        // here opacity is a pure function of matter state,
-                        // which is Uniform in the decomposed radiation
-                        // test) or a physical boundary.
-                        here.kappa_t[s]
-                    };
-                    let kt_face = 0.5 * (here.kappa_t[s] + kt_nbr);
-                    let e_nbr = lin_state.get(s, ni1, ni2);
+                    let e_nbr = lin_state.get(s, li1 + di1, li2 + di2);
                     let grad = (e_nbr - e_c) / dx;
                     let e_face = 0.5 * (e_c + e_nbr).max(E_FLOOR);
-                    let r = grad.abs() / (kt_face * e_face);
-                    c_light * limiter.lambda(r) / kt_face
+                    let r = grad.abs() / (kt * e_face);
+                    c_light * limiter.lambda(r) / kt
                 };
 
                 let dw = face_d(-1, 0, dx1);
@@ -162,14 +116,14 @@ pub fn assemble_system(
                 let ts = dt * a_s * ds / (vol * dx2);
                 let tn = dt * a_n * dn / (vol * dx2);
 
-                let sigma = dt * c_light * (here.kappa_a[s] + here.kappa_x);
+                let sigma = dt * c_light * (opacity.kappa_a[s] + opacity.kappa_x);
 
                 c.cc.set(s, li1, li2, 1.0 + sigma + tw + te + ts + tn);
                 c.cw.set(s, li1, li2, -tw);
                 c.ce.set(s, li1, li2, -te);
                 c.cs.set(s, li1, li2, -ts);
                 c.cn.set(s, li1, li2, -tn);
-                c.cpl.set(s, li1, li2, -dt * c_light * here.kappa_x);
+                c.cpl.set(s, li1, li2, -dt * c_light * opacity.kappa_x);
 
                 rhs.set(s, li1, li2, rhs_state.get(s, li1, li2) + dt * source.get(s, li1, li2));
             }
@@ -218,7 +172,6 @@ mod tests {
                 &grid,
                 Limiter::LevermorePomraning,
                 &OpacityModel::test_problem(),
-                &MatterState::Uniform,
                 1.0,
                 0.5,
                 &mut e.clone(),
@@ -267,8 +220,7 @@ mod tests {
                 &cart,
                 &grid,
                 Limiter::None,
-                &OpacityModel::Constant { kappa_a, kappa_s: [1.0, 1.0], kappa_x },
-                &MatterState::Uniform,
+                &OpacityModel { kappa_a, kappa_s: [1.0, 1.0], kappa_x },
                 c_l,
                 dt,
                 &mut e.clone(),
@@ -302,7 +254,6 @@ mod tests {
                 &grid,
                 Limiter::None,
                 &OpacityModel::test_problem(),
-                &MatterState::Uniform,
                 1.0,
                 0.25,
                 &mut e.clone(),
@@ -330,7 +281,6 @@ mod tests {
                 &grid,
                 Limiter::Wilson,
                 &OpacityModel::test_problem(),
-                &MatterState::Uniform,
                 1.0,
                 0.1,
                 &mut e.clone(),
@@ -367,7 +317,6 @@ mod tests {
                     &grid,
                     Limiter::LevermorePomraning,
                     &OpacityModel::test_problem(),
-                    &MatterState::Uniform,
                     1.0,
                     0.4,
                     &mut e.clone(),

@@ -26,7 +26,6 @@ use v2d_linalg::{TileVec, NSPEC};
 use v2d_machine::{ExecCtx, KernelClass, KernelShape};
 
 use crate::field::Field2;
-use crate::opacity::ZoneOpacity;
 
 /// Coupling closure parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -64,16 +63,15 @@ impl MatterCoupling {
         &self,
         cx: &mut ExecCtx,
         c_light: f64,
-        opacity_at: &dyn Fn(usize, usize) -> ZoneOpacity,
+        kappa_a: [f64; NSPEC],
         temp: &Field2,
         out: &mut TileVec,
     ) {
         let (n1, n2) = (out.n1(), out.n2());
-        for s in 0..NSPEC {
+        for (s, kap) in kappa_a.into_iter().enumerate() {
             for i2 in 0..n2 {
                 for i1 in 0..n1 {
                     let t = temp.get(i1 as isize, i2 as isize);
-                    let kap = opacity_at(i1, i2).kappa_a[s];
                     out.set(s, i1 as isize, i2 as isize, c_light * kap * self.emission(s, t));
                 }
             }
@@ -100,7 +98,7 @@ impl MatterCoupling {
         cx: &mut ExecCtx,
         c_light: f64,
         dt: f64,
-        opacity_at: &dyn Fn(usize, usize) -> ZoneOpacity,
+        kappa_a: [f64; NSPEC],
         erad: &TileVec,
         temp: &mut Field2,
     ) -> usize {
@@ -110,13 +108,12 @@ impl MatterCoupling {
             for i1 in 0..n1 {
                 let t0 = temp.get(i1 as isize, i2 as isize);
                 assert!(t0 > 0.0, "non-positive temperature at ({i1},{i2}): {t0}");
-                let op = opacity_at(i1, i2);
                 // Residual F(T) = cv(T−T0) − dt·Σ c κ_a (E_s − f_s a T⁴)
                 let absorbed: f64 = (0..NSPEC)
-                    .map(|s| c_light * op.kappa_a[s] * erad.get(s, i1 as isize, i2 as isize))
+                    .map(|s| c_light * kappa_a[s] * erad.get(s, i1 as isize, i2 as isize))
                     .sum();
                 let kap_b: f64 =
-                    (0..NSPEC).map(|s| c_light * op.kappa_a[s] * self.split[s] * self.a_rad).sum();
+                    (0..NSPEC).map(|s| c_light * kappa_a[s] * self.split[s] * self.a_rad).sum();
                 // F is increasing and convex for T > 0, and the root lies
                 // below max(T0, (absorbed/kapB)^¼); starting Newton from
                 // that upper bound makes the iteration monotone
@@ -153,27 +150,19 @@ impl MatterCoupling {
         ));
         worst
     }
-
-    /// Energy the gas *gained* this step (per zone, for conservation
-    /// accounting): `c_v·(T¹ − T⁰)`.
-    pub fn gas_energy(&self, temp: &Field2) -> f64 {
-        temp.interior_to_vec().iter().map(|&t| self.cv * t).sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::opacity::OpacityModel;
     use v2d_machine::{CompilerProfile, MultiCostSink};
 
     fn sink() -> MultiCostSink {
         MultiCostSink::single(CompilerProfile::cray_opt())
     }
 
-    fn opac() -> OpacityModel {
-        OpacityModel::Constant { kappa_a: [0.5, 0.5], kappa_s: [1.0, 1.0], kappa_x: 0.0 }
-    }
+    /// Absorption of both species in every test.
+    const KAPPA_A: [f64; NSPEC] = [0.5, 0.5];
 
     #[test]
     fn split_must_sum_to_one() {
@@ -188,12 +177,7 @@ mod tests {
         let mut temp = Field2::new(4, 3);
         temp.fill_with(|i1, _| 1.0 + i1 as f64);
         let mut src = TileVec::new(4, 3);
-        let model = opac();
-        let at = move |i1: usize, i2: usize| {
-            let _ = (i1, i2);
-            model.eval(1.0, 1.0)
-        };
-        cp.emission_source(&mut ExecCtx::new(&mut sk), 1.0, &at, &temp, &mut src);
+        cp.emission_source(&mut ExecCtx::new(&mut sk), 1.0, KAPPA_A, &temp, &mut src);
         // zone (1,0): T = 2 → B_0 = 0.25·2·16 = 8; source = c·κ_a·B = 4.
         assert!((src.get(0, 1, 0) - 0.5 * 8.0).abs() < 1e-12);
         assert!((src.get(1, 1, 0) - 0.5 * 24.0).abs() < 1e-12);
@@ -209,9 +193,7 @@ mod tests {
         temp.fill_with(|_, _| 1.0);
         let mut erad = TileVec::new(2, 2);
         erad.fill_interior(8.0); // ΣE = 16 → T_eq = 2 since a(T⁴)=16
-        let model = opac();
-        let at = move |_: usize, _: usize| model.eval(1.0, 1.0);
-        cp.update_temperature(&mut ExecCtx::new(&mut sk), 1.0, 1e9, &at, &erad, &mut temp);
+        cp.update_temperature(&mut ExecCtx::new(&mut sk), 1.0, 1e9, KAPPA_A, &erad, &mut temp);
         let t = temp.get(0, 0);
         assert!((t - 2.0).abs() < 1e-6, "stiff limit should hit a·T⁴ = ΣE: T = {t}");
     }
@@ -226,10 +208,8 @@ mod tests {
         temp.fill_with(|_, _| 1.0);
         let mut erad = TileVec::new(2, 2);
         erad.fill_interior(3.0);
-        let model = opac();
-        let at = move |_: usize, _: usize| model.eval(1.0, 1.0);
         let dt = 1e-6;
-        cp.update_temperature(&mut ExecCtx::new(&mut sk), 1.0, dt, &at, &erad, &mut temp);
+        cp.update_temperature(&mut ExecCtx::new(&mut sk), 1.0, dt, KAPPA_A, &erad, &mut temp);
         // rate = Σ cκ(E − 0.5·T⁴) = 2·0.5·(3 − 0.5) = 2.5; ΔT = dt·rate/cv.
         let want = 1.0 + dt * 2.5 / 2.0;
         let got = temp.get(1, 1);
@@ -247,18 +227,15 @@ mod tests {
         let t_before = temp.clone();
         let mut erad = TileVec::new(3, 3);
         erad.fill_with(|s, i1, i2| 1.0 + 0.2 * (s + i1 + 2 * i2) as f64);
-        let model = opac();
-        let at = move |_: usize, _: usize| model.eval(1.0, 1.0);
         let dt = 0.37;
-        cp.update_temperature(&mut ExecCtx::new(&mut sk), 1.0, dt, &at, &erad, &mut temp);
+        cp.update_temperature(&mut ExecCtx::new(&mut sk), 1.0, dt, KAPPA_A, &erad, &mut temp);
         for i2 in 0..3isize {
             for i1 in 0..3isize {
                 let t1 = temp.get(i1, i2);
                 let t0 = t_before.get(i1, i2);
-                let op = model.eval(1.0, 1.0);
                 let rhs: f64 = (0..NSPEC)
                     .map(|s| {
-                        op.kappa_a[s] * (erad.get(s, i1, i2) - cp.split[s] * cp.a_rad * t1.powi(4))
+                        KAPPA_A[s] * (erad.get(s, i1, i2) - cp.split[s] * cp.a_rad * t1.powi(4))
                     })
                     .sum();
                 assert!(
@@ -277,10 +254,14 @@ mod tests {
         temp.fill_with(|_, _| 1e-6);
         let mut erad = TileVec::new(1, 1);
         erad.fill_interior(1e6);
-        let model = opac();
-        let at = move |_: usize, _: usize| model.eval(1.0, 1.0);
-        let iters =
-            cp.update_temperature(&mut ExecCtx::new(&mut sk), 1.0, 100.0, &at, &erad, &mut temp);
+        let iters = cp.update_temperature(
+            &mut ExecCtx::new(&mut sk),
+            1.0,
+            100.0,
+            KAPPA_A,
+            &erad,
+            &mut temp,
+        );
         let t = temp.get(0, 0);
         assert!(t > 1.0 && t.is_finite(), "T = {t}");
         assert!(iters < 50);

@@ -12,6 +12,6 @@ pub mod coeffs;
 pub mod coupling;
 pub mod stepper;
 
-pub use coeffs::{assemble_system, MatterState};
+pub use coeffs::assemble_system;
 pub use coupling::MatterCoupling;
 pub use stepper::{RadStepError, RadStepStats, RadStepper};

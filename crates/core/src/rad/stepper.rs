@@ -31,7 +31,7 @@ use v2d_machine::ExecCtx;
 use crate::grid::LocalGrid;
 use crate::limiter::Limiter;
 use crate::opacity::OpacityModel;
-use crate::rad::coeffs::{assemble_system, MatterState};
+use crate::rad::coeffs::assemble_system;
 use crate::sim::PrecondKind;
 
 /// Per-step radiation statistics: one [`SolveStats`] per stage.
@@ -127,33 +127,12 @@ impl RadStepper {
     /// context's profiler scope (when one is attached), as the paper did
     /// with Arm MAP; all scratch comes from `wks`.
     ///
-    /// Panics if a stage fails through the entire solver cascade; use
-    /// [`RadStepper::try_step`] for a recoverable error instead.
-    #[allow(clippy::too_many_arguments)]
-    pub fn step(
-        &self,
-        comm: &Comm,
-        cx: &mut ExecCtx,
-        cart: &CartComm,
-        grid: &LocalGrid,
-        matter: &MatterState,
-        dt: f64,
-        erad: &mut TileVec,
-        source: &TileVec,
-        wks: &mut RadWorkspace,
-    ) -> RadStepStats {
-        match self.try_step(comm, cx, cart, grid, matter, dt, erad, source, wks) {
-            Ok(st) => st,
-            Err(e) => panic!("unrecoverable radiation step: {e}"),
-        }
-    }
-
-    /// [`RadStepper::step`], but a failed stage surfaces as a typed
-    /// [`RadStepError`] instead of a panic.  Each stage runs the full
-    /// fallback cascade (BiCGSTAB → restarted GMRES → CG); `erad` is
-    /// only committed once all three stages have converged, so on `Err`
-    /// the field still holds the beginning-of-step state and the caller
-    /// may retry with different parameters.
+    /// Each stage runs the full fallback cascade (BiCGSTAB → restarted
+    /// GMRES → CG); a stage that fails through all of it surfaces as a
+    /// typed [`RadStepError`].  `erad` is only committed once all three
+    /// stages have converged, so on `Err` the field still holds the
+    /// beginning-of-step state and the caller may retry with different
+    /// parameters.
     #[allow(clippy::too_many_arguments)]
     pub fn try_step(
         &self,
@@ -161,7 +140,6 @@ impl RadStepper {
         cx: &mut ExecCtx,
         cart: &CartComm,
         grid: &LocalGrid,
-        matter: &MatterState,
         dt: f64,
         erad: &mut TileVec,
         source: &TileVec,
@@ -172,7 +150,6 @@ impl RadStepper {
         let mut stats = Vec::with_capacity(3);
 
         // Three full-step sweeps re-linearized at the latest iterate.
-        let stage_dt = [dt, dt, dt];
         let stage_name = ["bicgstab_predictor", "bicgstab_corrector", "bicgstab_coupling"];
 
         // The state the coefficients are evaluated at; starts at Eⁿ.
@@ -180,7 +157,7 @@ impl RadStepper {
         // beginning-of-step data; only the linearization improves).
         wks.lin_state.copy_from(erad);
 
-        for stage in 0..3 {
+        for (stage, name) in stage_name.into_iter().enumerate() {
             let (mut op, rhs) = assemble_system(
                 comm,
                 cx,
@@ -188,9 +165,8 @@ impl RadStepper {
                 grid,
                 self.limiter,
                 &self.opacity,
-                matter,
                 self.c_light,
-                stage_dt[stage],
+                dt,
                 &mut wks.lin_state,
                 erad,
                 source,
@@ -202,7 +178,7 @@ impl RadStepper {
             // BiCGSTAB call sites at nearly equal thirds of the runtime.
             wks.e_stage.copy_from(erad);
 
-            cx.enter(stage_name[stage]);
+            cx.enter(name);
             let e_stage = &mut wks.e_stage;
             let swks = &mut wks.solver;
             let st = match self.precond {
@@ -224,12 +200,10 @@ impl RadStepper {
                     solve_cascade(comm, cx, &mut op, &mut m, &rhs, e_stage, swks, &self.solve)
                 }
             };
-            cx.exit(stage_name[stage]);
+            cx.exit(name);
             let st = match st {
                 Ok(st) => st,
-                Err(error) => {
-                    return Err(RadStepError { stage, stage_name: stage_name[stage], error })
-                }
+                Err(error) => return Err(RadStepError { stage, stage_name: name, error }),
             };
             stats.push(st);
 
@@ -260,11 +234,7 @@ mod tests {
     fn stepper(precond: PrecondKind) -> RadStepper {
         RadStepper {
             limiter: Limiter::None,
-            opacity: OpacityModel::Constant {
-                kappa_a: [0.0, 0.0],
-                kappa_s: [1.5, 1.5],
-                kappa_x: 0.0,
-            },
+            opacity: OpacityModel { kappa_a: [0.0, 0.0], kappa_s: [1.5, 1.5], kappa_x: 0.0 },
             c_light: 1.0,
             precond,
             solve: SolveOpts { tol: 1e-10, ..Default::default() },
@@ -286,17 +256,18 @@ mod tests {
             });
             let src = TileVec::new(n1, n2);
             let mut wks = RadWorkspace::new(n1, n2);
-            let st = stepper(PrecondKind::BlockJacobi).step(
-                &ctx.comm,
-                &mut ExecCtx::new(&mut ctx.sink),
-                &cart,
-                &grid,
-                &MatterState::Uniform,
-                0.003,
-                &mut e,
-                &src,
-                &mut wks,
-            );
+            let st = stepper(PrecondKind::BlockJacobi)
+                .try_step(
+                    &ctx.comm,
+                    &mut ExecCtx::new(&mut ctx.sink),
+                    &cart,
+                    &grid,
+                    0.003,
+                    &mut e,
+                    &src,
+                    &mut wks,
+                )
+                .expect("radiation step");
             assert!(st.all_converged());
             // The first solve always iterates; later stages may converge
             // instantly when the warm start already satisfies the
@@ -327,17 +298,18 @@ mod tests {
             let mut wks = RadWorkspace::new(n1, n2);
             let s = stepper(PrecondKind::Jacobi);
             for _ in 0..5 {
-                let st = s.step(
-                    &ctx.comm,
-                    &mut ExecCtx::new(&mut ctx.sink),
-                    &cart,
-                    &grid,
-                    &MatterState::Uniform,
-                    1e-3,
-                    &mut e,
-                    &src,
-                    &mut wks,
-                );
+                let st = s
+                    .try_step(
+                        &ctx.comm,
+                        &mut ExecCtx::new(&mut ctx.sink),
+                        &cart,
+                        &grid,
+                        1e-3,
+                        &mut e,
+                        &src,
+                        &mut wks,
+                    )
+                    .expect("radiation step");
                 assert!(st.all_converged());
             }
             let total1: f64 = e.interior_to_vec().iter().sum::<f64>() * vol;
@@ -365,26 +337,22 @@ mod tests {
             // Large scattering keeps D ≈ 0, so the only evolution is
             // local absorption and the backward-Euler decay is exact.
             let s = RadStepper {
-                opacity: OpacityModel::Constant {
-                    kappa_a: [0.5, 0.5],
-                    kappa_s: [1e4, 1e4],
-                    kappa_x: 0.0,
-                },
+                opacity: OpacityModel { kappa_a: [0.5, 0.5], kappa_s: [1e4, 1e4], kappa_x: 0.0 },
                 ..stepper(PrecondKind::Jacobi)
             };
             let before: f64 = e.interior_to_vec().iter().sum();
             let mut wks = RadWorkspace::new(n1, n2);
-            s.step(
+            s.try_step(
                 &ctx.comm,
                 &mut ExecCtx::new(&mut ctx.sink),
                 &cart,
                 &grid,
-                &MatterState::Uniform,
                 0.1,
                 &mut e,
                 &src,
                 &mut wks,
-            );
+            )
+            .expect("radiation step");
             let after: f64 = e.interior_to_vec().iter().sum();
             assert!(after < before, "absorption did not remove energy");
             // Backward Euler of dE/dt = −κc E: E₁ = E₀/(1 + κ c dt).
@@ -406,26 +374,22 @@ mod tests {
             e.fill_with(|s, _, _| if s == 0 { 2.0 } else { 0.5 });
             let src = TileVec::new(n1, n2);
             let s = RadStepper {
-                opacity: OpacityModel::Constant {
-                    kappa_a: [0.0, 0.0],
-                    kappa_s: [1e4, 1e4],
-                    kappa_x: 0.8,
-                },
+                opacity: OpacityModel { kappa_a: [0.0, 0.0], kappa_s: [1e4, 1e4], kappa_x: 0.8 },
                 ..stepper(PrecondKind::BlockJacobi)
             };
             let mut wks = RadWorkspace::new(n1, n2);
             for _ in 0..30 {
-                s.step(
+                s.try_step(
                     &ctx.comm,
                     &mut ExecCtx::new(&mut ctx.sink),
                     &cart,
                     &grid,
-                    &MatterState::Uniform,
                     0.2,
                     &mut e,
                     &src,
                     &mut wks,
-                );
+                )
+                .expect("radiation step");
             }
             let e0 = e.get(0, 5, 5);
             let e1 = e.get(1, 5, 5);
@@ -448,17 +412,18 @@ mod tests {
             let src = TileVec::new(n1, n2);
             let mut prof = Profiler::new();
             let mut wks = RadWorkspace::new(n1, n2);
-            stepper(PrecondKind::Jacobi).step(
-                &ctx.comm,
-                &mut ExecCtx::with_profiler(&mut ctx.sink, &mut prof),
-                &cart,
-                &grid,
-                &MatterState::Uniform,
-                0.01,
-                &mut e,
-                &src,
-                &mut wks,
-            );
+            stepper(PrecondKind::Jacobi)
+                .try_step(
+                    &ctx.comm,
+                    &mut ExecCtx::with_profiler(&mut ctx.sink, &mut prof),
+                    &cart,
+                    &grid,
+                    0.01,
+                    &mut e,
+                    &src,
+                    &mut wks,
+                )
+                .expect("radiation step");
             for name in ["bicgstab_predictor", "bicgstab_corrector", "bicgstab_coupling"] {
                 assert_eq!(prof.routine(name).expect(name).calls, 1);
             }
@@ -487,17 +452,17 @@ mod tests {
                 };
                 let mut wks = RadWorkspace::new(t.n1, t.n2);
                 for _ in 0..3 {
-                    s.step(
+                    s.try_step(
                         &ctx.comm,
                         &mut ExecCtx::new(&mut ctx.sink),
                         &cart,
                         &grid,
-                        &MatterState::Uniform,
                         2e-3,
                         &mut e,
                         &src,
                         &mut wks,
-                    );
+                    )
+                    .expect("radiation step");
                 }
                 let mut out = Vec::new();
                 for s in 0..NSPEC {

@@ -20,7 +20,6 @@ use crate::grid::{Grid2, LocalGrid};
 use crate::hydro::{GammaLaw, HydroState, HydroStepper};
 use crate::limiter::Limiter;
 use crate::opacity::OpacityModel;
-use crate::rad::coeffs::MatterState;
 use crate::rad::coupling::MatterCoupling;
 use crate::rad::stepper::{RadStepError, RadStepStats, RadStepper, RadWorkspace};
 
@@ -38,7 +37,7 @@ pub enum PrecondKind {
 }
 
 /// Optional hydrodynamics configuration.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HydroConfig {
     pub gamma: f64,
     pub cfl: f64,
@@ -48,7 +47,7 @@ pub struct HydroConfig {
 }
 
 /// Full simulation configuration.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct V2dConfig {
     /// The global grid.
     pub grid: Grid2,
@@ -318,11 +317,6 @@ impl V2dSim {
     /// Mutable radiation field (problem setup).
     pub fn erad_mut(&mut self) -> &mut TileVec {
         &mut self.erad
-    }
-
-    /// Mutable emission source (problem setup).
-    pub fn source_mut(&mut self) -> &mut TileVec {
-        &mut self.source
     }
 
     /// Mutable hydro state, if hydro is enabled.
@@ -668,12 +662,7 @@ impl StepPhases<'_> {
     fn matter_emission_phase(&mut self, cx: &mut ExecCtx<'_>) {
         if let (Some(cp), Some(temp)) = (&self.cfg.coupling, self.temp.as_deref()) {
             cx.enter("matter_emission");
-            let opacity = self.cfg.opacity;
-            let at = move |i1: usize, i2: usize| {
-                let _ = (i1, i2);
-                opacity.eval(1.0, 1.0)
-            };
-            cp.emission_source(cx, self.cfg.c_light, &at, temp, self.source);
+            cp.emission_source(cx, self.cfg.c_light, self.cfg.opacity.kappa_a, temp, self.source);
             cx.exit("matter_emission");
         }
     }
@@ -703,27 +692,6 @@ impl StepPhases<'_> {
             solve: self.cfg.solve,
         };
         cx.enter("radiation");
-        // Hydro provides the matter background when enabled.  The
-        // temperature proxy fields are derived on the fly.
-        let matter_fields = self.hydro.as_ref().map(|h| {
-            let (stepper, state) = &**h;
-            let (n1, n2) = (self.grid.n1, self.grid.n2);
-            let mut rho = crate::field::Field2::new(n1, n2);
-            let mut temp = crate::field::Field2::new(n1, n2);
-            for i2 in 0..n2 {
-                for i1 in 0..n1 {
-                    let w = stepper.eos.to_prim(state.cons(i1 as isize, i2 as isize));
-                    rho.set(i1 as isize, i2 as isize, w.rho);
-                    temp.set(i1 as isize, i2 as isize, stepper.eos.temperature(&w));
-                }
-            }
-            (rho, temp)
-        });
-        let matter = match &matter_fields {
-            Some((rho, temp)) => MatterState::Fields { rho, temp },
-            None => MatterState::Uniform,
-        };
-
         let mut remaining = dt;
         let mut sub_dt = dt;
         let mut halvings = 0u32;
@@ -736,7 +704,6 @@ impl StepPhases<'_> {
                 cx,
                 self.cart,
                 self.grid,
-                &matter,
                 take,
                 self.erad,
                 self.source,
@@ -829,12 +796,14 @@ impl StepPhases<'_> {
     fn matter_update_phase(&mut self, cx: &mut ExecCtx<'_>, dt: f64) {
         if let (Some(cp), Some(temp)) = (&self.cfg.coupling, self.temp.as_deref_mut()) {
             cx.enter("matter_update");
-            let opacity = self.cfg.opacity;
-            let at = move |i1: usize, i2: usize| {
-                let _ = (i1, i2);
-                opacity.eval(1.0, 1.0)
-            };
-            cp.update_temperature(cx, self.cfg.c_light, dt, &at, self.erad, temp);
+            cp.update_temperature(
+                cx,
+                self.cfg.c_light,
+                dt,
+                self.cfg.opacity.kappa_a,
+                self.erad,
+                temp,
+            );
             cx.exit("matter_update");
         }
     }

@@ -14,7 +14,7 @@ fn config(grid: Grid2, dt: f64, n_steps: usize) -> V2dConfig {
     V2dConfig {
         grid,
         limiter: Limiter::None,
-        opacity: OpacityModel::Constant { kappa_a: [0.0, 0.0], kappa_s: [3.0, 3.0], kappa_x: 0.0 },
+        opacity: OpacityModel { kappa_a: [0.0, 0.0], kappa_s: [3.0, 3.0], kappa_x: 0.0 },
         c_light: 1.0,
         dt,
         n_steps,

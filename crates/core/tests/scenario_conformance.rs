@@ -12,6 +12,7 @@ use v2d_comm::{Spmd, TileMap};
 use v2d_core::config_file::ParFile;
 use v2d_core::problems::{deck_from_config, ConvergenceMode, Family, ValidationReport, FAMILIES};
 use v2d_core::sim::V2dSim;
+use v2d_linalg::BicgVariant;
 use v2d_machine::{CompilerProfile, FaultPlan};
 use v2d_testkit::MiniSpec;
 
@@ -72,30 +73,38 @@ fn every_family_replays_bit_identically_and_ignores_an_empty_injector() {
 }
 
 /// Deck round-trip: each family's generated deck must parse, name its
-/// own family in `[problem]`, and re-serialize to the identical byte
-/// string (f64 `Display` round-trips bit-exactly, so string equality
-/// here is configuration equality).
+/// own family in `[problem]`, build exactly the configuration it was
+/// written from, and re-serialize to the identical byte string.  The
+/// config comparison catches a field the writer never emits, which the
+/// string comparison alone cannot see; the Classic-BiCGSTAB variant of
+/// every family is such a field's witness.
 #[test]
 fn every_family_deck_round_trips_byte_identically() {
     for family in FAMILIES {
         let sc = family.scenario();
         let (n1, n2, steps) = sc.smoke();
-        let deck = sc.deck(n1, n2, steps, 2, 1);
-        let par = ParFile::parse(&deck)
-            .unwrap_or_else(|e| panic!("{family}: generated deck does not parse: {e}\n{deck}"));
-        let parsed = par
-            .problem()
-            .unwrap_or_else(|e| panic!("{family}: bad [problem] section: {e}"))
-            .unwrap_or_else(|| panic!("{family}: deck lost its [problem] section"));
-        assert_eq!(parsed, family, "{family}: deck names the wrong family");
-        let (cfg, (np1, np2)) =
-            par.to_config().unwrap_or_else(|e| panic!("{family}: deck rejected: {e}\n{deck}"));
-        assert_eq!((np1, np2), (2, 1), "{family}: topology lost in round trip");
-        assert_eq!(
-            deck_from_config(family, &cfg, np1, np2),
-            deck,
-            "{family}: deck round trip is not byte-identical"
-        );
+        let reference = sc.config(n1, n2, steps);
+        let mut classic = reference;
+        classic.solve.variant = BicgVariant::Classic;
+        for want in [reference, classic] {
+            let deck = deck_from_config(family, &want, 2, 1);
+            let par = ParFile::parse(&deck)
+                .unwrap_or_else(|e| panic!("{family}: generated deck does not parse: {e}\n{deck}"));
+            let parsed = par
+                .problem()
+                .unwrap_or_else(|e| panic!("{family}: bad [problem] section: {e}"))
+                .unwrap_or_else(|| panic!("{family}: deck lost its [problem] section"));
+            assert_eq!(parsed, family, "{family}: deck names the wrong family");
+            let (cfg, (np1, np2)) =
+                par.to_config().unwrap_or_else(|e| panic!("{family}: deck rejected: {e}\n{deck}"));
+            assert_eq!((np1, np2), (2, 1), "{family}: topology lost in round trip");
+            assert_eq!(cfg, want, "{family}: deck does not rebuild its config\n{deck}");
+            assert_eq!(
+                deck_from_config(family, &cfg, np1, np2),
+                deck,
+                "{family}: deck round trip is not byte-identical"
+            );
+        }
     }
 }
 

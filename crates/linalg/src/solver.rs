@@ -45,7 +45,7 @@ pub enum BicgVariant {
 }
 
 /// Solver options.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolveOpts {
     /// Convergence: `‖r‖ ≤ tol · ‖b‖`.
     pub tol: f64,

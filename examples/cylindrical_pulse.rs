@@ -21,7 +21,7 @@ fn main() {
     let cfg = V2dConfig {
         grid,
         limiter: Limiter::None,
-        opacity: OpacityModel::Constant { kappa_a: [0.0, 0.0], kappa_s: [2.0, 2.0], kappa_x: 0.0 },
+        opacity: OpacityModel { kappa_a: [0.0, 0.0], kappa_s: [2.0, 2.0], kappa_x: 0.0 },
         c_light: 1.0,
         dt: 1e-3,
         n_steps: 40,
