@@ -375,7 +375,7 @@ pub fn add_serve(report: &mut BenchReport, perturb: u64) {
             _ => None,
         })
         .expect("the load profile's rank-kill spec must be answered");
-    let ledger = kill.ledger.as_ref().expect("a kill response carries its recovery ledger");
+    let ledger = kill.ledger().expect("a kill response carries its recovery ledger");
     report.add("serve.kill.kills", ledger.kills as f64, "count", Gate::Exact);
     report.add("serve.kill.rollbacks", ledger.rollbacks as f64, "count", Gate::Exact);
     report.add("serve.kill.attempts", ledger.attempts as f64, "count", Gate::Exact);

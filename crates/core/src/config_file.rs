@@ -7,6 +7,13 @@
 //! comments and `[section]` headers, parsed without any external
 //! dependency, plus the mapping onto [`V2dConfig`].
 //!
+//! A parse scans borrowed lines, sorts them once by lower-cased key and
+//! keeps the canonical rendering plus an index into it — no allocation
+//! per line.  The canonical text is a compatibility contract: the
+//! `v2d-serve` result cache keys on its FNV-64, so the test module keeps
+//! the original map-per-entry parser as an oracle and checks the two
+//! agree on generated decks, errors included.
+//!
 //! ```text
 //! # v2d.par — the paper's radiation benchmark
 //! [grid]
@@ -31,8 +38,8 @@
 //! tol = 1e-9
 //! ```
 
-use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
 
 use v2d_linalg::{BicgVariant, SolveOpts};
 
@@ -65,46 +72,118 @@ impl std::error::Error for ParError {}
 
 /// A parsed parameter file: `section.key → value` (keys outside any
 /// section live under the empty section name).
+///
+/// Stored as its [`ParFile::canonical`] text plus a key-sorted index
+/// into it, so a parse costs a handful of allocations however long the
+/// deck, and lookups are a binary search over borrowed slices.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ParFile {
-    entries: BTreeMap<String, String>,
+    /// One `section.key = value\n` line per entry, sorted by key.
+    text: String,
+    /// One span per line of `text`, in the same order.
+    index: Vec<Span>,
+}
+
+/// Where one entry sits in [`ParFile::text`]: its key is
+/// `text[start..eq]`, its value `text[eq + 3..end]` (past the ` = `).
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Span {
+    start: usize,
+    eq: usize,
+    end: usize,
 }
 
 impl ParFile {
     /// Parse the text of a parameter file.
+    ///
+    /// Section and key names are lower-cased; values keep their case.
+    /// Errors come in line order: the first line that is malformed or
+    /// repeats an earlier key is the one reported.
     pub fn parse(text: &str) -> Result<Self, ParError> {
-        let mut entries = BTreeMap::new();
+        // Every line's lower-cased full key, back to back.
+        let mut keys = String::with_capacity(text.len());
         let mut section = String::new();
+        // (key range in `keys`, value, 1-based line number)
+        let mut lines: Vec<(Range<usize>, &str, usize)> =
+            Vec::with_capacity(text.bytes().filter(|&b| b == b'=').count());
+        let mut malformed = None;
         for (ln, raw) in text.lines().enumerate() {
             let line = raw.split('#').next().unwrap_or("").trim();
             if line.is_empty() {
                 continue;
             }
             if let Some(name) = line.strip_prefix('[') {
-                let name = name.strip_suffix(']').ok_or_else(|| ParError::Syntax {
-                    line: ln + 1,
-                    msg: "unterminated section header".into(),
-                })?;
-                section = name.trim().to_ascii_lowercase();
+                let Some(name) = name.strip_suffix(']') else {
+                    malformed = Some(ParError::Syntax {
+                        line: ln + 1,
+                        msg: "unterminated section header".into(),
+                    });
+                    break;
+                };
+                section.clear();
+                section.push_str(name.trim());
+                section.make_ascii_lowercase();
                 continue;
             }
-            let (key, value) = line.split_once('=').ok_or_else(|| ParError::Syntax {
-                line: ln + 1,
-                msg: format!("expected `key = value`, got `{line}`"),
-            })?;
-            let key = key.trim().to_ascii_lowercase();
-            if key.is_empty() {
-                return Err(ParError::Syntax { line: ln + 1, msg: "empty key".into() });
-            }
-            let full = if section.is_empty() { key } else { format!("{section}.{key}") };
-            if entries.insert(full.clone(), value.trim().to_string()).is_some() {
-                return Err(ParError::Syntax {
+            let Some((key, value)) = line.split_once('=') else {
+                malformed = Some(ParError::Syntax {
                     line: ln + 1,
-                    msg: format!("duplicate parameter `{full}`"),
+                    msg: format!("expected `key = value`, got `{line}`"),
                 });
+                break;
+            };
+            let key = key.trim();
+            if key.is_empty() {
+                malformed = Some(ParError::Syntax { line: ln + 1, msg: "empty key".into() });
+                break;
             }
+            let start = keys.len();
+            if !section.is_empty() {
+                keys.push_str(&section);
+                keys.push('.');
+            }
+            let lower = keys.len();
+            keys.push_str(key);
+            keys[lower..].make_ascii_lowercase();
+            lines.push((start..keys.len(), value.trim(), ln + 1));
         }
-        Ok(ParFile { entries })
+        let key = |r: &Range<usize>| &keys[r.clone()];
+        lines.sort_unstable_by(|a, b| key(&a.0).cmp(key(&b.0)).then(a.2.cmp(&b.2)));
+        // A repeat is any entry sorting right after one with its key; the
+        // earliest such line is where a top-to-bottom read would stop,
+        // and every line scanned precedes a malformed one.
+        let repeat =
+            lines.windows(2).filter(|w| key(&w[0].0) == key(&w[1].0)).min_by_key(|w| w[1].2);
+        if let Some(w) = repeat {
+            return Err(ParError::Syntax {
+                line: w[1].2,
+                msg: format!("duplicate parameter `{}`", key(&w[1].0)),
+            });
+        }
+        if let Some(e) = malformed {
+            return Err(e);
+        }
+        Ok(Self::from_sorted(lines.iter().map(|(k, v, _)| (key(k), *v))))
+    }
+
+    /// Build from `(key, value)` pairs already sorted by unique key.
+    fn from_sorted<'a, I>(pairs: I) -> Self
+    where
+        I: Iterator<Item = (&'a str, &'a str)> + Clone,
+    {
+        let len = pairs.clone().map(|(k, v)| k.len() + v.len() + 4).sum();
+        let mut text = String::with_capacity(len);
+        let mut index = Vec::with_capacity(pairs.size_hint().0);
+        for (k, v) in pairs {
+            let start = text.len();
+            text.push_str(k);
+            let eq = text.len();
+            text.push_str(" = ");
+            text.push_str(v);
+            index.push(Span { start, eq, end: text.len() });
+            text.push('\n');
+        }
+        ParFile { text, index }
     }
 
     /// Read a parameter file from disk.  I/O failures name the path.
@@ -117,7 +196,9 @@ impl ParFile {
 
     /// Raw string value of `key` (fully qualified: `section.key`).
     pub fn get(&self, key: &str) -> Option<&str> {
-        self.entries.get(key).map(String::as_str)
+        let i = self.index.binary_search_by(|s| self.text[s.start..s.eq].cmp(key)).ok()?;
+        let s = self.index[i];
+        Some(&self.text[s.eq + 3..s.end])
     }
 
     /// The canonical one-line-per-entry rendering of the deck: sorted
@@ -127,14 +208,7 @@ impl ParFile {
     /// content-hash keyed result memoization (the serve layer's dedupe
     /// and result cache) sound.
     pub fn canonical(&self) -> String {
-        let mut out = String::new();
-        for (k, v) in &self.entries {
-            out.push_str(k);
-            out.push_str(" = ");
-            out.push_str(v);
-            out.push('\n');
-        }
-        out
+        self.text.clone()
     }
 
     fn req(&self, key: &str) -> Result<&str, ParError> {
@@ -599,5 +673,191 @@ mod tests {
         let pf = ParFile::parse("x = 1.0\ny = 1 2 3\n").unwrap();
         assert!(pf.pair("x").is_err());
         assert!(pf.pair("y").is_err());
+    }
+
+    /// The parser `ParFile::parse` replaced — one `BTreeMap` insert, with
+    /// its lower-casing, `format!` and copies, per line — kept as the
+    /// oracle for keys, values, canonical text and every error.
+    fn oracle(text: &str) -> Result<std::collections::BTreeMap<String, String>, ParError> {
+        let mut entries = std::collections::BTreeMap::new();
+        let mut section = String::new();
+        for (ln, raw) in text.lines().enumerate() {
+            let line = raw.split('#').next().unwrap_or("").trim();
+            if line.is_empty() {
+                continue;
+            }
+            if let Some(name) = line.strip_prefix('[') {
+                let name = name.strip_suffix(']').ok_or_else(|| ParError::Syntax {
+                    line: ln + 1,
+                    msg: "unterminated section header".into(),
+                })?;
+                section = name.trim().to_ascii_lowercase();
+                continue;
+            }
+            let (key, value) = line.split_once('=').ok_or_else(|| ParError::Syntax {
+                line: ln + 1,
+                msg: format!("expected `key = value`, got `{line}`"),
+            })?;
+            let key = key.trim().to_ascii_lowercase();
+            if key.is_empty() {
+                return Err(ParError::Syntax { line: ln + 1, msg: "empty key".into() });
+            }
+            let full = if section.is_empty() { key } else { format!("{section}.{key}") };
+            if entries.insert(full.clone(), value.trim().to_string()).is_some() {
+                return Err(ParError::Syntax {
+                    line: ln + 1,
+                    msg: format!("duplicate parameter `{full}`"),
+                });
+            }
+        }
+        Ok(entries)
+    }
+
+    /// A valid 16×8 hydro deck, one `(section, key, value)` per entry.
+    const BASE: [(&str, &str, &str); 17] = [
+        ("grid", "n1", "16"),
+        ("grid", "n2", "8"),
+        ("grid", "x1", "0.0 2.0"),
+        ("grid", "x2", "0.0 1.0"),
+        ("grid", "geometry", "cartesian"),
+        ("run", "dt", "0.01"),
+        ("run", "n_steps", "3"),
+        ("run", "nprx1", "2"),
+        ("run", "nprx2", "1"),
+        ("run", "checkpoint_every", "0"),
+        ("radiation", "limiter", "none"),
+        ("radiation", "kappa_a", "0.0 0.0"),
+        ("radiation", "kappa_s", "2.0 2.0"),
+        ("radiation", "precond", "jacobi"),
+        ("radiation", "tol", "1e-8"),
+        ("hydro", "enabled", "true"),
+        ("hydro", "gamma", "1.4"),
+    ];
+
+    /// `name` as written, upper-cased, or capitalised.
+    fn spell(name: &str, how: u8) -> String {
+        match how % 3 {
+            0 => name.to_string(),
+            1 => name.to_ascii_uppercase(),
+            _ => name[..1].to_ascii_uppercase() + &name[1..],
+        }
+    }
+
+    /// Append `BASE[i]` in spelling `how`: bits 0–1 case the section,
+    /// bits 2–3 the key, bit 4 writes it fully qualified outside any
+    /// section, bit 5 pads it and adds a trailing comment.  `current` is
+    /// the lower-cased section in force.
+    fn write_entry(out: &mut String, current: &mut String, i: usize, how: u8) {
+        let (sec, key, val) = BASE[i];
+        let key = if how & 16 != 0 {
+            if !current.is_empty() {
+                out.push_str("[]\n");
+                current.clear();
+            }
+            format!("{}.{}", spell(sec, how), spell(key, how >> 2))
+        } else {
+            if current != sec {
+                out.push_str(&format!("[{}]\n", spell(sec, how)));
+                *current = sec.to_string();
+            }
+            spell(key, how >> 2)
+        };
+        if how & 32 != 0 {
+            out.push_str(&format!("  {key}  =\t{val}   # trailing = comment\n"));
+        } else {
+            out.push_str(&format!("{key}={val}\n"));
+        }
+    }
+
+    /// Every `BASE` entry once, ordered by `order` and spelled by
+    /// `spelling`, with each `(kind, r)` of `noise` spliced in before
+    /// entry `r % 18`.  Kinds 8–11 make the deck an error: a repeated
+    /// entry, an empty key, an unterminated header, a line without `=`.
+    fn generated_deck(order: &[u64], spelling: &[u8], noise: &[(u8, u64)]) -> String {
+        let mut idx: Vec<usize> = (0..BASE.len()).collect();
+        idx.sort_by_key(|&i| order[i]);
+        let (mut out, mut current) = (String::new(), String::new());
+        for slot in 0..=BASE.len() {
+            for &(kind, r) in noise.iter().filter(|(_, r)| *r as usize % (BASE.len() + 1) == slot) {
+                match kind {
+                    0..=3 => out.push_str(&format!("# note {r} = [x]\n")),
+                    4 => out.push('\n'),
+                    5 => out.push_str("  \t \n"),
+                    // `=` inside a value; two of these with one `r % 3`
+                    // in one section are a second duplicate group.
+                    6 => out.push_str(&format!("Extra{} = a = {}\n", r % 3, r % 5)),
+                    7 => {
+                        out.push_str("[ Misc ] # a section of its own\n");
+                        current.clear();
+                        current.push_str("misc");
+                    }
+                    8 => {
+                        write_entry(&mut out, &mut current, r as usize % BASE.len(), (r >> 8) as u8)
+                    }
+                    9 => out.push_str(" = 3\n"),
+                    10 => out.push_str("[grid\n"),
+                    11 => out.push_str("broken line\n"),
+                    _ => {
+                        out.push_str("[]\n");
+                        current.clear();
+                    }
+                }
+            }
+            if let Some(&i) = idx.get(slot) {
+                write_entry(&mut out, &mut current, i, spelling[i]);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn parse_agrees_with_the_map_oracle_on_generated_decks() {
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+        let n = BASE.len();
+        let decks = (
+            vec(any::<u64>(), n..n + 1),
+            vec(0u8..64, n..n + 1),
+            vec((0u8..16, any::<u64>()), 0..5),
+        );
+        let mut rng = proptest::test_runner::TestRng::for_test(concat!(module_path!(), "::oracle"));
+        let mut probes: Vec<String> = BASE.iter().map(|(s, k, _)| format!("{s}.{k}")).collect();
+        probes.extend(
+            ["extra0", "misc.extra1", "grid.extra2", "GRID.N1", "n1", ""].map(String::from),
+        );
+        // Decks whose config built, duplicate errors, other syntax errors.
+        let mut seen = [0usize; 3];
+        for _ in 0..600 {
+            let (order, spelling, noise) = decks.generate(&mut rng);
+            let text = generated_deck(&order, &spelling, &noise);
+            match (ParFile::parse(&text), oracle(&text)) {
+                (Ok(pf), Ok(map)) => {
+                    let canonical: String =
+                        map.iter().map(|(k, v)| format!("{k} = {v}\n")).collect();
+                    assert_eq!(pf.canonical(), canonical, "deck:\n{text}");
+                    for key in map.keys().chain(&probes) {
+                        assert_eq!(
+                            pf.get(key),
+                            map.get(key).map(String::as_str),
+                            "`{key}` in:\n{text}"
+                        );
+                    }
+                    let reference =
+                        ParFile::from_sorted(map.iter().map(|(k, v)| (k.as_str(), v.as_str())));
+                    assert_eq!(pf, reference, "deck:\n{text}");
+                    let cfg = pf.to_config();
+                    assert_eq!(cfg, reference.to_config(), "deck:\n{text}");
+                    seen[0] += usize::from(cfg.is_ok());
+                }
+                (Err(new), Err(old)) => {
+                    assert_eq!(new, old, "deck:\n{text}");
+                    let duplicate = |msg: &str| msg.starts_with("duplicate");
+                    let repeat = matches!(&new, ParError::Syntax { msg, .. } if duplicate(msg));
+                    seen[if repeat { 1 } else { 2 }] += 1;
+                }
+                (new, old) => panic!("parse gave {new:?}, the oracle {old:?}, on:\n{text}"),
+            }
+        }
+        assert!(seen.iter().all(|&k| k >= 50), "generator coverage {seen:?}");
     }
 }

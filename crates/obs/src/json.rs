@@ -142,7 +142,10 @@ fn write_num(out: &mut String, x: f64) {
     let _ = write!(out, "{x}");
 }
 
-fn write_str(out: &mut String, s: &str) {
+/// Append `s` as a JSON string literal, quoted and escaped exactly as
+/// the writer does — for callers that write a document's envelope
+/// around members they rendered earlier.
+pub fn write_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -5,8 +5,9 @@
 //! canonical-deck + fault-plan content hash fully determines the final
 //! field bits and recovery ledger, and replaying the experiment is
 //! pure waste.  The cache therefore stores `Arc<RunResult>` — the
-//! exact allocation handed to earlier subscribers — and a hit
-//! re-serializes to byte-identical responses.
+//! exact allocation handed to earlier subscribers, its `"result"` bytes
+//! rendered when it was built — and a hit copies those bytes into its
+//! response.
 //!
 //! Plain LRU under one mutex: entries are tiny (a checksum, a ledger),
 //! lookups are rare next to the seconds-long misses they save, and the
@@ -117,17 +118,11 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::LedgerWire;
 
     fn result(tag: u64) -> Arc<RunResult> {
-        Arc::new(RunResult {
-            outcome: "done",
-            bits_fnv32: Some(tag),
-            bits_len: Some(1),
-            final_np: Some((1, 1)),
-            mttr_virtual_secs: Some(0.0),
-            error: None,
-            ledger: None,
-        })
+        let ledger = LedgerWire::from_ledger(&Default::default());
+        Arc::new(RunResult::done(tag, 1, (1, 1), 0.0, ledger))
     }
 
     #[test]
@@ -166,7 +161,7 @@ mod tests {
                     for i in 0..200u64 {
                         let key = (t * 37 + i) % 16;
                         match c.get(key) {
-                            Some(r) => assert_eq!(r.bits_fnv32, Some(key)),
+                            Some(r) => assert_eq!(r.bits_fnv32(), Some(key)),
                             None => c.insert(key, result(key)),
                         }
                     }

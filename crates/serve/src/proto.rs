@@ -4,10 +4,16 @@
 //! an `id` chosen by the client; responses echo it, so a client may
 //! pipeline requests and correlate replies in any order.  The payload
 //! of a submit response lives under a single `"result"` member that is
-//! rendered from a shared [`RunResult`] allocation — two requests that
-//! deduped onto the same job (or hit the result cache) serialize the
-//! *same* object, so their `"result"` bytes are identical by
-//! construction.  The e2e harness asserts exactly that.
+//! rendered once, when its [`RunResult`] is built, and shared behind an
+//! `Arc` — two requests that deduped onto the same job (or hit the
+//! result cache) copy the *same* bytes, so their `"result"` members are
+//! identical by construction.  The e2e harness asserts exactly that.
+//!
+//! [`Response::to_line`] writes a result line as its envelope (`resp`,
+//! the escaped `id`, `source`) around those bytes, so a cache hit
+//! formats no number and builds no [`Json`] tree; every other response
+//! goes through [`Response::to_json`], which stays the reference for
+//! the bytes of every line.
 //!
 //! Request lines:
 //!
@@ -27,7 +33,7 @@
 use std::sync::Arc;
 
 use v2d_machine::FaultKind;
-use v2d_obs::Json;
+use v2d_obs::{json, Json};
 
 /// One fault event requested alongside a deck, mirrored onto
 /// [`v2d_machine::FaultPlan`] events at admission.
@@ -264,43 +270,102 @@ impl LedgerWire {
 }
 
 /// The outcome of one admitted experiment.  Shared (`Arc`) between
-/// every subscriber of a deduped job and with the result cache; the
-/// response serializer renders it as the `"result"` member, so all
-/// subscribers emit identical result bytes.
+/// every subscriber of a deduped job and with the result cache.  The
+/// constructors render the `"result"` member once; every response that
+/// carries this result copies those bytes, so all subscribers emit
+/// identical result bytes.  The fields are private so that those bytes
+/// always match them.
 ///
 /// The final field itself is *not* shipped — a paper-sized deck carries
 /// 40 000 f64s — only its length and FNV-32 checksum, which is what the
 /// bit-identity assertions need.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunResult {
-    /// `"done"`, `"failed"`, or `"cancelled"`.
-    pub outcome: &'static str,
+    outcome: &'static str,
     /// Checksum + length of the final global field bits (done only).
-    pub bits_fnv32: Option<u64>,
-    pub bits_len: Option<usize>,
+    bits_fnv32: Option<u64>,
+    bits_len: Option<usize>,
     /// The decomposition the run finished on (done only).
-    pub final_np: Option<(usize, usize)>,
+    final_np: Option<(usize, usize)>,
     /// Virtual mean-time-to-repair (done only).
-    pub mttr_virtual_secs: Option<f64>,
+    mttr_virtual_secs: Option<f64>,
     /// Error text (failed only).
-    pub error: Option<String>,
+    error: Option<String>,
     /// The typed recovery ledger (done and failed).
-    pub ledger: Option<LedgerWire>,
+    ledger: Option<LedgerWire>,
+    /// `to_json().to_compact()`, rendered by the constructor.
+    member: String,
 }
 
 impl RunResult {
-    pub fn cancelled() -> Self {
+    /// A run that finished on `final_np` ranks with these field bits.
+    pub fn done(
+        bits_fnv32: u64,
+        bits_len: usize,
+        final_np: (usize, usize),
+        mttr_virtual_secs: f64,
+        ledger: LedgerWire,
+    ) -> Self {
         RunResult {
-            outcome: "cancelled",
+            bits_fnv32: Some(bits_fnv32),
+            bits_len: Some(bits_len),
+            final_np: Some(final_np),
+            mttr_virtual_secs: Some(mttr_virtual_secs),
+            ledger: Some(ledger),
+            ..Self::empty("done")
+        }
+        .rendered()
+    }
+
+    /// A run the supervisor gave up on.
+    pub fn failed(error: String, ledger: LedgerWire) -> Self {
+        RunResult { error: Some(error), ledger: Some(ledger), ..Self::empty("failed") }.rendered()
+    }
+
+    pub fn cancelled() -> Self {
+        Self::empty("cancelled").rendered()
+    }
+
+    fn empty(outcome: &'static str) -> Self {
+        RunResult {
+            outcome,
             bits_fnv32: None,
             bits_len: None,
             final_np: None,
             mttr_virtual_secs: None,
             error: None,
             ledger: None,
+            member: String::new(),
         }
     }
 
+    fn rendered(mut self) -> Self {
+        self.member = self.to_json().to_compact();
+        self
+    }
+
+    /// `"done"`, `"failed"`, or `"cancelled"`.
+    pub fn outcome(&self) -> &'static str {
+        self.outcome
+    }
+
+    /// Checksum of the final global field bits (done only).
+    pub fn bits_fnv32(&self) -> Option<u64> {
+        self.bits_fnv32
+    }
+
+    /// The decomposition the run finished on (done only).
+    pub fn final_np(&self) -> Option<(usize, usize)> {
+        self.final_np
+    }
+
+    /// The typed recovery ledger (done and failed).
+    pub fn ledger(&self) -> Option<&LedgerWire> {
+        self.ledger.as_ref()
+    }
+
+    /// The `"result"` member as a JSON tree: the reference the rendered
+    /// bytes are made from.
     pub fn to_json(&self) -> Json {
         let mut fields = vec![("outcome", Json::Str(self.outcome.to_string()))];
         if let Some(h) = self.bits_fnv32 {
@@ -383,9 +448,22 @@ impl Response {
         }
     }
 
-    /// Serialize to one wire line (no trailing newline).
+    /// Serialize to one wire line (no trailing newline); byte-identical
+    /// to `to_json().to_compact()`.  A result line is its envelope
+    /// written around the result's pre-rendered member.
     pub fn to_line(&self) -> String {
-        self.to_json().to_compact()
+        let Response::Result { id, source, result } = self else {
+            return self.to_json().to_compact();
+        };
+        let mut line = String::with_capacity(64 + id.len() + result.member.len());
+        line.push_str(r#"{"resp":"result","id":"#);
+        json::write_str(&mut line, id);
+        line.push_str(r#","source":"#);
+        json::write_str(&mut line, source.name());
+        line.push_str(r#","result":"#);
+        line.push_str(&result.member);
+        line.push('}');
+        line
     }
 }
 
@@ -432,25 +510,27 @@ mod tests {
         .is_err());
     }
 
+    fn ledger(events: Vec<String>) -> LedgerWire {
+        LedgerWire {
+            kills: 1,
+            rollbacks: 1,
+            redecompositions: 1,
+            steps_replayed: 2,
+            attempts: 2,
+            backoff_virtual_secs: 1.0,
+            events,
+        }
+    }
+
     #[test]
     fn shared_results_serialize_identically() {
-        let res = Arc::new(RunResult {
-            outcome: "done",
-            bits_fnv32: Some(123),
-            bits_len: Some(256),
-            final_np: Some((2, 1)),
-            mttr_virtual_secs: Some(0.0),
-            error: None,
-            ledger: Some(LedgerWire {
-                kills: 1,
-                rollbacks: 1,
-                redecompositions: 1,
-                steps_replayed: 2,
-                attempts: 2,
-                backoff_virtual_secs: 1.0,
-                events: vec!["attempt 1: rank 0 lost".into()],
-            }),
-        });
+        let res = Arc::new(RunResult::done(
+            123,
+            256,
+            (2, 1),
+            0.0,
+            ledger(vec!["attempt 1: rank 0 lost".into()]),
+        ));
         let a = Response::Result { id: "a".into(), source: Source::Computed, result: res.clone() };
         let b = Response::Result { id: "b".into(), source: Source::Dedup, result: res };
         let member = |line: &str| {
@@ -458,5 +538,56 @@ mod tests {
             j.get("result").unwrap().to_compact()
         };
         assert_eq!(member(&a.to_line()), member(&b.to_line()));
+    }
+
+    /// `to_line` writes result lines by hand around pre-rendered bytes;
+    /// `to_json().to_compact()` is the reference for every line.
+    #[test]
+    fn every_response_line_matches_its_json_reference() {
+        // Quotes, backslashes, newlines, other control characters and
+        // non-ASCII: everything the escaper treats specially.
+        let awkward = "q\"uo\\te\nline\r\ttab\u{1}\u{1f}\u{7f} é ✓ 𝄞";
+        let texts = ["", "plain", awkward];
+        let mut results = vec![RunResult::cancelled()];
+        for text in texts {
+            let events = vec![text.to_string(), format!("attempt 2: {text}"), String::new()];
+            results.push(RunResult::done(
+                0xdead_beef,
+                40_000,
+                (5, 4),
+                0.125,
+                ledger(events.clone()),
+            ));
+            results.push(RunResult::done(0, 0, (1, 1), 1e-300, ledger(Vec::new())));
+            results.push(RunResult::failed(format!("retries exhausted: {text}"), ledger(events)));
+        }
+        let mut responses = Vec::new();
+        for result in results.into_iter().map(Arc::new) {
+            for source in [Source::Computed, Source::Dedup, Source::ResultCache, Source::Cancelled]
+            {
+                for id in texts {
+                    let result = Arc::clone(&result);
+                    responses.push(Response::Result { id: id.into(), source, result });
+                }
+            }
+        }
+        let mut metrics = v2d_obs::Metrics::new();
+        metrics.counter_add("serve.admitted", 3);
+        metrics.gauge_set("serve.queue.depth", 0.5);
+        for text in texts {
+            responses.extend([
+                Response::CancelAck { id: text.into(), target: text.into(), outcome: "cancelled" },
+                Response::CancelAck { id: text.into(), target: "a".into(), outcome: "unknown" },
+                Response::Status { id: text.into(), metrics: metrics.to_json() },
+                Response::Bye { id: text.into() },
+                Response::Error { id: text.into(), what: format!("deck: {text}") },
+            ]);
+        }
+        for resp in &responses {
+            let line = resp.to_line();
+            assert_eq!(line, resp.to_json().to_compact(), "{resp:?}");
+            assert!(!line.contains('\n'), "a wire line holds no raw newline: {line}");
+            Json::parse(&line).expect("every line parses back");
+        }
     }
 }

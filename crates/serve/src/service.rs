@@ -438,15 +438,13 @@ impl Core {
         let run = run_supervised(&spec, RetryPolicy::default());
         let _ = std::fs::remove_dir_all(&dir);
         let result = Arc::new(match run {
-            Ok(rep) => RunResult {
-                outcome: "done",
-                bits_fnv32: Some(fnv32_bits(&rep.final_bits)),
-                bits_len: Some(rep.final_bits.len()),
-                final_np: Some(rep.final_np),
-                mttr_virtual_secs: Some(rep.mttr_virtual_secs),
-                error: None,
-                ledger: Some(LedgerWire::from_ledger(&rep.ledger)),
-            },
+            Ok(rep) => RunResult::done(
+                fnv32_bits(&rep.final_bits),
+                rep.final_bits.len(),
+                rep.final_np,
+                rep.mttr_virtual_secs,
+                LedgerWire::from_ledger(&rep.ledger),
+            ),
             Err(e) => {
                 let (ledger, what) = match e {
                     SuperviseError::RetriesExhausted { ledger, last_error } => {
@@ -456,18 +454,10 @@ impl Core {
                         (ledger, format!("unrecoverable: {reason}"))
                     }
                 };
-                RunResult {
-                    outcome: "failed",
-                    bits_fnv32: None,
-                    bits_len: None,
-                    final_np: None,
-                    mttr_virtual_secs: None,
-                    error: Some(what),
-                    ledger: Some(LedgerWire::from_ledger(&ledger)),
-                }
+                RunResult::failed(what, LedgerWire::from_ledger(&ledger))
             }
         });
-        if result.outcome == "failed" {
+        if result.outcome() == "failed" {
             self.counters.failed.fetch_add(1, Ordering::Relaxed);
         } else {
             self.counters.completed.fetch_add(1, Ordering::Relaxed);
@@ -576,7 +566,7 @@ mod tests {
         match &resp[0] {
             Response::Result { source, result, .. } => {
                 assert_eq!(*source, Source::Cancelled);
-                assert_eq!(result.outcome, "cancelled");
+                assert_eq!(result.outcome(), "cancelled");
             }
             other => panic!("{other:?}"),
         }
@@ -603,11 +593,11 @@ mod tests {
         let (resp, svc) = Service::run_script(std::slice::from_ref(&req), ServeOpts::default());
         match &resp[0] {
             Response::Result { result, .. } => {
-                assert_eq!(result.outcome, "done");
-                let ledger = result.ledger.as_ref().expect("ledger present");
+                assert_eq!(result.outcome(), "done");
+                let ledger = result.ledger().expect("ledger present");
                 assert_eq!(ledger.kills, 1);
                 assert!(ledger.rollbacks >= 1);
-                assert_eq!(result.final_np, Some((1, 1)), "shrunk onto the survivor");
+                assert_eq!(result.final_np(), Some((1, 1)), "shrunk onto the survivor");
             }
             other => panic!("{other:?}"),
         }

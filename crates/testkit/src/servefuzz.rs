@@ -157,7 +157,7 @@ pub fn check_serve_seed(seed: u64) -> Result<LoadOutcome, String> {
             .wait();
         match resp {
             Response::Result { source: Source::Computed, result, .. }
-                if result.outcome == "done" => {}
+                if result.outcome() == "done" => {}
             other => {
                 svc.shutdown();
                 return Err(format!(

@@ -20,6 +20,12 @@
 #     sedov pair must dedupe (the canonical deck hashes the problem.*
 #     keys), while the byte-wise twin *without* the family line runs
 #     the legacy pulse and must hash apart;
+#   * once that batch is answered, on the same connection: a noisy
+#     respelling of the completed duplicate deck (reordered sections,
+#     upper-cased names, comments, padding) must come back
+#     `result-cache` with a "result" member byte-identical to the
+#     computed one, and a line that is not UTF-8 must be answered with
+#     an `error` while the request after it is still answered;
 #   * a status probe and a shutdown handshake (drain + bye).
 #
 # Exits non-zero (with the offending line) on any violated assertion.
@@ -93,29 +99,53 @@ requests = [
     submit("sed-a", sedov_deck()),
     submit("sed-b", sedov_deck(comment="# same blast, different text\n")),
     submit("sed-plain", sedov_deck(family="")),
-    {"req": "status", "id": "st"},
-    {"req": "shutdown", "id": "bye"},
 ]
-expected = len(requests)  # one response per request
+
+# The dup pair's deck respelled: sections reversed and re-cased, keys
+# reordered and re-cased, comments and padding.  Same canonical deck.
+respelled = (
+    "# the dup pair again, spelled differently\n"
+    "[ RADIATION ]\n  KAPPA_S =   2.0 2.0   # trailing comment\nkappa_a=0.0 0.0\nLimiter = none\n\n"
+    "[Run]\ncheckpoint_every = 0\nNPRX2 = 1\nnprx1 = 1\nN_Steps = 3\ndt = 0.01\n"
+    "[grid]\nx2 = 0.0 1.0\nx1 = 0.0 2.0\nn2 = 8\nN1 = 16\n"
+)
+# Sent after the first batch is answered, so the dup pair has completed
+# and the respelling must be a result-cache hit.
+second = [
+    json.dumps(submit("respelled", respelled)).encode() + b"\n",
+    b"\xff\xfe not utf-8 {\"req\":\"status\"}\n",
+    json.dumps({"req": "status", "id": "st"}).encode() + b"\n",
+    json.dumps({"req": "shutdown", "id": "bye"}).encode() + b"\n",
+]
 
 s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
 s.connect(sock_path)
-s.sendall(("".join(json.dumps(r) + "\n" for r in requests)).encode())
-
-lines = []
-buf = b""
 s.settimeout(120)
-while len(lines) < expected:
-    chunk = s.recv(65536)
-    if not chunk:
-        break
-    buf += chunk
-    while b"\n" in buf:
-        line, buf = buf.split(b"\n", 1)
-        if line.strip():
-            lines.append(line.decode())
+buf = b""
+
+def read_lines(n):
+    global buf
+    got = []
+    while len(got) < n:
+        while b"\n" in buf and len(got) < n:
+            line, buf = buf.split(b"\n", 1)
+            if line.strip():
+                got.append(line.decode())
+        if len(got) == n:
+            break
+        chunk = s.recv(65536)
+        if not chunk:
+            break
+        buf += chunk
+    assert len(got) == n, f"expected {n} responses, got {len(got)}:\n" + "\n".join(got)
+    return got
+
+s.sendall(("".join(json.dumps(r) + "\n" for r in requests)).encode())
+lines = read_lines(len(requests))  # one response per request
+s.sendall(b"".join(second))
+tail = read_lines(len(second))
 s.close()
-assert len(lines) == expected, f"expected {expected} responses, got {len(lines)}:\n" + "\n".join(lines)
+lines += tail
 
 by_id = {}
 order = []
@@ -179,7 +209,20 @@ deduped = st["metrics"]["serve.deduped"]["value"]
 assert deduped >= 1, f"serve.deduped = {deduped}"
 print(f"serve.deduped = {deduped}")
 
-# 7. Shutdown handshake.
+# 7. A noisy respelling of the completed duplicate deck is a result-cache
+#    hit carrying the computed bytes.
+rs, lrs = by_id["respelled"]
+assert rs["source"] == "result-cache", f"respelled deck was not a cache hit: {lrs}"
+assert result_member(lrs) == result_member(la), f"cached result differs:\n{la}\n{lrs}"
+
+# 8. A line that is not UTF-8 is answered with an error, in order, and
+#    the session goes on: the status request after it is answered.
+bad = json.loads(tail[1])
+assert bad["resp"] == "error" and bad["id"] == "", f"non-UTF-8 line: {tail[1]}"
+assert json.loads(tail[2])["id"] == "st", f"request after the bad line: {tail[2]}"
+print(f"non-UTF-8 line answered: {bad['error']}")
+
+# 9. Shutdown handshake.
 assert by_id["bye"][0]["resp"] == "bye"
 print("serve e2e: all assertions passed")
 EOF

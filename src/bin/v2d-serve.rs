@@ -27,12 +27,18 @@
 //! socket path that cannot be bound prints one line and exits 1.
 //!
 //! A `{"req":"shutdown","id":…}` request drains in-flight jobs, answers
-//! `bye`, and exits the daemon.
+//! `bye`, and exits the daemon.  A line that is not a request — bad
+//! JSON, a missing member, bytes that are not UTF-8 — is answered with
+//! one `{"resp":"error","id":"",…}` line and the session continues.
 
 use std::io::{BufRead, BufReader, Write};
 use std::sync::{Arc, Mutex};
 
 use v2d_serve::{parse_request, Handled, Request, Response, ServeOpts, Service};
+
+/// The session's output, shared with the threads that forward results
+/// of jobs still in flight.
+type Writer = Arc<Mutex<Box<dyn Write + Send>>>;
 
 fn usage() -> ! {
     eprintln!("usage: v2d-serve [--socket PATH | --stdio] [--workers N] [--cache N]");
@@ -61,10 +67,9 @@ fn main() {
     let svc = Service::new(opts);
     match socket {
         None => {
-            let stdout: Arc<Mutex<Box<dyn Write + Send>>> =
-                Arc::new(Mutex::new(Box::new(std::io::stdout())));
+            let stdout: Writer = Arc::new(Mutex::new(Box::new(std::io::stdout())));
             let bye = session(&svc, BufReader::new(std::io::stdin()), &stdout);
-            finish(svc, bye, &stdout);
+            finish(svc, bye);
         }
         Some(path) => serve_socket(svc, &path),
     }
@@ -95,10 +100,10 @@ fn serve_socket(svc: Service, path: &str) {
                 continue;
             }
         };
-        let writer: Arc<Mutex<Box<dyn Write + Send>>> = Arc::new(Mutex::new(Box::new(write_half)));
+        let writer: Writer = Arc::new(Mutex::new(Box::new(write_half)));
         let bye = session(&svc, BufReader::new(conn), &writer);
         if bye {
-            finish(svc, true, &writer);
+            finish(svc, true);
             let _ = std::fs::remove_file(path);
             return;
         }
@@ -106,24 +111,32 @@ fn serve_socket(svc: Service, path: &str) {
 }
 
 /// Drive one NDJSON session; returns true when the client asked the
-/// daemon to shut down.
-fn session<R: BufRead>(
-    svc: &Service,
-    reader: R,
-    writer: &Arc<Mutex<Box<dyn Write + Send>>>,
-) -> bool {
-    for line in reader.lines() {
-        let line = match line {
-            Ok(l) => l,
+/// daemon to shut down.  Lines are read as bytes into one reused
+/// buffer, so a line that is not UTF-8 is answered with an `error` and
+/// the session goes on.
+fn session<R: BufRead>(svc: &Service, mut reader: R, writer: &Writer) -> bool {
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        match reader.read_until(b'\n', &mut buf) {
+            Ok(0) => return false,
+            Ok(_) => {}
             Err(e) => {
                 eprintln!("v2d-serve: read failed: {e}");
                 return false;
             }
+        }
+        // Drop the terminator as `BufRead::lines` does: `\n`, or `\r\n`.
+        let line = buf.strip_suffix(b"\n").map_or(&buf[..], |l| l.strip_suffix(b"\r").unwrap_or(l));
+        let Ok(line) = std::str::from_utf8(line) else {
+            let what = "request line is not valid UTF-8".to_string();
+            emit(writer, &Response::Error { id: String::new(), what });
+            continue;
         };
         if line.trim().is_empty() {
             continue;
         }
-        let req = match parse_request(&line) {
+        let req = match parse_request(line) {
             Ok(r) => r,
             Err(what) => {
                 emit(writer, &Response::Error { id: String::new(), what });
@@ -152,17 +165,20 @@ fn session<R: BufRead>(
             }
         }
     }
-    false
 }
 
-fn emit(writer: &Arc<Mutex<Box<dyn Write + Send>>>, resp: &Response) {
+/// One response is one `write_all` of its line and newline together:
+/// two writes would be two syscalls, each able to wake the client.
+fn emit(writer: &Writer, resp: &Response) {
+    let mut line = resp.to_line();
+    line.push('\n');
     let mut w = writer.lock().unwrap();
-    if writeln!(w, "{}", resp.to_line()).and_then(|_| w.flush()).is_err() {
+    if w.write_all(line.as_bytes()).and_then(|_| w.flush()).is_err() {
         eprintln!("v2d-serve: client went away before its response");
     }
 }
 
-fn finish(svc: Service, bye: bool, _writer: &Arc<Mutex<Box<dyn Write + Send>>>) {
+fn finish(svc: Service, bye: bool) {
     if bye {
         eprintln!("v2d-serve: drained, shutting down");
     }

@@ -138,3 +138,31 @@ fn serve_argument_errors_print_usage_and_exit_2() {
     let ok = serve(&["--stdio", "--workers", "1", "--cache", "4"]);
     assert!(ok.status.success(), "{}", String::from_utf8_lossy(&ok.stderr));
 }
+
+/// A request line that is not UTF-8 costs that line one `error`
+/// response; the requests after it on the same session are answered.
+#[test]
+fn serve_answers_a_non_utf8_line_and_keeps_the_session() {
+    use std::io::Write;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_v2d-serve"))
+        .args(["--stdio", "--workers", "1"])
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("run v2d-serve");
+    let requests = b"\xff\xfe bad\n\
+        {\"req\":\"status\",\"id\":\"s\"}\n\
+        {\"req\":\"shutdown\",\"id\":\"q\"}\n";
+    child.stdin.take().expect("piped stdin").write_all(requests).expect("write requests");
+    let out = child.wait_with_output().expect("wait for v2d-serve");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "stderr: {err}");
+    let text = String::from_utf8(out.stdout).expect("responses are UTF-8");
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 3, "one response per request line:\n{text}\nstderr: {err}");
+    assert!(lines[0].starts_with(r#"{"resp":"error","id":"","error":"#), "{}", lines[0]);
+    assert!(lines[1].starts_with(r#"{"resp":"status","id":"s","#), "{}", lines[1]);
+    assert_eq!(lines[2], r#"{"resp":"bye","id":"q"}"#);
+    assert!(!err.contains("read failed"), "stderr: {err}");
+}
