@@ -5,6 +5,7 @@
 //! print a golden.
 
 use v2d_comm::{CartComm, Comm, Spmd, TileMap};
+use v2d_core::config_file::BICGSTAB;
 use v2d_core::grid::LocalGrid;
 use v2d_core::problems::GaussianPulse;
 use v2d_core::rad::coeffs::assemble_system;
@@ -146,7 +147,7 @@ pub fn ganged(args: &[String]) -> Result<(), UsageError> {
             let cray = outs.iter().map(|o| o.2).fold(0.0f64, f64::max);
             let gnu = outs.iter().map(|o| o.3).fold(0.0f64, f64::max);
             secs[vi] = cray;
-            let label = if variant == BicgVariant::Classic { "classic" } else { "ganged" };
+            let label = BICGSTAB.name(variant);
             let saving = if vi == 1 {
                 format!("{:+.1}%", 100.0 * (secs[0] - secs[1]) / secs[0])
             } else {

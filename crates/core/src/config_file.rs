@@ -14,6 +14,22 @@
 //! the original map-per-entry parser as an oracle and checks the two
 //! agree on generated decks, errors included.
 //!
+//! Each enumerated key reads one [`Spellings`] table, which also writes
+//! decks and lists the canonical spellings in the error for a word it
+//! does not know.  Canonical first, `|` before an alias, `*` the default:
+//!
+//! ```text
+//! grid.geometry                     cartesian*, cylindrical | rz, spherical | rtheta
+//! radiation.limiter                 none, levermore-pomraning | lp*, wilson
+//! radiation.precond                 none, jacobi, block-jacobi | spai0*, spai | spai1
+//! radiation.bicgstab                ganged*, classic
+//! hydro.bc_{west,east,south,north}  outflow*, reflecting | wall
+//! hydro.enabled, coupling.enabled   true | yes | 1, false | no | 0*
+//! problem.family                    gaussian | pulse, multigroup, radshock | radiative-shock,
+//!                                   relax | relaxation, marshak, sod | shock-tube,
+//!                                   sedov | sedov-taylor, kelvin-helmholtz | kh
+//! ```
+//!
 //! ```text
 //! # v2d.par — the paper's radiation benchmark
 //! [grid]
@@ -44,8 +60,10 @@ use std::ops::Range;
 use v2d_linalg::{BicgVariant, SolveOpts};
 
 use crate::grid::{Geometry, Grid2};
+use crate::hydro::BcKind;
 use crate::limiter::Limiter;
 use crate::opacity::OpacityModel;
+use crate::problems::Family;
 use crate::sim::{HydroConfig, PrecondKind, V2dConfig};
 
 /// Parameter-file errors, with the line number where applicable.
@@ -69,6 +87,103 @@ impl fmt::Display for ParError {
 }
 
 impl std::error::Error for ParError {}
+
+/// The words a deck may spell one enum's values with: one row per
+/// value, its canonical spelling first and its aliases after.  One table
+/// parses a deck, writes one (the canonical spelling) and lists the
+/// valid words in the error for an unknown one, so the three cannot
+/// drift apart.
+#[derive(Debug)]
+pub struct Spellings<T: 'static> {
+    /// What the values are, as an error names them.
+    what: &'static str,
+    table: &'static [(T, &'static [&'static str])],
+}
+
+impl<T: Copy + PartialEq> Spellings<T> {
+    /// The value `word` spells, if any.
+    pub fn parse(&self, word: &str) -> Option<T> {
+        self.table.iter().find(|(_, words)| words.contains(&word)).map(|&(v, _)| v)
+    }
+
+    /// The canonical spelling of `value` (empty for a value the table
+    /// lacks; the deck round-trip tests hold every table total).
+    pub fn name(&self, value: T) -> &'static str {
+        let row = self.table.iter().find(|&&(v, _)| v == value);
+        row.and_then(|(_, words)| words.first()).copied().unwrap_or_default()
+    }
+
+    /// The canonical spellings, comma-separated, in table order.
+    pub fn valid(&self) -> String {
+        let canonical: Vec<&str> =
+            self.table.iter().filter_map(|(_, w)| w.first().copied()).collect();
+        canonical.join(", ")
+    }
+
+    /// The message for a word that spells no value.
+    pub fn unknown(&self, word: &str) -> String {
+        format!("unknown {} `{word}` (valid: {})", self.what, self.valid())
+    }
+}
+
+pub const GEOMETRY: Spellings<Geometry> = Spellings {
+    what: "geometry",
+    table: &[
+        (Geometry::Cartesian, &["cartesian"]),
+        (Geometry::CylindricalRZ, &["cylindrical", "rz"]),
+        (Geometry::SphericalRTheta, &["spherical", "rtheta"]),
+    ],
+};
+
+pub const LIMITER: Spellings<Limiter> = Spellings {
+    what: "limiter",
+    table: &[
+        (Limiter::None, &["none"]),
+        (Limiter::LevermorePomraning, &["levermore-pomraning", "lp"]),
+        (Limiter::Wilson, &["wilson"]),
+    ],
+};
+
+pub const PRECOND: Spellings<PrecondKind> = Spellings {
+    what: "preconditioner",
+    table: &[
+        (PrecondKind::None, &["none"]),
+        (PrecondKind::Jacobi, &["jacobi"]),
+        (PrecondKind::BlockJacobi, &["block-jacobi", "spai0"]),
+        (PrecondKind::Spai, &["spai", "spai1"]),
+    ],
+};
+
+pub const BICGSTAB: Spellings<BicgVariant> = Spellings {
+    what: "bicgstab variant",
+    table: &[(BicgVariant::Ganged, &["ganged"]), (BicgVariant::Classic, &["classic"])],
+};
+
+pub const BOUNDARY: Spellings<BcKind> = Spellings {
+    what: "boundary",
+    table: &[(BcKind::Outflow, &["outflow"]), (BcKind::Reflecting, &["reflecting", "wall"])],
+};
+
+/// `hydro.enabled` and `coupling.enabled`.
+pub const SWITCH: Spellings<bool> = Spellings {
+    what: "boolean",
+    table: &[(true, &["true", "yes", "1"]), (false, &["false", "no", "0"])],
+};
+
+/// `problem.family`, in registry order ([`crate::problems::FAMILIES`]).
+pub const FAMILY: Spellings<Family> = Spellings {
+    what: "problem family",
+    table: &[
+        (Family::Gaussian, &["gaussian", "pulse"]),
+        (Family::Multigroup, &["multigroup"]),
+        (Family::RadShock, &["radshock", "radiative-shock"]),
+        (Family::Relax, &["relax", "relaxation"]),
+        (Family::Marshak, &["marshak"]),
+        (Family::Sod, &["sod", "shock-tube"]),
+        (Family::Sedov, &["sedov", "sedov-taylor"]),
+        (Family::KelvinHelmholtz, &["kelvin-helmholtz", "kh"]),
+    ],
+};
 
 /// A parsed parameter file: `section.key → value` (keys outside any
 /// section live under the empty section name).
@@ -273,129 +388,76 @@ impl ParFile {
         check("grid.n2", n2 >= 1, "grid must have at least one zone")?;
         let x1 = self.pair("grid.x1")?;
         let x2 = self.pair("grid.x2")?;
-        check("grid.x1", x1.1 > x1.0, "upper bound must exceed lower bound")?;
-        check("grid.x2", x2.1 > x2.0, "upper bound must exceed lower bound")?;
-        let geometry = match self.get("grid.geometry").unwrap_or("cartesian") {
-            "cartesian" => Geometry::Cartesian,
-            "cylindrical" | "rz" => Geometry::CylindricalRZ,
-            "spherical" | "rtheta" => Geometry::SphericalRTheta,
-            other => {
-                return Err(ParError::Invalid {
-                    key: "grid.geometry".into(),
-                    msg: format!("unknown geometry `{other}`"),
-                })
-            }
-        };
+        // Every float range check also rejects `inf` and `nan`.
+        let finite = |p: (f64, f64)| p.0.is_finite() && p.1.is_finite();
+        let positive = |x: f64| x.is_finite() && x > 0.0;
+        check("grid.x1", finite(x1) && x1.1 > x1.0, "upper bound must exceed lower bound")?;
+        check("grid.x2", finite(x2) && x2.1 > x2.0, "upper bound must exceed lower bound")?;
+        let geometry = self.choice("grid.geometry", &GEOMETRY)?.unwrap_or(Geometry::Cartesian);
+        let radial_ok = geometry == Geometry::Cartesian || x1.0 >= 0.0;
+        check("grid.x1", radial_ok, "radial coordinate cannot be negative")?;
         let grid = Grid2::new(n1, n2, x1, x2, geometry);
 
-        let limiter = match self.get("radiation.limiter").unwrap_or("levermore-pomraning") {
-            "none" => Limiter::None,
-            "levermore-pomraning" | "lp" => Limiter::LevermorePomraning,
-            "wilson" => Limiter::Wilson,
-            other => {
-                return Err(ParError::Invalid {
-                    key: "radiation.limiter".into(),
-                    msg: format!("unknown limiter `{other}`"),
-                })
-            }
-        };
+        let limiter =
+            self.choice("radiation.limiter", &LIMITER)?.unwrap_or(Limiter::LevermorePomraning);
         let ka = self.pair("radiation.kappa_a")?;
         let ks = self.pair("radiation.kappa_s")?;
         let kx: f64 = self.scalar_or("radiation.kappa_x", 0.0)?;
-        check("radiation.kappa_a", ka.0 >= 0.0 && ka.1 >= 0.0, "opacities must be >= 0")?;
-        check("radiation.kappa_s", ks.0 >= 0.0 && ks.1 >= 0.0, "opacities must be >= 0")?;
-        check("radiation.kappa_x", kx >= 0.0, "opacities must be >= 0")?;
+        let opacities = "opacities must be >= 0";
+        check("radiation.kappa_a", finite(ka) && ka.0 >= 0.0 && ka.1 >= 0.0, opacities)?;
+        check("radiation.kappa_s", finite(ks) && ks.0 >= 0.0 && ks.1 >= 0.0, opacities)?;
+        check("radiation.kappa_x", kx.is_finite() && kx >= 0.0, opacities)?;
         let opacity = OpacityModel { kappa_a: [ka.0, ka.1], kappa_s: [ks.0, ks.1], kappa_x: kx };
-        let precond = match self.get("radiation.precond").unwrap_or("block-jacobi") {
-            "none" => PrecondKind::None,
-            "jacobi" => PrecondKind::Jacobi,
-            "block-jacobi" | "spai0" => PrecondKind::BlockJacobi,
-            "spai" | "spai1" => PrecondKind::Spai,
-            other => {
-                return Err(ParError::Invalid {
-                    key: "radiation.precond".into(),
-                    msg: format!("unknown preconditioner `{other}`"),
-                })
-            }
-        };
-        let variant = match self.get("radiation.bicgstab").unwrap_or("ganged") {
-            "ganged" => BicgVariant::Ganged,
-            "classic" => BicgVariant::Classic,
-            other => {
-                return Err(ParError::Invalid {
-                    key: "radiation.bicgstab".into(),
-                    msg: format!("unknown variant `{other}`"),
-                })
-            }
-        };
+        let precond =
+            self.choice("radiation.precond", &PRECOND)?.unwrap_or(PrecondKind::BlockJacobi);
+        let variant = self.choice("radiation.bicgstab", &BICGSTAB)?.unwrap_or(BicgVariant::Ganged);
         let solve = SolveOpts {
             tol: self.scalar_or("radiation.tol", 1e-9)?,
             max_iters: self.scalar_or("radiation.max_iters", 10_000)?,
             variant,
         };
-        check("radiation.tol", solve.tol > 0.0 && solve.tol.is_finite(), "must be > 0")?;
+        check("radiation.tol", positive(solve.tol), "must be > 0")?;
         check("radiation.max_iters", solve.max_iters >= 1, "must be >= 1")?;
 
-        let hydro = match self.get("hydro.enabled").unwrap_or("false") {
-            "true" | "yes" | "1" => {
-                let bc_of = |key: &str| -> Result<crate::hydro::BcKind, ParError> {
-                    match self.get(key).unwrap_or("outflow") {
-                        "outflow" => Ok(crate::hydro::BcKind::Outflow),
-                        "reflecting" | "wall" => Ok(crate::hydro::BcKind::Reflecting),
-                        other => Err(ParError::Invalid {
-                            key: key.to_string(),
-                            msg: format!("unknown boundary `{other}`"),
-                        }),
-                    }
-                };
-                let gamma = self.scalar_or("hydro.gamma", 5.0 / 3.0)?;
-                let cfl = self.scalar_or("hydro.cfl", 0.4)?;
-                check("hydro.gamma", gamma > 1.0, "adiabatic index must be > 1")?;
-                check("hydro.cfl", cfl > 0.0 && cfl <= 1.0, "must be in (0, 1]")?;
-                Some(HydroConfig {
-                    gamma,
-                    cfl,
-                    bc: crate::hydro::HydroBc {
-                        west: bc_of("hydro.bc_west")?,
-                        east: bc_of("hydro.bc_east")?,
-                        south: bc_of("hydro.bc_south")?,
-                        north: bc_of("hydro.bc_north")?,
-                    },
-                })
-            }
-            "false" | "no" | "0" => None,
-            other => {
-                return Err(ParError::Invalid {
-                    key: "hydro.enabled".into(),
-                    msg: format!("expected a boolean, got `{other}`"),
-                })
-            }
+        let hydro = if self.choice("hydro.enabled", &SWITCH)?.unwrap_or(false) {
+            let bc_of = |key: &str| -> Result<BcKind, ParError> {
+                Ok(self.choice(key, &BOUNDARY)?.unwrap_or(BcKind::Outflow))
+            };
+            let gamma: f64 = self.scalar_or("hydro.gamma", 5.0 / 3.0)?;
+            let cfl = self.scalar_or("hydro.cfl", 0.4)?;
+            check("hydro.gamma", gamma.is_finite() && gamma > 1.0, "adiabatic index must be > 1")?;
+            check("hydro.cfl", cfl > 0.0 && cfl <= 1.0, "must be in (0, 1]")?;
+            Some(HydroConfig {
+                gamma,
+                cfl,
+                bc: crate::hydro::HydroBc {
+                    west: bc_of("hydro.bc_west")?,
+                    east: bc_of("hydro.bc_east")?,
+                    south: bc_of("hydro.bc_south")?,
+                    north: bc_of("hydro.bc_north")?,
+                },
+            })
+        } else {
+            None
         };
 
-        let coupling = match self.get("coupling.enabled").unwrap_or("false") {
-            "true" | "yes" | "1" => {
-                let cv: f64 = self.scalar_or("coupling.cv", 1.0)?;
-                let a_rad: f64 = self.scalar_or("coupling.a_rad", 1.0)?;
-                let split = match self.get("coupling.split") {
-                    Some(_) => self.pair("coupling.split")?,
-                    None => (0.5, 0.5),
-                };
-                check("coupling.cv", cv > 0.0, "heat capacity must be > 0")?;
-                check("coupling.a_rad", a_rad > 0.0, "radiation constant must be > 0")?;
-                check(
-                    "coupling.split",
-                    split.0 >= 0.0 && split.1 >= 0.0 && (split.0 + split.1 - 1.0).abs() < 1e-12,
-                    "emission split must be a partition of unity",
-                )?;
-                Some(crate::rad::coupling::MatterCoupling::new(cv, a_rad, [split.0, split.1]))
-            }
-            "false" | "no" | "0" => None,
-            other => {
-                return Err(ParError::Invalid {
-                    key: "coupling.enabled".into(),
-                    msg: format!("expected a boolean, got `{other}`"),
-                })
-            }
+        let coupling = if self.choice("coupling.enabled", &SWITCH)?.unwrap_or(false) {
+            let cv: f64 = self.scalar_or("coupling.cv", 1.0)?;
+            let a_rad: f64 = self.scalar_or("coupling.a_rad", 1.0)?;
+            let split = match self.get("coupling.split") {
+                Some(_) => self.pair("coupling.split")?,
+                None => (0.5, 0.5),
+            };
+            check("coupling.cv", positive(cv), "heat capacity must be > 0")?;
+            check("coupling.a_rad", positive(a_rad), "radiation constant must be > 0")?;
+            check(
+                "coupling.split",
+                split.0 >= 0.0 && split.1 >= 0.0 && (split.0 + split.1 - 1.0).abs() < 1e-12,
+                "emission split must be a partition of unity",
+            )?;
+            Some(crate::rad::coupling::MatterCoupling::new(cv, a_rad, [split.0, split.1]))
+        } else {
+            None
         };
         check(
             "coupling.enabled",
@@ -406,8 +468,8 @@ impl ParFile {
         let c_light = self.scalar_or("radiation.c_light", 1.0)?;
         let dt = self.scalar("run.dt")?;
         let n_steps = self.scalar("run.n_steps")?;
-        check("radiation.c_light", c_light > 0.0, "must be > 0")?;
-        check("run.dt", dt > 0.0 && f64::is_finite(dt), "timestep must be > 0")?;
+        check("radiation.c_light", positive(c_light), "must be > 0")?;
+        check("run.dt", positive(dt), "timestep must be > 0")?;
         check("run.n_steps", n_steps >= 1, "must run at least one step")?;
         let cfg = V2dConfig {
             grid,
@@ -454,19 +516,22 @@ impl ParFile {
     /// pulse); a typed [`ParError::Invalid`] listing every valid family
     /// when the name is not in the registry — never a panic on the
     /// deck-parsing path.
-    pub fn problem(&self) -> Result<Option<crate::problems::Family>, ParError> {
-        match self.get("problem.family") {
-            None => Ok(None),
-            Some(name) => match crate::problems::Family::parse(name) {
-                Some(f) => Ok(Some(f)),
-                None => Err(ParError::Invalid {
-                    key: "problem.family".into(),
-                    msg: format!(
-                        "unknown problem family `{name}` (valid: {})",
-                        crate::problems::Family::valid_names()
-                    ),
-                }),
-            },
+    pub fn problem(&self) -> Result<Option<Family>, ParError> {
+        self.choice("problem.family", &FAMILY)
+    }
+
+    /// An enumerated key: `None` when absent, else the value its word
+    /// spells — a word that spells none is an error listing the valid
+    /// ones.
+    fn choice<T: Copy + PartialEq>(
+        &self,
+        key: &str,
+        spellings: &Spellings<T>,
+    ) -> Result<Option<T>, ParError> {
+        let Some(word) = self.get(key) else { return Ok(None) };
+        match spellings.parse(word) {
+            Some(v) => Ok(Some(v)),
+            None => Err(ParError::Invalid { key: key.to_string(), msg: spellings.unknown(word) }),
         }
     }
 }
@@ -560,11 +625,110 @@ mod tests {
         }
     }
 
+    /// A valid deck that sets no enumerated key, so a test can set one
+    /// fully qualified above the first section.
+    const PLAIN: &str = "[grid]\nn1 = 4\nn2 = 4\nx1 = 0 1\nx2 = 0 1\n[run]\ndt = 0.1\n\
+                         n_steps = 1\n[radiation]\nkappa_a = 0 0\nkappa_s = 1 1\n";
+
+    /// An unknown word for any enumerated key is an `Invalid` naming the
+    /// key and every canonical spelling of its table, in table order.
     #[test]
     fn invalid_enumerations_are_reported() {
-        let text = PAPER_PAR.replace("levermore-pomraning", "quantum");
-        let pf = ParFile::parse(&text).unwrap();
-        assert!(matches!(pf.to_config(), Err(ParError::Invalid { .. })));
+        let hydro = "hydro.enabled = true\n";
+        let walls = "boundary `Warp` (valid: outflow, reflecting)";
+        for (key, before, want) in [
+            ("grid.geometry", "", "geometry `Warp` (valid: cartesian, cylindrical, spherical)"),
+            ("radiation.limiter", "", "limiter `Warp` (valid: none, levermore-pomraning, wilson)"),
+            (
+                "radiation.precond",
+                "",
+                "preconditioner `Warp` (valid: none, jacobi, block-jacobi, spai)",
+            ),
+            ("radiation.bicgstab", "", "bicgstab variant `Warp` (valid: ganged, classic)"),
+            ("hydro.enabled", "", "boolean `Warp` (valid: true, false)"),
+            ("hydro.bc_west", hydro, walls),
+            ("hydro.bc_east", hydro, walls),
+            ("hydro.bc_south", hydro, walls),
+            ("hydro.bc_north", hydro, walls),
+            ("coupling.enabled", "", "boolean `Warp` (valid: true, false)"),
+            (
+                "problem.family",
+                "",
+                "problem family `Warp` (valid: gaussian, multigroup, radshock, relax, \
+                 marshak, sod, sedov, kelvin-helmholtz)",
+            ),
+        ] {
+            let pf = ParFile::parse(&format!("{key} = Warp\n{before}{PLAIN}")).unwrap();
+            let got = match key {
+                "problem.family" => pf.problem().map(|_| ()),
+                _ => pf.to_config().map(|_| ()),
+            };
+            let want = ParError::Invalid { key: key.into(), msg: format!("unknown {want}") };
+            assert_eq!(got, Err(want));
+        }
+    }
+
+    /// Every spelling in every table, read through each key it serves,
+    /// builds its value; the tables hold exactly the accepted words.
+    #[test]
+    fn every_spelling_parses_to_its_value() {
+        fn spelled<T: Copy>(s: &Spellings<T>) -> Vec<(&'static str, T)> {
+            s.table.iter().flat_map(|&(v, words)| words.iter().map(move |&w| (w, v))).collect()
+        }
+        fn words<T: Copy>(s: &Spellings<T>) -> Vec<&'static str> {
+            spelled(s).into_iter().map(|(w, _)| w).collect()
+        }
+        assert_eq!(words(&GEOMETRY), ["cartesian", "cylindrical", "rz", "spherical", "rtheta"]);
+        assert_eq!(words(&LIMITER), ["none", "levermore-pomraning", "lp", "wilson"]);
+        assert_eq!(words(&PRECOND), ["none", "jacobi", "block-jacobi", "spai0", "spai", "spai1"]);
+        assert_eq!(words(&BICGSTAB), ["ganged", "classic"]);
+        assert_eq!(words(&BOUNDARY), ["outflow", "reflecting", "wall"]);
+        assert_eq!(words(&SWITCH), ["true", "yes", "1", "false", "no", "0"]);
+        assert_eq!(
+            words(&FAMILY),
+            [
+                "gaussian",
+                "pulse",
+                "multigroup",
+                "radshock",
+                "radiative-shock",
+                "relax",
+                "relaxation",
+                "marshak",
+                "sod",
+                "shock-tube",
+                "sedov",
+                "sedov-taylor",
+                "kelvin-helmholtz",
+                "kh"
+            ]
+        );
+        let cfg = |lines: String| ParFile::parse(&(lines + PLAIN)).unwrap().to_config().unwrap().0;
+        for (w, v) in spelled(&GEOMETRY) {
+            assert_eq!(cfg(format!("grid.geometry = {w}\n")).grid.geometry, v, "{w}");
+        }
+        for (w, v) in spelled(&LIMITER) {
+            assert_eq!(cfg(format!("radiation.limiter = {w}\n")).limiter, v, "{w}");
+        }
+        for (w, v) in spelled(&PRECOND) {
+            assert_eq!(cfg(format!("radiation.precond = {w}\n")).precond, v, "{w}");
+        }
+        for (w, v) in spelled(&BICGSTAB) {
+            assert_eq!(cfg(format!("radiation.bicgstab = {w}\n")).solve.variant, v, "{w}");
+        }
+        for (w, v) in spelled(&BOUNDARY) {
+            let walls = ["west", "east", "south", "north"].map(|s| format!("hydro.bc_{s} = {w}\n"));
+            let bc = cfg(format!("hydro.enabled = true\n{}", walls.concat())).hydro.unwrap().bc;
+            assert_eq!([bc.west, bc.east, bc.south, bc.north], [v; 4], "{w}");
+        }
+        for (w, v) in spelled(&SWITCH) {
+            assert_eq!(cfg(format!("hydro.enabled = {w}\n")).hydro.is_some(), v, "{w}");
+            assert_eq!(cfg(format!("coupling.enabled = {w}\n")).coupling.is_some(), v, "{w}");
+        }
+        for (w, v) in spelled(&FAMILY) {
+            let pf = ParFile::parse(&format!("problem.family = {w}\n")).unwrap();
+            assert_eq!(pf.problem(), Ok(Some(v)), "{w}");
+        }
     }
 
     #[test]
@@ -585,6 +749,14 @@ mod tests {
             ("kappa_s = 2.0 3.0", "kappa_s = -2.0 3.0", "radiation.kappa_s"),
             ("n1 = 200", "n1 = 0", "grid.n1"),
             ("nprx1 = 1", "nprx1 = 300", "run.nprx1"),
+            ("x1 = 0.0 2.0", "x1 = 0.0 inf", "grid.x1"),
+            ("kappa_s = 2.0 3.0", "kappa_s = inf 3.0", "radiation.kappa_s"),
+            ("tol = 1e-9", "tol = 1e-9\nc_light = inf", "radiation.c_light"),
+            (
+                "x1 = 0.0 2.0\nx2 = 0.0 1.0\ngeometry = cartesian",
+                "x1 = -1 2\nx2 = 0 1\ngeometry = rz",
+                "grid.x1",
+            ),
         ] {
             let text = PAPER_PAR.replace(from, to);
             let pf = ParFile::parse(&text).unwrap();

@@ -31,9 +31,9 @@
 use std::fmt;
 
 use v2d_comm::{Comm, ReduceOp};
-use v2d_linalg::BicgVariant;
 use v2d_machine::MultiCostSink;
 
+use crate::config_file::{BICGSTAB, BOUNDARY, FAMILY, GEOMETRY, LIMITER, PRECOND, SWITCH};
 use crate::grid::{Geometry, Grid2};
 use crate::hydro::eos::Prim;
 use crate::limiter::Limiter;
@@ -88,37 +88,18 @@ pub const FAMILIES: [Family; 8] = [
 impl Family {
     /// The registry key (what `[problem] family = …` matches).
     pub fn name(self) -> &'static str {
-        match self {
-            Family::Gaussian => "gaussian",
-            Family::Multigroup => "multigroup",
-            Family::RadShock => "radshock",
-            Family::Relax => "relax",
-            Family::Marshak => "marshak",
-            Family::Sod => "sod",
-            Family::Sedov => "sedov",
-            Family::KelvinHelmholtz => "kelvin-helmholtz",
-        }
+        FAMILY.name(self)
     }
 
     /// Look a family up by name (a couple of common aliases included).
     pub fn parse(name: &str) -> Option<Family> {
-        match name {
-            "gaussian" | "pulse" => Some(Family::Gaussian),
-            "multigroup" => Some(Family::Multigroup),
-            "radshock" | "radiative-shock" => Some(Family::RadShock),
-            "relax" | "relaxation" => Some(Family::Relax),
-            "marshak" => Some(Family::Marshak),
-            "sod" | "shock-tube" => Some(Family::Sod),
-            "sedov" | "sedov-taylor" => Some(Family::Sedov),
-            "kelvin-helmholtz" | "kh" => Some(Family::KelvinHelmholtz),
-            _ => None,
-        }
+        FAMILY.parse(name)
     }
 
     /// The comma-separated list of valid family names (for error
     /// messages and docs).
     pub fn valid_names() -> String {
-        FAMILIES.iter().map(|f| f.name()).collect::<Vec<_>>().join(", ")
+        FAMILY.valid()
     }
 
     /// The scenario object for this family.
@@ -296,7 +277,8 @@ pub trait Scenario: Sync {
 /// Serialize a configuration into the strict `key = value` deck format,
 /// with the `[problem]` section naming `family`.  Parsing the result
 /// through [`crate::config_file::ParFile::to_config`] reproduces `cfg`
-/// exactly (`f64` Display round-trips bit-for-bit).
+/// exactly (`f64` Display round-trips bit-for-bit; every enum is written
+/// as its canonical spelling from the table the parser reads).
 pub fn deck_from_config(family: Family, cfg: &V2dConfig, np1: usize, np2: usize) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
@@ -304,59 +286,36 @@ pub fn deck_from_config(family: Family, cfg: &V2dConfig, np1: usize, np2: usize)
     let _ = writeln!(out, "[problem]\nfamily = {}\n", family.name());
     let _ = writeln!(out, "[grid]\nn1 = {}\nn2 = {}", g.n1, g.n2);
     let _ = writeln!(out, "x1 = {} {}\nx2 = {} {}", g.x1min, g.x1max, g.x2min, g.x2max);
-    let geometry = match g.geometry {
-        Geometry::Cartesian => "cartesian",
-        Geometry::CylindricalRZ => "cylindrical",
-        Geometry::SphericalRTheta => "spherical",
-    };
-    let _ = writeln!(out, "geometry = {geometry}\n");
+    let _ = writeln!(out, "geometry = {}\n", GEOMETRY.name(g.geometry));
     let _ = writeln!(out, "[run]\ndt = {}\nn_steps = {}", cfg.dt, cfg.n_steps);
     let _ = writeln!(out, "nprx1 = {np1}\nnprx2 = {np2}\n");
-    let limiter = match cfg.limiter {
-        Limiter::None => "none",
-        Limiter::LevermorePomraning => "levermore-pomraning",
-        Limiter::Wilson => "wilson",
-    };
-    let _ = writeln!(out, "[radiation]\nlimiter = {limiter}");
+    let _ = writeln!(out, "[radiation]\nlimiter = {}", LIMITER.name(cfg.limiter));
     let OpacityModel { kappa_a: ka, kappa_s: ks, kappa_x: kx } = cfg.opacity;
     let _ = writeln!(
         out,
         "kappa_a = {} {}\nkappa_s = {} {}\nkappa_x = {}",
         ka[0], ka[1], ks[0], ks[1], kx
     );
-    let precond = match cfg.precond {
-        PrecondKind::None => "none",
-        PrecondKind::Jacobi => "jacobi",
-        PrecondKind::BlockJacobi => "block-jacobi",
-        PrecondKind::Spai => "spai",
-    };
-    let _ = writeln!(out, "precond = {precond}");
+    let _ = writeln!(out, "precond = {}", PRECOND.name(cfg.precond));
     let _ = writeln!(out, "tol = {}\nmax_iters = {}", cfg.solve.tol, cfg.solve.max_iters);
-    let bicgstab = match cfg.solve.variant {
-        BicgVariant::Ganged => "ganged",
-        BicgVariant::Classic => "classic",
-    };
-    let _ = writeln!(out, "bicgstab = {bicgstab}");
+    let _ = writeln!(out, "bicgstab = {}", BICGSTAB.name(cfg.solve.variant));
     let _ = writeln!(out, "c_light = {}\n", cfg.c_light);
+    let on = SWITCH.name(true);
     if let Some(h) = cfg.hydro {
-        let bc = |k: crate::hydro::BcKind| match k {
-            crate::hydro::BcKind::Outflow => "outflow",
-            crate::hydro::BcKind::Reflecting => "reflecting",
-        };
-        let _ = writeln!(out, "[hydro]\nenabled = true\ngamma = {}\ncfl = {}", h.gamma, h.cfl);
+        let _ = writeln!(out, "[hydro]\nenabled = {on}\ngamma = {}\ncfl = {}", h.gamma, h.cfl);
         let _ = writeln!(
             out,
             "bc_west = {}\nbc_east = {}\nbc_south = {}\nbc_north = {}\n",
-            bc(h.bc.west),
-            bc(h.bc.east),
-            bc(h.bc.south),
-            bc(h.bc.north)
+            BOUNDARY.name(h.bc.west),
+            BOUNDARY.name(h.bc.east),
+            BOUNDARY.name(h.bc.south),
+            BOUNDARY.name(h.bc.north)
         );
     }
     if let Some(cp) = cfg.coupling {
         let _ = writeln!(
             out,
-            "[coupling]\nenabled = true\ncv = {}\na_rad = {}\nsplit = {} {}\n",
+            "[coupling]\nenabled = {on}\ncv = {}\na_rad = {}\nsplit = {} {}\n",
             cp.cv, cp.a_rad, cp.split[0], cp.split[1]
         );
     }
@@ -950,8 +909,12 @@ mod tests {
             assert_eq!(f.scenario().family(), f, "{f} scenario must self-identify");
         }
         assert_eq!(Family::parse("warp-drive"), None);
-        assert!(Family::valid_names().contains("sedov"));
-        assert!(Family::valid_names().contains("kelvin-helmholtz"));
+        let names: Vec<_> = FAMILIES.iter().map(|f| f.name()).collect();
+        assert_eq!(
+            Family::valid_names(),
+            names.join(", "),
+            "the table lists families in sweep order"
+        );
     }
 
     #[test]

@@ -256,9 +256,12 @@ pub fn run_supervised(
             .filter(|&i| i != usize::MAX)
             .max()
             .unwrap_or(0);
+        let kind_name = |stalled: bool| {
+            let kind = if stalled { FaultKind::RankStallForever } else { FaultKind::RankKill };
+            kind.name()
+        };
         let last_error = if let Some(&(rank, istep, stalled)) = victims.first() {
-            let kind = if stalled { "rank-stall-forever" } else { "rank-kill" };
-            format!("rank {rank} lost ({kind}) at step {istep}")
+            format!("rank {rank} lost ({}) at step {istep}", kind_name(stalled))
         } else {
             outcomes
                 .iter()
@@ -271,10 +274,10 @@ pub fn run_supervised(
         };
         ledger.kills += victims.len() as u64;
         for &(rank, istep, stalled) in &victims {
-            let kind = if stalled { "rank-stall-forever" } else { "rank-kill" };
             ledger.events.push(format!(
-                "attempt {}: rank {rank} lost ({kind}) at step {istep}",
-                ledger.attempts
+                "attempt {}: rank {rank} lost ({}) at step {istep}",
+                ledger.attempts,
+                kind_name(stalled)
             ));
         }
         // Budget check before committing to another cycle.

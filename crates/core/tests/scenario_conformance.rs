@@ -10,8 +10,11 @@ use std::sync::Mutex;
 
 use v2d_comm::{Spmd, TileMap};
 use v2d_core::config_file::ParFile;
+use v2d_core::grid::{Geometry, Grid2};
+use v2d_core::hydro::{BcKind, HydroBc};
+use v2d_core::limiter::Limiter;
 use v2d_core::problems::{deck_from_config, ConvergenceMode, Family, ValidationReport, FAMILIES};
-use v2d_core::sim::V2dSim;
+use v2d_core::sim::{HydroConfig, PrecondKind, V2dConfig, V2dSim};
 use v2d_linalg::BicgVariant;
 use v2d_machine::{CompilerProfile, FaultPlan};
 use v2d_testkit::MiniSpec;
@@ -77,16 +80,41 @@ fn every_family_replays_bit_identically_and_ignores_an_empty_injector() {
 /// written from, and re-serialize to the identical byte string.  The
 /// config comparison catches a field the writer never emits, which the
 /// string comparison alone cannot see; the Classic-BiCGSTAB variant of
-/// every family is such a field's witness.
+/// every family is such a field's witness, and the other variants give
+/// every geometry, limiter, preconditioner and boundary a deck.
 #[test]
 fn every_family_deck_round_trips_byte_identically() {
     for family in FAMILIES {
         let sc = family.scenario();
         let (n1, n2, steps) = sc.smoke();
         let reference = sc.config(n1, n2, steps);
-        let mut classic = reference;
-        classic.solve.variant = BicgVariant::Classic;
-        for want in [reference, classic] {
+        let with = |edit: &dyn Fn(&mut V2dConfig)| {
+            let mut cfg = reference;
+            edit(&mut cfg);
+            cfg
+        };
+        let g = reference.grid;
+        let regrid =
+            |geometry| Grid2::new(g.n1, g.n2, (g.x1min, g.x1max), (g.x2min, g.x2max), geometry);
+        // Each enum value no family's own config uses, as a witness that
+        // the writer and the parser read it from the same table.
+        let mut wants = vec![
+            reference,
+            with(&|c| c.solve.variant = BicgVariant::Classic),
+            with(&|c| c.grid = regrid(Geometry::CylindricalRZ)),
+            with(&|c| c.grid = regrid(Geometry::SphericalRTheta)),
+            with(&|c| c.limiter = Limiter::Wilson),
+            with(&|c| c.limiter = Limiter::None),
+            with(&|c| c.precond = PrecondKind::None),
+            with(&|c| c.precond = PrecondKind::Jacobi),
+            with(&|c| c.precond = PrecondKind::Spai),
+        ];
+        if let Some(h) = reference.hydro {
+            let wall = BcKind::Reflecting;
+            let bc = HydroBc { west: wall, east: wall, south: wall, north: wall };
+            wants.push(with(&|c| c.hydro = Some(HydroConfig { bc, ..h })));
+        }
+        for want in wants {
             let deck = deck_from_config(family, &want, 2, 1);
             let par = ParFile::parse(&deck)
                 .unwrap_or_else(|e| panic!("{family}: generated deck does not parse: {e}\n{deck}"));

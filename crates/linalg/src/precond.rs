@@ -31,9 +31,6 @@ pub trait Preconditioner {
     /// `z ← M·r`.  `r` is mutable because pattern-bearing preconditioners
     /// refresh its ghost frame.
     fn apply(&mut self, comm: &Comm, cx: &mut ExecCtx, r: &mut TileVec, z: &mut TileVec);
-
-    /// A short name for reports.
-    fn name(&self) -> &'static str;
 }
 
 /// No preconditioning: `z = r`.
@@ -46,10 +43,6 @@ impl Preconditioner for Identity {
         let old_ws = cx.set_ws(0);
         crate::kernels::copy(cx, r, z);
         cx.set_ws(old_ws);
-    }
-
-    fn name(&self) -> &'static str {
-        "identity"
     }
 }
 
@@ -91,10 +84,6 @@ impl Preconditioner for Jacobi {
             }
         }
         cx.charge(&KernelShape::streaming(KernelClass::Precond, r.n_owned(), 1, 2, 1, self.ws));
-    }
-
-    fn name(&self) -> &'static str {
-        "jacobi"
     }
 }
 
@@ -174,10 +163,6 @@ impl Preconditioner for BlockJacobi {
             }
         }
         cx.charge(&KernelShape::streaming(KernelClass::Precond, r.n_owned(), 3, 3, 1, self.ws));
-    }
-
-    fn name(&self) -> &'static str {
-        "block-jacobi"
     }
 }
 
@@ -368,10 +353,6 @@ impl Preconditioner for Spai {
         }
         cx.charge_streaming(KernelClass::Precond, z.n_owned(), 11, 8, 1);
         cx.set_ws(old_ws);
-    }
-
-    fn name(&self) -> &'static str {
-        "spai(1)"
     }
 }
 

@@ -45,38 +45,31 @@ pub struct FaultSpec {
     pub kind: FaultKind,
 }
 
-impl FaultSpec {
-    /// The wire name of the fault kind.  Only the kinds a service
-    /// client can request are named; the richer payload-carrying kinds
-    /// stay internal to the fault-campaign harnesses.
-    pub fn kind_name(&self) -> &'static str {
-        match self.kind {
-            FaultKind::RankKill => "rank-kill",
-            FaultKind::RankStallForever => "rank-stall-forever",
-            FaultKind::FieldNan => "field-nan",
-            FaultKind::FieldInf => "field-inf",
-            FaultKind::SolverBreakdown { .. } => "solver-breakdown",
-            _ => "unsupported",
-        }
-    }
+/// The fault kinds a service client may request, each on the wire as
+/// its [`FaultKind::name`].  The richer payload-carrying kinds stay
+/// internal to the fault-campaign harnesses.
+const CLIENT_FAULTS: [FaultKind; 5] = [
+    FaultKind::RankKill,
+    FaultKind::RankStallForever,
+    FaultKind::FieldNan,
+    FaultKind::FieldInf,
+    FaultKind::SolverBreakdown { count: 1 },
+];
 
+impl FaultSpec {
     fn kind_from_name(name: &str) -> Result<FaultKind, String> {
-        match name {
-            "rank-kill" => Ok(FaultKind::RankKill),
-            "rank-stall-forever" => Ok(FaultKind::RankStallForever),
-            "field-nan" => Ok(FaultKind::FieldNan),
-            "field-inf" => Ok(FaultKind::FieldInf),
-            "solver-breakdown" => Ok(FaultKind::SolverBreakdown { count: 1 }),
-            other => Err(format!("unknown fault kind `{other}`")),
-        }
+        CLIENT_FAULTS.into_iter().find(|k| k.name() == name).ok_or_else(|| {
+            let valid: Vec<_> = CLIENT_FAULTS.iter().map(FaultKind::name).collect();
+            format!("unknown fault kind `{name}` (valid: {})", valid.join(", "))
+        })
     }
 
     /// Canonical text line used in the request content hash: the fault
     /// plan is part of the experiment's identity.
     pub fn canonical(&self) -> String {
         match self.rank {
-            Some(r) => format!("fault {} {} {}\n", self.step, r, self.kind_name()),
-            None => format!("fault {} * {}\n", self.step, self.kind_name()),
+            Some(r) => format!("fault {} {} {}\n", self.step, r, self.kind.name()),
+            None => format!("fault {} * {}\n", self.step, self.kind.name()),
         }
     }
 }
@@ -126,7 +119,7 @@ impl Request {
                         if let Some(r) = f.rank {
                             fields.push(("rank", Json::Num(r as f64)));
                         }
-                        fields.push(("kind", Json::Str(f.kind_name().to_string())));
+                        fields.push(("kind", Json::Str(f.kind.name().to_string())));
                         Json::obj(fields)
                     })
                     .collect();
@@ -484,6 +477,42 @@ mod tests {
         });
         let line = req.to_line();
         assert_eq!(parse_request(&line).unwrap(), req);
+    }
+
+    /// Every kind a client may request crosses the wire and back, and
+    /// its canonical line — part of the result-cache key — keeps its
+    /// bytes.
+    #[test]
+    fn every_client_fault_kind_round_trips_with_a_pinned_canonical_line() {
+        let pinned = [
+            "fault 3 1 rank-kill\n",
+            "fault 3 1 rank-stall-forever\n",
+            "fault 3 1 field-nan\n",
+            "fault 3 1 field-inf\n",
+            "fault 3 1 solver-breakdown\n",
+        ];
+        for (kind, want) in CLIENT_FAULTS.into_iter().zip(pinned) {
+            let spec = FaultSpec { step: 3, rank: Some(1), kind };
+            let req = Request::Submit(Submit {
+                id: "f".into(),
+                deck: "d".into(),
+                priority: 0,
+                faults: vec![spec.clone()],
+            });
+            assert_eq!(parse_request(&req.to_line()).unwrap(), req, "{kind:?}");
+            assert_eq!(spec.canonical(), want);
+            let anywhere = FaultSpec { rank: None, ..spec };
+            assert_eq!(anywhere.canonical(), want.replace(" 1 ", " * "));
+        }
+        let err = parse_request(
+            r#"{"req":"submit","id":"x","deck":"d","faults":[{"step":1,"kind":"warp"}]}"#,
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            "unknown fault kind `warp` (valid: rank-kill, rank-stall-forever, field-nan, \
+             field-inf, solver-breakdown)"
+        );
     }
 
     #[test]

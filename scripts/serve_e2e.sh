@@ -24,8 +24,10 @@
 #     respelling of the completed duplicate deck (reordered sections,
 #     upper-cased names, comments, padding) must come back
 #     `result-cache` with a "result" member byte-identical to the
-#     computed one, and a line that is not UTF-8 must be answered with
-#     an `error` while the request after it is still answered;
+#     computed one, a line that is not UTF-8 must be answered with an
+#     `error`, and so must a submit with an unknown fault kind (the
+#     error lists the five a client may request), while the request
+#     after them is still answered;
 #   * a status probe and a shutdown handshake (drain + bye).
 #
 # Exits non-zero (with the offending line) on any violated assertion.
@@ -114,6 +116,8 @@ respelled = (
 second = [
     json.dumps(submit("respelled", respelled)).encode() + b"\n",
     b"\xff\xfe not utf-8 {\"req\":\"status\"}\n",
+    json.dumps(submit("warp", deck(16, 8, 3), faults=[{"step": 1, "kind": "warp"}])).encode()
+    + b"\n",
     json.dumps({"req": "status", "id": "st"}).encode() + b"\n",
     json.dumps({"req": "shutdown", "id": "bye"}).encode() + b"\n",
 ]
@@ -219,10 +223,19 @@ assert result_member(lrs) == result_member(la), f"cached result differs:\n{la}\n
 #    the session goes on: the status request after it is answered.
 bad = json.loads(tail[1])
 assert bad["resp"] == "error" and bad["id"] == "", f"non-UTF-8 line: {tail[1]}"
-assert json.loads(tail[2])["id"] == "st", f"request after the bad line: {tail[2]}"
 print(f"non-UTF-8 line answered: {bad['error']}")
 
-# 9. Shutdown handshake.
+# 9. An unknown fault kind is an error naming the five kinds a client
+#    may request, in order, and the session goes on: the status request
+#    after it is answered.
+warp = json.loads(tail[2])
+kinds = "rank-kill, rank-stall-forever, field-nan, field-inf, solver-breakdown"
+assert warp["resp"] == "error" and warp["error"].endswith(f"(valid: {kinds})"), \
+    f"unknown fault kind: {tail[2]}"
+assert json.loads(tail[3])["id"] == "st", f"request after the bad lines: {tail[3]}"
+print(f"unknown fault kind answered: {warp['error']}")
+
+# 10. Shutdown handshake.
 assert by_id["bye"][0]["resp"] == "bye"
 print("serve e2e: all assertions passed")
 EOF

@@ -17,7 +17,7 @@ use std::sync::Mutex;
 
 use v2d::comm::{Spmd, TileMap};
 use v2d::core::checkpoint::{write_checkpoint, CheckpointStore};
-use v2d::core::config_file::{ParFile, PAPER_PAR};
+use v2d::core::config_file::{ParFile, FAMILY, PAPER_PAR};
 use v2d::core::problems::Family;
 use v2d::core::sim::{RunStats, V2dSim};
 
@@ -25,6 +25,7 @@ use v2d::core::sim::{RunStats, V2dSim};
 const FINAL: &str = "v2d_final.h5l";
 /// The rolling checkpoint store's directory.
 const CK_DIR: &str = "v2d_ck";
+const BAD_DECK: &str = "bad parameter file";
 
 fn usage() -> ! {
     eprintln!(
@@ -33,10 +34,11 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// An output the run cannot write is one error line and exit status 1,
-/// never a panic.
-fn cannot_write(path: &str, e: impl std::fmt::Display) -> ! {
-    eprintln!("v2d: cannot write {path}: {e}");
+/// A deck that cannot be read, a run that fails and an output that
+/// cannot be written are each one `v2d: <what>: <error>` line and exit
+/// status 1, never a panic.
+fn fail(what: &str, e: impl std::fmt::Display) -> ! {
+    eprintln!("v2d: {what}: {e}");
     std::process::exit(1);
 }
 
@@ -51,11 +53,8 @@ fn main() {
             // A registry scenario's canonical deck at its smoke
             // resolution — feed it back to `v2d <file.par>` verbatim.
             let name = std::env::args().nth(2).unwrap_or_else(|| usage());
-            let Some(family) = Family::parse(&name) else {
-                eprintln!(
-                    "v2d: unknown problem family `{name}` (valid: {})",
-                    Family::valid_names()
-                );
+            let Some(family) = FAMILY.parse(&name) else {
+                eprintln!("v2d: {}", FAMILY.unknown(&name));
                 std::process::exit(2);
             };
             let sc = family.scenario();
@@ -65,46 +64,22 @@ fn main() {
         }
         "--paper" => ParFile::parse(PAPER_PAR).expect("built-in deck parses"),
         "-h" | "--help" => usage(),
-        path => match ParFile::open(path) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("v2d: cannot read {path}: {e}");
-                std::process::exit(1);
-            }
-        },
+        path => ParFile::open(path).unwrap_or_else(|e| fail(&format!("cannot read {path}"), e)),
     };
-    let (cfg, (np1, np2)) = match par.to_config() {
-        Ok(x) => x,
-        Err(e) => {
-            eprintln!("v2d: bad parameter file: {e}");
-            std::process::exit(1);
-        }
-    };
+    let (cfg, (np1, np2)) = par.to_config().unwrap_or_else(|e| fail(BAD_DECK, e));
     // Rolling-checkpoint cadence (`run.checkpoint_every` /
-    // `run.checkpoint_keep`); 0 (the default) disables the store and
-    // leaves the run loop — and the report — exactly as before.
-    let (ck_every, ck_keep) = match par.checkpoint_policy() {
-        Ok(x) => x,
-        Err(e) => {
-            eprintln!("v2d: bad parameter file: {e}");
-            std::process::exit(1);
-        }
-    };
+    // `run.checkpoint_keep`); 0 (the default) disables the store, and
+    // the run writes no rolling checkpoint and reports none.
+    let (ck_every, ck_keep) = par.checkpoint_policy().unwrap_or_else(|e| fail(BAD_DECK, e));
     // `[problem] family = <name>` selects the scenario from the
     // registry; absent, decks keep driving the legacy standard pulse.
-    let family = match par.problem() {
-        Ok(f) => f.unwrap_or(Family::Gaussian),
-        Err(e) => {
-            eprintln!("v2d: bad parameter file: {e}");
-            std::process::exit(1);
-        }
-    };
+    let family = par.problem().unwrap_or_else(|e| fail(BAD_DECK, e)).unwrap_or(Family::Gaussian);
 
     // The rolling store is made before the launch, so a directory it
     // cannot use fails the run before any step is spent.
     let store = match (ck_every > 0).then(|| CheckpointStore::new(CK_DIR, ck_keep)).transpose() {
         Ok(store) => Mutex::new(store),
-        Err(e) => cannot_write(CK_DIR, e),
+        Err(e) => fail(&format!("cannot write {CK_DIR}"), e),
     };
 
     println!(
@@ -120,56 +95,57 @@ fn main() {
     println!("problem: {family} — {}", family.scenario().describe());
 
     let map = TileMap::new(cfg.grid.n1, cfg.grid.n2, np1, np2);
-    let mut outs = Spmd::new(np1 * np2).run(move |ctx| {
+    let outs = Spmd::new(np1 * np2).run(move |ctx| {
         let mut sim = V2dSim::new(cfg, &ctx.comm, map);
         family.scenario().init(&mut sim);
         let e0 = sim.total_radiation_energy(&ctx.comm, &mut ctx.sink);
-        // A failed rolling save is remembered, not raised: rank 0 keeps
-        // stepping so no peer is stranded in a collective.
+        // Rank 0 owns the rotating store's files; the gather is
+        // collective.  A failed rolling save is remembered, not raised:
+        // rank 0 keeps stepping so no peer is stranded in a collective.
+        let rank0 = ctx.rank() == 0;
+        let mut store =
+            rank0.then(|| store.lock().unwrap_or_else(|e| e.into_inner()).take()).flatten();
         let mut ck_err = None;
-        let agg = if ck_every > 0 {
-            // Stepwise run with a rotating on-disk checkpoint store
-            // (rank 0 owns the files; the gather is collective).
-            let mut store = if ctx.rank() == 0 {
-                store.lock().unwrap_or_else(|e| e.into_inner()).take()
-            } else {
-                None
-            };
-            let mut agg = RunStats::default();
-            for _ in 0..cfg.n_steps {
-                let st = sim.step(&ctx.comm, &mut ctx.sink);
-                agg.absorb(&st);
-                if sim.istep().is_multiple_of(ck_every) && sim.istep() < cfg.n_steps {
-                    let f = write_checkpoint(&ctx.comm, &mut ctx.sink, &sim)
-                        .expect("checkpoint gather");
-                    if let Some(store) = store.as_mut().filter(|_| ck_err.is_none()) {
-                        ck_err = store.save(&f, sim.istep()).err();
-                    }
+        let mut agg = RunStats::default();
+        for _ in 0..cfg.n_steps {
+            match sim.try_step(&ctx.comm, &mut ctx.sink) {
+                Ok(st) => agg.absorb(&st),
+                Err(e) => {
+                    // Peers still waiting on this rank resolve, not hang.
+                    ctx.comm.retire();
+                    return Err(e.to_string());
                 }
             }
-            agg
-        } else {
-            sim.run(&ctx.comm, &mut ctx.sink)
-        };
+            if ck_every > 0 && sim.istep().is_multiple_of(ck_every) && sim.istep() < cfg.n_steps {
+                let f =
+                    write_checkpoint(&ctx.comm, &mut ctx.sink, &sim).expect("checkpoint gather");
+                if let Some(store) = store.as_mut().filter(|_| ck_err.is_none()) {
+                    ck_err = store.save(&f, sim.istep()).err();
+                }
+            }
+        }
         let e1 = sim.total_radiation_energy(&ctx.comm, &mut ctx.sink);
         let report = family.scenario().validate(&sim, &ctx.comm, &mut ctx.sink);
         let ck = write_checkpoint(&ctx.comm, &mut ctx.sink, &sim).expect("checkpoint gather");
         // Rank 0 hands the final state out; `main` writes it.
-        let ck = (ctx.rank() == 0).then_some(ck);
+        let ck = rank0.then_some(ck);
         let times: Vec<(String, f64, f64)> = ctx
             .sink
             .lanes
             .iter()
             .map(|l| (l.profile.id.label().to_string(), l.elapsed_secs(), l.mpi_secs()))
             .collect();
-        (agg, e0, e1, times, sim.profiler_report(&ctx.sink), report, ck, ck_err)
+        Ok((agg, e0, e1, times, sim.profiler_report(&ctx.sink), report, ck, ck_err))
     });
+    // A step whose recovery ladder ran out fails the run on every rank.
+    let mut outs: Vec<_> =
+        outs.into_iter().collect::<Result<_, _>>().unwrap_or_else(|e| fail("run failed", e));
 
     if let Some(e) = outs[0].7.take() {
-        cannot_write(CK_DIR, e);
+        fail(&format!("cannot write {CK_DIR}"), e);
     }
     if let Some(Err(e)) = outs[0].6.take().map(|ck| ck.save(FINAL)) {
-        cannot_write(FINAL, e);
+        fail(&format!("cannot write {FINAL}"), e);
     }
 
     // Report per-rank maxima (the job is as slow as its slowest rank).

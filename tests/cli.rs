@@ -99,6 +99,32 @@ fn unwritable_outputs_are_clean_errors() {
     }
 }
 
+/// A step whose recovery ladder runs out is one `run failed` line and
+/// exit status 1 on any topology, never a panic's 101.
+#[test]
+fn an_unrecoverable_step_is_a_clean_error() {
+    let dir = std::env::temp_dir().join(format!("v2d_cli_step_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let deck = dir.join("opaque.par");
+    for nprx1 in [1, 2] {
+        std::fs::write(
+            &deck,
+            format!(
+                "[grid]\nn1 = 12\nn2 = 6\nx1 = 0.0 2.0\nx2 = 0.0 1.0\n\
+                 [run]\ndt = 0.01\nn_steps = 2\nnprx1 = {nprx1}\n\
+                 [radiation]\nkappa_a = 1e308 1e308\nkappa_s = 2.0 3.0\n"
+            ),
+        )
+        .expect("write deck");
+        let out = v2d().arg(&deck).current_dir(&dir).output().expect("run v2d");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "nprx1 = {nprx1}: stderr: {err}");
+        assert!(err.starts_with("v2d: run failed: "), "nprx1 = {nprx1}: {err}");
+        assert!(!err.contains("panicked"), "nprx1 = {nprx1}: panicked: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn missing_file_is_a_clean_error() {
     let out = v2d().arg("/nonexistent/deck.par").output().expect("run v2d");
