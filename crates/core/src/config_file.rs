@@ -60,7 +60,7 @@ use std::ops::Range;
 use v2d_linalg::{BicgVariant, SolveOpts};
 
 use crate::grid::{Geometry, Grid2};
-use crate::hydro::BcKind;
+use crate::hydro::{BcKind, MAX_CFL};
 use crate::limiter::Limiter;
 use crate::opacity::OpacityModel;
 use crate::problems::Family;
@@ -375,7 +375,7 @@ impl ParFile {
     /// Build the full [`V2dConfig`] plus the process topology
     /// `(NPRX1, NPRX2)` from this file.
     pub fn to_config(&self) -> Result<(V2dConfig, (usize, usize)), ParError> {
-        fn check(key: &str, ok: bool, msg: &str) -> Result<(), ParError> {
+        fn check(key: &str, ok: bool, msg: impl fmt::Display) -> Result<(), ParError> {
             if ok {
                 Ok(())
             } else {
@@ -426,7 +426,8 @@ impl ParFile {
             let gamma: f64 = self.scalar_or("hydro.gamma", 5.0 / 3.0)?;
             let cfl = self.scalar_or("hydro.cfl", 0.4)?;
             check("hydro.gamma", gamma.is_finite() && gamma > 1.0, "adiabatic index must be > 1")?;
-            check("hydro.cfl", cfl > 0.0 && cfl <= 1.0, "must be in (0, 1]")?;
+            let cfl_ok = cfl > 0.0 && cfl <= MAX_CFL;
+            check("hydro.cfl", cfl_ok, format_args!("must be in (0, {MAX_CFL}]"))?;
             Some(HydroConfig {
                 gamma,
                 cfl,
@@ -488,8 +489,8 @@ impl ParFile {
         check("run.nprx1", nprx1 >= 1, "process topology must be >= 1")?;
         check("run.nprx2", nprx2 >= 1, "process topology must be >= 1")?;
         // Every rank must own at least one zone per direction.
-        check("run.nprx1", nprx1 <= n1, &format!("{nprx1} ranks cannot tile grid.n1 = {n1}"))?;
-        check("run.nprx2", nprx2 <= n2, &format!("{nprx2} ranks cannot tile grid.n2 = {n2}"))?;
+        check("run.nprx1", nprx1 <= n1, format_args!("{nprx1} ranks cannot tile grid.n1 = {n1}"))?;
+        check("run.nprx2", nprx2 <= n2, format_args!("{nprx2} ranks cannot tile grid.n2 = {n2}"))?;
         Ok((cfg, (nprx1, nprx2)))
     }
 
@@ -752,6 +753,7 @@ mod tests {
             ("x1 = 0.0 2.0", "x1 = 0.0 inf", "grid.x1"),
             ("kappa_s = 2.0 3.0", "kappa_s = inf 3.0", "radiation.kappa_s"),
             ("tol = 1e-9", "tol = 1e-9\nc_light = inf", "radiation.c_light"),
+            ("tol = 1e-9", "tol = 1e-9\n[hydro]\nenabled = true\ncfl = 0.95", "hydro.cfl"),
             (
                 "x1 = 0.0 2.0\nx2 = 0.0 1.0\ngeometry = cartesian",
                 "x1 = -1 2\nx2 = 0 1\ngeometry = rz",

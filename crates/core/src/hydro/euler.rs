@@ -174,25 +174,22 @@ fn hll_flux(eos: &GammaLaw, left: Prim, right: Prim, normal: usize) -> [f64; 4] 
     let sl = (ul_n - cl).min(ur_n - cr);
     let sr = (ul_n + cl).max(ur_n + cr);
 
-    let flux_of = |w: &Prim, un: f64, ut: f64| -> [f64; 4] {
-        let eint = w.p / (eos.gamma - 1.0);
-        let e = eint + 0.5 * w.rho * (un * un + ut * ut);
-        [w.rho * un, w.rho * un * un + w.p, w.rho * un * ut, (e + w.p) * un]
-    };
-    let cons_of = |w: &Prim, un: f64, ut: f64| -> [f64; 4] {
-        let eint = w.p / (eos.gamma - 1.0);
-        [w.rho, w.rho * un, w.rho * ut, eint + 0.5 * w.rho * (un * un + ut * ut)]
+    // Flux and conserved state of one side share its total energy.
+    let side = |w: &Prim, un: f64, ut: f64| -> ([f64; 4], [f64; 4]) {
+        let e = w.p / (eos.gamma - 1.0) + 0.5 * w.rho * (un * un + ut * ut);
+        (
+            [w.rho * un, w.rho * un * un + w.p, w.rho * un * ut, (e + w.p) * un],
+            [w.rho, w.rho * un, w.rho * ut, e],
+        )
     };
 
-    let fl = flux_of(&left, ul_n, ul_t);
-    let fr = flux_of(&right, ur_n, ur_t);
+    let (fl, ql) = side(&left, ul_n, ul_t);
+    let (fr, qr) = side(&right, ur_n, ur_t);
     if sl >= 0.0 {
         fl
     } else if sr <= 0.0 {
         fr
     } else {
-        let ql = cons_of(&left, ul_n, ul_t);
-        let qr = cons_of(&right, ur_n, ur_t);
         let mut f = [0.0; 4];
         for k in 0..4 {
             f[k] = (sr * fl[k] - sl * fr[k] + sl * sr * (qr[k] - ql[k])) / (sr - sl);
@@ -200,6 +197,9 @@ fn hll_flux(eos: &GammaLaw, left: Prim, right: Prim, normal: usize) -> [f64; 4] 
         f
     }
 }
+
+/// The largest CFL safety factor the split scheme accepts.
+pub const MAX_CFL: f64 = 0.9;
 
 /// The explicit hydro integrator.
 #[derive(Debug, Clone, Copy)]
@@ -214,7 +214,7 @@ pub struct HydroStepper {
 impl HydroStepper {
     /// A stepper with outflow boundaries; asserts a sane CFL number.
     pub fn new(eos: GammaLaw, cfl: f64) -> Self {
-        assert!(cfl > 0.0 && cfl <= 0.9, "CFL {cfl} out of range");
+        assert!(cfl > 0.0 && cfl <= MAX_CFL, "CFL {cfl} out of range");
         HydroStepper { eos, cfl, bc: HydroBc::outflow() }
     }
 
@@ -308,30 +308,27 @@ impl HydroStepper {
         };
 
         let (n_sweep, n_line) = if dir == 0 { (n1, n2) } else { (n2, n1) };
-        let old = state.clone();
+        // One line's zones in primitives, ghosts included: `line[k]` is
+        // zone `k − 2`.  A line reads and writes only its own zones, and
+        // it is converted before its first write, so the sweep updates
+        // `state` in place.
+        let mut line = Vec::with_capacity(n_sweep as usize + 4);
         for b in 0..n_line {
-            // Face fluxes along the line: face `a` sits between zones
-            // a−1 and a, for a in 0..=n_sweep.
+            line.clear();
+            line.extend((-2..n_sweep + 2).map(|a| prim_at(state, a, b)));
+            // Face `a` sits between zones a−1 and a, for a in 0..=n_sweep;
+            // its left state is zone a−1's plus face, carried over.
+            let (_, mut wl) = recon_faces(&line[0], &line[1], &line[2]);
             let mut flux_prev: Option<[f64; 4]> = None;
             for a in 0..=n_sweep {
-                // Reconstructed states either side of face a.
-                let wl = {
-                    let wm = prim_at(&old, a - 2, b);
-                    let w0 = prim_at(&old, a - 1, b);
-                    let wp = prim_at(&old, a, b);
-                    recon_face(&w0, &wm, &wp, true)
-                };
-                let wr = {
-                    let wm = prim_at(&old, a - 1, b);
-                    let w0 = prim_at(&old, a, b);
-                    let wp = prim_at(&old, a + 1, b);
-                    recon_face(&w0, &wm, &wp, false)
-                };
+                let k = a as usize + 2;
+                let (wr, plus) = recon_faces(&line[k - 1], &line[k], &line[k + 1]);
                 let f = hll_flux(&self.eos, wl, wr, dir);
+                wl = plus;
                 if let Some(fp) = flux_prev {
                     // Update zone a−1 with F_a − F_{a−1}.
                     let (i1, i2) = if dir == 0 { (a - 1, b) } else { (b, a - 1) };
-                    let c = old.cons(i1, i2);
+                    let c = state.cons(i1, i2);
                     // De-rotate: component 1 is normal momentum.
                     let (dm1, dm2) = if dir == 0 {
                         (f[1] - fp[1], f[2] - fp[2])
@@ -364,17 +361,23 @@ impl HydroStepper {
     }
 }
 
-/// Reconstruct the primitive state at a face from zone `w0` with minmod
-/// slopes toward its neighbors; `plus_side` picks which face of the zone.
-fn recon_face(w0: &Prim, wm: &Prim, wp: &Prim, plus_side: bool) -> Prim {
-    let half = if plus_side { 0.5 } else { -0.5 };
-    let r = |c: f64, m: f64, p: f64| c + half * minmod(c - m, p - c);
-    Prim {
-        rho: r(w0.rho, wm.rho, wp.rho).max(1e-12),
-        u1: r(w0.u1, wm.u1, wp.u1),
-        u2: r(w0.u2, wm.u2, wp.u2),
-        p: r(w0.p, wm.p, wp.p).max(1e-12),
-    }
+/// Reconstruct zone `w0`'s states at its minus and plus faces from one
+/// minmod slope per variable toward its neighbors `wm` and `wp`.
+fn recon_faces(wm: &Prim, w0: &Prim, wp: &Prim) -> (Prim, Prim) {
+    let slope = |c: f64, m: f64, p: f64| minmod(c - m, p - c);
+    let d = Prim {
+        rho: slope(w0.rho, wm.rho, wp.rho),
+        u1: slope(w0.u1, wm.u1, wp.u1),
+        u2: slope(w0.u2, wm.u2, wp.u2),
+        p: slope(w0.p, wm.p, wp.p),
+    };
+    let face = |half: f64| Prim {
+        rho: (w0.rho + half * d.rho).max(1e-12),
+        u1: w0.u1 + half * d.u1,
+        u2: w0.u2 + half * d.u2,
+        p: (w0.p + half * d.p).max(1e-12),
+    };
+    (face(-0.5), face(0.5))
 }
 
 #[cfg(test)]

@@ -12,4 +12,4 @@ pub mod eos;
 pub mod euler;
 
 pub use eos::GammaLaw;
-pub use euler::{BcKind, HydroBc, HydroState, HydroStepper};
+pub use euler::{BcKind, HydroBc, HydroState, HydroStepper, MAX_CFL};

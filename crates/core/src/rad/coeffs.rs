@@ -76,34 +76,45 @@ pub fn assemble_system(
     let mut c = StencilCoeffs::new(n1, n2);
     let mut rhs = TileVec::new(n1, n2);
 
+    let dx1 = g.dx1_centers();
+    // The north-face D of the row below, which is this row's south-face D.
+    let mut d_below = vec![0.0; n1];
     for s in 0..NSPEC {
         // Every face κ is the zone κ (module docs).
         let kt = opacity.kappa_t(s);
+        let sigma = dt * c_light * (opacity.kappa_a[s] + opacity.kappa_x);
+        let cpl = -dt * c_light * opacity.kappa_x;
+        // Face diffusion coefficient between zone energies `e_c` and
+        // `e_nbr` (a ghost: zero past the physical edge).  Symmetric in
+        // the two by bits, so each face is evaluated once and carried to
+        // the zone across it (DESIGN.md §8, the face carry).
+        let face_d = |e_c: f64, e_nbr: f64, dx: f64| -> f64 {
+            let grad = (e_nbr - e_c) / dx;
+            let e_face = 0.5 * (e_c + e_nbr).max(E_FLOOR);
+            let r = grad.abs() / (kt * e_face);
+            c_light * limiter.lambda(r) / kt
+        };
         for i2 in 0..n2 {
+            let e_s = lin_state.padded_row(s, i2 as isize - 1);
+            let e_row = lin_state.padded_row(s, i2 as isize);
+            let e_n = lin_state.padded_row(s, i2 as isize + 1);
+            let (rhs0, src) = (rhs_state.row(s, i2), source.row(s, i2));
+            let StencilCoeffs { cc, cw, ce, cs, cn, cpl: cp } = &mut c;
+            let (cc, cw, ce) = (cc.row_mut(s, i2), cw.row_mut(s, i2), ce.row_mut(s, i2));
+            let (cs, cn, cp) = (cs.row_mut(s, i2), cn.row_mut(s, i2), cp.row_mut(s, i2));
+            let rhs = rhs.row_mut(s, i2);
+            let mut dw = face_d(e_row[1], e_row[0], dx1);
             for i1 in 0..n1 {
                 let (g1, g2) = grid.to_global(i1, i2);
-                let li1 = i1 as isize;
-                let li2 = i2 as isize;
-                let e_c = lin_state.get(s, li1, li2);
-
-                let dx1 = g.dx1_centers();
+                // Padded rows: zone i1 sits at i1 + 1.
+                let e_c = e_row[i1 + 1];
+                // Depends on g1 alone: a column's faces share it.
                 let dx2 = g.dx2_centers(g1);
                 let vol = g.volume(g1, g2);
 
-                // Face diffusion coefficient toward the neighbor at
-                // (di1, di2); at the physical edge its ghost is zero.
-                let face_d = |di1: isize, di2: isize, dx: f64| -> f64 {
-                    let e_nbr = lin_state.get(s, li1 + di1, li2 + di2);
-                    let grad = (e_nbr - e_c) / dx;
-                    let e_face = 0.5 * (e_c + e_nbr).max(E_FLOOR);
-                    let r = grad.abs() / (kt * e_face);
-                    c_light * limiter.lambda(r) / kt
-                };
-
-                let dw = face_d(-1, 0, dx1);
-                let de = face_d(1, 0, dx1);
-                let ds = face_d(0, -1, dx2);
-                let dn = face_d(0, 1, dx2);
+                let de = face_d(e_c, e_row[i1 + 2], dx1);
+                let ds = if i2 == 0 { face_d(e_c, e_s[i1 + 1], dx2) } else { d_below[i1] };
+                let dn = face_d(e_c, e_n[i1 + 1], dx2);
 
                 // Metric face areas (global indices; +1 faces).
                 let a_w = g.area1(g1, g2);
@@ -116,16 +127,16 @@ pub fn assemble_system(
                 let ts = dt * a_s * ds / (vol * dx2);
                 let tn = dt * a_n * dn / (vol * dx2);
 
-                let sigma = dt * c_light * (opacity.kappa_a[s] + opacity.kappa_x);
+                cc[i1] = 1.0 + sigma + tw + te + ts + tn;
+                cw[i1] = -tw;
+                ce[i1] = -te;
+                cs[i1] = -ts;
+                cn[i1] = -tn;
+                cp[i1] = cpl;
+                rhs[i1] = rhs0[i1] + dt * src[i1];
 
-                c.cc.set(s, li1, li2, 1.0 + sigma + tw + te + ts + tn);
-                c.cw.set(s, li1, li2, -tw);
-                c.ce.set(s, li1, li2, -te);
-                c.cs.set(s, li1, li2, -ts);
-                c.cn.set(s, li1, li2, -tn);
-                c.cpl.set(s, li1, li2, -dt * c_light * opacity.kappa_x);
-
-                rhs.set(s, li1, li2, rhs_state.get(s, li1, li2) + dt * source.get(s, li1, li2));
+                dw = de;
+                d_below[i1] = dn;
             }
         }
     }
@@ -290,6 +301,86 @@ mod tests {
             let after = ctx.sink.lanes[0].counters.calls[KernelClass::Physics.index()];
             assert_eq!(after, before + 1);
         });
+    }
+
+    #[test]
+    fn shared_faces_get_one_coefficient_at_any_decomposition() {
+        // On a uniform Cartesian grid a face's coupling is the same seen
+        // from either side, by bits, tile seams included: the invariant
+        // the face carry in `assemble_system` rests on.  The field has
+        // flat rows (R = 0: the limiter's series branch), a sinusoid, and
+        // steep drops by four decades.
+        let (n1, n2) = (12, 10);
+        let g = Grid2::new(n1, n2, (0.0, 3.0), (0.0, 2.5), Geometry::Cartesian);
+        let gather = |np1: usize, np2: usize| {
+            let map = TileMap::new(n1, n2, np1, np2);
+            let outs = Spmd::new(np1 * np2).with_profiles(profiles()).run(|ctx| {
+                let cart = CartComm::new(&ctx.comm, map);
+                let t = cart.tile();
+                let grid = LocalGrid::new(g, t);
+                let mut e = TileVec::new(t.n1, t.n2);
+                e.fill_with(|s, i1, i2| {
+                    let (g1, g2) = grid.to_global(i1, i2);
+                    let smooth = 1.0 + 0.5 * (((g1 * 5 + g2 * 3 + s) as f64) * 0.37).sin();
+                    if g2 < 3 {
+                        1.0
+                    } else if (g1 + 2 * g2) % 7 == 3 {
+                        1e-4 * smooth
+                    } else {
+                        smooth
+                    }
+                });
+                let (op, _rhs) = assemble_system(
+                    &ctx.comm,
+                    &mut ExecCtx::new(&mut ctx.sink),
+                    &cart,
+                    &grid,
+                    Limiter::LevermorePomraning,
+                    &OpacityModel::test_problem(),
+                    1.0,
+                    0.4,
+                    &mut e.clone(),
+                    &e,
+                    &TileVec::new(t.n1, t.n2),
+                );
+                let c = &op.coeffs;
+                let mut out = Vec::new();
+                for s in 0..NSPEC {
+                    for i2 in 0..t.n2 as isize {
+                        for i1 in 0..t.n1 as isize {
+                            let (g1, g2) = grid.to_global(i1 as usize, i2 as usize);
+                            let bits = [&c.cw, &c.ce, &c.cs, &c.cn, &c.cc]
+                                .map(|f| f.get(s, i1, i2).to_bits());
+                            out.push(((s, g1, g2), bits));
+                        }
+                    }
+                }
+                out
+            });
+            let mut all: Vec<_> = outs.into_iter().flatten().collect();
+            all.sort_by_key(|&(k, _)| k);
+            all
+        };
+        let single = gather(1, 1);
+        assert_eq!(gather(2, 2), single, "2×2 ranks assemble other coefficients");
+        let at = |s: usize, g1: usize, g2: usize| {
+            let (key, bits) = single[(s * n1 + g1) * n2 + g2];
+            assert_eq!(key, (s, g1, g2));
+            bits
+        };
+        for s in 0..NSPEC {
+            for g2 in 0..n2 {
+                for g1 in 0..n1 {
+                    let [_, ce, _, cn, _] = at(s, g1, g2);
+                    if g1 + 1 < n1 {
+                        assert_eq!(at(s, g1 + 1, g2)[0], ce, "west/east face at ({s},{g1},{g2})");
+                    }
+                    if g2 + 1 < n2 {
+                        assert_eq!(at(s, g1, g2 + 1)[2], cn, "south/north face at ({s},{g1},{g2})");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

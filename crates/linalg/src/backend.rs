@@ -19,6 +19,36 @@ pub mod native {
         x.iter().zip(y).map(|(a, b)| a * b).sum()
     }
 
+    /// `N` dot products over equal-length rows in one pass: chain `k`
+    /// folds from `-0.0` in element order, as [`dprod`] does, so it
+    /// returns `dprod(xₖ, yₖ)` bit for bit.
+    #[inline]
+    pub fn dprod_gang<const N: usize>(rows: [(&[f64], &[f64]); N]) -> [f64; N] {
+        let n = rows.first().map_or(0, |(x, _)| x.len());
+        let rows: [(&[f64], &[f64]); N] =
+            std::array::from_fn(|k| (&rows[k].0[..n], &rows[k].1[..n]));
+        let mut acc = [-0.0; N];
+        for i in 0..n {
+            for (a, (x, y)) in acc.iter_mut().zip(&rows) {
+                *a += x[i] * y[i];
+            }
+        }
+        acc
+    }
+
+    /// One stencil-operator row, `y ← Σₖ cₖ·xₖ` summed in band order
+    /// (centre, west, east, south, north, species partner).  `y` is its
+    /// own `&mut` argument, so no input aliases it and the row vectorizes.
+    #[inline]
+    pub fn stencil_row(y: &mut [f64], c: [&[f64]; 6], x: [&[f64]; 6]) {
+        let n = y.len();
+        let (c, x): ([&[f64]; 6], [&[f64]; 6]) =
+            (std::array::from_fn(|k| &c[k][..n]), std::array::from_fn(|k| &x[k][..n]));
+        for (i, yi) in y.iter_mut().enumerate() {
+            *yi = (1..6).fold(c[0][i] * x[0][i], |acc, k| acc + c[k][i] * x[k][i]);
+        }
+    }
+
     /// `y ← a·x + y`
     #[inline]
     pub fn daxpy(a: f64, x: &[f64], y: &mut [f64]) {

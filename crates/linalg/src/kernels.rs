@@ -19,18 +19,32 @@ use crate::backend::native;
 use crate::tilevec::TileVec;
 use crate::NSPEC;
 
-/// Local part of the dot product `Σ x·y` (the global value needs an
-/// allreduce; V2D gangs several of these partials into one reduction).
-pub fn dprod_local(cx: &mut ExecCtx, x: &TileVec, y: &TileVec) -> f64 {
-    debug_assert_eq!((x.n1(), x.n2()), (y.n1(), y.n2()));
-    let mut acc = 0.0;
+/// Local parts of `N` dot products `Σ xₖ·yₖ` in one pass over the rows.
+/// Row results add into the totals in row order from `0.0`, so each
+/// equals its own single-pair call bit for bit; one DotProd per pair.
+pub fn dprod_gang<const N: usize>(cx: &mut ExecCtx, pairs: [(&TileVec, &TileVec); N]) -> [f64; N] {
+    let (n1, n2) = (pairs[0].0.n1(), pairs[0].0.n2());
+    debug_assert!(pairs.iter().all(|(x, y)| (x.n1(), x.n2(), y.n1(), y.n2()) == (n1, n2, n1, n2)));
+    let mut acc = [0.0; N];
     for s in 0..NSPEC {
-        for i2 in 0..x.n2() {
-            acc += native::dprod(x.row(s, i2), y.row(s, i2));
+        for i2 in 0..n2 {
+            let rows: [f64; N] = native::dprod_gang(std::array::from_fn(|k| {
+                (pairs[k].0.row(s, i2), pairs[k].1.row(s, i2))
+            }));
+            for (a, r) in acc.iter_mut().zip(rows) {
+                *a += r;
+            }
         }
     }
-    cx.charge_streaming(KernelClass::DotProd, x.n_owned(), 2, 2, 0);
+    for (x, _) in pairs {
+        cx.charge_streaming(KernelClass::DotProd, x.n_owned(), 2, 2, 0);
+    }
     acc
+}
+
+/// Local part of the dot product `Σ x·y`.
+pub fn dprod_local(cx: &mut ExecCtx, x: &TileVec, y: &TileVec) -> f64 {
+    dprod_gang(cx, [(x, y)])[0]
 }
 
 /// Local part of `‖x‖²`.
@@ -155,6 +169,77 @@ mod tests {
             x.interior_to_vec().iter().zip(y.interior_to_vec()).map(|(a, b)| a * b).sum();
         assert!((got - expect).abs() < 1e-14);
         assert!(sk.lanes[0].counters.calls[v2d_machine::KernelClass::DotProd.index()] == 1);
+    }
+
+    /// A seeded tile whose values span signs and six decades.
+    fn random_field(n1: usize, n2: usize, seed: u64) -> TileVec {
+        let mut state = seed;
+        let mut v = TileVec::new(n1, n2);
+        v.fill_with(|_, _, _| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let unit = (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
+            unit * 10f64.powi((state % 7) as i32 - 3)
+        });
+        v
+    }
+
+    /// The dot product as one chain per row, summed in row order.
+    fn row_order_dot(x: &TileVec, y: &TileVec) -> f64 {
+        let mut acc = 0.0;
+        for s in 0..NSPEC {
+            for i2 in 0..x.n2() {
+                acc += native::dprod(x.row(s, i2), y.row(s, i2));
+            }
+        }
+        acc
+    }
+
+    #[test]
+    fn dprod_gang_equals_separate_dots_bit_for_bit() {
+        for (n1, n2) in [(7, 5), (13, 3), (1, 1), (200, 2), (8, 8)] {
+            let [a, b, c] = [1, 2, 3].map(|k| random_field(n1, n2, 1000 * k + n1 as u64));
+            let pairs = [(&a, &b), (&a, &a), (&b, &b), (&c, &b), (&c, &a)];
+            let (mut gang_sink, mut solo_sink) =
+                (MultiCostSink::all_compilers(), MultiCostSink::all_compilers());
+            let gang = {
+                let mut cx = ExecCtx::new(&mut gang_sink);
+                cx.set_ws(1 << 22);
+                dprod_gang(&mut cx, pairs)
+            };
+            let solo = {
+                let mut cx = ExecCtx::new(&mut solo_sink);
+                cx.set_ws(1 << 22);
+                pairs.map(|(x, y)| dprod_local(&mut cx, x, y))
+            };
+            let oracle = pairs.map(|(x, y)| row_order_dot(x, y));
+            assert_eq!(gang.map(f64::to_bits), solo.map(f64::to_bits), "{n1}x{n2}");
+            assert_eq!(gang.map(f64::to_bits), oracle.map(f64::to_bits), "{n1}x{n2}");
+            for (g, s) in gang_sink.lanes.iter().zip(&solo_sink.lanes) {
+                assert_eq!(g.clock.now(), s.clock.now(), "{n1}x{n2} {:?}", g.profile.id);
+                let (gc, sc) = (&g.counters, &s.counters);
+                assert_eq!(
+                    (gc.cycles, gc.calls, gc.flops, gc.bytes),
+                    (sc.cycles, sc.calls, sc.flops, sc.bytes)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn dprod_gang_keeps_the_signed_zero_of_native_dprod() {
+        let (zeros, neg_zeros) = ([0.0; 5], [-0.0; 5]);
+        let row = native::dprod(&zeros, &neg_zeros);
+        let [g, h] = native::dprod_gang([(&zeros, &neg_zeros), (&neg_zeros, &neg_zeros)]);
+        assert_eq!(g.to_bits(), row.to_bits());
+        assert_eq!(h.to_bits(), native::dprod(&neg_zeros, &neg_zeros).to_bits());
+        assert!(g.is_sign_negative(), "a row of −0 products sums to −0");
+        // The tile total starts from +0, as the row-order sum does.
+        let mut x = TileVec::new(1, 1);
+        x.fill_interior(-0.0);
+        let y = TileVec::new(1, 1);
+        let mut sk = sink();
+        let [d] = dprod_gang(&mut ExecCtx::new(&mut sk), [(&x, &y)]);
+        assert_eq!(d.to_bits(), row_order_dot(&x, &y).to_bits());
     }
 
     #[test]

@@ -16,6 +16,7 @@ use v2d_comm::topology::Dir;
 use v2d_comm::{CartComm, Comm};
 use v2d_machine::{ExecCtx, KernelClass};
 
+use crate::backend::native;
 use crate::tilevec::TileVec;
 use crate::NSPEC;
 
@@ -253,30 +254,25 @@ impl LinearOp for StencilOp {
         self.buf = buf;
 
         let c = &self.coeffs;
+        let bands = [&c.cc, &c.cw, &c.ce, &c.cs, &c.cn, &c.cpl];
         for s in 0..NSPEC {
             let other = 1 - s;
             for i2 in 0..n2 {
-                // Shifted input streams: exactly the five unit-stride
-                // bands the SVE kernel study vectorizes.
-                let xc = x.padded_row(s, i2 as isize); // xc[i1+1] = x[i1]
-                let xs = &x.padded_row(s, i2 as isize - 1)[1..n1 + 1];
-                let xn = &x.padded_row(s, i2 as isize + 1)[1..n1 + 1];
-                let xo = x.row(other, i2);
-                let rcc = c.cc.row(s, i2);
-                let rcw = c.cw.row(s, i2);
-                let rce = c.ce.row(s, i2);
-                let rcs = c.cs.row(s, i2);
-                let rcn = c.cn.row(s, i2);
-                let rcpl = c.cpl.row(s, i2);
-                let yr = y.row_mut(s, i2);
-                for i1 in 0..n1 {
-                    yr[i1] = rcc[i1] * xc[i1 + 1]
-                        + rcw[i1] * xc[i1]
-                        + rce[i1] * xc[i1 + 2]
-                        + rcs[i1] * xs[i1]
-                        + rcn[i1] * xn[i1]
-                        + rcpl[i1] * xo[i1];
-                }
+                // The five unit-stride bands the SVE kernel study
+                // vectorizes, plus the species partner.
+                let xc = x.padded_row(s, i2 as isize);
+                native::stencil_row(
+                    y.row_mut(s, i2),
+                    std::array::from_fn(|k| bands[k].row(s, i2)),
+                    [
+                        &xc[1..],
+                        xc,
+                        &xc[2..],
+                        &x.padded_row(s, i2 as isize - 1)[1..],
+                        &x.padded_row(s, i2 as isize + 1)[1..],
+                        x.row(other, i2),
+                    ],
+                );
             }
         }
         // 6 multiplies + 5 adds per unknown; streams x (with stencil

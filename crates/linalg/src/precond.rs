@@ -151,16 +151,17 @@ impl BlockJacobi {
 impl Preconditioner for BlockJacobi {
     fn apply(&mut self, _comm: &Comm, cx: &mut ExecCtx, r: &mut TileVec, z: &mut TileVec) {
         let n1 = self.n1;
-        for i2 in 0..r.n2() {
-            // Split z's species rows via interior row API (two separate
-            // row_mut calls cannot overlap — different planes).
+        // `zₛ ← a·r₀ + b·r₁` over one row, every slice cut to `n1`.
+        let mix = |z: &mut [f64], a: &[f64], b: &[f64], r0: &[f64], r1: &[f64]| {
+            let (z, a, b, r0, r1) = (&mut z[..n1], &a[..n1], &b[..n1], &r0[..n1], &r1[..n1]);
             for i1 in 0..n1 {
-                let k = i2 * n1 + i1;
-                let r0 = r.get(0, i1 as isize, i2 as isize);
-                let r1 = r.get(1, i1 as isize, i2 as isize);
-                z.set(0, i1 as isize, i2 as isize, self.m00[k] * r0 + self.m01[k] * r1);
-                z.set(1, i1 as isize, i2 as isize, self.m10[k] * r0 + self.m11[k] * r1);
+                z[i1] = a[i1] * r0[i1] + b[i1] * r1[i1];
             }
+        };
+        for i2 in 0..r.n2() {
+            let (k, r0, r1) = (i2 * n1, r.row(0, i2), r.row(1, i2));
+            mix(z.row_mut(0, i2), &self.m00[k..], &self.m01[k..], r0, r1);
+            mix(z.row_mut(1, i2), &self.m10[k..], &self.m11[k..], r0, r1);
         }
         cx.charge(&KernelShape::streaming(KernelClass::Precond, r.n_owned(), 3, 3, 1, self.ws));
     }

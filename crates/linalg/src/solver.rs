@@ -299,7 +299,7 @@ fn open<A: LinearOp>(
 ) -> Result<ControlFlow<SolveStats, (f64, f64)>, CommError> {
     a.apply(comm, cx, x, r);
     kernels::residual_into(cx, b, r);
-    let mut gang = [kernels::norm2_local(cx, r), kernels::norm2_local(cx, b)];
+    let mut gang = kernels::dprod_gang(cx, [(&*r, &*r), (b, b)]);
     tally.reduce(comm, cx, &mut gang)?;
     let [rr, bb] = gang;
     let bnorm = bb.sqrt();
@@ -492,13 +492,8 @@ fn bicgstab_inner<A: LinearOp, M: Preconditioner>(
         match opts.variant {
             BicgVariant::Ganged => {
                 // One five-way gang closes the iteration.
-                let mut g = [
-                    kernels::dprod_local(cx, t, s),
-                    kernels::norm2_local(cx, t),
-                    kernels::norm2_local(cx, s),
-                    kernels::dprod_local(cx, rhat, s),
-                    kernels::dprod_local(cx, rhat, t),
-                ];
+                let (t, s, rhat) = (&*t, &*s, &*rhat);
+                let mut g = kernels::dprod_gang(cx, [(t, s), (t, t), (s, s), (rhat, s), (rhat, t)]);
                 tally.reduce(comm, cx, &mut g)?;
                 let [ts, tt, ss, rs, rt] = g;
                 if tt < TINY {
@@ -633,7 +628,7 @@ fn cg_inner<A: LinearOp, M: Preconditioner>(
         kernels::daxpy(cx, -alpha, ap, r);
         m.apply(comm, cx, r, z);
         // Gang {⟨r,z⟩, ⟨r,r⟩} into one reduction.
-        let mut gang = [kernels::dprod_local(cx, r, z), kernels::norm2_local(cx, r)];
+        let mut gang = kernels::dprod_gang(cx, [(&*r, &*z), (&*r, &*r)]);
         tally.reduce(comm, cx, &mut gang)?;
         let rz_new = gang[0];
         rr = gang[1];

@@ -253,34 +253,13 @@ impl TileVec {
     /// Zero the ghost layer on the `dir` side (physical boundary:
     /// homogeneous Dirichlet, as in the radiation test problem).
     pub fn zero_ghost(&mut self, dir: Dir) {
-        match dir {
-            Dir::West => {
-                for s in 0..NSPEC {
-                    for i2 in -1..=self.n2 as isize {
-                        self.set(s, -1, i2, 0.0);
-                    }
-                }
-            }
-            Dir::East => {
-                for s in 0..NSPEC {
-                    for i2 in -1..=self.n2 as isize {
-                        self.set(s, self.n1 as isize, i2, 0.0);
-                    }
-                }
-            }
-            Dir::South => {
-                for s in 0..NSPEC {
-                    for i1 in -1..=self.n1 as isize {
-                        self.set(s, i1, -1, 0.0);
-                    }
-                }
-            }
-            Dir::North => {
-                for s in 0..NSPEC {
-                    for i1 in -1..=self.n1 as isize {
-                        self.set(s, i1, self.n2 as isize, 0.0);
-                    }
-                }
+        let (w, rows) = (self.n1 + 2, self.n2 + 2);
+        for plane in self.data.chunks_exact_mut(w * rows) {
+            match dir {
+                Dir::West => plane.iter_mut().step_by(w).for_each(|v| *v = 0.0),
+                Dir::East => plane[w - 1..].iter_mut().step_by(w).for_each(|v| *v = 0.0),
+                Dir::South => plane[..w].fill(0.0),
+                Dir::North => plane[(rows - 1) * w..].fill(0.0),
             }
         }
     }

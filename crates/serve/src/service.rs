@@ -41,6 +41,7 @@
 //! telemetry.
 
 use std::collections::HashMap;
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -190,31 +191,32 @@ impl Service {
                 what: format!("id `{}` is already in flight", s.id),
             });
         }
-        let adm = match parse_submit(&s) {
-            Ok(a) => a,
+        match parse_submit(&s) {
+            Ok(adm) => self.admit(s.id, s.priority, adm),
             Err(what) => {
                 c.rejected.fetch_add(1, Ordering::Relaxed);
-                return Handled::Now(Response::Error { id: s.id, what });
+                Handled::Now(Response::Error { id: s.id, what })
             }
-        };
+        }
+    }
+
+    /// Route a parsed submit: result cache, in-flight dedupe or a new job.
+    fn admit(&self, id: String, priority: i64, adm: Admitted) -> Handled {
+        let c = &self.core.counters;
         c.admitted.fetch_add(1, Ordering::Relaxed);
         if let Some(hit) = self.core.cache.get(adm.key) {
-            return Handled::Now(Response::Result {
-                id: s.id,
-                source: Source::ResultCache,
-                result: hit,
-            });
+            return Handled::Now(Response::Result { id, source: Source::ResultCache, result: hit });
         }
         let (tx, rx) = mpsc::channel();
         let mut reg = self.core.registry.lock().unwrap();
         if let Some(inf) = reg.by_key.get_mut(&adm.key) {
             inf.waiters.push(Waiter {
-                id: s.id.clone(),
+                id: id.clone(),
                 source: Source::Dedup,
                 tx,
                 cancelled: false,
             });
-            reg.key_of.insert(s.id, adm.key);
+            reg.key_of.insert(id, adm.key);
             c.deduped.fetch_add(1, Ordering::Relaxed);
             return Handled::Later(rx);
         }
@@ -224,20 +226,20 @@ impl Service {
             Inflight {
                 token: Arc::clone(&token),
                 waiters: vec![Waiter {
-                    id: s.id.clone(),
+                    id: id.clone(),
                     source: Source::Computed,
                     tx,
                     cancelled: false,
                 }],
             },
         );
-        reg.key_of.insert(s.id, adm.key);
+        reg.key_of.insert(id, adm.key);
         drop(reg);
         c.scheduled.fetch_add(1, Ordering::Relaxed);
         let core = Arc::clone(&self.core);
         let Admitted { key, cfg, scenario, np, checkpoint, plan } = adm;
         self.pool.submit(
-            s.priority,
+            priority,
             Box::new(move || core.execute(key, cfg, scenario, np, checkpoint, plan, token)),
         );
         Handled::Later(rx)
@@ -435,17 +437,28 @@ impl Core {
             checkpoint_keep: checkpoint.1,
             dir: dir.clone(),
         };
-        let run = run_supervised(&spec, RetryPolicy::default());
+        // A run that panics is answered like any other failure; the
+        // pool's own `catch_unwind` would leave its waiters unanswered.
+        let run =
+            panic::catch_unwind(AssertUnwindSafe(|| run_supervised(&spec, RetryPolicy::default())));
         let _ = std::fs::remove_dir_all(&dir);
         let result = Arc::new(match run {
-            Ok(rep) => RunResult::done(
+            Err(payload) => {
+                let msg = match payload.downcast_ref::<String>() {
+                    Some(s) => s.as_str(),
+                    None => payload.downcast_ref::<&str>().copied().unwrap_or("non-string payload"),
+                };
+                let what = format!("panicked: {msg}");
+                RunResult::failed(what, LedgerWire::from_ledger(&Default::default()))
+            }
+            Ok(Ok(rep)) => RunResult::done(
                 fnv32_bits(&rep.final_bits),
                 rep.final_bits.len(),
                 rep.final_np,
                 rep.mttr_virtual_secs,
                 LedgerWire::from_ledger(&rep.ledger),
             ),
-            Err(e) => {
+            Ok(Err(e)) => {
                 let (ledger, what) = match e {
                     SuperviseError::RetriesExhausted { ledger, last_error } => {
                         (ledger, format!("retries exhausted: {last_error}"))
@@ -514,6 +527,45 @@ mod tests {
     fn result_member(r: &Response) -> String {
         let j = Json::parse(&r.to_line()).unwrap();
         j.get("result").expect("a result response").to_compact()
+    }
+
+    #[test]
+    fn a_run_that_panics_answers_every_waiter_failed() {
+        // `to_config` refuses `hydro.cfl` above `MAX_CFL`; a config built
+        // past it makes `HydroStepper::new` panic inside the run.
+        let sod = Family::Sod.scenario();
+        let (n1, n2, steps) = sod.smoke();
+        let deck = sod.deck(n1, n2, steps, 1, 1);
+        let s = Submit { id: "a".into(), deck, priority: 0, faults: Vec::new() };
+        let admitted = || {
+            let mut adm = parse_submit(&s).expect("the sod deck parses");
+            adm.cfg.hydro.as_mut().expect("sod runs hydro").cfl = 0.95;
+            adm
+        };
+        let svc = Service::new(ServeOpts { gated: true, ..ServeOpts::default() });
+        let first = svc.admit("a".into(), 0, admitted());
+        let second = svc.admit("b".into(), 0, admitted());
+        svc.set_gate(true);
+        svc.drain();
+        for (handled, id, source) in [(first, "a", "computed"), (second, "b", "dedup")] {
+            let Handled::Later(rx) = handled else { panic!("`{id}` was answered at admission") };
+            let line = rx.try_recv().expect("answered once the pool drains").to_line();
+            let j = Json::parse(&line).unwrap();
+            assert_eq!(j.get("id").and_then(Json::as_str), Some(id), "{line}");
+            assert_eq!(j.get("source").and_then(Json::as_str), Some(source), "{line}");
+            assert!(line.contains(r#""outcome":"failed""#), "{line}");
+            assert!(line.contains("panicked: CFL 0.95 out of range"), "{line}");
+        }
+        let m = svc.metrics();
+        assert_eq!(m.counter("serve.admitted"), 2);
+        assert_eq!(m.counter("serve.scheduled"), 1);
+        assert_eq!(m.counter("serve.deduped"), 1);
+        assert_eq!(m.counter("serve.failed"), 1);
+        assert_eq!(m.counter("serve.completed"), 0);
+        let reg = svc.core.registry.lock().unwrap();
+        assert!(reg.by_key.is_empty() && reg.key_of.is_empty(), "in-flight entry left behind");
+        drop(reg);
+        svc.shutdown();
     }
 
     #[test]

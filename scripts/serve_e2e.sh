@@ -26,8 +26,9 @@
 #     `result-cache` with a "result" member byte-identical to the
 #     computed one, a line that is not UTF-8 must be answered with an
 #     `error`, and so must a submit with an unknown fault kind (the
-#     error lists the five a client may request), while the request
-#     after them is still answered;
+#     error lists the five a client may request), and so must a sedov
+#     deck with `hydro.cfl = 0.95` (the error names the key: the run
+#     would panic), while the request after them is still answered;
 #   * a status probe and a shutdown handshake (drain + bye).
 #
 # Exits non-zero (with the offending line) on any violated assertion.
@@ -66,7 +67,7 @@ def deck(n1, n2, steps, np1=1, np2=1, every=0, ks2="2.0", comment=""):
         f"[radiation]\nlimiter = none\nkappa_a = 0.0 0.0\nkappa_s = 2.0 {ks2}\n"
     )
 
-def sedov_deck(comment="", family="[problem]\nfamily = sedov\n\n"):
+def sedov_deck(comment="", family="[problem]\nfamily = sedov\n\n", cfl="0.4"):
     # Mirrors problems::Scenario::deck for the Sedov family; dropping
     # `family` (empty string) yields the byte-wise legacy twin that must
     # hash apart from the named scenario.
@@ -74,7 +75,7 @@ def sedov_deck(comment="", family="[problem]\nfamily = sedov\n\n"):
         f"{comment}{family}[grid]\nn1 = 16\nn2 = 16\nx1 = 0.0 1.0\nx2 = 0.0 1.0\n"
         "[run]\ndt = 0.005\nn_steps = 3\nnprx1 = 1\nnprx2 = 1\n"
         "[radiation]\nlimiter = none\nkappa_a = 0.0 0.0\nkappa_s = 2.0 2.0\n"
-        "[hydro]\nenabled = true\ngamma = 1.4\ncfl = 0.4\n"
+        f"[hydro]\nenabled = true\ngamma = 1.4\ncfl = {cfl}\n"
         "bc_west = reflecting\nbc_east = reflecting\n"
         "bc_south = reflecting\nbc_north = reflecting\n"
     )
@@ -118,6 +119,7 @@ second = [
     b"\xff\xfe not utf-8 {\"req\":\"status\"}\n",
     json.dumps(submit("warp", deck(16, 8, 3), faults=[{"step": 1, "kind": "warp"}])).encode()
     + b"\n",
+    json.dumps(submit("cfl", sedov_deck(cfl="0.95"))).encode() + b"\n",
     json.dumps({"req": "status", "id": "st"}).encode() + b"\n",
     json.dumps({"req": "shutdown", "id": "bye"}).encode() + b"\n",
 ]
@@ -232,10 +234,18 @@ warp = json.loads(tail[2])
 kinds = "rank-kill, rank-stall-forever, field-nan, field-inf, solver-breakdown"
 assert warp["resp"] == "error" and warp["error"].endswith(f"(valid: {kinds})"), \
     f"unknown fault kind: {tail[2]}"
-assert json.loads(tail[3])["id"] == "st", f"request after the bad lines: {tail[3]}"
 print(f"unknown fault kind answered: {warp['error']}")
 
-# 10. Shutdown handshake.
+# 10. A CFL number the hydro stepper cannot run is an error naming
+#     `hydro.cfl`, not a run that panics unanswered, and the session goes
+#     on: the status request after it is answered.
+cfl = json.loads(tail[3])
+assert cfl["resp"] == "error" and cfl["id"] == "cfl" and "hydro.cfl" in cfl["error"], \
+    f"cfl 0.95: {tail[3]}"
+assert json.loads(tail[4])["id"] == "st", f"request after the bad lines: {tail[4]}"
+print(f"cfl 0.95 answered: {cfl['error']}")
+
+# 11. Shutdown handshake.
 assert by_id["bye"][0]["resp"] == "bye"
 print("serve e2e: all assertions passed")
 EOF
