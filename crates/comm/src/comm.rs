@@ -116,6 +116,11 @@ pub enum CommError {
     /// future collective returns this error rather than waiting on a
     /// group that can never reassemble.
     CollectiveMismatch { rank: usize, expected: CollTicket, got: CollTicket },
+    /// Two ranks entered the same reduction (equal tickets) with
+    /// contributions of different lengths: `expected` is the first
+    /// depositor's length, `got` is what `rank` presented.  Poisons the
+    /// communicator exactly as [`CommError::CollectiveMismatch`] does.
+    CollectiveLengthMismatch { rank: usize, ticket: CollTicket, expected: usize, got: usize },
     /// A collective deadline expired: `rank` waited at `ticket` but the
     /// group never completed the round (a peer died or diverged).
     /// `blocked` is the same deadlock diagnostic p2p timeouts carry —
@@ -162,6 +167,13 @@ impl std::fmt::Display for CommError {
                     f,
                     "rank {rank}: collective lockstep mismatch: group entered {expected}, \
                      this rank entered {got}"
+                )
+            }
+            CommError::CollectiveLengthMismatch { rank, ticket, expected, got } => {
+                write!(
+                    f,
+                    "rank {rank}: collective {ticket}: this rank reduces {got} values, \
+                     the group {expected}"
                 )
             }
             CommError::CollectiveTimeout { rank, ticket, blocked } => {
@@ -296,16 +308,10 @@ impl Comm {
             SendFault::Delay { secs } => secs,
             _ => 0.0,
         };
-        let lanes = sink.cost_lanes();
-        let mut send_clocks = Vec::with_capacity(lanes.lanes.len());
-        for lane in &mut lanes.lanes {
-            lane.charge_mpi_secs(0.5 * lane.profile.mpi.p2p_latency);
+        for lane in &mut sink.cost_lanes().lanes {
+            let overhead = lane.send_overhead();
+            lane.charge_mpi(overhead);
             lane.count_send(data.len() * 8);
-            let mut stamp = lane.clock.now();
-            if delay > 0.0 {
-                stamp = stamp.saturating_add(SimDuration::from_secs(delay, lane.model.freq_hz));
-            }
-            send_clocks.push(stamp);
         }
         sink.trace_instant(
             "msg_send",
@@ -320,9 +326,15 @@ impl Comm {
         if fate == SendFault::Drop {
             return; // the NIC ate it: the sender paid its overhead, nothing arrives
         }
-        let mut payload = self.core.take_buf(data.len());
-        payload.extend_from_slice(data);
-        self.core.post(self.rank, dst, Message { tag, data: payload, send_clocks });
+        let stamps = sink.cost_lanes().lanes.iter().map(|lane| {
+            let now = lane.clock.now();
+            if delay > 0.0 {
+                now.saturating_add(SimDuration::from_secs(delay, lane.model.freq_hz))
+            } else {
+                now
+            }
+        });
+        self.core.post(self.rank, dst, tag, data, stamps);
     }
 
     /// Receive the next message from `src`; its tag must equal `tag`
@@ -367,7 +379,7 @@ impl Comm {
         self.trace_recv(sink, src, tag, msg.data.len());
         out.clear();
         out.extend_from_slice(&msg.data);
-        self.core.return_buf(msg.data);
+        self.core.recycle(msg);
         Ok(())
     }
 
@@ -421,7 +433,7 @@ impl Comm {
             };
         if msg.tag != tag {
             let got_tag = msg.tag;
-            self.core.return_buf(msg.data);
+            self.core.recycle(msg);
             return Err(CommError::TagMismatch {
                 rank: self.rank,
                 src,
@@ -436,8 +448,7 @@ impl Comm {
         );
         let bytes = 8 * msg.data.len();
         for (lane, &sent) in sink.lanes.iter_mut().zip(&msg.send_clocks) {
-            let transfer = lane.profile.mpi.p2p_secs(bytes);
-            let arrival = sent.saturating_add(SimDuration::from_secs(transfer, lane.model.freq_hz));
+            let arrival = sent.saturating_add(lane.p2p_transfer(bytes));
             lane.wait_until_mpi(arrival);
         }
         Ok(msg)
@@ -447,59 +458,46 @@ impl Comm {
     /// presents a `(site, epoch)` ticket; the round's first depositor
     /// stamps it and later depositors must match, so ranks whose
     /// control flow diverged get a typed [`CommError::CollectiveMismatch`]
-    /// instead of an eternal wait.  `timeout` arms the wait exactly as
-    /// for p2p receives ([`Self::recv_msg`]); on expiry the round is
-    /// poisoned and every participant unwinds with
-    /// [`CommError::CollectiveTimeout`].
+    /// (a reduction over another length,
+    /// [`CommError::CollectiveLengthMismatch`]) instead of an eternal
+    /// wait.  `timeout` arms the wait exactly as for p2p receives
+    /// ([`Self::recv_msg`]); on expiry the round is poisoned and every
+    /// participant unwinds with [`CommError::CollectiveTimeout`].
     ///
     /// The round protocol itself lives in [`crate::sched`]; this is the
-    /// ticket prologue and the clock-sync + cost epilogue around it.
+    /// ticket prologue, and [`Side`] is the contribution and the
+    /// clock-sync + cost epilogue around it.
     fn collective(
         &self,
         sink: &mut MultiCostSink,
         kind: CollKind,
-        data: Vec<f64>,
+        vals: Vals<'_>,
         site: u32,
         timeout: Option<f64>,
-    ) -> Result<Arc<Vec<f64>>, CommError> {
+    ) -> Result<(), CommError> {
         let ticket = CollTicket { site, epoch: sink.coll_epoch };
         sink.coll_epoch += 1;
         let n = self.n_ranks();
         if n == 1 {
             // Single rank: no synchronization, no cost.
-            return Ok(Arc::new(data));
+            if let Vals::Into(data, out) = vals {
+                out.clear();
+                out.extend_from_slice(data);
+            }
+            return Ok(());
         }
-        let clocks: Vec<SimDuration> = sink.lanes.iter().map(|l| l.clock.now()).collect();
         let key = Self::sched_key(sink);
-        let (payload, sync) = match self.core.collective(
-            self.rank,
-            kind,
-            data,
-            ticket,
-            clocks,
-            timeout.is_some(),
-            key,
-        ) {
-            Ok(out) => out,
-            Err(fail) => {
+        let side = Side { sink: &mut *sink, vals, n };
+        self.core.collective(self.rank, kind, ticket, timeout.is_some(), key, side).map_err(
+            |fail| {
                 if let (true, Some(virtual_secs)) = (fail.charge_timeout, timeout) {
                     for lane in &mut sink.lanes {
                         lane.charge_mpi_secs(virtual_secs);
                     }
                 }
-                return Err(fail.err);
-            }
-        };
-        // Conservative clock synchronization + collective cost per lane
-        // (lanes are positionally aligned across ranks; asserted at
-        // Spmd launch).
-        let bytes = 8 * payload.len();
-        for (lane, &sync_t) in sink.lanes.iter_mut().zip(&sync) {
-            lane.wait_until_mpi(sync_t);
-            let cost = lane.profile.mpi.collective_secs(bytes, n);
-            lane.charge_mpi_secs(cost);
-        }
-        Ok(payload)
+                fail.err
+            },
+        )
     }
 
     /// Run a collective through the legacy infallible surface: tagged
@@ -507,23 +505,17 @@ impl Comm {
     /// in `sink` (matching p2p receives), and any typed verdict —
     /// impossible in a healthy lockstep run — escalated to a panic so
     /// the `Spmd` launch aborts like an MPI job would.
-    fn collective_infallible(
-        &self,
-        sink: &mut impl CostLanes,
-        kind: CollKind,
-        data: Vec<f64>,
-    ) -> Arc<Vec<f64>> {
+    fn collective_infallible(&self, sink: &mut impl CostLanes, kind: CollKind, vals: Vals<'_>) {
         let timeout = Self::armed_timeout(sink);
-        self.collective(sink.cost_lanes(), kind, data, coll_site::UNTAGGED, timeout)
-            .unwrap_or_else(|e| panic!("collective failed: {e}"))
+        self.collective(sink.cost_lanes(), kind, vals, coll_site::UNTAGGED, timeout)
+            .unwrap_or_else(|e| panic!("collective failed: {e}"));
     }
 
     /// Element-wise allreduce; every rank gets the reduced vector.
     /// Gang several inner products into one call to reduce reduction
     /// count — V2D's restructured BiCGSTAB does exactly this.
     pub fn allreduce(&self, sink: &mut impl CostLanes, op: ReduceOp, vals: &mut [f64]) {
-        let out = self.collective_infallible(sink, CollKind::Reduce(op), vals.to_vec());
-        vals.copy_from_slice(&out);
+        self.collective_infallible(sink, CollKind::Reduce(op), Vals::InPlace(vals));
     }
 
     /// Sum-allreduce of a single scalar.
@@ -535,15 +527,15 @@ impl Comm {
 
     /// Synchronize all ranks (and their virtual clocks).
     pub fn barrier(&self, sink: &mut impl CostLanes) {
-        self.collective_infallible(sink, CollKind::Reduce(ReduceOp::Sum), Vec::new());
+        self.collective_infallible(sink, CollKind::Reduce(ReduceOp::Sum), Vals::InPlace(&mut []));
     }
 
     /// Fallible, site-tagged allreduce: the lockstep verifier checks the
-    /// `(site, epoch)` ticket against the group's, and — when a fault
-    /// injector is active — arms the wait as p2p receives do.
-    /// Library call sites on fault-recovery paths use this surface so a
-    /// desynchronized or abandoned collective degrades to a typed error
-    /// the recovery ladder can handle.
+    /// `(site, epoch)` ticket (and the length of `vals`) against the
+    /// group's, and — when a fault injector is active — arms the wait as
+    /// p2p receives do.  Library call sites on fault-recovery paths use
+    /// this surface so a desynchronized or abandoned collective degrades
+    /// to a typed error the recovery ladder can handle.
     pub fn try_allreduce(
         &self,
         sink: &mut impl CostLanes,
@@ -552,10 +544,7 @@ impl Comm {
         vals: &mut [f64],
     ) -> Result<(), CommError> {
         let timeout = Self::armed_timeout(sink);
-        let out =
-            self.collective(sink.cost_lanes(), CollKind::Reduce(op), vals.to_vec(), site, timeout)?;
-        vals.copy_from_slice(&out);
-        Ok(())
+        self.collective(sink.cost_lanes(), CollKind::Reduce(op), Vals::InPlace(vals), site, timeout)
     }
 
     /// Fallible, site-tagged scalar allreduce (see [`Self::try_allreduce`]).
@@ -579,9 +568,10 @@ impl Comm {
         data: &[f64],
     ) -> Result<Vec<f64>, CommError> {
         let timeout = Self::armed_timeout(sink);
-        let out =
-            self.collective(sink.cost_lanes(), CollKind::Concat, data.to_vec(), site, timeout)?;
-        Ok(out.as_ref().clone())
+        let mut out = Vec::new();
+        let vals = Vals::Into(data, &mut out);
+        self.collective(sink.cost_lanes(), CollKind::Concat, vals, site, timeout)?;
+        Ok(out)
     }
 
     /// Fallible, site-tagged broadcast (see [`Self::try_allreduce`]).
@@ -594,27 +584,74 @@ impl Comm {
     ) -> Result<Vec<f64>, CommError> {
         assert!(root < self.n_ranks());
         let timeout = Self::armed_timeout(sink);
-        let out = self.collective(
-            sink.cost_lanes(),
-            CollKind::TakeRoot(root),
-            data.to_vec(),
-            site,
-            timeout,
-        )?;
-        Ok(out.as_ref().clone())
+        let mut out = Vec::new();
+        let vals = Vals::Into(data, &mut out);
+        self.collective(sink.cost_lanes(), CollKind::TakeRoot(root), vals, site, timeout)?;
+        Ok(out)
     }
 
     /// Fallible, site-tagged barrier (see [`Self::try_allreduce`]).
     pub fn try_barrier(&self, sink: &mut impl CostLanes, site: u32) -> Result<(), CommError> {
         let timeout = Self::armed_timeout(sink);
-        self.collective(
-            sink.cost_lanes(),
-            CollKind::Reduce(ReduceOp::Sum),
-            Vec::new(),
-            site,
-            timeout,
-        )?;
-        Ok(())
+        let vals = Vals::InPlace(&mut []);
+        self.collective(sink.cost_lanes(), CollKind::Reduce(ReduceOp::Sum), vals, site, timeout)
+    }
+}
+
+/// Where one rank's collective contribution comes from and where the
+/// round's result goes.
+enum Vals<'a> {
+    /// Reduced in place (`allreduce`, `barrier`).
+    InPlace(&'a mut [f64]),
+    /// Contributed from the slice, the result copied into the vector
+    /// (`allgatherv`, `broadcast`).
+    Into(&'a [f64], &'a mut Vec<f64>),
+}
+
+/// One rank's side of a collective round, handed to the event core: the
+/// rank's lanes and values, and the group size its cost is priced at.
+/// The core calls [`Side::deposit`] and [`Side::finish`] under its lock,
+/// at most once each.
+pub(crate) struct Side<'a> {
+    sink: &'a mut MultiCostSink,
+    vals: Vals<'a>,
+    n: usize,
+}
+
+impl Side<'_> {
+    /// This rank's contribution.
+    pub(crate) fn contribution(&self) -> &[f64] {
+        match &self.vals {
+            Vals::InPlace(vals) => vals,
+            Vals::Into(data, _) => data,
+        }
+    }
+
+    /// Append the contribution to `data` and the per-lane entry clocks
+    /// to `clocks` (both arrive empty).
+    pub(crate) fn deposit(&self, data: &mut Vec<f64>, clocks: &mut Vec<SimDuration>) {
+        data.extend_from_slice(self.contribution());
+        clocks.extend(self.sink.lanes.iter().map(|lane| lane.clock.now()));
+    }
+
+    /// Take the finished round: conservative clock synchronization +
+    /// collective cost per lane (lanes are positionally aligned across
+    /// ranks: every rank's sink is built from the launch's one profile
+    /// list), then the result.
+    pub(crate) fn finish(self, result: &[f64], sync: &[SimDuration]) {
+        let bytes = 8 * result.len();
+        for (lane, &sync_t) in self.sink.lanes.iter_mut().zip(sync) {
+            lane.wait_until_mpi(sync_t);
+            let cost = lane.collective_cost(bytes, self.n);
+            lane.charge_mpi(cost);
+        }
+        match self.vals {
+            Vals::InPlace(vals) => vals.copy_from_slice(result),
+            Vals::Into(_, out) => {
+                out.clear();
+                out.extend_from_slice(result);
+            }
+        }
     }
 }
 

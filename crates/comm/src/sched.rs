@@ -40,13 +40,14 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use v2d_machine::SimDuration;
 
 use crate::carrier::{self, Carrier, RankBody};
-use crate::comm::{BlockedRank, CollTicket, CommError, Message, ReduceOp, WaitEdge, WaitOn};
+use crate::comm::{BlockedRank, CollTicket, CommError, Message, ReduceOp, Side, WaitEdge, WaitOn};
 
 /// Lock a mutex, recovering the data if another rank thread panicked
 /// while holding it (our state stays consistent: every critical section
@@ -66,26 +67,75 @@ pub fn msg_buf_alloc_count() -> u64 {
     MSG_BUF_ALLOC.load(Ordering::Relaxed)
 }
 
-/// Pooled payload buffers kept per rank of the launch (beyond
+/// Pooled message buffers kept per rank of the launch (beyond
 /// `POOL_BUFS_PER_RANK * n_ranks`, returned buffers are simply dropped).
 /// A rank has at most four halo sends in flight, so this leaves every
 /// warm exchange allocation-free at any rank count.
 const POOL_BUFS_PER_RANK: usize = 8;
 
+/// A pooled message's two buffers: the payload and the sender's per-lane
+/// clocks.
+type MsgBufs = (Vec<f64>, Vec<SimDuration>);
+
+/// Hasher of the `(dst, src)` mail keys: FxHash's multiply-rotate mix
+/// of two small integers, in place of the default SipHash.  The keys are
+/// rank ids, never outside input, so collision resistance buys nothing;
+/// the map is looked up by key only, so its hashing cannot reach any
+/// result.
+#[derive(Default)]
+struct PairHasher(u64);
+
+impl Hasher for PairHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, w: u64) {
+        self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, w: usize) {
+        self.write_u64(w as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// One rank's slot in a [`CollRound`]: its contribution, kept across
+/// rounds so a warm collective allocates nothing.
+#[derive(Default)]
+struct Contrib {
+    data: Vec<f64>,
+    /// Per-lane clocks at entry.
+    clocks: Vec<SimDuration>,
+    /// Whether `data`/`clocks` hold this round's contribution.
+    present: bool,
+}
+
 /// One round of a data-carrying collective: lockstep verification,
 /// rank-ordered reduction and sticky poison, driven by
-/// [`EventCore::collective`].
+/// [`EventCore::collective`].  Every buffer is reused from round to
+/// round.
 struct CollRound {
-    /// Per-rank contribution: (payload, per-lane clocks).
-    contrib: Vec<Option<(Vec<f64>, Vec<SimDuration>)>>,
+    contrib: Vec<Contrib>,
     deposited: usize,
-    /// Result payload + per-lane synchronized clocks (before cost).
-    result: Option<(Arc<Vec<f64>>, Vec<SimDuration>)>,
+    /// Whether `result` and `sync` hold a finished round that not every
+    /// rank has copied out yet.
+    done: bool,
+    /// The finished round's payload.
+    result: Vec<f64>,
+    /// The finished round's per-lane synchronized clocks (before cost).
+    sync: Vec<SimDuration>,
     left: usize,
-    /// Lockstep ticket stamped by the round's first depositor; later
-    /// depositors must present the same `(site, epoch)` or the round is
+    /// Lockstep stamp of the round's first depositor: its ticket, and
+    /// for a reduction its contribution's length.  Later depositors must
+    /// present the same `(site, epoch)` (and length) or the round is
     /// declared diverged.  Cleared when the round drains.
-    ticket: Option<CollTicket>,
+    stamp: Option<(CollTicket, Option<usize>)>,
     /// Sticky divergence/timeout verdict.  Once set, every in-flight
     /// and future collective on this communicator returns it — a group
     /// that lost a member can never complete another round, so waiting
@@ -96,11 +146,13 @@ struct CollRound {
 impl CollRound {
     fn new(n: usize) -> Self {
         CollRound {
-            contrib: (0..n).map(|_| None).collect(),
+            contrib: (0..n).map(|_| Contrib::default()).collect(),
             deposited: 0,
-            result: None,
+            done: false,
+            result: Vec::new(),
+            sync: Vec::new(),
             left: 0,
-            ticket: None,
+            stamp: None,
             poison: None,
         }
     }
@@ -115,62 +167,68 @@ pub(crate) enum CollKind {
 }
 
 /// Stamp (or verify) the round's lockstep ticket: the first depositor
-/// sets it, later depositors must present the same `(site, epoch)` or
-/// the round is poisoned.  The caller must wake the round's waiters on
-/// `Err`.
-fn stamp_ticket(round: &mut CollRound, rank: usize, ticket: CollTicket) -> Result<(), CommError> {
-    match round.ticket {
-        None => {
-            round.ticket = Some(ticket);
-            Ok(())
+/// sets it, later depositors must present the same `(site, epoch)` — and
+/// for a reduction (`len` is `Some`) a contribution of the same length —
+/// or the round is poisoned.  The caller must wake the round's waiters
+/// on `Err`.
+fn stamp_ticket(
+    round: &mut CollRound,
+    rank: usize,
+    ticket: CollTicket,
+    len: Option<usize>,
+) -> Result<(), CommError> {
+    let err = match (round.stamp, len) {
+        (None, _) => {
+            round.stamp = Some((ticket, len));
+            return Ok(());
         }
-        Some(expected) if expected != ticket => {
-            let err = CommError::CollectiveMismatch { rank, expected, got: ticket };
-            round.poison = Some(err.clone());
-            Err(err)
+        (Some((expected, _)), _) if expected != ticket => {
+            CommError::CollectiveMismatch { rank, expected, got: ticket }
         }
-        Some(_) => Ok(()),
-    }
+        (Some((_, Some(expected))), Some(got)) if got != expected => {
+            CommError::CollectiveLengthMismatch { rank, ticket, expected, got }
+        }
+        _ => return Ok(()),
+    };
+    round.poison = Some(err.clone());
+    Err(err)
 }
 
-/// Combine a full round of contributions: the result payload
-/// (rank-ordered, so bitwise deterministic) plus the per-lane
-/// synchronized clocks (max over ranks, the conservative PDES sync).
-fn finish_round(
-    contribs: Vec<(Vec<f64>, Vec<SimDuration>)>,
-    kind: CollKind,
-) -> (Vec<f64>, Vec<SimDuration>) {
-    let lanes = contribs[0].1.len();
-    let mut sync = vec![SimDuration::ZERO; lanes];
-    for (_, cl) in &contribs {
-        for (s, &c) in sync.iter_mut().zip(cl) {
-            if c > *s {
-                *s = c;
+/// Combine a full round of contributions into `round.result` (rank-ordered,
+/// so bitwise deterministic) and `round.sync` (per lane, the max over
+/// ranks: the conservative PDES sync), and empty every rank's slot.
+fn finish_round(round: &mut CollRound, kind: CollKind) {
+    let CollRound { contrib, result, sync, .. } = round;
+    sync.clear();
+    sync.resize(contrib[0].clocks.len(), SimDuration::ZERO);
+    for c in contrib.iter() {
+        for (s, &t) in sync.iter_mut().zip(&c.clocks) {
+            if t > *s {
+                *s = t;
             }
         }
     }
-    let payload = match kind {
+    result.clear();
+    match kind {
         CollKind::Reduce(op) => {
-            let len = contribs[0].0.len();
-            let mut out = vec![op.identity(); len];
-            for (vals, _) in &contribs {
-                assert_eq!(vals.len(), len, "reduce contributions differ in length");
-                for (o, &v) in out.iter_mut().zip(vals) {
+            // Every length equals the first depositor's (`stamp_ticket`).
+            result.resize(contrib[0].data.len(), op.identity());
+            for c in contrib.iter() {
+                for (o, &v) in result.iter_mut().zip(&c.data) {
                     *o = op.fold(*o, v);
                 }
             }
-            out
         }
         CollKind::Concat => {
-            let mut out = Vec::new();
-            for (vals, _) in &contribs {
-                out.extend_from_slice(vals);
+            for c in contrib.iter() {
+                result.extend_from_slice(&c.data);
             }
-            out
         }
-        CollKind::TakeRoot(root) => contribs[root].0.clone(),
-    };
-    (payload, sync)
+        CollKind::TakeRoot(root) => result.extend_from_slice(&contrib[root].data),
+    }
+    for c in contrib.iter_mut() {
+        c.present = false;
+    }
 }
 
 /// Where a task stands in its lifecycle.
@@ -250,7 +308,7 @@ struct CoreState {
     /// created by the pair's first [`EventCore::post`] — a rank talks
     /// to a handful of neighbours, so a launch holds O(ranks) queues,
     /// not ranks².  Looked up by key only, never iterated.
-    mail: HashMap<(usize, usize), VecDeque<Message>>,
+    mail: HashMap<(usize, usize), VecDeque<Message>, BuildHasherDefault<PairHasher>>,
     coll: CollRound,
     /// Liveness registry: `dead[r]` is set by [`EventCore::kill`] when
     /// rank `r` retires permanently (a `RankKill` / `RankStallForever`
@@ -260,8 +318,8 @@ struct CoreState {
     /// How many entries of `dead` are set; zero on every healthy run,
     /// which lets the per-collective liveness checks skip their scans.
     n_dead: usize,
-    /// Free list of payload buffers (see `Comm::recv_into`).
-    pool: Vec<Vec<f64>>,
+    /// Free list of message buffers (see `Comm::recv_into`).
+    pool: Vec<MsgBufs>,
     /// Scheduler counters for observability.
     dispatches: u64,
     quiescences: u64,
@@ -301,7 +359,7 @@ impl EventCore {
             state: Mutex::new(CoreState {
                 tasks,
                 ready: (0..n_ranks).map(|r| Reverse((0, r))).collect(),
-                mail: HashMap::new(),
+                mail: HashMap::default(),
                 coll: CollRound::new(n_ranks),
                 dead: vec![false; n_ranks],
                 n_dead: 0,
@@ -521,11 +579,23 @@ impl EventCore {
         (st, verdict)
     }
 
-    /// Deliver a message; wakes the destination if it is blocked on
-    /// this source.  The sender keeps the baton (sends are buffered and
-    /// non-blocking).
-    pub(crate) fn post(&self, src: usize, dst: usize, msg: Message) {
+    /// Deliver a copy of `data`, stamped with the sender's per-lane
+    /// `clocks`, in pooled buffers; wakes the destination if it is
+    /// blocked on this source.  The sender keeps the baton (sends are
+    /// buffered and non-blocking).
+    pub(crate) fn post(
+        &self,
+        src: usize,
+        dst: usize,
+        tag: u32,
+        data: &[f64],
+        clocks: impl Iterator<Item = SimDuration>,
+    ) {
         let mut st = lock_tolerant(&self.state);
+        let (mut payload, mut send_clocks) = Self::take_bufs(&mut st, data.len());
+        payload.extend_from_slice(data);
+        send_clocks.extend(clocks);
+        let msg = Message { tag, data: payload, send_clocks };
         st.mail.entry((dst, src)).or_default().push_back(msg);
         if st.tasks[dst].status == Status::Blocked {
             if let Some(Wait::Recv { src: waiting_on, .. }) = st.tasks[dst].wait {
@@ -579,19 +649,18 @@ impl EventCore {
     /// One rank's pass through a collective round ([`CollRound`]:
     /// lockstep tickets, rank-ordered reduction via [`finish_round`],
     /// sticky poison), yielding into the scheduler at the drain and
-    /// result waits.  Returns the payload and the synchronized clocks;
-    /// the caller applies the cost epilogue.
-    #[allow(clippy::too_many_arguments)]
+    /// result waits.  `side` deposits the rank's contribution and takes
+    /// the result, both under the lock; its `finish` applies the cost
+    /// epilogue.
     pub(crate) fn collective(
         &self,
         rank: usize,
         kind: CollKind,
-        data: Vec<f64>,
         ticket: CollTicket,
-        clocks: Vec<SimDuration>,
         armed: bool,
         key: u64,
-    ) -> Result<(Arc<Vec<f64>>, Vec<SimDuration>), CollFailure> {
+        side: Side<'_>,
+    ) -> Result<(), CollFailure> {
         let n = self.n_ranks;
         let mut st = lock_tolerant(&self.state);
         // Wait for the previous round to fully drain before depositing.
@@ -599,7 +668,7 @@ impl EventCore {
             if let Some(p) = st.coll.poison.clone() {
                 return Err(CollFailure::plain(p));
             }
-            if st.coll.result.is_none() {
+            if !st.coll.done {
                 break;
             }
             // A dead rank can never deposit into the round we are
@@ -617,34 +686,37 @@ impl EventCore {
             return Err(CollFailure::plain(CommError::RankDead { rank: d, site: ticket.site }));
         }
         // Lockstep verification: first depositor stamps the round's
-        // ticket, everyone else must present the same one.
-        if let Err(e) = stamp_ticket(&mut st.coll, rank, ticket) {
+        // ticket (and a reduction's length), everyone else must match.
+        let len = matches!(kind, CollKind::Reduce(_)).then(|| side.contribution().len());
+        if let Err(e) = stamp_ticket(&mut st.coll, rank, ticket, len) {
             Self::wake_collective_waiters(&mut st);
             return Err(CollFailure::plain(e));
         }
+        let slot = &mut st.coll.contrib[rank];
         assert!(
-            st.coll.contrib[rank].is_none(),
+            !slot.present,
             "rank {rank} re-entered a collective before the group completed one — \
              collective call order must match across ranks"
         );
-        st.coll.contrib[rank] = Some((data, clocks));
+        slot.data.clear();
+        slot.clocks.clear();
+        side.deposit(&mut slot.data, &mut slot.clocks);
+        slot.present = true;
         st.coll.deposited += 1;
         if st.coll.deposited == n {
             // Last to arrive computes the result, rank-ordered.
-            let contribs: Vec<(Vec<f64>, Vec<SimDuration>)> =
-                st.coll.contrib.iter_mut().filter_map(Option::take).collect();
-            let (payload, sync) = finish_round(contribs, kind);
-            st.coll.result = Some((Arc::new(payload), sync));
+            finish_round(&mut st.coll, kind);
+            st.coll.done = true;
             st.coll.deposited = 0;
-            st.coll.ticket = None;
+            st.coll.stamp = None;
             Self::wake_collective_waiters(&mut st);
         }
-        let (payload, sync) = loop {
+        loop {
             if let Some(p) = st.coll.poison.clone() {
                 return Err(CollFailure::plain(p));
             }
-            if let Some((p, s)) = st.coll.result.as_ref() {
-                break (Arc::clone(p), s.clone());
+            if st.coll.done {
+                break;
             }
             // A completed round's result is used even if a depositor
             // died afterwards, so only a dead rank that never deposited
@@ -657,15 +729,16 @@ impl EventCore {
             if let Some(v) = verdict {
                 return Err(Self::coll_verdict(rank, v));
             }
-        };
+        }
+        side.finish(&st.coll.result, &st.coll.sync);
         st.coll.left += 1;
         if st.coll.left == n {
             st.coll.left = 0;
-            st.coll.result = None;
+            st.coll.done = false;
             // Wake ranks blocked at the entry of the *next* round.
             Self::wake_collective_waiters(&mut st);
         }
-        Ok((payload, sync))
+        Ok(())
     }
 
     /// Lowest-numbered dead rank, if any.
@@ -682,7 +755,7 @@ impl EventCore {
         if st.n_dead == 0 {
             return None;
         }
-        (0..st.dead.len()).find(|&r| st.dead[r] && st.coll.contrib[r].is_none())
+        (0..st.dead.len()).find(|&r| st.dead[r] && !st.coll.contrib[r].present)
     }
 
     fn coll_verdict(rank: usize, v: Verdict) -> CollFailure {
@@ -697,24 +770,25 @@ impl EventCore {
         }
     }
 
-    /// An empty buffer with capacity ≥ `len`, reused from the pool when
-    /// possible (a fresh allocation is counted in [`msg_buf_alloc_count`]).
-    pub(crate) fn take_buf(&self, len: usize) -> Vec<f64> {
-        let mut st = lock_tolerant(&self.state);
-        if let Some(i) = st.pool.iter().position(|b| b.capacity() >= len) {
+    /// Empty message buffers, the payload's with capacity ≥ `len`,
+    /// reused from the pool when possible (a fresh payload is counted in
+    /// [`msg_buf_alloc_count`]).
+    fn take_bufs(st: &mut CoreState, len: usize) -> MsgBufs {
+        if let Some(i) = st.pool.iter().position(|(b, _)| b.capacity() >= len) {
             return st.pool.swap_remove(i);
         }
-        drop(st);
         MSG_BUF_ALLOC.fetch_add(1, Ordering::Relaxed);
-        Vec::with_capacity(len)
+        (Vec::with_capacity(len), Vec::new())
     }
 
-    /// Return a spent payload buffer to the pool.
-    pub(crate) fn return_buf(&self, mut buf: Vec<f64>) {
-        buf.clear();
+    /// Return a delivered message's buffers to the pool.
+    pub(crate) fn recycle(&self, msg: Message) {
+        let Message { mut data, mut send_clocks, .. } = msg;
+        data.clear();
+        send_clocks.clear();
         let mut st = lock_tolerant(&self.state);
         if st.pool.len() < POOL_BUFS_PER_RANK * self.n_ranks {
-            st.pool.push(buf);
+            st.pool.push((data, send_clocks));
         }
     }
 }

@@ -105,7 +105,30 @@ impl TileMap {
     }
 }
 
-/// Halo-exchange directions on the 2-D topology.
+/// `rank`'s neighbor in `dir` on `map`, or `None` at the domain boundary.
+fn neighbor_of(map: &TileMap, rank: usize, dir: Dir) -> Option<usize> {
+    let (p1, p2) = map.coords(rank);
+    let c = match dir {
+        Dir::West => (p1.checked_sub(1)?, p2),
+        Dir::East => {
+            if p1 + 1 >= map.np1 {
+                return None;
+            }
+            (p1 + 1, p2)
+        }
+        Dir::South => (p1, p2.checked_sub(1)?),
+        Dir::North => {
+            if p2 + 1 >= map.np2 {
+                return None;
+            }
+            (p1, p2 + 1)
+        }
+    };
+    Some(map.rank_of(c.0, c.1))
+}
+
+/// Halo-exchange directions on the 2-D topology (declared in
+/// [`Dir::ALL`] order, so `dir as usize` indexes it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dir {
     /// −x1 neighbor.
@@ -149,6 +172,8 @@ impl Dir {
 pub struct CartComm {
     map: TileMap,
     rank: usize,
+    /// Neighbour rank per direction, in [`Dir::ALL`] order.
+    neighbors: [Option<usize>; 4],
 }
 
 impl CartComm {
@@ -166,7 +191,9 @@ impl CartComm {
             map.n_ranks(),
             comm.n_ranks()
         );
-        CartComm { map, rank: comm.rank() }
+        let rank = comm.rank();
+        let neighbors = Dir::ALL.map(|dir| neighbor_of(&map, rank, dir));
+        CartComm { map, rank, neighbors }
     }
 
     /// The tile map.
@@ -187,25 +214,7 @@ impl CartComm {
     /// Neighbor rank in `dir`, or `None` at the domain boundary
     /// (non-periodic, as in the V2D radiation test problem).
     pub fn neighbor(&self, dir: Dir) -> Option<usize> {
-        let (p1, p2) = self.coords();
-        let (np1, np2) = (self.map.np1, self.map.np2);
-        let c = match dir {
-            Dir::West => (p1.checked_sub(1)?, p2),
-            Dir::East => {
-                if p1 + 1 >= np1 {
-                    return None;
-                }
-                (p1 + 1, p2)
-            }
-            Dir::South => (p1, p2.checked_sub(1)?),
-            Dir::North => {
-                if p2 + 1 >= np2 {
-                    return None;
-                }
-                (p1, p2 + 1)
-            }
-        };
-        Some(self.map.rank_of(c.0, c.1))
+        self.neighbors[dir as usize]
     }
 
     /// Post (nonblocking-send) a strip toward `dir`; returns false at a

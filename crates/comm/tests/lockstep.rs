@@ -179,3 +179,34 @@ fn zero_fault_injector_collectives_are_bit_invisible() {
     };
     assert_eq!(run(false), run(true));
 }
+
+#[test]
+fn reduce_length_mismatch_is_a_typed_error_on_every_rank() {
+    // Same site, same epoch, different contribution lengths: the first
+    // depositor stamps its length, a later one poisons the round, and
+    // every rank gets the typed error instead of a panicked launch.
+    for n in [2, 3] {
+        let outs = Spmd::new(n).with_profiles(profiles(n)).run(|ctx| {
+            let mut vals = vec![1.0; 1 + ctx.rank()];
+            let first = ctx.comm.try_allreduce(
+                &mut ctx.sink,
+                coll_site::SOLVER_REDUCE,
+                ReduceOp::Sum,
+                &mut vals,
+            );
+            (first, ctx.comm.try_barrier(&mut ctx.sink, coll_site::SOLVER_REDUCE))
+        });
+        for (rank, (first, second)) in outs.iter().enumerate() {
+            match first {
+                Err(CommError::CollectiveLengthMismatch { ticket, expected, got, .. }) => {
+                    assert_eq!(ticket.site, coll_site::SOLVER_REDUCE, "{n} ranks, rank {rank}");
+                    assert_ne!(expected, got, "{n} ranks, rank {rank}");
+                }
+                other => {
+                    panic!("{n} ranks, rank {rank}: wanted CollectiveLengthMismatch, got {other:?}")
+                }
+            }
+            assert_eq!(second, first, "{n} ranks, rank {rank}: the poison must be sticky");
+        }
+    }
+}

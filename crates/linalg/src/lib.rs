@@ -31,6 +31,11 @@
 //! lanes and the ambient working-set size — instead of ad-hoc
 //! `(sink, ws)` pairs.
 
+// Library code must not panic on a `None`/`Err` it could report: a
+// kernel that panics takes its rank, and with it the launch, down.
+// Tests and binaries (separate crates) are exempt.
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod backend;
 pub mod kernels;
 pub mod op;

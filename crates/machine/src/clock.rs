@@ -72,7 +72,13 @@ impl core::ops::AddAssign for SimDuration {
 
 impl core::ops::Sub for SimDuration {
     type Output = SimDuration;
+    /// # Panics
+    /// If `rhs` is longer than `self`: a negative span is a caller bug
+    /// (`Sub` cannot return an error; use `checked_sub` on
+    /// [`SimDuration::cycles`] where underflow is expected).
     #[inline]
+    // The documented underflow panic is this operator's contract.
+    #[allow(clippy::expect_used)]
     fn sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration { cycles: self.cycles.checked_sub(rhs.cycles).expect("SimDuration underflow") }
     }

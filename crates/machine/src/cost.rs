@@ -36,7 +36,7 @@
 //! speedup) demonstrates.
 
 use crate::clock::{SimClock, SimDuration};
-use crate::model::A64fxModel;
+use crate::model::{A64fxModel, MemLevel};
 use crate::profile::{CompilerId, CompilerProfile, ALL_COMPILERS};
 
 /// Broad classification of a kernel, used for per-routine breakdowns
@@ -227,9 +227,11 @@ impl KernelCounters {
 /// per-class counters.
 #[derive(Debug, Clone)]
 pub struct CostSink {
-    /// The machine being modeled.
+    /// The machine being modeled.  Fixed once the lane has charged: its
+    /// MPI prices (and its [`MultiCostSink`]'s kernel prices) are
+    /// memoised.
     pub model: A64fxModel,
-    /// The compiler configuration being modeled.
+    /// The compiler configuration being modeled; fixed like `model`.
     pub profile: CompilerProfile,
     /// This rank's virtual clock under the profile.
     pub clock: SimClock,
@@ -247,6 +249,8 @@ pub struct CostSink {
     pub comm_msgs: u64,
     /// Payload bytes sent through this lane.
     pub comm_bytes: u64,
+    /// This lane's MPI cost conversions, each computed once.
+    mpi_memo: MpiMemo,
 }
 
 impl CostSink {
@@ -261,6 +265,7 @@ impl CostSink {
             bytes_by_level: [0; crate::model::N_MEM_LEVELS],
             comm_msgs: 0,
             comm_bytes: 0,
+            mpi_memo: MpiMemo::default(),
         }
     }
 
@@ -272,15 +277,30 @@ impl CostSink {
 
     /// Charge one kernel invocation: advance the clock and update counters.
     pub fn charge(&mut self, shape: &KernelShape) {
-        let cycles = self.cost_cycles(shape);
+        let price = self.price(shape);
+        self.book(shape, price);
+    }
+
+    /// What one invocation of `shape` costs on this lane, and the memory
+    /// level its bytes are booked to.
+    fn price(&self, shape: &KernelShape) -> LanePrice {
+        LanePrice {
+            cycles: self.cost_cycles(shape),
+            level: self.model.residency(shape.working_set),
+        }
+    }
+
+    /// Book one invocation of `shape` at `price`: counters, bytes per
+    /// level, clock.
+    fn book(&mut self, shape: &KernelShape, price: LanePrice) {
         let i = shape.class.index();
-        self.counters.cycles[i] += cycles;
+        let bytes = shape.bytes_streamed() as u64;
+        self.counters.cycles[i] += price.cycles;
         self.counters.calls[i] += 1;
         self.counters.flops[i] += shape.flops as u64;
-        self.counters.bytes[i] += shape.bytes_streamed() as u64;
-        let level = self.model.residency(shape.working_set);
-        self.bytes_by_level[level.index()] += shape.bytes_streamed() as u64;
-        self.clock.advance_cycles(cycles);
+        self.counters.bytes[i] += bytes;
+        self.bytes_by_level[price.level.index()] += bytes;
+        self.clock.advance_cycles(price.cycles);
     }
 
     /// Account one point-to-point send of `bytes` payload bytes.
@@ -303,9 +323,43 @@ impl CostSink {
     /// Advance the clock for a communication operation, accounting the
     /// time as MPI time.
     pub fn charge_mpi_secs(&mut self, secs: f64) {
-        let d = SimDuration::from_secs(secs, self.model.freq_hz);
+        self.charge_mpi(SimDuration::from_secs(secs, self.model.freq_hz));
+    }
+
+    /// [`CostSink::charge_mpi_secs`] for a duration already in cycles.
+    pub fn charge_mpi(&mut self, d: SimDuration) {
         self.mpi_cycles += d.cycles();
         self.clock.advance(d);
+    }
+
+    /// The software overhead one point-to-point send costs the sender:
+    /// half the latency (the classic overhead/latency split).
+    pub fn send_overhead(&mut self) -> SimDuration {
+        let (mpi, freq) = (&self.profile.mpi, self.model.freq_hz);
+        let fresh = || SimDuration::from_secs(0.5 * mpi.p2p_latency, freq);
+        match self.mpi_memo.send {
+            Some(d) => {
+                debug_assert_eq!(d, fresh(), "stale send-overhead memo");
+                d
+            }
+            None => *self.mpi_memo.send.insert(fresh()),
+        }
+    }
+
+    /// Latency plus transfer time of one `bytes`-byte message
+    /// ([`crate::MpiCostModel::p2p_secs`]) in cycles.
+    pub fn p2p_transfer(&mut self, bytes: usize) -> SimDuration {
+        let (mpi, freq) = (&self.profile.mpi, self.model.freq_hz);
+        self.mpi_memo.p2p.get_or(bytes, || SimDuration::from_secs(mpi.p2p_secs(bytes), freq))
+    }
+
+    /// Cost of one collective of `bytes` payload over `ranks`
+    /// participants ([`crate::MpiCostModel::collective_secs`]) in cycles.
+    pub fn collective_cost(&mut self, bytes: usize, ranks: usize) -> SimDuration {
+        let (mpi, freq) = (&self.profile.mpi, self.model.freq_hz);
+        self.mpi_memo.coll.get_or((bytes, ranks), || {
+            SimDuration::from_secs(mpi.collective_secs(bytes, ranks), freq)
+        })
     }
 
     /// Synchronize with a partner/collective: move the clock forward to
@@ -367,32 +421,41 @@ pub struct MultiCostSink {
     /// deadlock.  Host-side bookkeeping only — never charged to the
     /// simulated clocks.
     pub coll_epoch: u64,
+    /// Every lane's price of the shapes charged recently.
+    memo: PriceMemo,
 }
 
 impl MultiCostSink {
     /// Sinks for all four paper profiles.
     pub fn all_compilers() -> Self {
-        MultiCostSink {
-            lanes: ALL_COMPILERS.iter().map(|&id| CostSink::new(CompilerProfile::of(id))).collect(),
-            coll_epoch: 0,
-        }
+        Self::from_lanes(
+            ALL_COMPILERS.iter().map(|&id| CostSink::new(CompilerProfile::of(id))).collect(),
+        )
     }
 
     /// A sink set with a single profile (cheaper when only one column is
     /// needed, e.g. in tests).
     pub fn single(profile: CompilerProfile) -> Self {
-        MultiCostSink { lanes: vec![CostSink::new(profile)], coll_epoch: 0 }
+        Self::from_lanes(vec![CostSink::new(profile)])
     }
 
     /// Sinks for an explicit profile list (one lane per profile).
     pub fn with_profiles(profiles: &[CompilerProfile]) -> Self {
-        MultiCostSink { lanes: profiles.iter().map(|p| CostSink::new(*p)).collect(), coll_epoch: 0 }
+        Self::from_lanes(profiles.iter().map(|p| CostSink::new(*p)).collect())
     }
 
-    /// Charge one kernel invocation under every profile.
+    fn from_lanes(lanes: Vec<CostSink>) -> Self {
+        let memo = PriceMemo::new(lanes.len());
+        MultiCostSink { lanes, coll_epoch: 0, memo }
+    }
+
+    /// Charge one kernel invocation under every profile.  Each lane books
+    /// exactly what [`CostSink::charge`] would; the prices come from the
+    /// memo.
     pub fn charge(&mut self, shape: &KernelShape) {
-        for lane in &mut self.lanes {
-            lane.charge(shape);
+        let prices = self.memo.prices(&self.lanes, shape);
+        for (lane, &price) in self.lanes.iter_mut().zip(prices) {
+            lane.book(shape, price);
         }
     }
 
@@ -405,6 +468,155 @@ impl MultiCostSink {
     pub fn elapsed_secs(&self) -> Vec<f64> {
         self.lanes.iter().map(|l| l.elapsed_secs()).collect()
     }
+}
+
+/// One lane's price of one kernel shape: [`cost_cycles`] and the
+/// residency level of its working set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct LanePrice {
+    cycles: u64,
+    level: MemLevel,
+}
+
+/// Slots in a [`PriceMemo`] (a power of two).  A rank's step repeats 8–12
+/// distinct kernel shapes, so a warm step prices nothing.
+const PRICE_SLOTS: usize = 16;
+
+/// Every lane's price of up to [`PRICE_SLOTS`] distinct shapes a
+/// [`MultiCostSink`] charged.  A price is a pure function of the lane's
+/// model and profile and of the shape, so a hit returns exactly what
+/// pricing afresh would; builds with debug assertions re-price every hit
+/// and compare.
+///
+/// Open addressing with linear probing: a shape is looked for from its
+/// home slot up to the first empty slot.  Slots are never emptied, only
+/// re-keyed (when the table is full, a miss takes over its home slot),
+/// so no probe chain is ever cut.  A probe compares a one-word tag of the
+/// shape's hash before the shape itself.
+#[derive(Debug, Clone)]
+struct PriceMemo {
+    /// Per slot: the key's hash with its low bit set, or 0 when empty.
+    tags: [u64; PRICE_SLOTS],
+    keys: [KernelShape; PRICE_SLOTS],
+    /// `PRICE_SLOTS` rows of one price per lane.
+    prices: Vec<LanePrice>,
+}
+
+impl PriceMemo {
+    fn new(lanes: usize) -> Self {
+        let empty = LanePrice { cycles: 0, level: MemLevel::L1 };
+        let unused = KernelShape::streaming(KernelClass::Other, 0, 0, 0, 0, 0);
+        PriceMemo {
+            tags: [0; PRICE_SLOTS],
+            keys: [unused; PRICE_SLOTS],
+            prices: vec![empty; PRICE_SLOTS * lanes],
+        }
+    }
+
+    /// A nonzero tag for `shape`: independent products of its fields, so
+    /// the multiplies overlap.
+    fn tag(shape: &KernelShape) -> u64 {
+        let h = (shape.elems as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            ^ (shape.flops as u64).wrapping_mul(0xc2b2_ae3d_27d4_eb4f)
+            ^ (shape.bytes_read as u64).wrapping_mul(0x1656_67b1_9e37_79f9)
+            ^ (shape.bytes_written as u64).wrapping_mul(0x27d4_eb2f_1656_67c5)
+            ^ (shape.working_set as u64).wrapping_mul(0x94d0_49bb_1331_11eb)
+            ^ (shape.class.index() as u64).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        h | 1
+    }
+
+    /// Every lane's price of `shape`, in lane order.
+    fn prices(&mut self, lanes: &[CostSink], shape: &KernelShape) -> &[LanePrice] {
+        let width = lanes.len();
+        if self.prices.len() != PRICE_SLOTS * width {
+            // Lanes were added or removed since the memo was sized.
+            *self = PriceMemo::new(width);
+        }
+        let tag = Self::tag(shape);
+        let home = (tag >> 60) as usize % PRICE_SLOTS;
+        let mut slot = home;
+        let hit = loop {
+            match self.tags[slot] {
+                0 => break false,
+                t if t == tag && self.keys[slot] == *shape => break true,
+                _ => {
+                    slot = (slot + 1) % PRICE_SLOTS;
+                    if slot == home {
+                        break false; // full: the miss takes over its home slot
+                    }
+                }
+            }
+        };
+        let row = &mut self.prices[slot * width..(slot + 1) * width];
+        if hit {
+            if cfg!(debug_assertions) {
+                for (price, lane) in row.iter().zip(lanes) {
+                    assert_eq!(*price, lane.price(shape), "stale kernel price memo");
+                }
+            }
+        } else {
+            self.tags[slot] = tag;
+            self.keys[slot] = *shape;
+            for (price, lane) in row.iter_mut().zip(lanes) {
+                *price = lane.price(shape);
+            }
+        }
+        row
+    }
+}
+
+/// Entries per [`DurationMemo`].  A rank sends a handful of halo sizes
+/// and reduces a handful of gang widths.
+const DURATION_SLOTS: usize = 8;
+
+/// The last [`DURATION_SLOTS`] distinct `key → duration` conversions,
+/// replaced round-robin.
+#[derive(Debug, Clone)]
+struct DurationMemo<K> {
+    entries: [(K, SimDuration); DURATION_SLOTS],
+    len: usize,
+    next: usize,
+}
+
+impl<K: Copy + Default + PartialEq + std::fmt::Debug> Default for DurationMemo<K> {
+    fn default() -> Self {
+        DurationMemo {
+            entries: [(K::default(), SimDuration::ZERO); DURATION_SLOTS],
+            len: 0,
+            next: 0,
+        }
+    }
+}
+
+impl<K: Copy + PartialEq + std::fmt::Debug> DurationMemo<K> {
+    /// The duration for `key`, converted by `convert` on a miss.  As with
+    /// [`PriceMemo`], debug builds re-convert every hit and compare.
+    fn get_or(&mut self, key: K, convert: impl Fn() -> SimDuration) -> SimDuration {
+        if let Some(&(_, d)) = self.entries[..self.len].iter().find(|(k, _)| *k == key) {
+            debug_assert_eq!(d, convert(), "stale MPI cost memo at {key:?}");
+            return d;
+        }
+        let d = convert();
+        if self.len < DURATION_SLOTS {
+            self.entries[self.len] = (key, d);
+            self.len += 1;
+        } else {
+            self.entries[self.next] = (key, d);
+            self.next = (self.next + 1) % DURATION_SLOTS;
+        }
+        d
+    }
+}
+
+/// One lane's MPI cost conversions (seconds of the profile's
+/// [`crate::MpiCostModel`] to cycles), each computed once.
+#[derive(Debug, Clone, Default)]
+struct MpiMemo {
+    send: Option<SimDuration>,
+    /// Keyed by payload bytes.
+    p2p: DurationMemo<usize>,
+    /// Keyed by `(payload bytes, ranks)`.
+    coll: DurationMemo<(usize, usize)>,
 }
 
 #[cfg(test)]

@@ -22,6 +22,11 @@
 //! reproduced; see `EXPERIMENTS.md` at the repository root for the
 //! paper-vs-measured comparison.
 
+// Library code must not panic on a `None`/`Err` it could report: every
+// rank of a launch charges through this crate.  Tests and binaries
+// (separate crates) are exempt.
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod clock;
 pub mod cost;
 pub mod exec;
