@@ -421,7 +421,7 @@ pub fn scenario_rows() -> Vec<ScenarioRow> {
                     for field in [&state.rho, &state.m1, &state.m2, &state.etot] {
                         for i2 in 0..g.n2 {
                             for i1 in 0..g.n1 {
-                                bits.push(field.get(i1 as isize, i2 as isize).to_bits());
+                                bits.push(field.get(0, i1 as isize, i2 as isize).to_bits());
                             }
                         }
                     }

@@ -320,6 +320,13 @@ struct CoreState {
     n_dead: usize,
     /// Free list of message buffers (see `Comm::recv_into`).
     pool: Vec<MsgBufs>,
+    /// The longest payload a fresh buffer has been sized for.  Fresh
+    /// buffers take this capacity and narrower ones leave the pool, so
+    /// any pooled buffer fits any message seen so far: an exchange that
+    /// mixes strip lengths (x1 and x2 edges of a tile) stops allocating
+    /// once enough buffers circulate, instead of whenever a short strip
+    /// first-fits a long buffer.
+    widest: usize,
     /// Scheduler counters for observability.
     dispatches: u64,
     quiescences: u64,
@@ -364,6 +371,7 @@ impl EventCore {
                 dead: vec![false; n_ranks],
                 n_dead: 0,
                 pool: Vec::new(),
+                widest: 0,
                 dispatches: 0,
                 quiescences: 0,
             }),
@@ -778,7 +786,8 @@ impl EventCore {
             return st.pool.swap_remove(i);
         }
         MSG_BUF_ALLOC.fetch_add(1, Ordering::Relaxed);
-        (Vec::with_capacity(len), Vec::new())
+        st.widest = st.widest.max(len);
+        (Vec::with_capacity(st.widest), Vec::new())
     }
 
     /// Return a delivered message's buffers to the pool.
@@ -787,7 +796,7 @@ impl EventCore {
         data.clear();
         send_clocks.clear();
         let mut st = lock_tolerant(&self.state);
-        if st.pool.len() < POOL_BUFS_PER_RANK * self.n_ranks {
+        if st.pool.len() < POOL_BUFS_PER_RANK * self.n_ranks && data.capacity() >= st.widest {
             st.pool.push((data, send_clocks));
         }
     }

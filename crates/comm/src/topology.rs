@@ -220,7 +220,7 @@ impl CartComm {
     /// Post (nonblocking-send) a strip toward `dir`; returns false at a
     /// domain boundary.  Pair every `post` with a later
     /// [`CartComm::collect_into`] for the same direction, and post every
-    /// direction before collecting any (see `StencilOp::exchange_halos`):
+    /// direction before collecting any (see `v2d_linalg::exchange_halos`):
     /// a post-then-collect per direction would *serialize* the exchange
     /// along the process chain in virtual time, which is not how a
     /// nonblocking MPI halo exchange behaves.  Sends are buffered, so the

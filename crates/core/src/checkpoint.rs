@@ -241,7 +241,7 @@ pub fn restore_checkpoint(sim: &mut V2dSim, file: &File) -> Result<(), Checkpoin
             };
             for i2 in 0..ln2 {
                 for i1 in 0..ln1 {
-                    field.set(i1 as isize, i2 as isize, data[(i2s + i2) * gn1 + (i1s + i1)]);
+                    field.set(0, i1 as isize, i2 as isize, data[(i2s + i2) * gn1 + (i1s + i1)]);
                 }
             }
         }

@@ -488,9 +488,18 @@ impl ParFile {
         let nprx2: usize = self.scalar_or("run.nprx2", 1)?;
         check("run.nprx1", nprx1 >= 1, "process topology must be >= 1")?;
         check("run.nprx2", nprx2 >= 1, "process topology must be >= 1")?;
-        // Every rank must own at least one zone per direction.
-        check("run.nprx1", nprx1 <= n1, format_args!("{nprx1} ranks cannot tile grid.n1 = {n1}"))?;
-        check("run.nprx2", nprx2 <= n2, format_args!("{nprx2} ranks cannot tile grid.n2 = {n2}"))?;
+        // Every rank must own enough zones per direction to fill its
+        // neighbors' ghost frames.
+        let fits = |key: &str, np: usize, axis: &str, zones: usize| {
+            let why = if cfg.hydro.is_some() { " with hydro ghost frames" } else { "" };
+            check(
+                key,
+                np <= cfg.max_ranks_along(zones),
+                format_args!("{np} ranks cannot tile {axis} = {zones}{why}"),
+            )
+        };
+        fits("run.nprx1", nprx1, "grid.n1", n1)?;
+        fits("run.nprx2", nprx2, "grid.n2", n2)?;
         Ok((cfg, (nprx1, nprx2)))
     }
 
@@ -739,6 +748,30 @@ mod tests {
         let (cfg, _) = pf.to_config().unwrap();
         let h = cfg.hydro.expect("hydro enabled");
         assert!((h.gamma - 1.4).abs() < 1e-12);
+    }
+
+    #[test]
+    fn hydro_tiles_narrower_than_the_ghost_depth_are_rejected() {
+        use crate::problems::Family;
+        // Sod with 8 ranks over n1 = 8, Kelvin–Helmholtz with 8 ranks
+        // over n2 = 8: one-zone tiles cannot fill a neighbor's two-deep
+        // ghosts.  Half as many ranks fit.
+        for (family, (n1, n2), narrow, fitting, key) in [
+            (Family::Sod, (8, 4), (8, 1), (4, 1), "run.nprx1"),
+            (Family::KelvinHelmholtz, (16, 8), (1, 8), (1, 4), "run.nprx2"),
+        ] {
+            let deck = |(np1, np2)| family.scenario().deck(n1, n2, 2, np1, np2);
+            let narrow = ParFile::parse(&deck(narrow)).unwrap().to_config();
+            match narrow {
+                Err(ParError::Invalid { key: k, msg }) => {
+                    assert_eq!(k, key, "{family}");
+                    assert!(msg.contains("hydro ghost frames"), "{family}: {msg}");
+                }
+                other => panic!("{family}: a one-zone hydro tile was accepted: {other:?}"),
+            }
+            let (_, np) = ParFile::parse(&deck(fitting)).unwrap().to_config().unwrap();
+            assert_eq!(np, fitting, "{family}");
+        }
     }
 
     #[test]

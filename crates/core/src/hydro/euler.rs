@@ -12,9 +12,9 @@
 
 use v2d_comm::topology::Dir;
 use v2d_comm::{CartComm, Comm};
+use v2d_linalg::{exchange_halos, TileVec};
 use v2d_machine::{ExecCtx, KernelClass, KernelShape};
 
-use crate::field::{exchange_fields, Field2};
 use crate::grid::{Geometry, LocalGrid};
 use crate::hydro::eos::{Cons, GammaLaw, Prim};
 
@@ -67,13 +67,24 @@ impl HydroBc {
     }
 }
 
-/// Conserved hydro fields on the local tile.
-#[derive(Debug, Clone, PartialEq)]
+/// Ghost depth of the hydro fields: the MUSCL reconstruction reads two
+/// zones past each face.  A rank fills its neighbors' ghosts from its
+/// own zones, so a tile narrower than this cannot feed them
+/// ([`crate::sim::V2dConfig::max_ranks_along`]).
+pub const GHOST_DEPTH: usize = 2;
+
+/// Conserved hydro fields on the local tile: one plane each, with a
+/// [`GHOST_DEPTH`]-zone ghost frame.
+#[derive(Debug, Clone)]
 pub struct HydroState {
-    pub rho: Field2,
-    pub m1: Field2,
-    pub m2: Field2,
-    pub etot: Field2,
+    pub rho: TileVec,
+    pub m1: TileVec,
+    pub m2: TileVec,
+    pub etot: TileVec,
+    /// Halo message scratch, reused by every exchange.
+    halo: Vec<f64>,
+    /// One sweep line's primitives, reused by every sweep.
+    line: Vec<Prim>,
 }
 
 impl HydroState {
@@ -85,39 +96,42 @@ impl HydroState {
         eos: &GammaLaw,
         mut f: impl FnMut(usize, usize) -> Prim,
     ) -> Self {
+        let field = || TileVec::with_shape(n1, n2, 1, GHOST_DEPTH);
         let mut st = HydroState {
-            rho: Field2::new(n1, n2),
-            m1: Field2::new(n1, n2),
-            m2: Field2::new(n1, n2),
-            etot: Field2::new(n1, n2),
+            rho: field(),
+            m1: field(),
+            m2: field(),
+            etot: field(),
+            halo: Vec::new(),
+            line: Vec::with_capacity(n1.max(n2) + 2 * GHOST_DEPTH),
         };
         for i2 in 0..n2 {
             for i1 in 0..n1 {
-                let c = eos.to_cons(f(i1, i2));
-                st.rho.set(i1 as isize, i2 as isize, c.rho);
-                st.m1.set(i1 as isize, i2 as isize, c.m1);
-                st.m2.set(i1 as isize, i2 as isize, c.m2);
-                st.etot.set(i1 as isize, i2 as isize, c.etot);
+                st.set_cons(i1 as isize, i2 as isize, eos.to_cons(f(i1, i2)));
             }
         }
         st
     }
 
-    /// Conserved state at `(i1, i2)` (ghosts allowed).
+    /// Conserved state at `(i1, i2)` (ghosts allowed).  The four fields
+    /// share one shape, so one flat index serves them all.
     pub fn cons(&self, i1: isize, i2: isize) -> Cons {
+        let k = self.rho.idx(0, i1, i2);
         Cons {
-            rho: self.rho.get(i1, i2),
-            m1: self.m1.get(i1, i2),
-            m2: self.m2.get(i1, i2),
-            etot: self.etot.get(i1, i2),
+            rho: self.rho.values()[k],
+            m1: self.m1.values()[k],
+            m2: self.m2.values()[k],
+            etot: self.etot.values()[k],
         }
     }
 
-    fn set_cons(&mut self, i1: isize, i2: isize, c: Cons) {
-        self.rho.set(i1, i2, c.rho);
-        self.m1.set(i1, i2, c.m1);
-        self.m2.set(i1, i2, c.m2);
-        self.etot.set(i1, i2, c.etot);
+    /// Set the conserved state at `(i1, i2)`.
+    pub fn set_cons(&mut self, i1: isize, i2: isize, c: Cons) {
+        let k = self.rho.idx(0, i1, i2);
+        self.rho.values_mut()[k] = c.rho;
+        self.m1.values_mut()[k] = c.m1;
+        self.m2.values_mut()[k] = c.m2;
+        self.etot.values_mut()[k] = c.etot;
     }
 
     /// Sum of a conserved quantity over the interior (local part).
@@ -131,22 +145,25 @@ impl HydroState {
     /// flips sign, so the HLL flux through the wall face vanishes and
     /// mass/energy are conserved exactly.
     pub fn exchange_halos(&mut self, cart: &CartComm, comm: &Comm, cx: &mut ExecCtx, bc: &HydroBc) {
-        let ws = 4 * 8 * (self.rho.n1() + 4) * (self.rho.n2() + 4);
-        {
-            let old_ws = cx.set_ws(ws);
-            let HydroState { rho, m1, m2, etot } = self;
-            exchange_fields(cart, comm, cx, &mut [rho, m1, m2, etot]);
-            cx.set_ws(old_ws);
+        let HydroState { rho, m1, m2, etot, halo, .. } = self;
+        let old_ws = cx.set_ws(4 * rho.bytes());
+        exchange_halos(cart, comm, cx, &mut [rho, m1, m2, etot], halo, "field halo");
+        cx.set_ws(old_ws);
+        // The exchange zeroed the physical sides.  Every wall fill reads
+        // interior zones only, and no neighbor strip reaches a corner,
+        // so the fill order cannot matter: outflow on every physical
+        // side, then reflection where the side is a wall.
+        let physical = Dir::ALL.into_iter().filter(|&d| cart.neighbor(d).is_none());
+        for dir in physical.clone() {
+            for f in [&mut *rho, &mut *m1, &mut *m2, &mut *etot] {
+                f.fill_ghost_from_interior(dir, false, 1.0);
+            }
         }
-        // exchange_fields applied outflow at physical edges; overwrite
-        // the reflecting sides.
-        for dir in Dir::ALL {
-            if cart.neighbor(dir).is_none() && bc.side(dir) == BcKind::Reflecting {
-                let normal_is_m1 = matches!(dir, Dir::West | Dir::East);
-                self.rho.reflect_ghost(dir, false);
-                self.etot.reflect_ghost(dir, false);
-                self.m1.reflect_ghost(dir, normal_is_m1);
-                self.m2.reflect_ghost(dir, !normal_is_m1);
+        for dir in physical.filter(|&d| bc.side(d) == BcKind::Reflecting) {
+            let (s1, s2) =
+                if matches!(dir, Dir::West | Dir::East) { (-1.0, 1.0) } else { (1.0, -1.0) };
+            for (f, sign) in [(&mut *rho, 1.0), (&mut *etot, 1.0), (&mut *m1, s1), (&mut *m2, s2)] {
+                f.fill_ghost_from_interior(dir, true, sign);
             }
         }
     }
@@ -312,7 +329,7 @@ impl HydroStepper {
         // zone `k − 2`.  A line reads and writes only its own zones, and
         // it is converted before its first write, so the sweep updates
         // `state` in place.
-        let mut line = Vec::with_capacity(n_sweep as usize + 4);
+        let mut line = std::mem::take(&mut state.line);
         for b in 0..n_line {
             line.clear();
             line.extend((-2..n_sweep + 2).map(|a| prim_at(state, a, b)));
@@ -349,6 +366,7 @@ impl HydroStepper {
                 flux_prev = Some(f);
             }
         }
+        state.line = line;
         // Riemann solves: branchy scalar physics in every compiler model.
         cx.charge(&KernelShape::streaming(
             KernelClass::Physics,
@@ -404,6 +422,26 @@ mod tests {
     }
 
     #[test]
+    fn exchange_moves_two_deep_strips_between_ranks() {
+        let map = TileMap::new(8, 4, 2, 1);
+        let outs = Spmd::new(2).with_profiles(profiles()).run(|ctx| {
+            let cart = CartComm::new(&ctx.comm, map);
+            let t = cart.tile();
+            let w = Prim { rho: 1.0, u1: 0.0, u2: 0.0, p: 1.0 };
+            let mut st = HydroState::from_prim(t.n1, t.n2, &eos(), |_, _| w);
+            st.rho.fill_with(|_, i1, i2| ((t.i1_start + i1) * 10 + i2) as f64);
+            let mut cx = ExecCtx::new(&mut ctx.sink);
+            st.exchange_halos(&cart, &ctx.comm, &mut cx, &HydroBc::outflow());
+            [-2, -1, 4, 5].map(|i1| st.rho.get(0, i1, 1))
+        });
+        // Rank 0 owns global columns 0..4: outflow of column 0 on its
+        // west, columns 4 and 5 from rank 1 on its east.
+        assert_eq!(outs[0], [1.0, 1.0, 41.0, 51.0]);
+        // Rank 1 owns 4..8: columns 2 and 3 on its west, outflow east.
+        assert_eq!(outs[1], [21.0, 31.0, 71.0, 71.0]);
+    }
+
+    #[test]
     fn hll_of_equal_states_is_exact_flux() {
         let w = Prim { rho: 1.0, u1: 0.3, u2: -0.1, p: 0.8 };
         let f = hll_flux(&eos(), w, w, 0);
@@ -434,8 +472,8 @@ mod tests {
             }
             for i2 in 0..8isize {
                 for i1 in 0..12isize {
-                    assert!((st.rho.get(i1, i2) - before.rho.get(i1, i2)).abs() < 1e-13);
-                    assert!((st.etot.get(i1, i2) - before.etot.get(i1, i2)).abs() < 1e-13);
+                    assert!((st.rho.get(0, i1, i2) - before.rho.get(0, i1, i2)).abs() < 1e-13);
+                    assert!((st.etot.get(0, i1, i2) - before.etot.get(0, i1, i2)).abs() < 1e-13);
                 }
             }
         });
@@ -481,12 +519,12 @@ mod tests {
             assert!(((mass1 - mass0) / mass0).abs() < 1e-12, "mass drifted: {mass0} → {mass1}");
             // Post-shock plateau: density between the two initial states
             // somewhere right of center; flow moves right.
-            let rho_mid = st.rho.get(60, 1);
+            let rho_mid = st.rho.get(0, 60, 1);
             assert!(rho_mid < 1.0 && rho_mid > 0.125, "no intermediate state: {rho_mid}");
-            let u_mid = st.m1.get(55, 1) / st.rho.get(55, 1);
+            let u_mid = st.m1.get(0, 55, 1) / st.rho.get(0, 55, 1);
             assert!(u_mid > 0.1, "contact not moving right: u = {u_mid}");
             // Left boundary still undisturbed.
-            assert!((st.rho.get(1, 1) - 1.0).abs() < 1e-6);
+            assert!((st.rho.get(0, 1, 1) - 1.0).abs() < 1e-6);
         });
     }
 
@@ -525,7 +563,7 @@ mod tests {
             let mut peak_i = 0;
             let mut peak = 0.0;
             for i1 in 0..n1 as isize {
-                let v = st.rho.get(i1, 1);
+                let v = st.rho.get(0, i1, 1);
                 if v > peak {
                     peak = v;
                     peak_i = i1;
@@ -627,7 +665,7 @@ mod tests {
                     for i1 in 0..t.n1 {
                         out.push((
                             (t.i1_start + i1, t.i2_start + i2),
-                            st.rho.get(i1 as isize, i2 as isize),
+                            st.rho.get(0, i1 as isize, i2 as isize),
                         ));
                     }
                 }

@@ -5,11 +5,11 @@
 //! (§I-C).  The paper's SVE study runs with hydrodynamics frozen, but the
 //! module is part of the code — and of the multi-physics overhead story —
 //! so it is implemented fully here: a dimensionally split MUSCL–Hancock
-//! scheme with HLL fluxes and a gamma-law equation of state, on the
-//! two-ghost scalar fields of [`crate::field`].
+//! scheme with HLL fluxes and a gamma-law equation of state, on
+//! one-plane [`v2d_linalg::TileVec`]s with two-zone ghost frames.
 
 pub mod eos;
 pub mod euler;
 
 pub use eos::GammaLaw;
-pub use euler::{BcKind, HydroBc, HydroState, HydroStepper, MAX_CFL};
+pub use euler::{BcKind, HydroBc, HydroState, HydroStepper, GHOST_DEPTH, MAX_CFL};

@@ -12,8 +12,6 @@
 //! * [`grid`] — the 2-D structured grid with orthogonal coordinate
 //!   systems (Cartesian, cylindrical r–z, spherical r–θ): V2D "has been
 //!   generically written to allow various coordinate systems" (§I-C);
-//! * [`field`] — scalar tile fields with two-deep ghost frames for the
-//!   hydro reconstruction;
 //! * [`opacity`], [`limiter`] — the microphysics closures: constant
 //!   per-species opacities and the flux limiters (Levermore–Pomraning,
 //!   Wilson) that close the diffusion approximation;
@@ -46,7 +44,6 @@
 
 pub mod checkpoint;
 pub mod config_file;
-pub mod field;
 pub mod grid;
 pub mod hydro;
 pub mod limiter;

@@ -128,11 +128,7 @@ impl Scenario for KelvinHelmholtzScenario {
                         u2: seed_u2(x, y),
                         p: P0,
                     };
-                    let c = eos.to_cons(w);
-                    state.rho.set(i1 as isize, i2 as isize, c.rho);
-                    state.m1.set(i1 as isize, i2 as isize, c.m1);
-                    state.m2.set(i1 as isize, i2 as isize, c.m2);
-                    state.etot.set(i1 as isize, i2 as isize, c.etot);
+                    state.set_cons(i1 as isize, i2 as isize, eos.to_cons(w));
                 }
             }
         }
@@ -148,11 +144,11 @@ impl Scenario for KelvinHelmholtzScenario {
                     let (g1, g2) = grid.to_global(i1, i2);
                     let vol = grid.global.volume(g1, g2);
                     let (i1, i2) = (i1 as isize, i2 as isize);
-                    let rho = state.rho.get(i1, i2);
+                    let rho = state.rho.get(0, i1, i2);
                     mass += rho * vol;
-                    etot += state.etot.get(i1, i2) * vol;
-                    let m1 = state.m1.get(i1, i2);
-                    let m2 = state.m2.get(i1, i2);
+                    etot += state.etot.get(0, i1, i2) * vol;
+                    let m1 = state.m1.get(0, i1, i2);
+                    let m2 = state.m2.get(0, i1, i2);
                     kx += 0.5 * m1 * m1 / rho * vol;
                     ky += 0.5 * m2 * m2 / rho * vol;
                 }

@@ -66,7 +66,7 @@ impl MatterRelaxation {
         // The problem's own config() always enables coupling; a caller
         // who disabled it gets radiation-only initial conditions.
         if let Some(temp) = sim.temperature_mut() {
-            temp.fill_with(|_, _| t0);
+            temp.fill_interior(t0);
         }
     }
 
@@ -117,7 +117,7 @@ mod tests {
             let total0 = p.coupling.cv * p.t0 + p.e0.iter().sum::<f64>();
             sim.run(&ctx.comm, &mut ctx.sink);
 
-            let t = sim.temperature().unwrap().get(4, 4);
+            let t = sim.temperature().unwrap().get(0, 4, 4);
             let e0 = sim.erad().get(0, 4, 4);
             let e1 = sim.erad().get(1, 4, 4);
             let t_eq = p.equilibrium_temperature();
@@ -157,7 +157,7 @@ mod tests {
             let mut sim = V2dSim::new(cfg, &ctx.comm, map);
             p.init(&mut sim);
             sim.run(&ctx.comm, &mut ctx.sink);
-            let t = sim.temperature().unwrap().get(3, 3);
+            let t = sim.temperature().unwrap().get(0, 3, 3);
             assert!(t < p.t0, "gas should cool while radiating: T = {t}");
             let e0 = sim.erad().get(0, 3, 3);
             let e1 = sim.erad().get(1, 3, 3);

@@ -752,7 +752,7 @@ impl Scenario for MarshakScenario {
                 acc.push(sim.erad().get(0, i1, i2), e_ref[0]);
                 acc.push(sim.erad().get(1, i1, i2), e_ref[1]);
                 if let Some(temp) = sim.temperature() {
-                    acc.push(temp.get(i1, i2), t_ref);
+                    acc.push(temp.get(0, i1, i2), t_ref);
                 }
             }
         }
@@ -826,7 +826,7 @@ impl Scenario for SodScenario {
                     let (g1, _) = grid.to_global(i1, i2);
                     let x = grid.global.x1c(g1);
                     let (rho, _, _) = riemann_exact(tube.left, tube.right, gamma, (x - x0) / t);
-                    acc.push(state.rho.get(i1 as isize, i2 as isize), rho);
+                    acc.push(state.rho.get(0, i1 as isize, i2 as isize), rho);
                 }
             }
         }
@@ -865,7 +865,7 @@ pub(crate) fn hydro_rho(sim: &V2dSim) -> Vec<f64> {
     if let Some(state) = sim.hydro() {
         for i2 in 0..g.n2 {
             for i1 in 0..g.n1 {
-                out.push(state.rho.get(i1 as isize, i2 as isize));
+                out.push(state.rho.get(0, i1 as isize, i2 as isize));
             }
         }
     }
@@ -995,7 +995,7 @@ mod tests {
                 for i1 in 0..n1 {
                     let want = if i1 < n1 / 2 { 1.0 } else { 0.125 };
                     assert_eq!(
-                        rho.get(i1 as isize, 0),
+                        rho.get(0, i1 as isize, 0),
                         want,
                         "zone {i1} starts in the wrong state"
                     );

@@ -103,11 +103,11 @@ impl Scenario for SedovScenario {
                     let (x, y) = grid.center(i1, i2);
                     let r = ((x - 0.5).powi(2) + (y - 0.5).powi(2)).sqrt();
                     let p = if r < R_DEPOSIT { p_in } else { P_AMBIENT };
-                    let c = eos.to_cons(Prim { rho: RHO_AMBIENT, u1: 0.0, u2: 0.0, p });
-                    state.rho.set(i1 as isize, i2 as isize, c.rho);
-                    state.m1.set(i1 as isize, i2 as isize, c.m1);
-                    state.m2.set(i1 as isize, i2 as isize, c.m2);
-                    state.etot.set(i1 as isize, i2 as isize, c.etot);
+                    state.set_cons(
+                        i1 as isize,
+                        i2 as isize,
+                        eos.to_cons(Prim { rho: RHO_AMBIENT, u1: 0.0, u2: 0.0, p }),
+                    );
                 }
             }
         }
@@ -126,9 +126,9 @@ impl Scenario for SedovScenario {
                 for i1 in 0..grid.n1 {
                     let (g1, g2) = grid.to_global(i1, i2);
                     let vol = grid.global.volume(g1, g2);
-                    let rho = state.rho.get(i1 as isize, i2 as isize);
+                    let rho = state.rho.get(0, i1 as isize, i2 as isize);
                     mass += rho * vol;
-                    etot += state.etot.get(i1 as isize, i2 as isize) * vol;
+                    etot += state.etot.get(0, i1 as isize, i2 as isize) * vol;
                     let (x, y) = grid.center(i1, i2);
                     let r = ((x - 0.5).powi(2) + (y - 0.5).powi(2)).sqrt();
                     let w = (rho - RHO_AMBIENT).max(0.0) * vol;

@@ -66,11 +66,7 @@ impl SodTube {
                 let (g1, _) = grid.to_global(i1, i2);
                 let x = (grid.global.x1c(g1) - x1min) / x1span;
                 let w = if x < iface { left } else { right };
-                let c = eos.to_cons(w);
-                state.rho.set(i1 as isize, i2 as isize, c.rho);
-                state.m1.set(i1 as isize, i2 as isize, c.m1);
-                state.m2.set(i1 as isize, i2 as isize, c.m2);
-                state.etot.set(i1 as isize, i2 as isize, c.etot);
+                state.set_cons(i1 as isize, i2 as isize, eos.to_cons(w));
             }
         }
         // Faint radiation background so the limiter argument is finite.
@@ -101,7 +97,7 @@ mod tests {
             let mut max_u = 0.0f64;
             for i2 in 0..grid.n2 as isize {
                 for i1 in 0..grid.n1 as isize {
-                    max_u = max_u.max((st.m1.get(i1, i2) / st.rho.get(i1, i2)).abs());
+                    max_u = max_u.max((st.m1.get(0, i1, i2) / st.rho.get(0, i1, i2)).abs());
                 }
             }
             let global_max =

@@ -29,7 +29,7 @@
 //! full code speeds up far less under SVE than its solver kernels.
 
 use v2d_comm::{CartComm, Comm};
-use v2d_linalg::{StencilCoeffs, StencilOp, TileVec, NSPEC};
+use v2d_linalg::{exchange_halos, StencilCoeffs, StencilOp, TileVec, NSPEC};
 use v2d_machine::{ExecCtx, KernelClass, KernelShape};
 
 use crate::grid::LocalGrid;
@@ -70,7 +70,9 @@ pub fn assemble_system(
     let mut buf = Vec::new();
     let ws = 16 * lin_state.bytes();
     let old_ws = cx.set_ws(ws);
-    StencilOp::exchange_halos(cart, comm, cx, lin_state, &mut buf);
+    cx.trace_enter("halo_exchange", &[]);
+    exchange_halos(cart, comm, cx, &mut [lin_state], &mut buf, "halo");
+    cx.trace_exit("halo_exchange");
     cx.set_ws(old_ws);
 
     let mut c = StencilCoeffs::new(n1, n2);

@@ -25,8 +25,6 @@
 use v2d_linalg::{TileVec, NSPEC};
 use v2d_machine::{ExecCtx, KernelClass, KernelShape};
 
-use crate::field::Field2;
-
 /// Coupling closure parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MatterCoupling {
@@ -64,14 +62,14 @@ impl MatterCoupling {
         cx: &mut ExecCtx,
         c_light: f64,
         kappa_a: [f64; NSPEC],
-        temp: &Field2,
+        temp: &TileVec,
         out: &mut TileVec,
     ) {
         let (n1, n2) = (out.n1(), out.n2());
         for (s, kap) in kappa_a.into_iter().enumerate() {
             for i2 in 0..n2 {
                 for i1 in 0..n1 {
-                    let t = temp.get(i1 as isize, i2 as isize);
+                    let t = temp.get(0, i1 as isize, i2 as isize);
                     out.set(s, i1 as isize, i2 as isize, c_light * kap * self.emission(s, t));
                 }
             }
@@ -100,13 +98,13 @@ impl MatterCoupling {
         dt: f64,
         kappa_a: [f64; NSPEC],
         erad: &TileVec,
-        temp: &mut Field2,
+        temp: &mut TileVec,
     ) -> usize {
         let (n1, n2) = (temp.n1(), temp.n2());
         let mut worst = 0usize;
         for i2 in 0..n2 {
             for i1 in 0..n1 {
-                let t0 = temp.get(i1 as isize, i2 as isize);
+                let t0 = temp.get(0, i1 as isize, i2 as isize);
                 assert!(t0 > 0.0, "non-positive temperature at ({i1},{i2}): {t0}");
                 // Residual F(T) = cv(T−T0) − dt·Σ c κ_a (E_s − f_s a T⁴)
                 let absorbed: f64 = (0..NSPEC)
@@ -137,7 +135,7 @@ impl MatterCoupling {
                     assert!(iters < 60, "Newton stalled at ({i1},{i2}): T={t}, step={step}");
                 }
                 worst = worst.max(iters);
-                temp.set(i1 as isize, i2 as isize, t);
+                temp.set(0, i1 as isize, i2 as isize, t);
             }
         }
         cx.charge(&KernelShape::streaming(
@@ -174,8 +172,8 @@ mod tests {
     fn emission_source_scales_as_t4() {
         let cp = MatterCoupling::new(1.0, 2.0, [0.25, 0.75]);
         let mut sk = sink();
-        let mut temp = Field2::new(4, 3);
-        temp.fill_with(|i1, _| 1.0 + i1 as f64);
+        let mut temp = TileVec::with_shape(4, 3, 1, 1);
+        temp.fill_with(|_, i1, _| 1.0 + i1 as f64);
         let mut src = TileVec::new(4, 3);
         cp.emission_source(&mut ExecCtx::new(&mut sk), 1.0, KAPPA_A, &temp, &mut src);
         // zone (1,0): T = 2 → B_0 = 0.25·2·16 = 8; source = c·κ_a·B = 4.
@@ -189,12 +187,12 @@ mod tests {
         // a·T⁴ = ΣE (for even split and equal opacities).
         let cp = MatterCoupling::new(1.0, 1.0, [0.5, 0.5]);
         let mut sk = sink();
-        let mut temp = Field2::new(2, 2);
-        temp.fill_with(|_, _| 1.0);
+        let mut temp = TileVec::with_shape(2, 2, 1, 1);
+        temp.fill_with(|_, _, _| 1.0);
         let mut erad = TileVec::new(2, 2);
         erad.fill_interior(8.0); // ΣE = 16 → T_eq = 2 since a(T⁴)=16
         cp.update_temperature(&mut ExecCtx::new(&mut sk), 1.0, 1e9, KAPPA_A, &erad, &mut temp);
-        let t = temp.get(0, 0);
+        let t = temp.get(0, 0, 0);
         assert!((t - 2.0).abs() < 1e-6, "stiff limit should hit a·T⁴ = ΣE: T = {t}");
     }
 
@@ -204,15 +202,15 @@ mod tests {
         // ΔT ≈ dt/cv · Σ cκ(E − f a T⁴).
         let cp = MatterCoupling::new(2.0, 1.0, [0.5, 0.5]);
         let mut sk = sink();
-        let mut temp = Field2::new(2, 2);
-        temp.fill_with(|_, _| 1.0);
+        let mut temp = TileVec::with_shape(2, 2, 1, 1);
+        temp.fill_with(|_, _, _| 1.0);
         let mut erad = TileVec::new(2, 2);
         erad.fill_interior(3.0);
         let dt = 1e-6;
         cp.update_temperature(&mut ExecCtx::new(&mut sk), 1.0, dt, KAPPA_A, &erad, &mut temp);
         // rate = Σ cκ(E − 0.5·T⁴) = 2·0.5·(3 − 0.5) = 2.5; ΔT = dt·rate/cv.
         let want = 1.0 + dt * 2.5 / 2.0;
-        let got = temp.get(1, 1);
+        let got = temp.get(0, 1, 1);
         assert!((got - want).abs() < 1e-10, "{got} vs {want}");
     }
 
@@ -222,8 +220,8 @@ mod tests {
         // budget the stepper relies on.
         let cp = MatterCoupling::new(1.5, 0.8, [0.6, 0.4]);
         let mut sk = sink();
-        let mut temp = Field2::new(3, 3);
-        temp.fill_with(|i1, i2| 0.8 + 0.1 * (i1 + i2) as f64);
+        let mut temp = TileVec::with_shape(3, 3, 1, 1);
+        temp.fill_with(|_, i1, i2| 0.8 + 0.1 * (i1 + i2) as f64);
         let t_before = temp.clone();
         let mut erad = TileVec::new(3, 3);
         erad.fill_with(|s, i1, i2| 1.0 + 0.2 * (s + i1 + 2 * i2) as f64);
@@ -231,8 +229,8 @@ mod tests {
         cp.update_temperature(&mut ExecCtx::new(&mut sk), 1.0, dt, KAPPA_A, &erad, &mut temp);
         for i2 in 0..3isize {
             for i1 in 0..3isize {
-                let t1 = temp.get(i1, i2);
-                let t0 = t_before.get(i1, i2);
+                let t1 = temp.get(0, i1, i2);
+                let t0 = t_before.get(0, i1, i2);
                 let rhs: f64 = (0..NSPEC)
                     .map(|s| {
                         KAPPA_A[s] * (erad.get(s, i1, i2) - cp.split[s] * cp.a_rad * t1.powi(4))
@@ -250,8 +248,8 @@ mod tests {
     fn newton_is_robust_to_cold_gas_hot_radiation() {
         let cp = MatterCoupling::new(1.0, 1.0, [0.5, 0.5]);
         let mut sk = sink();
-        let mut temp = Field2::new(1, 1);
-        temp.fill_with(|_, _| 1e-6);
+        let mut temp = TileVec::with_shape(1, 1, 1, 1);
+        temp.fill_with(|_, _, _| 1e-6);
         let mut erad = TileVec::new(1, 1);
         erad.fill_interior(1e6);
         let iters = cp.update_temperature(
@@ -262,7 +260,7 @@ mod tests {
             &erad,
             &mut temp,
         );
-        let t = temp.get(0, 0);
+        let t = temp.get(0, 0, 0);
         assert!(t > 1.0 && t.is_finite(), "T = {t}");
         assert!(iters < 50);
     }

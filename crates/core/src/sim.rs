@@ -15,7 +15,6 @@ use v2d_machine::{
 use v2d_obs::{RunReport, Tracer};
 use v2d_perf::Profiler;
 
-use crate::field::Field2;
 use crate::grid::{Grid2, LocalGrid};
 use crate::hydro::{GammaLaw, HydroState, HydroStepper};
 use crate::limiter::Limiter;
@@ -68,6 +67,16 @@ pub struct V2dConfig {
     /// with `hydro` (coupled gas-energy feedback into the flow is listed
     /// as future work, mirroring the paper's own scoping).
     pub coupling: Option<MatterCoupling>,
+}
+
+impl V2dConfig {
+    /// The most ranks an axis of `zones` zones can be split across.
+    /// Each rank fills its neighbors' ghost frames from zones it owns,
+    /// so with hydro every tile must be at least
+    /// [`crate::hydro::GHOST_DEPTH`] zones wide; radiation needs one.
+    pub fn max_ranks_along(&self, zones: usize) -> usize {
+        zones / if self.hydro.is_some() { crate::hydro::GHOST_DEPTH } else { 1 }
+    }
 }
 
 /// Bounds on the driver's recovery ladder when a radiation solve fails
@@ -186,7 +195,7 @@ pub struct V2dSim {
     source: TileVec,
     hydro: Option<(HydroStepper, HydroState)>,
     /// Gas temperature field when matter coupling is active.
-    temp: Option<Field2>,
+    temp: Option<TileVec>,
     time: f64,
     istep: usize,
     /// Reusable solver + stepper scratch (one per rank; reused across
@@ -226,8 +235,8 @@ impl V2dSim {
             (HydroStepper::new(eos, h.cfl).with_bc(h.bc), state)
         });
         let temp = cfg.coupling.map(|_| {
-            let mut t = Field2::new(tile.n1, tile.n2);
-            t.fill_with(|_, _| 1.0);
+            let mut t = TileVec::with_shape(tile.n1, tile.n2, 1, 1);
+            t.fill_interior(1.0);
             t
         });
         V2dSim {
@@ -330,12 +339,12 @@ impl V2dSim {
     }
 
     /// Gas temperature field, if matter coupling is enabled.
-    pub fn temperature(&self) -> Option<&Field2> {
+    pub fn temperature(&self) -> Option<&TileVec> {
         self.temp.as_ref()
     }
 
     /// Mutable gas temperature field (problem setup).
-    pub fn temperature_mut(&mut self) -> Option<&mut Field2> {
+    pub fn temperature_mut(&mut self) -> Option<&mut TileVec> {
         self.temp.as_mut()
     }
 
@@ -618,7 +627,7 @@ struct StepPhases<'a> {
     erad: &'a mut TileVec,
     source: &'a mut TileVec,
     hydro: Option<&'a mut (HydroStepper, HydroState)>,
-    temp: Option<&'a mut Field2>,
+    temp: Option<&'a mut TileVec>,
     wks: &'a mut RadWorkspace,
     recovery: RecoveryPolicy,
     istep: usize,

@@ -180,26 +180,26 @@ enum RankOutcome {
     Failed { istep: usize, what: String },
 }
 
-/// Deterministic factorization of `n_ranks` into a process grid that
-/// fits an `n1 × n2` zone grid: the most square factor pair, larger
-/// factor along the larger grid axis.  Falls back to a strip when
-/// nothing squarer fits.
-pub fn decompose(n_ranks: usize, n1: usize, n2: usize) -> (usize, usize) {
-    let mut a = 1;
-    while (a + 1) * (a + 1) <= n_ranks {
-        a += 1;
-    }
-    while a >= 1 {
-        if n_ranks.is_multiple_of(a) {
-            let b = n_ranks / a;
-            let (np1, np2) = if n1 >= n2 { (b, a) } else { (a, b) };
-            if np1 <= n1 && np2 <= n2 {
-                return (np1, np2);
+/// Deterministic factorization of up to `n_ranks` ranks into a process
+/// grid of at most `max1 × max2` (see
+/// [`crate::sim::V2dConfig::max_ranks_along`]): the largest rank count
+/// that has a fitting factor pair, as its most square pair, larger
+/// factor along the larger axis.
+pub fn decompose(n_ranks: usize, max1: usize, max2: usize) -> (usize, usize) {
+    for n in (1..=n_ranks).rev() {
+        let mut a = n.isqrt();
+        while a >= 1 {
+            if n.is_multiple_of(a) {
+                let b = n / a;
+                let (np1, np2) = if max1 >= max2 { (b, a) } else { (a, b) };
+                if np1 <= max1 && np2 <= max2 {
+                    return (np1, np2);
+                }
             }
+            a -= 1;
         }
-        a -= 1;
     }
-    (n_ranks, 1)
+    (1, 1)
 }
 
 /// Supervise a run: launch, and on a fatal attempt roll back, back off,
@@ -313,7 +313,12 @@ pub fn run_supervised(
                     reason: "every rank died".to_string(),
                 });
             }
-            let new_np = decompose(survivors, spec.cfg.grid.n1, spec.cfg.grid.n2);
+            let cfg = &spec.cfg;
+            let new_np = decompose(
+                survivors,
+                cfg.max_ranks_along(cfg.grid.n1),
+                cfg.max_ranks_along(cfg.grid.n2),
+            );
             ledger.redecompositions += 1;
             ledger.events.push(format!(
                 "attempt {}: shrink {}x{} -> {}x{}",
@@ -450,6 +455,10 @@ mod tests {
         assert_eq!(decompose(1, 16, 8), (1, 1));
         // Larger factor hugs the larger axis.
         assert_eq!(decompose(2, 8, 16), (1, 2));
+        // Three survivors cannot split an axis of at most two ranks (a
+        // 4×4 hydro grid): the largest count that fits is two.
+        assert_eq!(decompose(3, 2, 2), (2, 1));
+        assert_eq!(decompose(5, 2, 2), (2, 2));
     }
 
     #[test]

@@ -56,6 +56,29 @@ fn rank_kill_recovers_via_rollback_and_shrink() {
 }
 
 #[test]
+fn shrink_keeps_hydro_tiles_at_least_two_zones_wide() {
+    // Sod on a 4×4 grid at 2×2 loses rank 3.  Three survivors would tile
+    // as 3×1 with one-zone-wide tiles, too narrow for the two-deep hydro
+    // ghosts; the supervisor must shrink to 2×1 and finish.
+    let plan = FaultPlan::empty().with_event(1, Some(3), FaultKind::RankKill);
+    let spec = SuperviseSpec {
+        cfg: Family::Sod.scenario().config(4, 4, 3),
+        scenario: Family::Sod,
+        np1: 2,
+        np2: 2,
+        plan,
+        checkpoint_every: 1,
+        checkpoint_keep: 2,
+        dir: temp_dir("narrow"),
+    };
+    let report = run_supervised(&spec, RetryPolicy::default()).expect("run must recover");
+    assert_eq!(report.final_np, (2, 1));
+    let events = report.ledger.events.join("\n");
+    assert!(events.contains("shrink 2x2 -> 2x1"), "ledger:\n{events}");
+    assert!(report.final_bits.iter().all(|b| f64::from_bits(*b).is_finite()));
+}
+
+#[test]
 fn stall_forever_recovers_without_checkpoints_by_restarting() {
     // No checkpoints: the rollback target is the initial condition, so
     // every completed step is replayed.

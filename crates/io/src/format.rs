@@ -157,15 +157,6 @@ impl File {
         (parts, leaf)
     }
 
-    /// Create (or reuse) the group at `path` ("a/b/c").
-    pub fn create_group(&mut self, path: &str) -> &mut Group {
-        let mut g = &mut self.root;
-        for part in path.split('/').filter(|p| !p.is_empty()) {
-            g = g.get_or_create_group(part);
-        }
-        g
-    }
-
     /// Write (or overwrite) a dataset at `path`, creating intermediate
     /// groups.
     pub fn write_dataset(&mut self, path: &str, ds: Dataset) {

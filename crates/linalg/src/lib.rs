@@ -5,13 +5,15 @@
 //! are "stored as Fortran arrays defined with the same spatial shape as
 //! the 2D grid" (paper, §I-C).  This crate is that layer:
 //!
-//! * [`TileVec`] — a rank-local field over the tile, two radiation species
-//!   per zone, with a one-zone ghost frame for the 5-point stencil;
+//! * [`TileVec`] — a rank-local field over the tile: planes over a ghost
+//!   frame, two radiation species with a one-zone frame for the 5-point
+//!   stencil, or one hydro plane with a two-zone frame for MUSCL;
 //! * [`kernels`] — DPROD / DAXPY / DSCAL / DDAXPY / copy / norm, each
 //!   executing natively and charging its [`v2d_machine::KernelShape`] to
 //!   the rank's cost sinks;
 //! * [`StencilOp`] — the matrix-free pentadiagonal operator with local
-//!   2×2 species coupling (the `x1·x2·2`-unknown system of the paper);
+//!   2×2 species coupling (the `x1·x2·2`-unknown system of the paper),
+//!   and [`exchange_halos`], the one halo exchange every field uses;
 //! * [`precond`] — Identity / Jacobi / block-Jacobi / SPAI(1)
 //!   preconditioners, the last following the sparse-approximate-inverse
 //!   approach of Swesty, Smolarski & Saylor (2004), the paper's ref [7];
@@ -45,7 +47,7 @@ pub mod sparsity;
 pub mod tilevec;
 pub mod workspace;
 
-pub use op::{LinearOp, StencilCoeffs, StencilOp};
+pub use op::{exchange_halos, LinearOp, StencilCoeffs, StencilOp};
 pub use precond::{BlockJacobi, Identity, Jacobi, Preconditioner, Spai};
 pub use solver::{
     bicgstab, cg, gmres, solve_cascade, BicgVariant, BreakdownReason, SolveAttempt, SolveError,

@@ -168,62 +168,11 @@ impl StencilOp {
         &self.cart
     }
 
-    /// Refresh the ghost frame of `field`: halo exchange with neighbors,
-    /// zeros at physical boundaries.  Charges packing work (at the
-    /// context's ambient working set) and MPI time.
-    pub fn exchange_halos(
-        cart: &CartComm,
-        comm: &Comm,
-        cx: &mut ExecCtx,
-        field: &mut TileVec,
-        buf: &mut Vec<f64>,
-    ) {
-        cx.trace_enter("halo_exchange", &[]);
-        // Post every direction first (nonblocking sends), then receive:
-        // the virtual clocks of the receives then overlap instead of
-        // serializing along the process chain — the behaviour of a real
-        // Irecv/Isend/Waitall halo exchange.
-        for dir in Dir::ALL {
-            if cart.neighbor(dir).is_some() {
-                field.pack_edge(dir, buf);
-                cx.charge_streaming(KernelClass::Pack, buf.len(), 0, 1, 1);
-                cart.post(comm, cx, dir, buf);
-            } else {
-                field.zero_ghost(dir);
-            }
-        }
-        // `buf` is free again once every direction is posted; receive
-        // through it (`collect_into` recycles the transport buffer) so a
-        // steady-state exchange loop allocates nothing.
-        for dir in Dir::ALL {
-            match cart.collect_into(comm, cx, dir, buf) {
-                Ok(true) => {
-                    field.unpack_ghost(dir, buf);
-                    cx.charge_streaming(KernelClass::Pack, buf.len(), 0, 1, 1);
-                }
-                Ok(false) => {}
-                Err(e) => {
-                    // A lost or late halo strip (only reachable when a
-                    // fault injector armed a receive deadline): keep the
-                    // stale ghost frame — a zero-order hold — instead of
-                    // aborting the solve.  The tag stream realigns at
-                    // the next exchange because each (src, dst) channel
-                    // carries a single direction's tag.
-                    if let Some(inj) = cx.faults() {
-                        inj.note(format!("halo recv failed ({e}); holding stale ghost"));
-                    }
-                }
-            }
-        }
-        cx.trace_exit("halo_exchange");
-    }
-
     /// Fill the ghost frames of the five spatial coefficient fields from
     /// the neighboring ranks (needed once, before constructing an SPAI
     /// preconditioner).
     pub fn exchange_coeff_halos(&mut self, comm: &Comm, cx: &mut ExecCtx) {
         let old_ws = cx.set_ws(self.ws_hint);
-        let mut buf = std::mem::take(&mut self.buf);
         for field in [
             &mut self.coeffs.cc,
             &mut self.coeffs.cw,
@@ -232,9 +181,10 @@ impl StencilOp {
             &mut self.coeffs.cn,
             &mut self.coeffs.cpl,
         ] {
-            Self::exchange_halos(&self.cart, comm, cx, field, &mut buf);
+            cx.trace_enter("halo_exchange", &[]);
+            exchange_halos(&self.cart, comm, cx, &mut [field], &mut self.buf, "halo");
+            cx.trace_exit("halo_exchange");
         }
-        self.buf = buf;
         cx.set_ws(old_ws);
     }
 }
@@ -249,9 +199,9 @@ impl LinearOp for StencilOp {
         // here classify residency correctly whatever the caller's
         // ambient state, then restore.
         let old_ws = cx.set_ws(self.ws_hint);
-        let mut buf = std::mem::take(&mut self.buf);
-        Self::exchange_halos(&self.cart, comm, cx, x, &mut buf);
-        self.buf = buf;
+        cx.trace_enter("halo_exchange", &[]);
+        exchange_halos(&self.cart, comm, cx, &mut [x], &mut self.buf, "halo");
+        cx.trace_exit("halo_exchange");
 
         let c = &self.coeffs;
         let bands = [&c.cc, &c.cw, &c.ce, &c.cs, &c.cn, &c.cpl];
@@ -288,6 +238,70 @@ impl LinearOp for StencilOp {
 
     fn working_set(&self) -> usize {
         self.ws_hint
+    }
+}
+
+/// Refresh the ghost frames of `tiles`: one message per neighbor
+/// direction carrying every tile's strip in slice order, zeros at
+/// physical sides (callers with other boundary conditions overwrite
+/// those afterwards).  Charges packing work at the context's ambient
+/// working set, and MPI time.  `buf` is caller-owned scratch, so a
+/// steady-state exchange loop allocates nothing; `what` names the
+/// exchange in the stale-ghost fault note.
+pub fn exchange_halos(
+    cart: &CartComm,
+    comm: &Comm,
+    cx: &mut ExecCtx,
+    tiles: &mut [&mut TileVec],
+    buf: &mut Vec<f64>,
+    what: &str,
+) {
+    // Post every direction first (nonblocking sends), then receive:
+    // the virtual clocks of the receives then overlap instead of
+    // serializing along the process chain — the behaviour of a real
+    // Irecv/Isend/Waitall halo exchange.
+    for dir in Dir::ALL {
+        if cart.neighbor(dir).is_some() {
+            buf.clear();
+            for t in tiles.iter() {
+                t.pack_edge(dir, buf);
+            }
+            cx.charge_streaming(KernelClass::Pack, buf.len(), 0, 1, 1);
+            cart.post(comm, cx, dir, buf);
+        } else {
+            for t in tiles.iter_mut() {
+                t.zero_ghost(dir);
+            }
+        }
+    }
+    // `buf` is free again once every direction is posted; receive
+    // through it (`collect_into` recycles the transport buffer).
+    for dir in Dir::ALL {
+        match cart.collect_into(comm, cx, dir, buf) {
+            Ok(true) => {
+                let total: usize = tiles.iter().map(|t| t.edge_len(dir)).sum();
+                assert_eq!(buf.len(), total, "halo strip length mismatch");
+                let mut rest = &buf[..];
+                for t in tiles.iter_mut() {
+                    let (strip, tail) = rest.split_at(t.edge_len(dir));
+                    t.unpack_ghost(dir, strip);
+                    rest = tail;
+                }
+                cx.charge_streaming(KernelClass::Pack, buf.len(), 0, 1, 1);
+            }
+            Ok(false) => {}
+            Err(e) => {
+                // A lost or late halo strip (only reachable when a
+                // fault injector armed a receive deadline): keep the
+                // stale ghost frame — a zero-order hold — instead of
+                // aborting the step.  The tag stream realigns at the
+                // next exchange because each (src, dst) channel carries
+                // a single direction's tag.
+                if let Some(inj) = cx.faults() {
+                    inj.note(format!("{what} recv failed ({e}); holding stale ghost"));
+                }
+            }
+        }
     }
 }
 

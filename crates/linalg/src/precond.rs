@@ -22,7 +22,7 @@
 use v2d_comm::{CartComm, Comm};
 use v2d_machine::{ExecCtx, KernelClass, KernelShape};
 
-use crate::op::{LinearOp, StencilCoeffs, StencilOp};
+use crate::op::{exchange_halos, LinearOp, StencilCoeffs, StencilOp};
 use crate::tilevec::TileVec;
 use crate::NSPEC;
 
@@ -324,9 +324,9 @@ impl Preconditioner for Spai {
     fn apply(&mut self, comm: &Comm, cx: &mut ExecCtx, r: &mut TileVec, z: &mut TileVec) {
         let (n1, n2) = self.m.dims();
         let old_ws = cx.set_ws(self.ws);
-        let mut buf = std::mem::take(&mut self.buf);
-        StencilOp::exchange_halos(&self.cart, comm, cx, r, &mut buf);
-        self.buf = buf;
+        cx.trace_enter("halo_exchange", &[]);
+        exchange_halos(&self.cart, comm, cx, &mut [r], &mut self.buf, "halo");
+        cx.trace_exit("halo_exchange");
         let c = &self.m;
         for s in 0..NSPEC {
             let other = 1 - s;

@@ -206,11 +206,6 @@ impl KernelCounters {
         self.cycles.iter().sum()
     }
 
-    /// Total flops across all classes.
-    pub fn total_flops(&self) -> u64 {
-        self.flops.iter().sum()
-    }
-
     /// Merge another counter set into this one (used when aggregating
     /// ranks).
     pub fn merge(&mut self, other: &KernelCounters) {

@@ -80,21 +80,6 @@ impl Event {
             _ => None,
         })
     }
-
-    /// Numeric attribute lookup (U64/I64/F64 widened to f64).
-    pub fn attr_num(&self, key: &str) -> Option<f64> {
-        self.attrs.iter().find_map(|(k, v)| {
-            if k != key {
-                return None;
-            }
-            match v {
-                Attr::U64(x) => Some(*x as f64),
-                Attr::I64(x) => Some(*x as f64),
-                Attr::F64(x) => Some(*x),
-                _ => None,
-            }
-        })
-    }
 }
 
 /// An open span: per-lane begin clocks plus the lane-0 cycles already

@@ -326,11 +326,6 @@ impl Service {
         self.pool.drain();
     }
 
-    /// Queued-but-undispatched jobs.
-    pub fn queue_depth(&self) -> u64 {
-        self.pool.depth()
-    }
-
     /// Finish queued work and join the workers.
     pub fn shutdown(self) {
         self.pool.shutdown();

@@ -346,11 +346,6 @@ impl DecodedProgram {
         self.plan.chains.len()
     }
 
-    /// Static instructions covered by fused chains.
-    pub fn fused_static_ops(&self) -> usize {
-        self.plan.fused_static_ops()
-    }
-
     /// The fused chains as `(start, len, compound mnemonic)` triples, in
     /// program order.
     pub fn chains(&self) -> impl Iterator<Item = (usize, usize, &'static str)> + '_ {

@@ -2,7 +2,6 @@
 //! syntax, so kernel builders can be eyeballed against what a real
 //! compiler emits (and so test failures print something readable).
 
-use crate::decode::DecodedProgram;
 use crate::isa::Instr;
 
 /// Canonical short mnemonic of an instruction — the single source of
@@ -143,54 +142,6 @@ pub fn disassemble(prog: &[Instr]) -> String {
     out
 }
 
-/// Render a decoded program, grouping fused superop chains under their
-/// compound mnemonic.
-///
-/// A chain prints as one header line carrying the compound name (the
-/// `+`-joined mnemonics of its parts, each deduped through [`mnemonic`])
-/// followed by its parts indented with a `| ` gutter.  Instructions
-/// outside any chain render exactly like [`disassemble`], labels
-/// included, so the two outputs diff cleanly.
-pub fn disassemble_decoded(dp: &DecodedProgram) -> String {
-    use std::collections::{BTreeMap, BTreeSet};
-    let prog: Vec<Instr> = dp.instrs();
-    let mut targets = BTreeSet::new();
-    for i in &prog {
-        if let Instr::B { target } | Instr::BLtX { target, .. } | Instr::BGeX { target, .. } = i {
-            targets.insert(*target);
-        }
-    }
-    let chain_at: BTreeMap<usize, (usize, &'static str)> =
-        dp.chains().map(|(start, len, name)| (start, (len, name))).collect();
-    let mut out = String::new();
-    let mut at = 0;
-    while at < prog.len() {
-        // Chain interiors are never branch targets (the fusion planner
-        // refuses such chains), so labels only ever land on this boundary.
-        if targets.contains(&at) {
-            out.push_str(&format!(".L{at}:\n"));
-        }
-        if let Some(&(len, name)) = chain_at.get(&at) {
-            out.push_str(&format!("        {name}\n"));
-            for i in &prog[at..at + len] {
-                out.push_str("          | ");
-                out.push_str(&format_instr(i));
-                out.push('\n');
-            }
-            at += len;
-        } else {
-            out.push_str("        ");
-            out.push_str(&format_instr(&prog[at]));
-            out.push('\n');
-            at += 1;
-        }
-    }
-    if targets.contains(&prog.len()) {
-        out.push_str(&format!(".L{}:\n", prog.len()));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,29 +190,8 @@ mod tests {
     }
 
     #[test]
-    fn fused_disassembly_groups_chains_under_compound_mnemonics() {
-        use crate::exec::ExecConfig;
-        let prog = sve_code::daxpy();
-        let dp = DecodedProgram::decode(&prog, &ExecConfig::a64fx_l1());
-        let text = disassemble_decoded(&dp);
-        // The whole loop body fuses into one superop; its header names
-        // every part and the parts follow in a `| ` gutter.
-        assert!(text.contains("whilelt+ld1d+ld1d+fmla+st1d+incd+b.lt"), "{text}");
-        let gutter = text.lines().filter(|l| l.trim_start().starts_with("| ")).count();
-        assert_eq!(gutter, dp.fused_static_ops(), "{text}");
-        // Every instruction renders exactly once, headers aside.
-        let rendered = text
-            .lines()
-            .filter(|l| {
-                let t = l.trim_start();
-                !t.starts_with(".L") && !crate::fuse::is_compound_name(t)
-            })
-            .count();
-        assert_eq!(rendered, prog.len(), "{text}");
-    }
-
-    #[test]
     fn compound_names_are_the_part_mnemonics_joined() {
+        use crate::decode::DecodedProgram;
         use crate::exec::ExecConfig;
         for prog in [scalar::matvec(), sve_code::matvec(), sve_code::dprod()] {
             let dp = DecodedProgram::decode(&prog, &ExecConfig::a64fx_l1());

@@ -119,15 +119,6 @@ pub struct ExecStats {
 }
 
 impl ExecStats {
-    /// Instructions per cycle.
-    pub fn ipc(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.instrs as f64 / self.cycles as f64
-        }
-    }
-
     /// Flops per cycle.
     pub fn flops_per_cycle(&self) -> f64 {
         if self.cycles == 0 {

@@ -332,18 +332,6 @@ pub(crate) struct FusionPlan {
     pub chains: Vec<FusedChain>,
 }
 
-impl FusionPlan {
-    /// Total instructions covered by fused chains (static count).
-    pub fn fused_static_ops(&self) -> usize {
-        self.chains.iter().map(|c| c.len).sum()
-    }
-}
-
-/// True when `s` is the compound mnemonic of some fusion pattern.
-pub fn is_compound_name(s: &str) -> bool {
-    PATTERNS.iter().any(|(name, _)| *name == s)
-}
-
 /// Build the fusion plan for a decoded program: greedy longest-first
 /// matching of [`PATTERNS`] over the opcode classes, never fusing across
 /// an interior branch target.  Every chain's [`ChainCost`] is composed

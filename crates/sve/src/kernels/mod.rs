@@ -16,9 +16,11 @@
 //! codegen pattern of the Cray and Fujitsu compilers on A64FX.  Each
 //! runner executes the program on the simulated core, checks nothing
 //! itself, and returns both the architectural result (so tests can compare
-//! against the native oracles here) and the cycle statistics (which the
+//! against native oracles) and the cycle statistics (which the
 //! Table II harness converts to seconds).
 
+#[cfg(test)]
+mod oracle;
 pub mod scalar;
 pub mod sve_code;
 
@@ -108,59 +110,6 @@ impl BandedSystem {
             sys.du2[n - 1 - i] = 0.0;
         }
         sys
-    }
-
-    /// Native oracle: `y = A·x`.
-    pub fn matvec_reference(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.n);
-        let n = self.n;
-        let m = self.m;
-        let mut y = vec![0.0; n];
-        for i in 0..n {
-            let mut v = self.dc[i] * x[i];
-            if i >= 1 {
-                v += self.dl1[i] * x[i - 1];
-            }
-            if i + 1 < n {
-                v += self.du1[i] * x[i + 1];
-            }
-            if i >= m {
-                v += self.dl2[i] * x[i - m];
-            }
-            if i + m < n {
-                v += self.du2[i] * x[i + m];
-            }
-            y[i] = v;
-        }
-        y
-    }
-}
-
-/// Native oracles for the vector routines (used by tests and by the
-/// Table II harness to verify the simulated kernels).
-pub mod oracle {
-    /// `x · y`
-    pub fn dprod(x: &[f64], y: &[f64]) -> f64 {
-        x.iter().zip(y).map(|(a, b)| a * b).sum()
-    }
-
-    /// `y ← a·x + y`
-    pub fn daxpy(a: f64, x: &[f64], y: &mut [f64]) {
-        for (yi, xi) in y.iter_mut().zip(x) {
-            *yi += a * xi;
-        }
-    }
-
-    /// `y ← c − d·y`
-    pub fn dscal(c: f64, d: f64, y: &mut [f64]) {
-        for yi in y.iter_mut() {
-            *yi = c - d * *yi;
-        }
-    }
-
-    /// `w ← a·x + b·y + z`
-    pub fn ddaxpy(a: f64, b: f64, x: &[f64], y: &[f64], z: &[f64]) -> Vec<f64> {
-        x.iter().zip(y).zip(z).map(|((xi, yi), zi)| a * xi + b * yi + zi).collect()
     }
 }
 
@@ -602,7 +551,7 @@ mod tests {
         for (n, m) in [(10usize, 3usize), (64, 8), (1000, 50), (1000, 200)] {
             let sys = BandedSystem::test_system(n, m);
             let x = test_vec(n, 0.29);
-            let expect = sys.matvec_reference(&x);
+            let expect = oracle::matvec(&sys, &x);
             for v in [Variant::Scalar, Variant::Sve] {
                 let (got, _) = run_matvec(&sys, &x, v, &cfg());
                 approx_eq_slice(&got, &expect, 1e-13);

@@ -38,7 +38,7 @@ pub(crate) mod thread;
 
 pub use asm::{Asm, Label};
 pub use decode::DecodedProgram;
-pub use disasm::{disassemble, disassemble_decoded, mnemonic};
+pub use disasm::{disassemble, mnemonic};
 pub use exec::{ExecConfig, ExecStats, Executor};
 pub use isa::{Instr, D, P, X, Z};
 pub use mem::SimMem;

@@ -30,7 +30,7 @@ fn main() {
         let mut rows = Vec::new();
         for step in 0..=200 {
             if step % 20 == 0 {
-                let t = sim.temperature().unwrap().get(4, 8);
+                let t = sim.temperature().unwrap().get(0, 4, 8);
                 let e0 = sim.erad().get(0, 4, 8);
                 let e1 = sim.erad().get(1, 4, 8);
                 rows.push((sim.time(), t, e0, e1));
