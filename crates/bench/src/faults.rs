@@ -96,7 +96,7 @@ fn run_cfg(
         let mut recoveries = 0u32;
         for _ in 0..steps {
             let st = sim.step(&ctx.comm, &mut ctx.sink);
-            recoveries += st.recoveries + st.rad.stages.iter().map(|s| s.recoveries).sum::<u32>();
+            recoveries += st.all_recoveries();
             if ckdir.is_some() && sim.istep().is_multiple_of(CK_EVERY) {
                 let f =
                     write_checkpoint(&ctx.comm, &mut ctx.sink, &sim).expect("checkpoint gather");

@@ -11,7 +11,6 @@ use v2d_comm::{Spmd, TileMap};
 use v2d_core::problems::GaussianPulse;
 use v2d_core::sim::{V2dConfig, V2dSim};
 use v2d_machine::ALL_COMPILERS;
-use v2d_perf::PerfStat;
 
 /// One reproduced row.
 #[derive(Debug, Clone)]
@@ -50,12 +49,12 @@ pub fn run_topology(cfg: &V2dConfig, nx1: usize, nx2: usize) -> Row {
     let outs = Spmd::new(np).run(move |ctx| {
         let mut sim = V2dSim::new(cfg, &ctx.comm, map);
         GaussianPulse::standard().init(&mut sim);
-        let sessions: Vec<PerfStat> = ctx.sink.lanes.iter().map(PerfStat::start).collect();
+        let starts: Vec<_> = ctx.sink.lanes.iter().map(|l| l.clock.now()).collect();
         let agg = sim.run(&ctx.comm, &mut ctx.sink);
-        let secs: Vec<f64> = sessions
+        let secs: Vec<f64> = starts
             .into_iter()
             .zip(&ctx.sink.lanes)
-            .map(|(s, lane)| s.stop(lane).duration_time)
+            .map(|(start, lane)| (lane.clock.now() - start).as_secs(lane.model.freq_hz))
             .collect();
         (secs, agg.total_iters, agg.total_solves)
     });

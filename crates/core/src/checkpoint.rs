@@ -265,7 +265,9 @@ pub struct CheckpointStore {
 
 impl CheckpointStore {
     /// A store rooted at `dir` (created on demand), keeping at most
-    /// `keep` checkpoints on disk.
+    /// `keep` checkpoints on disk (clamped to ≥ 1).  Pruning runs after
+    /// each successful [`CheckpointStore::save`] and never deletes the
+    /// newest file.
     pub fn new(dir: impl Into<PathBuf>, keep: usize) -> Result<Self, CheckpointError> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir).map_err(|e| CheckpointError::Io(H5Error::Io(e)))?;
@@ -275,14 +277,6 @@ impl CheckpointStore {
     /// The directory this store writes into.
     pub fn dir(&self) -> &Path {
         &self.dir
-    }
-
-    /// Adjust the retention policy: keep at most `k` checkpoints
-    /// (clamped to ≥ 1).  Pruning runs after each successful
-    /// [`CheckpointStore::save`] and never deletes the newest file.
-    pub fn keep_last(mut self, k: usize) -> Self {
-        self.keep = k.max(1);
-        self
     }
 
     /// The current retention bound.
@@ -451,7 +445,8 @@ mod tests {
         });
         let dir = std::env::temp_dir().join(format!("v2d_ck_retention_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut store = CheckpointStore::new(&dir, 10).unwrap().keep_last(3);
+        assert_eq!(CheckpointStore::new(&dir, 0).unwrap().keep(), 1, "keep clamps to ≥ 1");
+        let mut store = CheckpointStore::new(&dir, 3).unwrap();
         assert_eq!(store.keep(), 3);
         for istep in 1..=6 {
             store.save(&ck[0], istep).unwrap();

@@ -508,7 +508,7 @@ impl ParFile {
     /// (the default) disables periodic checkpointing entirely — the
     /// paper decks carry no knob and their runs stay byte-identical;
     /// `checkpoint_keep` bounds the on-disk rotation
-    /// ([`crate::checkpoint::CheckpointStore::keep_last`], default 4).
+    /// ([`crate::checkpoint::CheckpointStore::new`]'s `keep`, default 4).
     pub fn checkpoint_policy(&self) -> Result<(usize, usize), ParError> {
         let every: usize = self.scalar_or("run.checkpoint_every", 0)?;
         let keep: usize = self.scalar_or("run.checkpoint_keep", 4)?;

@@ -70,9 +70,9 @@ pub fn assemble_system(
     let mut buf = Vec::new();
     let ws = 16 * lin_state.bytes();
     let old_ws = cx.set_ws(ws);
-    cx.trace_enter("halo_exchange", &[]);
-    exchange_halos(cart, comm, cx, &mut [lin_state], &mut buf, "halo");
-    cx.trace_exit("halo_exchange");
+    cx.span("halo_exchange", &[], |cx| {
+        exchange_halos(cart, comm, cx, &mut [lin_state], &mut buf, "halo");
+    });
     cx.set_ws(old_ws);
 
     let mut c = StencilCoeffs::new(n1, n2);

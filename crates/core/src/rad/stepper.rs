@@ -178,10 +178,9 @@ impl RadStepper {
             // BiCGSTAB call sites at nearly equal thirds of the runtime.
             wks.e_stage.copy_from(erad);
 
-            cx.enter(name);
             let e_stage = &mut wks.e_stage;
             let swks = &mut wks.solver;
-            let st = match self.precond {
+            let st = cx.routine(name, |cx| match self.precond {
                 PrecondKind::None => {
                     let mut m = Identity;
                     solve_cascade(comm, cx, &mut op, &mut m, &rhs, e_stage, swks, &self.solve)
@@ -199,8 +198,7 @@ impl RadStepper {
                     let mut m = Spai::new(&op, comm, cx);
                     solve_cascade(comm, cx, &mut op, &mut m, &rhs, e_stage, swks, &self.solve)
                 }
-            };
-            cx.exit(name);
+            });
             let st = match st {
                 Ok(st) => st,
                 Err(error) => return Err(RadStepError { stage, stage_name: name, error }),
@@ -415,7 +413,7 @@ mod tests {
             stepper(PrecondKind::Jacobi)
                 .try_step(
                     &ctx.comm,
-                    &mut ExecCtx::with_profiler(&mut ctx.sink, &mut prof),
+                    &mut ExecCtx::with_parts(&mut ctx.sink, Some(&mut prof), None, None),
                     &cart,
                     &grid,
                     0.01,

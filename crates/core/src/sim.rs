@@ -162,6 +162,14 @@ pub struct StepStats {
     pub recoveries: u32,
 }
 
+impl StepStats {
+    /// Every recovery of the step: its own scrubs and dt halvings plus
+    /// the solver fallbacks of its three solves.
+    pub fn all_recoveries(&self) -> u32 {
+        self.recoveries + self.rad.stages.iter().map(|s| s.recoveries).sum::<u32>()
+    }
+}
+
 /// Whole-run aggregate.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunStats {
@@ -181,8 +189,7 @@ impl RunStats {
         self.total_solves += 3;
         self.total_iters += st.rad.total_iters();
         self.total_reductions += st.rad.stages.iter().map(|s| s.reductions).sum::<usize>();
-        self.total_recoveries +=
-            st.recoveries + st.rad.stages.iter().map(|s| s.recoveries).sum::<u32>();
+        self.total_recoveries += st.all_recoveries();
     }
 }
 
@@ -406,7 +413,6 @@ impl V2dSim {
             self.faults.as_mut(),
             self.tracer.as_mut().map(|t| t as &mut dyn TraceSink),
         );
-        cx.trace_enter("step", &[("istep", AttrVal::U64(istep as u64))]);
         // The rank step function, decomposed: the borrow split below
         // hands the phase struct the simulation state disjoint from the
         // observability borrows riding in `cx`, and each phase runs from
@@ -425,27 +431,20 @@ impl V2dSim {
             istep,
         };
         let dt = phases.cfg.dt;
-        let hydro_dt = match phases.hydro_phase(comm, &mut cx, dt) {
-            Ok(h) => h,
-            Err(error) => {
-                cx.trace_exit("step");
-                return Err(StepError::Comm { istep, error });
-            }
-        };
-        phases.matter_emission_phase(&mut cx);
-        let (rad, rad_substeps, recoveries) = match phases.radiation_phase(comm, &mut cx, dt) {
-            Ok(out) => out,
-            Err(e) => {
-                cx.trace_exit("step");
-                return Err(e);
-            }
-        };
-        phases.matter_update_phase(&mut cx, dt);
-        cx.trace_exit("step");
-
-        self.time += dt;
-        self.istep += 1;
-        Ok(StepStats { rad, hydro_dt, rad_substeps, recoveries })
+        let out = cx.span("step", &[("istep", AttrVal::U64(istep as u64))], |cx| {
+            let hydro_dt = phases
+                .hydro_phase(comm, cx, dt)
+                .map_err(|error| StepError::Comm { istep, error })?;
+            phases.matter_emission_phase(cx);
+            let (rad, rad_substeps, recoveries) = phases.radiation_phase(comm, cx, dt)?;
+            phases.matter_update_phase(cx, dt);
+            Ok(StepStats { rad, hydro_dt, rad_substeps, recoveries })
+        });
+        if out.is_ok() {
+            self.time += dt;
+            self.istep += 1;
+        }
+        out
     }
 
     /// Arm this step's scheduled faults and apply the ones aimed at the
@@ -532,10 +531,7 @@ impl V2dSim {
                 st.rad.stages.iter().map(|s| s.reductions).sum::<usize>() as f64,
             );
             vals.insert("rad.substeps".to_string(), st.rad_substeps as f64);
-            vals.insert(
-                "recoveries".to_string(),
-                (st.recoveries + st.rad.stages.iter().map(|s| s.recoveries).sum::<u32>()) as f64,
-            );
+            vals.insert("recoveries".to_string(), st.all_recoveries() as f64);
             report.record_step((self.istep - 1) as u64, vals);
         }
 
@@ -649,30 +645,25 @@ impl StepPhases<'_> {
             Some(h) => &mut **h,
             None => return Ok(None),
         };
-        cx.enter("hydro");
-        let mut advanced = 0.0;
-        while advanced < dt {
-            let hdt = match stepper.max_dt(comm, cx, self.grid, state) {
-                Ok(v) => v.min(dt - advanced),
-                Err(e) => {
-                    cx.exit("hydro");
-                    return Err(e);
-                }
-            };
-            stepper.step(comm, cx, self.cart, self.grid, state, hdt);
-            advanced += hdt;
-        }
-        cx.exit("hydro");
-        Ok(Some(advanced))
+        cx.routine("hydro", |cx| {
+            let mut advanced = 0.0;
+            while advanced < dt {
+                let hdt = stepper.max_dt(comm, cx, self.grid, state)?.min(dt - advanced);
+                stepper.step(comm, cx, self.cart, self.grid, state, hdt);
+                advanced += hdt;
+            }
+            Ok(Some(advanced))
+        })
     }
 
     /// Matter emission enters the radiation solve as its source term,
     /// evaluated at the beginning-of-step temperature (operator split).
     fn matter_emission_phase(&mut self, cx: &mut ExecCtx<'_>) {
         if let (Some(cp), Some(temp)) = (&self.cfg.coupling, self.temp.as_deref()) {
-            cx.enter("matter_emission");
-            cp.emission_source(cx, self.cfg.c_light, self.cfg.opacity.kappa_a, temp, self.source);
-            cx.exit("matter_emission");
+            cx.routine("matter_emission", |cx| {
+                let (c_light, kappa_a) = (self.cfg.c_light, self.cfg.opacity.kappa_a);
+                cp.emission_source(cx, c_light, kappa_a, temp, self.source);
+            });
         }
     }
 
@@ -685,8 +676,7 @@ impl StepPhases<'_> {
     /// fire on every rank), and the scrub-vs-halve decision is reduced
     /// globally, so all ranks stay in lockstep through the ladder.
     ///
-    /// Returns `(stats, substeps, recoveries)` on success; the caller
-    /// still owns the enclosing `step` trace span on the error path.
+    /// Returns `(stats, substeps, recoveries)` on success.
     fn radiation_phase(
         &mut self,
         comm: &Comm,
@@ -700,120 +690,111 @@ impl StepPhases<'_> {
             precond: self.cfg.precond,
             solve: self.cfg.solve,
         };
-        cx.enter("radiation");
-        let mut remaining = dt;
-        let mut sub_dt = dt;
-        let mut halvings = 0u32;
-        let mut recoveries = 0u32;
-        let mut rad_substeps = 0usize;
-        let rad = loop {
-            let take = sub_dt.min(remaining);
-            match rad_stepper.try_step(
-                comm,
-                cx,
-                self.cart,
-                self.grid,
-                take,
-                self.erad,
-                self.source,
-                self.wks,
-            ) {
-                Ok(st) => {
-                    remaining -= take;
-                    rad_substeps += 1;
-                    if remaining <= 0.0 {
-                        break st;
+        cx.routine("radiation", |cx| {
+            let mut remaining = dt;
+            let mut sub_dt = dt;
+            let mut halvings = 0u32;
+            let mut recoveries = 0u32;
+            let mut rad_substeps = 0usize;
+            let rad = loop {
+                let take = sub_dt.min(remaining);
+                match rad_stepper.try_step(
+                    comm,
+                    cx,
+                    self.cart,
+                    self.grid,
+                    take,
+                    self.erad,
+                    self.source,
+                    self.wks,
+                ) {
+                    Ok(st) => {
+                        remaining -= take;
+                        rad_substeps += 1;
+                        if remaining <= 0.0 {
+                            break st;
+                        }
                     }
-                }
-                Err(error) => {
-                    // Rung 0: a communicator fault is not recoverable —
-                    // the ladder's own scrub/halve decision is a
-                    // collective, and the group is already poisoned or
-                    // short a member.  Surface the typed verdict now.
-                    if let Some(ce) = error.error.comm.clone() {
-                        cx.exit("radiation");
-                        return Err(StepError::Comm { istep: self.istep, error: ce });
-                    }
-                    // Rung 1: scrub non-finite cells (data poisoning
-                    // shows up as a NonFinite breakdown) and retry at
-                    // the same sub-timestep.  The decision is reduced
-                    // globally so an injection on one rank walks every
-                    // rank down the same rung.
-                    let scrubbed = scrub_nonfinite(self.erad);
-                    let global_scrubbed = match comm.try_allreduce_scalar(
-                        cx,
-                        coll_site::SCRUB_DECISION,
-                        ReduceOp::Sum,
-                        scrubbed as f64,
-                    ) {
-                        Ok(g) => g,
-                        Err(ce) => {
-                            cx.exit("radiation");
+                    Err(error) => {
+                        // Rung 0: a communicator fault is not recoverable —
+                        // the ladder's own scrub/halve decision is a
+                        // collective, and the group is already poisoned or
+                        // short a member.  Surface the typed verdict now.
+                        if let Some(ce) = error.error.comm.clone() {
                             return Err(StepError::Comm { istep: self.istep, error: ce });
                         }
-                    };
-                    if global_scrubbed > 0.0 {
-                        recoveries += 1;
-                        cx.trace_instant(
-                            "recovery",
-                            &[
-                                ("action", AttrVal::Str("scrub")),
-                                ("cells_global", AttrVal::F64(global_scrubbed)),
-                                ("dt", AttrVal::F64(take)),
-                            ],
-                        );
-                        if let Some(inj) = cx.faults() {
-                            inj.note(format!(
-                                "recover: scrubbed {scrubbed} non-finite cells ({} global), retry at dt {take:.3e}",
-                                global_scrubbed as usize
-                            ));
+                        // Rung 1: scrub non-finite cells (data poisoning
+                        // shows up as a NonFinite breakdown) and retry at
+                        // the same sub-timestep.  The decision is reduced
+                        // globally so an injection on one rank walks every
+                        // rank down the same rung.
+                        let scrubbed = scrub_nonfinite(self.erad);
+                        let global_scrubbed = match comm.try_allreduce_scalar(
+                            cx,
+                            coll_site::SCRUB_DECISION,
+                            ReduceOp::Sum,
+                            scrubbed as f64,
+                        ) {
+                            Ok(g) => g,
+                            Err(ce) => {
+                                return Err(StepError::Comm { istep: self.istep, error: ce });
+                            }
+                        };
+                        if global_scrubbed > 0.0 {
+                            recoveries += 1;
+                            cx.trace_instant(
+                                "recovery",
+                                &[
+                                    ("action", AttrVal::Str("scrub")),
+                                    ("cells_global", AttrVal::F64(global_scrubbed)),
+                                    ("dt", AttrVal::F64(take)),
+                                ],
+                            );
+                            if let Some(inj) = cx.faults() {
+                                inj.note(format!(
+                                    "recover: scrubbed {scrubbed} non-finite cells ({} global), retry at dt {take:.3e}",
+                                    global_scrubbed as usize
+                                ));
+                            }
+                            continue;
                         }
-                        continue;
-                    }
-                    // Rung 2: halve the sub-timestep (bounded).
-                    if halvings < self.recovery.max_dt_halvings {
-                        halvings += 1;
-                        recoveries += 1;
-                        sub_dt *= 0.5;
-                        cx.trace_instant(
-                            "recovery",
-                            &[
-                                ("action", AttrVal::Str("dt_halve")),
-                                ("dt", AttrVal::F64(sub_dt)),
-                                ("halvings", AttrVal::U64(halvings as u64)),
-                            ],
-                        );
-                        if let Some(inj) = cx.faults() {
-                            inj.note(format!(
-                                "recover: halve dt to {sub_dt:.3e} ({halvings}/{})",
-                                self.recovery.max_dt_halvings
-                            ));
+                        // Rung 2: halve the sub-timestep (bounded).
+                        if halvings < self.recovery.max_dt_halvings {
+                            halvings += 1;
+                            recoveries += 1;
+                            sub_dt *= 0.5;
+                            cx.trace_instant(
+                                "recovery",
+                                &[
+                                    ("action", AttrVal::Str("dt_halve")),
+                                    ("dt", AttrVal::F64(sub_dt)),
+                                    ("halvings", AttrVal::U64(halvings as u64)),
+                                ],
+                            );
+                            if let Some(inj) = cx.faults() {
+                                inj.note(format!(
+                                    "recover: halve dt to {sub_dt:.3e} ({halvings}/{})",
+                                    self.recovery.max_dt_halvings
+                                ));
+                            }
+                            continue;
                         }
-                        continue;
+                        return Err(StepError::Radiation { istep: self.istep, dt: take, error });
                     }
-                    cx.exit("radiation");
-                    return Err(StepError::Radiation { istep: self.istep, dt: take, error });
                 }
-            }
-        };
-        cx.exit("radiation");
-        Ok((rad, rad_substeps, recoveries))
+            };
+            Ok((rad, rad_substeps, recoveries))
+        })
     }
 
     /// Close the exchange: implicit gas-temperature update against the
     /// freshly solved radiation field.
     fn matter_update_phase(&mut self, cx: &mut ExecCtx<'_>, dt: f64) {
         if let (Some(cp), Some(temp)) = (&self.cfg.coupling, self.temp.as_deref_mut()) {
-            cx.enter("matter_update");
-            cp.update_temperature(
-                cx,
-                self.cfg.c_light,
-                dt,
-                self.cfg.opacity.kappa_a,
-                self.erad,
-                temp,
-            );
-            cx.exit("matter_update");
+            cx.routine("matter_update", |cx| {
+                let (c_light, kappa_a) = (self.cfg.c_light, self.cfg.opacity.kappa_a);
+                cp.update_temperature(cx, c_light, dt, kappa_a, self.erad, temp);
+            });
         }
     }
 }

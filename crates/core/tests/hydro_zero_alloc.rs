@@ -1,7 +1,9 @@
 //! A warm hydro step makes no heap allocation at all, counted by the
 //! allocator itself: the CFL reduction, both split sweeps and their
 //! halo exchanges, on one rank and on 2×1 and 2×2 tilings, with outflow
-//! sides and with reflecting walls.
+//! sides and with reflecting walls.  Each step runs as a profiled
+//! routine with a nested one, so recording into a warm
+//! [`v2d_perf::Profiler`] is held to the same bound.
 //!
 //! The counting allocator is process-global, so this file contains
 //! exactly ONE test — a second test in the same binary would allocate
@@ -15,6 +17,7 @@ use v2d_core::hydro::eos::Prim;
 use v2d_core::hydro::{GammaLaw, HydroBc, HydroState, HydroStepper};
 use v2d_core::{Geometry, Grid2, LocalGrid};
 use v2d_machine::ExecCtx;
+use v2d_perf::Profiler;
 
 /// [`System`], counting every allocation and reallocation it serves.
 struct Counting;
@@ -59,8 +62,9 @@ fn warm_hydro_steps_never_allocate() {
     }
 }
 
-/// Ten warm hydro steps on an `np1 × np2` tiling of a 16×8 grid; the
-/// allocations every rank sees across them.
+/// Ten warm hydro steps on an `np1 × np2` tiling of a 16×8 grid, each
+/// one profiled routine around a nested CFL routine; the allocations
+/// every rank sees across them.
 fn warm_steps(np1: usize, np2: usize, bc: HydroBc) -> Vec<u64> {
     let (n1, n2) = (16, 8);
     let global = Grid2::new(n1, n2, (0.0, 1.0), (0.0, 0.5), Geometry::Cartesian);
@@ -75,10 +79,14 @@ fn warm_steps(np1: usize, np2: usize, bc: HydroBc) -> Vec<u64> {
             Prim { rho: 1.0 + 0.1 * bump, u1: 0.2, u2: -0.1, p: 1.0 }
         });
         let stepper = HydroStepper::new(eos, 0.4).with_bc(bc);
+        let mut prof = Profiler::new();
         let mut step = |ctx: &mut RankCtx| {
-            let mut cx = ExecCtx::new(&mut ctx.sink);
-            let dt = stepper.max_dt(&ctx.comm, &mut cx, &grid, &state).expect("healthy comm");
-            stepper.step(&ctx.comm, &mut cx, &cart, &grid, &mut state, dt.min(1e-3));
+            let mut cx = ExecCtx::with_parts(&mut ctx.sink, Some(&mut prof), None, None);
+            cx.routine("hydro", |cx| {
+                let dt = cx.routine("cfl", |cx| stepper.max_dt(&ctx.comm, cx, &grid, &state));
+                let dt = dt.expect("healthy comm");
+                stepper.step(&ctx.comm, cx, &cart, &grid, &mut state, dt.min(1e-3));
+            });
         };
 
         // Three warm-up steps fill the halo and line scratch, the
@@ -96,6 +104,10 @@ fn warm_steps(np1: usize, np2: usize, bc: HydroBc) -> Vec<u64> {
             step(ctx);
         }
         ctx.comm.barrier(&mut ctx.sink);
-        ALLOCS.load(Ordering::Relaxed) - t0
+        let delta = ALLOCS.load(Ordering::Relaxed) - t0;
+        for name in ["hydro", "cfl"] {
+            assert_eq!(prof.routine(name).map(|r| r.calls), Some(13), "{name} calls");
+        }
+        delta
     })
 }

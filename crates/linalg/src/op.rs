@@ -181,9 +181,9 @@ impl StencilOp {
             &mut self.coeffs.cn,
             &mut self.coeffs.cpl,
         ] {
-            cx.trace_enter("halo_exchange", &[]);
-            exchange_halos(&self.cart, comm, cx, &mut [field], &mut self.buf, "halo");
-            cx.trace_exit("halo_exchange");
+            cx.span("halo_exchange", &[], |cx| {
+                exchange_halos(&self.cart, comm, cx, &mut [field], &mut self.buf, "halo");
+            });
         }
         cx.set_ws(old_ws);
     }
@@ -199,9 +199,9 @@ impl LinearOp for StencilOp {
         // here classify residency correctly whatever the caller's
         // ambient state, then restore.
         let old_ws = cx.set_ws(self.ws_hint);
-        cx.trace_enter("halo_exchange", &[]);
-        exchange_halos(&self.cart, comm, cx, &mut [x], &mut self.buf, "halo");
-        cx.trace_exit("halo_exchange");
+        cx.span("halo_exchange", &[], |cx| {
+            exchange_halos(&self.cart, comm, cx, &mut [x], &mut self.buf, "halo");
+        });
 
         let c = &self.coeffs;
         let bands = [&c.cc, &c.cw, &c.ce, &c.cs, &c.cn, &c.cpl];

@@ -324,9 +324,9 @@ impl Preconditioner for Spai {
     fn apply(&mut self, comm: &Comm, cx: &mut ExecCtx, r: &mut TileVec, z: &mut TileVec) {
         let (n1, n2) = self.m.dims();
         let old_ws = cx.set_ws(self.ws);
-        cx.trace_enter("halo_exchange", &[]);
-        exchange_halos(&self.cart, comm, cx, &mut [r], &mut self.buf, "halo");
-        cx.trace_exit("halo_exchange");
+        cx.span("halo_exchange", &[], |cx| {
+            exchange_halos(&self.cart, comm, cx, &mut [r], &mut self.buf, "halo");
+        });
         let c = &self.m;
         for s in 0..NSPEC {
             let other = 1 - s;

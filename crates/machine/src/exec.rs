@@ -13,7 +13,8 @@
 //! bare [`MultiCostSink`] (drivers, tests) or a full [`ExecCtx`]
 //! (kernels, solvers) without duplicating its API.
 
-use crate::cost::{CostSink, KernelClass, KernelShape, MultiCostSink};
+use crate::clock::SimDuration;
+use crate::cost::{KernelClass, KernelShape, MultiCostSink};
 use crate::fault::FaultInjector;
 use crate::trace::{AttrVal, Attrs, TraceSink};
 
@@ -57,13 +58,14 @@ impl CostLanes for ExecCtx<'_> {
     }
 }
 
-/// A TAU-style enter/exit instrumentation scope.  `v2d-perf`'s
-/// `Profiler` implements this; the trait lives here so `ExecCtx` can
-/// carry a profiler without a dependency cycle (perf depends on
-/// machine, not vice versa).
+/// A TAU-style routine recorder.  `v2d-perf`'s `Profiler` implements
+/// this; the trait lives here so `ExecCtx` can carry a profiler without
+/// a dependency cycle (perf depends on machine, not vice versa).
 pub trait ProfilerScope {
-    fn enter(&mut self, lane: &CostSink, name: &str);
-    fn exit(&mut self, lane: &CostSink, name: &str);
+    /// One finished call of routine `name`, timed on lane 0:
+    /// `inclusive` covers the whole call, `exclusive` leaves out the
+    /// routines nested inside it.
+    fn record(&mut self, name: &'static str, inclusive: SimDuration, exclusive: SimDuration);
 }
 
 /// The ambient execution state of a kernel/solver call chain: the
@@ -75,18 +77,16 @@ pub struct ExecCtx<'a> {
     profiler: Option<&'a mut dyn ProfilerScope>,
     faults: Option<&'a mut FaultInjector>,
     tracer: Option<&'a mut dyn TraceSink>,
+    /// Lane-0 time spent so far in routines nested directly inside the
+    /// innermost open [`ExecCtx::routine`].
+    child_time: SimDuration,
 }
 
 impl<'a> ExecCtx<'a> {
     /// A context over `sink` with no profiler and a zero (L1-resident)
     /// ambient working set.
     pub fn new(sink: &'a mut MultiCostSink) -> Self {
-        ExecCtx { sink, ws: 0, profiler: None, faults: None, tracer: None }
-    }
-
-    /// A context that also records enter/exit scopes in `profiler`.
-    pub fn with_profiler(sink: &'a mut MultiCostSink, profiler: &'a mut dyn ProfilerScope) -> Self {
-        ExecCtx { sink, ws: 0, profiler: Some(profiler), faults: None, tracer: None }
+        ExecCtx::with_parts(sink, None, None, None)
     }
 
     /// A fully-equipped context: cost lanes, optional profiler scope,
@@ -97,7 +97,7 @@ impl<'a> ExecCtx<'a> {
         faults: Option<&'a mut FaultInjector>,
         tracer: Option<&'a mut dyn TraceSink>,
     ) -> Self {
-        ExecCtx { sink, ws: 0, profiler, faults, tracer }
+        ExecCtx { sink, ws: 0, profiler, faults, tracer, child_time: SimDuration::ZERO }
     }
 
     /// The fault injector, if one rides along.  `None` on every
@@ -166,42 +166,56 @@ impl<'a> ExecCtx<'a> {
         self.charge(&shape);
     }
 
-    /// Enter a named profiler scope (lane 0's clock, as the paper's Arm
-    /// MAP ran on the real machine).  The same span opens on the tracer,
-    /// so physics-stage scopes appear in both reports.  No-op without
-    /// either.
-    pub fn enter(&mut self, name: &str) {
-        if let Some(p) = self.profiler.as_deref_mut() {
-            p.enter(&self.sink.lanes[0], name);
-        }
-        if let Some(t) = self.tracer.as_deref_mut() {
-            t.span_enter(self.sink, name, &[]);
-        }
+    // `span` and `routine` are forced inline, and `routine` opens its
+    // span itself instead of calling `span`: every frame they add keeps
+    // its own copy of the closure's result, and on the radiation path
+    // (step → radiation → BiCGSTAB) those frames cost each rank of a
+    // 256-rank launch one more page of its rank stack.
+
+    /// Run `f` inside a tracer span named `name`, closed on every
+    /// return path.  Invisible to the profiler, whose report feeds
+    /// byte-exact goldens.
+    #[inline(always)]
+    pub fn span<R>(&mut self, name: &str, attrs: &Attrs, f: impl FnOnce(&mut Self) -> R) -> R {
+        self.open_span(name, attrs);
+        let out = f(self);
+        self.close_span(name);
+        out
     }
 
-    /// Exit a named profiler scope.  No-op without a profiler.
-    pub fn exit(&mut self, name: &str) {
+    /// Run `f` as profiled routine `name`: a tracer span, and one
+    /// profiler record of its lane-0 inclusive and exclusive time (lane
+    /// 0's clock, as the paper's Arm MAP ran on the real machine).
+    #[inline(always)]
+    pub fn routine<R>(&mut self, name: &'static str, f: impl FnOnce(&mut Self) -> R) -> R {
+        let entered = self.lane0_now();
+        let outer_child = std::mem::replace(&mut self.child_time, SimDuration::ZERO);
+        self.open_span(name, &[]);
+        let out = f(self);
+        self.close_span(name);
+        let inclusive = self.lane0_now() - entered;
+        let exclusive = inclusive - self.child_time.min(inclusive);
+        self.child_time = outer_child + inclusive;
         if let Some(p) = self.profiler.as_deref_mut() {
-            p.exit(&self.sink.lanes[0], name);
+            p.record(name, inclusive, exclusive);
         }
-        if let Some(t) = self.tracer.as_deref_mut() {
-            t.span_exit(self.sink, name);
-        }
+        out
     }
 
-    /// Open a tracer-only span: visible in the trace, invisible to the
-    /// profiler (whose report feeds byte-exact goldens).
-    pub fn trace_enter(&mut self, name: &str, attrs: &Attrs) {
+    fn open_span(&mut self, name: &str, attrs: &Attrs) {
         if let Some(t) = self.tracer.as_deref_mut() {
             t.span_enter(self.sink, name, attrs);
         }
     }
 
-    /// Close a tracer-only span.
-    pub fn trace_exit(&mut self, name: &str) {
+    fn close_span(&mut self, name: &str) {
         if let Some(t) = self.tracer.as_deref_mut() {
             t.span_exit(self.sink, name);
         }
+    }
+
+    fn lane0_now(&self) -> SimDuration {
+        self.sink.lanes.first().map_or(SimDuration::ZERO, |l| l.clock.now())
     }
 
     /// Emit a tracer point event (solver iteration, breakdown, fault,
@@ -251,25 +265,39 @@ mod tests {
         assert!(big >= small);
     }
 
-    struct Recorder(Vec<String>);
+    struct Recorder(Vec<(&'static str, u64, u64)>);
     impl ProfilerScope for Recorder {
-        fn enter(&mut self, _lane: &CostSink, name: &str) {
-            self.0.push(format!("+{name}"));
-        }
-        fn exit(&mut self, _lane: &CostSink, name: &str) {
-            self.0.push(format!("-{name}"));
+        fn record(&mut self, name: &'static str, inclusive: SimDuration, exclusive: SimDuration) {
+            self.0.push((name, inclusive.cycles(), exclusive.cycles()));
         }
     }
 
     #[test]
-    fn profiler_scopes_are_forwarded() {
+    fn routines_record_inclusive_and_exclusive_time() {
         let mut sk = sink();
         let mut rec = Recorder(Vec::new());
+        let lane0 = |cx: &ExecCtx| cx.sink_ref().lanes[0].clock.now().cycles();
+        let (mut own, mut a, mut b) = (0, 0, 0);
         {
-            let mut cx = ExecCtx::with_profiler(&mut sk, &mut rec);
-            cx.enter("solve");
-            cx.exit("solve");
+            let mut cx = ExecCtx::with_parts(&mut sk, Some(&mut rec), None, None);
+            let matvec = |cx: &mut ExecCtx, n| {
+                cx.routine("matvec", |cx| {
+                    let t0 = lane0(cx);
+                    cx.charge_streaming(KernelClass::MatVec, n, 9, 4, 1);
+                    lane0(cx) - t0
+                })
+            };
+            cx.routine("solve", |cx| {
+                let t0 = lane0(cx);
+                cx.charge_streaming(KernelClass::Daxpy, 1000, 2, 2, 1);
+                own = lane0(cx) - t0;
+                // Two children in a row: the second must add to, not
+                // replace, the time the first left with the parent.
+                a = matvec(cx, 4000);
+                b = matvec(cx, 2000);
+            });
         }
-        assert_eq!(rec.0, ["+solve", "-solve"]);
+        assert!(own > 0 && a > 0 && b > 0);
+        assert_eq!(rec.0, [("matvec", a, a), ("matvec", b, b), ("solve", own + a + b, own)]);
     }
 }

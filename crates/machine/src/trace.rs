@@ -11,11 +11,13 @@
 //!
 //! Three event shapes cover everything the stack emits:
 //!
-//! * **spans** (`span_enter`/`span_exit`) — nested regions such as a
-//!   physics stage, a halo exchange, or a whole step;
+//! * **spans** (`span_enter`/`span_exit`, paired by
+//!   [`ExecCtx::span`](crate::ExecCtx::span) and
+//!   [`ExecCtx::routine`](crate::ExecCtx::routine)) — nested regions
+//!   such as a physics stage, a halo exchange, or a whole step;
 //! * **completes** (`complete`) — regions whose begin times were
 //!   snapshotted *before* the work ran, used for kernel charges where
-//!   wrapping the call in enter/exit would double the bookkeeping;
+//!   wrapping the call in a span would double the bookkeeping;
 //! * **instants** (`instant`) — point events: a solver iteration, a
 //!   breakdown, a fired fault, a message send.
 

@@ -365,12 +365,12 @@ mod tests {
         let mut tr = Tracer::new(0, &sk);
         {
             let mut cx = ExecCtx::with_parts(&mut sk, None, None, Some(&mut tr));
-            cx.trace_enter("outer", &[]);
-            cx.charge_streaming(KernelClass::Daxpy, 1000, 2, 2, 1);
-            cx.trace_enter("inner", &[]);
-            cx.charge_streaming(KernelClass::DotProd, 1000, 2, 2, 0);
-            cx.trace_exit("inner");
-            cx.trace_exit("outer");
+            cx.span("outer", &[], |cx| {
+                cx.charge_streaming(KernelClass::Daxpy, 1000, 2, 2, 1);
+                cx.span("inner", &[], |cx| {
+                    cx.charge_streaming(KernelClass::DotProd, 1000, 2, 2, 0)
+                });
+            });
         }
         let total = sk.lanes[0].clock.now().cycles();
         // Events: DAXPY, DPROD, inner, outer (one lane each).
@@ -406,9 +406,7 @@ mod tests {
             let mut tr = Tracer::new(0, &sk);
             {
                 let mut cx = ExecCtx::with_parts(&mut sk, None, None, Some(&mut tr));
-                cx.trace_enter("stage", &[]);
-                cx.charge_streaming(KernelClass::MatVec, 5000, 9, 4, 1);
-                cx.trace_exit("stage");
+                cx.span("stage", &[], |cx| cx.charge_streaming(KernelClass::MatVec, 5000, 9, 4, 1));
             }
             chrome_trace(&[&tr])
         };

@@ -59,7 +59,7 @@ pub fn decode_count() -> u64 {
 /// key, so a layout change can never silently reuse a stale
 /// [`DecodedProgram`] within a process.  Bump on any change to
 /// [`DecodedOp`], the fusion plan, or the lowering in [`crate::thread`].
-pub const DECODE_FORMAT_VERSION: u32 = 2;
+pub const DECODE_FORMAT_VERSION: u32 = 3;
 
 /// Sentinel for "no register" in the flat operand encoding.
 pub(crate) const NO_REG: u8 = 0xFF;
@@ -292,7 +292,7 @@ impl DecodedProgram {
                 is_store: instr.is_store(),
             });
         }
-        let plan = crate::fuse::plan(&ops, lanes);
+        let plan = crate::fuse::plan(&ops);
         let threaded = crate::thread::lower(&ops, &plan, lanes as usize);
         DecodedProgram {
             ops,

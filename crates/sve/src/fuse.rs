@@ -11,26 +11,19 @@
 //! threaded-code engine in [`crate::thread`] dispatches with a single
 //! indirect call.
 //!
-//! Each chain carries a [`ChainCost`]: the closed-form composition of its
-//! parts' `FlopRule`/`MemRule`s, the summed per-unit occupancy, and the
-//! dependency slots collapsed to chain-external reads/writes.  The
-//! composition is **self-verified at decode time**: for every active-lane
-//! count the composed flop/byte rule must equal the sum of the parts —
-//! and the parts themselves were just verified against
-//! [`crate::sched::SchedModel::props`] — so a chain whose combined cost
-//! could disagree with the interpreter cannot be constructed.  The
-//! *runtime* nevertheless charges the parts individually, in program
-//! order: the pipe-reservation state (backfilling ring buffers) and the
-//! cumulative-bytes bandwidth limiter are serial recurrences with no
-//! closed form, and replaying the per-part arithmetic is what keeps
-//! modeled cycles bit-identical to the reference interpreter
-//! ([`crate::exec::Executor::run`]) by construction.
+//! Fusion only groups dispatch: the runtime charges every part
+//! individually, in program order.  The pipe-reservation state
+//! (backfilling ring buffers) and the cumulative-bytes bandwidth limiter
+//! are serial recurrences with no closed form, and replaying the
+//! per-part arithmetic is what keeps modeled cycles bit-identical to the
+//! reference interpreter ([`crate::exec::Executor::run`]) by
+//! construction.
 //!
 //! Chain boundaries respect control flow: a chain may *start* at a branch
 //! target, may *end* with a conditional branch, but no interior part may
 //! be a branch target or a branch.
 
-use crate::decode::{DecodedOp, FlopRule, MemRule, NO_REG};
+use crate::decode::DecodedOp;
 use crate::isa::Instr;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -206,100 +199,6 @@ pub(crate) const PATTERNS: &[(&str, &[OpClass])] = {
     ]
 };
 
-/// Closed-form combined cost of a fused chain, as a function of a single
-/// active-lane count applied to every predicated part: the composition of
-/// the parts' flop/byte rules, their per-unit occupancy sums, and the
-/// dependency slots collapsed to the chain's external reads and writes.
-/// Constructed only through [`ChainCost::compose`] + [`ChainCost::verify`]
-/// (decode-time), so an inconsistent composition cannot exist at runtime.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct ChainCost {
-    /// Active-lane-independent flops (scalar arithmetic parts).
-    pub flops_const: u64,
-    /// Flops per active lane (predicated vector arithmetic parts).
-    pub flops_per_active: u64,
-    /// Number of `active − 1` (saturating) terms (`faddv` parts).
-    pub flops_active_m1: u64,
-    /// Active-lane-independent bytes (scalar load/store parts).
-    pub bytes_const: u64,
-    /// Number of 8-bytes-per-active-lane terms (SVE load/store parts).
-    pub bytes_per_active8: u64,
-    /// Summed pipe occupancy per unit class `[Int, Fla, Ls, Pred, Br]`.
-    pub occupancy: [u64; 5],
-    /// Flat registers read before any part of the chain writes them.
-    pub ext_reads: Vec<u8>,
-    /// Flat registers written by the chain.
-    pub writes: Vec<u8>,
-}
-
-impl ChainCost {
-    /// Compose the parts' rules into the chain's closed form.
-    pub(crate) fn compose(parts: &[DecodedOp]) -> Self {
-        let mut c = ChainCost {
-            flops_const: 0,
-            flops_per_active: 0,
-            flops_active_m1: 0,
-            bytes_const: 0,
-            bytes_per_active8: 0,
-            occupancy: [0; 5],
-            ext_reads: Vec::new(),
-            writes: Vec::new(),
-        };
-        for op in parts {
-            match op.flops {
-                FlopRule::Const(k) => c.flops_const += k,
-                FlopRule::PerActive(k) => c.flops_per_active += k,
-                FlopRule::ActiveMinus1 => c.flops_active_m1 += 1,
-            }
-            match op.mem {
-                MemRule::None => {}
-                MemRule::Const(b) => c.bytes_const += b,
-                MemRule::PerActive8 => c.bytes_per_active8 += 1,
-            }
-            c.occupancy[op.unit as usize] += op.occupancy;
-            for &s in &op.srcs[..op.n_srcs as usize] {
-                if !c.writes.contains(&s) && !c.ext_reads.contains(&s) {
-                    c.ext_reads.push(s);
-                }
-            }
-            if op.dst != NO_REG && !c.writes.contains(&op.dst) {
-                c.writes.push(op.dst);
-            }
-        }
-        c
-    }
-
-    /// Combined flops at `active` lanes per predicated part.
-    pub(crate) fn flops(&self, active: u64) -> u64 {
-        self.flops_const
-            + self.flops_per_active * active
-            + self.flops_active_m1 * active.saturating_sub(1)
-    }
-
-    /// Combined memory bytes at `active` lanes per predicated part.
-    pub(crate) fn bytes(&self, active: u64) -> u64 {
-        self.bytes_const + 8 * self.bytes_per_active8 * active
-    }
-
-    /// Assert the closed form equals the sum of the parts at every
-    /// active-lane count, and the occupancy sums match.  The parts were
-    /// individually verified against `SchedModel::props` during decode,
-    /// so this transitively pins the chain to the interpreter's model.
-    pub(crate) fn verify(&self, parts: &[DecodedOp], lanes: u64) {
-        for active in 0..=lanes {
-            let flops: u64 = parts.iter().map(|p| p.flops.eval(active)).sum();
-            let bytes: u64 = parts.iter().map(|p| p.mem.eval(active)).sum();
-            assert_eq!(self.flops(active), flops, "chain flop composition diverges at {active}");
-            assert_eq!(self.bytes(active), bytes, "chain byte composition diverges at {active}");
-        }
-        let mut occ = [0u64; 5];
-        for p in parts {
-            occ[p.unit as usize] += p.occupancy;
-        }
-        assert_eq!(self.occupancy, occ, "chain occupancy composition diverges");
-    }
-}
-
 /// One fused chain of the plan.
 #[derive(Debug, Clone)]
 pub(crate) struct FusedChain {
@@ -309,11 +208,6 @@ pub(crate) struct FusedChain {
     pub len: usize,
     /// Compound mnemonic from [`PATTERNS`].
     pub name: &'static str,
-    /// Decode-time composed cost.  Its composition against the per-part
-    /// `SchedModel::props` is asserted when the plan is built; the field
-    /// itself is consumed by the per-pattern cost-composition tests.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub cost: ChainCost,
 }
 
 /// One dispatch group: a fused chain or a single plain op.
@@ -334,10 +228,8 @@ pub(crate) struct FusionPlan {
 
 /// Build the fusion plan for a decoded program: greedy longest-first
 /// matching of [`PATTERNS`] over the opcode classes, never fusing across
-/// an interior branch target.  Every chain's [`ChainCost`] is composed
-/// and verified against the sum of its parts at every active-lane count
-/// 0..=`lanes`.
-pub(crate) fn plan(ops: &[DecodedOp], lanes: u64) -> FusionPlan {
+/// an interior branch target.
+pub(crate) fn plan(ops: &[DecodedOp]) -> FusionPlan {
     let mut is_target = vec![false; ops.len() + 1];
     for op in ops {
         if let Instr::B { target } | Instr::BLtX { target, .. } | Instr::BGeX { target, .. } =
@@ -361,10 +253,7 @@ pub(crate) fn plan(ops: &[DecodedOp], lanes: u64) -> FusionPlan {
         match matched {
             Some(&(name, pat)) => {
                 let len = pat.len();
-                let parts = &ops[pc..pc + len];
-                let cost = ChainCost::compose(parts);
-                cost.verify(parts, lanes);
-                plan.chains.push(FusedChain { start: pc, len, name, cost });
+                plan.chains.push(FusedChain { start: pc, len, name });
                 plan.groups.push(Group {
                     start: pc,
                     len,
@@ -425,13 +314,11 @@ mod tests {
         }
     }
 
-    /// Per-pattern unit test: for every pattern, a representative chain's
-    /// composed cost rule equals the sum of its parts at every
-    /// active-lane count, checked directly against `SchedModel::props`.
+    /// Per-pattern unit test: every pattern's representative program
+    /// decodes to exactly one chain carrying the pattern's name.
     #[test]
-    fn every_pattern_composes_costs_exactly() {
+    fn every_pattern_fuses_into_one_named_chain() {
         for vl in [128u32, 512, 2048] {
-            let lanes = (vl / 64) as u64;
             let cfg = ExecConfig::a64fx_l1().with_vl(vl);
             for (name, classes) in PATTERNS {
                 let prog: Vec<_> = classes.iter().map(|c| c.representative()).collect();
@@ -439,18 +326,6 @@ mod tests {
                 let chains: Vec<_> = dp.chains().collect();
                 assert_eq!(chains.len(), 1, "{name}: expected exactly one chain");
                 assert_eq!(chains[0], (0, classes.len(), *name));
-                let sched = &cfg.sched;
-                let cost = &dp.plan.chains[0].cost;
-                for active in 0..=lanes {
-                    let (mut flops, mut bytes) = (0u64, 0u64);
-                    for i in &prog {
-                        let p = sched.props(i, lanes, active, cfg.level);
-                        flops += p.flops;
-                        bytes += p.mem_bytes;
-                    }
-                    assert_eq!(cost.flops(active), flops, "{name}: flops at active={active}");
-                    assert_eq!(cost.bytes(active), bytes, "{name}: bytes at active={active}");
-                }
             }
         }
     }

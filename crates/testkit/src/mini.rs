@@ -168,8 +168,7 @@ fn drive(spec: &MiniSpec, sim: &mut V2dSim, comm: &Comm, sink: &mut MultiCostSin
         match sim.try_step(comm, sink) {
             Ok(st) => {
                 steps_done += 1;
-                recoveries +=
-                    st.recoveries + st.rad.stages.iter().map(|s| s.recoveries).sum::<u32>();
+                recoveries += st.all_recoveries();
             }
             Err(e) => {
                 error = Some(e.to_string());

@@ -7,7 +7,6 @@
 use v2d::comm::{Spmd, TileMap};
 use v2d::core::problems::GaussianPulse;
 use v2d::core::sim::V2dSim;
-use v2d::perf::PerfStat;
 
 fn main() {
     // The paper's test problem, scaled down to a laptop-friendly size:
@@ -25,12 +24,15 @@ fn main() {
         GaussianPulse::standard().init(&mut sim);
 
         let e0 = sim.total_radiation_energy(&ctx.comm, &mut ctx.sink);
-        let sessions: Vec<PerfStat> = ctx.sink.lanes.iter().map(PerfStat::start).collect();
+        let starts: Vec<_> = ctx.sink.lanes.iter().map(|l| l.clock.now()).collect();
         let agg = sim.run(&ctx.comm, &mut ctx.sink);
-        let times: Vec<(String, f64)> = sessions
+        let times: Vec<(String, f64)> = starts
             .into_iter()
             .zip(&ctx.sink.lanes)
-            .map(|(s, lane)| (lane.profile.id.label().to_string(), s.stop(lane).duration_time))
+            .map(|(start, lane)| {
+                let secs = (lane.clock.now() - start).as_secs(lane.model.freq_hz);
+                (lane.profile.id.label().to_string(), secs)
+            })
             .collect();
         let e1 = sim.total_radiation_energy(&ctx.comm, &mut ctx.sink);
         (agg, e0, e1, times, sim.profiler_report(&ctx.sink))

@@ -13,7 +13,7 @@
 //! | [`comm`] | `v2d-comm` | SPMD message-passing substrate with virtual-time accounting (the MPI stand-in) |
 //! | [`machine`] | `v2d-machine` | A64FX machine model, the four compiler profiles of Table I, roofline costing |
 //! | [`sve`] | `v2d-sve` | instruction-level simulated SVE + scalar ISAs with a pipeline cost model (the Table II driver substrate) |
-//! | [`perf`] | `v2d-perf` | perf-stat / TAU-style instrumentation over the simulated clocks |
+//! | [`perf`] | `v2d-perf` | TAU-style routine profiler and kernel-class breakdown over the simulated clocks |
 //! | [`io`] | `v2d-io` | "h5lite" hierarchical checkpoint format (the HDF5 stand-in) |
 //!
 //! ## Quickstart
