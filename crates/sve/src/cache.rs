@@ -127,10 +127,9 @@ pub fn cached_program(
             return Arc::clone(&e.program);
         }
         if cache.entries.len() >= CAPACITY {
-            let oldest = (0..cache.entries.len())
-                .min_by_key(|&i| cache.entries[i].stamp)
-                .expect("cache is non-empty at capacity");
-            cache.entries.swap_remove(oldest);
+            if let Some(oldest) = (0..cache.entries.len()).min_by_key(|&i| cache.entries[i].stamp) {
+                cache.entries.swap_remove(oldest);
+            }
         }
         let program = miss();
         cache.entries.push(Entry { key, program: Arc::clone(&program), stamp });

@@ -27,10 +27,13 @@
 //! 3. the issue arithmetic (in-order fetch frontier, dependency maxima,
 //!    the cumulative-bytes bandwidth limiter, backfilling pipe
 //!    reservation, completion bookkeeping) is evaluated in the same order
-//!    with the same integer/float operations.  The pipe tracker here is a
-//!    dense ring buffer instead of a `BTreeMap`, but both implement the
-//!    identical "earliest start ≥ ready with `occ` consecutive
-//!    under-capacity cycles" reservation over the same occupancy counts.
+//!    with the same integer/float operations, and the statistics that do
+//!    not depend on dynamic state are summed per dispatch group (exact
+//!    integer sums, so the order does not matter).  The pipe tracker here
+//!    is a dense ring buffer with a cursor and a full-slot bitmap instead
+//!    of a `BTreeMap`, but both implement the identical "earliest start ≥
+//!    ready with `occ` consecutive under-capacity cycles" reservation over
+//!    the same occupancy counts.
 //!
 //! The equivalence is enforced end-to-end by `tests/prop_decode.rs`,
 //! which asserts register files, memory images, and full
@@ -59,7 +62,7 @@ pub fn decode_count() -> u64 {
 /// key, so a layout change can never silently reuse a stale
 /// [`DecodedProgram`] within a process.  Bump on any change to
 /// [`DecodedOp`], the fusion plan, or the lowering in [`crate::thread`].
-pub const DECODE_FORMAT_VERSION: u32 = 3;
+pub const DECODE_FORMAT_VERSION: u32 = 4;
 
 /// Sentinel for "no register" in the flat operand encoding.
 pub(crate) const NO_REG: u8 = 0xFF;
@@ -75,9 +78,6 @@ fn flat(r: RegId) -> u8 {
         RegId::P(i) => 96 + i,
     }
 }
-
-/// Number of slots in the flat register ready-time array.
-pub(crate) const FLAT_REGS: usize = 112;
 
 /// How an op's flop count depends on its governing predicate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -225,10 +225,12 @@ impl DecodedProgram {
     /// Lower `prog` for the configuration `cfg`.
     ///
     /// # Panics
-    /// If any decoded rule fails to reproduce [`SchedModel::props`] at
+    /// If the pipeline model cannot run (see `SchedModel::assert_runnable`),
+    /// or if any decoded rule fails to reproduce [`SchedModel::props`] at
     /// some active-lane count (a model/decoder mismatch — a bug, caught
     /// at decode time rather than as silently wrong cycle counts).
     pub fn decode(prog: &[Instr], cfg: &ExecConfig) -> Self {
+        cfg.sched.assert_runnable();
         DECODE_COUNT.fetch_add(1, Ordering::Relaxed);
         let lanes = (cfg.vl_bits / 64) as u64;
         let sched = &cfg.sched;
@@ -358,138 +360,149 @@ impl DecodedProgram {
 /// Semantically identical to the interpreter's `BTreeMap` tracker: find
 /// the earliest start ≥ `ready` with `occ` consecutive cycles holding
 /// fewer than `pipes` reservations, consume them; cycles outside the
-/// tracked window are free; cycles before the pruned `base` can never be
+/// tracked window are free; cycles before the pruned floor can never be
 /// requested again (`ready` is bounded below by the monotone in-order
 /// fetch frontier the prune floor is taken from).
+///
+/// In-order fetch keeps most reservations clustered in a saturated band
+/// just ahead of the fetch frontier, so a plain scan would re-walk that
+/// band on every reservation.  Two structures make the walk O(1): the
+/// `free` cursor, which answers every probe that starts inside the
+/// band, and the `full` bitmap, which skips 64 full cycles per word
+/// for probes that start past it.
 #[derive(Debug)]
 pub(crate) struct RingSlots {
     pipes: u8,
-    /// Cycle corresponding to `buf[head]`.
-    base: u64,
+    /// Cycle corresponding to `buf[0]`.
+    origin: u64,
+    /// Index of the pruned floor: cycles before `origin + head` are
+    /// forgotten.
     head: usize,
+    /// The first non-full index at or after `head`: every slot in
+    /// `head..free` is full.  Counts never decrease, so it only moves
+    /// forward — when its own slot fills, or when a prune moves `head`
+    /// past it.
+    free: usize,
+    /// Occupancy counts; the length is always a multiple of 64.
     buf: Vec<u8>,
-    /// Path-compressed "next non-full slot" pointers, union-find style.
-    /// `skip[i]` is only meaningful while `buf[i] == pipes` (written on
-    /// the transition to full, tightened by [`RingSlots::next_free`]); it
-    /// points at a candidate for the first non-full slot after `i`.
-    /// In-order fetch keeps most reservations clustered in a saturated
-    /// band just ahead of the fetch frontier, so without the skip
-    /// pointers every reservation re-walks that band — an O(band) scan
-    /// per op that dominated the whole executor.
-    skip: Vec<u32>,
+    /// One bit per slot of `buf`, set iff the slot holds `pipes`
+    /// reservations.
+    full: Vec<u64>,
 }
 
 impl RingSlots {
     pub(crate) fn new(pipes: usize) -> Self {
-        RingSlots { pipes: pipes as u8, base: 0, head: 0, buf: Vec::new(), skip: Vec::new() }
+        RingSlots {
+            pipes: pipes as u8,
+            origin: 0,
+            head: 0,
+            free: 0,
+            buf: Vec::new(),
+            full: Vec::new(),
+        }
     }
 
-    /// First index `≥ i` whose slot is below `pipes` (indices past the
-    /// tracked window are free).  Walks the skip chain — every hop lands
-    /// on a slot that was full when its pointer was written, and counts
-    /// never decrease — then path-compresses it, so repeated queries over
-    /// a saturated band are amortized near-O(1).
+    /// First index `≥ i` (with `i ≥ head`) whose slot is below `pipes`;
+    /// indices past the tracked window are free.
     #[inline]
-    fn next_free(&mut self, i: usize) -> usize {
-        let tracked = self.buf.len();
-        if i >= tracked || self.buf[i] < self.pipes {
-            return i;
+    fn next_free(&self, i: usize) -> usize {
+        if i <= self.free {
+            return self.free;
         }
-        let mut j = self.skip[i] as usize;
-        while j < tracked && self.buf[j] >= self.pipes {
-            j = self.skip[j] as usize;
+        let mut w = i / 64;
+        let mut open = !0u64 << (i % 64);
+        while let Some(&word) = self.full.get(w) {
+            open &= !word;
+            if open != 0 {
+                return w * 64 + open.trailing_zeros() as usize;
+            }
+            w += 1;
+            open = !0;
         }
-        let mut k = i;
-        while k < tracked && self.buf[k] >= self.pipes {
-            let next = self.skip[k] as usize;
-            self.skip[k] = j as u32;
-            k = next;
+        i.max(w * 64)
+    }
+
+    /// Mark slot `i` full, moving the cursor off it.
+    #[inline(always)]
+    fn fill(&mut self, i: usize) {
+        self.full[i / 64] |= 1 << (i % 64);
+        if i == self.free {
+            self.free = self.next_free(i + 1);
         }
-        j
     }
 
     /// Single-cycle reservation — the overwhelmingly common case (every
     /// op except predicate generation and gathers), kept small enough to
-    /// inline into the charge loop: in-bounds non-full slot → one load,
-    /// one store, done.  Everything else defers to [`RingSlots::reserve`],
-    /// which handles the identical occ = 1 walk through `next_free`.
+    /// inline into the charge loop: the probe starts at the cursor when
+    /// `ready` falls inside the saturated band, so an in-bounds non-full
+    /// slot is one load and one store.  Everything else defers to
+    /// [`RingSlots::reserve`], which handles the identical occ = 1 search.
     #[inline(always)]
     pub(crate) fn reserve1(&mut self, ready: u64) -> u64 {
-        debug_assert!(ready >= self.base, "reservation below the pruned floor");
-        let i = self.head + (ready - self.base) as usize;
-        if i < self.buf.len() {
-            let b = self.buf[i] + 1;
-            if b <= self.pipes {
-                self.buf[i] = b;
-                if b == self.pipes {
-                    self.skip[i] = (i + 1) as u32;
-                }
-                return ready;
+        debug_assert!(ready >= self.origin + self.head as u64, "reservation below the floor");
+        let i = ((ready - self.origin) as usize).max(self.free);
+        if let Some(b) = self.buf.get_mut(i).filter(|b| **b < self.pipes) {
+            *b += 1;
+            if *b == self.pipes {
+                self.fill(i);
             }
+            return self.origin + i as u64;
         }
         self.reserve(ready, 1)
     }
 
     #[inline]
     pub(crate) fn reserve(&mut self, ready: u64, occ: u64) -> u64 {
-        debug_assert!(ready >= self.base, "reservation below the pruned floor");
+        debug_assert!(ready >= self.origin + self.head as u64, "reservation below the floor");
         debug_assert!(occ >= 1);
         let occ = occ as usize;
-        let mut start_idx = self.next_free(self.head + (ready - self.base) as usize);
-        let tracked = self.buf.len();
-        'search: loop {
-            // `start_idx` itself is known non-full; for multi-cycle
-            // occupancies the rest of the window still needs checking.
-            for k in 1..occ {
-                let idx = start_idx + k;
-                if idx < tracked && self.buf[idx] >= self.pipes {
-                    start_idx = self.next_free(idx + 1);
-                    continue 'search;
-                }
-            }
-            let end = start_idx + occ;
-            if end > self.buf.len() {
-                // Grow geometrically: trailing zeros mean "no reservations
-                // yet", so a longer buffer is observationally identical,
-                // and a per-reservation `resize` call is hot-path cost.
-                let new_len = end.next_power_of_two().max(64);
-                self.buf.resize(new_len, 0);
-                self.skip.resize(new_len, 0);
-            }
-            for idx in start_idx..end {
-                self.buf[idx] += 1;
-                if self.buf[idx] >= self.pipes {
-                    self.skip[idx] = (idx + 1) as u32;
-                }
-            }
-            return self.base + (start_idx - self.head) as u64;
+        let mut start = self.next_free((ready - self.origin) as usize);
+        // `start` itself is non-full; a multi-cycle occupancy needs the
+        // rest of its window non-full too.
+        while let Some(k) =
+            (1..occ).find(|k| self.buf.get(start + k).is_some_and(|&b| b >= self.pipes))
+        {
+            start = self.next_free(start + k + 1);
         }
+        let end = start + occ;
+        if end > self.buf.len() {
+            // Grow geometrically: trailing zeros mean "no reservations
+            // yet", so a longer buffer is observationally identical, and
+            // a per-reservation `resize` call is hot-path cost.
+            let new_len = end.next_power_of_two().max(64);
+            self.buf.resize(new_len, 0);
+            self.full.resize(new_len / 64, 0);
+        }
+        for i in start..end {
+            self.buf[i] += 1;
+            if self.buf[i] == self.pipes {
+                self.fill(i);
+            }
+        }
+        self.origin + start as u64
     }
 
     /// Forget cycles before `floor`; amortized O(1) per forgotten cycle.
     pub(crate) fn prune(&mut self, floor: u64) {
-        if floor <= self.base {
+        let Some(adv) = floor.checked_sub(self.origin + self.head as u64) else { return };
+        if self.head + adv as usize >= self.buf.len() {
+            self.buf.clear();
+            self.full.clear();
+            (self.origin, self.head, self.free) = (floor, 0, 0);
             return;
         }
-        let adv = (floor - self.base) as usize;
-        self.base = floor;
-        if self.head + adv >= self.buf.len() {
-            self.buf.clear();
-            self.skip.clear();
-            self.head = 0;
-        } else {
-            self.head += adv;
-            if self.head >= self.buf.len() / 2 {
-                let shift = self.head as u32;
-                self.buf.drain(..self.head);
-                self.skip.drain(..self.head);
-                // Skip pointers are absolute buffer indices; re-anchor
-                // them (only entries for still-full slots are ever read).
-                for s in &mut self.skip {
-                    *s = s.saturating_sub(shift);
-                }
-                self.head = 0;
-            }
+        self.head += adv as usize;
+        if self.free < self.head {
+            self.free = self.next_free(self.head);
+        }
+        if self.head >= self.buf.len() / 2 {
+            // Cut at a word boundary so the bitmap drains whole words.
+            let cut = self.head & !63;
+            self.buf.drain(..cut);
+            self.full.drain(..cut / 64);
+            self.origin += cut as u64;
+            self.head -= cut;
+            self.free -= cut;
         }
     }
 }
@@ -525,6 +538,65 @@ mod tests {
         assert_eq!(s.reserve(90, 1), 100);
         s.prune(200);
         assert_eq!(s.reserve(200, 2), 200);
+    }
+
+    /// The ring's own invariants: the bitmap mirrors the counts, every
+    /// slot in `head..free` is full, and `free` itself is not.
+    fn assert_ring_invariants(s: &RingSlots) {
+        assert_eq!(s.buf.len() % 64, 0);
+        assert_eq!(s.full.len() * 64, s.buf.len());
+        for (i, &b) in s.buf.iter().enumerate() {
+            assert_eq!(s.full[i / 64] >> (i % 64) & 1 == 1, b == s.pipes, "bitmap at {i}");
+        }
+        assert!(s.head <= s.free);
+        assert!(s.buf[s.head.min(s.buf.len())..s.free].iter().all(|&b| b == s.pipes));
+        assert!(s.buf.get(s.free).is_none_or(|&b| b < s.pipes), "cursor on a full slot");
+    }
+
+    #[test]
+    fn ring_slots_match_the_reference_tracker() {
+        use crate::exec::UnitSlots;
+        // xorshift64: a fixed seed, so a failure replays exactly.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |m: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % m
+        };
+        for case in 0..32 {
+            let pipes = 1 + next(3) as usize;
+            let (mut ring, mut reference) = (RingSlots::new(pipes), UnitSlots::new(pipes));
+            // A monotone floor, like the fetch frontier: most requests
+            // land on it (long runs saturate it and grow a full band),
+            // some a little ahead, a few far ahead to grow the ring.
+            let mut floor = 0u64;
+            for step in 0..3000 {
+                if next(4) == 0 {
+                    floor += next(4);
+                }
+                if next(256) == 0 {
+                    floor += next(400); // past the band, into a fresh stretch
+                }
+                let ready = match next(16) {
+                    0..=10 => floor,
+                    11..=14 => floor + next(12),
+                    _ => floor + next(300),
+                };
+                let occ = if next(8) == 0 { 1 + next(4) } else { 1 };
+                let got = if occ == 1 { ring.reserve1(ready) } else { ring.reserve(ready, occ) };
+                let want = reference.reserve(ready, occ);
+                assert_eq!(
+                    got, want,
+                    "case {case} step {step}: pipes={pipes} ready={ready} occ={occ}"
+                );
+                if next(40) == 0 {
+                    ring.prune(floor);
+                    reference.prune(floor);
+                    assert_ring_invariants(&ring);
+                }
+            }
+        }
     }
 
     #[test]

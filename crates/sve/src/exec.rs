@@ -291,20 +291,20 @@ pub(crate) fn deps_of(i: &Instr) -> Deps {
 /// schedulers actually do.  Entries older than the in-order fetch frontier
 /// can never be requested again and are pruned lazily.
 #[derive(Debug)]
-struct UnitSlots {
+pub(crate) struct UnitSlots {
     pipes: u8,
     used: std::collections::BTreeMap<u64, u8>,
 }
 
 impl UnitSlots {
-    fn new(pipes: usize) -> Self {
+    pub(crate) fn new(pipes: usize) -> Self {
         UnitSlots { pipes: pipes as u8, used: std::collections::BTreeMap::new() }
     }
 
     /// Find the earliest start ≥ `ready` with `occ` consecutive cycles of
     /// spare capacity, and consume them.
     #[allow(clippy::mut_range_bound)] // restart-the-scan via labeled loop is intentional
-    fn reserve(&mut self, ready: u64, occ: u64) -> u64 {
+    pub(crate) fn reserve(&mut self, ready: u64, occ: u64) -> u64 {
         debug_assert!(occ >= 1);
         let mut start = ready;
         'search: loop {
@@ -323,7 +323,7 @@ impl UnitSlots {
 
     /// Drop bookkeeping for cycles before `floor` (unreachable: `ready`
     /// is always ≥ the monotone fetch frontier).
-    fn prune(&mut self, floor: u64) {
+    pub(crate) fn prune(&mut self, floor: u64) {
         while let Some((&k, _)) = self.used.first_key_value() {
             if k >= floor {
                 break;
@@ -340,7 +340,11 @@ pub struct Executor {
 
 impl Executor {
     /// A core with the given configuration.
+    ///
+    /// # Panics
+    /// If the pipeline model cannot run (see `SchedModel::assert_runnable`).
     pub fn new(cfg: ExecConfig) -> Self {
+        cfg.sched.assert_runnable();
         Executor { cfg }
     }
 
@@ -839,6 +843,51 @@ mod tests {
         let dp = decoded_routine(Routine::Daxpy, Variant::Sve, &cfg);
         let (mut regs, mut mem) = prepare_routine(Routine::Daxpy, 100_000, &cfg);
         Executor::new(cfg).run_decoded(&dp, &mut regs, &mut mem);
+    }
+
+    /// A64FX config with one pipeline parameter broken.
+    fn broken(edit: impl FnOnce(&mut SchedModel)) -> ExecConfig {
+        let mut cfg = ExecConfig::a64fx_l1();
+        edit(&mut cfg.sched);
+        cfg
+    }
+
+    // A model either engine cannot run is rejected up front, by both
+    // entry points, instead of hanging, dividing by zero or truncating.
+    #[test]
+    #[should_panic(expected = "pipes[2] = 0")]
+    fn executor_rejects_a_unit_without_pipes() {
+        Executor::new(broken(|s| s.pipes[2] = 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "pipes[0] = 256 exceeds")]
+    fn executor_rejects_more_than_255_pipes() {
+        Executor::new(broken(|s| s.pipes[0] = 256));
+    }
+
+    #[test]
+    #[should_panic(expected = "fetch_width = 0")]
+    fn executor_rejects_a_zero_fetch_width() {
+        Executor::new(broken(|s| s.fetch_width = 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "pipes[4] = 0")]
+    fn decode_rejects_a_unit_without_pipes() {
+        crate::decode::DecodedProgram::decode(&[], &broken(|s| s.pipes[4] = 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "pipes[1] = 300 exceeds")]
+    fn decode_rejects_more_than_255_pipes() {
+        crate::decode::DecodedProgram::decode(&[], &broken(|s| s.pipes[1] = 300));
+    }
+
+    #[test]
+    #[should_panic(expected = "fetch_width = 0")]
+    fn decode_rejects_a_zero_fetch_width() {
+        crate::decode::DecodedProgram::decode(&[], &broken(|s| s.fetch_width = 0));
     }
 
     #[test]

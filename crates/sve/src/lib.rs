@@ -23,6 +23,8 @@
 //! results are checked against native Rust oracles in the test suite, and
 //! their cycle counts regenerate Table II.
 
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod asm;
 pub mod cache;
 pub mod decode;

@@ -66,7 +66,9 @@ impl SimMem {
     #[inline]
     pub fn load_f64(&self, addr: usize) -> f64 {
         assert!(addr.is_multiple_of(8), "unaligned f64 load at {addr:#x}");
-        let b: [u8; 8] = self.bytes[addr..addr + 8].try_into().expect("f64 load out of bounds");
+        let Some(&b) = self.bytes.get(addr..).and_then(<[u8]>::first_chunk) else {
+            panic!("f64 load out of bounds at {addr:#x}");
+        };
         f64::from_le_bytes(b)
     }
 
@@ -100,7 +102,7 @@ impl SimMem {
         let end = addr + 8 * out.len();
         assert!(end <= self.bytes.len(), "f64 load out of bounds at {addr:#x}");
         for (o, chunk) in out.iter_mut().zip(self.bytes[addr..end].chunks_exact(8)) {
-            *o = f64::from_le_bytes(chunk.try_into().expect("chunks_exact(8) yields 8 bytes"));
+            *o = f64::from_le_bytes(std::array::from_fn(|k| chunk[k]));
         }
     }
 

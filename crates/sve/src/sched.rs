@@ -119,6 +119,21 @@ impl SchedModel {
         }
     }
 
+    /// Reject a model either engine cannot run.
+    ///
+    /// # Panics
+    /// If `fetch_width` is 0 (the fetch frontier would divide by zero or
+    /// never advance), or a unit has 0 pipes (every cycle would be full,
+    /// so no reservation could ever succeed) or more than 255 (the pipe
+    /// trackers count reservations per cycle in a `u8`).
+    pub(crate) fn assert_runnable(&self) {
+        assert!(self.fetch_width > 0, "SchedModel: fetch_width = 0 fetches nothing");
+        for (u, &p) in self.pipes.iter().enumerate() {
+            assert!(p > 0, "SchedModel: pipes[{u}] = 0 can issue nothing");
+            assert!(p <= 255, "SchedModel: pipes[{u}] = {p} exceeds the 255-pipe limit");
+        }
+    }
+
     /// Total sustained memory bandwidth (bytes/cycle, all pipes) at
     /// `level` — the executor's cumulative-bytes issue limiter.
     pub fn total_mem_rate(&self, level: MemLevel) -> f64 {

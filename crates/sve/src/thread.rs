@@ -30,8 +30,8 @@
 //!   same order); any opcode without its own closure falls back to
 //!   `step_instr` itself.
 
-use crate::decode::{DecodedOp, DecodedProgram, FlopRule, MemRule, RingSlots, FLAT_REGS, NO_REG};
-use crate::exec::{step_instr, ExecStats, Executor, OpcodeMix};
+use crate::decode::{DecodedOp, DecodedProgram, FlopRule, MemRule, RingSlots, NO_REG};
+use crate::exec::{step_instr, ExecStats, Executor};
 use crate::fuse::FusionPlan;
 use crate::isa::Instr;
 use crate::mem::SimMem;
@@ -43,14 +43,18 @@ use crate::reg::RegFile;
 pub(crate) struct Frame<'a> {
     pub regs: &'a mut RegFile,
     pub mem: &'a mut SimMem,
-    /// Per-flat-register result-ready times.
-    pub ready: [u64; FLAT_REGS],
-    /// Incrementally maintained active-lane counts per predicate register.
-    pub p_active: [u64; 16],
+    /// Per-flat-register result-ready times (112 used), one slot per `u8`
+    /// so indexing by a flat register needs no bounds check.
+    pub ready: [u64; 256],
+    /// Incrementally maintained active-lane counts per predicate register
+    /// (16 used); the slot at [`NO_REG`] stays 0, so an unpredicated op
+    /// reads an active count of 0 without a branch.
+    pub p_active: [u64; 256],
     /// Per-unit pipe reservation rings.
     pub units: [RingSlots; 5],
-    /// Dynamic count per program mnemonic slot.
-    pub mix: Vec<u64>,
+    /// Executions per dispatch group: every per-op statistic that does
+    /// not depend on dynamic state is folded from these after the run.
+    pub hits: Vec<u64>,
     /// In-order fetch frontier `fetched / fetch_width`, maintained
     /// incrementally (with `fetch_rem = fetched % fetch_width`) so the
     /// hot path never divides.
@@ -70,14 +74,12 @@ pub(crate) struct Frame<'a> {
     pub mem_bytes_cum: u64,
     pub instrs: u64,
     pub max_instrs: u64,
+    /// Dynamic-instruction count at which the rings are next pruned.
+    pub next_prune: u64,
+    /// Flops of the active-lane cost rules (the constant ones are folded).
     pub flops: u64,
     pub bytes_read: u64,
     pub bytes_written: u64,
-    pub loads: u64,
-    pub stores: u64,
-    pub unit_busy: [u64; 5],
-    /// Dynamic instructions executed inside fused chains (for `sve.fuse.*`).
-    pub fused_dyn: u64,
 }
 
 /// Packed timing operands of one micro-op: the [`DecodedOp`] fields
@@ -90,27 +92,24 @@ pub(crate) struct Cost {
     dst: u8,
     pg: u8,
     unit: u8,
-    mix_slot: u16,
     latency: u64,
     occupancy: u64,
-    /// [`FlopRule`] lowered to closed form:
-    /// `flops = c + a·active + m1·max(active−1, 0)`.
-    flops_c: u64,
+    /// The active-lane part of [`FlopRule`] in closed form:
+    /// `flops = a·active + m1·max(active−1, 0)` (`Const` is folded).
     flops_a: u64,
     flops_m1: u64,
     /// [`MemRule`] lowered to closed form: `bytes = c + a·active`.
     bytes_c: u64,
     bytes_a: u64,
     is_load: bool,
-    is_store: bool,
 }
 
 impl Cost {
     fn of(op: &DecodedOp) -> Self {
-        let (flops_c, flops_a, flops_m1) = match op.flops {
-            FlopRule::Const(k) => (k, 0, 0),
-            FlopRule::PerActive(k) => (0, k, 0),
-            FlopRule::ActiveMinus1 => (0, 0, 1),
+        let (flops_a, flops_m1) = match op.flops {
+            FlopRule::Const(_) => (0, 0),
+            FlopRule::PerActive(k) => (k, 0),
+            FlopRule::ActiveMinus1 => (0, 1),
         };
         let (bytes_c, bytes_a) = match op.mem {
             MemRule::None => (0, 0),
@@ -123,45 +122,33 @@ impl Cost {
             dst: op.dst,
             pg: op.pg,
             unit: op.unit,
-            mix_slot: op.mix_slot,
             latency: op.latency,
             occupancy: op.occupancy,
-            flops_c,
             flops_a,
             flops_m1,
             bytes_c,
             bytes_a,
             is_load: op.is_load,
-            is_store: op.is_store,
         }
     }
 }
 
-/// Charge one micro-op's timing and statistics: a replica of the timing
-/// block of [`Executor::run`]'s step loop producing bit-identical values
-/// by construction — same arithmetic in the same order, with only
+/// Charge one micro-op's timing: a replica of the timing block of
+/// [`Executor::run`]'s step loop producing bit-identical values by
+/// construction — same arithmetic in the same order, with only
 /// result-preserving strength reductions (the fetch frontier is
 /// maintained incrementally instead of divided out per op, the cost rules
 /// were lowered to closed-form coefficients at decode, and power-of-two
 /// bandwidth divisions became shifts).  Fetch frontier, source readiness,
 /// the bandwidth limiter and the pipe reservation form a serial
 /// recurrence, so every part of a group is charged in program order.
-/// The instruction-cap check moves to the group level ([`check_cap`]).
-///
-/// The prune runs before the reservation here rather than after it as
-/// in the interpreter; prune timing is semantically transparent (its
-/// floor — the in-order fetch frontier — never exceeds any later
-/// reservation's ready time, so forgotten slots can never be probed
-/// again), which the fused-vs-interpreter property suite confirms.
+/// Only what depends on dynamic state is charged here; the statistics a
+/// group adds identically on every run (instruction count, mix, unit
+/// busyness, load/store counts, constant flops) are folded per group
+/// from [`Frame::hits`] after the run, and the instruction-cap check and
+/// the ring prune move to the group level ([`check_cap`]).
 #[inline(always)]
 fn charge(f: &mut Frame<'_>, c: &Cost) {
-    f.instrs += 1;
-    if f.instrs.is_multiple_of(4096) {
-        let floor = f.fetch_frontier;
-        for u in &mut f.units {
-            u.prune(floor);
-        }
-    }
     let mut rdy = f.fetch_frontier;
     f.fetch_rem += 1;
     if f.fetch_rem == f.fetch_width {
@@ -171,7 +158,7 @@ fn charge(f: &mut Frame<'_>, c: &Cost) {
     for &s in &c.srcs[..c.n_srcs as usize] {
         rdy = rdy.max(f.ready[s as usize]);
     }
-    let active = if c.pg == NO_REG { 0 } else { f.p_active[c.pg as usize] };
+    let active = f.p_active[c.pg as usize];
     let mem_bytes = c.bytes_c + c.bytes_a * active;
     if mem_bytes > 0 {
         let bw_ready = match f.mem_shift {
@@ -180,6 +167,11 @@ fn charge(f: &mut Frame<'_>, c: &Cost) {
         };
         rdy = rdy.max(bw_ready);
         f.mem_bytes_cum += mem_bytes;
+        if c.is_load {
+            f.bytes_read += mem_bytes;
+        } else {
+            f.bytes_written += mem_bytes;
+        }
     }
     let unit = &mut f.units[c.unit as usize];
     let start = if c.occupancy == 1 { unit.reserve1(rdy) } else { unit.reserve(rdy, c.occupancy) };
@@ -188,28 +180,34 @@ fn charge(f: &mut Frame<'_>, c: &Cost) {
         f.ready[c.dst as usize] = complete;
     }
     f.last_complete = f.last_complete.max(complete);
-    f.mix[c.mix_slot as usize] += 1;
-    f.unit_busy[c.unit as usize] += c.occupancy;
-    f.flops += c.flops_c + c.flops_a * active + c.flops_m1 * active.saturating_sub(1);
-    if c.is_load {
-        f.loads += 1;
-        f.bytes_read += mem_bytes;
-    } else if c.is_store {
-        f.stores += 1;
-        f.bytes_written += mem_bytes;
-    }
+    f.flops += c.flops_a * active + c.flops_m1 * active.saturating_sub(1);
 }
 
-/// Group-level dynamic-instruction cap: one check per dispatch instead
-/// of one per micro-op.  Panics on the same runaway programs as the
-/// per-op check (a group is at most a few ops, the cap is millions);
-/// only the panic's position within the offending group differs.
+/// How many dynamic instructions pass between ring prunes.
+const PRUNE_EVERY: u64 = 4096;
+
+/// Group entry: count the group's execution, check the dynamic-
+/// instruction cap, and prune the pipe rings every [`PRUNE_EVERY`]
+/// instructions — once per dispatch instead of once per micro-op.  Panics
+/// on the same runaway programs as the interpreter's per-op check (a group
+/// is at most a few ops, the cap is millions); only the panic's position
+/// within the offending group differs.  Prune timing is semantically
+/// transparent: its floor, the in-order fetch frontier at group entry,
+/// never exceeds any later reservation's ready time, so forgotten slots
+/// can never be probed again, which the fused-vs-interpreter property
+/// suite confirms.
 #[inline(always)]
-fn check_cap(f: &Frame<'_>, group_len: u64) {
-    assert!(
-        f.instrs + group_len <= f.max_instrs,
-        "dynamic instruction cap exceeded — runaway loop?"
-    );
+fn check_cap(f: &mut Frame<'_>, gi: usize, group_len: u64) {
+    f.hits[gi] += 1;
+    f.instrs += group_len;
+    assert!(f.instrs <= f.max_instrs, "dynamic instruction cap exceeded — runaway loop?");
+    if f.instrs >= f.next_prune {
+        f.next_prune += PRUNE_EVERY;
+        let floor = f.fetch_frontier;
+        for u in &mut f.units {
+            u.prune(floor);
+        }
+    }
 }
 
 /// A pre-bound dispatch closure: executes one group (fused chain or plain
@@ -347,16 +345,17 @@ fn micro_of(op: &DecodedOp, lanes: usize) -> Micro {
             let (da, pg, n, m) = (da.0 as usize, pg.0 as usize, n.0 as usize, m.0 as usize);
             let hw = fma_ok();
             Box::new(move |f| {
-                if f.p_active[pg] == full && da != n && da != m {
+                if f.p_active[pg] == full {
+                    // `get_disjoint_mut` fails exactly when `da` aliases a source.
                     if n == m {
-                        let [d_, n_] = f.regs.z.get_disjoint_mut([da, n]).expect("distinct regs");
-                        lanes_fmla_sq(hw, &mut d_[..lanes], &n_[..lanes]);
-                    } else {
-                        let [d_, n_, m_] =
-                            f.regs.z.get_disjoint_mut([da, n, m]).expect("distinct regs");
+                        if let Ok([d_, n_]) = f.regs.z.get_disjoint_mut([da, n]) {
+                            lanes_fmla_sq(hw, &mut d_[..lanes], &n_[..lanes]);
+                            return;
+                        }
+                    } else if let Ok([d_, n_, m_]) = f.regs.z.get_disjoint_mut([da, n, m]) {
                         lanes_fmla(hw, &mut d_[..lanes], &n_[..lanes], &m_[..lanes]);
+                        return;
                     }
-                    return;
                 }
                 for i in 0..lanes {
                     if f.regs.p[pg][i] {
@@ -368,12 +367,13 @@ fn micro_of(op: &DecodedOp, lanes: usize) -> Micro {
         FMulZ { d, pg, n, m } => {
             let (d, pg, n, m) = (d.0 as usize, pg.0 as usize, n.0 as usize, m.0 as usize);
             Box::new(move |f| {
-                if f.p_active[pg] == full && d != n && d != m && n != m {
-                    let [d_, n_, m_] = f.regs.z.get_disjoint_mut([d, n, m]).expect("distinct regs");
-                    for i in 0..lanes {
-                        d_[i] = n_[i] * m_[i];
+                if f.p_active[pg] == full {
+                    if let Ok([d_, n_, m_]) = f.regs.z.get_disjoint_mut([d, n, m]) {
+                        for i in 0..lanes {
+                            d_[i] = n_[i] * m_[i];
+                        }
+                        return;
                     }
-                    return;
                 }
                 for i in 0..lanes {
                     f.regs.z[d][i] =
@@ -384,12 +384,13 @@ fn micro_of(op: &DecodedOp, lanes: usize) -> Micro {
         FAddZ { d, pg, n, m } => {
             let (d, pg, n, m) = (d.0 as usize, pg.0 as usize, n.0 as usize, m.0 as usize);
             Box::new(move |f| {
-                if f.p_active[pg] == full && d != n && d != m && n != m {
-                    let [d_, n_, m_] = f.regs.z.get_disjoint_mut([d, n, m]).expect("distinct regs");
-                    for i in 0..lanes {
-                        d_[i] = n_[i] + m_[i];
+                if f.p_active[pg] == full {
+                    if let Ok([d_, n_, m_]) = f.regs.z.get_disjoint_mut([d, n, m]) {
+                        for i in 0..lanes {
+                            d_[i] = n_[i] + m_[i];
+                        }
+                        return;
                     }
-                    return;
                 }
                 for i in 0..lanes {
                     f.regs.z[d][i] =
@@ -400,8 +401,7 @@ fn micro_of(op: &DecodedOp, lanes: usize) -> Micro {
         MovZ { d, n } => {
             let (d, n) = (d.0 as usize, n.0 as usize);
             Box::new(move |f| {
-                if d != n {
-                    let [d_, n_] = f.regs.z.get_disjoint_mut([d, n]).expect("distinct regs");
+                if let Ok([d_, n_]) = f.regs.z.get_disjoint_mut([d, n]) {
                     d_.copy_from_slice(n_);
                 }
             })
@@ -498,88 +498,54 @@ pub(crate) fn lower(ops: &[DecodedOp], plan: &FusionPlan, lanes: usize) -> Vec<O
     for (gi, g) in plan.groups.iter().enumerate() {
         let fall = gi + 1;
         let group_ops = &ops[g.start..g.start + g.len];
-        let last = &group_ops[g.len - 1];
-        let fused_inc = if g.chain.is_some() { g.len as u64 } else { 0 };
-        let has_branch =
-            matches!(last.instr, Instr::B { .. } | Instr::BLtX { .. } | Instr::BGeX { .. });
-        let body_ops = if has_branch { &group_ops[..g.len - 1] } else { group_ops };
-        let body: Vec<(Cost, Micro)> =
-            body_ops.iter().map(|op| (Cost::of(op), micro_of(op, lanes))).collect();
         let group_len = g.len as u64;
-        if has_branch {
-            let bcost = Cost::of(last);
-            code.push(match last.instr {
-                Instr::B { target } => {
-                    let taken = slot_of(target);
-                    Box::new(move |f: &mut Frame| {
-                        check_cap(f, group_len);
-                        for (c, mi) in &body {
-                            charge(f, c);
-                            mi(f);
-                        }
-                        charge(f, &bcost);
-                        f.fused_dyn += fused_inc;
-                        taken
-                    })
-                }
-                Instr::BLtX { n, m, target } => {
-                    let (n, m) = (n.0 as usize, m.0 as usize);
-                    let taken = slot_of(target);
-                    Box::new(move |f: &mut Frame| {
-                        check_cap(f, group_len);
-                        for (c, mi) in &body {
-                            charge(f, c);
-                            mi(f);
-                        }
-                        charge(f, &bcost);
-                        f.fused_dyn += fused_inc;
-                        if f.regs.x[n] < f.regs.x[m] {
-                            taken
-                        } else {
-                            fall
-                        }
-                    })
-                }
-                Instr::BGeX { n, m, target } => {
-                    let (n, m) = (n.0 as usize, m.0 as usize);
-                    let taken = slot_of(target);
-                    Box::new(move |f: &mut Frame| {
-                        check_cap(f, group_len);
-                        for (c, mi) in &body {
-                            charge(f, c);
-                            mi(f);
-                        }
-                        charge(f, &bcost);
-                        f.fused_dyn += fused_inc;
-                        if f.regs.x[n] >= f.regs.x[m] {
-                            taken
-                        } else {
-                            fall
-                        }
-                    })
-                }
-                _ => unreachable!(),
-            });
-        } else if body.len() == 1 && fused_inc == 0 {
+        // A conditional branch ends its group; it is taken when
+        // `(x[n] < x[m]) == lt`, and an unconditional one is `x0 ≥ x0`.
+        let branch = match group_ops[g.len - 1].instr {
+            Instr::B { target } => Some((0, 0, false, target)),
+            Instr::BLtX { n, m, target } => Some((n.0 as usize, m.0 as usize, true, target)),
+            Instr::BGeX { n, m, target } => Some((n.0 as usize, m.0 as usize, false, target)),
+            _ => None,
+        };
+        let body_ops = &group_ops[..g.len - branch.is_some() as usize];
+        if let (None, [op]) = (branch, body_ops) {
             // Single plain op: no inner loop, one charge + one micro.
-            let (c, mi) = body.into_iter().next().expect("one-element body");
+            let (c, mi) = (Cost::of(op), micro_of(op, lanes));
             code.push(Box::new(move |f: &mut Frame| {
-                check_cap(f, 1);
+                check_cap(f, gi, 1);
                 charge(f, &c);
                 mi(f);
                 fall
             }));
-        } else {
+            continue;
+        }
+        let body: Vec<(Cost, Micro)> =
+            body_ops.iter().map(|op| (Cost::of(op), micro_of(op, lanes))).collect();
+        let Some((n, m, lt, target)) = branch else {
             code.push(Box::new(move |f: &mut Frame| {
-                check_cap(f, group_len);
+                check_cap(f, gi, group_len);
                 for (c, mi) in &body {
                     charge(f, c);
                     mi(f);
                 }
-                f.fused_dyn += fused_inc;
                 fall
             }));
-        }
+            continue;
+        };
+        let (bcost, taken) = (Cost::of(&group_ops[g.len - 1]), slot_of(target));
+        code.push(Box::new(move |f: &mut Frame| {
+            check_cap(f, gi, group_len);
+            for (c, mi) in &body {
+                charge(f, c);
+                mi(f);
+            }
+            charge(f, &bcost);
+            if (f.regs.x[n] < f.regs.x[m]) == lt {
+                taken
+            } else {
+                fall
+            }
+        }));
     }
     code
 }
@@ -603,14 +569,15 @@ impl Executor {
         assert_eq!(regs.vl_bits(), cfg.vl_bits, "register file VL does not match executor config");
         assert!(dp.matches(cfg), "decoded program was lowered for a different configuration");
         let sched = &cfg.sched;
-        let p_active: [u64; 16] = std::array::from_fn(|i| regs.active_lanes(i) as u64);
+        let p_active: [u64; 256] =
+            std::array::from_fn(|i| if i < 16 { regs.active_lanes(i) as u64 } else { 0 });
         let mut frame = Frame {
             regs,
             mem,
-            ready: [0u64; FLAT_REGS],
+            ready: [0u64; 256],
             p_active,
             units: std::array::from_fn(|i| RingSlots::new(sched.pipes[i])),
-            mix: vec![0u64; dp.mnemonics.len()],
+            hits: vec![0u64; dp.plan.groups.len()],
             fetch_frontier: 0,
             fetch_rem: 0,
             last_complete: 0,
@@ -624,13 +591,10 @@ impl Executor {
             mem_bytes_cum: 0,
             instrs: 0,
             max_instrs: cfg.max_instrs,
+            next_prune: PRUNE_EVERY,
             flops: 0,
             bytes_read: 0,
             bytes_written: 0,
-            loads: 0,
-            stores: 0,
-            unit_busy: [0u64; 5],
-            fused_dyn: 0,
         };
 
         let code = &dp.threaded;
@@ -645,17 +609,34 @@ impl Executor {
             flops: frame.flops,
             bytes_read: frame.bytes_read,
             bytes_written: frame.bytes_written,
-            loads: frame.loads,
-            stores: frame.stores,
-            unit_busy: frame.unit_busy,
-            mix: OpcodeMix::default(),
+            ..ExecStats::default()
         };
-        for (ms, &name) in dp.mnemonics.iter().enumerate() {
-            if frame.mix[ms] > 0 {
-                stats.mix.add(name, frame.mix[ms]);
+        // Fold the per-group constants: `hits × per-op statistic`.
+        let mut mix = vec![0u64; dp.mnemonics.len()];
+        let mut fused_dyn = 0;
+        for (g, &h) in dp.plan.groups.iter().zip(&frame.hits) {
+            for op in &dp.ops[g.start..g.start + g.len] {
+                mix[op.mix_slot as usize] += h;
+                stats.unit_busy[op.unit as usize] += h * op.occupancy;
+                if let FlopRule::Const(k) = op.flops {
+                    stats.flops += h * k;
+                }
+                if op.is_load {
+                    stats.loads += h;
+                } else if op.is_store {
+                    stats.stores += h;
+                }
+            }
+            if g.chain.is_some() {
+                fused_dyn += h * g.len as u64;
             }
         }
-        crate::fuse::note_run(frame.fused_dyn, frame.instrs);
+        for (&name, &count) in dp.mnemonics.iter().zip(&mix) {
+            if count > 0 {
+                stats.mix.add(name, count);
+            }
+        }
+        crate::fuse::note_run(fused_dyn, frame.instrs);
         stats
     }
 }

@@ -13,15 +13,14 @@ use v2d_sve::{DecodedProgram, ExecConfig, Executor, Instr, RegFile, SimMem, D, P
 const VLS: [u32; 5] = [128, 256, 512, 1024, 2048];
 const LEVELS: [MemLevel; 3] = [MemLevel::L1, MemLevel::L2, MemLevel::Hbm];
 
-#[test]
-fn every_kernel_matches_the_reference_interpreter() {
-    // Every routine × variant × VL × level cell: the interpreter runs the
-    // decoded program's own instruction list on the same prepared state.
-    // Tail-heavy sizes exercise chains whose final iteration runs under a
-    // partial predicate.
-    for n in [101, 173] {
-        for vl in VLS {
-            for level in LEVELS {
+/// Every routine × variant cell over the given sizes, vector lengths and
+/// levels: the interpreter runs the decoded program's own instruction
+/// list on the same prepared state, and stats, registers and memory must
+/// agree exactly.
+fn kernels_match_the_interpreter(ns: &[usize], vls: &[u32], levels: &[MemLevel]) {
+    for &n in ns {
+        for &vl in vls {
+            for &level in levels {
                 let cfg = ExecConfig::a64fx_l1().with_vl(vl).with_level(level);
                 let exec = Executor::new(cfg.clone());
                 for r in Routine::ALL {
@@ -40,6 +39,22 @@ fn every_kernel_matches_the_reference_interpreter() {
             }
         }
     }
+}
+
+#[test]
+fn every_kernel_matches_the_reference_interpreter() {
+    // Tail-heavy sizes exercise chains whose final iteration runs under a
+    // partial predicate.
+    kernels_match_the_interpreter(&[101, 173], &VLS, &LEVELS);
+}
+
+#[test]
+fn long_kernels_match_the_reference_interpreter_across_ring_prunes() {
+    // At n = 2 000 every scalar cell and every VL-128 SVE cell runs past
+    // the 4 096-instruction prune cadence (MATVEC scalar: 36 002 dynamic
+    // instructions), so the pipe rings prune, drain and re-seek their
+    // cursors mid-run.
+    kernels_match_the_interpreter(&[2000], &[128, 512, 2048], &[MemLevel::L1, MemLevel::Hbm]);
 }
 
 /// Length of the f64 array random programs may address through `x0`.
