@@ -7,7 +7,7 @@
 use v2d_comm::{CartComm, Comm, Spmd, TileMap};
 use v2d_core::config_file::BICGSTAB;
 use v2d_core::grid::LocalGrid;
-use v2d_core::problems::GaussianPulse;
+use v2d_core::problems::{GaussianPulse, Scenario};
 use v2d_core::rad::coeffs::assemble_system;
 use v2d_core::sim::{PrecondKind, V2dConfig, V2dSim};
 use v2d_linalg::{

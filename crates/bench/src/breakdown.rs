@@ -16,7 +16,7 @@
 //! the TAU-like profiler attached and reports the same quantities.
 
 use v2d_comm::{Spmd, TileMap};
-use v2d_core::problems::GaussianPulse;
+use v2d_core::problems::{GaussianPulse, Scenario};
 use v2d_core::sim::{V2dConfig, V2dSim};
 use v2d_machine::{CompilerId, KernelClass};
 

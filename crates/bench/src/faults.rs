@@ -10,7 +10,7 @@ use std::path::PathBuf;
 
 use v2d_comm::{Spmd, TileMap};
 use v2d_core::checkpoint::{restore_checkpoint, write_checkpoint, CheckpointStore};
-use v2d_core::problems::{Family, GaussianPulse};
+use v2d_core::problems::{Family, GaussianPulse, Scenario};
 use v2d_core::sim::V2dSim;
 use v2d_core::supervise::{run_supervised, RetryPolicy, SuperviseSpec};
 use v2d_machine::{FaultInjector, FaultKind, FaultPlan, FaultRecord};
@@ -50,14 +50,8 @@ fn corrupt_file(path: &std::path::Path, frac: f64) {
 
 /// FNV-1a over the raw field bits: one stable word summarizing a run.
 fn checksum(bits: impl IntoIterator<Item = u64>) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for b in bits {
-        for byte in b.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    }
-    h
+    let bytes: Vec<u8> = bits.into_iter().flat_map(u64::to_le_bytes).collect();
+    v2d_serve::fnv64(&bytes)
 }
 
 /// Cut the wall-clock-dependent tail off a timeout note (the

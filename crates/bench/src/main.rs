@@ -43,7 +43,7 @@ fn main() -> ExitCode {
             let names: Vec<&str> = ARTIFACTS.iter().map(|a| a.name).collect();
             eprintln!(
                 "usage: v2d-bench list | gate [--baseline P] [--write P] \
-                 [--perturb-{{cycles,supervise,serve,scenario}} N] [--summary P] | \
+                 [--perturb FAMILY] [--summary P] | \
                  <artifact> [args]   (artifacts: {})",
                 names.join(" ")
             );

@@ -20,56 +20,25 @@ use v2d_core::problems::{Family, GaussianPulse};
 use v2d_core::supervise::{run_supervised, RetryPolicy, SuperviseSpec};
 use v2d_linalg::sparsity;
 use v2d_machine::{A64fxModel, FaultKind, FaultPlan, ALL_COMPILERS};
-use v2d_obs::{compare, BenchReport, Gate, Metric, RunReport, Tracer};
+use v2d_obs::{compare, BenchEntry, BenchReport, Gate, Metric, RunReport, Tracer};
 use v2d_sve::kernels::{decoded_routine, prepare_routine, Routine, Variant};
 use v2d_sve::{ExecConfig, Executor};
 use v2d_testkit::MiniSpec;
 
 use crate::{fig1, table1, table2, UsageError};
 
-/// Knobs for [`collect`]: the red-run perturbations, all zero by
-/// default.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CollectOpts {
-    /// Inject this many extra simulated cycles into the first Table II
-    /// SVE clock — the CI red-run demonstration: even one cycle must
-    /// trip the exact gate.
-    pub perturb_cycles: u64,
-    /// Inject this many phantom replayed steps into the supervised
-    /// recovery ledger before recording it — the red-run proof for the
-    /// `supervise.*` gate family.
-    pub perturb_supervise: u64,
-    /// Inject this many phantom deduped requests into the service-layer
-    /// load counters before recording them — the red-run proof for the
-    /// `serve.*` gate family.
-    pub perturb_serve: u64,
-    /// Bump the first problem family's field checksum by this much
-    /// before recording it — the red-run proof for the `scenario.*`
-    /// gate family.
-    pub perturb_scenario: u64,
-}
-
 /// FNV-1a over `data`, folded to 32 bits so the value is exact in f64.
 fn fnv32(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let h = v2d_serve::fnv64(data);
     (h >> 32) ^ (h & 0xffff_ffff)
 }
 
 /// Table II rows → exact modeled entries (clocks + instruction counts).
-pub fn add_table2(report: &mut BenchReport, rows: &[table2::Row], perturb_cycles: u64) {
-    let freq = A64fxModel::ookami().freq_hz;
-    for (i, row) in rows.iter().enumerate() {
+pub fn add_table2(report: &mut BenchReport, rows: &[table2::Row]) {
+    for row in rows {
         let name = row.routine.name().to_lowercase();
-        // Recomputing seconds from cycles reproduces `row.sve` exactly
-        // when unperturbed (same expression, same operand order).
-        let sve_cycles = row.cycles.1 + if i == 0 { perturb_cycles } else { 0 };
-        let sve_s = sve_cycles as f64 * table2::REPS as f64 / freq;
         report.add(&format!("table2.{name}.no_sve_s"), row.no_sve, "s", Gate::Exact);
-        report.add(&format!("table2.{name}.sve_s"), sve_s, "s", Gate::Exact);
+        report.add(&format!("table2.{name}.sve_s"), row.sve, "s", Gate::Exact);
         report.add(
             &format!("table2.{name}.instrs_scalar"),
             row.instrs.0 as f64,
@@ -291,9 +260,7 @@ pub fn add_fault_mini_nl(report: &mut BenchReport) {
 /// checkpoint after every step, shrink allowed.  The whole recovery ledger (kills, rollbacks,
 /// re-decompositions, steps replayed, attempts, virtual backoff, MTTR)
 /// plus a checksum of the recovered global field gate bit-for-bit.
-/// `perturb` injects phantom replayed steps before recording — the CI
-/// red-run demonstration for this family.
-pub fn add_supervise(report: &mut BenchReport, perturb: u64) {
+pub fn add_supervise(report: &mut BenchReport) {
     use std::sync::atomic::{AtomicU64, Ordering};
     // Unique scratch dir per call: report collections run concurrently
     // inside one test binary.
@@ -321,7 +288,7 @@ pub fn add_supervise(report: &mut BenchReport, perturb: u64) {
         ("supervise.kills", l.kills),
         ("supervise.rollbacks", l.rollbacks),
         ("supervise.redecompositions", l.redecompositions),
-        ("supervise.steps_replayed", l.steps_replayed + perturb),
+        ("supervise.steps_replayed", l.steps_replayed),
         ("supervise.attempts", l.attempts),
     ] {
         report.add(name, count as f64, "count", Gate::Exact);
@@ -340,9 +307,8 @@ pub fn add_supervise(report: &mut BenchReport, perturb: u64) {
 /// plus a checksum over the result/cancel response bytes and the
 /// rank-kill spec's recovery ledger.  Scripted admission makes all of
 /// these pure functions of the load profile, so `Exact` gates hold on
-/// any machine.  `perturb` injects phantom deduped requests — the CI
-/// red-run demonstration for this family.
-pub fn add_serve(report: &mut BenchReport, perturb: u64) {
+/// any machine.
+pub fn add_serve(report: &mut BenchReport) {
     use v2d_serve::load::{run, LoadProfile};
     use v2d_serve::{Response, ServeOpts};
     let out = run(&LoadProfile::quick(), ServeOpts::default());
@@ -363,8 +329,7 @@ pub fn add_serve(report: &mut BenchReport, perturb: u64) {
         "serve.cache.result_evictions",
     ];
     for name in GATED {
-        let bump = if name == "serve.deduped" { perturb } else { 0 };
-        report.add(name, (out.metrics.counter(name) + bump) as f64, "count", Gate::Exact);
+        report.add(name, out.metrics.counter(name) as f64, "count", Gate::Exact);
     }
     report.add("serve.results_fnv32", out.checksum as f64, "hash", Gate::Exact);
     let kill = out
@@ -479,29 +444,27 @@ pub fn print_scenarios(args: &[String]) -> Result<(), UsageError> {
 /// smoke-resolution validation norms (tight `Band` — the norms are
 /// deterministic, but the band leaves room for an intentional
 /// last-digit change in a future analytic reference), its 0/1 pass
-/// counter, and a bit-exact checksum of the final fields.  `perturb`
-/// bumps the first family's checksum — the CI red-run demonstration.
-pub fn add_scenarios(report: &mut BenchReport, perturb: u64) {
-    for (i, row) in scenario_rows().iter().enumerate() {
+/// counter, and a bit-exact checksum of the final fields.
+pub fn add_scenarios(report: &mut BenchReport) {
+    for row in scenario_rows() {
         let r = &row.report;
         let name = |leaf: &str| format!("scenario.{}.{leaf}", r.family);
         for (leaf, norm) in [("l1", r.l1), ("l2", r.l2), ("linf", r.linf)] {
             report.add(&name(leaf), norm, "norm", Gate::Band { rel: 1e-9 });
         }
         report.add(&name("pass"), u64::from(r.pass) as f64, "count", Gate::Exact);
-        let sum = row.field_fnv32 + if i == 0 { perturb } else { 0 };
-        report.add(&name("field_fnv32"), sum as f64, "hash", Gate::Exact);
+        report.add(&name("field_fnv32"), row.field_fnv32 as f64, "hash", Gate::Exact);
     }
 }
 
 /// Collect the canonical report.
-pub fn collect(opts: &CollectOpts) -> BenchReport {
+pub fn collect() -> BenchReport {
     let mut report = BenchReport::new(vec![
         ("suite".to_string(), "v2d regression gate".to_string()),
         ("generator".to_string(), "bench_report".to_string()),
     ]);
 
-    add_table2(&mut report, &table2::run_full(), opts.perturb_cycles);
+    add_table2(&mut report, &table2::run_full());
     add_fig1(&mut report, &fig1::artifacts(100).pbm);
 
     add_table1_mini(&mut report);
@@ -510,10 +473,26 @@ pub fn collect(opts: &CollectOpts) -> BenchReport {
     add_fuse(&mut report);
     add_fault_mini(&mut report);
     add_fault_mini_nl(&mut report);
-    add_supervise(&mut report, opts.perturb_supervise);
-    add_scenarios(&mut report, opts.perturb_scenario);
-    add_serve(&mut report, opts.perturb_serve);
+    add_supervise(&mut report);
+    add_scenarios(&mut report);
+    add_serve(&mut report);
     report
+}
+
+/// The first entry, in name order, of gate family `family` — the name
+/// segment before the first dot (`table2`, `supervise`, `scenario`, …).
+/// A family with no entry in `report` is a usage error.
+fn family_head<'r>(
+    report: &'r mut BenchReport,
+    family: &str,
+) -> Result<&'r mut BenchEntry, UsageError> {
+    let prefix = format!("{family}.");
+    report
+        .entries
+        .iter_mut()
+        .find(|(name, _)| name.starts_with(&prefix))
+        .map(|(_, e)| e)
+        .ok_or(UsageError)
 }
 
 /// `v2d-bench gate` — regenerate the canonical report and compare it
@@ -525,37 +504,37 @@ pub fn collect(opts: &CollectOpts) -> BenchReport {
 /// * `--baseline PATH` — baseline report (default `bench/baseline.json`);
 /// * `--write PATH` — write the fresh report to PATH instead of
 ///   comparing it: commit the output to refresh the baseline;
-/// * `--perturb-cycles N` — inject N simulated cycles into one modeled
-///   clock before comparing.  `--perturb-cycles 1` is the red-run
-///   demonstration: a single cycle of drift must fail the gate;
-/// * `--perturb-supervise N` / `--perturb-serve N` / `--perturb-scenario N`
-///   — the same demonstration for the `supervise.*` (phantom replayed
-///   steps), `serve.*` (phantom deduped requests) and `scenario.*`
-///   (bumped field checksum) families;
+/// * `--perturb FAMILY` — add one to the first entry (in name order)
+///   of gate family FAMILY in the fresh report: the red-run
+///   demonstration that a single count of drift fails the gate.  An
+///   unknown family is a usage error;
 /// * `--summary PATH` — append the markdown delta table there.
 pub fn gate(args: &[String]) -> Result<bool, UsageError> {
     use std::io::Write as _;
     let mut baseline = "bench/baseline.json";
     let mut write = None;
-    let mut opts = CollectOpts::default();
+    let mut perturb = None;
     let mut summary = std::env::var("GITHUB_STEP_SUMMARY").ok();
     for (flag, value) in crate::flag_values(args)? {
-        let count = || value.parse::<u64>().map_err(|_| UsageError);
         match flag {
             "--baseline" => baseline = value,
             "--write" => write = Some(value),
-            "--perturb-cycles" => opts.perturb_cycles = count()?,
-            "--perturb-supervise" => opts.perturb_supervise = count()?,
-            "--perturb-serve" => opts.perturb_serve = count()?,
-            "--perturb-scenario" => opts.perturb_scenario = count()?,
+            "--perturb" => perturb = Some(value),
             "--summary" => summary = Some(value.to_string()),
             _ => return Err(UsageError),
         }
     }
+    let collect_perturbed = || {
+        let mut fresh = collect();
+        if let Some(family) = perturb {
+            family_head(&mut fresh, family)?.value += 1.0;
+        }
+        Ok(fresh)
+    };
 
     if let Some(path) = write {
         eprintln!("collecting canonical bench report …");
-        let fresh = collect(&opts);
+        let fresh = collect_perturbed()?;
         std::fs::write(path, fresh.to_json_string())
             .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
         eprintln!("{} metrics written to {path}", fresh.entries.len());
@@ -564,10 +543,14 @@ pub fn gate(args: &[String]) -> Result<bool, UsageError> {
 
     let text = std::fs::read_to_string(baseline)
         .unwrap_or_else(|e| panic!("cannot read baseline {baseline}: {e}"));
-    let base = BenchReport::parse(&text)
+    let mut base = BenchReport::parse(&text)
         .unwrap_or_else(|e| panic!("cannot parse baseline {baseline}: {e}"));
+    // Check the family against the baseline before spending a collection.
+    if let Some(family) = perturb {
+        family_head(&mut base, family)?;
+    }
     eprintln!("regenerating bench report …");
-    let cmp = compare(&base, &collect(&opts));
+    let cmp = compare(&base, &collect_perturbed()?);
     if cmp.pass() {
         println!("regression gate: all {} metrics within tolerance", cmp.deltas.len());
     } else {
@@ -638,7 +621,7 @@ mod tests {
 
     #[test]
     fn report_round_trips_and_self_compares_clean() {
-        let report = collect(&CollectOpts::default());
+        let report = collect();
         let back = BenchReport::parse(&report.to_json_string()).expect("parses");
         let cmp = compare(&report, &back);
         assert!(cmp.pass(), "round-trip drift:\n{}", cmp.table(true));
@@ -668,65 +651,65 @@ mod tests {
     }
 
     #[test]
-    fn one_cycle_perturbation_trips_the_gate() {
-        let base = collect(&CollectOpts::default());
-        let fresh = collect(&CollectOpts { perturb_cycles: 1, ..CollectOpts::default() });
-        let cmp = compare(&base, &fresh);
-        assert!(!cmp.pass(), "a 1-cycle perturbation must not pass the exact gate");
-        assert_eq!(cmp.failures(), 1, "{}", cmp.table(true));
+    fn perturbing_any_family_fails_exactly_its_first_metric() {
+        let base = collect();
+        let mut families: Vec<&str> =
+            base.entries.keys().filter_map(|k| k.split_once('.')).map(|(f, _)| f).collect();
+        families.dedup();
+        for family in ["table2", "supervise", "scenario", "serve"] {
+            assert!(families.contains(&family), "no {family} entries");
+        }
+        for family in families {
+            let mut fresh = base.clone();
+            family_head(&mut fresh, family).expect("family has entries").value += 1.0;
+            let cmp = compare(&base, &fresh);
+            assert!(!cmp.pass(), "a one-count bump in {family} must not pass the gate");
+            assert_eq!(cmp.failures(), 1, "{family}:\n{}", cmp.table(true));
+        }
+        let mut fresh = base.clone();
+        assert!(family_head(&mut fresh, "warp").is_err(), "an unknown family is a usage error");
+        assert!(family_head(&mut fresh, "table").is_err(), "a family is a whole name segment");
     }
 
     #[test]
-    fn ledger_perturbation_trips_the_gate() {
-        let base = collect(&CollectOpts::default());
-        let fresh = collect(&CollectOpts { perturb_supervise: 1, ..CollectOpts::default() });
-        let cmp = compare(&base, &fresh);
-        assert!(!cmp.pass(), "a phantom replayed step must not pass the exact gate");
-        assert_eq!(cmp.failures(), 1, "{}", cmp.table(true));
-        // The pinned scenario actually recovered: one kill, one
-        // rollback, one shrink, checksum present.
+    fn the_pinned_supervised_scenario_recovers() {
+        let mut report = BenchReport::new(Vec::new());
+        add_supervise(&mut report);
+        // One kill, one rollback, one shrink, checksum present.
         for (key, want) in [
             ("supervise.kills", 1.0),
             ("supervise.rollbacks", 1.0),
             ("supervise.redecompositions", 1.0),
             ("supervise.attempts", 2.0),
         ] {
-            assert_eq!(base.entries[key].value, want, "{key}");
+            assert_eq!(report.entries[key].value, want, "{key}");
         }
-        assert!(base.entries.contains_key("supervise.final_fnv32"));
+        assert!(report.entries.contains_key("supervise.final_fnv32"));
     }
 
     #[test]
-    fn scenario_perturbation_trips_the_gate() {
-        let base = collect(&CollectOpts::default());
-        let fresh = collect(&CollectOpts { perturb_scenario: 1, ..CollectOpts::default() });
-        let cmp = compare(&base, &fresh);
-        assert!(!cmp.pass(), "a one-count checksum bump must not pass the exact gate");
-        assert_eq!(cmp.failures(), 1, "{}", cmp.table(true));
-        // Every registry family is present and passing its own
-        // validation at smoke resolution.
+    fn every_family_passes_its_own_validation_in_the_gate() {
+        let mut report = BenchReport::new(Vec::new());
+        add_scenarios(&mut report);
         for family in v2d_core::problems::FAMILIES {
             let pass = &format!("scenario.{family}.pass");
-            assert_eq!(base.entries[pass].value, 1.0, "{family} fails validation");
-            assert!(base.entries.contains_key(&format!("scenario.{family}.l2")));
-            assert!(base.entries.contains_key(&format!("scenario.{family}.field_fnv32")));
+            assert_eq!(report.entries[pass].value, 1.0, "{family} fails validation");
+            assert!(report.entries.contains_key(&format!("scenario.{family}.l2")));
+            assert!(report.entries.contains_key(&format!("scenario.{family}.field_fnv32")));
         }
     }
 
     #[test]
-    fn serve_perturbation_trips_the_gate() {
-        let base = collect(&CollectOpts::default());
-        let fresh = collect(&CollectOpts { perturb_serve: 1, ..CollectOpts::default() });
-        let cmp = compare(&base, &fresh);
-        assert!(!cmp.pass(), "a phantom deduped request must not pass the exact gate");
-        assert_eq!(cmp.failures(), 1, "{}", cmp.table(true));
-        // The quick load profile exercises the whole admission surface.
-        assert!(base.entries["serve.admitted"].value > 10.0);
-        assert!(base.entries["serve.deduped"].value >= 1.0);
-        assert!(base.entries["serve.cache.result_hits"].value >= 1.0);
-        assert!(base.entries["serve.cancelled"].value >= 1.0);
-        assert_eq!(base.entries["serve.kill.kills"].value, 1.0);
-        assert!(base.entries.contains_key("serve.results_fnv32"));
+    fn the_quick_load_profile_exercises_the_whole_admission_surface() {
+        let mut report = BenchReport::new(Vec::new());
+        add_serve(&mut report);
+        let entry = |k: &str| report.entries[k].value;
+        assert!(entry("serve.admitted") > 10.0);
+        assert!(entry("serve.deduped") >= 1.0);
+        assert!(entry("serve.cache.result_hits") >= 1.0);
+        assert!(entry("serve.cancelled") >= 1.0);
+        assert_eq!(entry("serve.kill.kills"), 1.0);
+        assert!(report.entries.contains_key("serve.results_fnv32"));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! slowest process.
 
 use v2d_comm::{Spmd, TileMap};
-use v2d_core::problems::GaussianPulse;
+use v2d_core::problems::{GaussianPulse, Scenario};
 use v2d_core::sim::{V2dConfig, V2dSim};
 use v2d_machine::ALL_COMPILERS;
 

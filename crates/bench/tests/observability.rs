@@ -64,7 +64,7 @@ fn gate_round_trips_and_flags_drift() {
     assert!(run(&["--write", path]).status.success(), "gate --write failed");
     assert_eq!(
         std::fs::read_to_string(path).expect("gate --write wrote the report"),
-        report::collect(&report::CollectOpts::default()).to_json_string()
+        report::collect().to_json_string()
     );
 
     // Baseline vs itself: clean pass.
@@ -76,10 +76,11 @@ fn gate_round_trips_and_flags_drift() {
         String::from_utf8_lossy(&green.stderr)
     );
 
-    // One injected cycle: the exact gate must trip and the process
-    // must exit non-zero, naming the perturbed metric.
-    let red = run(&["--baseline", path, "--perturb-cycles", "1"]);
-    assert_eq!(red.status.code(), Some(1), "a 1-cycle perturbation must fail the gate");
+    // One count of drift in the Table II family: the exact gate must
+    // trip and the process must exit non-zero, naming the perturbed
+    // metric.
+    let red = run(&["--baseline", path, "--perturb", "table2"]);
+    assert_eq!(red.status.code(), Some(1), "a one-count perturbation must fail the gate");
     let stdout = String::from_utf8_lossy(&red.stdout);
     assert!(stdout.contains("FAIL"), "no failure banner:\n{stdout}");
     assert!(stdout.contains("table2."), "delta table should name the metric:\n{stdout}");

@@ -8,6 +8,10 @@ use std::process::{Command, Output};
 
 use v2d_bench::ARTIFACTS;
 
+/// The checked-in baseline (the runner's default path is relative to the
+/// repository root, not to this crate).
+const BASELINE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../bench/baseline.json");
+
 fn runner(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_v2d-bench"))
         .args(args)
@@ -55,8 +59,9 @@ fn bad_command_lines_print_one_usage_line_and_exit_2() {
         &["nope"],
         &["list", "extra"],
         &["gate", "--baseline"],
-        &["gate", "--perturb-cycles", "x"],
-        &["gate", "--perturb-serve", "-1"],
+        &["gate", "--perturb"],
+        &["gate", "--baseline", BASELINE, "--perturb", "warp"],
+        &["gate", "--perturb-cycles", "1"],
         &["gate", "--summary"],
         &["gate", "--frobnicate", "1"],
         &["table2", "--trace"],

@@ -8,16 +8,21 @@
 //!
 //! ```text
 //! /              @time, @istep, @n1, @n2
-//! /radiation/erad        f64 [2, n2, n1]
-//! /hydro/{rho,m1,m2,etot} f64 [n2, n1]   (when hydro is enabled)
+//! /radiation/erad          f64 [2, n2, n1]
+//! /hydro/{rho,m1,m2,etot}  f64 [n2, n1]   (when hydro is enabled)
+//! /coupling/temperature    f64 [n2, n1]   (when matter coupling is enabled)
 //! ```
+//!
+//! The datasets are exactly `V2dSim::fields`, in that order: writing
+//! and restoring walk the same list, so a field the simulation evolves
+//! cannot be left out of one side.
 
 use std::path::{Path, PathBuf};
 
 use v2d_comm::{coll_site, Comm, CommError};
 use v2d_io::parallel::TileData;
 use v2d_io::{Dataset, File, H5Error, Value};
-use v2d_linalg::NSPEC;
+use v2d_linalg::TileVec;
 use v2d_machine::{KernelClass, KernelShape, MultiCostSink};
 
 use crate::sim::V2dSim;
@@ -112,16 +117,17 @@ fn dataset_f64<'f>(file: &'f File, name: &str) -> Result<&'f [f64], CheckpointEr
     }
 }
 
-/// Gather one distributed field (given per-rank `values` of the local
-/// tile, species-major) into a global row-major array on every rank.
+/// Gather one distributed field into a global array on every rank:
+/// plane-major, then row-major over the full grid.
 fn gather_field(
     comm: &Comm,
     sink: &mut MultiCostSink,
     sim: &V2dSim,
-    nspec: usize,
-    values: Vec<f64>,
+    field: &TileVec,
 ) -> Result<Vec<f64>, CommError> {
     let g = sim.grid();
+    let planes = field.planes();
+    let values = field.interior_to_vec();
     // Header: tile extents, then payload.
     let mut msg = vec![g.i1_start as f64, g.n1 as f64, g.i2_start as f64, g.n2 as f64];
     sink.charge(&KernelShape::streaming(KernelClass::Pack, values.len(), 0, 1, 1, 0));
@@ -136,7 +142,7 @@ fn gather_field(
         let n1 = all[at + 1] as usize;
         let i2_start = all[at + 2] as usize;
         let n2 = all[at + 3] as usize;
-        let len = nspec * n1 * n2;
+        let len = planes * n1 * n2;
         tiles.push(TileData {
             i1_start,
             n1,
@@ -146,11 +152,22 @@ fn gather_field(
         });
         at += 4 + len;
     }
-    Ok(v2d_io::gather_global(g.global.n1, g.global.n2, nspec, &tiles))
+    Ok(v2d_io::gather_global(g.global.n1, g.global.n2, planes, &tiles))
+}
+
+/// The dataset shape of a `planes`-plane field on a `gn1 × gn2` grid:
+/// `[planes, n2, n1]`, or `[n2, n1]` for a scalar field.
+fn dataset_shape(planes: usize, gn1: usize, gn2: usize) -> Vec<usize> {
+    if planes == 1 {
+        vec![gn2, gn1]
+    } else {
+        vec![planes, gn2, gn1]
+    }
 }
 
 /// Assemble a checkpoint of `sim` (every rank returns the identical
-/// file; persist it from rank 0 with [`v2d_io::File::save`]).
+/// file; persist it from rank 0 with [`v2d_io::File::save`]).  Every
+/// field of `V2dSim::fields` is gathered, in that order.
 ///
 /// Fails with [`CheckpointError::Comm`] if the gather collective fails
 /// (lockstep mismatch, deadline expiry under fault injection); no file
@@ -169,19 +186,15 @@ pub fn write_checkpoint(
     f.set_attr("n2", Value::I64(gn2 as i64));
     f.set_attr("code", Value::Str("V2D-rust".into()));
 
-    let erad = gather_field(comm, sink, sim, NSPEC, sim.erad().interior_to_vec())?;
-    f.write_dataset("radiation/erad", Dataset::f64(vec![NSPEC, gn2, gn1], erad));
-
-    if let Some(h) = sim.hydro() {
-        for (name, field) in [("rho", &h.rho), ("m1", &h.m1), ("m2", &h.m2), ("etot", &h.etot)] {
-            let global = gather_field(comm, sink, sim, 1, field.interior_to_vec())?;
-            f.write_dataset(&format!("hydro/{name}"), Dataset::f64(vec![gn2, gn1], global));
-        }
+    for (name, field) in sim.fields() {
+        let global = gather_field(comm, sink, sim, field)?;
+        f.write_dataset(name, Dataset::f64(dataset_shape(field.planes(), gn1, gn2), global));
     }
     Ok(f)
 }
 
-/// Restore `sim`'s rank-local state from a checkpoint file.
+/// Restore `sim`'s rank-local state from a checkpoint file: every field
+/// of `V2dSim::fields`.
 ///
 /// Every defect — missing or mistyped attribute/dataset, grid mismatch —
 /// is a typed [`CheckpointError`] naming the offending member, and the
@@ -201,50 +214,21 @@ pub fn restore_checkpoint(sim: &mut V2dSim, file: &File) -> Result<(), Checkpoin
 
     // Validate every dataset (presence, type, length) before mutating
     // anything, so a half-valid file cannot leave a half-restored sim.
-    let erad = dataset_f64(file, "radiation/erad")?;
-    if erad.len() != NSPEC * gn1 * gn2 {
-        return Err(CheckpointError::BadDataset {
-            name: "radiation/erad".into(),
-            expected: "an nspec * n2 * n1 array",
-        });
-    }
-    let erad = erad.to_vec();
-    let mut hydro_fields = Vec::new();
-    if sim.hydro().is_some() {
-        for name in ["rho", "m1", "m2", "etot"] {
-            let data = dataset_f64(file, &format!("hydro/{name}"))?;
-            if data.len() != gn1 * gn2 {
-                return Err(CheckpointError::BadDataset {
-                    name: format!("hydro/{name}"),
-                    expected: "an n2 * n1 array",
-                });
-            }
-            hydro_fields.push((name, data.to_vec()));
+    let mut datasets = Vec::new();
+    for (name, field) in sim.fields() {
+        let data = dataset_f64(file, name)?;
+        if data.len() != field.planes() * gn1 * gn2 {
+            let expected =
+                if field.planes() == 1 { "an n2 * n1 array" } else { "an nspec * n2 * n1 array" };
+            return Err(CheckpointError::BadDataset { name: name.into(), expected });
         }
+        datasets.push(data);
     }
 
     sim.set_time(time, istep);
-    {
-        let (i1s, i2s) = (g.i1_start, g.i2_start);
-        sim.erad_mut().fill_with(|s, i1, i2| erad[s * gn1 * gn2 + (i2s + i2) * gn1 + (i1s + i1)]);
-    }
-
-    if let Some(h) = sim.hydro_mut() {
-        let (i1s, i2s) = (g.i1_start, g.i2_start);
-        let (ln1, ln2) = (g.n1, g.n2);
-        for (name, data) in hydro_fields {
-            let field = match name {
-                "rho" => &mut h.rho,
-                "m1" => &mut h.m1,
-                "m2" => &mut h.m2,
-                _ => &mut h.etot,
-            };
-            for i2 in 0..ln2 {
-                for i1 in 0..ln1 {
-                    field.set(0, i1 as isize, i2 as isize, data[(i2s + i2) * gn1 + (i1s + i1)]);
-                }
-            }
-        }
+    let (i1s, i2s) = (g.i1_start, g.i2_start);
+    for ((_, field), data) in sim.fields_mut().into_iter().zip(datasets) {
+        field.fill_with(|s, i1, i2| data[s * gn1 * gn2 + (i2s + i2) * gn1 + (i1s + i1)]);
     }
     Ok(())
 }
@@ -355,7 +339,7 @@ impl CheckpointStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::problems::GaussianPulse;
+    use crate::problems::{GaussianPulse, Scenario};
     use crate::sim::V2dSim;
     use v2d_comm::{Spmd, TileMap};
     use v2d_machine::CompilerProfile;

@@ -15,13 +15,25 @@
 //! ```text
 //! E(r, t) = E_bg + A·σ²/(σ² + 4Dt) · exp(−r²/(σ² + 4Dt)),  D = c/(3κ_t)
 //! ```
+//!
+//! and the [`Scenario`] impl grades a run against it.
 
+use v2d_comm::Comm;
 use v2d_linalg::SolveOpts;
+use v2d_machine::MultiCostSink;
 
 use crate::grid::{Geometry, Grid2};
 use crate::limiter::Limiter;
 use crate::opacity::OpacityModel;
 use crate::sim::{PrecondKind, V2dConfig, V2dSim};
+
+use super::scenario::{
+    Convergence, ConvergenceMode, Family, NormAccum, Refinement, Scenario, ValidationReport,
+};
+
+/// Physical end time of the registry scenario (chosen so the proven
+/// 40×20×24 verification setting falls out at `dt = 0.00125`).
+pub const T_GAUSSIAN: f64 = 0.03;
 
 /// The Gaussian pulse initial condition.
 #[derive(Debug, Clone, Copy)]
@@ -39,7 +51,7 @@ pub struct GaussianPulse {
 
 impl GaussianPulse {
     /// The standard pulse: centered, σ = 10 zones of the paper grid.
-    pub fn standard() -> Self {
+    pub const fn standard() -> Self {
         GaussianPulse { amplitude: 1.0, sigma: 0.1, center: (1.0, 0.5), background: 1e-4 }
     }
 
@@ -91,20 +103,6 @@ impl GaussianPulse {
         cfg
     }
 
-    /// Set the initial radiation field (both species identical, as the
-    /// paper's pulse).
-    pub fn init(&self, sim: &mut V2dSim) {
-        let grid = *sim.grid();
-        let (cx, cy) = self.center;
-        let (a, s2) = (self.amplitude, self.sigma * self.sigma);
-        let bg = self.background;
-        sim.erad_mut().fill_with(|_, i1, i2| {
-            let (x, y) = grid.center(i1, i2);
-            let r2 = (x - cx).powi(2) + (y - cy).powi(2);
-            bg + a * (-r2 / s2).exp()
-        });
-    }
-
     /// The closed-form linear-diffusion solution at time `t` with
     /// diffusion coefficient `d` (valid for [`Self::linear_config`]).
     pub fn analytic(&self, d: f64, x: f64, y: f64, t: f64) -> f64 {
@@ -118,6 +116,80 @@ impl GaussianPulse {
     /// configuration.
     pub fn linear_diffusion_coefficient(cfg: &V2dConfig) -> f64 {
         cfg.c_light / (3.0 * cfg.opacity.kappa_t(0))
+    }
+}
+
+/// The registry scenario: the *linear* configuration (no limiter, pure
+/// scattering) where the closed-form diffusion solution grades the run.
+impl Scenario for GaussianPulse {
+    fn family(&self) -> Family {
+        Family::Gaussian
+    }
+
+    fn describe(&self) -> &'static str {
+        "2-D Gaussian radiation pulse vs the closed-form linear-diffusion solution"
+    }
+
+    fn smoke(&self) -> (usize, usize, usize) {
+        (40, 20, 24)
+    }
+
+    fn config(&self, n1: usize, n2: usize, steps: usize) -> V2dConfig {
+        let mut cfg = Self::linear_config(n1, n2, steps);
+        cfg.dt = T_GAUSSIAN / steps as f64;
+        cfg
+    }
+
+    /// Set the initial radiation field (both species identical, as the
+    /// paper's pulse).
+    fn init(&self, sim: &mut V2dSim) {
+        let grid = *sim.grid();
+        let (cx, cy) = self.center;
+        let (a, s2) = (self.amplitude, self.sigma * self.sigma);
+        let bg = self.background;
+        sim.erad_mut().fill_with(|_, i1, i2| {
+            let (x, y) = grid.center(i1, i2);
+            let r2 = (x - cx).powi(2) + (y - cy).powi(2);
+            bg + a * (-r2 / s2).exp()
+        });
+    }
+
+    fn validate(&self, sim: &V2dSim, comm: &Comm, sink: &mut MultiCostSink) -> ValidationReport {
+        let d = Self::linear_diffusion_coefficient(sim.config());
+        let t = sim.time();
+        let grid = sim.grid();
+        let mut acc = NormAccum::default();
+        for s in 0..v2d_linalg::NSPEC {
+            for i2 in 0..grid.n2 {
+                for i1 in 0..grid.n1 {
+                    let (x, y) = grid.center(i1, i2);
+                    acc.push(
+                        sim.erad().get(s, i1 as isize, i2 as isize),
+                        self.analytic(d, x, y, t),
+                    );
+                }
+            }
+        }
+        let (l1, l2, linf) = acc.reduce(comm, sink);
+        let tolerance = 0.05;
+        ValidationReport {
+            family: self.family().name(),
+            l1,
+            l2,
+            linf,
+            tolerance,
+            pass: l2 < tolerance,
+            detail: format!("field vs analytic diffusion at t={t:.4}"),
+        }
+    }
+
+    fn convergence(&self) -> Convergence {
+        Convergence {
+            mode: ConvergenceMode::Analytic,
+            refine: Refinement::SpaceTime,
+            base: (32, 16, 12),
+            min_order: 1.5,
+        }
     }
 }
 
@@ -135,42 +207,6 @@ mod tests {
         assert_eq!(cfg.precond, PrecondKind::BlockJacobi);
         assert!(cfg.hydro.is_none(), "the paper's test does not evolve hydro");
         // 100 steps × 3 solves = the paper's 300 linear systems.
-    }
-
-    #[test]
-    fn pulse_diffuses_toward_analytic_solution() {
-        // Small linear problem vs the closed form: the implicit solver
-        // introduces O(dt) error; with ~30 steps the field should match
-        // to a couple of percent in relative L2.
-        let (n1, n2) = (40, 20);
-        let mut cfg = GaussianPulse::linear_config(n1, n2, 24);
-        // Verification needs the pulse to stay far from the Dirichlet
-        // boundary and the O(dt) backward-Euler error small, so the test
-        // overrides the stiff study timestep with a gentle one.
-        cfg.dt = 0.00125;
-        let pulse = GaussianPulse { sigma: 0.1, ..GaussianPulse::standard() };
-        let errs = Spmd::new(1).with_profiles(vec![CompilerProfile::cray_opt()]).run(|ctx| {
-            let map = TileMap::new(n1, n2, 1, 1);
-            let mut sim = V2dSim::new(cfg, &ctx.comm, map);
-            pulse.init(&mut sim);
-            sim.run(&ctx.comm, &mut ctx.sink);
-            let d = GaussianPulse::linear_diffusion_coefficient(&cfg);
-            let t = sim.time();
-            let grid = *sim.grid();
-            let mut num = 0.0;
-            let mut den = 0.0;
-            for i2 in 0..n2 {
-                for i1 in 0..n1 {
-                    let (x, y) = grid.center(i1, i2);
-                    let want = pulse.analytic(d, x, y, t);
-                    let got = sim.erad().get(0, i1 as isize, i2 as isize);
-                    num += (got - want).powi(2);
-                    den += want.powi(2);
-                }
-            }
-            (num / den).sqrt()
-        });
-        assert!(errs[0] < 0.05, "relative L2 error vs analytic solution too large: {}", errs[0]);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Test problems: initial conditions, configurations, and analytic
-//! references, unified behind the [`scenario`] registry.
+//! references, unified behind the [`scenario`] registry.  Each family is
+//! exactly one type implementing [`Scenario`], in its own module:
 //!
 //! * [`gaussian`] — the paper's radiation test: diffusion of a 2-D
 //!   Gaussian pulse on a 200 × 100 grid with two species, 100 timesteps,
@@ -17,10 +18,11 @@
 //! * [`radshock`] — a radiative step front with an erfc closed form;
 //! * [`multigroup`] — two groups crossing an opacity step, each with
 //!   its own analytic diffusion rate;
-//! * [`scenario`] — the [`scenario::Scenario`] trait, the string-keyed
-//!   [`scenario::Family`] registry, and the shared validation numerics
+//! * [`scenario`] — the [`Scenario`] trait, the string-keyed [`Family`]
+//!   registry, [`deck_from_config`], and the shared validation numerics
 //!   (collective norms, `erf`, the exact Riemann solver, the 0-D
-//!   coupling ODE reference).
+//!   coupling ODE reference, the hydro config/study helpers).  It holds
+//!   no problem-specific code.
 
 pub mod equilibrium;
 pub mod gaussian;

@@ -19,11 +19,10 @@ use crate::limiter::Limiter;
 use crate::opacity::OpacityModel;
 use crate::sim::{PrecondKind, V2dConfig, V2dSim};
 
+use super::gaussian::{GaussianPulse, T_GAUSSIAN};
 use super::scenario::{
     Convergence, ConvergenceMode, Family, NormAccum, Refinement, Scenario, ValidationReport,
-    T_GAUSSIAN,
 };
-use super::GaussianPulse;
 
 /// Per-group scattering opacities: the "opacity step" across the
 /// frequency axis (group 1 is 4× more opaque → diffuses 4× slower).

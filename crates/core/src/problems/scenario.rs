@@ -1,11 +1,14 @@
 //! The problem-family registry and its uniform validation harness.
 //!
 //! Every test problem V2D can run — the paper's Gaussian pulse, the
-//! legacy verification problems, and the physics workloads added on top
-//! of them — is a [`Scenario`]: one object that knows how to configure
-//! a run at any resolution, set the initial condition, and *grade* the
-//! finished fields against an analytic or golden reference.  Scenarios
-//! are string-keyed by [`Family`], so a parameter deck selects one with
+//! verification problems, and the physics workloads added on top of
+//! them — is one type implementing [`Scenario`], defined in its own
+//! module: it configures a run at any resolution, sets the initial
+//! condition, and *grades* the finished fields against an analytic or
+//! golden reference.  This module holds only what they share: the
+//! registry, the trait and report types, [`deck_from_config`], and the
+//! shared numerics.  Scenarios are string-keyed by [`Family`], so a
+//! parameter deck selects one with
 //!
 //! ```text
 //! [problem]
@@ -18,9 +21,10 @@
 //!
 //! Two invariants make the registry safe to thread everywhere:
 //!
-//! * **`Family::Gaussian` is the legacy run.**  Its `init` delegates to
-//!   exactly `GaussianPulse::standard().init`, so every pre-registry
-//!   golden and gate stays byte-identical.
+//! * **A registry entry is a parameter struct.**  [`Family::scenario`]
+//!   hands out `static` instances (`GaussianPulse::standard()`, …), so
+//!   a run through the registry and a run through the struct's own
+//!   constructor are the same run, bit for bit.
 //! * **Fixed physical end time.**  Each scenario's `config(n1, n2,
 //!   steps)` derives `dt = T_final / steps` from a per-family constant,
 //!   so refining `steps` refines the timestep while every resolution
@@ -40,11 +44,10 @@ use crate::limiter::Limiter;
 use crate::opacity::OpacityModel;
 use crate::sim::{HydroConfig, PrecondKind, V2dConfig, V2dSim};
 
-use super::kelvin_helmholtz::KelvinHelmholtzScenario;
-use super::multigroup::MultigroupScenario;
-use super::radshock::RadShockScenario;
-use super::sedov::SedovScenario;
-use super::{GaussianPulse, MatterRelaxation, RadiativeRelaxation, SodTube};
+use super::{
+    GaussianPulse, KelvinHelmholtzScenario, MatterRelaxation, MultigroupScenario, RadShockScenario,
+    RadiativeRelaxation, SedovScenario, SodTube,
+};
 
 /// The registered problem families, in registry (sweep) order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -91,26 +94,19 @@ impl Family {
         FAMILY.name(self)
     }
 
-    /// Look a family up by name (a couple of common aliases included).
-    pub fn parse(name: &str) -> Option<Family> {
-        FAMILY.parse(name)
-    }
-
-    /// The comma-separated list of valid family names (for error
-    /// messages and docs).
-    pub fn valid_names() -> String {
-        FAMILY.valid()
-    }
-
     /// The scenario object for this family.
     pub fn scenario(self) -> &'static dyn Scenario {
+        static GAUSSIAN: GaussianPulse = GaussianPulse::standard();
+        static RELAX: RadiativeRelaxation = RadiativeRelaxation::standard();
+        static MARSHAK: MatterRelaxation = MatterRelaxation::standard();
+        static SOD: SodTube = SodTube::standard();
         match self {
-            Family::Gaussian => &GaussianScenario,
+            Family::Gaussian => &GAUSSIAN,
             Family::Multigroup => &MultigroupScenario,
             Family::RadShock => &RadShockScenario,
-            Family::Relax => &RelaxScenario,
-            Family::Marshak => &MarshakScenario,
-            Family::Sod => &SodScenario,
+            Family::Relax => &RELAX,
+            Family::Marshak => &MARSHAK,
+            Family::Sod => &SOD,
             Family::Sedov => &SedovScenario,
             Family::KelvinHelmholtz => &KelvinHelmholtzScenario,
         }
@@ -323,8 +319,9 @@ pub fn deck_from_config(family: Family, cfg: &V2dConfig, np1: usize, np2: usize)
 }
 
 // ---------------------------------------------------------------------
-// Shared numerics: collective norms, erf, the exact Riemann solver, and
-// the 0-D coupling ODE reference.
+// Shared numerics: collective norms, erf, the exact Riemann solver, the
+// 0-D coupling ODE reference, and the hydro scenarios' config and study
+// helpers.
 // ---------------------------------------------------------------------
 
 /// Local accumulator for relative L1/L2/L∞ norms of `got − want`.
@@ -539,324 +536,6 @@ pub fn coupling_ode_reference(
     ([y[0], y[1]], y[2])
 }
 
-// ---------------------------------------------------------------------
-// The four legacy problems as scenarios.
-// ---------------------------------------------------------------------
-
-/// Physical end time of the Gaussian-pulse scenario (chosen so the
-/// proven 40×20×24 verification setting falls out at `dt = 0.00125`).
-pub const T_GAUSSIAN: f64 = 0.03;
-
-/// The paper's pulse as a registry scenario: the *linear* configuration
-/// (no limiter, pure scattering) where the closed-form diffusion
-/// solution grades the run.
-pub struct GaussianScenario;
-
-impl Scenario for GaussianScenario {
-    fn family(&self) -> Family {
-        Family::Gaussian
-    }
-
-    fn describe(&self) -> &'static str {
-        "2-D Gaussian radiation pulse vs the closed-form linear-diffusion solution"
-    }
-
-    fn smoke(&self) -> (usize, usize, usize) {
-        (40, 20, 24)
-    }
-
-    fn config(&self, n1: usize, n2: usize, steps: usize) -> V2dConfig {
-        let mut cfg = GaussianPulse::linear_config(n1, n2, steps);
-        cfg.dt = T_GAUSSIAN / steps as f64;
-        cfg
-    }
-
-    fn init(&self, sim: &mut V2dSim) {
-        // Exactly the legacy initial condition: every pre-registry
-        // golden and gate depends on these bits.
-        GaussianPulse::standard().init(sim);
-    }
-
-    fn validate(&self, sim: &V2dSim, comm: &Comm, sink: &mut MultiCostSink) -> ValidationReport {
-        let pulse = GaussianPulse::standard();
-        let d = GaussianPulse::linear_diffusion_coefficient(sim.config());
-        let t = sim.time();
-        let grid = sim.grid();
-        let mut acc = NormAccum::default();
-        for s in 0..v2d_linalg::NSPEC {
-            for i2 in 0..grid.n2 {
-                for i1 in 0..grid.n1 {
-                    let (x, y) = grid.center(i1, i2);
-                    acc.push(
-                        sim.erad().get(s, i1 as isize, i2 as isize),
-                        pulse.analytic(d, x, y, t),
-                    );
-                }
-            }
-        }
-        let (l1, l2, linf) = acc.reduce(comm, sink);
-        let tolerance = 0.05;
-        ValidationReport {
-            family: self.family().name(),
-            l1,
-            l2,
-            linf,
-            tolerance,
-            pass: l2 < tolerance,
-            detail: format!("field vs analytic diffusion at t={t:.4}"),
-        }
-    }
-
-    fn convergence(&self) -> Convergence {
-        Convergence {
-            mode: ConvergenceMode::Analytic,
-            refine: Refinement::SpaceTime,
-            base: (32, 16, 12),
-            min_order: 1.5,
-        }
-    }
-}
-
-/// Physical end time of the relaxation scenario (the proven 8×8×50
-/// verification setting falls out at `dt = 0.01`).
-pub const T_RELAX: f64 = 0.5;
-
-fn relax_problem() -> RadiativeRelaxation {
-    RadiativeRelaxation { e0: 2.0, e1: 1.0, kappa_x: 0.5 }
-}
-
-/// Two-species radiative relaxation as a registry scenario.
-pub struct RelaxScenario;
-
-impl Scenario for RelaxScenario {
-    fn family(&self) -> Family {
-        Family::Relax
-    }
-
-    fn describe(&self) -> &'static str {
-        "uniform two-species exchange relaxation vs the exponential decay law"
-    }
-
-    fn smoke(&self) -> (usize, usize, usize) {
-        (8, 8, 50)
-    }
-
-    fn config(&self, n1: usize, n2: usize, steps: usize) -> V2dConfig {
-        let mut cfg = relax_problem().config(n1, n2, T_RELAX / steps as f64, steps);
-        // The legacy κ_s = 1e4 leaves a measurable Dirichlet-0 wall leak
-        // (~2e-3 in the first zone over T_RELAX); 1e8 pushes it below
-        // 1e-6 so the per-zone sum-conservation gate stays sharp.
-        cfg.opacity.kappa_s = [1e8, 1e8];
-        cfg
-    }
-
-    fn init(&self, sim: &mut V2dSim) {
-        relax_problem().init(sim);
-    }
-
-    fn validate(&self, sim: &V2dSim, comm: &Comm, sink: &mut MultiCostSink) -> ValidationReport {
-        let prob = relax_problem();
-        let want = prob.analytic_difference(sim.config().c_light, sim.time());
-        let de0 = prob.e0 - prob.e1;
-        let sum0 = prob.e0 + prob.e1;
-        let grid = sim.grid();
-        // The fields are uniform; grade ΔE per zone against the decay
-        // law (normalized by ΔE(0)) and the sum against conservation.
-        let mut acc = NormAccum::default();
-        let mut sum_drift = 0.0f64;
-        for i2 in 0..grid.n2 {
-            for i1 in 0..grid.n1 {
-                let a = sim.erad().get(0, i1 as isize, i2 as isize);
-                let b = sim.erad().get(1, i1 as isize, i2 as isize);
-                acc.push((a - b) / de0, want / de0);
-                sum_drift = sum_drift.max(((a + b) - sum0).abs() / sum0);
-            }
-        }
-        let (l1, l2, linf) = acc.reduce(comm, sink);
-        let sum_drift = comm.allreduce_scalar(sink, ReduceOp::Max, sum_drift);
-        let tolerance = 0.02;
-        ValidationReport {
-            family: self.family().name(),
-            l1,
-            l2,
-            linf,
-            tolerance,
-            pass: l2 < tolerance && sum_drift < 1e-6,
-            detail: format!("ΔE decay vs exp(-2κxc t); sum drift {sum_drift:.2e}"),
-        }
-    }
-
-    fn convergence(&self) -> Convergence {
-        Convergence {
-            mode: ConvergenceMode::Analytic,
-            refine: Refinement::Time,
-            base: (8, 8, 25),
-            min_order: 0.85,
-        }
-    }
-}
-
-/// Physical end time of the Marshak scenario (the proven 8×8×300
-/// verification setting integrates to t = 6).
-pub const T_MARSHAK: f64 = 6.0;
-
-/// Marshak-style thermalization as a registry scenario, graded against
-/// a fine-step RK4 integration of the 0-D coupling ODE.
-pub struct MarshakScenario;
-
-impl Scenario for MarshakScenario {
-    fn family(&self) -> Family {
-        Family::Marshak
-    }
-
-    fn describe(&self) -> &'static str {
-        "matter-radiation thermalization vs the 0-D coupling ODE (RK4 reference)"
-    }
-
-    fn smoke(&self) -> (usize, usize, usize) {
-        (8, 8, 120)
-    }
-
-    fn config(&self, n1: usize, n2: usize, steps: usize) -> V2dConfig {
-        let mut cfg = MatterRelaxation::standard().config(n1, n2, T_MARSHAK / steps as f64, steps);
-        // As in the relaxation scenario: suppress the Dirichlet-0 wall
-        // leak (a dt-independent error floor that would flatten the
-        // time-refinement convergence study).
-        cfg.opacity.kappa_s = [1e8, 1e8];
-        cfg
-    }
-
-    fn init(&self, sim: &mut V2dSim) {
-        MatterRelaxation::standard().init(sim);
-    }
-
-    fn validate(&self, sim: &V2dSim, comm: &Comm, sink: &mut MultiCostSink) -> ValidationReport {
-        let prob = MatterRelaxation::standard();
-        let cfg = sim.config();
-        let (e_ref, t_ref) = coupling_ode_reference(
-            prob.e0,
-            prob.t0,
-            cfg.c_light,
-            cfg.opacity.kappa_a,
-            &prob.coupling,
-            sim.time(),
-            20_000,
-        );
-        let grid = sim.grid();
-        // Uniform fields: grade every zone's (E0, E1, T) triple against
-        // the ODE reference.
-        let mut acc = NormAccum::default();
-        for i2 in 0..grid.n2 {
-            for i1 in 0..grid.n1 {
-                let (i1, i2) = (i1 as isize, i2 as isize);
-                acc.push(sim.erad().get(0, i1, i2), e_ref[0]);
-                acc.push(sim.erad().get(1, i1, i2), e_ref[1]);
-                if let Some(temp) = sim.temperature() {
-                    acc.push(temp.get(0, i1, i2), t_ref);
-                }
-            }
-        }
-        let (l1, l2, linf) = acc.reduce(comm, sink);
-        let tolerance = 0.05;
-        ValidationReport {
-            family: self.family().name(),
-            l1,
-            l2,
-            linf,
-            tolerance,
-            pass: l2 < tolerance,
-            detail: format!(
-                "(E0,E1,T) vs RK4 ODE; T_eq analytic {:.4}",
-                prob.equilibrium_temperature()
-            ),
-        }
-    }
-
-    fn convergence(&self) -> Convergence {
-        Convergence {
-            mode: ConvergenceMode::Analytic,
-            refine: Refinement::Time,
-            base: (8, 8, 60),
-            min_order: 0.8,
-        }
-    }
-}
-
-/// Physical end time of the Sod scenario: waves stay well inside the
-/// unit tube.
-pub const T_SOD: f64 = 0.12;
-
-/// The Sod shock tube as a registry scenario, graded against the exact
-/// Riemann solution.
-pub struct SodScenario;
-
-impl Scenario for SodScenario {
-    fn family(&self) -> Family {
-        Family::Sod
-    }
-
-    fn describe(&self) -> &'static str {
-        "Sod shock tube vs the exact Riemann solution (density L1)"
-    }
-
-    fn smoke(&self) -> (usize, usize, usize) {
-        (64, 4, 12)
-    }
-
-    fn config(&self, n1: usize, n2: usize, steps: usize) -> V2dConfig {
-        SodTube::config(n1, n2, steps, T_SOD / steps as f64)
-    }
-
-    fn init(&self, sim: &mut V2dSim) {
-        SodTube::standard().init(sim);
-    }
-
-    fn validate(&self, sim: &V2dSim, comm: &Comm, sink: &mut MultiCostSink) -> ValidationReport {
-        let tube = SodTube::standard();
-        let cfg = sim.config();
-        let gamma = cfg.hydro.map_or(1.4, |h| h.gamma);
-        let t = sim.time();
-        let grid = sim.grid();
-        let x1span = grid.global.x1max - grid.global.x1min;
-        let x0 = grid.global.x1min + tube.interface * x1span;
-        let mut acc = NormAccum::default();
-        if let Some(state) = sim.hydro() {
-            for i2 in 0..grid.n2 {
-                for i1 in 0..grid.n1 {
-                    let (g1, _) = grid.to_global(i1, i2);
-                    let x = grid.global.x1c(g1);
-                    let (rho, _, _) = riemann_exact(tube.left, tube.right, gamma, (x - x0) / t);
-                    acc.push(state.rho.get(0, i1 as isize, i2 as isize), rho);
-                }
-            }
-        }
-        let (l1, l2, linf) = acc.reduce(comm, sink);
-        let tolerance = 0.05;
-        ValidationReport {
-            family: self.family().name(),
-            l1,
-            l2,
-            linf,
-            tolerance,
-            pass: l1 < tolerance,
-            detail: format!("rho vs exact Riemann at t={t:.4} (leading norm: l1)"),
-        }
-    }
-
-    fn convergence(&self) -> Convergence {
-        Convergence {
-            mode: ConvergenceMode::Analytic,
-            refine: Refinement::Space,
-            base: (32, 4, 12),
-            min_order: 0.6,
-        }
-    }
-
-    fn study_field(&self, sim: &V2dSim) -> Vec<f64> {
-        hydro_rho(sim)
-    }
-}
-
 /// The density field, row-major over this rank's interior (shared by
 /// the hydro scenarios' study hooks).
 pub(crate) fn hydro_rho(sim: &V2dSim) -> Vec<f64> {
@@ -905,16 +584,12 @@ mod tests {
     #[test]
     fn registry_is_total_and_names_round_trip() {
         for f in FAMILIES {
-            assert_eq!(Family::parse(f.name()), Some(f), "{f} must parse back");
+            assert_eq!(FAMILY.parse(f.name()), Some(f), "{f} must parse back");
             assert_eq!(f.scenario().family(), f, "{f} scenario must self-identify");
         }
-        assert_eq!(Family::parse("warp-drive"), None);
+        assert_eq!(FAMILY.parse("warp-drive"), None);
         let names: Vec<_> = FAMILIES.iter().map(|f| f.name()).collect();
-        assert_eq!(
-            Family::valid_names(),
-            names.join(", "),
-            "the table lists families in sweep order"
-        );
+        assert_eq!(FAMILY.valid(), names.join(", "), "the table lists families in sweep order");
     }
 
     #[test]
@@ -976,35 +651,6 @@ mod tests {
         assert_eq!(c.level(2), (64, 32, 4));
         let c = Convergence { refine: Refinement::Time, ..c };
         assert_eq!(c.level(2), (16, 8, 16));
-    }
-
-    #[test]
-    fn sod_diaphragm_sits_mid_domain_on_a_grid_not_starting_at_zero() {
-        // `x1 = 1.0 2.0`: init must place the diaphragm at x1 = 1.5,
-        // where the scenario's validation expects it.
-        let (n1, n2, steps) = SodScenario.smoke();
-        let mut cfg = SodScenario.config(n1, n2, steps);
-        cfg.grid =
-            Grid2::new(n1, n2, (1.0, 2.0), (cfg.grid.x2min, cfg.grid.x2max), cfg.grid.geometry);
-        v2d_comm::Spmd::new(1).with_profiles(vec![v2d_machine::CompilerProfile::cray_opt()]).run(
-            |ctx| {
-                let map = v2d_comm::TileMap::new(n1, n2, 1, 1);
-                let mut sim = V2dSim::new(cfg, &ctx.comm, map);
-                SodScenario.init(&mut sim);
-                let rho = &sim.hydro().expect("sod runs hydro").rho;
-                for i1 in 0..n1 {
-                    let want = if i1 < n1 / 2 { 1.0 } else { 0.125 };
-                    assert_eq!(
-                        rho.get(0, i1 as isize, 0),
-                        want,
-                        "zone {i1} starts in the wrong state"
-                    );
-                }
-                sim.run(&ctx.comm, &mut ctx.sink);
-                let rep = SodScenario.validate(&sim, &ctx.comm, &mut ctx.sink);
-                assert!(rep.pass, "shifted sod fails its own validation: {rep}");
-            },
-        );
     }
 
     #[test]

@@ -93,8 +93,16 @@ impl Default for RecoveryPolicy {
     }
 }
 
+/// The most explicit hydro sub-steps one step may take.  The goldens
+/// take at most 29 (Kelvin–Helmholtz at 48×32 in `table_scenarios`)
+/// and the convergence ladder at most 57 (Kelvin–Helmholtz at 96×64);
+/// the bound sits well over 100× above both, so it only stops runs
+/// that would otherwise never finish a step.
+pub const MAX_HYDRO_SUBSTEPS: usize = 10_000;
+
 /// A step whose recovery ladder (non-finite scrub, bounded timestep
-/// halving) was exhausted.
+/// halving) was exhausted, or whose hydro sub-cycling ran past
+/// [`MAX_HYDRO_SUBSTEPS`].
 #[derive(Debug)]
 pub enum StepError {
     /// The radiation update failed even at the smallest allowed dt.
@@ -110,6 +118,10 @@ pub enum StepError {
     /// communicator's collectives are sticky-poisoned — the run is over
     /// on every rank, each holding a typed verdict instead of a hang.
     Comm { istep: usize, error: CommError },
+    /// The explicit hydro needed more than [`MAX_HYDRO_SUBSTEPS`] CFL
+    /// sub-steps to cover the step (a vanishing CFL number or signal
+    /// speed blow-up); `advanced` is the hydro time it covered of `dt`.
+    HydroSubsteps { istep: usize, advanced: f64, dt: f64 },
     /// This rank was killed by its fault plan (`RankKill`, or
     /// `RankStallForever` when `stalled`) at the top of step `istep`.
     /// Its comm endpoint is already retired — peers resolve into
@@ -128,6 +140,11 @@ impl std::fmt::Display for StepError {
             StepError::Comm { istep, error } => {
                 write!(f, "step {istep}: communicator failed: {error}")
             }
+            StepError::HydroSubsteps { istep, advanced, dt } => write!(
+                f,
+                "step {istep}: hydro exceeded {MAX_HYDRO_SUBSTEPS} CFL sub-steps, \
+                 covering {advanced:.3e} of dt = {dt:.3e}"
+            ),
             StepError::Lost { istep, stalled: false } => {
                 write!(f, "step {istep}: rank killed by fault plan")
             }
@@ -143,7 +160,7 @@ impl std::error::Error for StepError {
         match self {
             StepError::Radiation { error, .. } => Some(error),
             StepError::Comm { error, .. } => Some(error),
-            StepError::Lost { .. } => None,
+            StepError::HydroSubsteps { .. } | StepError::Lost { .. } => None,
         }
     }
 }
@@ -355,6 +372,38 @@ impl V2dSim {
         self.temp.as_mut()
     }
 
+    /// The evolved state, in checkpoint order: `(dataset path, field)`
+    /// for the radiation field, the hydro fields when hydro is enabled,
+    /// and the gas temperature when matter coupling is.
+    pub(crate) fn fields(&self) -> Vec<(&'static str, &TileVec)> {
+        let mut out = vec![("radiation/erad", &self.erad)];
+        if let Some((_, h)) = &self.hydro {
+            out.extend([
+                ("hydro/rho", &h.rho),
+                ("hydro/m1", &h.m1),
+                ("hydro/m2", &h.m2),
+                ("hydro/etot", &h.etot),
+            ]);
+        }
+        out.extend(self.temp.as_ref().map(|t| ("coupling/temperature", t)));
+        out
+    }
+
+    /// Mutable [`V2dSim::fields`], in the same order.
+    pub(crate) fn fields_mut(&mut self) -> Vec<(&'static str, &mut TileVec)> {
+        let mut out = vec![("radiation/erad", &mut self.erad)];
+        if let Some((_, h)) = &mut self.hydro {
+            out.extend([
+                ("hydro/rho", &mut h.rho),
+                ("hydro/m1", &mut h.m1),
+                ("hydro/m2", &mut h.m2),
+                ("hydro/etot", &mut h.etot),
+            ]);
+        }
+        out.extend(self.temp.as_mut().map(|t| ("coupling/temperature", t)));
+        out
+    }
+
     /// Simulated physical time.
     pub fn time(&self) -> f64 {
         self.time
@@ -432,9 +481,7 @@ impl V2dSim {
         };
         let dt = phases.cfg.dt;
         let out = cx.span("step", &[("istep", AttrVal::U64(istep as u64))], |cx| {
-            let hydro_dt = phases
-                .hydro_phase(comm, cx, dt)
-                .map_err(|error| StepError::Comm { istep, error })?;
+            let hydro_dt = phases.hydro_phase(comm, cx, dt)?;
             phases.matter_emission_phase(cx);
             let (rad, rad_substeps, recoveries) = phases.radiation_phase(comm, cx, dt)?;
             phases.matter_update_phase(cx, dt);
@@ -634,23 +681,36 @@ impl StepPhases<'_> {
     /// Returns the advanced hydro time when hydro is enabled.  The CFL
     /// collective is the first communication of a step, so on hydro
     /// scenarios a peer death or poisoned communicator surfaces here as
-    /// the typed [`CommError`] the driver turns into a run verdict.
+    /// the typed [`CommError`] the driver turns into a run verdict.  A
+    /// step that would take more than [`MAX_HYDRO_SUBSTEPS`] sub-steps
+    /// fails with [`StepError::HydroSubsteps`] instead of spinning.
     fn hydro_phase(
         &mut self,
         comm: &Comm,
         cx: &mut ExecCtx<'_>,
         dt: f64,
-    ) -> Result<Option<f64>, CommError> {
+    ) -> Result<Option<f64>, StepError> {
+        let istep = self.istep;
         let (stepper, state) = match &mut self.hydro {
             Some(h) => &mut **h,
             None => return Ok(None),
         };
         cx.routine("hydro", |cx| {
             let mut advanced = 0.0;
+            let mut substeps = 0;
             while advanced < dt {
-                let hdt = stepper.max_dt(comm, cx, self.grid, state)?.min(dt - advanced);
+                // `hdt` is a global CFL reduction, so every rank reaches
+                // the bound on the same sub-step.
+                if substeps == MAX_HYDRO_SUBSTEPS {
+                    return Err(StepError::HydroSubsteps { istep, advanced, dt });
+                }
+                let hdt = stepper
+                    .max_dt(comm, cx, self.grid, state)
+                    .map_err(|error| StepError::Comm { istep, error })?
+                    .min(dt - advanced);
                 stepper.step(comm, cx, self.cart, self.grid, state, hdt);
                 advanced += hdt;
+                substeps += 1;
             }
             Ok(Some(advanced))
         })

@@ -49,9 +49,8 @@ use crate::sim::{StepError, V2dConfig, V2dSim};
 #[derive(Debug, Clone)]
 pub struct SuperviseSpec {
     pub cfg: V2dConfig,
-    /// The registry scenario initializing each attempt's fields.
-    /// [`Family::Gaussian`] reproduces the legacy standard-pulse init
-    /// bit-for-bit.
+    /// The registry scenario initializing each attempt's fields
+    /// ([`Family::Gaussian`] is `GaussianPulse::standard()`).
     pub scenario: Family,
     /// Initial process grid (`np1 × np2` ranks).
     pub np1: usize,

@@ -7,7 +7,7 @@ use v2d_comm::{Spmd, TileMap};
 use v2d_core::checkpoint::{
     restore_checkpoint, write_checkpoint, CheckpointError, CheckpointStore,
 };
-use v2d_core::problems::GaussianPulse;
+use v2d_core::problems::{GaussianPulse, Scenario};
 use v2d_core::sim::V2dSim;
 use v2d_machine::CompilerProfile;
 

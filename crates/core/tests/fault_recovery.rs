@@ -6,8 +6,13 @@
 //! collection, log merging) lives in `v2d-testkit`; this file only owns
 //! the per-fault-class assertions.
 
-use v2d_machine::{FaultKind, FaultPlan};
-use v2d_testkit::{merged_log, run_mini, MiniSpec, RankRun};
+use std::time::Duration;
+
+use v2d_comm::{Spmd, TileMap};
+use v2d_core::problems::Family;
+use v2d_core::sim::{StepError, V2dSim, MAX_HYDRO_SUBSTEPS};
+use v2d_machine::{CompilerProfile, FaultKind, FaultPlan};
+use v2d_testkit::{merged_log, run_mini, run_with_watchdog, MiniSpec, RankRun};
 
 /// The canonical 2-rank linear pulse these tests run under `plan`.
 fn run_with_plan(plan: Option<FaultPlan>, ranks: usize, steps: usize) -> Vec<RankRun> {
@@ -97,5 +102,35 @@ fn delayed_message_completes_deterministically() {
     for (ra, rb) in a.iter().zip(&b) {
         assert_eq!(ra.bits, rb.bits, "fault replay must be deterministic");
         assert_eq!(ra.log, rb.log, "fault logs must replay identically");
+    }
+}
+
+/// A hydro step that could never finish (a vanishing CFL number makes
+/// every sub-step negligible) is a typed error on every rank, raised on
+/// the same sub-step, instead of a hang.
+#[test]
+fn a_vanishing_cfl_is_a_typed_step_error_not_a_hang() {
+    let verdict = run_with_watchdog(Duration::from_secs(60), || {
+        let sc = Family::Sedov.scenario();
+        let mut cfg = sc.config(16, 16, 1);
+        cfg.hydro.as_mut().expect("sedov runs hydro").cfl = 1e-300;
+        Spmd::new(2).with_profiles(vec![CompilerProfile::cray_opt()]).run(move |ctx| {
+            let mut sim = V2dSim::new(cfg, &ctx.comm, TileMap::new(16, 16, 2, 1));
+            sc.init(&mut sim);
+            match sim.try_step(&ctx.comm, &mut ctx.sink) {
+                Err(e @ StepError::HydroSubsteps { istep: 0, advanced, .. }) => {
+                    Ok((advanced.to_bits(), sim.istep(), e.to_string()))
+                }
+                other => Err(format!("{other:?}")),
+            }
+        })
+    });
+    let outs = verdict.expect_completed("cfl = 1e-300");
+    for (rank, out) in outs.iter().enumerate() {
+        let (advanced, istep, msg) = out.as_ref().unwrap_or_else(|e| panic!("rank {rank}: {e}"));
+        assert_eq!(*istep, 0, "rank {rank}: a failed step must not advance");
+        assert_eq!(Some(advanced), outs[0].as_ref().ok().map(|o| &o.0), "ranks disagree");
+        let want = format!("hydro exceeded {MAX_HYDRO_SUBSTEPS} CFL sub-steps");
+        assert!(msg.contains(&want), "rank {rank}: {msg}");
     }
 }

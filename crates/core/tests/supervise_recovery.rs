@@ -139,3 +139,30 @@ fn kill_free_supervision_is_one_attempt_and_cadence_invariant() {
     }
     assert_eq!(a.final_bits, b.final_bits, "checkpoint cadence must be bit-invisible");
 }
+
+#[test]
+fn rollback_of_a_coupled_run_restores_the_gas_temperature() {
+    // Marshak evolves the gas temperature alongside radiation; a
+    // rollback that restored only the radiation would restart the gas
+    // from its initial condition and finish on different fields.
+    let spec = |tag: &str, plan: FaultPlan| SuperviseSpec {
+        cfg: Family::Marshak.scenario().config(8, 8, 12),
+        scenario: Family::Marshak,
+        np1: 2,
+        np2: 1,
+        plan,
+        checkpoint_every: 1,
+        checkpoint_keep: 2,
+        dir: temp_dir(tag),
+    };
+    let policy = RetryPolicy { allow_shrink: false, ..RetryPolicy::default() };
+    let healthy = run_supervised(&spec("marshak_ok", FaultPlan::empty()), policy)
+        .expect("healthy run completes");
+    let plan = FaultPlan::empty().with_event(4, Some(0), FaultKind::RankKill);
+    let killed = run_supervised(&spec("marshak_kill", plan), policy).expect("run must recover");
+
+    let events = killed.ledger.events.join("\n");
+    assert!(events.contains("rollback to step 4"), "ledger:\n{events}");
+    assert_eq!(healthy.final_bits.len(), 2 * 8 * 8);
+    assert_eq!(killed.final_bits, healthy.final_bits, "rollback must resume the same trajectory");
+}

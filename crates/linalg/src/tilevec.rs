@@ -81,6 +81,11 @@ impl TileVec {
         self.n2
     }
 
+    /// Number of planes (radiation species, or 1 for a scalar field).
+    pub fn planes(&self) -> usize {
+        self.planes
+    }
+
     /// Ghost-frame depth in zones.
     pub fn depth(&self) -> usize {
         self.depth

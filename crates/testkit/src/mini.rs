@@ -104,10 +104,7 @@ impl MiniSpec {
     pub fn build(&self, comm: &Comm) -> V2dSim {
         let map = TileMap::new(self.n1, self.n2, self.np1, self.np2);
         let mut sim = V2dSim::new(self.config(), comm, map);
-        match self.scenario {
-            Some(family) => family.scenario().init(&mut sim),
-            None => GaussianPulse::standard().init(&mut sim),
-        }
+        self.scenario.unwrap_or(Family::Gaussian).scenario().init(&mut sim);
         if let Some(plan) = &self.plan {
             sim.set_fault_injector(FaultInjector::new(plan.clone(), comm.rank()));
         }

@@ -10,7 +10,7 @@
 //! Run with: `cargo run --release --example gaussian_pulse`
 
 use v2d::comm::{coll_site, Spmd, TileMap};
-use v2d::core::problems::GaussianPulse;
+use v2d::core::problems::{GaussianPulse, Scenario};
 use v2d::core::sim::V2dSim;
 
 fn main() {

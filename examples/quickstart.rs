@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use v2d::comm::{Spmd, TileMap};
-use v2d::core::problems::GaussianPulse;
+use v2d::core::problems::{GaussianPulse, Scenario};
 use v2d::core::sim::V2dSim;
 
 fn main() {

@@ -7,7 +7,7 @@
 //! `-- 5`)
 
 use v2d::comm::{Spmd, TileMap};
-use v2d::core::problems::GaussianPulse;
+use v2d::core::problems::{GaussianPulse, Scenario};
 use v2d::core::sim::V2dSim;
 use v2d::machine::CompilerId;
 

@@ -10,20 +10,22 @@
 
 use v2d::comm::{Spmd, TileMap};
 use v2d::core::hydro::GammaLaw;
-use v2d::core::problems::SodTube;
+use v2d::core::problems::{Scenario, SodTube};
 use v2d::core::sim::V2dSim;
 
 fn main() {
     let (n1, n2) = (200, 4);
     let (dt, steps) = (2.5e-3, 80); // t_final = 0.2
-    let cfg = SodTube::config(n1, n2, steps, dt);
+    let tube = SodTube::standard();
+    let mut cfg = tube.config(n1, n2, steps);
+    cfg.dt = dt;
 
     println!("Sod shock tube — {n1} zones, γ = 1.4, t = {}\n", dt * steps as f64);
 
     let rows = Spmd::new(2).run(|ctx| {
         let map = TileMap::new(n1, n2, 2, 1);
         let mut sim = V2dSim::new(cfg, &ctx.comm, map);
-        SodTube::standard().init(&mut sim);
+        tube.init(&mut sim);
         sim.run(&ctx.comm, &mut ctx.sink);
         let eos = GammaLaw::new(1.4);
         let grid = *sim.grid();

@@ -8,13 +8,14 @@
 //! Run with: `cargo run --release --example thermalization`
 
 use v2d::comm::{Spmd, TileMap};
-use v2d::core::problems::MatterRelaxation;
+use v2d::core::problems::{MatterRelaxation, Scenario};
 use v2d::core::sim::V2dSim;
 
 fn main() {
     let prob = MatterRelaxation::standard();
     let (n1, n2) = (16, 16);
-    let cfg = prob.config(n1, n2, 0.02, 0); // stepped manually below
+    let mut cfg = prob.config(n1, n2, 200); // stepped manually below
+    cfg.dt = 0.02;
     let t_eq = prob.equilibrium_temperature();
 
     println!("matter–radiation thermalization — {n1}×{n2}, 2 ranks");

@@ -72,7 +72,7 @@ fn main() {
     // the run writes no rolling checkpoint and reports none.
     let (ck_every, ck_keep) = par.checkpoint_policy().unwrap_or_else(|e| fail(BAD_DECK, e));
     // `[problem] family = <name>` selects the scenario from the
-    // registry; absent, decks keep driving the legacy standard pulse.
+    // registry; absent, decks drive the standard Gaussian pulse.
     let family = par.problem().unwrap_or_else(|e| fail(BAD_DECK, e)).unwrap_or(Family::Gaussian);
 
     // The rolling store is made before the launch, so a directory it

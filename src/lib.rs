@@ -20,7 +20,7 @@
 //!
 //! ```
 //! use v2d::comm::{Spmd, TileMap};
-//! use v2d::core::problems::GaussianPulse;
+//! use v2d::core::problems::{GaussianPulse, Scenario};
 //! use v2d::core::sim::V2dSim;
 //!
 //! // A small version of the paper's radiation test problem on 2 ranks.

@@ -125,6 +125,47 @@ fn an_unrecoverable_step_is_a_clean_error() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A hydro step that could never finish (`cfl = 1e-300`) is one `run
+/// failed` line and exit status 1 within seconds, not a run that spins
+/// forever.
+#[test]
+fn a_vanishing_cfl_is_a_clean_error_not_a_hang() {
+    let dir = std::env::temp_dir().join(format!("v2d_cli_cfl_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let printed = v2d().args(["--print-deck", "sedov"]).output().expect("run v2d");
+    let deck = String::from_utf8(printed.stdout).expect("utf-8");
+    // A small grid keeps the bounded sub-steps cheap in a debug build.
+    let edits =
+        [("\nn1 = 48\nn2 = 48\n", "\nn1 = 12\nn2 = 12\n"), ("\ncfl = 0.4\n", "\ncfl = 1e-300\n")];
+    let deck = edits.iter().fold(deck, |deck, (from, to)| {
+        assert!(deck.contains(from), "{deck}");
+        deck.replace(from, to)
+    });
+    let path = dir.join("cfl.par");
+    std::fs::write(&path, deck).expect("write deck");
+    let mut child = v2d()
+        .arg(&path)
+        .current_dir(&dir)
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("run v2d");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    while child.try_wait().expect("poll v2d").is_none() {
+        if std::time::Instant::now() > deadline {
+            child.kill().ok();
+            child.wait().ok();
+            panic!("v2d still running after 60 s");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(50));
+    }
+    let out = child.wait_with_output().expect("collect v2d");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {err}");
+    assert!(err.starts_with("v2d: run failed: step 0: hydro exceeded"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn missing_file_is_a_clean_error() {
     let out = v2d().arg("/nonexistent/deck.par").output().expect("run v2d");

@@ -4,7 +4,7 @@
 
 use v2d::comm::{ReduceOp, Spmd, TileMap};
 use v2d::core::checkpoint::{restore_checkpoint, write_checkpoint};
-use v2d::core::problems::{GaussianPulse, RadiativeRelaxation};
+use v2d::core::problems::{GaussianPulse, RadiativeRelaxation, Scenario};
 use v2d::core::sim::V2dSim;
 use v2d::machine::{CompilerId, CompilerProfile};
 
@@ -193,7 +193,8 @@ fn mpi_time_grows_with_rank_count() {
 #[test]
 fn species_relaxation_and_global_reductions_agree_across_ranks() {
     let prob = RadiativeRelaxation { e0: 3.0, e1: 1.0, kappa_x: 0.25 };
-    let cfg = prob.config(12, 12, 0.02, 20);
+    let mut cfg = prob.config(12, 12, 20);
+    cfg.dt = 0.02;
     let outs = Spmd::new(3).with_profiles(cray()).run(|ctx| {
         let map = TileMap::new(12, 12, 3, 1);
         let mut sim = V2dSim::new(cfg, &ctx.comm, map);
