@@ -14,7 +14,7 @@ use v2d_linalg::{
     bicgstab, gmres, tilevec_alloc_count, BicgVariant, BlockJacobi, SolveOpts, SolverWorkspace,
     StencilOp, TileVec,
 };
-use v2d_machine::{A64fxModel, CompilerId, ExecCtx};
+use v2d_machine::{model, CompilerId, ExecCtx, FREQ_HZ};
 use v2d_sve::kernels::{run_routine, Routine, Variant};
 use v2d_sve::ExecConfig;
 
@@ -55,10 +55,9 @@ pub fn vl(args: &[String]) -> Result<(), UsageError> {
             scalar = row.no_sve;
             cells.push(row.sve);
         }
-        let freq = 1.8e9;
-        print!("{:<8} {:>10.0}", r.name(), scalar * freq);
+        print!("{:<8} {:>10.0}", r.name(), scalar * FREQ_HZ);
         for c in &cells {
-            print!(" {:>9.0}", c * freq);
+            print!(" {:>9.0}", c * FREQ_HZ);
         }
         let speedup_512_to_2048 = cells[2] / cells[4];
         println!("   2048/512 gain: {:.2}×", speedup_512_to_2048);
@@ -78,7 +77,6 @@ pub fn vl(args: &[String]) -> Result<(), UsageError> {
 /// `v2d-bench ablation_residency`.
 pub fn residency(args: &[String]) -> Result<(), UsageError> {
     no_args(args)?;
-    let model = A64fxModel::ookami();
     println!("MATVEC SVE/no-SVE cycle ratio vs working-set residency\n");
     println!(
         "{:>9} {:>10} {:>7} {:>14} {:>12} {:>8}",
@@ -90,7 +88,7 @@ pub fn residency(args: &[String]) -> Result<(), UsageError> {
     let rows = par_map(&sizes, |&n| {
         // The driver streams ~8 arrays for MATVEC.
         let bytes = 8 * 8 * n;
-        let level = model.residency(bytes);
+        let level = model::residency(bytes);
         let cfg = ExecConfig::a64fx_l1().with_level(level);
         let s = run_routine(Routine::Matvec, n, Variant::Scalar, &cfg);
         let v = run_routine(Routine::Matvec, n, Variant::Sve, &cfg);

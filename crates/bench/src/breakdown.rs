@@ -18,7 +18,7 @@
 use v2d_comm::{Spmd, TileMap};
 use v2d_core::problems::{GaussianPulse, Scenario};
 use v2d_core::sim::{V2dConfig, V2dSim};
-use v2d_machine::{CompilerId, KernelClass};
+use v2d_machine::{CompilerId, KernelClass, FREQ_HZ};
 
 /// The measured breakdown of one configuration (per-rank maxima, Cray-opt
 /// lane, seconds).
@@ -56,21 +56,17 @@ pub fn run(cfg: &V2dConfig, nx1: usize, nx2: usize) -> Breakdown {
             .iter()
             .find(|l| l.profile.id == CompilerId::CrayOpt)
             .expect("cray-opt lane present");
-        let freq = lane.model.freq_hz;
         // The TAU-style profiler runs on lane 0; normalize its site
         // times by that lane's own elapsed time so the reported
         // percentages are compiler-independent fractions.
         let lane0_total = ctx.sink.lanes[0].elapsed_secs().max(1e-30);
         let site = |name: &str| {
-            sim.profiler
-                .routine(name)
-                .map_or(0.0, |r| r.inclusive.as_secs(ctx.sink.lanes[0].model.freq_hz))
-                / lane0_total
+            sim.profiler.routine(name).map_or(0.0, |r| r.inclusive.as_secs()) / lane0_total
         };
         (
             lane.elapsed_secs(),
-            lane.counters.cycles[KernelClass::MatVec.index()] as f64 / freq,
-            lane.counters.cycles[KernelClass::Precond.index()] as f64 / freq,
+            lane.counters.cycles[KernelClass::MatVec.index()] as f64 / FREQ_HZ,
+            lane.counters.cycles[KernelClass::Precond.index()] as f64 / FREQ_HZ,
             lane.mpi_secs(),
             [site("bicgstab_predictor"), site("bicgstab_corrector"), site("bicgstab_coupling")],
             v2d_perf::class_breakdown(lane),

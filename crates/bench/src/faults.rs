@@ -297,61 +297,7 @@ fn rank_kill_campaign() {
         ),
     ];
 
-    println!(
-        "{:<38} {:>8} {:>9} {:>7} {:>8} {:>8} {:>6}",
-        "scenario", "attempts", "rollbacks", "shrinks", "replayed", "mttr_s", "ranks"
-    );
-    let mut ledgers = Vec::new();
-    let mut clean_bits = None;
-    for (name, spec, policy) in cases {
-        let report = run_supervised(&spec, policy)
-            .unwrap_or_else(|e| panic!("{name}: supervised run failed: {e}"));
-        let l = &report.ledger;
-        println!(
-            "{name:<38} {:>8} {:>9} {:>7} {:>8} {:>8.3} {:>5}x{}",
-            l.attempts,
-            l.rollbacks,
-            l.redecompositions,
-            l.steps_replayed,
-            report.mttr_virtual_secs,
-            report.final_np.0,
-            report.final_np.1,
-        );
-        assert!(
-            report.final_bits.iter().all(|b| f64::from_bits(*b).is_finite()),
-            "{name}: non-finite cells survived recovery"
-        );
-        if l.kills == 0 {
-            clean_bits = Some(report.final_bits.clone());
-        } else if let Some(clean) = &clean_bits {
-            if l.redecompositions == 0 {
-                // Same-width recovery replays the exact trajectory:
-                // checkpoint gather/scatter moves bits, not arithmetic,
-                // so the recovered global field is the healthy one
-                // bit-for-bit.
-                assert_eq!(
-                    &report.final_bits, clean,
-                    "{name}: same-width recovery must be bit-identical to the healthy run"
-                );
-            } else {
-                // A shrunk run re-gangs the reductions, so it agrees
-                // with the healthy field to reduction-reordering
-                // tolerance (same bound as the checkpoint topology-
-                // independence test), not bit-for-bit.
-                for (a, b) in report.final_bits.iter().zip(clean) {
-                    let (x, y) = (f64::from_bits(*a), f64::from_bits(*b));
-                    assert!(
-                        (x - y).abs() < 1e-9,
-                        "{name}: shrunk recovery drifted from the healthy run: {x} vs {y}"
-                    );
-                }
-            }
-        }
-        if !l.events.is_empty() {
-            ledgers.push((name, l.events.clone()));
-        }
-    }
-
+    let (clean_bits, ledgers) = run_kill_cases(cases);
     println!("\nrecovery ledgers:");
     for (name, events) in &ledgers {
         println!("  {name}:");
@@ -408,14 +354,34 @@ fn sedov_kill_campaign() {
         ),
     ];
 
+    let (clean_bits, _) = run_kill_cases(cases);
+    let sum = checksum(clean_bits.iter().flatten().copied());
+    println!("\nhealthy sedov field checksum (radiation + hydro): {sum:#018x}");
+    println!("same-width sedov kill recovery bit-identical (hydro included): PASS");
+    println!("shrunk sedov kill recovery within reduction-reordering tolerance: PASS");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Case names with their non-empty recovery ledgers, in case order.
+type Ledgers<'a> = Vec<(&'a str, Vec<String>)>;
+
+/// The table of one supervised kill campaign: run each case, print its
+/// ledger row, and hold every recovered field to the healthy (kill-free)
+/// case before it — bit for bit at the same width, within 1e-9 after a
+/// shrink, which re-gangs the reductions.  Returns the healthy field's
+/// bits and the recovery ledgers.
+fn run_kill_cases<'a>(
+    cases: impl IntoIterator<Item = (&'a str, SuperviseSpec, RetryPolicy)>,
+) -> (Option<Vec<u64>>, Ledgers<'a>) {
     println!(
         "{:<38} {:>8} {:>9} {:>7} {:>8} {:>8} {:>6}",
         "scenario", "attempts", "rollbacks", "shrinks", "replayed", "mttr_s", "ranks"
     );
+    let mut ledgers = Vec::new();
     let mut clean_bits = None;
     for (name, spec, policy) in cases {
         let report = run_supervised(&spec, policy)
-            .unwrap_or_else(|e| panic!("{name}: supervised sedov run failed: {e}"));
+            .unwrap_or_else(|e| panic!("{name}: supervised run failed: {e}"));
         let l = &report.ledger;
         println!(
             "{name:<38} {:>8} {:>9} {:>7} {:>8} {:>8.3} {:>5}x{}",
@@ -435,24 +401,24 @@ fn sedov_kill_campaign() {
             clean_bits = Some(report.final_bits.clone());
         } else if let Some(clean) = &clean_bits {
             if l.redecompositions == 0 {
+                // Checkpoint gather/scatter moves bits, not arithmetic.
                 assert_eq!(
                     &report.final_bits, clean,
-                    "{name}: same-width sedov recovery must be bit-identical (radiation + hydro)"
+                    "{name}: same-width recovery must be bit-identical to the healthy run"
                 );
             } else {
                 for (a, b) in report.final_bits.iter().zip(clean) {
                     let (x, y) = (f64::from_bits(*a), f64::from_bits(*b));
                     assert!(
                         (x - y).abs() < 1e-9,
-                        "{name}: shrunk sedov recovery drifted from the healthy run: {x} vs {y}"
+                        "{name}: shrunk recovery drifted from the healthy run: {x} vs {y}"
                     );
                 }
             }
         }
+        if !l.events.is_empty() {
+            ledgers.push((name, l.events.clone()));
+        }
     }
-    let sum = checksum(clean_bits.iter().flatten().copied());
-    println!("\nhealthy sedov field checksum (radiation + hydro): {sum:#018x}");
-    println!("same-width sedov kill recovery bit-identical (hydro included): PASS");
-    println!("shrunk sedov kill recovery within reduction-reordering tolerance: PASS");
-    let _ = std::fs::remove_dir_all(&dir);
+    (clean_bits, ledgers)
 }

@@ -19,7 +19,7 @@ use v2d_comm::{ReduceOp, Spmd};
 use v2d_core::problems::{Family, GaussianPulse};
 use v2d_core::supervise::{run_supervised, RetryPolicy, SuperviseSpec};
 use v2d_linalg::sparsity;
-use v2d_machine::{A64fxModel, FaultKind, FaultPlan, ALL_COMPILERS};
+use v2d_machine::{FaultKind, FaultPlan, ALL_COMPILERS};
 use v2d_obs::{compare, BenchEntry, BenchReport, Gate, Metric, RunReport, Tracer};
 use v2d_sve::kernels::{decoded_routine, prepare_routine, Routine, Variant};
 use v2d_sve::{ExecConfig, Executor};
@@ -601,8 +601,7 @@ pub fn table2_run_report(rows: &[table2::Row]) -> RunReport {
 /// timeline, lane 1 the SVE timeline, one span per routine laid
 /// back-to-back (cycles are per-repetition × `REPS`).
 pub fn table2_tracer(rows: &[table2::Row]) -> Tracer {
-    let freq = A64fxModel::ookami().freq_hz;
-    let mut tr = Tracer::with_lanes(0, freq, vec!["no-SVE".to_string(), "SVE".to_string()]);
+    let mut tr = Tracer::with_lanes(0, vec!["no-SVE".to_string(), "SVE".to_string()]);
     let (mut t0, mut t1) = (0u64, 0u64);
     for row in rows {
         let scalar = row.cycles.0 * table2::REPS as u64;

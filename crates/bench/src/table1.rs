@@ -54,7 +54,7 @@ pub fn run_topology(cfg: &V2dConfig, nx1: usize, nx2: usize) -> Row {
         let secs: Vec<f64> = starts
             .into_iter()
             .zip(&ctx.sink.lanes)
-            .map(|(start, lane)| (lane.clock.now() - start).as_secs(lane.model.freq_hz))
+            .map(|(start, lane)| (lane.clock.now() - start).as_secs())
             .collect();
         (secs, agg.total_iters, agg.total_solves)
     });

@@ -10,7 +10,7 @@
 //! simulated cycles of one repetition, times 100 000 repetitions, give
 //! the reported seconds at the 1.8 GHz A64FX clock.
 
-use v2d_machine::A64fxModel;
+use v2d_machine::FREQ_HZ;
 use v2d_sve::kernels::{run_routine, Routine, Variant};
 use v2d_sve::ExecConfig;
 
@@ -44,14 +44,13 @@ impl Row {
 
 /// Run the driver for one routine at vector length `vl_bits`.
 pub fn run_routine_pair(routine: Routine, n: usize, reps: usize, vl_bits: u32) -> Row {
-    let freq = A64fxModel::ookami().freq_hz;
     let cfg = ExecConfig::a64fx_l1().with_vl(vl_bits);
     let scalar = run_routine(routine, n, Variant::Scalar, &cfg);
     let sve = run_routine(routine, n, Variant::Sve, &cfg);
     Row {
         routine,
-        no_sve: scalar.cycles as f64 * reps as f64 / freq,
-        sve: sve.cycles as f64 * reps as f64 / freq,
+        no_sve: scalar.cycles as f64 * reps as f64 / FREQ_HZ,
+        sve: sve.cycles as f64 * reps as f64 / FREQ_HZ,
         instrs: (scalar.instrs, sve.instrs),
         cycles: (scalar.cycles, sve.cycles),
         flops_per_cycle: (scalar.flops_per_cycle(), sve.flops_per_cycle()),

@@ -329,7 +329,7 @@ impl Comm {
         let stamps = sink.cost_lanes().lanes.iter().map(|lane| {
             let now = lane.clock.now();
             if delay > 0.0 {
-                now.saturating_add(SimDuration::from_secs(delay, lane.model.freq_hz))
+                now.saturating_add(SimDuration::from_secs(delay))
             } else {
                 now
             }

@@ -28,8 +28,10 @@
 //! the policy, and the fault plan, so the same inputs produce a
 //! bit-identical [`RecoveryLedger`] and final fields on every replay —
 //! and a kill-free plan makes exactly one attempt whose outputs match
-//! an unsupervised run.  Exhausted budgets return a typed
-//! [`SuperviseError`] still carrying the full ledger.
+//! an unsupervised run.  An attempt that fails with no rank lost is not
+//! relaunched: nothing a relaunch changes (plan, width, restart point)
+//! could change its outcome.  Exhausted budgets and such failures return
+//! a typed [`SuperviseError`] still carrying the full ledger.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -144,8 +146,9 @@ pub struct SuperviseReport {
 pub enum SuperviseError {
     /// The retry budget ran out with the run still failing.
     RetriesExhausted { ledger: RecoveryLedger, last_error: String },
-    /// No recovery path exists (every rank died, or the checkpoint
-    /// store itself is unusable).
+    /// No recovery path exists: every rank died, the checkpoint store
+    /// itself is unusable, or an attempt failed with no rank lost (a
+    /// relaunch would replay the same failure).
     Unrecoverable { ledger: RecoveryLedger, reason: String },
 }
 
@@ -278,6 +281,16 @@ pub fn run_supervised(
                 ledger.attempts,
                 kind_name(stalled)
             ));
+        }
+        // With no rank lost, a relaunch would run the same plan at the
+        // same width from a checkpoint this attempt itself reached, and
+        // replay the same failure.
+        if victims.is_empty() {
+            ledger.events.push(format!(
+                "attempt {}: no rank lost, a relaunch would replay the failure",
+                ledger.attempts
+            ));
+            return Err(SuperviseError::Unrecoverable { ledger, reason: last_error });
         }
         // Budget check before committing to another cycle.
         if ledger.rollbacks >= u64::from(policy.max_retries) {

@@ -166,3 +166,33 @@ fn rollback_of_a_coupled_run_restores_the_gas_temperature() {
     assert_eq!(healthy.final_bits.len(), 2 * 8 * 8);
     assert_eq!(killed.final_bits, healthy.final_bits, "rollback must resume the same trajectory");
 }
+
+/// A failure no relaunch can change — a hydro step that can never
+/// finish, on a fault-free plan — ends the run at once instead of being
+/// replayed through the whole retry budget.
+#[test]
+fn a_failure_with_no_rank_lost_is_unrecoverable_at_once() {
+    let sc = Family::Sedov.scenario();
+    let mut cfg = sc.config(4, 4, 2);
+    cfg.hydro.as_mut().expect("sedov runs hydro").cfl = 1e-300;
+    let spec = SuperviseSpec {
+        cfg,
+        scenario: Family::Sedov,
+        np1: 2,
+        np2: 1,
+        plan: FaultPlan::empty(),
+        checkpoint_every: 1,
+        checkpoint_keep: 2,
+        dir: temp_dir("cfl"),
+    };
+    match run_supervised(&spec, RetryPolicy::default()) {
+        Err(SuperviseError::Unrecoverable { ledger, reason }) => {
+            assert_eq!(ledger.attempts, 1);
+            assert_eq!(ledger.rollbacks, 0);
+            assert_eq!(ledger.kills, 0);
+            assert_eq!(ledger.backoff_virtual_secs, 0.0);
+            assert!(reason.contains("hydro exceeded"), "{reason}");
+        }
+        other => panic!("expected Unrecoverable, got {other:?}"),
+    }
+}

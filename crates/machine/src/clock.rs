@@ -10,6 +10,8 @@
 //! Cycles are stored as `u64`; at the A64FX frequency of 1.8 GHz this wraps
 //! after ~325 years of simulated time, far beyond any experiment here.
 
+use crate::model::FREQ_HZ;
+
 /// A span of simulated time, stored in cycles of the modeled core clock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default, Hash)]
 pub struct SimDuration {
@@ -26,14 +28,14 @@ impl SimDuration {
         SimDuration { cycles }
     }
 
-    /// A duration of `secs` seconds at core frequency `freq_hz`.
+    /// A duration of `secs` seconds at the core clock [`FREQ_HZ`].
     ///
     /// Fractional cycles round up: the modeled hardware cannot finish work
     /// mid-cycle.
     #[inline]
-    pub fn from_secs(secs: f64, freq_hz: f64) -> Self {
+    pub fn from_secs(secs: f64) -> Self {
         assert!(secs >= 0.0 && secs.is_finite(), "negative or non-finite duration");
-        SimDuration { cycles: (secs * freq_hz).ceil() as u64 }
+        SimDuration { cycles: (secs * FREQ_HZ).ceil() as u64 }
     }
 
     /// Number of core cycles in this duration.
@@ -42,10 +44,10 @@ impl SimDuration {
         self.cycles
     }
 
-    /// Convert to seconds at core frequency `freq_hz`.
+    /// Convert to seconds at the core clock [`FREQ_HZ`].
     #[inline]
-    pub fn as_secs(self, freq_hz: f64) -> f64 {
-        self.cycles as f64 / freq_hz
+    pub fn as_secs(self) -> f64 {
+        self.cycles as f64 / FREQ_HZ
     }
 
     /// Saturating sum of two durations.
@@ -139,25 +141,23 @@ impl SimClock {
 mod tests {
     use super::*;
 
-    const FREQ: f64 = 1.8e9;
-
     #[test]
     fn duration_roundtrip_secs() {
-        let d = SimDuration::from_secs(2.5, FREQ);
+        let d = SimDuration::from_secs(2.5);
         assert_eq!(d.cycles(), 4_500_000_000);
-        assert!((d.as_secs(FREQ) - 2.5).abs() < 1e-12);
+        assert!((d.as_secs() - 2.5).abs() < 1e-12);
     }
 
     #[test]
     fn duration_from_secs_rounds_up() {
         // 1 cycle = 1/1.8e9 s; half a cycle must still cost one cycle.
-        let d = SimDuration::from_secs(0.5 / FREQ, FREQ);
+        let d = SimDuration::from_secs(0.5 / FREQ_HZ);
         assert_eq!(d.cycles(), 1);
     }
 
     #[test]
     fn duration_zero_secs_is_zero() {
-        assert_eq!(SimDuration::from_secs(0.0, FREQ), SimDuration::ZERO);
+        assert_eq!(SimDuration::from_secs(0.0), SimDuration::ZERO);
     }
 
     #[test]
@@ -199,6 +199,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "negative")]
     fn negative_secs_panics() {
-        let _ = SimDuration::from_secs(-1.0, FREQ);
+        let _ = SimDuration::from_secs(-1.0);
     }
 }

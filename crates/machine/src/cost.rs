@@ -10,7 +10,7 @@
 //! native run of the Gaussian-pulse problem yields all four columns of the
 //! reproduced table.
 //!
-//! The cost of a kernel under profile `p` on machine `m` is
+//! The cost of a kernel under profile `p` on the modeled machine is
 //!
 //! ```text
 //! cycles = call_overhead(p)
@@ -36,7 +36,7 @@
 //! speedup) demonstrates.
 
 use crate::clock::{SimClock, SimDuration};
-use crate::model::{A64fxModel, MemLevel};
+use crate::model::{self, MemLevel};
 use crate::profile::{CompilerId, CompilerProfile, ALL_COMPILERS};
 
 /// Broad classification of a kernel, used for per-routine breakdowns
@@ -222,11 +222,9 @@ impl KernelCounters {
 /// per-class counters.
 #[derive(Debug, Clone)]
 pub struct CostSink {
-    /// The machine being modeled.  Fixed once the lane has charged: its
-    /// MPI prices (and its [`MultiCostSink`]'s kernel prices) are
-    /// memoised.
-    pub model: A64fxModel,
-    /// The compiler configuration being modeled; fixed like `model`.
+    /// The compiler configuration being modeled.  Fixed once the lane has
+    /// charged: its MPI prices (and its [`MultiCostSink`]'s kernel prices)
+    /// are memoised.
     pub profile: CompilerProfile,
     /// This rank's virtual clock under the profile.
     pub clock: SimClock,
@@ -252,7 +250,6 @@ impl CostSink {
     /// A fresh sink for `profile` on the Ookami machine model.
     pub fn new(profile: CompilerProfile) -> Self {
         CostSink {
-            model: A64fxModel::ookami(),
             profile,
             clock: SimClock::new(),
             counters: KernelCounters::default(),
@@ -267,7 +264,7 @@ impl CostSink {
     /// Cycles one invocation of `shape` costs under this profile, without
     /// charging them.
     pub fn cost_cycles(&self, shape: &KernelShape) -> u64 {
-        cost_cycles(&self.model, &self.profile, shape)
+        cost_cycles(&self.profile, shape)
     }
 
     /// Charge one kernel invocation: advance the clock and update counters.
@@ -279,10 +276,7 @@ impl CostSink {
     /// What one invocation of `shape` costs on this lane, and the memory
     /// level its bytes are booked to.
     fn price(&self, shape: &KernelShape) -> LanePrice {
-        LanePrice {
-            cycles: self.cost_cycles(shape),
-            level: self.model.residency(shape.working_set),
-        }
+        LanePrice { cycles: self.cost_cycles(shape), level: model::residency(shape.working_set) }
     }
 
     /// Book one invocation of `shape` at `price`: counters, bytes per
@@ -306,19 +300,19 @@ impl CostSink {
 
     /// Simulated elapsed seconds on this rank so far.
     pub fn elapsed_secs(&self) -> f64 {
-        self.clock.now().as_secs(self.model.freq_hz)
+        self.clock.now().as_secs()
     }
 
     /// Advance the clock by a duration expressed in seconds (used by the
     /// communication substrate for MPI costs).
     pub fn advance_secs(&mut self, secs: f64) {
-        self.clock.advance(SimDuration::from_secs(secs, self.model.freq_hz));
+        self.clock.advance(SimDuration::from_secs(secs));
     }
 
     /// Advance the clock for a communication operation, accounting the
     /// time as MPI time.
     pub fn charge_mpi_secs(&mut self, secs: f64) {
-        self.charge_mpi(SimDuration::from_secs(secs, self.model.freq_hz));
+        self.charge_mpi(SimDuration::from_secs(secs));
     }
 
     /// [`CostSink::charge_mpi_secs`] for a duration already in cycles.
@@ -330,8 +324,8 @@ impl CostSink {
     /// The software overhead one point-to-point send costs the sender:
     /// half the latency (the classic overhead/latency split).
     pub fn send_overhead(&mut self) -> SimDuration {
-        let (mpi, freq) = (&self.profile.mpi, self.model.freq_hz);
-        let fresh = || SimDuration::from_secs(0.5 * mpi.p2p_latency, freq);
+        let mpi = &self.profile.mpi;
+        let fresh = || SimDuration::from_secs(0.5 * mpi.p2p_latency);
         match self.mpi_memo.send {
             Some(d) => {
                 debug_assert_eq!(d, fresh(), "stale send-overhead memo");
@@ -344,17 +338,17 @@ impl CostSink {
     /// Latency plus transfer time of one `bytes`-byte message
     /// ([`crate::MpiCostModel::p2p_secs`]) in cycles.
     pub fn p2p_transfer(&mut self, bytes: usize) -> SimDuration {
-        let (mpi, freq) = (&self.profile.mpi, self.model.freq_hz);
-        self.mpi_memo.p2p.get_or(bytes, || SimDuration::from_secs(mpi.p2p_secs(bytes), freq))
+        let mpi = &self.profile.mpi;
+        self.mpi_memo.p2p.get_or(bytes, || SimDuration::from_secs(mpi.p2p_secs(bytes)))
     }
 
     /// Cost of one collective of `bytes` payload over `ranks`
     /// participants ([`crate::MpiCostModel::collective_secs`]) in cycles.
     pub fn collective_cost(&mut self, bytes: usize, ranks: usize) -> SimDuration {
-        let (mpi, freq) = (&self.profile.mpi, self.model.freq_hz);
-        self.mpi_memo.coll.get_or((bytes, ranks), || {
-            SimDuration::from_secs(mpi.collective_secs(bytes, ranks), freq)
-        })
+        let mpi = &self.profile.mpi;
+        self.mpi_memo
+            .coll
+            .get_or((bytes, ranks), || SimDuration::from_secs(mpi.collective_secs(bytes, ranks)))
     }
 
     /// Synchronize with a partner/collective: move the clock forward to
@@ -369,24 +363,24 @@ impl CostSink {
 
     /// Simulated seconds spent in communication so far.
     pub fn mpi_secs(&self) -> f64 {
-        self.mpi_cycles as f64 / self.model.freq_hz
+        self.mpi_cycles as f64 / model::FREQ_HZ
     }
 }
 
-/// Pure costing function: cycles for one `shape` under `profile` on
-/// `model`.  See the module docs for the formula.
-pub fn cost_cycles(model: &A64fxModel, profile: &CompilerProfile, shape: &KernelShape) -> u64 {
+/// Pure costing function: cycles for one `shape` under `profile` on the
+/// modeled machine.  See the module docs for the formula.
+pub fn cost_cycles(profile: &CompilerProfile, shape: &KernelShape) -> u64 {
     let vectorized = profile.vectorize && shape.class.vectorizable();
 
     let flop_rate = if vectorized {
-        model.sve_flops_per_cycle * profile.vec_efficiency
+        model::SVE_FLOPS_PER_CYCLE * profile.vec_efficiency
     } else {
-        model.scalar_flops_per_cycle * profile.scalar_efficiency
+        model::SCALAR_FLOPS_PER_CYCLE * profile.scalar_efficiency
     };
     let compute_cycles = shape.flops as f64 / flop_rate;
 
-    let level = model.residency(shape.working_set);
-    let byte_rate = model.bytes_per_cycle(level) * profile.mem_fraction(level);
+    let level = model::residency(shape.working_set);
+    let byte_rate = model::bytes_per_cycle(level) * profile.mem_fraction(level);
     let memory_cycles = shape.bytes_streamed() as f64 / byte_rate;
 
     let elem_overhead =
@@ -479,7 +473,7 @@ const PRICE_SLOTS: usize = 16;
 
 /// Every lane's price of up to [`PRICE_SLOTS`] distinct shapes a
 /// [`MultiCostSink`] charged.  A price is a pure function of the lane's
-/// model and profile and of the shape, so a hit returns exactly what
+/// profile and of the shape, so a hit returns exactly what
 /// pricing afresh would; builds with debug assertions re-price every hit
 /// and compare.
 ///
@@ -634,11 +628,10 @@ mod tests {
         // (≈1.45×), not the 3–6× the isolated kernels achieve — that
         // large cache-resident speedup is demonstrated by the
         // instruction-level simulator in `v2d-sve`, not this roofline.
-        let m = A64fxModel::ookami();
         let opt = CompilerProfile::cray_opt();
         let noopt = CompilerProfile::cray_noopt();
         for shape in [l1_shape(KernelClass::Daxpy), hbm_shape(KernelClass::MatVec)] {
-            let r = cost_cycles(&m, &opt, &shape) as f64 / cost_cycles(&m, &noopt, &shape) as f64;
+            let r = cost_cycles(&opt, &shape) as f64 / cost_cycles(&noopt, &shape) as f64;
             assert!(r < 1.0, "SVE build must win: ratio {r}");
             assert!(r > 0.5, "full-code SVE gain should be modest, got ratio {r}");
         }
@@ -646,22 +639,20 @@ mod tests {
 
     #[test]
     fn physics_class_never_vectorizes() {
-        let m = A64fxModel::ookami();
         let opt = CompilerProfile::cray_opt();
         let shape = l1_shape(KernelClass::Physics);
         // Same shape classed as vectorizable must be cheaper under an
         // SVE-enabled profile.
         let vec_shape = l1_shape(KernelClass::Daxpy);
-        assert!(cost_cycles(&m, &opt, &vec_shape) < cost_cycles(&m, &opt, &shape));
+        assert!(cost_cycles(&opt, &vec_shape) < cost_cycles(&opt, &shape));
     }
 
     #[test]
     fn cost_is_at_least_call_overhead() {
-        let m = A64fxModel::ookami();
         let p = CompilerProfile::fujitsu();
         let empty = KernelShape::streaming(KernelClass::Other, 0, 0, 0, 0, 0);
         // flops = 0 → compute term 0; elems = 0 → overhead term 0.
-        assert!(cost_cycles(&m, &p, &empty) >= p.call_overhead as u64);
+        assert!(cost_cycles(&p, &empty) >= p.call_overhead as u64);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! radiation-hydrodynamics code on *Ookami*, an HPE Apollo 80 built from
 //! Fujitsu A64FX processors.  That hardware (and the Cray/Fujitsu compiler
 //! toolchains used on it) is not available here, so this crate provides the
-//! synthetic equivalent: a parameterized model of an A64FX-like core and its
-//! memory hierarchy, a set of *compiler profiles* standing in for the four
+//! synthetic equivalent: a model of an A64FX-like core and its memory
+//! hierarchy, a set of *compiler profiles* standing in for the four
 //! toolchain configurations of the paper (GNU, Fujitsu, Cray with and
 //! without `-O3`/SVE), and a per-rank virtual clock.
 //!
@@ -41,6 +41,6 @@ pub use exec::{CostLanes, ExecCtx, ProfilerScope};
 pub use fault::{
     FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultRecord, FieldFault, SendFault,
 };
-pub use model::{A64fxModel, MemLevel, N_MEM_LEVELS};
+pub use model::{MemLevel, FREQ_HZ, N_MEM_LEVELS};
 pub use profile::{CompilerId, CompilerProfile, MpiCostModel, ALL_COMPILERS};
 pub use trace::{AttrVal, Attrs, TraceSink};

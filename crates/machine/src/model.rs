@@ -12,9 +12,11 @@
 //! cache-resident kernels (the Table II driver, whose 1000-equation vectors
 //! fit in L1) dramatically, while the full V2D solve (whose working set
 //! spills to L2/HBM and is interleaved with scalar multi-physics code)
-//! gains far less.  The [`A64fxModel::residency`] classification and the
+//! gains far less.  The [`residency`] classification and the
 //! per-level bandwidths here are what make that mechanism emerge from the
 //! cost model instead of being hard-coded.
+//!
+//! The paper measures one machine, so its parameters are constants.
 
 /// Which level of the memory hierarchy a kernel's working set resides in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -56,106 +58,61 @@ impl MemLevel {
     }
 }
 
-/// Parameters of the modeled processor.
+// The modeled processor, one constant per parameter.  All bandwidths are
+// *per core* sustained streaming rates in bytes per cycle; they fold in
+// the effects the paper could not separate (hardware prefetch quality,
+// write-allocate traffic, sector-cache behaviour), which is why they are
+// lower than the headline numbers on the A64FX datasheet.  Per-compiler
+// *fractions* of these rates live in [`crate::profile::CompilerProfile`].
+
+/// Core clock frequency in Hz (1.8 GHz on Ookami's A64FX): the one rate
+/// at which every simulated cycle count becomes seconds.
+pub const FREQ_HZ: f64 = 1.8e9;
+/// Per-core L1D capacity in bytes (64 KB).
+pub(crate) const L1_BYTES: usize = 64 * 1024;
+/// Per-CMG shared L2 capacity in bytes (8 MB).
+pub(crate) const L2_BYTES: usize = 8 * 1024 * 1024;
+/// Sustained L1 streaming bandwidth, bytes/cycle/core.  L1 on A64FX can
+/// move two 512-bit vectors per cycle in the best case (128 B), but
+/// sustained stream-through with stores lands near half that.
+pub(crate) const L1_BYTES_PER_CYCLE: f64 = 64.0;
+/// Sustained L2 streaming bandwidth, bytes/cycle/core.
+pub(crate) const L2_BYTES_PER_CYCLE: f64 = 16.0;
+/// Sustained HBM streaming bandwidth, bytes/cycle/core.  A lone core
+/// cannot saturate the CMG's HBM stack: single-core streaming on A64FX
+/// measures around 20 GB/s for scalar-ish access patterns, and
+/// 20e9 / 1.8e9 ≈ 11 B/cyc.
+pub(crate) const HBM_BYTES_PER_CYCLE: f64 = 11.0;
+/// Peak double-precision FLOP/cycle/core with full SVE issue
+/// (2 pipes × 8 lanes × 2 flops/FMA).
+pub(crate) const SVE_FLOPS_PER_CYCLE: f64 = 32.0;
+/// Peak double-precision FLOP/cycle/core for purely scalar code
+/// (2 pipes × 2 flops/FMA in theory; in-order issue makes sustained
+/// scalar throughput far lower — that penalty is part of the compiler
+/// profile, not the machine).
+pub(crate) const SCALAR_FLOPS_PER_CYCLE: f64 = 4.0;
+
+/// Classify a working set of `bytes` into the cache level it is
+/// (re-)streamed from on repeated traversals.
 ///
-/// All bandwidths are *per core* sustained streaming rates in bytes per
-/// cycle; they fold in the effects the paper could not separate (hardware
-/// prefetch quality, write-allocate traffic, sector-cache behaviour), which
-/// is why they are lower than the headline numbers on the A64FX datasheet.
-/// Per-compiler *fractions* of these rates live in
-/// [`crate::profile::CompilerProfile`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct A64fxModel {
-    /// Core clock frequency in Hz (1.8 GHz on Ookami's A64FX).
-    pub freq_hz: f64,
-    /// Hardware SVE vector length in bits (512 on A64FX).
-    pub vl_bits: u32,
-    /// Per-core L1D capacity in bytes (64 KB).
-    pub l1_bytes: usize,
-    /// Per-CMG shared L2 capacity in bytes (8 MB).
-    pub l2_bytes: usize,
-    /// Cores per core-memory group (12).
-    pub cores_per_cmg: usize,
-    /// Number of CMGs (4).
-    pub cmgs: usize,
-    /// Sustained L1 streaming bandwidth, bytes/cycle/core.
-    pub l1_bytes_per_cycle: f64,
-    /// Sustained L2 streaming bandwidth, bytes/cycle/core.
-    pub l2_bytes_per_cycle: f64,
-    /// Sustained HBM streaming bandwidth, bytes/cycle/core (single-core;
-    /// a lone core cannot saturate the CMG's HBM stack).
-    pub hbm_bytes_per_cycle: f64,
-    /// Peak double-precision FLOP/cycle/core with full SVE issue
-    /// (2 pipes × 8 lanes × 2 flops/FMA = 32 on real hardware).
-    pub sve_flops_per_cycle: f64,
-    /// Peak double-precision FLOP/cycle/core for purely scalar code
-    /// (2 pipes × 2 flops/FMA = 4 in theory; in-order issue makes
-    /// sustained scalar throughput far lower — that penalty is part of
-    /// the compiler profile, not the machine).
-    pub scalar_flops_per_cycle: f64,
-}
-
-impl A64fxModel {
-    /// The Ookami A64FX configuration used throughout the reproduction.
-    pub fn ookami() -> Self {
-        A64fxModel {
-            freq_hz: 1.8e9,
-            vl_bits: 512,
-            l1_bytes: 64 * 1024,
-            l2_bytes: 8 * 1024 * 1024,
-            cores_per_cmg: 12,
-            cmgs: 4,
-            // Sustained per-core streaming rates.  L1 on A64FX can move
-            // two 512-bit vectors per cycle in the best case (128 B), but
-            // sustained stream-through with stores lands near half that.
-            l1_bytes_per_cycle: 64.0,
-            l2_bytes_per_cycle: 16.0,
-            // Single-core sustained HBM streaming on A64FX measures around
-            // 20 GB/s for scalar-ish access patterns; 20e9 / 1.8e9 ≈ 11 B/cyc.
-            hbm_bytes_per_cycle: 11.0,
-            sve_flops_per_cycle: 32.0,
-            scalar_flops_per_cycle: 4.0,
-        }
-    }
-
-    /// Total compute cores.
-    pub fn cores(&self) -> usize {
-        self.cores_per_cmg * self.cmgs
-    }
-
-    /// Number of `f64` lanes in one hardware vector.
-    pub fn f64_lanes(&self) -> usize {
-        self.vl_bits as usize / 64
-    }
-
-    /// Classify a working set of `bytes` into the cache level it is
-    /// (re-)streamed from on repeated traversals.
-    ///
-    /// The boundary uses a 0.75 occupancy factor: a working set that
-    /// *exactly* fills a cache still conflict-misses in practice.
-    pub fn residency(&self, bytes: usize) -> MemLevel {
-        if (bytes as f64) <= 0.75 * self.l1_bytes as f64 {
-            MemLevel::L1
-        } else if (bytes as f64) <= 0.75 * self.l2_bytes as f64 {
-            MemLevel::L2
-        } else {
-            MemLevel::Hbm
-        }
-    }
-
-    /// Sustained streaming bandwidth (bytes/cycle/core) at a given level.
-    pub fn bytes_per_cycle(&self, level: MemLevel) -> f64 {
-        match level {
-            MemLevel::L1 => self.l1_bytes_per_cycle,
-            MemLevel::L2 => self.l2_bytes_per_cycle,
-            MemLevel::Hbm => self.hbm_bytes_per_cycle,
-        }
+/// The boundary uses a 0.75 occupancy factor: a working set that
+/// *exactly* fills a cache still conflict-misses in practice.
+pub fn residency(bytes: usize) -> MemLevel {
+    if (bytes as f64) <= 0.75 * L1_BYTES as f64 {
+        MemLevel::L1
+    } else if (bytes as f64) <= 0.75 * L2_BYTES as f64 {
+        MemLevel::L2
+    } else {
+        MemLevel::Hbm
     }
 }
 
-impl Default for A64fxModel {
-    fn default() -> Self {
-        Self::ookami()
+/// Sustained streaming bandwidth (bytes/cycle/core) at a given level.
+pub fn bytes_per_cycle(level: MemLevel) -> f64 {
+    match level {
+        MemLevel::L1 => L1_BYTES_PER_CYCLE,
+        MemLevel::L2 => L2_BYTES_PER_CYCLE,
+        MemLevel::Hbm => HBM_BYTES_PER_CYCLE,
     }
 }
 
@@ -164,35 +121,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ookami_has_48_cores() {
-        assert_eq!(A64fxModel::ookami().cores(), 48);
-    }
-
-    #[test]
-    fn vector_holds_8_doubles() {
-        assert_eq!(A64fxModel::ookami().f64_lanes(), 8);
-    }
-
-    #[test]
     fn residency_boundaries() {
-        let m = A64fxModel::ookami();
         // The Table II driver: 1000 equations ≈ 8 KB/vector → L1-resident.
-        assert_eq!(m.residency(3 * 8 * 1000), MemLevel::L1);
+        assert_eq!(residency(3 * 8 * 1000), MemLevel::L1);
         // A single 200×100×2 V2D column vector = 320 KB → L2.
-        assert_eq!(m.residency(200 * 100 * 2 * 8), MemLevel::L2);
+        assert_eq!(residency(200 * 100 * 2 * 8), MemLevel::L2);
         // The full BiCGSTAB working set (~10 such vectors + coefficients)
         // at 200×100×2 is ~4 MB → still L2 for a single rank...
-        assert_eq!(m.residency(4 * 1024 * 1024), MemLevel::L2);
+        assert_eq!(residency(4 * 1024 * 1024), MemLevel::L2);
         // ...but the whole V2D state with physics fields spills to HBM.
-        assert_eq!(m.residency(16 * 1024 * 1024), MemLevel::Hbm);
+        assert_eq!(residency(16 * 1024 * 1024), MemLevel::Hbm);
     }
 
     #[test]
     fn residency_is_monotone_in_size() {
-        let m = A64fxModel::ookami();
         let mut last = MemLevel::L1;
         for bytes in [0usize, 1 << 10, 1 << 14, 1 << 16, 1 << 20, 1 << 23, 1 << 26] {
-            let lvl = m.residency(bytes);
+            let lvl = residency(bytes);
             assert!(lvl >= last, "residency went backwards at {bytes} bytes");
             last = lvl;
         }
@@ -200,8 +145,7 @@ mod tests {
 
     #[test]
     fn bandwidth_decreases_down_the_hierarchy() {
-        let m = A64fxModel::ookami();
-        assert!(m.bytes_per_cycle(MemLevel::L1) > m.bytes_per_cycle(MemLevel::L2));
-        assert!(m.bytes_per_cycle(MemLevel::L2) > m.bytes_per_cycle(MemLevel::Hbm));
+        assert!(bytes_per_cycle(MemLevel::L1) > bytes_per_cycle(MemLevel::L2));
+        assert!(bytes_per_cycle(MemLevel::L2) > bytes_per_cycle(MemLevel::Hbm));
     }
 }

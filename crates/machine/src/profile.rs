@@ -21,8 +21,8 @@
 //!   with (Cray ships its own MPICH; GNU used MVAPICH/OpenMPI; Fujitsu its
 //!   tuned MPI).
 //!
-//! The constants below were calibrated (see `crates/bench/src/bin/calibrate.rs`
-//! and `EXPERIMENTS.md`) so the reproduced Table I matches the paper's
+//! The constants below were calibrated (see `v2d-bench calibrate`, in
+//! `crates/bench/src/breakdown.rs`, and `EXPERIMENTS.md`) so the reproduced Table I matches the paper's
 //! *shape*: GNU ≈ 2× Cray-opt serially, Cray-noopt/Cray-opt ≈ 1.45,
 //! Cray fastest at ≤ 25 ranks, Fujitsu fastest at ≥ 40 ranks, GNU and Cray
 //! times rising again by 50 ranks, and squarer process topologies beating

@@ -4,8 +4,8 @@
 
 use proptest::prelude::*;
 use v2d_machine::{
-    cost::cost_cycles, A64fxModel, CompilerProfile, CostSink, KernelClass, KernelShape,
-    MultiCostSink, SimDuration, ALL_COMPILERS,
+    cost::cost_cycles, CompilerProfile, CostSink, KernelClass, KernelShape, MultiCostSink,
+    SimDuration, ALL_COMPILERS,
 };
 
 fn shape(elems: usize, flops: usize, reads: usize, ws: usize) -> KernelShape {
@@ -22,13 +22,12 @@ proptest! {
         reads in 1usize..12,
         ws in 1usize..(64 << 20),
     ) {
-        let m = A64fxModel::ookami();
         for id in ALL_COMPILERS {
             let p = CompilerProfile::of(id);
-            let base = cost_cycles(&m, &p, &shape(elems, flops, reads, ws));
-            let more_elems = cost_cycles(&m, &p, &shape(elems + 1, flops, reads, ws));
-            let more_flops = cost_cycles(&m, &p, &shape(elems, flops + 1, reads, ws));
-            let more_reads = cost_cycles(&m, &p, &shape(elems, flops, reads + 1, ws));
+            let base = cost_cycles(&p, &shape(elems, flops, reads, ws));
+            let more_elems = cost_cycles(&p, &shape(elems + 1, flops, reads, ws));
+            let more_flops = cost_cycles(&p, &shape(elems, flops + 1, reads, ws));
+            let more_reads = cost_cycles(&p, &shape(elems, flops, reads + 1, ws));
             prop_assert!(more_elems >= base);
             prop_assert!(more_flops >= base);
             prop_assert!(more_reads >= base);
@@ -40,12 +39,11 @@ proptest! {
         elems in 64usize..50_000,
         flops in 1usize..16,
     ) {
-        let m = A64fxModel::ookami();
         for id in ALL_COMPILERS {
             let p = CompilerProfile::of(id);
-            let l1 = cost_cycles(&m, &p, &shape(elems, flops, 2, 16 << 10));
-            let l2 = cost_cycles(&m, &p, &shape(elems, flops, 2, 2 << 20));
-            let hbm = cost_cycles(&m, &p, &shape(elems, flops, 2, 64 << 20));
+            let l1 = cost_cycles(&p, &shape(elems, flops, 2, 16 << 10));
+            let l2 = cost_cycles(&p, &shape(elems, flops, 2, 2 << 20));
+            let hbm = cost_cycles(&p, &shape(elems, flops, 2, 64 << 20));
             prop_assert!(l1 <= l2 && l2 <= hbm, "{id:?}: {l1} / {l2} / {hbm}");
         }
     }
@@ -56,13 +54,12 @@ proptest! {
         flops in 1usize..32,
         ws in 1usize..(64 << 20),
     ) {
-        let m = A64fxModel::ookami();
         let opt = CompilerProfile::cray_opt();
         let noopt = CompilerProfile::cray_noopt();
         for class in [KernelClass::MatVec, KernelClass::Daxpy, KernelClass::Physics] {
             let s = KernelShape::streaming(class, elems, flops, 3, 1, ws);
             prop_assert!(
-                cost_cycles(&m, &opt, &s) <= cost_cycles(&m, &noopt, &s),
+                cost_cycles(&opt, &s) <= cost_cycles(&noopt, &s),
                 "{class:?}: optimized build slower"
             );
         }
@@ -159,7 +156,7 @@ proptest! {
             let (bytes, ranks) = (bytes_of(b), ranks_of(r));
             let sent = SimDuration::from_cycles(1_000 * b as u64);
             for (lane, refl) in multi.lanes.iter_mut().zip(&mut reference) {
-                let (mpi, freq) = (refl.profile.mpi, refl.model.freq_hz);
+                let mpi = refl.profile.mpi;
                 match op {
                     0 => {
                         let overhead = lane.send_overhead();
@@ -169,7 +166,7 @@ proptest! {
                     1 => {
                         let arrival = sent.saturating_add(lane.p2p_transfer(bytes));
                         lane.wait_until_mpi(arrival);
-                        let transfer = SimDuration::from_secs(mpi.p2p_secs(bytes), freq);
+                        let transfer = SimDuration::from_secs(mpi.p2p_secs(bytes));
                         refl.wait_until_mpi(sent.saturating_add(transfer));
                     }
                     _ => {

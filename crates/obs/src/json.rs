@@ -327,11 +327,16 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, ParseError> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so this is safe).
-                let rest = unsafe { std::str::from_utf8_unchecked(&bytes[*pos..]) };
-                let c = rest.chars().next().unwrap();
-                s.push(c);
-                *pos += c.len_utf8();
+                // Copy the run of plain bytes up to the next `"` or `\`:
+                // both are ASCII, so the run ends on a whole UTF-8 scalar.
+                let end = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .map_or(bytes.len(), |n| *pos + n);
+                let run = std::str::from_utf8(&bytes[*pos..end])
+                    .map_err(|_| ParseError { pos: *pos, what: "invalid UTF-8 in string" })?;
+                s.push_str(run);
+                *pos = end;
             }
         }
     }
@@ -396,6 +401,15 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("1 2").is_err());
         assert!(Json::parse("nul").is_err());
+    }
+
+    #[test]
+    fn strings_copy_multibyte_runs_between_escapes() {
+        let v = Json::parse("\"héllo ∑\\n\\\"x→\\u00e9\"").unwrap();
+        assert_eq!(v, Json::Str("héllo ∑\n\"x→é".into()));
+        assert!(Json::parse("\"open ∑").is_err());
+        let err = parse_string(&[b'"', 0xff, b'"'], &mut 0).unwrap_err();
+        assert_eq!((err.pos, err.what), (1, "invalid UTF-8 in string"));
     }
 
     #[test]

@@ -23,6 +23,11 @@
 //! `f64` values round-trip losslessly (Rust's shortest-representation
 //! `Display`), which is what makes the zero-tolerance gates meaningful.
 
+// Library code must not panic on a `None`/`Err` it could report: the
+// JSON parser reads every client request of the service.  Tests are
+// exempt.
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod bench;
 pub mod json;
 pub mod metrics;

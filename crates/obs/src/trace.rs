@@ -21,7 +21,7 @@ use std::collections::BTreeMap;
 
 use v2d_machine::clock::SimDuration;
 use v2d_machine::trace::{AttrVal, Attrs, TraceSink};
-use v2d_machine::MultiCostSink;
+use v2d_machine::{MultiCostSink, FREQ_HZ};
 
 use crate::json::Json;
 
@@ -96,7 +96,6 @@ struct Open {
 #[derive(Debug)]
 pub struct Tracer {
     rank: usize,
-    freq_hz: f64,
     lane_names: Vec<String>,
     kernel_spans: bool,
     stack: Vec<Open>,
@@ -106,22 +105,20 @@ pub struct Tracer {
 }
 
 impl Tracer {
-    /// A tracer for `rank`, with lane names and clock frequency taken
-    /// from the sink it will observe.
+    /// A tracer for `rank`, with lane names taken from the sink it will
+    /// observe.
     pub fn new(rank: usize, lanes: &MultiCostSink) -> Self {
         Tracer::with_lanes(
             rank,
-            lanes.lanes[0].model.freq_hz,
             lanes.lanes.iter().map(|l| l.profile.id.label().to_string()).collect(),
         )
     }
 
     /// A tracer over explicitly named lanes (drivers that synthesize
     /// spans without a `MultiCostSink`, e.g. the Table II harness).
-    pub fn with_lanes(rank: usize, freq_hz: f64, lane_names: Vec<String>) -> Self {
+    pub fn with_lanes(rank: usize, lane_names: Vec<String>) -> Self {
         Tracer {
             rank,
-            freq_hz,
             lane_names,
             kernel_spans: true,
             stack: Vec::new(),
@@ -211,7 +208,7 @@ impl Tracer {
     /// Export this rank's events as Chrome `trace_event` JSON values
     /// (metadata + events), ready to merge across ranks.
     fn chrome_events(&self) -> Vec<Json> {
-        let to_us = 1e6 / self.freq_hz;
+        let to_us = 1e6 / FREQ_HZ;
         let mut out = Vec::with_capacity(self.events.len() + 1 + self.lane_names.len());
         out.push(Json::obj(vec![
             ("ph", Json::Str("M".into())),
@@ -418,7 +415,7 @@ mod tests {
 
     #[test]
     fn synthetic_spans_feed_folded_output() {
-        let mut tr = Tracer::with_lanes(0, 1.8e9, vec!["no-sve".into(), "sve".into()]);
+        let mut tr = Tracer::with_lanes(0, vec!["no-sve".into(), "sve".into()]);
         tr.push_span(0, "MATVEC", 0, 100, &[]);
         tr.push_span(1, "MATVEC", 0, 25, &[]);
         let folded = collapsed_stacks(&[&tr]);

@@ -20,13 +20,12 @@
 
 use std::fmt::Write as _;
 
-use v2d_machine::{CostSink, KernelClass, ProfilerScope, SimDuration};
+use v2d_machine::{CostSink, KernelClass, ProfilerScope, SimDuration, FREQ_HZ};
 
 /// Per-kernel-class breakdown of a lane's accounting — the reproduction
 /// of the paper's §II-E analysis ("the majority of time was spent in the
 /// matrix-vector multiplications…").
 pub fn class_breakdown(lane: &CostSink) -> String {
-    let freq = lane.model.freq_hz;
     let total = lane.clock.now().cycles().max(1);
     let mut out = String::new();
     let _ = writeln!(
@@ -40,7 +39,7 @@ pub fn class_breakdown(lane: &CostSink) -> String {
         if calls == 0 {
             continue;
         }
-        let secs = lane.counters.cycles[i] as f64 / freq;
+        let secs = lane.counters.cycles[i] as f64 / FREQ_HZ;
         let mflop = lane.counters.flops[i] as f64 / 1e6;
         let pct = 100.0 * lane.counters.cycles[i] as f64 / total as f64;
         let _ = writeln!(
@@ -53,7 +52,7 @@ pub fn class_breakdown(lane: &CostSink) -> String {
             pct
         );
     }
-    let mpi_secs = lane.mpi_cycles as f64 / freq;
+    let mpi_secs = lane.mpi_cycles as f64 / FREQ_HZ;
     let _ = writeln!(
         out,
         "{:<10} {:>12} {:>14.3} {:>14} {:>7.1}%",
@@ -101,7 +100,6 @@ impl Profiler {
     /// ParaProf-style report, sorted by exclusive time, with percentages
     /// of the given total.
     pub fn report(&self, lane: &CostSink) -> String {
-        let freq = lane.model.freq_hz;
         let total = lane.clock.now().cycles().max(1) as f64;
         let mut rows: Vec<&(&'static str, RoutineStats)> = self.routines.iter().collect();
         // Name as the secondary key: zero-cost routines tie on exclusive
@@ -119,8 +117,8 @@ impl Profiler {
                 "{:<24} {:>8} {:>14.3} {:>14.3} {:>7.1}%",
                 name,
                 st.calls,
-                st.exclusive.as_secs(freq),
-                st.inclusive.as_secs(freq),
+                st.exclusive.as_secs(),
+                st.inclusive.as_secs(),
                 100.0 * st.exclusive.cycles() as f64 / total
             );
         }

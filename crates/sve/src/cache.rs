@@ -6,11 +6,8 @@
 //! program is keyed by (routine/variant name, vector length, residency
 //! level, decode-format version): entries decoded under an older
 //! [`crate::decode::DECODE_FORMAT_VERSION`] never satisfy a lookup.
-//! The pipeline model has floating-point fields and therefore no
-//! total `Hash`/`Eq`; instead a hit additionally *verifies*
-//! `SchedModel` equality via `PartialEq` and rebuilds in place on
-//! mismatch, so an exotic sweep over scheduler parameters is correct
-//! (it just doesn't cache across them).
+//! Every program is decoded against the one pipeline model,
+//! [`crate::sched::SchedModel::A64FX`], so a key hit is a hit.
 //!
 //! The cache is thread-local (zero synchronization on the hot path) with
 //! a small LRU bound; a thread that runs kernels — a `par_map` worker in
@@ -46,8 +43,7 @@ pub fn cache_shared_hit_count() -> u64 {
     0
 }
 
-/// Process-wide cache-miss count (a cold key, or a sched-mismatch
-/// rebuild).
+/// Process-wide cache-miss count (a cold key).
 pub fn cache_miss_count() -> u64 {
     MISSES.load(Ordering::Relaxed)
 }
@@ -96,8 +92,7 @@ thread_local! {
 ///
 /// `name` must uniquely identify the instruction sequence `build` would
 /// produce (e.g. `"matvec/sve"`); the vector length and residency level
-/// come from `cfg`.  A key hit whose cached pipeline model differs from
-/// `cfg.sched` is treated as a miss and rebuilt in place.
+/// come from `cfg`.
 pub fn cached_program(
     name: &'static str,
     cfg: &ExecConfig,
@@ -109,21 +104,13 @@ pub fn cached_program(
         level: cfg.level,
         format: crate::decode::DECODE_FORMAT_VERSION,
     };
-    let miss = || {
-        MISSES.fetch_add(1, Ordering::Relaxed);
-        Arc::new(DecodedProgram::decode(&build(), cfg))
-    };
     CACHE.with(|cell| {
         let cache = &mut *cell.borrow_mut();
         cache.clock += 1;
         let stamp = cache.clock;
         if let Some(e) = cache.entries.iter_mut().find(|e| e.key == key) {
             e.stamp = stamp;
-            if e.program.sched() == &cfg.sched {
-                HITS.fetch_add(1, Ordering::Relaxed);
-            } else {
-                e.program = miss();
-            }
+            HITS.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(&e.program);
         }
         if cache.entries.len() >= CAPACITY {
@@ -131,7 +118,8 @@ pub fn cached_program(
                 cache.entries.swap_remove(oldest);
             }
         }
-        let program = miss();
+        MISSES.fetch_add(1, Ordering::Relaxed);
+        let program = Arc::new(DecodedProgram::decode(&build(), cfg));
         cache.entries.push(Entry { key, program: Arc::clone(&program), stamp });
         program
     })
@@ -155,13 +143,6 @@ mod tests {
         // Different VL is a different program.
         let wide = cached_program("test/tiny", &l1.clone().with_vl(2048), tiny);
         assert!(!Arc::ptr_eq(&a, &wide));
-        // A sched mismatch on a key hit rebuilds rather than serving
-        // a program decoded against the wrong pipeline model.
-        let mut odd = l1.clone();
-        odd.sched.fetch_width = 8;
-        let rebuilt = cached_program("test/tiny", &odd, tiny);
-        assert!(!Arc::ptr_eq(&a, &rebuilt));
-        assert_eq!(rebuilt.sched().fetch_width, 8);
         // Eviction keeps the cache bounded and the survivors usable.
         for vl in (0..CAPACITY as u32 + 8).map(|i| 128 * (i + 1)) {
             let _ = cached_program("test/churn", &l1.clone().with_vl(vl), tiny);

@@ -192,8 +192,8 @@ pub(crate) struct DecodedOp {
     pub(crate) is_store: bool,
 }
 
-/// A program lowered once for a fixed (vector length, residency level,
-/// pipeline model) configuration.  Branch targets need no translation:
+/// A program lowered once for a fixed (vector length, residency level)
+/// configuration.  Branch targets need no translation:
 /// they are already dense indices into the instruction array, and the
 /// decoded array is index-aligned with it.  The program carries its
 /// fusion plan and the pre-bound threaded-code dispatch array (see
@@ -204,7 +204,6 @@ pub struct DecodedProgram {
     pub(crate) mnemonics: Vec<&'static str>,
     vl_bits: u32,
     level: MemLevel,
-    sched: SchedModel,
     pub(crate) plan: FusionPlan,
     /// Pre-bound dispatch closures, one per dispatch group of `plan`.
     pub(crate) threaded: Vec<OpFn>,
@@ -225,15 +224,13 @@ impl DecodedProgram {
     /// Lower `prog` for the configuration `cfg`.
     ///
     /// # Panics
-    /// If the pipeline model cannot run (see `SchedModel::assert_runnable`),
-    /// or if any decoded rule fails to reproduce [`SchedModel::props`] at
+    /// If any decoded rule fails to reproduce [`SchedModel::props`] at
     /// some active-lane count (a model/decoder mismatch — a bug, caught
     /// at decode time rather than as silently wrong cycle counts).
     pub fn decode(prog: &[Instr], cfg: &ExecConfig) -> Self {
-        cfg.sched.assert_runnable();
         DECODE_COUNT.fetch_add(1, Ordering::Relaxed);
         let lanes = (cfg.vl_bits / 64) as u64;
-        let sched = &cfg.sched;
+        let sched = &SchedModel::A64FX;
         let mut mnemonics: Vec<&'static str> = Vec::new();
         let mut ops = Vec::with_capacity(prog.len());
         for instr in prog {
@@ -296,15 +293,7 @@ impl DecodedProgram {
         }
         let plan = crate::fuse::plan(&ops);
         let threaded = crate::thread::lower(&ops, &plan, lanes as usize);
-        DecodedProgram {
-            ops,
-            mnemonics,
-            vl_bits: cfg.vl_bits,
-            level: cfg.level,
-            sched: sched.clone(),
-            plan,
-            threaded,
-        }
+        DecodedProgram { ops, mnemonics, vl_bits: cfg.vl_bits, level: cfg.level, plan, threaded }
     }
 
     /// Number of (static) instructions.
@@ -327,15 +316,10 @@ impl DecodedProgram {
         self.level
     }
 
-    /// The pipeline model this program was decoded against.
-    pub fn sched(&self) -> &SchedModel {
-        &self.sched
-    }
-
-    /// Whether this program may run under `cfg` (identical VL, residency
-    /// level, and pipeline parameters).
+    /// Whether this program may run under `cfg` (identical VL and
+    /// residency level).
     pub fn matches(&self, cfg: &ExecConfig) -> bool {
-        self.vl_bits == cfg.vl_bits && self.level == cfg.level && self.sched == cfg.sched
+        self.vl_bits == cfg.vl_bits && self.level == cfg.level
     }
 
     /// The original instruction sequence, one per decoded op.

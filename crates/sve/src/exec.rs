@@ -23,17 +23,16 @@ use crate::isa::Instr;
 use crate::mem::SimMem;
 use crate::reg::RegFile;
 use crate::sched::SchedModel;
-use v2d_machine::MemLevel;
+use v2d_machine::{MemLevel, FREQ_HZ};
 
-/// Configuration of one simulated execution.
+/// Configuration of one simulated execution on the
+/// [`SchedModel::A64FX`] pipeline.
 #[derive(Debug, Clone)]
 pub struct ExecConfig {
     /// SVE vector length in bits (128–2048, multiple of 128).
     pub vl_bits: u32,
     /// Residency level of the kernel's working set (drives load costs).
     pub level: MemLevel,
-    /// Pipeline parameters.
-    pub sched: SchedModel,
     /// Safety cap on dynamically executed instructions.
     pub max_instrs: u64,
 }
@@ -41,12 +40,7 @@ pub struct ExecConfig {
 impl ExecConfig {
     /// A64FX-like configuration: 512-bit vectors, L1-resident data.
     pub fn a64fx_l1() -> Self {
-        ExecConfig {
-            vl_bits: 512,
-            level: MemLevel::L1,
-            sched: SchedModel::a64fx(),
-            max_instrs: 200_000_000,
-        }
+        ExecConfig { vl_bits: 512, level: MemLevel::L1, max_instrs: 200_000_000 }
     }
 
     /// Same core, different working-set residency.
@@ -128,9 +122,9 @@ impl ExecStats {
         }
     }
 
-    /// Seconds at clock frequency `freq_hz`.
-    pub fn secs(&self, freq_hz: f64) -> f64 {
-        self.cycles as f64 / freq_hz
+    /// Seconds at the core clock [`FREQ_HZ`].
+    pub fn secs(&self) -> f64 {
+        self.cycles as f64 / FREQ_HZ
     }
 }
 
@@ -294,11 +288,26 @@ pub(crate) fn deps_of(i: &Instr) -> Deps {
 pub(crate) struct UnitSlots {
     pipes: u8,
     used: std::collections::BTreeMap<u64, u8>,
+    /// Every cycle from the prune floor up to `full_to` is full, so a
+    /// search that would start in that run starts at its end.  Counts
+    /// never decrease, so it only moves forward.
+    full_to: u64,
 }
 
 impl UnitSlots {
     pub(crate) fn new(pipes: usize) -> Self {
-        UnitSlots { pipes: pipes as u8, used: std::collections::BTreeMap::new() }
+        UnitSlots { pipes: pipes as u8, used: std::collections::BTreeMap::new(), full_to: 0 }
+    }
+
+    fn is_full(&self, c: u64) -> bool {
+        self.used.get(&c).is_some_and(|&n| n >= self.pipes)
+    }
+
+    /// Move `full_to` past the full cycles at it.
+    fn skip_full(&mut self) {
+        while self.is_full(self.full_to) {
+            self.full_to += 1;
+        }
     }
 
     /// Find the earliest start ≥ `ready` with `occ` consecutive cycles of
@@ -306,16 +315,19 @@ impl UnitSlots {
     #[allow(clippy::mut_range_bound)] // restart-the-scan via labeled loop is intentional
     pub(crate) fn reserve(&mut self, ready: u64, occ: u64) -> u64 {
         debug_assert!(occ >= 1);
-        let mut start = ready;
+        let mut start = ready.max(self.full_to);
         'search: loop {
             for c in start..start + occ {
-                if self.used.get(&c).copied().unwrap_or(0) >= self.pipes {
+                if self.is_full(c) {
                     start = c + 1;
                     continue 'search;
                 }
             }
             for c in start..start + occ {
                 *self.used.entry(c).or_insert(0) += 1;
+            }
+            if (start..start + occ).contains(&self.full_to) {
+                self.skip_full();
             }
             return start;
         }
@@ -330,6 +342,10 @@ impl UnitSlots {
             }
             self.used.remove(&k);
         }
+        if self.full_to < floor {
+            self.full_to = floor;
+            self.skip_full();
+        }
     }
 }
 
@@ -340,11 +356,7 @@ pub struct Executor {
 
 impl Executor {
     /// A core with the given configuration.
-    ///
-    /// # Panics
-    /// If the pipeline model cannot run (see `SchedModel::assert_runnable`).
     pub fn new(cfg: ExecConfig) -> Self {
-        cfg.sched.assert_runnable();
         Executor { cfg }
     }
 
@@ -366,7 +378,7 @@ impl Executor {
             "register file VL does not match executor config"
         );
         let lanes = regs.lanes();
-        let sched = &self.cfg.sched;
+        let sched = &SchedModel::A64FX;
         let level = self.cfg.level;
 
         let mut stats = ExecStats::default();
@@ -375,13 +387,7 @@ impl Executor {
         let mut d_ready = [0u64; 32];
         let mut z_ready = [0u64; 32];
         let mut p_ready = [0u64; 16];
-        let mut units: [UnitSlots; 5] = [
-            UnitSlots::new(sched.pipes[0]),
-            UnitSlots::new(sched.pipes[1]),
-            UnitSlots::new(sched.pipes[2]),
-            UnitSlots::new(sched.pipes[3]),
-            UnitSlots::new(sched.pipes[4]),
-        ];
+        let mut units: [UnitSlots; 5] = std::array::from_fn(|u| UnitSlots::new(sched.pipes[u]));
         let mut fetched: u64 = 0;
         let mut last_complete: u64 = 0;
         // Cumulative-bytes bandwidth limiter: a memory instruction may
@@ -843,51 +849,6 @@ mod tests {
         let dp = decoded_routine(Routine::Daxpy, Variant::Sve, &cfg);
         let (mut regs, mut mem) = prepare_routine(Routine::Daxpy, 100_000, &cfg);
         Executor::new(cfg).run_decoded(&dp, &mut regs, &mut mem);
-    }
-
-    /// A64FX config with one pipeline parameter broken.
-    fn broken(edit: impl FnOnce(&mut SchedModel)) -> ExecConfig {
-        let mut cfg = ExecConfig::a64fx_l1();
-        edit(&mut cfg.sched);
-        cfg
-    }
-
-    // A model either engine cannot run is rejected up front, by both
-    // entry points, instead of hanging, dividing by zero or truncating.
-    #[test]
-    #[should_panic(expected = "pipes[2] = 0")]
-    fn executor_rejects_a_unit_without_pipes() {
-        Executor::new(broken(|s| s.pipes[2] = 0));
-    }
-
-    #[test]
-    #[should_panic(expected = "pipes[0] = 256 exceeds")]
-    fn executor_rejects_more_than_255_pipes() {
-        Executor::new(broken(|s| s.pipes[0] = 256));
-    }
-
-    #[test]
-    #[should_panic(expected = "fetch_width = 0")]
-    fn executor_rejects_a_zero_fetch_width() {
-        Executor::new(broken(|s| s.fetch_width = 0));
-    }
-
-    #[test]
-    #[should_panic(expected = "pipes[4] = 0")]
-    fn decode_rejects_a_unit_without_pipes() {
-        crate::decode::DecodedProgram::decode(&[], &broken(|s| s.pipes[4] = 0));
-    }
-
-    #[test]
-    #[should_panic(expected = "pipes[1] = 300 exceeds")]
-    fn decode_rejects_more_than_255_pipes() {
-        crate::decode::DecodedProgram::decode(&[], &broken(|s| s.pipes[1] = 300));
-    }
-
-    #[test]
-    #[should_panic(expected = "fetch_width = 0")]
-    fn decode_rejects_a_zero_fetch_width() {
-        crate::decode::DecodedProgram::decode(&[], &broken(|s| s.fetch_width = 0));
     }
 
     #[test]

@@ -49,24 +49,25 @@ pub struct InstrProps {
     pub flops: u64,
 }
 
-/// Tunable parameters of the pipeline model.
-#[derive(Debug, Clone, PartialEq)]
+/// Parameters of the pipeline model.  The one instance is
+/// [`SchedModel::A64FX`]: every engine, decoder and cache runs it.
+#[derive(Debug)]
 pub struct SchedModel {
     /// Instructions fetched/decoded per cycle.
-    pub fetch_width: u64,
+    pub(crate) fetch_width: u64,
     /// Pipes per unit class: [Int, Fla, Ls, Pred, Br].
-    pub pipes: [usize; 5],
+    pub(crate) pipes: [usize; 5],
     /// Scalar FP arithmetic latency.
-    pub fla_scalar_latency: u64,
+    pub(crate) fla_scalar_latency: u64,
     /// SVE FP arithmetic latency.
-    pub fla_vec_latency: u64,
+    pub(crate) fla_vec_latency: u64,
     /// Scalar L1 load-to-use latency.
-    pub load_scalar_latency: u64,
+    pub(crate) load_scalar_latency: u64,
     /// SVE L1 load-to-use latency.
-    pub load_vec_latency: u64,
+    pub(crate) load_vec_latency: u64,
     /// Extra load latency when the working set lives in L2 / HBM.
-    pub l2_extra_latency: u64,
-    pub hbm_extra_latency: u64,
+    pub(crate) l2_extra_latency: u64,
+    pub(crate) hbm_extra_latency: u64,
     /// Sustained per-pipe memory bandwidth in bytes/cycle at each level
     /// (L1, L2, HBM).  The executor enforces the *total* rate
     /// (`pipes × per-pipe`) as a cumulative-bytes limiter on memory
@@ -74,31 +75,29 @@ pub struct SchedModel {
     /// eight scalar loads consume the same bandwidth once the data
     /// streams from DRAM.  This is what makes the SVE advantage shrink
     /// as the working set deepens (the paper's full-code observation).
-    pub bytes_per_cycle_per_pipe: [f64; 3],
+    pub(crate) bytes_per_cycle_per_pipe: [f64; 3],
     /// Occupancy of predicate-generating instructions (1 pipe → these
     /// gate vector-length-agnostic loop throughput).
-    pub pred_occupancy: u64,
+    pub(crate) pred_occupancy: u64,
     /// Latency of the strictly-ordered horizontal `faddv` reduction.
-    pub faddv_latency: u64,
+    pub(crate) faddv_latency: u64,
 }
 
 impl SchedModel {
-    /// The A64FX-like default used throughout the reproduction.
-    pub fn a64fx() -> Self {
-        SchedModel {
-            fetch_width: 4,
-            pipes: [2, 2, 2, 1, 1],
-            fla_scalar_latency: 9,
-            fla_vec_latency: 9,
-            load_scalar_latency: 5,
-            load_vec_latency: 11,
-            l2_extra_latency: 26,
-            hbm_extra_latency: 130,
-            bytes_per_cycle_per_pipe: [64.0, 8.0, 5.5],
-            pred_occupancy: 4,
-            faddv_latency: 49,
-        }
-    }
+    /// The A64FX-like pipeline modeled throughout the reproduction.
+    pub const A64FX: SchedModel = SchedModel {
+        fetch_width: 4,
+        pipes: [2, 2, 2, 1, 1],
+        fla_scalar_latency: 9,
+        fla_vec_latency: 9,
+        load_scalar_latency: 5,
+        load_vec_latency: 11,
+        l2_extra_latency: 26,
+        hbm_extra_latency: 130,
+        bytes_per_cycle_per_pipe: [64.0, 8.0, 5.5],
+        pred_occupancy: 4,
+        faddv_latency: 49,
+    };
 
     /// Dense index of a unit class into `pipes`.
     pub fn unit_index(u: Unit) -> usize {
@@ -111,34 +110,10 @@ impl SchedModel {
         }
     }
 
-    fn level_index(level: MemLevel) -> usize {
-        match level {
-            MemLevel::L1 => 0,
-            MemLevel::L2 => 1,
-            MemLevel::Hbm => 2,
-        }
-    }
-
-    /// Reject a model either engine cannot run.
-    ///
-    /// # Panics
-    /// If `fetch_width` is 0 (the fetch frontier would divide by zero or
-    /// never advance), or a unit has 0 pipes (every cycle would be full,
-    /// so no reservation could ever succeed) or more than 255 (the pipe
-    /// trackers count reservations per cycle in a `u8`).
-    pub(crate) fn assert_runnable(&self) {
-        assert!(self.fetch_width > 0, "SchedModel: fetch_width = 0 fetches nothing");
-        for (u, &p) in self.pipes.iter().enumerate() {
-            assert!(p > 0, "SchedModel: pipes[{u}] = 0 can issue nothing");
-            assert!(p <= 255, "SchedModel: pipes[{u}] = {p} exceeds the 255-pipe limit");
-        }
-    }
-
     /// Total sustained memory bandwidth (bytes/cycle, all pipes) at
     /// `level` — the executor's cumulative-bytes issue limiter.
     pub fn total_mem_rate(&self, level: MemLevel) -> f64 {
-        self.bytes_per_cycle_per_pipe[Self::level_index(level)]
-            * self.pipes[Self::unit_index(Unit::Ls)] as f64
+        self.bytes_per_cycle_per_pipe[level.index()] * self.pipes[Self::unit_index(Unit::Ls)] as f64
     }
 
     fn load_props(&self, vec: bool, bytes: u64, level: MemLevel, gather_elems: u64) -> InstrProps {
@@ -224,11 +199,19 @@ impl SchedModel {
     }
 }
 
-impl Default for SchedModel {
-    fn default() -> Self {
-        Self::a64fx()
+// What both engines need of the model, checked when the crate compiles:
+// a fetch width of 0 would never advance the fetch frontier; a unit with
+// 0 pipes could issue nothing, and the pipe trackers count reservations
+// per cycle in a `u8`.
+const _: () = {
+    assert!(SchedModel::A64FX.fetch_width > 0, "fetch_width = 0 fetches nothing");
+    let mut u = 0;
+    while u < SchedModel::A64FX.pipes.len() {
+        let p = SchedModel::A64FX.pipes[u];
+        assert!(p > 0 && p <= 255, "every unit needs 1 to 255 pipes");
+        u += 1;
     }
-}
+};
 
 #[cfg(test)]
 mod tests {
@@ -237,7 +220,7 @@ mod tests {
 
     #[test]
     fn sve_load_bytes_scale_with_active_lanes() {
-        let m = SchedModel::a64fx();
+        let m = SchedModel::A64FX;
         let ld = Instr::Ld1d { t: Z(0), pg: P(0), base: X(0), index: X(1) };
         let p8 = m.props(&ld, 8, 8, MemLevel::L1);
         let p3 = m.props(&ld, 8, 3, MemLevel::L1);
@@ -247,7 +230,7 @@ mod tests {
 
     #[test]
     fn load_latency_grows_down_the_hierarchy() {
-        let m = SchedModel::a64fx();
+        let m = SchedModel::A64FX;
         let ld = Instr::LdrD { d: D(0), base: X(0), offset: 0 };
         let l1 = m.props(&ld, 8, 8, MemLevel::L1).latency;
         let l2 = m.props(&ld, 8, 8, MemLevel::L2).latency;
@@ -257,14 +240,14 @@ mod tests {
 
     #[test]
     fn total_rate_shrinks_down_the_hierarchy() {
-        let m = SchedModel::a64fx();
+        let m = SchedModel::A64FX;
         assert!(m.total_mem_rate(MemLevel::L1) > m.total_mem_rate(MemLevel::L2));
         assert!(m.total_mem_rate(MemLevel::L2) > m.total_mem_rate(MemLevel::Hbm));
     }
 
     #[test]
     fn gather_cracks_into_micro_ops() {
-        let m = SchedModel::a64fx();
+        let m = SchedModel::A64FX;
         let g = Instr::Ld1dGather { t: Z(0), pg: P(0), base: X(0), idx: Z(1) };
         let u = Instr::Ld1d { t: Z(0), pg: P(0), base: X(0), index: X(1) };
         assert!(
@@ -274,7 +257,7 @@ mod tests {
 
     #[test]
     fn fma_counts_two_flops_per_active_lane() {
-        let m = SchedModel::a64fx();
+        let m = SchedModel::A64FX;
         let fmla = Instr::FMlaZ { da: Z(0), pg: P(0), n: Z(1), m: Z(2) };
         assert_eq!(m.props(&fmla, 8, 8, MemLevel::L1).flops, 16);
         assert_eq!(m.props(&fmla, 8, 5, MemLevel::L1).flops, 10);
@@ -282,7 +265,7 @@ mod tests {
 
     #[test]
     fn faddv_is_expensive() {
-        let m = SchedModel::a64fx();
+        let m = SchedModel::A64FX;
         let v = Instr::FaddvD { d: D(0), pg: P(0), n: Z(0) };
         assert!(m.props(&v, 8, 8, MemLevel::L1).latency >= 40);
     }

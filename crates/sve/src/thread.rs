@@ -36,6 +36,9 @@ use crate::fuse::FusionPlan;
 use crate::isa::Instr;
 use crate::mem::SimMem;
 use crate::reg::RegFile;
+use crate::sched::SchedModel;
+
+const FETCH_WIDTH: u64 = SchedModel::A64FX.fetch_width;
 
 /// The mutable state of one threaded-code execution: architectural state
 /// (registers, memory) plus the full timing-model state, in one struct so
@@ -55,13 +58,12 @@ pub(crate) struct Frame<'a> {
     /// Executions per dispatch group: every per-op statistic that does
     /// not depend on dynamic state is folded from these after the run.
     pub hits: Vec<u64>,
-    /// In-order fetch frontier `fetched / fetch_width`, maintained
-    /// incrementally (with `fetch_rem = fetched % fetch_width`) so the
+    /// In-order fetch frontier `fetched / FETCH_WIDTH`, maintained
+    /// incrementally (with `fetch_rem = fetched % FETCH_WIDTH`) so the
     /// hot path never divides.
     pub fetch_frontier: u64,
     pub fetch_rem: u64,
     pub last_complete: u64,
-    pub fetch_width: u64,
     pub mem_rate: f64,
     /// `log2(mem_rate)` when the rate is an exact power of two (the L1
     /// and L2 configs).  `cum as f64 / 2^k` is exact for `cum < 2^53`
@@ -151,7 +153,7 @@ impl Cost {
 fn charge(f: &mut Frame<'_>, c: &Cost) {
     let mut rdy = f.fetch_frontier;
     f.fetch_rem += 1;
-    if f.fetch_rem == f.fetch_width {
+    if f.fetch_rem == FETCH_WIDTH {
         f.fetch_frontier += 1;
         f.fetch_rem = 0;
     }
@@ -568,7 +570,7 @@ impl Executor {
         let cfg = self.config();
         assert_eq!(regs.vl_bits(), cfg.vl_bits, "register file VL does not match executor config");
         assert!(dp.matches(cfg), "decoded program was lowered for a different configuration");
-        let sched = &cfg.sched;
+        let sched = &SchedModel::A64FX;
         let p_active: [u64; 256] =
             std::array::from_fn(|i| if i < 16 { regs.active_lanes(i) as u64 } else { 0 });
         let mut frame = Frame {
@@ -581,7 +583,6 @@ impl Executor {
             fetch_frontier: 0,
             fetch_rem: 0,
             last_complete: 0,
-            fetch_width: sched.fetch_width,
             mem_rate: sched.total_mem_rate(cfg.level),
             mem_shift: {
                 let r = sched.total_mem_rate(cfg.level);

@@ -30,7 +30,7 @@ fn main() {
             .into_iter()
             .zip(&ctx.sink.lanes)
             .map(|(start, lane)| {
-                let secs = (lane.clock.now() - start).as_secs(lane.model.freq_hz);
+                let secs = (lane.clock.now() - start).as_secs();
                 (lane.profile.id.label().to_string(), secs)
             })
             .collect();

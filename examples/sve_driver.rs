@@ -5,13 +5,12 @@
 //!
 //! Run with: `cargo run --release --example sve_driver`
 
-use v2d::machine::{A64fxModel, MemLevel};
+use v2d::machine::{MemLevel, FREQ_HZ};
 use v2d::sve::kernels::{run_routine, Routine, Variant};
 use v2d::sve::ExecConfig;
 
 fn main() {
     let n = 1000;
-    let freq = A64fxModel::ookami().freq_hz;
 
     println!("V2D kernel driver on the simulated A64FX (n = {n}, L1-resident)\n");
     println!(
@@ -44,7 +43,7 @@ fn main() {
     for vl in [128u32, 256, 512, 1024, 2048] {
         let cfg = ExecConfig::a64fx_l1().with_vl(vl);
         let v = run_routine(Routine::Daxpy, n, Variant::Sve, &cfg);
-        println!("{:>8} {:>12} {:>14.2}", vl, v.cycles, 1e6 * v.cycles as f64 / freq);
+        println!("{:>8} {:>12} {:>14.2}", vl, v.cycles, 1e6 * v.cycles as f64 / FREQ_HZ);
     }
 
     println!("\nWhy the full code speeds up less than the driver (MATVEC, n = {n}):");
