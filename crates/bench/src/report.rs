@@ -142,13 +142,14 @@ pub fn add_sched(report: &mut BenchReport) {
     report.add("sched.quiescences", stats.quiescences as f64, "count", Gate::Exact);
 }
 
-/// Superinstruction-fusion coverage, pinned by the gate under
-/// `sve.fuse.*`: chains formed over the ten kernel programs (a
-/// decode-time property — any pattern-table or matcher change moves
-/// it), plus the dynamic fused-op counts of a dedicated serial run of
-/// the five SVE kernels on the calling thread.  The dynamic counts come
-/// from the thread-local per-run snapshot rather than the process-wide
-/// counters, so concurrent test threads cannot perturb them.
+/// Dispatch-group coverage, pinned by the gate under `sve.fuse.*`:
+/// multi-op groups (basic blocks of two or more ops) over the ten kernel
+/// programs (a decode-time property — any change to the partition moves
+/// it), plus the dynamic counts of ops run inside such groups by a
+/// dedicated serial run of the five SVE kernels on the calling thread.
+/// The dynamic counts come from the thread-local per-run snapshot rather
+/// than the process-wide counters, so concurrent test threads cannot
+/// perturb them.
 pub fn add_fuse(report: &mut BenchReport) {
     let cfg = ExecConfig::a64fx_l1();
     let mut chains = 0u64;
@@ -639,9 +640,9 @@ mod tests {
         ] {
             assert!(report.entries.keys().any(|k| k.starts_with(prefix)), "no {prefix} entries");
         }
-        // Fusion actually fires: every coverage counter is nonzero, and
+        // Grouping actually fires: every coverage counter is nonzero, and
         // the dedicated run spends most of its dynamic instructions
-        // inside fused chains.
+        // inside multi-op groups.
         let fuse = |k: &str| report.entries[k].value;
         assert!(fuse("sve.fuse.chains") > 0.0);
         let (fused, total) = (fuse("sve.fuse.fused_ops"), fuse("sve.fuse.total_ops"));

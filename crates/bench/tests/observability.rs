@@ -60,14 +60,10 @@ fn gate_round_trips_and_flags_drift() {
             .expect("v2d-bench should launch")
     };
 
-    // `--write` produces the baseline the library would.
     assert!(run(&["--write", path]).status.success(), "gate --write failed");
-    assert_eq!(
-        std::fs::read_to_string(path).expect("gate --write wrote the report"),
-        report::collect().to_json_string()
-    );
 
-    // Baseline vs itself: clean pass.
+    // Baseline vs itself: clean pass.  This also checks that `--write`
+    // wrote what a fresh collection produces, gate by gate.
     let green = run(&["--baseline", path]);
     assert!(
         green.status.success(),

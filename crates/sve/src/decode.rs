@@ -9,9 +9,9 @@
 //! register indices, the governing-predicate slot, unit class / latency /
 //! occupancy from the [`SchedModel`], per-op flop/byte *rules* (the only
 //! pieces of the timing model that depend on the dynamic predicate
-//! state), and a per-program mnemonic table; plans its superinstruction
-//! fusion ([`crate::fuse`]); and pre-binds the threaded-code dispatch
-//! array (`thread.rs`) that
+//! state), and a per-program mnemonic table; partitions it into basic
+//! blocks, its dispatch groups ([`crate::fuse`]); and pre-binds the
+//! threaded-code dispatch array (`thread.rs`) that
 //! [`Executor::run_decoded`](crate::exec::Executor::run_decoded) executes.
 //!
 //! **Modeled results are bit-identical to the interpreter** by
@@ -41,7 +41,7 @@
 //! kernel and on randomized programs.
 
 use crate::exec::{deps_of, ExecConfig, RegId};
-use crate::fuse::FusionPlan;
+use crate::fuse::Group;
 use crate::isa::Instr;
 use crate::sched::SchedModel;
 use crate::thread::OpFn;
@@ -57,12 +57,13 @@ pub fn decode_count() -> u64 {
     DECODE_COUNT.load(Ordering::Relaxed)
 }
 
-/// Version of the decoded-program layout (micro-op fields, fusion-plan
-/// shape, threaded-code calling convention).  Part of the program-cache
+/// Version of the decoded-program layout (micro-op fields, dispatch
+/// grouping, threaded-code calling convention).  Part of the program-cache
 /// key, so a layout change can never silently reuse a stale
 /// [`DecodedProgram`] within a process.  Bump on any change to
-/// [`DecodedOp`], the fusion plan, or the lowering in [`crate::thread`].
-pub const DECODE_FORMAT_VERSION: u32 = 4;
+/// [`DecodedOp`], the grouping in [`crate::fuse`], or the lowering in
+/// [`crate::thread`].
+pub const DECODE_FORMAT_VERSION: u32 = 5;
 
 /// Sentinel for "no register" in the flat operand encoding.
 pub(crate) const NO_REG: u8 = 0xFF;
@@ -196,7 +197,7 @@ pub(crate) struct DecodedOp {
 /// configuration.  Branch targets need no translation:
 /// they are already dense indices into the instruction array, and the
 /// decoded array is index-aligned with it.  The program carries its
-/// fusion plan and the pre-bound threaded-code dispatch array (see
+/// dispatch groups and the pre-bound threaded-code dispatch array (see
 /// [`crate::fuse`] and [`crate::thread`]).
 pub struct DecodedProgram {
     pub(crate) ops: Vec<DecodedOp>,
@@ -204,8 +205,9 @@ pub struct DecodedProgram {
     pub(crate) mnemonics: Vec<&'static str>,
     vl_bits: u32,
     level: MemLevel,
-    pub(crate) plan: FusionPlan,
-    /// Pre-bound dispatch closures, one per dispatch group of `plan`.
+    /// Dispatch groups: the program's basic blocks.
+    pub(crate) groups: Vec<Group>,
+    /// Pre-bound dispatch closures, one per dispatch group.
     pub(crate) threaded: Vec<OpFn>,
 }
 
@@ -215,7 +217,7 @@ impl std::fmt::Debug for DecodedProgram {
             .field("ops", &self.ops.len())
             .field("vl_bits", &self.vl_bits)
             .field("level", &self.level)
-            .field("chains", &self.chain_count())
+            .field("groups", &self.groups.len())
             .finish_non_exhaustive()
     }
 }
@@ -291,9 +293,9 @@ impl DecodedProgram {
                 is_store: instr.is_store(),
             });
         }
-        let plan = crate::fuse::plan(&ops);
-        let threaded = crate::thread::lower(&ops, &plan, lanes as usize);
-        DecodedProgram { ops, mnemonics, vl_bits: cfg.vl_bits, level: cfg.level, plan, threaded }
+        let groups = crate::fuse::plan(prog);
+        let threaded = crate::thread::lower(&ops, &groups, lanes as usize);
+        DecodedProgram { ops, mnemonics, vl_bits: cfg.vl_bits, level: cfg.level, groups, threaded }
     }
 
     /// Number of (static) instructions.
@@ -327,15 +329,10 @@ impl DecodedProgram {
         self.ops.iter().map(|op| op.instr).collect()
     }
 
-    /// Number of fused superop chains.
+    /// Number of multi-op dispatch groups (basic blocks of two or more
+    /// ops).
     pub fn chain_count(&self) -> usize {
-        self.plan.chains.len()
-    }
-
-    /// The fused chains as `(start, len, compound mnemonic)` triples, in
-    /// program order.
-    pub fn chains(&self) -> impl Iterator<Item = (usize, usize, &'static str)> + '_ {
-        self.plan.chains.iter().map(|c| (c.start, c.len, c.name))
+        self.groups.iter().filter(|g| g.len > 1).count()
     }
 }
 

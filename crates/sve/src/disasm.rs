@@ -190,20 +190,6 @@ mod tests {
     }
 
     #[test]
-    fn compound_names_are_the_part_mnemonics_joined() {
-        use crate::decode::DecodedProgram;
-        use crate::exec::ExecConfig;
-        for prog in [scalar::matvec(), sve_code::matvec(), sve_code::dprod()] {
-            let dp = DecodedProgram::decode(&prog, &ExecConfig::a64fx_l1());
-            assert!(dp.chain_count() > 0);
-            for (start, len, name) in dp.chains() {
-                let joined: Vec<&str> = prog[start..start + len].iter().map(mnemonic).collect();
-                assert_eq!(name, joined.join("+"));
-            }
-        }
-    }
-
-    #[test]
     fn labels_mark_branch_targets() {
         let prog = sve_code::dprod();
         let text = disassemble(&prog);

@@ -6,7 +6,7 @@
 //! modeled cycle count.  It is the executable specification: a plain
 //! step loop over the instruction list that re-derives everything per
 //! dynamic instruction.  Production work goes through
-//! [`Executor::run_decoded`] (the fused threaded-code engine in
+//! [`Executor::run_decoded`] (the threaded-code engine in
 //! `thread.rs`), which the test suites hold to this loop bit for
 //! bit — registers, memory and full [`ExecStats`].
 //!
@@ -839,7 +839,7 @@ mod tests {
         Executor::new(cfg).run_decoded(&dp, &mut regs, &mut mem);
     }
 
-    /// …and so must a fused SVE kernel loop, one chain per iteration.
+    /// …and so must an SVE kernel loop, one basic block per iteration.
     #[test]
     #[should_panic(expected = "runaway loop")]
     fn threaded_fused_kernel_loop_hits_cap() {

@@ -1,20 +1,20 @@
 //! Threaded-code execution of a [`DecodedProgram`]: the production
 //! engine, and the only thing [`Executor::run_decoded`] does.
 //!
-//! Each dispatch group of the fusion plan — a superop chain or a single
-//! plain op — is lowered once, at decode time, into one pre-bound closure
-//! over its parts: per non-branch op a packed timing-operand struct
-//! ([`Cost`]) and a semantic closure ([`Micro`]), plus the group's
-//! pre-resolved control-flow slots.  Chained and plain groups share that
-//! one body.  Execution is then a tight indirect-call loop:
+//! Each dispatch group — a basic block of the program, see
+//! [`crate::fuse`] — is lowered once, at decode time, into one pre-bound
+//! closure over its parts: per non-branch op a packed timing-operand
+//! struct ([`Cost`]) and a semantic closure ([`Micro`]), plus the group's
+//! pre-resolved control-flow slots.  Execution is then a tight
+//! indirect-call loop:
 //!
 //! ```text
 //! while slot < code.len() { slot = code[slot](&mut frame) }
 //! ```
 //!
-//! with no per-op `match`, no per-op operand decoding, and (for a fully
-//! fused kernel loop) one group dispatch per *iteration* instead of one
-//! per instruction.
+//! with no per-op `match`, no per-op operand decoding, and (a kernel loop
+//! body being one basic block) one group dispatch per *iteration* instead
+//! of one per instruction.
 //!
 //! **Bit-identity** with the reference interpreter ([`Executor::run`])
 //! is by construction, not by approximation:
@@ -32,7 +32,7 @@
 
 use crate::decode::{DecodedOp, DecodedProgram, FlopRule, MemRule, RingSlots, NO_REG};
 use crate::exec::{step_instr, ExecStats, Executor};
-use crate::fuse::FusionPlan;
+use crate::fuse::Group;
 use crate::isa::Instr;
 use crate::mem::SimMem;
 use crate::reg::RegFile;
@@ -191,13 +191,13 @@ const PRUNE_EVERY: u64 = 4096;
 /// Group entry: count the group's execution, check the dynamic-
 /// instruction cap, and prune the pipe rings every [`PRUNE_EVERY`]
 /// instructions — once per dispatch instead of once per micro-op.  Panics
-/// on the same runaway programs as the interpreter's per-op check (a group
-/// is at most a few ops, the cap is millions); only the panic's position
-/// within the offending group differs.  Prune timing is semantically
-/// transparent: its floor, the in-order fetch frontier at group entry,
-/// never exceeds any later reservation's ready time, so forgotten slots
-/// can never be probed again, which the fused-vs-interpreter property
-/// suite confirms.
+/// on the same runaway programs as the interpreter's per-op check: a
+/// program's dynamic count only grows, and its final value is the
+/// interpreter's; only the panic's position within the offending group
+/// differs.  Prune timing is semantically transparent: its floor, the
+/// in-order fetch frontier at group entry, never exceeds any later
+/// reservation's ready time, so forgotten slots can never be probed
+/// again, which the threaded-vs-interpreter property suite confirms.
 #[inline(always)]
 fn check_cap(f: &mut Frame<'_>, gi: usize, group_len: u64) {
     f.hits[gi] += 1;
@@ -212,8 +212,8 @@ fn check_cap(f: &mut Frame<'_>, gi: usize, group_len: u64) {
     }
 }
 
-/// A pre-bound dispatch closure: executes one group (fused chain or plain
-/// op) and returns the next dispatch slot.  `Send + Sync` because every
+/// A pre-bound dispatch closure: executes one group (a basic block) and
+/// returns the next dispatch slot.  `Send + Sync` because every
 /// closure captures only plain decoded-op data (indices, lane counts,
 /// immediates), so a [`DecodedProgram`] is an ordinary immutable value.
 pub(crate) type OpFn = Box<dyn Fn(&mut Frame) -> usize + Send + Sync>;
@@ -476,15 +476,14 @@ fn micro_of(op: &DecodedOp, lanes: usize) -> Micro {
     }
 }
 
-/// Lower a fusion plan to the flat dispatch-closure array.  Dispatch
-/// slots are group indices; branch targets are pre-resolved through the
-/// instruction-index → group-slot map (branches can only target group
-/// starts — the fusion pass never covers a branch target with a chain
-/// interior — or the program end).
-pub(crate) fn lower(ops: &[DecodedOp], plan: &FusionPlan, lanes: usize) -> Vec<OpFn> {
-    let n_groups = plan.groups.len();
+/// Lower the dispatch groups to the flat dispatch-closure array.
+/// Dispatch slots are group indices; branch targets are pre-resolved
+/// through the instruction-index → group-slot map (every branch target
+/// starts a basic block, or is the program end).
+pub(crate) fn lower(ops: &[DecodedOp], groups: &[Group], lanes: usize) -> Vec<OpFn> {
+    let n_groups = groups.len();
     let mut slot_map = vec![usize::MAX; ops.len() + 1];
-    for (gi, g) in plan.groups.iter().enumerate() {
+    for (gi, g) in groups.iter().enumerate() {
         slot_map[g.start] = gi;
     }
     slot_map[ops.len()] = n_groups;
@@ -492,16 +491,16 @@ pub(crate) fn lower(ops: &[DecodedOp], plan: &FusionPlan, lanes: usize) -> Vec<O
         // A branch past the end simply terminates, like the interpreter's
         // `while pc < len` loop.
         let s = slot_map.get(target).copied().unwrap_or(n_groups);
-        assert_ne!(s, usize::MAX, "branch into a fused chain interior");
+        assert_ne!(s, usize::MAX, "branch into a basic-block interior");
         s
     };
 
     let mut code: Vec<OpFn> = Vec::with_capacity(n_groups);
-    for (gi, g) in plan.groups.iter().enumerate() {
+    for (gi, g) in groups.iter().enumerate() {
         let fall = gi + 1;
         let group_ops = &ops[g.start..g.start + g.len];
         let group_len = g.len as u64;
-        // A conditional branch ends its group; it is taken when
+        // A branch ends its group; it is taken when
         // `(x[n] < x[m]) == lt`, and an unconditional one is `x0 ≥ x0`.
         let branch = match group_ops[g.len - 1].instr {
             Instr::B { target } => Some((0, 0, false, target)),
@@ -579,7 +578,7 @@ impl Executor {
             ready: [0u64; 256],
             p_active,
             units: std::array::from_fn(|i| RingSlots::new(sched.pipes[i])),
-            hits: vec![0u64; dp.plan.groups.len()],
+            hits: vec![0u64; dp.groups.len()],
             fetch_frontier: 0,
             fetch_rem: 0,
             last_complete: 0,
@@ -615,7 +614,7 @@ impl Executor {
         // Fold the per-group constants: `hits × per-op statistic`.
         let mut mix = vec![0u64; dp.mnemonics.len()];
         let mut fused_dyn = 0;
-        for (g, &h) in dp.plan.groups.iter().zip(&frame.hits) {
+        for (g, &h) in dp.groups.iter().zip(&frame.hits) {
             for op in &dp.ops[g.start..g.start + g.len] {
                 mix[op.mix_slot as usize] += h;
                 stats.unit_busy[op.unit as usize] += h * op.occupancy;
@@ -628,7 +627,7 @@ impl Executor {
                     stats.stores += h;
                 }
             }
-            if g.chain.is_some() {
+            if g.len > 1 {
                 fused_dyn += h * g.len as u64;
             }
         }

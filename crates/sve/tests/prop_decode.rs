@@ -1,9 +1,9 @@
-//! Property tests: the production engine — pre-decoded, superinstruction-
-//! fused, threaded-code [`Executor::run_decoded`] — is bitwise-identical
-//! to the reference step interpreter [`Executor::run`]: same registers,
-//! same memory image, same [`v2d_sve::ExecStats`] to the cycle, on every
-//! kernel program and on randomized straight-line programs, at every
-//! vector length and residency level.
+//! Property tests: the production engine — pre-decoded, threaded-code
+//! [`Executor::run_decoded`], one dispatch per basic block — is
+//! bitwise-identical to the reference step interpreter [`Executor::run`]:
+//! same registers, same memory image, same [`v2d_sve::ExecStats`] to the
+//! cycle, on every kernel program and on randomized straight-line
+//! programs, at every vector length and residency level.
 
 use proptest::prelude::*;
 use v2d_machine::MemLevel;

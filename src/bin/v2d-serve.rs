@@ -28,10 +28,11 @@
 //!
 //! A `{"req":"shutdown","id":…}` request drains in-flight jobs, answers
 //! `bye`, and exits the daemon.  A line that is not a request — bad
-//! JSON, a missing member, bytes that are not UTF-8 — is answered with
-//! one `{"resp":"error","id":"",…}` line and the session continues.
+//! JSON, a missing member, bytes that are not UTF-8, more than
+//! [`MAX_LINE_BYTES`] bytes — is answered with one
+//! `{"resp":"error","id":"",…}` line and the session continues.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::sync::{Arc, Mutex};
 
 use v2d_serve::{parse_request, Handled, Request, Response, ServeOpts, Service};
@@ -39,6 +40,10 @@ use v2d_serve::{parse_request, Handled, Request, Response, ServeOpts, Service};
 /// The session's output, shared with the threads that forward results
 /// of jobs still in flight.
 type Writer = Arc<Mutex<Box<dyn Write + Send>>>;
+
+/// The longest request line a session reads, its `\n` excluded: a
+/// client cannot grow the daemon's memory by never sending `\n`.
+const MAX_LINE_BYTES: usize = 1 << 20;
 
 fn usage() -> ! {
     eprintln!("usage: v2d-serve [--socket PATH | --stdio] [--workers N] [--cache N]");
@@ -112,14 +117,22 @@ fn serve_socket(svc: Service, path: &str) {
 
 /// Drive one NDJSON session; returns true when the client asked the
 /// daemon to shut down.  Lines are read as bytes into one reused
-/// buffer, so a line that is not UTF-8 is answered with an `error` and
-/// the session goes on.
+/// buffer, at most [`MAX_LINE_BYTES`] of them, so a line that is not
+/// UTF-8 or too long is answered with an `error` and the session goes on.
 fn session<R: BufRead>(svc: &Service, mut reader: R, writer: &Writer) -> bool {
     let mut buf = Vec::new();
     loop {
         buf.clear();
-        match reader.read_until(b'\n', &mut buf) {
+        match (&mut reader).take(MAX_LINE_BYTES as u64 + 1).read_until(b'\n', &mut buf) {
             Ok(0) => return false,
+            Ok(n) if n > MAX_LINE_BYTES && buf.last() != Some(&b'\n') => {
+                let what = format!("request line longer than {MAX_LINE_BYTES} bytes");
+                emit(writer, &Response::Error { id: String::new(), what });
+                // Drop the rest of the line without buffering it; a read
+                // error here shows again on the next line.
+                let _ = reader.skip_until(b'\n');
+                continue;
+            }
             Ok(_) => {}
             Err(e) => {
                 eprintln!("v2d-serve: read failed: {e}");

@@ -206,10 +206,11 @@ fn serve_argument_errors_print_usage_and_exit_2() {
     assert!(ok.status.success(), "{}", String::from_utf8_lossy(&ok.stderr));
 }
 
-/// A request line that is not UTF-8 costs that line one `error`
-/// response; the requests after it on the same session are answered.
-#[test]
-fn serve_answers_a_non_utf8_line_and_keeps_the_session() {
+/// One stdio session: `bad` as the first request line, then a `status`
+/// and a `shutdown`.  The bad line costs one `error` response; the
+/// requests after it on the same session are answered.  Returns the
+/// `error` line.
+fn serve_after_a_bad_line(bad: &[u8]) -> String {
     use std::io::Write;
     let mut child = Command::new(env!("CARGO_BIN_EXE_v2d-serve"))
         .args(["--stdio", "--workers", "1"])
@@ -218,10 +219,11 @@ fn serve_answers_a_non_utf8_line_and_keeps_the_session() {
         .stderr(std::process::Stdio::piped())
         .spawn()
         .expect("run v2d-serve");
-    let requests = b"\xff\xfe bad\n\
-        {\"req\":\"status\",\"id\":\"s\"}\n\
-        {\"req\":\"shutdown\",\"id\":\"q\"}\n";
-    child.stdin.take().expect("piped stdin").write_all(requests).expect("write requests");
+    let mut requests = bad.to_vec();
+    requests.extend_from_slice(
+        b"\n{\"req\":\"status\",\"id\":\"s\"}\n{\"req\":\"shutdown\",\"id\":\"q\"}\n",
+    );
+    child.stdin.take().expect("piped stdin").write_all(&requests).expect("write requests");
     let out = child.wait_with_output().expect("wait for v2d-serve");
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "stderr: {err}");
@@ -232,4 +234,20 @@ fn serve_answers_a_non_utf8_line_and_keeps_the_session() {
     assert!(lines[1].starts_with(r#"{"resp":"status","id":"s","#), "{}", lines[1]);
     assert_eq!(lines[2], r#"{"resp":"bye","id":"q"}"#);
     assert!(!err.contains("read failed"), "stderr: {err}");
+    lines[0].to_string()
+}
+
+#[test]
+fn serve_answers_a_non_utf8_line_and_keeps_the_session() {
+    serve_after_a_bad_line(b"\xff\xfe bad");
+}
+
+/// A line over the daemon's 1 MiB cap is answered with an `error` that
+/// names the cap, without buffering the line.
+#[test]
+fn serve_answers_an_over_long_line_and_keeps_the_session() {
+    let error = serve_after_a_bad_line(&vec![b'x'; (1 << 20) + 4096]);
+    assert!(error.contains("longer than 1048576 bytes"), "{error}");
+    let at_cap = serve_after_a_bad_line(&vec![b'x'; 1 << 20]);
+    assert!(!at_cap.contains("longer than"), "a line of exactly 1 MiB is read: {at_cap}");
 }
