@@ -16,7 +16,7 @@ use v2d_linalg::{exchange_halos, TileVec};
 use v2d_machine::{ExecCtx, KernelClass, KernelShape};
 
 use crate::grid::{Geometry, LocalGrid};
-use crate::hydro::eos::{Cons, GammaLaw, Prim};
+use crate::hydro::eos::{Cons, GammaLaw, Prim, Unphysical};
 
 /// Physical boundary treatment for one side of the domain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -246,21 +246,34 @@ impl HydroStepper {
     /// communicator) surfaces as the typed [`v2d_comm::CommError`] so
     /// the driver can end the run with a verdict instead of panicking —
     /// the supervised rank-kill path reaches this collective first on
-    /// hydro scenarios.
+    /// hydro scenarios.  A local zone with no primitive form is
+    /// reported before the collective, as the sweeps report theirs; both
+    /// convert unchecked and check the batch, which keeps the zone loops
+    /// as fast as they were without the check.
     pub fn max_dt(
         &self,
         comm: &Comm,
         cx: &mut ExecCtx,
         grid: &LocalGrid,
         state: &HydroState,
-    ) -> Result<f64, v2d_comm::CommError> {
+    ) -> Result<f64, CflError> {
         let (dx1, dx2) = (grid.global.dx1(), grid.global.dx2());
         let mut max_speed: f64 = 0.0;
+        let mut physical = true;
         for i2 in 0..grid.n2 as isize {
             for i1 in 0..grid.n1 as isize {
-                let w = self.eos.to_prim(state.cons(i1, i2));
+                let w = self.eos.prim_unchecked(state.cons(i1, i2));
+                physical &= w.is_physical();
                 let c = self.eos.sound_speed(&w);
                 max_speed = max_speed.max((w.u1.abs() + c) / dx1).max((w.u2.abs() + c) / dx2);
+            }
+        }
+        if !physical {
+            // Find the first zone `to_prim` rejects, and its reason.
+            for i2 in 0..grid.n2 as isize {
+                for i1 in 0..grid.n1 as isize {
+                    self.eos.to_prim(state.cons(i1, i2)).map_err(CflError::Unphysical)?;
+                }
             }
         }
         cx.charge(&KernelShape::streaming(
@@ -271,18 +284,21 @@ impl HydroStepper {
             0,
             4 * 8 * grid.n1 * grid.n2,
         ));
-        let global = comm.try_allreduce_scalar(
-            cx,
-            v2d_comm::coll_site::HYDRO_CFL,
-            v2d_comm::ReduceOp::Max,
-            max_speed,
-        )?;
+        let global = comm
+            .try_allreduce_scalar(
+                cx,
+                v2d_comm::coll_site::HYDRO_CFL,
+                v2d_comm::ReduceOp::Max,
+                max_speed,
+            )
+            .map_err(CflError::Comm)?;
         assert!(global > 0.0, "static flow has no CFL limit — choose dt directly");
         Ok(self.cfl / global)
     }
 
     /// Advance one split step: an x1 sweep then an x2 sweep, each with
-    /// fresh halos.
+    /// fresh halos.  A zone with no primitive form stops the step; the
+    /// state is then partly updated and the run is over.
     pub fn step(
         &self,
         comm: &Comm,
@@ -291,14 +307,14 @@ impl HydroStepper {
         grid: &LocalGrid,
         state: &mut HydroState,
         dt: f64,
-    ) {
+    ) -> Result<(), Unphysical> {
         assert_eq!(
             grid.global.geometry,
             Geometry::Cartesian,
             "hydrodynamics is implemented for Cartesian geometry"
         );
-        self.sweep(comm, cx, cart, grid, state, dt, 0);
-        self.sweep(comm, cx, cart, grid, state, dt, 1);
+        self.sweep(comm, cx, cart, grid, state, dt, 0)?;
+        self.sweep(comm, cx, cart, grid, state, dt, 1)
     }
 
     /// One directional sweep (`dir` 0 = x1, 1 = x2).
@@ -312,16 +328,16 @@ impl HydroStepper {
         state: &mut HydroState,
         dt: f64,
         dir: usize,
-    ) {
+    ) -> Result<(), Unphysical> {
         state.exchange_halos(cart, comm, cx, &self.bc);
         let (n1, n2) = (grid.n1 as isize, grid.n2 as isize);
         let dx = if dir == 0 { grid.global.dx1() } else { grid.global.dx2() };
         let lam = dt / dx;
 
-        // Primitive state at a zone offset along the sweep line.
-        let prim_at = |st: &HydroState, a: isize, b: isize| -> Prim {
+        // Conserved state at a zone offset along the sweep line.
+        let cons_at = |st: &HydroState, a: isize, b: isize| {
             let (i1, i2) = if dir == 0 { (a, b) } else { (b, a) };
-            self.eos.to_prim(st.cons(i1, i2))
+            st.cons(i1, i2)
         };
 
         let (n_sweep, n_line) = if dir == 0 { (n1, n2) } else { (n2, n1) };
@@ -330,9 +346,13 @@ impl HydroStepper {
         // it is converted before its first write, so the sweep updates
         // `state` in place.
         let mut line = std::mem::take(&mut state.line);
-        for b in 0..n_line {
+        let swept = (0..n_line).try_for_each(|b| {
             line.clear();
-            line.extend((-2..n_sweep + 2).map(|a| prim_at(state, a, b)));
+            line.extend((-2..n_sweep + 2).map(|a| self.eos.prim_unchecked(cons_at(state, a, b))));
+            if let Some(k) = line.iter().position(|w| !w.is_physical()) {
+                // `to_prim` fails on exactly this zone, and words why.
+                return self.eos.to_prim(cons_at(state, k as isize - 2, b)).map(drop);
+            }
             // Face `a` sits between zones a−1 and a, for a in 0..=n_sweep;
             // its left state is zone a−1's plus face, carried over.
             let (_, mut wl) = recon_faces(&line[0], &line[1], &line[2]);
@@ -365,8 +385,10 @@ impl HydroStepper {
                 }
                 flux_prev = Some(f);
             }
-        }
+            Ok(())
+        });
         state.line = line;
+        swept?;
         // Riemann solves: branchy scalar physics in every compiler model.
         cx.charge(&KernelShape::streaming(
             KernelClass::Physics,
@@ -376,7 +398,17 @@ impl HydroStepper {
             4,
             4 * 8 * (n1 * n2) as usize,
         ));
+        Ok(())
     }
+}
+
+/// Why [`HydroStepper::max_dt`] found no timestep.
+#[derive(Debug)]
+pub enum CflError {
+    /// The allreduce failed (peer death, poisoned communicator).
+    Comm(v2d_comm::CommError),
+    /// A local zone's conserved state has no primitive form.
+    Unphysical(Unphysical),
 }
 
 /// Reconstruct zone `w0`'s states at its minus and plus faces from one
@@ -461,14 +493,9 @@ mod tests {
             let before = st.clone();
             let stepper = HydroStepper::new(eos(), 0.4);
             for _ in 0..5 {
-                stepper.step(
-                    &ctx.comm,
-                    &mut ExecCtx::new(&mut ctx.sink),
-                    &cart,
-                    &grid,
-                    &mut st,
-                    1e-3,
-                );
+                stepper
+                    .step(&ctx.comm, &mut ExecCtx::new(&mut ctx.sink), &cart, &grid, &mut st, 1e-3)
+                    .expect("physical state");
             }
             for i2 in 0..8isize {
                 for i1 in 0..12isize {
@@ -505,14 +532,9 @@ mod tests {
                     .max_dt(&ctx.comm, &mut ExecCtx::new(&mut ctx.sink), &grid, &st)
                     .expect("healthy comm")
                     .min(0.1 - t);
-                stepper.step(
-                    &ctx.comm,
-                    &mut ExecCtx::new(&mut ctx.sink),
-                    &cart,
-                    &grid,
-                    &mut st,
-                    dt,
-                );
+                stepper
+                    .step(&ctx.comm, &mut ExecCtx::new(&mut ctx.sink), &cart, &grid, &mut st, dt)
+                    .expect("physical state");
                 t += dt;
             }
             let mass1 = st.total_mass_local();
@@ -549,14 +571,9 @@ mod tests {
                     .max_dt(&ctx.comm, &mut ExecCtx::new(&mut ctx.sink), &grid, &st)
                     .expect("healthy comm")
                     .min(0.4 - t);
-                stepper.step(
-                    &ctx.comm,
-                    &mut ExecCtx::new(&mut ctx.sink),
-                    &cart,
-                    &grid,
-                    &mut st,
-                    dt,
-                );
+                stepper
+                    .step(&ctx.comm, &mut ExecCtx::new(&mut ctx.sink), &cart, &grid, &mut st, dt)
+                    .expect("physical state");
                 t += dt;
             }
             // Peak should have moved from x=0.3 to ≈0.5.
@@ -607,14 +624,9 @@ mod tests {
                     .max_dt(&ctx.comm, &mut ExecCtx::new(&mut ctx.sink), &grid, &st)
                     .expect("healthy comm")
                     .min(0.6 - t);
-                stepper.step(
-                    &ctx.comm,
-                    &mut ExecCtx::new(&mut ctx.sink),
-                    &cart,
-                    &grid,
-                    &mut st,
-                    dt,
-                );
+                stepper
+                    .step(&ctx.comm, &mut ExecCtx::new(&mut ctx.sink), &cart, &grid, &mut st, dt)
+                    .expect("physical state");
                 t += dt;
             }
             let mass1 = st.total_mass_local();
@@ -651,14 +663,16 @@ mod tests {
                 });
                 let stepper = HydroStepper::new(eos(), 0.4);
                 for _ in 0..4 {
-                    stepper.step(
-                        &ctx.comm,
-                        &mut ExecCtx::new(&mut ctx.sink),
-                        &cart,
-                        &grid,
-                        &mut st,
-                        2e-3,
-                    );
+                    stepper
+                        .step(
+                            &ctx.comm,
+                            &mut ExecCtx::new(&mut ctx.sink),
+                            &cart,
+                            &grid,
+                            &mut st,
+                            2e-3,
+                        )
+                        .expect("physical state");
                 }
                 let mut out = Vec::new();
                 for i2 in 0..t.n2 {

@@ -11,5 +11,5 @@
 pub mod eos;
 pub mod euler;
 
-pub use eos::GammaLaw;
-pub use euler::{BcKind, HydroBc, HydroState, HydroStepper, GHOST_DEPTH, MAX_CFL};
+pub use eos::{GammaLaw, Unphysical};
+pub use euler::{BcKind, CflError, HydroBc, HydroState, HydroStepper, GHOST_DEPTH, MAX_CFL};

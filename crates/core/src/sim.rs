@@ -16,7 +16,7 @@ use v2d_obs::{RunReport, Tracer};
 use v2d_perf::Profiler;
 
 use crate::grid::{Grid2, LocalGrid};
-use crate::hydro::{GammaLaw, HydroState, HydroStepper};
+use crate::hydro::{CflError, GammaLaw, HydroState, HydroStepper, Unphysical};
 use crate::limiter::Limiter;
 use crate::opacity::OpacityModel;
 use crate::rad::coupling::MatterCoupling;
@@ -122,6 +122,9 @@ pub enum StepError {
     /// sub-steps to cover the step (a vanishing CFL number or signal
     /// speed blow-up); `advanced` is the hydro time it covered of `dt`.
     HydroSubsteps { istep: usize, advanced: f64, dt: f64 },
+    /// A hydro zone's conserved state has no primitive form (its density
+    /// or pressure is not positive): the flow blew up.
+    Unphysical { istep: usize, error: Unphysical },
     /// This rank was killed by its fault plan (`RankKill`, or
     /// `RankStallForever` when `stalled`) at the top of step `istep`.
     /// Its comm endpoint is already retired — peers resolve into
@@ -145,6 +148,9 @@ impl std::fmt::Display for StepError {
                 "step {istep}: hydro exceeded {MAX_HYDRO_SUBSTEPS} CFL sub-steps, \
                  covering {advanced:.3e} of dt = {dt:.3e}"
             ),
+            StepError::Unphysical { istep, error } => {
+                write!(f, "step {istep}: unphysical hydro state: {error}")
+            }
             StepError::Lost { istep, stalled: false } => {
                 write!(f, "step {istep}: rank killed by fault plan")
             }
@@ -160,6 +166,7 @@ impl std::error::Error for StepError {
         match self {
             StepError::Radiation { error, .. } => Some(error),
             StepError::Comm { error, .. } => Some(error),
+            StepError::Unphysical { error, .. } => Some(error),
             StepError::HydroSubsteps { .. } | StepError::Lost { .. } => None,
         }
     }
@@ -683,7 +690,8 @@ impl StepPhases<'_> {
     /// scenarios a peer death or poisoned communicator surfaces here as
     /// the typed [`CommError`] the driver turns into a run verdict.  A
     /// step that would take more than [`MAX_HYDRO_SUBSTEPS`] sub-steps
-    /// fails with [`StepError::HydroSubsteps`] instead of spinning.
+    /// fails with [`StepError::HydroSubsteps`] instead of spinning, and a
+    /// blown-up state with [`StepError::Unphysical`] instead of a panic.
     fn hydro_phase(
         &mut self,
         comm: &Comm,
@@ -704,11 +712,16 @@ impl StepPhases<'_> {
                 if substeps == MAX_HYDRO_SUBSTEPS {
                     return Err(StepError::HydroSubsteps { istep, advanced, dt });
                 }
-                let hdt = stepper
-                    .max_dt(comm, cx, self.grid, state)
-                    .map_err(|error| StepError::Comm { istep, error })?
-                    .min(dt - advanced);
-                stepper.step(comm, cx, self.cart, self.grid, state, hdt);
+                let hdt = match stepper.max_dt(comm, cx, self.grid, state) {
+                    Ok(hdt) => hdt.min(dt - advanced),
+                    Err(CflError::Comm(error)) => return Err(StepError::Comm { istep, error }),
+                    Err(CflError::Unphysical(error)) => {
+                        return Err(StepError::Unphysical { istep, error })
+                    }
+                };
+                stepper
+                    .step(comm, cx, self.cart, self.grid, state, hdt)
+                    .map_err(|error| StepError::Unphysical { istep, error })?;
                 advanced += hdt;
                 substeps += 1;
             }

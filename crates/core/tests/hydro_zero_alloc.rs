@@ -85,7 +85,9 @@ fn warm_steps(np1: usize, np2: usize, bc: HydroBc) -> Vec<u64> {
             cx.routine("hydro", |cx| {
                 let dt = cx.routine("cfl", |cx| stepper.max_dt(&ctx.comm, cx, &grid, &state));
                 let dt = dt.expect("healthy comm");
-                stepper.step(&ctx.comm, cx, &cart, &grid, &mut state, dt.min(1e-3));
+                stepper
+                    .step(&ctx.comm, cx, &cart, &grid, &mut state, dt.min(1e-3))
+                    .expect("physical");
             });
         };
 

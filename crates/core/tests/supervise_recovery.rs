@@ -167,32 +167,38 @@ fn rollback_of_a_coupled_run_restores_the_gas_temperature() {
     assert_eq!(killed.final_bits, healthy.final_bits, "rollback must resume the same trajectory");
 }
 
-/// A failure no relaunch can change — a hydro step that can never
-/// finish, on a fault-free plan — ends the run at once instead of being
-/// replayed through the whole retry budget.
+/// A failure no relaunch can change on a fault-free plan — a hydro step
+/// that can never finish, or a flow that blows up — ends the run at once
+/// instead of being replayed through the whole retry budget.
 #[test]
 fn a_failure_with_no_rank_lost_is_unrecoverable_at_once() {
     let sc = Family::Sedov.scenario();
-    let mut cfg = sc.config(4, 4, 2);
-    cfg.hydro.as_mut().expect("sedov runs hydro").cfl = 1e-300;
-    let spec = SuperviseSpec {
-        cfg,
-        scenario: Family::Sedov,
-        np1: 2,
-        np2: 1,
-        plan: FaultPlan::empty(),
-        checkpoint_every: 1,
-        checkpoint_keep: 2,
-        dir: temp_dir("cfl"),
-    };
-    match run_supervised(&spec, RetryPolicy::default()) {
-        Err(SuperviseError::Unrecoverable { ledger, reason }) => {
-            assert_eq!(ledger.attempts, 1);
-            assert_eq!(ledger.rollbacks, 0);
-            assert_eq!(ledger.kills, 0);
-            assert_eq!(ledger.backoff_virtual_secs, 0.0);
-            assert!(reason.contains("hydro exceeded"), "{reason}");
+    for (tag, n, cfl, gamma, want) in [
+        ("cfl", 4, 1e-300, 1.4, "hydro exceeded"),
+        ("gamma", 12, 0.4, 1e300, "unphysical hydro state"),
+    ] {
+        let mut cfg = sc.config(n, n, 2);
+        let hydro = cfg.hydro.as_mut().expect("sedov runs hydro");
+        (hydro.cfl, hydro.gamma) = (cfl, gamma);
+        let spec = SuperviseSpec {
+            cfg,
+            scenario: Family::Sedov,
+            np1: 2,
+            np2: 1,
+            plan: FaultPlan::empty(),
+            checkpoint_every: 1,
+            checkpoint_keep: 2,
+            dir: temp_dir(tag),
+        };
+        match run_supervised(&spec, RetryPolicy::default()) {
+            Err(SuperviseError::Unrecoverable { ledger, reason }) => {
+                assert_eq!(ledger.attempts, 1, "{tag}");
+                assert_eq!(ledger.rollbacks, 0, "{tag}");
+                assert_eq!(ledger.kills, 0, "{tag}");
+                assert_eq!(ledger.backoff_virtual_secs, 0.0, "{tag}");
+                assert!(reason.contains(want), "{tag}: {reason}");
+            }
+            other => panic!("{tag}: expected Unrecoverable, got {other:?}"),
         }
-        other => panic!("expected Unrecoverable, got {other:?}"),
     }
 }

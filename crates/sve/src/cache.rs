@@ -4,10 +4,10 @@
 //! The kernel builders in [`crate::kernels`] are shape-agnostic — problem
 //! sizes arrive in registers, not in the instruction stream — so a cached
 //! program is keyed by (routine/variant name, vector length, residency
-//! level, decode-format version): entries decoded under an older
-//! [`crate::decode::DECODE_FORMAT_VERSION`] never satisfy a lookup.
-//! Every program is decoded against the one pipeline model,
-//! [`crate::sched::SchedModel::A64FX`], so a key hit is a hit.
+//! level).  Every program is decoded against the one pipeline model,
+//! [`crate::sched::SchedModel::A64FX`], and the cache lives in one
+//! process, so it only ever holds programs this build decoded: a key hit
+//! is a hit.
 //!
 //! The cache is thread-local (zero synchronization on the hot path) with
 //! a small LRU bound; a thread that runs kernels — a `par_map` worker in
@@ -65,9 +65,6 @@ struct Key {
     name: &'static str,
     vl_bits: u32,
     level: MemLevel,
-    /// [`crate::decode::DECODE_FORMAT_VERSION`] at decode time, so
-    /// entries from a stale decode layout can never satisfy a lookup.
-    format: u32,
 }
 
 struct Entry {
@@ -98,12 +95,7 @@ pub fn cached_program(
     cfg: &ExecConfig,
     build: impl FnOnce() -> Vec<Instr>,
 ) -> Arc<DecodedProgram> {
-    let key = Key {
-        name,
-        vl_bits: cfg.vl_bits,
-        level: cfg.level,
-        format: crate::decode::DECODE_FORMAT_VERSION,
-    };
+    let key = Key { name, vl_bits: cfg.vl_bits, level: cfg.level };
     CACHE.with(|cell| {
         let cache = &mut *cell.borrow_mut();
         cache.clock += 1;

@@ -6,10 +6,10 @@
 //! a kernel loop pays the full decode cost once per iteration.
 //! [`DecodedProgram`] lowers a
 //! program once into a dense micro-op array with pre-resolved flat
-//! register indices, the governing-predicate slot, unit class / latency /
-//! occupancy from the [`SchedModel`], per-op flop/byte *rules* (the only
-//! pieces of the timing model that depend on the dynamic predicate
-//! state), and a per-program mnemonic table; partitions it into basic
+//! register indices, the governing-predicate slot, the instruction's cost
+//! row from [`SchedModel::props`] (unit class, latency, occupancy, and
+//! the flop and byte counts that are affine in the active-lane count),
+//! and a per-program mnemonic table; partitions it into basic
 //! blocks, its dispatch groups ([`crate::fuse`]); and pre-binds the
 //! threaded-code dispatch array (`thread.rs`) that
 //! [`Executor::run_decoded`](crate::exec::Executor::run_decoded) executes.
@@ -17,11 +17,10 @@
 //! **Modeled results are bit-identical to the interpreter** by
 //! construction, on three grounds:
 //!
-//! 1. decoding *verifies itself* against [`SchedModel::props`]: for every
-//!    instruction it asserts that the pre-resolved unit/latency/occupancy
-//!    and the flop/byte rules reproduce `props` at every possible
-//!    active-lane count — a decoded program that could disagree with the
-//!    interpreter cannot be constructed;
+//! 1. both engines read one cost row per instruction: the interpreter
+//!    evaluates [`SchedModel::props`] per dynamic instruction, the decoder
+//!    copies the same row once, and both evaluate its flops and bytes at
+//!    the active-lane count of the predicate source that `deps_of` lists;
 //! 2. architectural semantics are lane-exact replicas of, or direct
 //!    calls to, the `step_instr` the interpreter uses;
 //! 3. the issue arithmetic (in-order fetch frontier, dependency maxima,
@@ -43,7 +42,7 @@
 use crate::exec::{deps_of, ExecConfig, RegId};
 use crate::fuse::Group;
 use crate::isa::Instr;
-use crate::sched::SchedModel;
+use crate::sched::{Affine, SchedModel};
 use crate::thread::OpFn;
 use std::sync::atomic::{AtomicU64, Ordering};
 use v2d_machine::MemLevel;
@@ -57,14 +56,6 @@ pub fn decode_count() -> u64 {
     DECODE_COUNT.load(Ordering::Relaxed)
 }
 
-/// Version of the decoded-program layout (micro-op fields, dispatch
-/// grouping, threaded-code calling convention).  Part of the program-cache
-/// key, so a layout change can never silently reuse a stale
-/// [`DecodedProgram`] within a process.  Bump on any change to
-/// [`DecodedOp`], the grouping in [`crate::fuse`], or the lowering in
-/// [`crate::thread`].
-pub const DECODE_FORMAT_VERSION: u32 = 5;
-
 /// Sentinel for "no register" in the flat operand encoding.
 pub(crate) const NO_REG: u8 = 0xFF;
 
@@ -77,93 +68,6 @@ fn flat(r: RegId) -> u8 {
         RegId::D(i) => 32 + i,
         RegId::Z(i) => 64 + i,
         RegId::P(i) => 96 + i,
-    }
-}
-
-/// How an op's flop count depends on its governing predicate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum FlopRule {
-    /// Fixed count (scalar arithmetic; 0 for non-FP ops).
-    Const(u64),
-    /// `k` flops per active lane (predicated vector arithmetic).
-    PerActive(u64),
-    /// `active − 1` saturating (the strictly-ordered `faddv` tree).
-    ActiveMinus1,
-}
-
-/// How an op's memory traffic depends on its governing predicate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum MemRule {
-    /// Not a memory instruction.
-    None,
-    /// Fixed bytes (scalar load/store).
-    Const(u64),
-    /// 8 bytes per active lane (predicated vector load/store).
-    PerActive8,
-}
-
-impl FlopRule {
-    #[inline]
-    pub(crate) fn eval(self, active: u64) -> u64 {
-        match self {
-            FlopRule::Const(k) => k,
-            FlopRule::PerActive(k) => k * active,
-            FlopRule::ActiveMinus1 => active.saturating_sub(1),
-        }
-    }
-}
-
-impl MemRule {
-    #[inline]
-    pub(crate) fn eval(self, active: u64) -> u64 {
-        match self {
-            MemRule::None => 0,
-            MemRule::Const(b) => b,
-            MemRule::PerActive8 => 8 * active,
-        }
-    }
-}
-
-/// The governing predicate (if any) and the active-lane-dependent cost
-/// rules of one instruction.  This is the only part of
-/// [`SchedModel::props`] that cannot be fully resolved at decode time;
-/// [`DecodedProgram::decode`] asserts it agrees with `props` at every
-/// active-lane count.
-fn rules_of(i: &Instr) -> (Option<u8>, FlopRule, MemRule) {
-    use Instr::*;
-    match *i {
-        MovXI { .. }
-        | MovX { .. }
-        | AddXI { .. }
-        | AddX { .. }
-        | MulXI { .. }
-        | IncdX { .. }
-        | CntdX { .. }
-        | FMovDI { .. }
-        | FMovD { .. }
-        | B { .. }
-        | BLtX { .. }
-        | BGeX { .. }
-        | PtrueD { .. }
-        | WhileltD { .. }
-        | DupZD { .. }
-        | DupZI { .. }
-        | MovZ { .. } => (None, FlopRule::Const(0), MemRule::None),
-        FAddD { .. } | FSubD { .. } | FMulD { .. } | FNegD { .. } => {
-            (None, FlopRule::Const(1), MemRule::None)
-        }
-        FMaddD { .. } => (None, FlopRule::Const(2), MemRule::None),
-        LdrD { .. } | LdrDScaled { .. } | StrD { .. } | StrDScaled { .. } => {
-            (None, FlopRule::Const(0), MemRule::Const(8))
-        }
-        Ld1d { pg, .. } | St1d { pg, .. } | Ld1dGather { pg, .. } => {
-            (Some(pg.0), FlopRule::Const(0), MemRule::PerActive8)
-        }
-        FAddZ { pg, .. } | FSubZ { pg, .. } | FMulZ { pg, .. } | FNegZ { pg, .. } => {
-            (Some(pg.0), FlopRule::PerActive(1), MemRule::None)
-        }
-        FMlaZ { pg, .. } | FMlsZ { pg, .. } => (Some(pg.0), FlopRule::PerActive(2), MemRule::None),
-        FaddvD { pg, .. } => (Some(pg.0), FlopRule::ActiveMinus1, MemRule::None),
     }
 }
 
@@ -187,8 +91,10 @@ pub(crate) struct DecodedOp {
     pub(crate) latency: u64,
     /// Pipe occupancy, pre-clamped to ≥ 1.
     pub(crate) occupancy: u64,
-    pub(crate) flops: FlopRule,
-    pub(crate) mem: MemRule,
+    /// The cost row's flops and bytes, evaluated at the active-lane
+    /// count of `pg` (0 if unpredicated) when the op executes.
+    pub(crate) flops: Affine,
+    pub(crate) bytes: Affine,
     pub(crate) is_load: bool,
     pub(crate) is_store: bool,
 }
@@ -224,11 +130,6 @@ impl std::fmt::Debug for DecodedProgram {
 
 impl DecodedProgram {
     /// Lower `prog` for the configuration `cfg`.
-    ///
-    /// # Panics
-    /// If any decoded rule fails to reproduce [`SchedModel::props`] at
-    /// some active-lane count (a model/decoder mismatch — a bug, caught
-    /// at decode time rather than as silently wrong cycle counts).
     pub fn decode(prog: &[Instr], cfg: &ExecConfig) -> Self {
         DECODE_COUNT.fetch_add(1, Ordering::Relaxed);
         let lanes = (cfg.vl_bits / 64) as u64;
@@ -244,31 +145,7 @@ impl DecodedProgram {
                 n_srcs += 1;
             }
             let dst = deps.dst.map_or(NO_REG, flat);
-            let (pg, flops, mem) = rules_of(instr);
-            let props = sched.props(instr, lanes, lanes, cfg.level);
-            // Self-verification: the static properties must be invariant
-            // in the active-lane count, and the dynamic rules must
-            // reproduce `props` wherever the interpreter can evaluate it
-            // (every count for predicated ops; the full lane count — the
-            // only value `run` ever passes — for unpredicated ones).
-            for active in 0..=lanes {
-                if pg.is_none() && active != lanes {
-                    continue;
-                }
-                let p = sched.props(instr, lanes, active, cfg.level);
-                assert!(
-                    p.unit == props.unit
-                        && p.latency == props.latency
-                        && p.occupancy == props.occupancy,
-                    "decode: unit/latency/occupancy vary with active lanes for {instr:?}"
-                );
-                assert_eq!(flops.eval(active), p.flops, "decode: flop rule mismatch for {instr:?}");
-                assert_eq!(
-                    mem.eval(active),
-                    p.mem_bytes,
-                    "decode: byte rule mismatch for {instr:?}"
-                );
-            }
+            let props = sched.props(instr, lanes, cfg.level);
             let name = crate::disasm::mnemonic(instr);
             let mix_slot = match mnemonics.iter().position(|&m| m == name) {
                 Some(i) => i,
@@ -282,13 +159,13 @@ impl DecodedProgram {
                 srcs,
                 n_srcs,
                 dst,
-                pg: pg.unwrap_or(NO_REG),
+                pg: deps.pred().unwrap_or(NO_REG),
                 unit: SchedModel::unit_index(props.unit) as u8,
                 mix_slot,
                 latency: props.latency,
                 occupancy: props.occupancy.max(1),
-                flops,
-                mem,
+                flops: props.flops,
+                bytes: props.bytes,
                 is_load: instr.is_load(),
                 is_store: instr.is_store(),
             });

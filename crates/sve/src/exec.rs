@@ -143,6 +143,17 @@ pub(crate) struct Deps {
     pub(crate) dst: Option<RegId>,
 }
 
+impl Deps {
+    /// The governing predicate: the predicate register among the sources
+    /// (a predicate an instruction writes is its destination).
+    pub(crate) fn pred(&self) -> Option<u8> {
+        self.src.iter().flatten().find_map(|r| match *r {
+            RegId::P(p) => Some(p),
+            _ => None,
+        })
+    }
+}
+
 pub(crate) fn deps_of(i: &Instr) -> Deps {
     use Instr::*;
     let mut src = [None; 5];
@@ -405,9 +416,10 @@ impl Executor {
             let instr = &prog[pc];
 
             // --- timing ---
-            let active = governing_active(instr, regs) as u64;
-            let props = sched.props(instr, lanes as u64, active, level);
+            let props = sched.props(instr, lanes as u64, level);
             let deps = deps_of(instr);
+            let active = deps.pred().map_or(0, |p| regs.active_lanes(p as usize) as u64);
+            let mem_bytes = props.bytes.at(active);
             let mut ready = fetched / sched.fetch_width;
             fetched += 1;
             for slot in deps.src.iter().flatten() {
@@ -419,10 +431,10 @@ impl Executor {
                 };
                 ready = ready.max(t);
             }
-            if props.mem_bytes > 0 {
+            if mem_bytes > 0 {
                 let bw_ready = (mem_bytes_cum as f64 / mem_rate) as u64;
                 ready = ready.max(bw_ready);
-                mem_bytes_cum += props.mem_bytes;
+                mem_bytes_cum += mem_bytes;
             }
             let ui = SchedModel::unit_index(props.unit);
             let start = units[ui].reserve(ready, props.occupancy.max(1));
@@ -444,13 +456,13 @@ impl Executor {
             last_complete = last_complete.max(complete);
             stats.mix.bump(mnemonic(instr));
             stats.unit_busy[ui] += props.occupancy;
-            stats.flops += props.flops;
+            stats.flops += props.flops.at(active);
             if instr.is_load() {
                 stats.loads += 1;
-                stats.bytes_read += props.mem_bytes;
+                stats.bytes_read += mem_bytes;
             } else if instr.is_store() {
                 stats.stores += 1;
-                stats.bytes_written += props.mem_bytes;
+                stats.bytes_written += mem_bytes;
             }
 
             // --- semantics ---
@@ -627,23 +639,6 @@ pub(crate) fn step_instr(instr: &Instr, pc: usize, r: &mut RegFile, mem: &mut Si
             CntdX { d } => r.x[d.0 as usize] = lanes as u64,
         }
         pc + 1
-    }
-}
-
-/// Active lane count of the instruction's governing predicate (or the full
-/// lane count for unpredicated / scalar instructions) — used for
-/// predicate-aware flop and byte accounting.
-fn governing_active(i: &Instr, r: &RegFile) -> usize {
-    use Instr::*;
-    let pg = match *i {
-        Ld1d { pg, .. } | St1d { pg, .. } | Ld1dGather { pg, .. } => Some(pg),
-        FAddZ { pg, .. } | FSubZ { pg, .. } | FMulZ { pg, .. } => Some(pg),
-        FMlaZ { pg, .. } | FMlsZ { pg, .. } | FNegZ { pg, .. } | FaddvD { pg, .. } => Some(pg),
-        _ => None,
-    };
-    match pg {
-        Some(p) => r.active_lanes(p.0 as usize),
-        None => r.lanes(),
     }
 }
 

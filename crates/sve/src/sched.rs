@@ -34,7 +34,39 @@ pub enum Unit {
     Br,
 }
 
-/// Static issue properties of one dynamic instruction.
+/// A count that is affine in the active-lane count `a` of an
+/// instruction's governing predicate:
+/// `fixed + per_active·a + per_active_after_first·max(a − 1, 0)`.
+/// An unpredicated instruction's count is all `fixed`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Affine {
+    pub fixed: u64,
+    pub per_active: u64,
+    /// The `a − 1` term: the additions of a horizontal reduction.
+    pub per_active_after_first: u64,
+}
+
+impl Affine {
+    const ZERO: Affine = Affine { fixed: 0, per_active: 0, per_active_after_first: 0 };
+
+    const fn fixed(k: u64) -> Affine {
+        Affine { fixed: k, ..Affine::ZERO }
+    }
+
+    const fn per_active(k: u64) -> Affine {
+        Affine { per_active: k, ..Affine::ZERO }
+    }
+
+    /// The count at `active` lanes.
+    pub fn at(self, active: u64) -> u64 {
+        self.fixed
+            + self.per_active * active
+            + self.per_active_after_first * active.saturating_sub(1)
+    }
+}
+
+/// The cost row of one instruction: everything the timing model charges
+/// for it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InstrProps {
     /// Which unit class executes it.
@@ -43,10 +75,10 @@ pub struct InstrProps {
     pub latency: u64,
     /// Cycles the chosen pipe stays busy.
     pub occupancy: u64,
-    /// Bytes moved to/from memory (0 for non-memory instructions).
-    pub mem_bytes: u64,
     /// Double-precision flops performed.
-    pub flops: u64,
+    pub flops: Affine,
+    /// Bytes moved to/from memory (zero for non-memory instructions).
+    pub bytes: Affine,
 }
 
 /// Parameters of the pipeline model.  The one instance is
@@ -116,85 +148,74 @@ impl SchedModel {
         self.bytes_per_cycle_per_pipe[level.index()] * self.pipes[Self::unit_index(Unit::Ls)] as f64
     }
 
-    fn load_props(&self, vec: bool, bytes: u64, level: MemLevel, gather_elems: u64) -> InstrProps {
-        let base_lat = if vec { self.load_vec_latency } else { self.load_scalar_latency };
+    /// The cost row of `i` at the vector length `lanes` (f64 per
+    /// register) with the kernel's working set resident at `level`.
+    ///
+    /// This is the only statement of what an instruction costs.  Both
+    /// engines read it: the reference interpreter evaluates it per
+    /// dynamic instruction, the decoder copies it into each micro-op once,
+    /// and both evaluate its flops and bytes at the active-lane count of
+    /// the instruction's governing predicate — the predicate source its
+    /// dependency list names — or at 0 for an unpredicated instruction,
+    /// whose counts are all fixed.
+    pub fn props(&self, i: &Instr, lanes: u64, level: MemLevel) -> InstrProps {
+        use Instr::*;
+        let row = |unit, latency, occupancy| InstrProps {
+            unit,
+            latency,
+            occupancy,
+            flops: Affine::ZERO,
+            bytes: Affine::ZERO,
+        };
+        let fla = |latency, flops| InstrProps { flops, ..row(Unit::Fla, latency, 1) };
+        // Loads pay extra latency below L1.  A gather cracks into one
+        // micro-access per element pair; streaming bandwidth is charged by
+        // the executor's limiter, so a unit-stride access occupies its
+        // pipe for a single cycle.
         let extra = match level {
             MemLevel::L1 => 0,
             MemLevel::L2 => self.l2_extra_latency,
             MemLevel::Hbm => self.hbm_extra_latency,
         };
-        // A gather cracks into one micro-access per active element pair;
-        // streaming bandwidth is charged by the executor's limiter, so a
-        // unit-stride access occupies its pipe for a single cycle.
-        let occ = 1.max(gather_elems / 2);
-        InstrProps {
-            unit: Unit::Ls,
-            latency: base_lat + extra,
-            occupancy: occ,
-            mem_bytes: bytes,
-            flops: 0,
-        }
-    }
-
-    fn store_props(&self, bytes: u64, _level: MemLevel) -> InstrProps {
-        InstrProps { unit: Unit::Ls, latency: 1, occupancy: 1, mem_bytes: bytes, flops: 0 }
-    }
-
-    /// Issue properties of one dynamic instruction, given the current
-    /// vector length (`lanes` f64 per register), the number of active
-    /// lanes in its governing predicate, and the residency level of the
-    /// kernel's working set.
-    pub fn props(&self, i: &Instr, lanes: u64, active: u64, level: MemLevel) -> InstrProps {
-        use Instr::*;
-        let fla = |latency: u64, flops: u64| InstrProps {
-            unit: Unit::Fla,
-            latency,
-            occupancy: 1,
-            mem_bytes: 0,
-            flops,
+        let load = |latency, occupancy, bytes| InstrProps {
+            bytes,
+            ..row(Unit::Ls, latency + extra, occupancy)
         };
-        let int1 = InstrProps { unit: Unit::Int, latency: 1, occupancy: 1, mem_bytes: 0, flops: 0 };
+        let store = |bytes| InstrProps { bytes, ..row(Unit::Ls, 1, 1) };
+        let (vec_load, per_lane_8) = (self.load_vec_latency, Affine::per_active(8));
         match i {
-            MovXI { .. } | MovX { .. } | AddXI { .. } | AddX { .. } => int1,
-            MulXI { .. } => InstrProps { latency: 5, ..int1 },
-            IncdX { .. } | CntdX { .. } => InstrProps { latency: 2, ..int1 },
+            MovXI { .. } | MovX { .. } | AddXI { .. } | AddX { .. } => row(Unit::Int, 1, 1),
+            MulXI { .. } => row(Unit::Int, 5, 1),
+            IncdX { .. } | CntdX { .. } => row(Unit::Int, 2, 1),
 
-            FMovDI { .. } | FMovD { .. } => fla(4, 0),
-            FAddD { .. } | FSubD { .. } | FMulD { .. } => fla(self.fla_scalar_latency, 1),
-            FMaddD { .. } => fla(self.fla_scalar_latency, 2),
-            FNegD { .. } => fla(4, 1),
-
-            LdrD { .. } | LdrDScaled { .. } => self.load_props(false, 8, level, 0),
-            StrD { .. } | StrDScaled { .. } => self.store_props(8, level),
-
-            B { .. } | BLtX { .. } | BGeX { .. } => {
-                InstrProps { unit: Unit::Br, latency: 1, occupancy: 1, mem_bytes: 0, flops: 0 }
+            FMovDI { .. } | FMovD { .. } => fla(4, Affine::ZERO),
+            FAddD { .. } | FSubD { .. } | FMulD { .. } => {
+                fla(self.fla_scalar_latency, Affine::fixed(1))
             }
+            FMaddD { .. } => fla(self.fla_scalar_latency, Affine::fixed(2)),
+            FNegD { .. } => fla(4, Affine::fixed(1)),
 
-            PtrueD { .. } => InstrProps {
-                unit: Unit::Pred,
-                latency: 2,
-                occupancy: self.pred_occupancy,
-                mem_bytes: 0,
-                flops: 0,
-            },
-            WhileltD { .. } => InstrProps {
-                unit: Unit::Pred,
-                latency: 4,
-                occupancy: self.pred_occupancy,
-                mem_bytes: 0,
-                flops: 0,
-            },
+            LdrD { .. } | LdrDScaled { .. } => load(self.load_scalar_latency, 1, Affine::fixed(8)),
+            StrD { .. } | StrDScaled { .. } => store(Affine::fixed(8)),
 
-            DupZD { .. } | DupZI { .. } | MovZ { .. } => fla(4, 0),
-            Ld1d { .. } => self.load_props(true, 8 * active, level, 0),
-            St1d { .. } => self.store_props(8 * active, level),
-            Ld1dGather { .. } => self.load_props(true, 8 * active, level, lanes),
+            B { .. } | BLtX { .. } | BGeX { .. } => row(Unit::Br, 1, 1),
 
-            FAddZ { .. } | FSubZ { .. } | FMulZ { .. } => fla(self.fla_vec_latency, active),
-            FMlaZ { .. } | FMlsZ { .. } => fla(self.fla_vec_latency, 2 * active),
-            FNegZ { .. } => fla(4, active),
-            FaddvD { .. } => fla(self.faddv_latency, active.saturating_sub(1)),
+            PtrueD { .. } => row(Unit::Pred, 2, self.pred_occupancy),
+            WhileltD { .. } => row(Unit::Pred, 4, self.pred_occupancy),
+
+            DupZD { .. } | DupZI { .. } | MovZ { .. } => fla(4, Affine::ZERO),
+            Ld1d { .. } => load(vec_load, 1, per_lane_8),
+            St1d { .. } => store(per_lane_8),
+            Ld1dGather { .. } => load(vec_load, 1.max(lanes / 2), per_lane_8),
+
+            FAddZ { .. } | FSubZ { .. } | FMulZ { .. } => {
+                fla(self.fla_vec_latency, Affine::per_active(1))
+            }
+            FMlaZ { .. } | FMlsZ { .. } => fla(self.fla_vec_latency, Affine::per_active(2)),
+            FNegZ { .. } => fla(4, Affine::per_active(1)),
+            FaddvD { .. } => {
+                fla(self.faddv_latency, Affine { per_active_after_first: 1, ..Affine::ZERO })
+            }
         }
     }
 }
@@ -218,24 +239,198 @@ mod tests {
     use super::*;
     use crate::isa::*;
 
-    #[test]
-    fn sve_load_bytes_scale_with_active_lanes() {
-        let m = SchedModel::A64FX;
-        let ld = Instr::Ld1d { t: Z(0), pg: P(0), base: X(0), index: X(1) };
-        let p8 = m.props(&ld, 8, 8, MemLevel::L1);
-        let p3 = m.props(&ld, 8, 3, MemLevel::L1);
-        assert_eq!(p8.mem_bytes, 64);
-        assert_eq!(p3.mem_bytes, 24);
+    /// One instruction of each of the 36 variants.
+    fn every_variant() -> [Instr; 36] {
+        use Instr::*;
+        [
+            MovXI { d: X(0), imm: 0 },
+            MovX { d: X(0), n: X(1) },
+            AddXI { d: X(0), n: X(1), imm: 1 },
+            AddX { d: X(0), n: X(1), m: X(2) },
+            MulXI { d: X(0), n: X(1), imm: 3 },
+            FMovDI { d: D(0), imm: 0.0 },
+            FMovD { d: D(0), n: D(1) },
+            LdrD { d: D(0), base: X(0), offset: 0 },
+            LdrDScaled { d: D(0), base: X(0), index: X(1) },
+            StrD { s: D(0), base: X(0), offset: 0 },
+            StrDScaled { s: D(0), base: X(0), index: X(1) },
+            FAddD { d: D(0), n: D(1), m: D(2) },
+            FSubD { d: D(0), n: D(1), m: D(2) },
+            FMulD { d: D(0), n: D(1), m: D(2) },
+            FMaddD { d: D(0), n: D(1), m: D(2), a: D(3) },
+            FNegD { d: D(0), n: D(1) },
+            B { target: 0 },
+            BLtX { n: X(0), m: X(1), target: 0 },
+            BGeX { n: X(0), m: X(1), target: 0 },
+            PtrueD { d: P(0) },
+            WhileltD { d: P(0), n: X(0), m: X(1) },
+            DupZD { d: Z(0), n: D(0) },
+            DupZI { d: Z(0), imm: 0.0 },
+            MovZ { d: Z(0), n: Z(1) },
+            Ld1d { t: Z(0), pg: P(0), base: X(0), index: X(1) },
+            St1d { t: Z(0), pg: P(0), base: X(0), index: X(1) },
+            Ld1dGather { t: Z(0), pg: P(0), base: X(0), idx: Z(1) },
+            FAddZ { d: Z(0), pg: P(0), n: Z(1), m: Z(2) },
+            FSubZ { d: Z(0), pg: P(0), n: Z(1), m: Z(2) },
+            FMulZ { d: Z(0), pg: P(0), n: Z(1), m: Z(2) },
+            FMlaZ { da: Z(0), pg: P(0), n: Z(1), m: Z(2) },
+            FMlsZ { da: Z(0), pg: P(0), n: Z(1), m: Z(2) },
+            FNegZ { d: Z(0), pg: P(0), n: Z(1) },
+            FaddvD { d: D(0), pg: P(0), n: Z(0) },
+            IncdX { d: X(0) },
+            CntdX { d: X(0) },
+        ]
     }
 
+    /// Every variant's cost row at each residency level, then per vector
+    /// length (128, 512, 2048 bits): unit, latency, occupancy, flops and
+    /// bytes, the last two at 0, 1 and all active lanes.  Three points
+    /// fix an affine count once there are two or more lanes, so this pins
+    /// each row whole.  `props` is the only statement of these costs, so
+    /// a change to any of them must change this table too.
+    const ROWS: [&str; 108] = [
+        "MovXI      L1  | Int 1 1 0,0,0 0,0,0 | Int 1 1 0,0,0 0,0,0 | Int 1 1 0,0,0 0,0,0",
+        "MovXI      L2  | Int 1 1 0,0,0 0,0,0 | Int 1 1 0,0,0 0,0,0 | Int 1 1 0,0,0 0,0,0",
+        "MovXI      Hbm | Int 1 1 0,0,0 0,0,0 | Int 1 1 0,0,0 0,0,0 | Int 1 1 0,0,0 0,0,0",
+        "MovX       L1  | Int 1 1 0,0,0 0,0,0 | Int 1 1 0,0,0 0,0,0 | Int 1 1 0,0,0 0,0,0",
+        "MovX       L2  | Int 1 1 0,0,0 0,0,0 | Int 1 1 0,0,0 0,0,0 | Int 1 1 0,0,0 0,0,0",
+        "MovX       Hbm | Int 1 1 0,0,0 0,0,0 | Int 1 1 0,0,0 0,0,0 | Int 1 1 0,0,0 0,0,0",
+        "AddXI      L1  | Int 1 1 0,0,0 0,0,0 | Int 1 1 0,0,0 0,0,0 | Int 1 1 0,0,0 0,0,0",
+        "AddXI      L2  | Int 1 1 0,0,0 0,0,0 | Int 1 1 0,0,0 0,0,0 | Int 1 1 0,0,0 0,0,0",
+        "AddXI      Hbm | Int 1 1 0,0,0 0,0,0 | Int 1 1 0,0,0 0,0,0 | Int 1 1 0,0,0 0,0,0",
+        "AddX       L1  | Int 1 1 0,0,0 0,0,0 | Int 1 1 0,0,0 0,0,0 | Int 1 1 0,0,0 0,0,0",
+        "AddX       L2  | Int 1 1 0,0,0 0,0,0 | Int 1 1 0,0,0 0,0,0 | Int 1 1 0,0,0 0,0,0",
+        "AddX       Hbm | Int 1 1 0,0,0 0,0,0 | Int 1 1 0,0,0 0,0,0 | Int 1 1 0,0,0 0,0,0",
+        "MulXI      L1  | Int 5 1 0,0,0 0,0,0 | Int 5 1 0,0,0 0,0,0 | Int 5 1 0,0,0 0,0,0",
+        "MulXI      L2  | Int 5 1 0,0,0 0,0,0 | Int 5 1 0,0,0 0,0,0 | Int 5 1 0,0,0 0,0,0",
+        "MulXI      Hbm | Int 5 1 0,0,0 0,0,0 | Int 5 1 0,0,0 0,0,0 | Int 5 1 0,0,0 0,0,0",
+        "FMovDI     L1  | Fla 4 1 0,0,0 0,0,0 | Fla 4 1 0,0,0 0,0,0 | Fla 4 1 0,0,0 0,0,0",
+        "FMovDI     L2  | Fla 4 1 0,0,0 0,0,0 | Fla 4 1 0,0,0 0,0,0 | Fla 4 1 0,0,0 0,0,0",
+        "FMovDI     Hbm | Fla 4 1 0,0,0 0,0,0 | Fla 4 1 0,0,0 0,0,0 | Fla 4 1 0,0,0 0,0,0",
+        "FMovD      L1  | Fla 4 1 0,0,0 0,0,0 | Fla 4 1 0,0,0 0,0,0 | Fla 4 1 0,0,0 0,0,0",
+        "FMovD      L2  | Fla 4 1 0,0,0 0,0,0 | Fla 4 1 0,0,0 0,0,0 | Fla 4 1 0,0,0 0,0,0",
+        "FMovD      Hbm | Fla 4 1 0,0,0 0,0,0 | Fla 4 1 0,0,0 0,0,0 | Fla 4 1 0,0,0 0,0,0",
+        "LdrD       L1  | Ls 5 1 0,0,0 8,8,8 | Ls 5 1 0,0,0 8,8,8 | Ls 5 1 0,0,0 8,8,8",
+        "LdrD       L2  | Ls 31 1 0,0,0 8,8,8 | Ls 31 1 0,0,0 8,8,8 | Ls 31 1 0,0,0 8,8,8",
+        "LdrD       Hbm | Ls 135 1 0,0,0 8,8,8 | Ls 135 1 0,0,0 8,8,8 | Ls 135 1 0,0,0 8,8,8",
+        "LdrDScaled L1  | Ls 5 1 0,0,0 8,8,8 | Ls 5 1 0,0,0 8,8,8 | Ls 5 1 0,0,0 8,8,8",
+        "LdrDScaled L2  | Ls 31 1 0,0,0 8,8,8 | Ls 31 1 0,0,0 8,8,8 | Ls 31 1 0,0,0 8,8,8",
+        "LdrDScaled Hbm | Ls 135 1 0,0,0 8,8,8 | Ls 135 1 0,0,0 8,8,8 | Ls 135 1 0,0,0 8,8,8",
+        "StrD       L1  | Ls 1 1 0,0,0 8,8,8 | Ls 1 1 0,0,0 8,8,8 | Ls 1 1 0,0,0 8,8,8",
+        "StrD       L2  | Ls 1 1 0,0,0 8,8,8 | Ls 1 1 0,0,0 8,8,8 | Ls 1 1 0,0,0 8,8,8",
+        "StrD       Hbm | Ls 1 1 0,0,0 8,8,8 | Ls 1 1 0,0,0 8,8,8 | Ls 1 1 0,0,0 8,8,8",
+        "StrDScaled L1  | Ls 1 1 0,0,0 8,8,8 | Ls 1 1 0,0,0 8,8,8 | Ls 1 1 0,0,0 8,8,8",
+        "StrDScaled L2  | Ls 1 1 0,0,0 8,8,8 | Ls 1 1 0,0,0 8,8,8 | Ls 1 1 0,0,0 8,8,8",
+        "StrDScaled Hbm | Ls 1 1 0,0,0 8,8,8 | Ls 1 1 0,0,0 8,8,8 | Ls 1 1 0,0,0 8,8,8",
+        "FAddD      L1  | Fla 9 1 1,1,1 0,0,0 | Fla 9 1 1,1,1 0,0,0 | Fla 9 1 1,1,1 0,0,0",
+        "FAddD      L2  | Fla 9 1 1,1,1 0,0,0 | Fla 9 1 1,1,1 0,0,0 | Fla 9 1 1,1,1 0,0,0",
+        "FAddD      Hbm | Fla 9 1 1,1,1 0,0,0 | Fla 9 1 1,1,1 0,0,0 | Fla 9 1 1,1,1 0,0,0",
+        "FSubD      L1  | Fla 9 1 1,1,1 0,0,0 | Fla 9 1 1,1,1 0,0,0 | Fla 9 1 1,1,1 0,0,0",
+        "FSubD      L2  | Fla 9 1 1,1,1 0,0,0 | Fla 9 1 1,1,1 0,0,0 | Fla 9 1 1,1,1 0,0,0",
+        "FSubD      Hbm | Fla 9 1 1,1,1 0,0,0 | Fla 9 1 1,1,1 0,0,0 | Fla 9 1 1,1,1 0,0,0",
+        "FMulD      L1  | Fla 9 1 1,1,1 0,0,0 | Fla 9 1 1,1,1 0,0,0 | Fla 9 1 1,1,1 0,0,0",
+        "FMulD      L2  | Fla 9 1 1,1,1 0,0,0 | Fla 9 1 1,1,1 0,0,0 | Fla 9 1 1,1,1 0,0,0",
+        "FMulD      Hbm | Fla 9 1 1,1,1 0,0,0 | Fla 9 1 1,1,1 0,0,0 | Fla 9 1 1,1,1 0,0,0",
+        "FMaddD     L1  | Fla 9 1 2,2,2 0,0,0 | Fla 9 1 2,2,2 0,0,0 | Fla 9 1 2,2,2 0,0,0",
+        "FMaddD     L2  | Fla 9 1 2,2,2 0,0,0 | Fla 9 1 2,2,2 0,0,0 | Fla 9 1 2,2,2 0,0,0",
+        "FMaddD     Hbm | Fla 9 1 2,2,2 0,0,0 | Fla 9 1 2,2,2 0,0,0 | Fla 9 1 2,2,2 0,0,0",
+        "FNegD      L1  | Fla 4 1 1,1,1 0,0,0 | Fla 4 1 1,1,1 0,0,0 | Fla 4 1 1,1,1 0,0,0",
+        "FNegD      L2  | Fla 4 1 1,1,1 0,0,0 | Fla 4 1 1,1,1 0,0,0 | Fla 4 1 1,1,1 0,0,0",
+        "FNegD      Hbm | Fla 4 1 1,1,1 0,0,0 | Fla 4 1 1,1,1 0,0,0 | Fla 4 1 1,1,1 0,0,0",
+        "B          L1  | Br 1 1 0,0,0 0,0,0 | Br 1 1 0,0,0 0,0,0 | Br 1 1 0,0,0 0,0,0",
+        "B          L2  | Br 1 1 0,0,0 0,0,0 | Br 1 1 0,0,0 0,0,0 | Br 1 1 0,0,0 0,0,0",
+        "B          Hbm | Br 1 1 0,0,0 0,0,0 | Br 1 1 0,0,0 0,0,0 | Br 1 1 0,0,0 0,0,0",
+        "BLtX       L1  | Br 1 1 0,0,0 0,0,0 | Br 1 1 0,0,0 0,0,0 | Br 1 1 0,0,0 0,0,0",
+        "BLtX       L2  | Br 1 1 0,0,0 0,0,0 | Br 1 1 0,0,0 0,0,0 | Br 1 1 0,0,0 0,0,0",
+        "BLtX       Hbm | Br 1 1 0,0,0 0,0,0 | Br 1 1 0,0,0 0,0,0 | Br 1 1 0,0,0 0,0,0",
+        "BGeX       L1  | Br 1 1 0,0,0 0,0,0 | Br 1 1 0,0,0 0,0,0 | Br 1 1 0,0,0 0,0,0",
+        "BGeX       L2  | Br 1 1 0,0,0 0,0,0 | Br 1 1 0,0,0 0,0,0 | Br 1 1 0,0,0 0,0,0",
+        "BGeX       Hbm | Br 1 1 0,0,0 0,0,0 | Br 1 1 0,0,0 0,0,0 | Br 1 1 0,0,0 0,0,0",
+        "PtrueD     L1  | Pred 2 4 0,0,0 0,0,0 | Pred 2 4 0,0,0 0,0,0 | Pred 2 4 0,0,0 0,0,0",
+        "PtrueD     L2  | Pred 2 4 0,0,0 0,0,0 | Pred 2 4 0,0,0 0,0,0 | Pred 2 4 0,0,0 0,0,0",
+        "PtrueD     Hbm | Pred 2 4 0,0,0 0,0,0 | Pred 2 4 0,0,0 0,0,0 | Pred 2 4 0,0,0 0,0,0",
+        "WhileltD   L1  | Pred 4 4 0,0,0 0,0,0 | Pred 4 4 0,0,0 0,0,0 | Pred 4 4 0,0,0 0,0,0",
+        "WhileltD   L2  | Pred 4 4 0,0,0 0,0,0 | Pred 4 4 0,0,0 0,0,0 | Pred 4 4 0,0,0 0,0,0",
+        "WhileltD   Hbm | Pred 4 4 0,0,0 0,0,0 | Pred 4 4 0,0,0 0,0,0 | Pred 4 4 0,0,0 0,0,0",
+        "DupZD      L1  | Fla 4 1 0,0,0 0,0,0 | Fla 4 1 0,0,0 0,0,0 | Fla 4 1 0,0,0 0,0,0",
+        "DupZD      L2  | Fla 4 1 0,0,0 0,0,0 | Fla 4 1 0,0,0 0,0,0 | Fla 4 1 0,0,0 0,0,0",
+        "DupZD      Hbm | Fla 4 1 0,0,0 0,0,0 | Fla 4 1 0,0,0 0,0,0 | Fla 4 1 0,0,0 0,0,0",
+        "DupZI      L1  | Fla 4 1 0,0,0 0,0,0 | Fla 4 1 0,0,0 0,0,0 | Fla 4 1 0,0,0 0,0,0",
+        "DupZI      L2  | Fla 4 1 0,0,0 0,0,0 | Fla 4 1 0,0,0 0,0,0 | Fla 4 1 0,0,0 0,0,0",
+        "DupZI      Hbm | Fla 4 1 0,0,0 0,0,0 | Fla 4 1 0,0,0 0,0,0 | Fla 4 1 0,0,0 0,0,0",
+        "MovZ       L1  | Fla 4 1 0,0,0 0,0,0 | Fla 4 1 0,0,0 0,0,0 | Fla 4 1 0,0,0 0,0,0",
+        "MovZ       L2  | Fla 4 1 0,0,0 0,0,0 | Fla 4 1 0,0,0 0,0,0 | Fla 4 1 0,0,0 0,0,0",
+        "MovZ       Hbm | Fla 4 1 0,0,0 0,0,0 | Fla 4 1 0,0,0 0,0,0 | Fla 4 1 0,0,0 0,0,0",
+        "Ld1d       L1  | Ls 11 1 0,0,0 0,8,16 | Ls 11 1 0,0,0 0,8,64 | Ls 11 1 0,0,0 0,8,256",
+        "Ld1d       L2  | Ls 37 1 0,0,0 0,8,16 | Ls 37 1 0,0,0 0,8,64 | Ls 37 1 0,0,0 0,8,256",
+        "Ld1d       Hbm | Ls 141 1 0,0,0 0,8,16 | Ls 141 1 0,0,0 0,8,64 | Ls 141 1 0,0,0 0,8,256",
+        "St1d       L1  | Ls 1 1 0,0,0 0,8,16 | Ls 1 1 0,0,0 0,8,64 | Ls 1 1 0,0,0 0,8,256",
+        "St1d       L2  | Ls 1 1 0,0,0 0,8,16 | Ls 1 1 0,0,0 0,8,64 | Ls 1 1 0,0,0 0,8,256",
+        "St1d       Hbm | Ls 1 1 0,0,0 0,8,16 | Ls 1 1 0,0,0 0,8,64 | Ls 1 1 0,0,0 0,8,256",
+        "Ld1dGather L1  | Ls 11 1 0,0,0 0,8,16 | Ls 11 4 0,0,0 0,8,64 | Ls 11 16 0,0,0 0,8,256",
+        "Ld1dGather L2  | Ls 37 1 0,0,0 0,8,16 | Ls 37 4 0,0,0 0,8,64 | Ls 37 16 0,0,0 0,8,256",
+        "Ld1dGather Hbm | Ls 141 1 0,0,0 0,8,16 | Ls 141 4 0,0,0 0,8,64 | Ls 141 16 0,0,0 0,8,256",
+        "FAddZ      L1  | Fla 9 1 0,1,2 0,0,0 | Fla 9 1 0,1,8 0,0,0 | Fla 9 1 0,1,32 0,0,0",
+        "FAddZ      L2  | Fla 9 1 0,1,2 0,0,0 | Fla 9 1 0,1,8 0,0,0 | Fla 9 1 0,1,32 0,0,0",
+        "FAddZ      Hbm | Fla 9 1 0,1,2 0,0,0 | Fla 9 1 0,1,8 0,0,0 | Fla 9 1 0,1,32 0,0,0",
+        "FSubZ      L1  | Fla 9 1 0,1,2 0,0,0 | Fla 9 1 0,1,8 0,0,0 | Fla 9 1 0,1,32 0,0,0",
+        "FSubZ      L2  | Fla 9 1 0,1,2 0,0,0 | Fla 9 1 0,1,8 0,0,0 | Fla 9 1 0,1,32 0,0,0",
+        "FSubZ      Hbm | Fla 9 1 0,1,2 0,0,0 | Fla 9 1 0,1,8 0,0,0 | Fla 9 1 0,1,32 0,0,0",
+        "FMulZ      L1  | Fla 9 1 0,1,2 0,0,0 | Fla 9 1 0,1,8 0,0,0 | Fla 9 1 0,1,32 0,0,0",
+        "FMulZ      L2  | Fla 9 1 0,1,2 0,0,0 | Fla 9 1 0,1,8 0,0,0 | Fla 9 1 0,1,32 0,0,0",
+        "FMulZ      Hbm | Fla 9 1 0,1,2 0,0,0 | Fla 9 1 0,1,8 0,0,0 | Fla 9 1 0,1,32 0,0,0",
+        "FMlaZ      L1  | Fla 9 1 0,2,4 0,0,0 | Fla 9 1 0,2,16 0,0,0 | Fla 9 1 0,2,64 0,0,0",
+        "FMlaZ      L2  | Fla 9 1 0,2,4 0,0,0 | Fla 9 1 0,2,16 0,0,0 | Fla 9 1 0,2,64 0,0,0",
+        "FMlaZ      Hbm | Fla 9 1 0,2,4 0,0,0 | Fla 9 1 0,2,16 0,0,0 | Fla 9 1 0,2,64 0,0,0",
+        "FMlsZ      L1  | Fla 9 1 0,2,4 0,0,0 | Fla 9 1 0,2,16 0,0,0 | Fla 9 1 0,2,64 0,0,0",
+        "FMlsZ      L2  | Fla 9 1 0,2,4 0,0,0 | Fla 9 1 0,2,16 0,0,0 | Fla 9 1 0,2,64 0,0,0",
+        "FMlsZ      Hbm | Fla 9 1 0,2,4 0,0,0 | Fla 9 1 0,2,16 0,0,0 | Fla 9 1 0,2,64 0,0,0",
+        "FNegZ      L1  | Fla 4 1 0,1,2 0,0,0 | Fla 4 1 0,1,8 0,0,0 | Fla 4 1 0,1,32 0,0,0",
+        "FNegZ      L2  | Fla 4 1 0,1,2 0,0,0 | Fla 4 1 0,1,8 0,0,0 | Fla 4 1 0,1,32 0,0,0",
+        "FNegZ      Hbm | Fla 4 1 0,1,2 0,0,0 | Fla 4 1 0,1,8 0,0,0 | Fla 4 1 0,1,32 0,0,0",
+        "FaddvD     L1  | Fla 49 1 0,0,1 0,0,0 | Fla 49 1 0,0,7 0,0,0 | Fla 49 1 0,0,31 0,0,0",
+        "FaddvD     L2  | Fla 49 1 0,0,1 0,0,0 | Fla 49 1 0,0,7 0,0,0 | Fla 49 1 0,0,31 0,0,0",
+        "FaddvD     Hbm | Fla 49 1 0,0,1 0,0,0 | Fla 49 1 0,0,7 0,0,0 | Fla 49 1 0,0,31 0,0,0",
+        "IncdX      L1  | Int 2 1 0,0,0 0,0,0 | Int 2 1 0,0,0 0,0,0 | Int 2 1 0,0,0 0,0,0",
+        "IncdX      L2  | Int 2 1 0,0,0 0,0,0 | Int 2 1 0,0,0 0,0,0 | Int 2 1 0,0,0 0,0,0",
+        "IncdX      Hbm | Int 2 1 0,0,0 0,0,0 | Int 2 1 0,0,0 0,0,0 | Int 2 1 0,0,0 0,0,0",
+        "CntdX      L1  | Int 2 1 0,0,0 0,0,0 | Int 2 1 0,0,0 0,0,0 | Int 2 1 0,0,0 0,0,0",
+        "CntdX      L2  | Int 2 1 0,0,0 0,0,0 | Int 2 1 0,0,0 0,0,0 | Int 2 1 0,0,0 0,0,0",
+        "CntdX      Hbm | Int 2 1 0,0,0 0,0,0 | Int 2 1 0,0,0 0,0,0 | Int 2 1 0,0,0 0,0,0",
+    ];
+
     #[test]
-    fn load_latency_grows_down_the_hierarchy() {
+    fn every_cost_row_is_pinned() {
         let m = SchedModel::A64FX;
-        let ld = Instr::LdrD { d: D(0), base: X(0), offset: 0 };
-        let l1 = m.props(&ld, 8, 8, MemLevel::L1).latency;
-        let l2 = m.props(&ld, 8, 8, MemLevel::L2).latency;
-        let hbm = m.props(&ld, 8, 8, MemLevel::Hbm).latency;
-        assert!(l1 < l2 && l2 < hbm);
+        let mut names: Vec<String> = Vec::new();
+        let mut rows = ROWS.iter();
+        for i in every_variant() {
+            let name = format!("{i:?}").split(' ').next().unwrap_or_default().to_string();
+            for level in [MemLevel::L1, MemLevel::L2, MemLevel::Hbm] {
+                let mut got = format!("{name:<10} {:<3}", format!("{level:?}"));
+                for lanes in [2, 8, 32] {
+                    let p = m.props(&i, lanes, level);
+                    let (f, b) = (p.flops, p.bytes);
+                    got += &format!(
+                        " | {:?} {} {} {},{},{} {},{},{}",
+                        p.unit,
+                        p.latency,
+                        p.occupancy,
+                        f.at(0),
+                        f.at(1),
+                        f.at(lanes),
+                        b.at(0),
+                        b.at(1),
+                        b.at(lanes)
+                    );
+                }
+                assert_eq!(Some(&got.as_str()), rows.next(), "cost row of {i:?} at {level:?}");
+            }
+            names.push(name);
+        }
+        names.sort();
+        names.dedup();
+        assert_eq!(names.len(), 36, "every variant once");
     }
 
     #[test]
@@ -243,30 +438,5 @@ mod tests {
         let m = SchedModel::A64FX;
         assert!(m.total_mem_rate(MemLevel::L1) > m.total_mem_rate(MemLevel::L2));
         assert!(m.total_mem_rate(MemLevel::L2) > m.total_mem_rate(MemLevel::Hbm));
-    }
-
-    #[test]
-    fn gather_cracks_into_micro_ops() {
-        let m = SchedModel::A64FX;
-        let g = Instr::Ld1dGather { t: Z(0), pg: P(0), base: X(0), idx: Z(1) };
-        let u = Instr::Ld1d { t: Z(0), pg: P(0), base: X(0), index: X(1) };
-        assert!(
-            m.props(&g, 8, 8, MemLevel::L1).occupancy > m.props(&u, 8, 8, MemLevel::L1).occupancy
-        );
-    }
-
-    #[test]
-    fn fma_counts_two_flops_per_active_lane() {
-        let m = SchedModel::A64FX;
-        let fmla = Instr::FMlaZ { da: Z(0), pg: P(0), n: Z(1), m: Z(2) };
-        assert_eq!(m.props(&fmla, 8, 8, MemLevel::L1).flops, 16);
-        assert_eq!(m.props(&fmla, 8, 5, MemLevel::L1).flops, 10);
-    }
-
-    #[test]
-    fn faddv_is_expensive() {
-        let m = SchedModel::A64FX;
-        let v = Instr::FaddvD { d: D(0), pg: P(0), n: Z(0) };
-        assert!(m.props(&v, 8, 8, MemLevel::L1).latency >= 40);
     }
 }

@@ -30,13 +30,13 @@
 //!   same order); any opcode without its own closure falls back to
 //!   `step_instr` itself.
 
-use crate::decode::{DecodedOp, DecodedProgram, FlopRule, MemRule, RingSlots, NO_REG};
+use crate::decode::{DecodedOp, DecodedProgram, RingSlots, NO_REG};
 use crate::exec::{step_instr, ExecStats, Executor};
 use crate::fuse::Group;
 use crate::isa::Instr;
 use crate::mem::SimMem;
 use crate::reg::RegFile;
-use crate::sched::SchedModel;
+use crate::sched::{Affine, SchedModel};
 
 const FETCH_WIDTH: u64 = SchedModel::A64FX.fetch_width;
 
@@ -78,7 +78,7 @@ pub(crate) struct Frame<'a> {
     pub max_instrs: u64,
     /// Dynamic-instruction count at which the rings are next pruned.
     pub next_prune: u64,
-    /// Flops of the active-lane cost rules (the constant ones are folded).
+    /// Flops of the active-lane terms (the fixed ones are folded).
     pub flops: u64,
     pub bytes_read: u64,
     pub bytes_written: u64,
@@ -87,6 +87,8 @@ pub(crate) struct Frame<'a> {
 /// Packed timing operands of one micro-op: the [`DecodedOp`] fields
 /// [`charge`] needs, copied into a flat `Copy` struct so pre-bound
 /// closures carry their operands inline instead of chasing the program.
+/// The flop and byte coefficients are the op's cost row
+/// ([`SchedModel::props`]), the same row the interpreter evaluates.
 #[derive(Clone, Copy)]
 pub(crate) struct Cost {
     srcs: [u8; 5],
@@ -96,11 +98,11 @@ pub(crate) struct Cost {
     unit: u8,
     latency: u64,
     occupancy: u64,
-    /// The active-lane part of [`FlopRule`] in closed form:
-    /// `flops = a·active + m1·max(active−1, 0)` (`Const` is folded).
+    /// The active-lane terms of the flop count (its fixed part is folded
+    /// per group): `flops = a·active + m1·max(active−1, 0)`.
     flops_a: u64,
     flops_m1: u64,
-    /// [`MemRule`] lowered to closed form: `bytes = c + a·active`.
+    /// The byte count: `bytes = c + a·active`.
     bytes_c: u64,
     bytes_a: u64,
     is_load: bool,
@@ -108,15 +110,9 @@ pub(crate) struct Cost {
 
 impl Cost {
     fn of(op: &DecodedOp) -> Self {
-        let (flops_a, flops_m1) = match op.flops {
-            FlopRule::Const(_) => (0, 0),
-            FlopRule::PerActive(k) => (k, 0),
-            FlopRule::ActiveMinus1 => (0, 1),
-        };
-        let (bytes_c, bytes_a) = match op.mem {
-            MemRule::None => (0, 0),
-            MemRule::Const(b) => (b, 0),
-            MemRule::PerActive8 => (0, 8),
+        let Affine { fixed: bytes_c, per_active: bytes_a, per_active_after_first: 0 } = op.bytes
+        else {
+            unreachable!("`charge` has no after-first byte term, and no cost row has one")
         };
         Cost {
             srcs: op.srcs,
@@ -126,8 +122,8 @@ impl Cost {
             unit: op.unit,
             latency: op.latency,
             occupancy: op.occupancy,
-            flops_a,
-            flops_m1,
+            flops_a: op.flops.per_active,
+            flops_m1: op.flops.per_active_after_first,
             bytes_c,
             bytes_a,
             is_load: op.is_load,
@@ -137,16 +133,17 @@ impl Cost {
 
 /// Charge one micro-op's timing: a replica of the timing block of
 /// [`Executor::run`]'s step loop producing bit-identical values by
-/// construction — same arithmetic in the same order, with only
-/// result-preserving strength reductions (the fetch frontier is
-/// maintained incrementally instead of divided out per op, the cost rules
-/// were lowered to closed-form coefficients at decode, and power-of-two
-/// bandwidth divisions became shifts).  Fetch frontier, source readiness,
-/// the bandwidth limiter and the pipe reservation form a serial
-/// recurrence, so every part of a group is charged in program order.
+/// construction — the same cost row, the same arithmetic in the same
+/// order, with only result-preserving strength reductions (the fetch
+/// frontier is maintained incrementally instead of divided out per op,
+/// the row's coefficients are copied into [`Cost`] at decode, and
+/// power-of-two bandwidth divisions became shifts).  Fetch frontier,
+/// source readiness, the bandwidth limiter and the pipe reservation form
+/// a serial recurrence, so every part of a group is charged in program
+/// order.
 /// Only what depends on dynamic state is charged here; the statistics a
 /// group adds identically on every run (instruction count, mix, unit
-/// busyness, load/store counts, constant flops) are folded per group
+/// busyness, load/store counts, fixed flops) are folded per group
 /// from [`Frame::hits`] after the run, and the instruction-cap check and
 /// the ring prune move to the group level ([`check_cap`]).
 #[inline(always)]
@@ -618,9 +615,7 @@ impl Executor {
             for op in &dp.ops[g.start..g.start + g.len] {
                 mix[op.mix_slot as usize] += h;
                 stats.unit_busy[op.unit as usize] += h * op.occupancy;
-                if let FlopRule::Const(k) = op.flops {
-                    stats.flops += h * k;
-                }
+                stats.flops += h * op.flops.fixed;
                 if op.is_load {
                     stats.loads += h;
                 } else if op.is_store {

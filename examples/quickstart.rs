@@ -50,6 +50,7 @@ fn main() {
         println!("  {label:<14} {secs:8.3} s");
     }
 
-    println!("\nTAU-style profile of rank 0 (Cray-opt lane):");
+    // The profiler times lane 0, the first row of the list above.
+    println!("\nTAU-style profile of rank 0 ({} lane):", times[0].0);
     println!("{profile}");
 }

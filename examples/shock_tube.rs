@@ -32,7 +32,7 @@ fn main() {
         let st = sim.hydro().expect("hydro enabled");
         let mut out = Vec::new();
         for i1 in (0..grid.n1).step_by(5) {
-            let w = eos.to_prim(st.cons(i1 as isize, 1));
+            let w = eos.to_prim(st.cons(i1 as isize, 1)).expect("a physical state");
             let (x, _) = grid.center(i1, 1);
             out.push((x, w.rho, w.u1, w.p));
         }

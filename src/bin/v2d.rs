@@ -167,7 +167,8 @@ fn main() {
         let m = outs.iter().map(|o| o.3[i].2).fold(0.0f64, f64::max);
         println!("{label:<16} {t:>12.2} {m:>12.2}");
     }
-    println!("\nrank-0 routine profile (Cray-opt lane):\n{profile}");
+    // The profiler times lane 0, the first row of the table above.
+    println!("\nrank-0 routine profile ({} lane):\n{profile}", outs[0].3[0].0);
     if ck_every > 0 {
         println!("rolling checkpoints every {ck_every} steps in {CK_DIR}/ (keeping {ck_keep})");
     }

@@ -37,6 +37,12 @@ fn runs_a_small_deck_and_writes_a_checkpoint() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("solves: 6"), "unexpected output:\n{text}");
     assert!(text.contains("Cray (opt)"));
+    // The routine profile times lane 0: its header names the compiler in
+    // the first row of the times table.
+    let mut rows = text.lines().skip_while(|l| !l.starts_with("compiler ")).skip(1);
+    let first = rows.next().and_then(|l| l.get(..16)).map(str::trim).expect("a compiler row");
+    let header = format!("rank-0 routine profile ({first} lane):");
+    assert!(text.contains(&header), "no `{header}` in:\n{text}");
 
     // The checkpoint must exist and decode.
     let ck = v2d::io::File::open(dir.join("v2d_final.h5l")).expect("checkpoint readable");
@@ -125,6 +131,17 @@ fn an_unrecoverable_step_is_a_clean_error() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The deck `v2d --print-deck sedov` prints, with each `(from, to)` edit
+/// applied.
+fn sedov_deck(edits: &[(&str, &str)]) -> String {
+    let printed = v2d().args(["--print-deck", "sedov"]).output().expect("run v2d");
+    let deck = String::from_utf8(printed.stdout).expect("utf-8");
+    edits.iter().fold(deck, |deck, (from, to)| {
+        assert!(deck.contains(from), "{deck}");
+        deck.replace(from, to)
+    })
+}
+
 /// A hydro step that could never finish (`cfl = 1e-300`) is one `run
 /// failed` line and exit status 1 within seconds, not a run that spins
 /// forever.
@@ -132,15 +149,11 @@ fn an_unrecoverable_step_is_a_clean_error() {
 fn a_vanishing_cfl_is_a_clean_error_not_a_hang() {
     let dir = std::env::temp_dir().join(format!("v2d_cli_cfl_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let printed = v2d().args(["--print-deck", "sedov"]).output().expect("run v2d");
-    let deck = String::from_utf8(printed.stdout).expect("utf-8");
     // A small grid keeps the bounded sub-steps cheap in a debug build.
-    let edits =
-        [("\nn1 = 48\nn2 = 48\n", "\nn1 = 12\nn2 = 12\n"), ("\ncfl = 0.4\n", "\ncfl = 1e-300\n")];
-    let deck = edits.iter().fold(deck, |deck, (from, to)| {
-        assert!(deck.contains(from), "{deck}");
-        deck.replace(from, to)
-    });
+    let deck = sedov_deck(&[
+        ("\nn1 = 48\nn2 = 48\n", "\nn1 = 12\nn2 = 12\n"),
+        ("\ncfl = 0.4\n", "\ncfl = 1e-300\n"),
+    ]);
     let path = dir.join("cfl.par");
     std::fs::write(&path, deck).expect("write deck");
     let mut child = v2d()
@@ -163,6 +176,29 @@ fn a_vanishing_cfl_is_a_clean_error_not_a_hang() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "stderr: {err}");
     assert!(err.starts_with("v2d: run failed: step 0: hydro exceeded"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An adiabatic index `to_config` accepts but the flow cannot survive
+/// ends the run in a typed step error — one `run failed` line, exit
+/// status 1 — never a panic's 101: γ = 5 drives a pressure negative at
+/// step 3, and γ = 1e300 gives a NaN density at once.
+#[test]
+fn an_unphysical_hydro_state_is_a_clean_error() {
+    let dir = std::env::temp_dir().join(format!("v2d_cli_gamma_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    for (gamma, want) in [
+        ("5", "step 3: unphysical hydro state: non-positive pressure"),
+        ("1e300", "step 0: unphysical hydro state: non-positive density NaN"),
+    ] {
+        let path = dir.join(format!("gamma_{gamma}.par"));
+        let deck = sedov_deck(&[("\ngamma = 1.4\n", &format!("\ngamma = {gamma}\n"))]);
+        std::fs::write(&path, deck).expect("write deck");
+        let out = v2d().arg(&path).current_dir(&dir).output().expect("run v2d");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "γ = {gamma}: stderr: {err}");
+        assert!(err.starts_with(&format!("v2d: run failed: {want}")), "γ = {gamma}: {err}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
