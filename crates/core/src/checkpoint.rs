@@ -177,6 +177,16 @@ pub fn write_checkpoint(
     sink: &mut MultiCostSink,
     sim: &V2dSim,
 ) -> Result<File, CheckpointError> {
+    Ok(gather_checkpoint(comm, sink, sim)?)
+}
+
+/// [`write_checkpoint`] failing with the gather's own error, the only
+/// way it can fail.
+pub(crate) fn gather_checkpoint(
+    comm: &Comm,
+    sink: &mut MultiCostSink,
+    sim: &V2dSim,
+) -> Result<File, CommError> {
     let g = sim.grid();
     let (gn1, gn2) = (g.global.n1, g.global.n2);
     let mut f = File::new();

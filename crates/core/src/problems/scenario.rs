@@ -357,7 +357,11 @@ impl NormAccum {
         let den1 = sum(sink, self.den1).max(f64::MIN_POSITIVE);
         let den2 = sum(sink, self.den2).max(f64::MIN_POSITIVE);
         let dinf = max(sink, self.dinf).max(f64::MIN_POSITIVE);
-        (num1 / den1, (num2 / den2).sqrt(), ninf / dinf)
+        // `f64::max` drops a NaN operand, so neither `push` nor the Max
+        // reduction can carry a NaN error into L∞; the Sum-reduced L1
+        // numerator carries it to every rank.
+        let linf = if num1.is_nan() { f64::NAN } else { ninf / dinf };
+        (num1 / den1, (num2 / den2).sqrt(), linf)
     }
 }
 
@@ -590,6 +594,22 @@ mod tests {
         assert_eq!(FAMILY.parse("warp-drive"), None);
         let names: Vec<_> = FAMILIES.iter().map(|f| f.name()).collect();
         assert_eq!(FAMILY.valid(), names.join(", "), "the table lists families in sweep order");
+    }
+
+    #[test]
+    fn a_nan_error_on_any_rank_makes_every_norm_nan() {
+        let norms = v2d_comm::Spmd::new(2).run(|ctx| {
+            let mut acc = NormAccum::default();
+            acc.push(1.5, 1.0);
+            if ctx.rank() == 1 {
+                acc.push(f64::NAN, 1.0);
+            }
+            acc.reduce(&ctx.comm, &mut ctx.sink)
+        });
+        for (rank, (l1, l2, linf)) in norms.into_iter().enumerate() {
+            assert!(l1.is_nan() && l2.is_nan(), "rank {rank}: l1={l1} l2={l2}");
+            assert!(linf.is_nan(), "rank {rank}: a NaN sample must not leave linf={linf}");
+        }
     }
 
     #[test]

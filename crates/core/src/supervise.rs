@@ -4,9 +4,12 @@
 //!
 //! [`run_supervised`] wraps a whole multi-rank launch the way a batch
 //! scheduler wraps an MPI job.  Each *attempt* is one [`Spmd`] launch;
-//! inside it every rank steps its [`V2dSim`] through
-//! [`V2dSim::try_step`] and writes rotating checkpoints on the spec's
-//! cadence.  When an attempt ends in a fatal [`StepError`] — a rank
+//! inside it every rank runs [`V2dSim::run_checkpointed`], the same rank
+//! loop the `v2d` driver runs, and rank 0 saves rotating checkpoints on
+//! the spec's cadence into the run's one [`CheckpointStore`], lent to it
+//! for the attempt (a failed save does not fail the attempt, and no
+//! later save of that attempt is tried).  When an attempt ends in a
+//! fatal [`StepError`] — a rank
 //! killed by its fault plan ([`StepError::Lost`]), a peer observed dead
 //! ([`v2d_comm::CommError::RankDead`]), or an exhausted in-step
 //! recovery ladder — the supervisor
@@ -34,7 +37,7 @@
 //! a typed [`SuperviseError`] still carrying the full ledger.
 
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use v2d_comm::{Spmd, TileMap};
 use v2d_io::File;
@@ -226,7 +229,7 @@ pub fn run_supervised(
     let mut resume: Option<Arc<File>> = None;
     loop {
         ledger.attempts += 1;
-        let outcomes = launch(spec, &working_plan, np, resume.clone());
+        let outcomes = launch(spec, &working_plan, np, resume.clone(), &mut store);
         // A clean attempt: every rank finished and assembled the same
         // global field.
         if outcomes.iter().all(|o| matches!(o, RankOutcome::Done { .. })) {
@@ -359,21 +362,25 @@ pub fn run_supervised(
 }
 
 /// One attempt: launch `np.0 × np.1` ranks, restore from `resume` when
-/// present, step to completion with periodic checkpoints, and gather
-/// the final global field.  Every error path retires the rank's comm
-/// endpoint first, so peers resolve into typed `RankDead` instead of
-/// waiting on a rank that will never communicate again.
+/// present, and run [`V2dSim::run_checkpointed`] into `store`, then
+/// gather the final global field.  Every error path retires the rank's
+/// comm endpoint first, so peers resolve into typed `RankDead` instead
+/// of waiting on a rank that will never communicate again.
 fn launch(
     spec: &SuperviseSpec,
     plan: &FaultPlan,
     np: (usize, usize),
     resume: Option<Arc<File>>,
+    store: &mut CheckpointStore,
 ) -> Vec<RankOutcome> {
     let cfg = spec.cfg;
     let scenario = spec.scenario;
-    let (every, keep) = (spec.checkpoint_every, spec.checkpoint_keep);
-    let dir = spec.dir.clone();
+    let every = spec.checkpoint_every;
     let n_ranks = np.0 * np.1;
+    // Rank 0 borrows the run's store for the attempt; pruning is
+    // deterministic, and once any rank dies no further checkpoint gather
+    // can complete, so the store never needs to move mid-attempt.
+    let store = &Mutex::new(Some(store));
     Spmd::new(n_ranks).with_profiles(vec![CompilerProfile::cray_opt()]).run(move |ctx| {
         let map = TileMap::new(cfg.grid.n1, cfg.grid.n2, np.0, np.1);
         let mut sim = V2dSim::new(cfg, &ctx.comm, map);
@@ -385,43 +392,17 @@ fn launch(
                 return RankOutcome::Failed { istep: 0, what: format!("restore failed: {e}") };
             }
         }
-        // Rank 0 owns the store during the attempt; pruning is
-        // deterministic, and once any rank dies no further
-        // checkpoint gather can complete, so ownership never needs
-        // to migrate mid-attempt.
-        let mut store =
-            if ctx.comm.rank() == 0 { CheckpointStore::new(&dir, keep).ok() } else { None };
-        while sim.istep() < cfg.n_steps {
-            match sim.try_step(&ctx.comm, &mut ctx.sink) {
-                Ok(_) => {}
-                Err(StepError::Lost { istep, stalled }) => {
-                    // try_step already retired the endpoint.
-                    return RankOutcome::Lost { istep, stalled };
-                }
-                Err(e) => {
-                    ctx.comm.retire();
-                    return RankOutcome::Failed { istep: sim.istep(), what: e.to_string() };
-                }
+        let store = (ctx.comm.rank() == 0)
+            .then(|| store.lock().unwrap_or_else(|e| e.into_inner()).take())
+            .flatten();
+        // A failed save is best-effort: it must not kill a healthy
+        // attempt, so `save_error` is not read.
+        match sim.run_checkpointed(&ctx.comm, &mut ctx.sink, every, store).error {
+            Some(StepError::Lost { istep, stalled }) => {
+                return RankOutcome::Lost { istep, stalled }
             }
-            let istep = sim.istep();
-            if every > 0 && istep.is_multiple_of(every) && istep < cfg.n_steps {
-                match write_checkpoint(&ctx.comm, &mut ctx.sink, &sim) {
-                    Ok(file) => {
-                        if let Some(st) = &mut store {
-                            // Best-effort: a failed disk write must
-                            // not kill a healthy attempt.
-                            let _ = st.save(&file, istep);
-                        }
-                    }
-                    Err(e) => {
-                        ctx.comm.retire();
-                        return RankOutcome::Failed {
-                            istep,
-                            what: format!("checkpoint failed: {e}"),
-                        };
-                    }
-                }
-            }
+            Some(e) => return RankOutcome::Failed { istep: sim.istep(), what: e.to_string() },
+            None => {}
         }
         // Final gather: every rank assembles the same global field,
         // giving the report decomposition-agnostic bits.

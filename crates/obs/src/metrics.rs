@@ -134,36 +134,6 @@ impl Metrics {
                 .collect(),
         )
     }
-
-    /// Rebuild from [`Metrics::to_json`] output.
-    pub fn from_json(v: &Json) -> Option<Metrics> {
-        let mut out = Metrics::new();
-        for (name, m) in v.as_obj()? {
-            let metric = match m.get("type")?.as_str()? {
-                "counter" => Metric::Counter(m.get("value")?.as_u64()?),
-                "gauge" => Metric::Gauge(m.get("value")?.as_f64()?),
-                "histogram" => Metric::Hist(Histogram {
-                    bounds: m
-                        .get("bounds")?
-                        .as_arr()?
-                        .iter()
-                        .map(|b| b.as_f64())
-                        .collect::<Option<_>>()?,
-                    counts: m
-                        .get("counts")?
-                        .as_arr()?
-                        .iter()
-                        .map(|c| c.as_u64())
-                        .collect::<Option<_>>()?,
-                    sum: m.get("sum")?.as_f64()?,
-                    n: m.get("n")?.as_u64()?,
-                }),
-                _ => return None,
-            };
-            out.map.insert(name.clone(), metric);
-        }
-        Some(out)
-    }
 }
 
 #[cfg(test)]
@@ -180,8 +150,6 @@ mod tests {
         m.gauge_set("clock.cray_opt_s", 1.25);
         m.observe("msg.delay_s", &[0.1, 1.0], 0.05);
         m.observe("msg.delay_s", &[0.1, 1.0], 5.0);
-        let j = m.to_json();
-        assert_eq!(Metrics::from_json(&j).unwrap(), m);
         assert_eq!(m.counter("solver.iters"), 42);
         assert_eq!(m.get("clock.cray_opt_s"), Some(&Metric::Gauge(1.25)));
     }

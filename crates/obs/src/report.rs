@@ -86,39 +86,6 @@ impl RunReport {
         ])
         .to_pretty()
     }
-
-    /// Parse a serialized report; `None` on schema mismatch.
-    pub fn parse(text: &str) -> Option<RunReport> {
-        let doc = Json::parse(text).ok()?;
-        if doc.get("schema_version")?.as_u64()? != crate::SCHEMA_VERSION
-            || doc.get("kind")?.as_str()? != "run_report"
-        {
-            return None;
-        }
-        let meta = doc
-            .get("meta")?
-            .as_obj()?
-            .iter()
-            .map(|(k, v)| Some((k.clone(), v.as_str()?.to_string())))
-            .collect::<Option<_>>()?;
-        let steps = doc
-            .get("steps")?
-            .as_arr()?
-            .iter()
-            .map(|s| {
-                Some(StepRecord {
-                    step: s.get("step")?.as_u64()?,
-                    values: s
-                        .get("values")?
-                        .as_obj()?
-                        .iter()
-                        .map(|(k, v)| Some((k.clone(), v.as_f64()?)))
-                        .collect::<Option<_>>()?,
-                })
-            })
-            .collect::<Option<_>>()?;
-        Some(RunReport { meta, steps, totals: Metrics::from_json(doc.get("totals")?)? })
-    }
 }
 
 #[cfg(test)]
@@ -135,15 +102,5 @@ mod tests {
         r.totals.counter_add("solver.iters", 24);
         let text = r.to_json_string();
         assert_eq!(text, r.to_json_string());
-        let back = RunReport::parse(&text).expect("parses");
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn wrong_schema_version_is_rejected() {
-        let mut r = RunReport::new(vec![]);
-        r.totals.counter_add("x", 1);
-        let text = r.to_json_string().replace("\"schema_version\": 1", "\"schema_version\": 999");
-        assert!(RunReport::parse(&text).is_none());
     }
 }

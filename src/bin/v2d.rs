@@ -19,7 +19,7 @@ use v2d::comm::{Spmd, TileMap};
 use v2d::core::checkpoint::{write_checkpoint, CheckpointStore};
 use v2d::core::config_file::{ParFile, FAMILY, PAPER_PAR};
 use v2d::core::problems::Family;
-use v2d::core::sim::{RunStats, V2dSim};
+use v2d::core::sim::V2dSim;
 
 /// The final checkpoint rank 0's state is written to.
 const FINAL: &str = "v2d_final.h5l";
@@ -100,33 +100,17 @@ fn main() {
         family.scenario().init(&mut sim);
         let e0 = sim.total_radiation_energy(&ctx.comm, &mut ctx.sink);
         // Rank 0 owns the rotating store's files; the gather is
-        // collective.  A failed rolling save is remembered, not raised:
-        // rank 0 keeps stepping so no peer is stranded in a collective.
+        // collective.
         let rank0 = ctx.rank() == 0;
         let mut store =
             rank0.then(|| store.lock().unwrap_or_else(|e| e.into_inner()).take()).flatten();
-        let mut ck_err = None;
-        let mut agg = RunStats::default();
-        for _ in 0..cfg.n_steps {
-            match sim.try_step(&ctx.comm, &mut ctx.sink) {
-                Ok(st) => agg.absorb(&st),
-                Err(e) => {
-                    // Peers still waiting on this rank resolve, not hang.
-                    ctx.comm.retire();
-                    return Err(e.to_string());
-                }
-            }
-            if ck_every > 0 && sim.istep().is_multiple_of(ck_every) && sim.istep() < cfg.n_steps {
-                let f =
-                    write_checkpoint(&ctx.comm, &mut ctx.sink, &sim).expect("checkpoint gather");
-                if let Some(store) = store.as_mut().filter(|_| ck_err.is_none()) {
-                    ck_err = store.save(&f, sim.istep()).err();
-                }
-            }
+        let end = sim.run_checkpointed(&ctx.comm, &mut ctx.sink, ck_every, store.as_mut());
+        if let Some(e) = end.error {
+            return Err(e.to_string());
         }
         let e1 = sim.total_radiation_energy(&ctx.comm, &mut ctx.sink);
         let report = family.scenario().validate(&sim, &ctx.comm, &mut ctx.sink);
-        let ck = write_checkpoint(&ctx.comm, &mut ctx.sink, &sim).expect("checkpoint gather");
+        let ck = write_checkpoint(&ctx.comm, &mut ctx.sink, &sim).map_err(|e| e.to_string())?;
         // Rank 0 hands the final state out; `main` writes it.
         let ck = rank0.then_some(ck);
         let times: Vec<(String, f64, f64)> = ctx
@@ -135,7 +119,7 @@ fn main() {
             .iter()
             .map(|l| (l.profile.id.label().to_string(), l.elapsed_secs(), l.mpi_secs()))
             .collect();
-        Ok((agg, e0, e1, times, sim.profiler_report(&ctx.sink), report, ck, ck_err))
+        Ok((end.stats, e0, e1, times, sim.profiler_report(&ctx.sink), report, ck, end.save_error))
     });
     // A step whose recovery ladder ran out fails the run on every rank.
     let mut outs: Vec<_> =
